@@ -2,9 +2,9 @@ package pmemaccel
 
 // One benchmark per evaluation artifact: Figures 6-10, Table 1 and the
 // §5.2 stall observation, plus an ablation over transaction-cache
-// capacity and a raw simulator-speed benchmark. Figure benches share one
-// grid (built once, outside the timed region) and report their series'
-// geomeans through b.ReportMetric, so
+// capacity (simulator speed is measured by the benchmark in bench/).
+// Figure benches share one grid (built once, outside the timed region)
+// and report their series' geomeans through b.ReportMetric, so
 //
 //	go test -bench=Fig -benchmem
 //
@@ -170,166 +170,6 @@ func BenchmarkAblationTCSize(b *testing.B) {
 			b.ReportMetric(tput, "tx_per_kcycle")
 		})
 	}
-}
-
-// BenchmarkSimulatorSpeed measures raw simulation speed (simulated
-// cycles per wall second) on the default rbtree/TCache configuration.
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedParallel is BenchmarkSimulatorSpeed under the
-// parallel kernel at 4 workers — the same cell, byte-identical results
-// (pinned by TestParallelKernelIdenticalAllCells), so the sim_cycles/s
-// ratio against the serial bench is pure kernel speedup. Most of the
-// gain is per-component tick elision at the barrier (idle cores skip
-// their Tick entirely); worker dispatch covers the multi-busy cycles.
-func BenchmarkSimulatorSpeedParallel(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		cfg.ParWorkers = 4
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedStreaming is BenchmarkSimulatorSpeed through
-// the streaming generation pipeline — the same cell, byte-identical
-// results (pinned by TestStreamingIdenticalAllCells), so the
-// sim_cycles/s ratio against the serial bench prices pull-based
-// generation: per-record closure dispatch and the incremental oracle
-// versus a one-shot materialize plus slice iteration.
-func BenchmarkSimulatorSpeedStreaming(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		cfg.Streaming = true
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedContended is BenchmarkSimulatorSpeed on the
-// contended many-core cell: 16 cores running bankshared, where half the
-// transactions transfer between shared accounts and every shared store
-// goes through line arbitration. The sim_cycles/s delta against the
-// serial rbtree bench prices the conflict-detection path (ownership
-// probes, abort/replay, commit-order oracle bookkeeping) on a machine
-// 4x the paper's width.
-func BenchmarkSimulatorSpeedContended(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.BankShared, TCache)
-		cfg.Cores = 16
-		cfg.Ops = 1000
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedMultiChannel is BenchmarkSimulatorSpeed on a
-// 4-channel NVM backend — the first memory-side scaling scenario. The
-// sim_cycles/s delta against the single-channel bench prices the extra
-// per-cycle controller work; the simulated-cycle count itself drops as
-// the channels overlap NVM traffic.
-func BenchmarkSimulatorSpeedMultiChannel(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		cfg.NVMChannels = 4
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedObs is BenchmarkSimulatorSpeed with the full
-// observability layer on (event trace + 1-kcycle sampling). Comparing
-// the two sim_cycles/s metrics bounds the enabled-probe cost; the
-// disabled cost is the nil-check branches, held to zero allocations by
-// the obs and txcache regression tests and to <2% speed by comparing
-// BenchmarkSimulatorSpeed against the pre-observability baseline
-// (see DESIGN.md, "Observability").
-func BenchmarkSimulatorSpeedObs(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		cfg.Obs.Enabled = true
-		cfg.Obs.SampleEvery = 1000
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedTxFlight is BenchmarkSimulatorSpeed with the
-// flight recorder sampling every transaction (the most expensive
-// setting: every tx carries a flight record, every drain write an
-// issue/durable checkpoint). The sim_cycles/s delta against the
-// Obs-only bench is the full-sampling overhead; the acceptance bound
-// is <3%, and with TxSample 0 the recorder is nil and every hook is a
-// nil-check branch.
-func BenchmarkSimulatorSpeedTxFlight(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		cfg.Obs.Enabled = true
-		cfg.Obs.TxSample = 1
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkSimulatorSpeedMetrics is BenchmarkSimulatorSpeed with the
-// run-wide metrics registry on (histograms at every probe point, no
-// event trace). The sim_cycles/s delta against the plain bench is the
-// full-metrics overhead — the acceptance bound is <2%, and the
-// disabled path is held to zero allocations by the registry's own
-// AllocsPerRun regression tests.
-func BenchmarkSimulatorSpeedMetrics(b *testing.B) {
-	var simCycles uint64
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(workload.RBTree, TCache)
-		cfg.Obs.Metrics = true
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += res.Cycles
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
 }
 
 func byteLabel(n int) string {

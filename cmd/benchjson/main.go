@@ -1,13 +1,15 @@
 // Command benchjson turns `go test -bench` output into a JSON
 // benchmark-trajectory record, so simulator-speed numbers (ns/op,
 // allocs/op, sim_cycles/s) are diffable across commits instead of
-// scrolling away in CI logs.
+// scrolling away in CI logs. The repository's benchmark is bench/
+// (see bench/README.md); this command remains for ad-hoc records of
+// any `go test -bench` run.
 //
 // Usage:
 //
-//	go test -run '^$' -bench SimulatorSpeed -benchtime 1x -benchmem . | benchjson -o BENCH_8.json
-//	benchjson -check BENCH_8.json                          # validate an existing record
-//	benchjson -check BENCH_8.json -baseline BENCH_7.json   # + regression gate
+//	go test -run '^$' -bench Fig -benchtime 1x -benchmem . | benchjson -o new.json
+//	benchjson -check new.json                       # validate an existing record
+//	benchjson -check new.json -baseline old.json    # + regression gate
 //
 // The parser accepts the standard benchmark line shape — name,
 // iteration count, then (value, unit) pairs — and keeps every unit it

@@ -52,7 +52,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		jobs      = flag.Int("j", 0, "concurrent grid cells (0 = all cores); output is identical for every -j")
 		noFF      = flag.Bool("no-ff", false, "disable quiescence fast-forward (step every cycle; same results, slower)")
-		parKernel = flag.Int("par-kernel", 0, "tick cores on N worker goroutines between quiescence barriers (0 = serial kernel; results are byte-identical either way)")
 		progress  = flag.Bool("progress", false, "render a live one-line grid status (cells/s, busy workers, ETA) instead of per-cell results")
 		metrics   = flag.Bool("metrics", false, "enable the per-run metrics registry and print latency-percentile tables after the figures")
 		txSample  = flag.Uint64("tx-sample", 0, "flight-record every Nth transaction per core (1 = all, 0 = off) and print the per-cell stage-breakdown table")
@@ -70,7 +69,7 @@ func main() {
 	}{
 		{"ops", *ops}, {"scale", *scale}, {"cores", *cores},
 		{"nvm-channels", *nvmChans}, {"dram-channels", *dramChans},
-		{"j", *jobs}, {"par-kernel", *parKernel},
+		{"j", *jobs},
 	} {
 		if f.val < 0 {
 			fmt.Fprintf(os.Stderr, "paperrepro: -%s %d is negative; pass a positive value or omit the flag for the default\n", f.name, f.val)
@@ -138,7 +137,6 @@ func main() {
 		cfg.DRAMChannels = *dramChans
 		cfg.Seed = *seed
 		cfg.NoFastForward = *noFF
-		cfg.ParWorkers = *parKernel
 		cfg.Streaming = *stream || *paperScl
 		cfg.Obs.Metrics = *metrics
 		if *txSample > 0 {

@@ -69,7 +69,6 @@ func main() {
 		metrics     = flag.Bool("metrics", false, "enable the run-wide metrics registry and print its percentile table")
 		txSample    = flag.Uint64("tx-sample", 0, "flight-record every Nth transaction per core (1 = all, 0 = off; enables observability)")
 		noFF        = flag.Bool("no-ff", false, "disable quiescence fast-forward (step every cycle; same results, slower)")
-		parKernel   = flag.Int("par-kernel", 0, "tick cores on N worker goroutines between quiescence barriers (0 = serial kernel; results are byte-identical either way)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof format) to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -87,7 +86,7 @@ func main() {
 		{"ops", *ops}, {"initial", *initial}, {"scale", *scale},
 		{"cores", *cores}, {"tc", *tcBytes},
 		{"nvm-channels", *nvmChans}, {"dram-channels", *dramChans},
-		{"interleave", *interleave}, {"par-kernel", *parKernel},
+		{"interleave", *interleave},
 		{"shared-accounts", *sharedAcct},
 	} {
 		if f.val < 0 {
@@ -150,7 +149,6 @@ func main() {
 	cfg.SharedAccounts = *sharedAcct
 	cfg.Seed = *seed
 	cfg.NoFastForward = *noFF
-	cfg.ParWorkers = *parKernel
 	cfg.Streaming = *stream || *paperScale
 	if *traceOut != "" || *metricsOut != "" || *txSample > 0 {
 		cfg.Obs.Enabled = true
@@ -208,17 +206,6 @@ func main() {
 	}
 	fmt.Println(res)
 	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Millisecond))
-	if *parKernel > 0 {
-		hist := sys.Kernel.WaveWidthHist()
-		inline, disp := sys.Kernel.WaveDispatchStats()
-		fmt.Printf("par-kernel: %d waves inline, %d dispatched; width histogram:", inline, disp)
-		for w, n := range hist {
-			if n > 0 {
-				fmt.Printf(" %d:%d", w, n)
-			}
-		}
-		fmt.Println()
-	}
 	if res.Metrics != nil {
 		fmt.Printf("\n%s", res.Metrics.Table())
 	}

@@ -185,7 +185,7 @@ type Stats struct {
 
 // Core executes one trace stream. Register with the kernel to run.
 type Core struct {
-	k    *sim.Ctx
+	k    *sim.Kernel
 	id   int
 	cfg  Config
 	hier *cache.Hierarchy
@@ -243,13 +243,9 @@ type Core struct {
 	stats Stats
 }
 
-// New builds a core and registers it with the kernel through its
-// context. In parallel-kernel runs the context is the core's group
-// binding: the core ticks on a worker and routes every shared-state
-// interaction (hierarchy accesses, flushes, live-image writes) through
-// the context's journal. In serial runs the context is a plain kernel
-// passthrough. onStoreRetire may be nil.
-func New(k *sim.Ctx, id int, cfg Config, hier *cache.Hierarchy, pers Persistence,
+// New builds a core and registers it with the kernel. onStoreRetire may
+// be nil.
+func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persistence,
 	rd trace.Reader, onStoreRetire func(addr, value uint64)) *Core {
 	cfg = cfg.WithDefaults()
 	if pers == nil {
@@ -467,18 +463,13 @@ func (c *Core) Tick(now uint64) {
 				}
 			}
 			c.outStores++
-			// Capture the record fields: under the parallel kernel the
-			// live-image write and hierarchy access are journaled and
-			// replay after this Tick, when c.cur already holds a later
-			// record.
-			addr, value := c.cur.Addr, c.cur.Value
-			tag, unc := act.TxTag, act.Uncommitted
-			done := func() { c.outStores--; c.finishCheck() }
-			if c.k.Deferring() {
-				c.k.Defer(func() { c.retireStore(addr, value, persistent, tag, unc, done) })
-			} else {
-				c.retireStore(addr, value, persistent, tag, unc, done)
+			// The live image takes the value the moment the store
+			// enters the memory system.
+			if c.onStoreRetire != nil {
+				c.onStoreRetire(c.cur.Addr, c.cur.Value)
 			}
+			c.hier.Access(c.id, c.cur.Addr, true, persistent, act.TxTag, act.Uncommitted,
+				func() { c.outStores--; c.finishCheck() })
 			c.stats.Stores++
 			c.stats.Instructions++
 			budget--
@@ -489,12 +480,7 @@ func (c *Core) Tick(now uint64) {
 			c.txStart = now
 			c.txInstrBase = c.stats.Instructions
 			if c.fr.Sampled(c.cur.TxID) {
-				txID := c.cur.TxID
-				if c.k.Deferring() {
-					c.k.Defer(func() { c.fr.Begin(c.id, txID, now) })
-				} else {
-					c.fr.Begin(c.id, txID, now)
-				}
+				c.fr.Begin(c.id, c.cur.TxID, now)
 			}
 			c.pers.TxBegin(c.id, c.cur.TxID)
 			c.stats.Instructions++
@@ -528,8 +514,6 @@ func (c *Core) Tick(now uint64) {
 				c.probe.Span(obs.KTx, c.id, id, txStart, end, 0)
 				c.hCommitWait.Observe(end - now)
 				c.hTxLat.Observe(end - txStart)
-				// Resume fires from a kernel event on the coordinator,
-				// so the flight commit records directly.
 				c.fr.Commit(c.id, id, now, end)
 				c.finishCheck()
 			}) {
@@ -538,19 +522,10 @@ func (c *Core) Tick(now uint64) {
 				return
 			}
 			c.stats.Transactions++
-			if c.k.Deferring() {
-				if c.probe != nil || c.fr != nil {
-					c.k.Defer(func() {
-						c.probe.Span(obs.KTx, c.id, id, txStart, now, 0)
-						c.fr.Commit(c.id, id, now, now)
-					})
-				}
-			} else {
-				c.probe.Span(obs.KTx, c.id, id, txStart, now, 0)
-				c.hCommitWait.Observe(0)
-				c.hTxLat.Observe(now - txStart)
-				c.fr.Commit(c.id, id, now, now)
-			}
+			c.probe.Span(obs.KTx, c.id, id, txStart, now, 0)
+			c.hCommitWait.Observe(0)
+			c.hTxLat.Observe(now - txStart)
+			c.fr.Commit(c.id, id, now, now)
 			budget--
 
 		case trace.KindCLWB, trace.KindCLFlush:
@@ -562,13 +537,7 @@ func (c *Core) Tick(now uint64) {
 			if c.cur.Kind == trace.KindCLFlush {
 				flush = c.hier.FlushInv
 			}
-			addr := c.cur.Addr
-			done := func() { c.outFlushes--; c.finishCheck() }
-			if c.k.Deferring() {
-				c.k.Defer(func() { flush(c.id, addr, done) })
-			} else {
-				flush(c.id, addr, done)
-			}
+			flush(c.id, c.cur.Addr, func() { c.outFlushes--; c.finishCheck() })
 			c.stats.Instructions++
 			budget--
 			c.retire()
@@ -678,17 +647,6 @@ func (c *Core) peekExhaustion() {
 	}
 }
 
-// retireStore pushes one retired store into the shared memory system:
-// live-image write first, then the hierarchy access, the same order the
-// serial sweep produces. Under the parallel kernel it runs at journal
-// replay on the coordinator.
-func (c *Core) retireStore(addr, value uint64, persistent bool, tag uint64, unc bool, done func()) {
-	if c.onStoreRetire != nil {
-		c.onStoreRetire(addr, value)
-	}
-	c.hier.Access(c.id, addr, true, persistent, tag, unc, done)
-}
-
 func (c *Core) issueLoad(addr uint64, now uint64) {
 	c.stats.Loads++
 	persistent := memaddr.IsPersistent(addr)
@@ -707,11 +665,7 @@ func (c *Core) issueLoad(addr uint64, now uint64) {
 		}
 		c.finishCheck()
 	}
-	if c.k.Deferring() {
-		c.k.Defer(func() { c.hier.Access(c.id, addr, false, persistent, 0, false, done) })
-	} else {
-		c.hier.Access(c.id, addr, false, persistent, 0, false, done)
-	}
+	c.hier.Access(c.id, addr, false, persistent, 0, false, done)
 }
 
 // PloadPercentile returns an upper bound on the given percentile of the

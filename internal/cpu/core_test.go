@@ -47,7 +47,7 @@ func runCore(t *testing.T, tr *trace.Trace, pers Persistence) (*sim.Kernel, *Cor
 	t.Helper()
 	k := sim.NewKernel()
 	h, _ := testHier(k)
-	c := New(k.NewCtx(), 0, Config{}, h, pers, trace.NewReader(tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(tr), nil)
 	if _, ok := k.RunUntil(c.Finished, 10_000_000); !ok {
 		t.Fatal("core did not finish")
 	}
@@ -105,7 +105,7 @@ func TestMLPWindowLimitsOutstandingLoads(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	h, _ := testHier(k)
-	c := New(k.NewCtx(), 0, Config{MLP: 2}, h, nil, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{MLP: 2}, h, nil, trace.NewReader(&tr), nil)
 	k.RunUntil(c.Finished, 10_000_000)
 	if c.Stats().StallLoad == 0 {
 		t.Fatal("MLP=2 window never stalled 20 parallel misses")
@@ -167,7 +167,7 @@ func TestModeRegisterTracksTransactions(t *testing.T) {
 	h, _ := testHier(k)
 	var modeAtStore uint64
 	pers := &recordingPersistence{onStore: func(core int, txID uint64) { modeAtStore = txID }}
-	c := New(k.NewCtx(), 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if modeAtStore != 5 {
 		t.Fatalf("mode at store = %d, want 5", modeAtStore)
@@ -211,7 +211,7 @@ func TestTxEndStallWaitsForResume(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	pers := &recordingPersistence{stallTx: true, resumeAt: 300, k: k}
-	c := New(k.NewCtx(), 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	s := c.Stats()
 	if s.StallCommit < 250 {
@@ -241,7 +241,7 @@ func TestStoreRetryStalls(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	pers := &retryOncePersistence{retries: 5}
-	c := New(k.NewCtx(), 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if c.Stats().StallStoreRetry != 5 {
 		t.Fatalf("retry stalls = %d, want 5", c.Stats().StallStoreRetry)
@@ -258,7 +258,7 @@ func TestVolatileStoreSkipsPersistence(t *testing.T) {
 	h, _ := testHier(k)
 	called := false
 	pers := &recordingPersistence{onStore: func(int, uint64) { called = true }}
-	c := New(k.NewCtx(), 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if called {
 		t.Fatal("Persistence.Store called for a volatile store")
@@ -304,7 +304,7 @@ func TestOnStoreRetireAppliesValues(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	got := map[uint64]uint64{}
-	c := New(k.NewCtx(), 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) { got[a] = v })
+	c := New(k, 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) { got[a] = v })
 	k.RunUntil(c.Finished, 1_000_000)
 	if got[memaddr.NVMBase] != 42 {
 		t.Fatalf("live image = %v, want 42 at NVMBase", got)

@@ -22,15 +22,14 @@ import (
 //  3. a denied verdict for L is waiting → the core lost arbitration:
 //     clear the transaction's line bookkeeping (ownership it acquired is
 //     released as far as durability allows) and tell the core to abort;
-//  4. otherwise → post an ownership request to the coordinator (guarded
-//     defer, so the serial and parallel kernels decide in the same order)
-//     and stall the store one cycle.
+//  4. otherwise → ask the arbiter, which decides at once into the core's
+//     verdict slot, and stall the store one cycle; the retry takes case
+//     2 or 3.
 //
 // Ownership is held from first touch until the owning transaction's
 // writes to the line are durable; the release point is mechanism-specific
-// and expressed through commitPending/onAck (TCache drain acks),
-// releaseTxNow (commit-record apply, flush completion, or plain TX_END),
-// all of which run in coordinator contexts.
+// and expressed through commitPending/onAck (TCache drain acks) and
+// releaseTxNow (commit-record apply, flush completion, or plain TX_END).
 type conflictGuard struct {
 	env   *Env
 	cores []guardCore
@@ -70,9 +69,7 @@ func newConflictGuard(env *Env) *conflictGuard {
 	return g
 }
 
-// check runs the ownership probe for one store. Worker-safe: it touches
-// only this core's guard state and verdict slot, and posts arbiter
-// mutations through the core's guarded-defer path.
+// check runs the ownership probe for one store.
 func (g *conflictGuard) check(core int, txID, addr uint64) guardDecision {
 	if g == nil || txID == 0 || !memaddr.IsShared(addr) {
 		return gdProceed
@@ -94,23 +91,10 @@ func (g *conflictGuard) check(core int, txID, addr uint64) guardDecision {
 		return gdProceed
 	case txcache.ArbDenied:
 		arb.ClearVerdict(core)
-		g.loseTx(core)
+		g.releaseTxNow(core)
 		return gdAbort
-	case txcache.ArbPending:
-		// Decision still in flight (parallel kernel: it lands at this
-		// cycle's journal replay); keep stalling.
-		return gdRetry
 	}
-	// Post the request; the verdict slot is marked pending worker-side
-	// so repeated ticks do not re-post, and the coordinator overwrites
-	// it with the decision.
-	arb.SetPending(core, line)
-	x := g.env.Ctxs[core]
-	if x.Deferring() {
-		x.Defer(func() { arb.Acquire(line, core) })
-	} else {
-		arb.Acquire(line, core)
-	}
+	arb.Acquire(line, core)
 	return gdRetry
 }
 
@@ -137,7 +121,7 @@ func (g *conflictGuard) sortedHeld(core int) []uint64 {
 }
 
 // tryRelease drops ownership of line if nothing keeps it: no open-tx
-// writes, no committed writes still draining. Coordinator contexts only.
+// writes, no committed writes still draining.
 func (g *conflictGuard) tryRelease(core int, line uint64) {
 	gc := &g.cores[core]
 	if gc.held[line] && gc.curLines[line] == 0 && gc.pending[line] == 0 {
@@ -146,32 +130,10 @@ func (g *conflictGuard) tryRelease(core int, line uint64) {
 	}
 }
 
-// loseTx clears the aborted transaction's line bookkeeping and schedules
-// the ownership sweep. Runs worker-side from check; the arbiter
-// mutations are deferred to the coordinator.
-func (g *conflictGuard) loseTx(core int) {
-	gc := &g.cores[core]
-	for l := range gc.curLines {
-		delete(gc.curLines, l)
-	}
-	lines := g.sortedHeld(core)
-	x := g.env.Ctxs[core]
-	fn := func() {
-		for _, l := range lines {
-			g.tryRelease(core, l)
-		}
-	}
-	if x.Deferring() {
-		x.Defer(fn)
-	} else {
-		fn()
-	}
-}
-
 // commitPending moves the committing transaction's per-line write counts
 // into the drain-pending set and sweeps ownership (lines acquired but
 // never written release immediately; written lines release as their
-// drain acks arrive). Coordinator contexts only.
+// drain acks arrive).
 func (g *conflictGuard) commitPending(core int) {
 	if g == nil {
 		return
@@ -186,11 +148,11 @@ func (g *conflictGuard) commitPending(core int) {
 	}
 }
 
-// releaseTxNow drops the committed transaction's line bookkeeping and
-// every ownership nothing else keeps — the release point for mechanisms
-// whose commit instant makes all the transaction's writes durable at
-// once (flush completion, commit-record apply, plain TX_END).
-// Coordinator contexts only.
+// releaseTxNow drops the open transaction's line bookkeeping and every
+// ownership nothing else keeps — the release point for a transaction
+// that lost arbitration, and for mechanisms whose commit instant makes
+// all the transaction's writes durable at once (flush completion,
+// commit-record apply, plain TX_END).
 func (g *conflictGuard) releaseTxNow(core int) {
 	if g == nil {
 		return
@@ -206,7 +168,6 @@ func (g *conflictGuard) releaseTxNow(core int) {
 
 // onAck observes one TC drain acknowledgment (TCache release path):
 // when a shared line's last pending write drains, ownership releases.
-// Coordinator contexts only (memory-completion events).
 func (g *conflictGuard) onAck(core int, addr uint64) {
 	if g == nil || !memaddr.IsShared(addr) {
 		return

@@ -165,21 +165,13 @@ func (m *kiln) TxEnd(core int, txID uint64, resume func()) bool {
 	done := func() {
 		// Flush completion is Kiln's durability instant: the
 		// transaction's lines are in the nonvolatile LLC. Record the
-		// global commit order and release shared-line ownership here —
-		// done runs in a coordinator context (flush completion event).
+		// global commit order and release shared-line ownership here.
 		m.committed[core]++
 		m.env.noteDurableCommit(core)
 		m.g.releaseTxNow(core)
 		resume()
 	}
-	// TxEnd runs on the core's worker under the parallel kernel; the
-	// flush walks the shared hierarchy, so it is journaled through the
-	// core's context and replays in registration order.
-	if x := m.env.Ctxs[core]; x.Deferring() {
-		x.Defer(func() { m.hier.FlushTx(core, tag, done) })
-	} else {
-		m.hier.FlushTx(core, tag, done)
-	}
+	m.hier.FlushTx(core, tag, done)
 	return true
 }
 

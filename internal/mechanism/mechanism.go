@@ -121,13 +121,6 @@ type TCIntrospector interface {
 type Env struct {
 	K     *sim.Kernel
 	Cores int
-	// Ctxs is the per-core kernel context. A mechanism's per-core slots
-	// (transaction caches, commit polls, fall-back writers) schedule and
-	// defer through Ctxs[core], so that when core c's slot runs on a
-	// parallel-kernel worker its shared-state interactions are journaled
-	// under c's group. Nil entries (or a nil slice) are filled with
-	// plain serial passthrough contexts by New.
-	Ctxs []*sim.Ctx
 	// Mem is the main-memory port (the multi-channel backend).
 	Mem MemPort
 	// Live is the volatile shadow image: the newest architectural value
@@ -170,9 +163,6 @@ type Env struct {
 // CommitLog records the global order in which transactions became
 // durably committed, as (core) entries — each core's transactions commit
 // in program order, so the core index alone identifies the transaction.
-// Appends happen only in coordinator contexts (events, journal replay,
-// serial ticks), which makes the order identical between the serial and
-// parallel kernels.
 type CommitLog struct {
 	Order []int
 }
@@ -181,8 +171,6 @@ type CommitLog struct {
 func (l *CommitLog) Append(core int) { l.Order = append(l.Order, core) }
 
 // noteDurableCommit appends to the global commit log if one is wired.
-// Call only from coordinator contexts; callers in worker contexts must
-// route through their Ctx's guarded-defer path.
 func (env *Env) noteDurableCommit(core int) {
 	if env.Commits != nil {
 		env.Commits.Append(core)
@@ -239,14 +227,6 @@ func estimateRecoveryCycles(scanned, writes int) uint64 {
 
 // New builds the mechanism of the given kind over env.
 func New(kind Kind, env *Env) Mechanism {
-	if env.Ctxs == nil {
-		env.Ctxs = make([]*sim.Ctx, env.Cores)
-	}
-	for i := range env.Ctxs {
-		if env.Ctxs[i] == nil {
-			env.Ctxs[i] = env.K.NewCtx()
-		}
-	}
 	switch kind {
 	case Optimal:
 		return newOptimal(env)

@@ -38,20 +38,10 @@ func (m *optimal) TxBegin(core int, txID uint64) {}
 func (m *optimal) TxEnd(core int, txID uint64, resume func()) bool {
 	// "Commit" is only an instruction boundary: nothing becomes durable.
 	m.committed[core]++
-	if m.g != nil || m.env.Commits != nil {
-		// The "durable" instant for Optimal's oracle bookkeeping is the
-		// commit marker itself; ownership releases with it. Both are
-		// coordinator-side state, so route through the guarded defer.
-		fn := func() {
-			m.env.noteDurableCommit(core)
-			m.g.releaseTxNow(core)
-		}
-		if x := m.env.Ctxs[core]; x.Deferring() {
-			x.Defer(fn)
-		} else {
-			fn()
-		}
-	}
+	// The "durable" instant for Optimal's oracle bookkeeping is the
+	// commit marker itself; ownership releases with it.
+	m.env.noteDurableCommit(core)
+	m.g.releaseTxNow(core)
 	return false
 }
 

@@ -150,36 +150,24 @@ func (m *sp) TxBegin(core int, txID uint64) {}
 // drains.
 func (m *sp) TxEnd(core int, txID uint64, resume func()) bool {
 	m.committed[core]++
-	if m.env.Commits != nil {
-		// SP does not arbitrate (in-place stores are deferred past the
-		// commit record, so there is no conflict window), but it still
-		// reports its commit order: shared-mode recovery replays the
-		// logs globally in this order, which overrides whatever order
-		// the deferred in-place stores later reach NVM in.
-		x := m.env.Ctxs[core]
-		if x.Deferring() {
-			x.Defer(func() { m.env.noteDurableCommit(core) })
-		} else {
-			m.env.noteDurableCommit(core)
-		}
-	}
+	// SP does not arbitrate (in-place stores are deferred past the
+	// commit record, so there is no conflict window), but it still
+	// reports its commit order: shared-mode recovery replays the logs
+	// globally in this order, which overrides whatever order the
+	// deferred in-place stores later reach NVM in.
+	m.env.noteDurableCommit(core)
 	if m.env.Mem.PendingNVMWrites() == 0 {
 		return false
 	}
-	// The poll schedules through the core's context: the first Schedule
-	// happens inside TxEnd, which under the parallel kernel runs on the
-	// core's worker (re-arms from poll itself run in event context and
-	// pass straight through to the kernel).
-	x := m.env.Ctxs[core]
 	var poll func()
 	poll = func() {
 		if m.env.Mem.PendingNVMWrites() == 0 {
 			resume()
 			return
 		}
-		x.Schedule(1, poll)
+		m.env.K.Schedule(1, poll)
 	}
-	x.Schedule(1, poll)
+	m.env.K.Schedule(1, poll)
 	return true
 }
 

@@ -41,13 +41,10 @@ type tcMech struct {
 	shadowCursor  []uint64
 
 	// fallbackTxs counts transactions that overflowed to the COW path,
-	// per core: the counter is bumped from cpu.Persistence.Store, which
-	// under the parallel kernel runs on per-core workers — a single
-	// shared word would be a data race.
+	// per core.
 	fallbackTxs []uint64
 	// cFallback mirrors the fall-back count into the metrics registry
-	// (nil when metrics are disabled; metrics are never enabled in
-	// parallel-kernel runs, so the shared counter is coordinator-only).
+	// (nil when metrics are disabled).
 	cFallback *metrics.Counter
 }
 
@@ -72,7 +69,7 @@ func newTCache(env *Env) Mechanism {
 	}
 	durableApply := func(addr, value uint64) { env.Durable.WriteWord(addr, value) }
 	for c := 0; c < env.Cores; c++ {
-		tc := txcache.New(env.Ctxs[c], env.TC, env.Mem, durableApply)
+		tc := txcache.New(env.K, env.TC, env.Mem, durableApply)
 		tc.SetProbe(env.Probe, c)
 		tc.SetFlight(env.Flight)
 		// Drain-burst histograms are run-wide (shared across cores):
@@ -84,8 +81,7 @@ func newTCache(env *Env) Mechanism {
 		)
 		if m.g != nil {
 			// Shared-line ownership releases when the owning
-			// transaction's last committed write drains out of the TC;
-			// acks fire in coordinator contexts.
+			// transaction's last committed write drains out of the TC.
 			core := c
 			tc.SetAckHook(func(addr uint64) { m.g.onAck(core, addr) })
 		}
@@ -175,13 +171,7 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64) cpu.StoreActio
 		m.fallbackTxs[core]++
 		m.cFallback.Inc()
 		if fr := m.env.Flight; fr.Sampled(txID) {
-			// Store runs on the core's worker under the parallel kernel;
-			// the flight mark journals through the core's context.
-			if x := m.env.Ctxs[core]; x.Deferring() {
-				x.Defer(func() { fr.MarkFallback(core, txID) })
-			} else {
-				fr.MarkFallback(core, txID)
-			}
+			fr.MarkFallback(core, txID)
 		}
 		// The whole transaction moves to the copy-on-write path: its
 		// TC-resident entries are evicted into the shadow first (in
@@ -209,9 +199,7 @@ func (m *tcMech) FallbackTxs() uint64 {
 	return total
 }
 
-// fallbackWrite sends one shadow (copy-on-write) update to NVM. It runs
-// from the core's Store path, so under the parallel kernel the shared
-// backend write is journaled through the core's context.
+// fallbackWrite sends one shadow (copy-on-write) update to NVM.
 func (m *tcMech) fallbackWrite(core int, addr, value uint64) {
 	slot := m.shadowCursor[core]
 	m.shadowCursor[core] += 2 * memaddr.WordSize
@@ -224,11 +212,7 @@ func (m *tcMech) fallbackWrite(core int, addr, value uint64) {
 		m.fbOutstanding[core]--
 		m.checkFallbackCommit(core)
 	}
-	if x := m.env.Ctxs[core]; x.Deferring() {
-		x.Defer(func() { m.env.Mem.Write(memaddr.LineAddr(slot), nil, onDurable) })
-	} else {
-		m.env.Mem.Write(memaddr.LineAddr(slot), nil, onDurable)
-	}
+	m.env.Mem.Write(memaddr.LineAddr(slot), nil, onDurable)
 }
 
 // TxEnd commits: ordinarily a single commit request to the nonvolatile TC
@@ -254,20 +238,11 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume func()) bool {
 				m.committed[core]++
 				// Commit-record durability is the overflowed
 				// transaction's durable instant: its shadow writes just
-				// applied, so shared-line ownership releases here (apply
-				// runs at memory durability time — coordinator context).
+				// applied, so shared-line ownership releases here.
 				m.env.noteDurableCommit(core)
 				m.g.releaseTxNow(core)
 			}
-			// The commit can fire synchronously from TxEnd (everything
-			// already durable and drained), which under the parallel
-			// kernel runs on the core's worker: journal the shared
-			// backend write through the core's context.
-			if x := m.env.Ctxs[core]; x.Deferring() {
-				x.Defer(func() { m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume) })
-			} else {
-				m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume)
-			}
+			m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume)
 			m.fbPending[core] = nil
 			m.fbActive[core] = false
 		}
@@ -277,24 +252,12 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume func()) bool {
 	}
 	m.tcs[core].Commit(txID)
 	m.committed[core]++
-	if m.g != nil || m.env.Commits != nil {
-		// The commit request to the nonvolatile TC is instantly durable,
-		// so TX_END is the durable instant. Ownership of the
-		// transaction's shared lines transfers to the drain-pending set
-		// and releases as the acks arrive; both the commit log and the
-		// pending transfer are coordinator-side, so route through the
-		// guarded defer. Acks cannot beat the deferred transfer: the
-		// earliest drain completion is a memory event in a later cycle.
-		fn := func() {
-			m.env.noteDurableCommit(core)
-			m.g.commitPending(core)
-		}
-		if x := m.env.Ctxs[core]; x.Deferring() {
-			x.Defer(fn)
-		} else {
-			fn()
-		}
-	}
+	// The commit request to the nonvolatile TC is instantly durable, so
+	// TX_END is the durable instant. Ownership of the transaction's
+	// shared lines transfers to the drain-pending set and releases as
+	// the acks arrive.
+	m.env.noteDurableCommit(core)
+	m.g.commitPending(core)
 	return false
 }
 
@@ -315,7 +278,7 @@ func (m *tcMech) pollFallbackCommit(core int) {
 	if m.fbCommit[core] == nil {
 		return
 	}
-	m.env.Ctxs[core].Schedule(1, func() {
+	m.env.K.Schedule(1, func() {
 		m.checkFallbackCommit(core)
 		m.pollFallbackCommit(core)
 	})

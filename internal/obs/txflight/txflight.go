@@ -6,11 +6,10 @@
 // verdict.
 //
 // Sampling is a pure function of the transaction id (tx % every == 0),
-// so the sampled set is identical for every `-j` and `-par-kernel N`
-// configuration. All recorder methods mutate plain maps and must run on
-// the coordinator goroutine; under the parallel kernel, worker-side
-// call sites defer their calls through sim.Ctx journals, which replay
-// in registration order and reproduce the serial call sequence exactly.
+// so the sampled set is identical for every `-j` configuration. Recorder
+// methods mutate plain maps and are not safe for concurrent use; a
+// simulation drives its recorder from the one goroutine running its
+// kernel.
 //
 // The stage model is a telescoping sum over checkpoints
 //

@@ -151,14 +151,9 @@ type Kernel struct {
 	// pastSchedules counts ScheduleAt calls whose target cycle was
 	// strictly in the past (coerced to now+1). A nonzero count flags a
 	// causality bug: no component should ever compute a stale absolute
-	// cycle. The parallel kernel's equivalence tests assert it stays
-	// zero — under parallel ticking a past-cycle schedule would
-	// otherwise mask a cross-worker causality violation as a quiet
+	// cycle, and the coercion would otherwise hide it as a quiet
 	// reordering.
 	pastSchedules uint64
-
-	// par is the parallel execution mode (nil = serial). See parallel.go.
-	par *parallel
 
 	debugBlocked func(int)
 }
@@ -182,8 +177,8 @@ func (k *Kernel) Skipped() uint64 { return k.skipped }
 
 // PastSchedules reports how many ScheduleAt calls targeted a cycle
 // strictly in the past and were coerced to the next cycle. Always zero
-// for a well-behaved machine; the parallel-kernel equivalence tests
-// assert it.
+// for a well-behaved machine; the contended-machine tests and the
+// benchmark assert it.
 func (k *Kernel) PastSchedules() uint64 { return k.pastSchedules }
 
 // Register adds a component to the per-cycle tick list. Components tick in
@@ -261,22 +256,12 @@ func (k *Kernel) maybeSkip(limit uint64) {
 	// registered last (cores) answer cheapest and are busiest, so they
 	// short-circuit the poll before the controllers' window scans run.
 	// Polling order is unobservable — Idle must not mutate state.
-	//
-	// The parallel sweep already polled every component last cycle; when
-	// it elided all of them the machine was provably idle at the end of
-	// that cycle and nothing has run since, so the verdict is reusable.
-	// The reuse is positive-only: a sweep with busy members re-polls
-	// here, because a busy component may have gone idle during its own
-	// Tick — taking the stale "busy" answer would diverge the skip
-	// decisions (and Skipped()) from the serial kernel.
-	if k.par == nil || !k.par.allIdleLast {
-		for i := len(k.tickables) - 1; i >= 0; i-- {
-			if k.tickables[i].q == nil || !k.tickables[i].q.Idle() {
-				if k.debugBlocked != nil {
-					k.debugBlocked(i)
-				}
-				return
+	for i := len(k.tickables) - 1; i >= 0; i-- {
+		if k.tickables[i].q == nil || !k.tickables[i].q.Idle() {
+			if k.debugBlocked != nil {
+				k.debugBlocked(i)
 			}
+			return
 		}
 	}
 	n := target - k.now - 1
@@ -296,19 +281,12 @@ func (k *Kernel) maybeSkip(limit uint64) {
 // predicate is evaluated at the same component states either way (state
 // cannot change across provably idle cycles).
 func (k *Kernel) RunUntil(done func() bool, limit uint64) (uint64, bool) {
-	if k.par != nil {
-		k.par.prepare(k)
-	}
 	for !done() {
 		if k.now >= limit {
 			return k.now, false
 		}
 		k.maybeSkip(limit)
-		if k.par != nil {
-			k.stepPar()
-		} else {
-			k.Step()
-		}
+		k.Step()
 	}
 	return k.now, true
 }

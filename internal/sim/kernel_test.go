@@ -364,3 +364,67 @@ func TestDebugIdleBlockersCountsFirstBusy(t *testing.T) {
 		t.Fatalf("blocked %d polls, want 10", got[0])
 	}
 }
+
+func TestPastSchedulesCountsOnlyStrictPast(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 5; i++ {
+		k.Step()
+	}
+	k.Schedule(0, func() {})         // documented next-cycle idiom: not counted
+	k.ScheduleAt(k.Now(), func() {}) // current cycle: coerced, not counted
+	if k.PastSchedules() != 0 {
+		t.Fatalf("PastSchedules = %d after current-cycle schedules, want 0", k.PastSchedules())
+	}
+	k.ScheduleAt(2, func() {}) // strictly past: counted
+	k.ScheduleAt(0, func() {})
+	if k.PastSchedules() != 2 {
+		t.Fatalf("PastSchedules = %d, want 2", k.PastSchedules())
+	}
+	// The coercion itself still fires the event next cycle.
+	if k.Pending() != 4 {
+		t.Fatalf("Pending = %d, want 4", k.Pending())
+	}
+}
+
+// Regression: DebugIdleBlockers used a hardcoded 64-entry slice, so any
+// machine with more tickables (a 64-core grid registers hundreds)
+// sliced out of range.
+func TestDebugIdleBlockersManyTickables(t *testing.T) {
+	k := NewKernel()
+	const n = 70
+	var qs []*quiescentTicker
+	for i := 0; i < n; i++ {
+		q := &quiescentTicker{k: k, busyUntil: 5}
+		k.Register(q)
+		qs = append(qs, q)
+	}
+	counts := DebugIdleBlockers(k)
+	k.Schedule(20, func() {})
+	k.RunUntil(func() bool { return false }, 20)
+	got := counts()
+	if len(got) != n {
+		t.Fatalf("counts for %d tickables, want %d", len(got), n)
+	}
+	var total uint64
+	for _, c := range got {
+		total += c
+	}
+	if total == 0 {
+		t.Fatal("no blocked polls recorded while components were busy")
+	}
+}
+
+// Registration after instrumentation must also be in range (the counts
+// slice grows on demand).
+func TestDebugIdleBlockersLateRegistration(t *testing.T) {
+	k := NewKernel()
+	counts := DebugIdleBlockers(k)
+	for i := 0; i < 66; i++ {
+		k.Register(&quiescentTicker{k: k, busyUntil: 3})
+	}
+	k.Schedule(10, func() {})
+	k.RunUntil(func() bool { return false }, 10)
+	if got := counts(); len(got) != 66 {
+		t.Fatalf("counts for %d tickables, want 66", len(got))
+	}
+}

@@ -6,9 +6,9 @@ package trace
 // workload operation's records). Memory is O(largest single batch), not
 // O(trace length) — the streaming pipeline's core primitive.
 //
-// A Generator is single-use and core-private: the step function runs on
-// whichever goroutine calls Next (under the parallel kernel, a tick
-// worker), so it must touch only per-core state.
+// A Generator is single-use and core-private: the step function runs
+// inside the owning core's Next calls and touches only that core's
+// state.
 type Generator struct {
 	// step emits the next batch of records through emit and reports
 	// whether more batches remain. Returning an error (or more=false)

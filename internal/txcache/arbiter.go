@@ -4,23 +4,18 @@ package txcache
 // the cross-core shared persistent region: the conflict-detection half of
 // contended transactions. A core must own a shared line before a
 // transactional store to it may proceed; ownership is granted
-// first-come-first-served at the coordinator and held until the owning
-// transaction's writes to the line are durable (the release point is
-// mechanism-specific — TC drain ack, commit-record apply, flush
-// completion). A denied request makes the requester the loser: it aborts
-// its transaction and retries after a bounded backoff. The owner never
-// aborts, so arbitration is deterministic and livelock-free.
+// first-come-first-served and held until the owning transaction's writes
+// to the line are durable (the release point is mechanism-specific — TC
+// drain ack, commit-record apply, flush completion). A denied request
+// makes the requester the loser: it aborts its transaction and retries
+// after a bounded backoff. The owner never aborts, so arbitration is
+// deterministic and livelock-free.
 //
-// Concurrency contract (mirrors the TC/memctrl pattern under the
-// parallel kernel): the owner map and request queue mutate only in
-// coordinator contexts — events, journal replay, or serial ticks. Cores
-// running on tick workers never touch them directly; they post an
-// Acquire through their sim.Ctx guarded-defer path and read only their
-// own per-core verdict slot, which the coordinator wrote in a previous
-// cycle. Because a core stalls its store until the verdict lands, each
-// core has at most one request in flight, and replay order equals
-// registration order, so serial and parallel kernels arbitrate
-// identically.
+// The protocol is single-threaded: the kernel ticks cores one at a time
+// in registration order, so requests made in the same cycle are decided
+// in that order. Acquire decides at once and writes the requester's
+// verdict slot; the requester's store stalls one cycle and consumes the
+// verdict on its retry, so each core has at most one request in flight.
 type LineArbiter struct {
 	owner   map[uint64]int // line -> owning core
 	verdict []ArbVerdict   // per-core single verdict slot
@@ -39,9 +34,6 @@ type ArbState int
 const (
 	// ArbNone: no request outstanding.
 	ArbNone ArbState = iota
-	// ArbPending: the acquire is posted but the coordinator has not
-	// decided yet (the store stalls this cycle).
-	ArbPending
 	// ArbGranted: the core owns the line; the store may proceed.
 	ArbGranted
 	// ArbDenied: another core owns the line; the requester must abort.
@@ -68,7 +60,7 @@ func NewLineArbiter(nCores int) *LineArbiter {
 }
 
 // Acquire decides ownership of line for core and writes the core's
-// verdict slot. Coordinator contexts only.
+// verdict slot.
 func (a *LineArbiter) Acquire(line uint64, core int) {
 	a.stats.Acquires++
 	if own, held := a.owner[line]; held && own != core {
@@ -81,7 +73,7 @@ func (a *LineArbiter) Acquire(line uint64, core int) {
 }
 
 // Release drops core's ownership of line. Releasing a line the core does
-// not own is a protocol bug and panics. Coordinator contexts only.
+// not own is a protocol bug and panics.
 func (a *LineArbiter) Release(line uint64, core int) {
 	if own, held := a.owner[line]; !held || own != core {
 		panic("txcache: LineArbiter.Release of a line the core does not own")
@@ -90,22 +82,10 @@ func (a *LineArbiter) Release(line uint64, core int) {
 	a.stats.Releases++
 }
 
-// Verdict returns core's verdict slot. Safe from the core's own tick:
-// the slot is written by the coordinator between cycles.
+// Verdict returns core's verdict slot.
 func (a *LineArbiter) Verdict(core int) ArbVerdict { return a.verdict[core] }
 
-// SetPending marks core's request for line as in flight, so the stalled
-// store does not re-post the acquire on every retried cycle. Called from
-// the core's own tick in the same cycle the acquire is deferred; the
-// coordinator overwrites the slot with the decision. Core-private slot,
-// so this cannot race.
-func (a *LineArbiter) SetPending(core int, line uint64) {
-	a.verdict[core] = ArbVerdict{Line: line, State: ArbPending}
-}
-
 // ClearVerdict resets core's verdict slot after the core consumed it.
-// Called from the core's own tick; the slot is core-private until the
-// next Acquire the same core posts, so this cannot race.
 func (a *LineArbiter) ClearVerdict(core int) { a.verdict[core] = ArbVerdict{} }
 
 // Owner reports the current owner of line, if any.

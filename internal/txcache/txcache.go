@@ -175,7 +175,7 @@ type Stats struct {
 // TxCache is one core's transaction cache. Register with the kernel so
 // the drain state machine ticks.
 type TxCache struct {
-	k   *sim.Ctx
+	k   *sim.Kernel
 	cfg Config
 	mem Port
 	// durableApply writes one word into the durable NVM image; the
@@ -183,9 +183,8 @@ type TxCache struct {
 	durableApply func(addr, value uint64)
 	// onAck, when set, observes every drain acknowledgment (word
 	// address) after the entry clears — the conflict layer's release
-	// point for shared-line ownership. Acks fire in coordinator
-	// contexts (memory-completion events), so the hook may touch
-	// coordinator-owned state directly.
+	// point for shared-line ownership. Acks fire from memory-completion
+	// events.
 	onAck func(addr uint64)
 
 	entries []Entry
@@ -220,12 +219,9 @@ type TxCache struct {
 	stats Stats
 }
 
-// New builds a TC draining into mem. The context carries the TC's
-// parallel-kernel group binding (a plain kernel passthrough in serial
-// runs); drained writes into the shared memory backend are journaled
-// through it when the TC ticks on a worker. durableApply may be nil
-// (timing-only use).
-func New(k *sim.Ctx, cfg Config, mem Port, durableApply func(addr, value uint64)) *TxCache {
+// New builds a TC draining into mem and registers it with k.
+// durableApply may be nil (timing-only use).
+func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint64)) *TxCache {
 	cfg = cfg.WithDefaults()
 	if cfg.Entries() < 2 {
 		panic(fmt.Sprintf("txcache: %d bytes / %d-byte entries leaves %d entries",
@@ -304,21 +300,12 @@ func (tc *TxCache) next(i int) int {
 	return i + 1
 }
 
-// recordInstant records a probe instant at the current cycle. Write and
-// Commit run inside core ticks, which land on worker goroutines under
-// the parallel kernel — there the record is journaled through the
-// shared core/TC context and replayed on the coordinator in
-// registration order, reproducing the serial record sequence exactly.
+// recordInstant records a probe instant at the current cycle.
 func (tc *TxCache) recordInstant(k obs.Kind, txID, arg uint64) {
 	if tc.probe == nil {
 		return
 	}
-	now := tc.k.Now()
-	if tc.k.Deferring() {
-		tc.k.Defer(func() { tc.probe.Instant(k, tc.coreID, txID, now, arg) })
-	} else {
-		tc.probe.Instant(k, tc.coreID, txID, now, arg)
-	}
+	tc.probe.Instant(k, tc.coreID, txID, tc.k.Now(), arg)
 }
 
 // Write inserts a buffered store for txID at the head. The result tells
@@ -370,23 +357,9 @@ func (tc *TxCache) Commit(txID uint64) {
 	if tc.probe == nil && tc.fr == nil {
 		return
 	}
-	now := tc.k.Now()
-	if tc.k.Deferring() {
-		// Journaled before the core's own flight-commit record (same
-		// journal, program order), matching the serial call sequence.
-		tc.k.Defer(func() {
-			tc.probe.Instant(obs.KTCCommit, tc.coreID, txID, now, matched)
-			tc.commitMatched(txID, matched)
-		})
-	} else {
-		tc.probe.Instant(obs.KTCCommit, tc.coreID, txID, now, matched)
-		tc.commitMatched(txID, matched)
-	}
-}
-
-// commitMatched tells the flight recorder how many tracked writes the
-// commit must wait out before the flight can finalize.
-func (tc *TxCache) commitMatched(txID, matched uint64) {
+	tc.probe.Instant(obs.KTCCommit, tc.coreID, txID, tc.k.Now(), matched)
+	// The flight recorder learns how many tracked writes the commit must
+	// wait out before the flight can finalize.
 	if tc.fr != nil {
 		tc.fr.CommitMatched(tc.coreID, txID, int(matched))
 	}
@@ -452,18 +425,9 @@ func (tc *TxCache) Tick(now uint64) {
 		}
 	}
 	if tc.burstActive && tc.unissued == 0 {
-		if tc.k.Deferring() {
-			// Metrics are rejected under the parallel kernel, so only
-			// the probe span needs journaling here.
-			if tc.probe != nil {
-				start, issued := tc.burstStart, tc.burstIssued
-				tc.k.Defer(func() { tc.probe.Span(obs.KTCDrain, tc.coreID, 0, start, now, issued) })
-			}
-		} else {
-			tc.probe.Span(obs.KTCDrain, tc.coreID, 0, tc.burstStart, now, tc.burstIssued)
-			tc.hBurstEntries.Observe(tc.burstIssued)
-			tc.hBurstCycles.Observe(now - tc.burstStart)
-		}
+		tc.probe.Span(obs.KTCDrain, tc.coreID, 0, tc.burstStart, now, tc.burstIssued)
+		tc.hBurstEntries.Observe(tc.burstIssued)
+		tc.hBurstCycles.Observe(now - tc.burstStart)
 		tc.burstActive = false
 	}
 }
@@ -509,14 +473,7 @@ func (tc *TxCache) issueOne() bool {
 		// Sampled transaction: route through the tracked port so the
 		// flight recorder sees TC issue, WPQ service start (with the
 		// channel) and durable completion for this write.
-		txID, issueAt := e.TxID, tc.k.Now()
-		if tc.k.Deferring() {
-			tc.k.Defer(func() { tc.issueTracked(addr, apply, txID, issueAt) })
-		} else {
-			tc.issueTracked(addr, apply, txID, issueAt)
-		}
-	} else if tc.k.Deferring() {
-		tc.k.Defer(func() { tc.mem.Write(memaddr.LineAddr(addr), apply, func() { tc.Ack(addr) }) })
+		tc.issueTracked(addr, apply, e.TxID, tc.k.Now())
 	} else {
 		tc.mem.Write(memaddr.LineAddr(addr), apply, func() { tc.Ack(addr) })
 	}

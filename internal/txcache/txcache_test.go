@@ -49,7 +49,7 @@ func newTC(t *testing.T, entries int) (*sim.Kernel, *TxCache, *fakeNVM, *memimag
 	nvm := &fakeNVM{k: k, lat: 152}
 	img := memimage.New()
 	cfg := Config{SizeBytes: entries * 64, EntryBytes: 64}
-	tc := New(k.NewCtx(), cfg, nvm, func(addr, value uint64) { img.WriteWord(addr, value) })
+	tc := New(k, cfg, nvm, func(addr, value uint64) { img.WriteWord(addr, value) })
 	return k, tc, nvm, img
 }
 
@@ -71,7 +71,7 @@ func TestTinyConfigPanics(t *testing.T) {
 			t.Fatal("1-entry TC did not panic")
 		}
 	}()
-	New(sim.NewKernel().NewCtx(), Config{SizeBytes: 64, EntryBytes: 64}, &fakeNVM{}, nil)
+	New(sim.NewKernel(), Config{SizeBytes: 64, EntryBytes: 64}, &fakeNVM{}, nil)
 }
 
 func TestWriteBuffersWithoutDraining(t *testing.T) {
@@ -165,7 +165,7 @@ func TestFullWhenEveryEntryLive(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 100}
 	// HighWaterFrac 1.0 disables the fallback so Full is reachable.
-	tc := New(k.NewCtx(), Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
 	for i := 0; i < 4; i++ {
 		if r := tc.Write(1, nvmAddr(i), 1); r != Accepted {
 			t.Fatalf("write %d = %v", i, r)
@@ -206,7 +206,7 @@ func TestHeadHoleStallsDespiteFreeSpace(t *testing.T) {
 	// slot is still live, writes stall even though count < capacity.
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k.NewCtx(), Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
 	for i := 0; i < 4; i++ {
 		tc.Write(1, nvmAddr(i), uint64(i))
 	}
@@ -236,7 +236,7 @@ func TestHeadHoleStallsDespiteFreeSpace(t *testing.T) {
 func TestAckMatchesNearestTailForDuplicateAddresses(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k.NewCtx(), Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
 	tc.Write(1, nvmAddr(0), 1)
 	tc.Write(1, nvmAddr(0), 2) // same word, younger value
 	tc.Commit(1)
@@ -330,7 +330,7 @@ func TestQuickDrainMatchesLastCommittedValue(t *testing.T) {
 		k := sim.NewKernel()
 		nvm := &fakeNVM{k: k, lat: 7}
 		img := memimage.New()
-		tc := New(k.NewCtx(), Config{SizeBytes: 64 * 64, EntryBytes: 64}, nvm,
+		tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64}, nvm,
 			func(a, v uint64) { img.WriteWord(a, v) })
 		want := map[uint64]uint64{}
 		id := uint64(1)
@@ -374,7 +374,7 @@ func TestQuickDrainMatchesLastCommittedValue(t *testing.T) {
 func TestEvictTxRemovesOnlyThatTransaction(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k.NewCtx(), Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Commit(1) // older committed tx stays
@@ -406,7 +406,7 @@ func TestEvictTxRemovesOnlyThatTransaction(t *testing.T) {
 
 func TestEvictTxEmptiesRingCompletely(t *testing.T) {
 	k := sim.NewKernel()
-	tc := New(k.NewCtx(), Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, &fakeNVM{k: k, lat: 1}, nil)
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, &fakeNVM{k: k, lat: 1}, nil)
 	for i := 0; i < 3; i++ {
 		tc.Write(7, nvmAddr(i), uint64(i))
 	}
@@ -430,7 +430,7 @@ func TestEvictTxDoesNotTouchCommittedEntries(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 3}
 	img := memimage.New()
-	tc := New(k.NewCtx(), Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm,
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm,
 		func(a, v uint64) { img.WriteWord(a, v) })
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Commit(1)
@@ -450,7 +450,7 @@ func TestEvictTxDoesNotTouchCommittedEntries(t *testing.T) {
 func TestNilProbePathAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true} // hold acks: no drain closures
-	tc := New(k.NewCtx(), Config{SizeBytes: 64 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
 	var tx uint64
 	allocs := testing.AllocsPerRun(100, func() {
 		tx++
@@ -477,7 +477,7 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 152}
 	p := obs.NewProbe(64)
-	tc := New(k.NewCtx(), Config{SizeBytes: 8 * 64, EntryBytes: 64}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64}, nvm, nil)
 	tc.SetProbe(p, 3)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)

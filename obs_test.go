@@ -211,6 +211,119 @@ func TestSamplerUnderFastForward(t *testing.T) {
 	}
 }
 
+// runObsTrace runs one cell to completion and returns the result plus
+// the exported Chrome trace bytes — the strongest equivalence artifact:
+// it serializes every recorded event with its exact cycle timestamps.
+func runObsTrace(t *testing.T, cfg Config) (*Result, []byte) {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem(NoFastForward=%v): %v", cfg.NoFastForward, err)
+	}
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatalf("Run(NoFastForward=%v): %v", cfg.NoFastForward, err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Probe.WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("WriteChromeTrace(NoFastForward=%v): %v", cfg.NoFastForward, err)
+	}
+	return r, buf.Bytes()
+}
+
+// TestParallelKernelObsTraceIdentical pins the byte-identity of the
+// observability record across kernel stepping modes (the name dates from
+// the former parallel kernel, which this test also compared): with the
+// event trace and the flight recorder both on, a fast-forwarding run
+// must reproduce the every-cycle run's result, apart from the skip audit
+// counter, and its exported trace byte for byte — every span, stage
+// waterfall and flow event at the same cycle on the same track.
+func TestParallelKernelObsTraceIdentical(t *testing.T) {
+	for _, m := range []Kind{SP, TCache, Kiln, Optimal} {
+		m := m
+		t.Run(m.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := smokeConfig(workload.SPS, m)
+			cfg.Obs.Enabled = true
+			cfg.Obs.TxSample = 1
+			ff, ffTrace := runObsTrace(t, cfg)
+			cfg.NoFastForward = true
+			noff, noffTrace := runObsTrace(t, cfg)
+			if noff.SkippedCycles != 0 {
+				t.Errorf("-no-ff run skipped %d cycles, want 0", noff.SkippedCycles)
+			}
+			if ff.SkippedCycles == 0 {
+				t.Fatal("fast-forward never engaged; the comparison would be vacuous")
+			}
+			ff.Config, noff.Config = Config{}, Config{}
+			ff.SkippedCycles = 0
+			if !reflect.DeepEqual(ff, noff) {
+				t.Errorf("results diverge ff vs -no-ff with obs on:\n  ff:    %v\n  no-ff: %v", ff, noff)
+				if !reflect.DeepEqual(ff.TxFlight, noff.TxFlight) {
+					t.Errorf("flight aggregates diverge:\n  ff:    %+v\n  no-ff: %+v", ff.TxFlight, noff.TxFlight)
+				}
+			}
+			if !bytes.Equal(ffTrace, noffTrace) {
+				t.Errorf("exported traces diverge (ff %d bytes, -no-ff %d bytes)", len(ffTrace), len(noffTrace))
+			}
+		})
+	}
+}
+
+// TestParallelKernelOpenSpanFlushMidRun stops a run mid-flight and
+// flushes its open spans (TC drain bursts, WPQ drain windows): two
+// fresh systems stopped at the same cycle must flush the same spans and
+// export the same trace bytes, and each open span must be flushed
+// exactly once per collection — flushers do not mutate state, so a
+// second collection records the same count again, never more.
+func TestParallelKernelOpenSpanFlushMidRun(t *testing.T) {
+	cfg := smokeConfig(workload.SPS, TCache)
+	cfg.Obs.Enabled = true
+	cfg.Obs.TxSample = 1
+
+	snapshot := func(stop uint64) (*System, []byte, uint64) {
+		t.Helper()
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.RunToCycle(stop) {
+			t.Fatalf("stop@%d: workload finished before the stop cycle", stop)
+		}
+		sys.Probe.FlushOpenSpans(sys.Kernel.Now())
+		var buf bytes.Buffer
+		if err := sys.Probe.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return sys, buf.Bytes(), sys.Probe.OpenSpansFlushed()
+	}
+
+	// Find a stop cycle where a span is open, so the flush path is
+	// actually exercised.
+	for _, stop := range []uint64{500, 1000, 1500, 2000, 2500, 3000} {
+		first, firstTrace, firstFlushed := snapshot(stop)
+		if firstFlushed == 0 {
+			continue
+		}
+		_, againTrace, againFlushed := snapshot(stop)
+		if againFlushed != firstFlushed {
+			t.Fatalf("stop@%d: second system flushed %d open spans, first flushed %d", stop, againFlushed, firstFlushed)
+		}
+		if !bytes.Equal(firstTrace, againTrace) {
+			t.Fatalf("stop@%d: mid-run traces diverge (%d bytes vs %d bytes)",
+				stop, len(firstTrace), len(againTrace))
+		}
+		before := first.Probe.Recorded()
+		first.Probe.FlushOpenSpans(first.Kernel.Now())
+		if got := first.Probe.Recorded() - before; got != firstFlushed {
+			t.Fatalf("stop@%d: re-flush recorded %d spans, want %d (one per open span)",
+				stop, got, firstFlushed)
+		}
+		return
+	}
+	t.Fatal("no candidate stop cycle had an open span; pick different cycles")
+}
+
 // TestSamplerEveryLongerThanRun: a SampleEvery beyond the run length
 // must not perturb the run (the pending sample event is simply never
 // reached) and must export a header-only CSV.

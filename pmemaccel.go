@@ -117,21 +117,6 @@ type Config struct {
 	// comparison.
 	NoFastForward bool
 
-	// ParWorkers > 0 runs the simulation kernel in parallel mode with
-	// that many tick workers: each core (plus its transaction cache,
-	// for the TCache mechanism) ticks on a worker between per-cycle
-	// barriers, with shared-state interactions journaled and replayed
-	// in registration order. Results are byte-identical to the serial
-	// kernel (the parallel-equivalence tests pin it across the full
-	// paperrepro grid, exactly like NoFastForward). 0 (the default)
-	// keeps the serial kernel. The event trace (Obs.Enabled) and the
-	// flight recorder (Obs.TxSample) compose with it — worker-side
-	// records are journaled and replayed in registration order, so
-	// traces are byte-identical to serial runs too — but Obs.Metrics
-	// does not: cores stream into shared histograms inline, so Validate
-	// rejects ParWorkers > 0 with Obs.Metrics.
-	ParWorkers int
-
 	// Obs configures the cycle-level observability layer (off by
 	// default: the probe is nil and every probe site is an untaken
 	// branch).
@@ -166,7 +151,7 @@ type ObsConfig struct {
 	// N-th transaction id per core (1 samples every transaction, 0 —
 	// the default — disables the recorder entirely). Sampling is a pure
 	// function of the transaction id, so the sampled set is identical
-	// for every ParWorkers setting and sweep layout. Each sampled
+	// for every sweep layout. Each sampled
 	// transaction is followed begin → commit → TC drain → WPQ → NVM
 	// durability and reduced to an exact stage waterfall
 	// (Result.TxFlight) plus KTxStage trace spans stitched by Chrome
@@ -280,6 +265,16 @@ func (c Config) Validate() error {
 	if c.Cores == 0 {
 		c.Cores = DefaultCores // zero selects the default; validate what will run
 	}
+	switch c.Mechanism {
+	case Optimal, SP, TCache, Kiln:
+	default:
+		return fmt.Errorf("pmemaccel: unknown Mechanism %d (want one of %v)", int(c.Mechanism), mechanism.All)
+	}
+	switch c.NVMTech {
+	case STTRAM, PCM, XPoint:
+	default:
+		return fmt.Errorf("pmemaccel: unknown NVMTech %d (want one of %v)", int(c.NVMTech), NVMTechs)
+	}
 	if c.ContentionPct < 0 || c.ContentionPct > 1 {
 		return fmt.Errorf("pmemaccel: ContentionPct %g must be in [0, 1] (0 selects the workload default)", c.ContentionPct)
 	}
@@ -321,12 +316,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.topology().WithDefaults().Validate(); err != nil {
 		return fmt.Errorf("pmemaccel: %w", err)
-	}
-	if c.ParWorkers < 0 {
-		return fmt.Errorf("pmemaccel: ParWorkers %d must be non-negative (0 selects the serial kernel)", c.ParWorkers)
-	}
-	if c.ParWorkers > 0 && c.Obs.Metrics {
-		return fmt.Errorf("pmemaccel: ParWorkers %d is incompatible with Obs.Metrics: cores stream into shared histograms inline on workers (the event trace and flight recorder journal their records and compose fine)", c.ParWorkers)
 	}
 	return nil
 }

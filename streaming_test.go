@@ -7,15 +7,14 @@ import (
 	"pmemaccel/internal/workload"
 )
 
-// runStreaming runs one cell with Config.Streaming set and the given
-// worker count, returning the result with Config zeroed for comparison.
-func runStreaming(t *testing.T, cfg Config, workers int) *Result {
+// runStreaming runs one cell with Config.Streaming set, returning the
+// result with Config zeroed for comparison.
+func runStreaming(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	cfg.Streaming = true
-	cfg.ParWorkers = workers
 	r, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("streaming Run(workers=%d): %v", workers, err)
+		t.Fatalf("streaming Run: %v", err)
 	}
 	r.Config = Config{}
 	return r
@@ -40,7 +39,7 @@ func TestStreamingIdenticalAllCells(t *testing.T) {
 					t.Fatalf("materialized Run: %v", err)
 				}
 				mat.Config = Config{}
-				str := runStreaming(t, cfg, 0)
+				str := runStreaming(t, cfg)
 				if !reflect.DeepEqual(mat, str) {
 					t.Errorf("results diverge materialized vs streaming:\n  materialized: %v\n  streaming:    %v", mat, str)
 					if mat.Cycles != str.Cycles {
@@ -55,30 +54,6 @@ func TestStreamingIdenticalAllCells(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestStreamingParKernelIdentical crosses streaming with the parallel
-// kernel: generation then runs inside core fetches on tick workers
-// (every piece of stream state is core-private, so this is race-free by
-// construction — and the race-enabled CI job checks it), and the result
-// must still match the serial materialized run on every mechanism.
-func TestStreamingParKernelIdentical(t *testing.T) {
-	for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := smokeConfig(workload.Hashtable, m)
-			mat, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("materialized Run: %v", err)
-			}
-			mat.Config = Config{}
-			str := runStreaming(t, cfg, 4)
-			if !reflect.DeepEqual(mat, str) {
-				t.Errorf("results diverge materialized-serial vs streaming-par:\n  materialized: %v\n  streaming:    %v", mat, str)
-			}
-		})
 	}
 }
 

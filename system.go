@@ -154,18 +154,6 @@ func NewSystem(cfg Config) (*System, error) {
 		})
 	}
 
-	// Per-core kernel contexts: each core and its private persistence
-	// machinery (its transaction cache, commit polls) share one context.
-	// Serially the context is a plain passthrough; with ParWorkers > 0
-	// it becomes the group binding for the parallel kernel.
-	if cfg.ParWorkers > 0 {
-		s.Kernel.SetParallel(cfg.ParWorkers)
-	}
-	ctxs := make([]*sim.Ctx, cfg.Cores)
-	for c := range ctxs {
-		ctxs[c] = s.Kernel.NewCtx()
-	}
-
 	if shared {
 		s.Arb = txcache.NewLineArbiter(cfg.Cores)
 		s.Commits = &mechanism.CommitLog{}
@@ -173,7 +161,6 @@ func NewSystem(cfg Config) (*System, error) {
 	env := &mechanism.Env{
 		K:       s.Kernel,
 		Cores:   cfg.Cores,
-		Ctxs:    ctxs,
 		Mem:     s.Backend,
 		Live:    s.Live,
 		Durable: s.Durable,
@@ -192,7 +179,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 	for c := 0; c < cfg.Cores; c++ {
 		rd := s.Mech.Rewrite(c, s.Outputs[c].NewReader())
-		core := cpu.New(ctxs[c], c, cfg.CPU, s.Hier, s.Mech, rd,
+		core := cpu.New(s.Kernel, c, cfg.CPU, s.Hier, s.Mech, rd,
 			func(addr, value uint64) { s.Live.WriteWord(addr, value) })
 		core.SetProbe(s.Probe)
 		core.SetFlight(s.Flight)
@@ -204,19 +191,6 @@ func NewSystem(cfg Config) (*System, error) {
 			s.Metrics.Histogram("commit_wait_cycles"),
 		)
 		s.Cores = append(s.Cores, core)
-	}
-	if cfg.ParWorkers > 0 {
-		// Bind each group: the core plus (for the TCache mechanism) its
-		// transaction cache tick on the same worker between barriers.
-		// Controllers and the hierarchy stay coordinator-owned.
-		tp, _ := s.Mech.(mechanism.TCIntrospector)
-		for c := 0; c < cfg.Cores; c++ {
-			if tp != nil {
-				s.Kernel.Bind(ctxs[c], tp.TC(c), s.Cores[c])
-			} else {
-				s.Kernel.Bind(ctxs[c], s.Cores[c])
-			}
-		}
 	}
 	s.startSampler()
 	return s, nil
@@ -288,9 +262,6 @@ func (s *System) quiesced() bool {
 
 // Run simulates to quiescence and collects the result.
 func (s *System) Run() (*Result, error) {
-	// Parallel-kernel worker goroutines live only for the run; serial
-	// runs make this a no-op.
-	defer s.Kernel.StopWorkers()
 	endOfTrace, ok := s.Kernel.RunUntil(func() bool {
 		for _, c := range s.Cores {
 			if !c.Finished() {

@@ -42,6 +42,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"high-water above 1", func(c *Config) { c.TCHighWaterFrac = 1.5 }, "TCHighWaterFrac"},
 		{"mix length mismatch", func(c *Config) { c.Mix = []workload.Benchmark{workload.SPS} }, "Mix"},
 		{"tc entry size mismatch", func(c *Config) { c.TCBytes = 100 }, "transaction cache"},
+		{"unknown mechanism", func(c *Config) { c.Mechanism = Kind(9) }, "Mechanism"},
+		{"unknown nvm tech", func(c *Config) { c.NVMTech = NVMTech(7) }, "NVMTech"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(workload.RBTree, TCache)
@@ -67,5 +69,10 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("Run accepted Scale=3")
+	}
+	// An unknown mechanism used to pass Validate and panic in
+	// mechanism.New after every core's workload was generated.
+	if _, err := NewSystem(DefaultConfig(workload.RBTree, Kind(9))); err == nil {
+		t.Fatal("NewSystem accepted Mechanism 9")
 	}
 }
