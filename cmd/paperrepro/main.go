@@ -14,7 +14,9 @@
 //	paperrepro -bars -csv ...  # output formats
 //
 // -cores widens the simulated machine (power of two up to 64) for the
-// figure grid and re-prices Table 1's per-core structures.
+// figure grid and re-prices Table 1's per-core structures. -paper-scale
+// sizes every cell to the paper's 1.7 G-instruction window; generation
+// streams, so memory stays O(structure) at that length.
 package main
 
 import (
@@ -45,8 +47,7 @@ func main() {
 		ops       = flag.Int("ops", 0, "operations per core (0 = default)")
 		cores     = flag.Int("cores", 0, "core count, a power of two up to 64 (0 = 4; ignored by -contention, which sweeps widths itself)")
 		scale     = flag.Int("scale", 0, "cache scale divisor (0 = default 64; 1 = full Table 2 machine)")
-		stream    = flag.Bool("stream", false, "stream workload generation (O(1) memory in ops; byte-identical results)")
-		paperScl  = flag.Bool("paper-scale", false, "size ops to the paper's 1.7G-instruction window per cell (implies -stream; slow)")
+		paperScl  = flag.Bool("paper-scale", false, "size ops to the paper's 1.7G-instruction window per cell (slow)")
 		nvmChans  = flag.Int("nvm-channels", 0, "address-interleaved NVM channels (0 = 1)")
 		dramChans = flag.Int("dram-channels", 0, "address-interleaved DRAM channels (0 = 1)")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -137,7 +138,6 @@ func main() {
 		cfg.DRAMChannels = *dramChans
 		cfg.Seed = *seed
 		cfg.NoFastForward = *noFF
-		cfg.Streaming = *stream || *paperScl
 		cfg.Obs.Metrics = *metrics
 		if *txSample > 0 {
 			cfg.Obs.Enabled = true

@@ -5,14 +5,13 @@
 //
 //	pmemsim -bench rbtree -mech tcache [-ops 12000] [-scale 64] \
 //	        [-cores 4] [-seed 1] [-tc 4096] [-paper] [-v] \
-//	        [-stream] [-paper-scale] \
+//	        [-paper-scale] \
 //	        [-trace-out trace.json] [-metrics-out metrics.csv] \
 //	        [-sample-every 1000] [-tx-sample N]
 //
-// -stream switches workload generation to the pull-based streaming
-// pipeline (byte-identical results, O(1) memory in the op count);
-// -paper-scale additionally calibrates the op count to the paper's
-// 1.7 G-instruction evaluation window and implies -stream.
+// Workload generation always streams (O(1) memory in the op count);
+// -paper-scale calibrates the op count to the paper's 1.7 G-instruction
+// evaluation window.
 //
 // -trace-out writes a Chrome trace_event JSON (open in
 // chrome://tracing or https://ui.perfetto.dev); -metrics-out writes a
@@ -58,8 +57,7 @@ func main() {
 		paper      = flag.Bool("paper", false, "use the full Table 2 machine (Scale 1; slow)")
 		contention = flag.Float64("contention", 0, "shared-op fraction for -bench bankshared, in (0,1] (0 = workload default 0.5)")
 		sharedAcct = flag.Int("shared-accounts", 0, "shared array length in words for -bench bankshared (0 = 64)")
-		stream     = flag.Bool("stream", false, "stream workload generation (O(1) memory in ops; byte-identical results)")
-		paperScale = flag.Bool("paper-scale", false, "size ops to the paper's 1.7G-instruction window (implies -stream; slow)")
+		paperScale = flag.Bool("paper-scale", false, "size ops to the paper's 1.7G-instruction window (slow)")
 		verbose    = flag.Bool("v", false, "print per-core and subsystem detail")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON")
 
@@ -95,9 +93,6 @@ func main() {
 	}
 	if err := checkCoresFlag(*cores); err != nil {
 		fatal(err)
-	}
-	if *contention < 0 || *contention > 1 {
-		fatal(fmt.Errorf("-contention %g must be in [0, 1] (0 selects the workload default)", *contention))
 	}
 
 	if *cpuprofile != "" {
@@ -149,7 +144,6 @@ func main() {
 	cfg.SharedAccounts = *sharedAcct
 	cfg.Seed = *seed
 	cfg.NoFastForward = *noFF
-	cfg.Streaming = *stream || *paperScale
 	if *traceOut != "" || *metricsOut != "" || *txSample > 0 {
 		cfg.Obs.Enabled = true
 		if *metricsOut != "" {
@@ -169,7 +163,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "pmemsim: paper scale: %d ops/core, streaming generation, cycle bound %d\n",
+		fmt.Fprintf(os.Stderr, "pmemsim: paper scale: %d ops/core, cycle bound %d\n",
 			cfg.Ops, cfg.MaxCycles)
 	}
 

@@ -70,13 +70,16 @@ func main() {
 		fatal(err)
 	}
 	p := workload.DefaultParams(b, 0, 1, *seed, *initial, *ops)
-	out, err := workload.Generate(b, p)
+	out, err := workload.NewStream(b, p)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *statsOnly {
-		s := trace.Summarize(out.Trace)
+		s := trace.Summarize(out.NewReader())
+		if err := out.StreamErr(); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("%s: %d records, %d instructions\n", b, s.Records, s.Instructions)
 		fmt.Printf("  loads:  %d (%d persistent)\n", s.Loads, s.PersistentLoads)
 		fmt.Printf("  stores: %d (%d persistent)\n", s.Stores, s.PersistentStores)
@@ -85,7 +88,7 @@ func main() {
 		return
 	}
 
-	var rd trace.Reader = trace.NewReader(out.Trace)
+	rd := out.NewReader()
 	if *mechName == "sp" {
 		// Build a minimal environment just to drive the rewriter.
 		k := sim.NewKernel()

@@ -15,9 +15,11 @@ type Generator struct {
 	// ends the stream; the error is sticky and surfaced by Err.
 	step func(emit func(Record)) (more bool, err error)
 	// check, when set, validates each record as it flows to the
-	// consumer (the streaming equivalent of trace.Validate). A check
-	// failure ends the stream with a sticky error.
+	// consumer. A check failure ends the stream with a sticky error.
 	check func(Record) error
+	// emitFn is the method value g.emit, bound once so a refill does not
+	// allocate a fresh closure per workload operation.
+	emitFn func(Record)
 
 	buf  []Record
 	pos  int
@@ -31,7 +33,9 @@ type Generator struct {
 // the buffer empties; it may emit any number of records (including
 // zero) per call.
 func NewGenerator(step func(emit func(Record)) (more bool, err error)) *Generator {
-	return &Generator{step: step}
+	g := &Generator{step: step}
+	g.emitFn = g.emit
+	return g
 }
 
 // SetCheck installs a per-record validator applied to each record as it
@@ -47,7 +51,7 @@ func (g *Generator) Next() (Record, bool) {
 		}
 		g.buf = g.buf[:0]
 		g.pos = 0
-		more, err := g.step(g.emit)
+		more, err := g.step(g.emitFn)
 		if err != nil {
 			g.fail(err)
 			return Record{}, false

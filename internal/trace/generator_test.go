@@ -131,28 +131,45 @@ func TestGeneratorCheckFailure(t *testing.T) {
 	}
 }
 
-// TestStreamValidatorMatchesValidate: the incremental validator and the
-// materialized Validate agree on both a well-formed and a malformed
-// trace.
+// TestStreamValidatorMatchesValidate: the validator gives the same
+// verdict installed as a generator's per-record check as when driven
+// directly, on both a well-formed and a malformed stream, and an open
+// transaction is caught at Finish.
 func TestStreamValidatorMatchesValidate(t *testing.T) {
-	good := &Trace{Records: []Record{
-		TxBegin(1), Store(memaddr.NVMBase, 5), TxEnd(1), Load(memaddr.DRAMBase),
-	}}
-	if err := Validate(good); err != nil {
-		t.Fatalf("good trace rejected: %v", err)
-	}
-	bad := &Trace{Records: []Record{
-		Store(memaddr.NVMBase, 5), // persistent store outside tx
-	}}
-	if err := Validate(bad); err == nil {
-		t.Fatal("bad trace accepted")
-	}
-	open := &Trace{Records: []Record{TxBegin(1)}}
-	var v StreamValidator
-	for _, r := range open.Records {
-		if err := v.Check(r); err != nil {
-			t.Fatalf("Check: %v", err)
+	good := []Record{TxBegin(1), Store(memaddr.NVMBase, 5), TxEnd(1), Load(memaddr.DRAMBase)}
+	bad := []Record{Store(memaddr.NVMBase, 5)} // persistent store outside tx
+	for _, c := range []struct {
+		name  string
+		recs  []Record
+		valid bool
+	}{{"good", good, true}, {"bad", bad, false}} {
+		var direct StreamValidator
+		var directErr error
+		for _, r := range c.recs {
+			if directErr = direct.Check(r); directErr != nil {
+				break
+			}
 		}
+		var checked StreamValidator
+		g := NewGenerator(func(emit func(Record)) (bool, error) {
+			for _, r := range c.recs {
+				emit(r)
+			}
+			return false, nil
+		})
+		g.SetCheck(checked.Check)
+		for {
+			if _, ok := g.Next(); !ok {
+				break
+			}
+		}
+		if (directErr == nil) != c.valid || (g.Err() == nil) != c.valid {
+			t.Errorf("%s: direct err %v, generator err %v, want valid=%v", c.name, directErr, g.Err(), c.valid)
+		}
+	}
+	var v StreamValidator
+	if err := v.Check(TxBegin(1)); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 	if err := v.Finish(); err == nil {
 		t.Fatal("open transaction not caught at Finish")
@@ -160,11 +177,12 @@ func TestStreamValidatorMatchesValidate(t *testing.T) {
 }
 
 // TestRecorderRunningCounters pins the incremental oracle: the running
-// instruction/transaction counters match the materialized trace's
-// aggregates, and the incremental final image matches the full
+// instruction/transaction counters match a Summarize of the emitted
+// records, and the incremental final image matches the full
 // committed-prefix fold.
 func TestRecorderRunningCounters(t *testing.T) {
 	r := NewRecorder(memimage.New())
+	tr := collect(r)
 	r.SetQuiet(true)
 	r.Store(memaddr.NVMBase, 1) // warmup write
 	r.SetQuiet(false)
@@ -178,10 +196,11 @@ func TestRecorderRunningCounters(t *testing.T) {
 		r.TxEnd()
 		r.Load(memaddr.DRAMBase)
 	}
-	if got, want := r.Instructions(), r.Trace.Instructions(); got != want {
+	sum := Summarize(NewReader(tr))
+	if got, want := r.Instructions(), sum.Instructions; got != want {
 		t.Errorf("Instructions counter = %d, trace says %d", got, want)
 	}
-	if got, want := r.Transactions(), r.Trace.Transactions(); got != want {
+	if got, want := r.Transactions(), sum.Transactions; got != want {
 		t.Errorf("Transactions counter = %d, trace says %d", got, want)
 	}
 	if got := r.CommittedCount(); got != 5 {
@@ -193,12 +212,19 @@ func TestRecorderRunningCounters(t *testing.T) {
 	}
 }
 
-// TestRecorderSinkAndRetention: with a sink installed nothing
-// materializes, and with retention off the history stays empty while the
-// counters and final image keep working.
+// TestRecorderSinkAndRetention: every record reaches the sink, switching
+// retention off releases the history kept so far, and with retention off
+// the history stays empty while the counters and final image keep
+// working.
 func TestRecorderSinkAndRetention(t *testing.T) {
 	r := NewRecorder(memimage.New())
 	r.SetFinalBase(memimage.New())
+	r.TxBegin()
+	r.Store(memaddr.NVMBase+8, 7)
+	r.TxEnd()
+	if len(r.Committed()) != 1 {
+		t.Fatalf("history holds %d txs with retention on, want 1", len(r.Committed()))
+	}
 	r.SetRetainTxHistory(false)
 	if r.RetainsTxHistory() {
 		t.Fatal("RetainsTxHistory true after disabling")
@@ -210,17 +236,14 @@ func TestRecorderSinkAndRetention(t *testing.T) {
 	r.Store(memaddr.NVMBase, 42)
 	r.TxEnd()
 
-	if r.Trace.Len() != 0 {
-		t.Errorf("trace materialized %d records despite sink", r.Trace.Len())
-	}
 	if len(sunk) != 3 {
 		t.Errorf("sink received %d records, want 3 (begin, store, end)", len(sunk))
 	}
 	if len(r.Committed()) != 0 {
 		t.Errorf("history retained %d txs with retention off", len(r.Committed()))
 	}
-	if r.CommittedCount() != 1 {
-		t.Errorf("CommittedCount = %d, want 1", r.CommittedCount())
+	if r.CommittedCount() != 2 {
+		t.Errorf("CommittedCount = %d, want 2", r.CommittedCount())
 	}
 	if got := r.FinalImage().ReadWord(memaddr.NVMBase); got != 42 {
 		t.Errorf("final image word = %d, want 42", got)

@@ -25,33 +25,27 @@ type TxRecord struct {
 // ids (the CPU's "next TxID register" of §4.2) and maintains the oracle of
 // committed transactions used by crash-recovery checking.
 //
-// Records flow either into the materialized Trace (the default) or into a
-// caller-provided sink (SetSink) — the streaming pipeline's hook, which
-// keeps memory O(1) in the number of records. The oracle likewise has two
-// forms: the full per-transaction history (Committed), retained by
-// default, and the incremental final image plus running counters, which
-// are always maintained and are all a streaming run needs.
+// Records flow into a sink (SetSink): the generator's bounded per-core
+// buffer, which keeps memory O(1) in the number of records. The oracle
+// has two forms: the full per-transaction history (Committed), retained
+// on request, and the incremental final image plus running counters,
+// which are always maintained and are all a run to quiescence needs.
 type Recorder struct {
-	Trace Trace
-
 	img    *memimage.Image
 	nextTx uint64
 	inTx   bool
 	curTx  uint64
 	quiet  bool
 
-	// sink, when non-nil, receives every emitted record instead of the
-	// materialized Trace.
+	// sink receives every emitted record (discard until SetSink).
 	sink func(Record)
 
-	// retain keeps the full committed-transaction history. Streaming
-	// runs switch it off: the history is O(ops) memory and only crash-
-	// prefix checking (CommittedPrefixImage) needs it.
+	// retain keeps the full committed-transaction history. It is O(ops)
+	// memory and only crash-prefix checking (CommittedPrefixImage) and
+	// the shared-mode commit-order oracle need it.
 	retain bool
 
-	// Running counters over the measured (non-quiet) window, maintained
-	// identically in materialized and streaming modes so consumers need
-	// no slice scans.
+	// Running counters over the measured (non-quiet) window.
 	instructions uint64
 	transactions uint64
 
@@ -64,10 +58,14 @@ type Recorder struct {
 	committed []TxRecord
 }
 
-// NewRecorder returns a recorder writing through to img.
+// NewRecorder returns a recorder writing through to img. It retains the
+// transaction history and discards records until SetSink.
 func NewRecorder(img *memimage.Image) *Recorder {
-	return &Recorder{img: img, nextTx: 1, retain: true}
+	return &Recorder{img: img, nextTx: 1, retain: true, sink: discard}
 }
+
+// discard is the sink of a recorder nobody consumes records from.
+func discard(Record) {}
 
 // Image returns the architectural program image.
 func (r *Recorder) Image() *memimage.Image { return r.img }
@@ -81,15 +79,20 @@ func (r *Recorder) SetQuiet(quiet bool) { r.quiet = quiet }
 // Quiet reports whether warmup mode is active.
 func (r *Recorder) Quiet() bool { return r.quiet }
 
-// SetSink redirects emitted records to fn instead of the materialized
-// Trace. The streaming generator points fn at its bounded per-core
-// buffer; nil restores materialization.
+// SetSink routes every emitted record to fn, which must be non-nil. The
+// generator points fn at its bounded per-core buffer.
 func (r *Recorder) SetSink(fn func(Record)) { r.sink = fn }
 
 // SetRetainTxHistory controls whether the full committed-transaction
-// history accumulates (the default). Streaming runs disable it; the
-// incremental final image and the committed counter remain available.
-func (r *Recorder) SetRetainTxHistory(retain bool) { r.retain = retain }
+// history accumulates. Switching it off also releases the history kept so
+// far; the incremental final image and the committed counter remain
+// available either way.
+func (r *Recorder) SetRetainTxHistory(retain bool) {
+	r.retain = retain
+	if !retain {
+		r.committed = nil
+	}
+}
 
 // RetainsTxHistory reports whether Committed holds the full history.
 func (r *Recorder) RetainsTxHistory() bool { return r.retain }
@@ -100,34 +103,29 @@ func (r *Recorder) RetainsTxHistory() bool { return r.retain }
 func (r *Recorder) SetFinalBase(base *memimage.Image) { r.final = base.Snapshot() }
 
 // FinalImage returns the incremental oracle image: base plus every
-// committed transaction so far. In a streaming run it is complete only
-// once the generator is exhausted. Nil before SetFinalBase.
+// committed transaction so far. It is complete only once the generator
+// is exhausted. Nil before SetFinalBase.
 func (r *Recorder) FinalImage() *memimage.Image { return r.final }
 
 // Instructions returns the dynamic instruction count of the measured
-// window emitted so far (the streaming equivalent of Trace.Instructions).
+// window emitted so far.
 func (r *Recorder) Instructions() uint64 { return r.instructions }
 
 // Transactions returns the number of committed (TxEnd) transactions
-// emitted so far (the streaming equivalent of Trace.Transactions).
+// emitted so far.
 func (r *Recorder) Transactions() uint64 { return r.transactions }
 
 // CommittedCount returns how many transactions have committed in the
 // measured window, independent of whether their history was retained.
 func (r *Recorder) CommittedCount() uint64 { return r.transactions }
 
-// emit routes one record to the sink or the materialized trace,
-// maintaining the running counters either way.
+// emit routes one record to the sink, maintaining the running counters.
 func (r *Recorder) emit(rec Record) {
 	r.instructions += rec.Instructions()
 	if rec.Kind == KindTxEnd {
 		r.transactions++
 	}
-	if r.sink != nil {
-		r.sink(rec)
-		return
-	}
-	r.Trace.Append(rec)
+	r.sink(rec)
 }
 
 // Load reads a 64-bit word, recording an independent access.

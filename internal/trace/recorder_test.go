@@ -8,18 +8,26 @@ import (
 	"pmemaccel/internal/memimage"
 )
 
+// collect points r's sink at a fresh trace and returns it.
+func collect(r *Recorder) *Trace {
+	tr := &Trace{}
+	r.SetSink(func(rec Record) { tr.Append(rec) })
+	return tr
+}
+
 func TestRecorderLoadStoreThroughImage(t *testing.T) {
 	r := NewRecorder(memimage.New())
+	tr := collect(r)
 	a := memaddr.DRAMBase + 64
 	r.Store(a, 99)
 	if got := r.Load(a); got != 99 {
 		t.Fatalf("Load = %d, want 99", got)
 	}
-	if r.Trace.Len() != 2 {
-		t.Fatalf("trace has %d records, want 2", r.Trace.Len())
+	if tr.Len() != 2 {
+		t.Fatalf("trace has %d records, want 2", tr.Len())
 	}
-	if r.Trace.Records[0].Kind != KindStore || r.Trace.Records[1].Kind != KindLoad {
-		t.Fatalf("record kinds = %v,%v", r.Trace.Records[0].Kind, r.Trace.Records[1].Kind)
+	if tr.Records[0].Kind != KindStore || tr.Records[1].Kind != KindLoad {
+		t.Fatalf("record kinds = %v,%v", tr.Records[0].Kind, tr.Records[1].Kind)
 	}
 }
 
@@ -88,9 +96,10 @@ func TestRecorderTxEndOutsidePanics(t *testing.T) {
 
 func TestComputeZeroIsDropped(t *testing.T) {
 	r := NewRecorder(memimage.New())
+	tr := collect(r)
 	r.Compute(0)
 	r.Compute(-3)
-	if r.Trace.Len() != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("non-positive compute batches were recorded")
 	}
 }
@@ -153,6 +162,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 		Comp uint8
 	}) bool {
 		r := NewRecorder(memimage.New())
+		tr := collect(r)
 		for _, op := range ops {
 			addr := memaddr.NVMBase + uint64(op.Off)*8
 			if op.Vol {
@@ -169,7 +179,13 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 			}
 			r.Compute(int(op.Comp%7) + 1)
 		}
-		if Validate(&r.Trace) != nil {
+		var v StreamValidator
+		for _, rec := range tr.Records {
+			if v.Check(rec) != nil {
+				return false
+			}
+		}
+		if v.Finish() != nil {
 			return false
 		}
 		final := r.CommittedPrefixImage(nil, len(r.Committed()))
@@ -188,6 +204,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 
 func TestQuietModeUpdatesImageOnly(t *testing.T) {
 	r := NewRecorder(memimage.New())
+	tr := collect(r)
 	r.SetQuiet(true)
 	if !r.Quiet() {
 		t.Fatal("Quiet() false after SetQuiet(true)")
@@ -200,8 +217,8 @@ func TestQuietModeUpdatesImageOnly(t *testing.T) {
 		t.Fatalf("quiet Load = %d, want 7", got)
 	}
 	r.SetQuiet(false)
-	if r.Trace.Len() != 0 {
-		t.Fatalf("quiet mode recorded %d records", r.Trace.Len())
+	if tr.Len() != 0 {
+		t.Fatalf("quiet mode recorded %d records", tr.Len())
 	}
 	if len(r.Committed()) != 0 {
 		t.Fatal("quiet transaction reached the oracle")

@@ -6,7 +6,9 @@ import (
 	"pmemaccel/internal/memaddr"
 )
 
-// Trace is an in-memory sequence of records.
+// Trace is an in-memory sequence of records: a hand-built trace for
+// driving a core or a rewriter directly. Generated workloads never
+// materialize one; they stream through a Generator.
 type Trace struct {
 	Records []Record
 }
@@ -18,26 +20,6 @@ func (t *Trace) Append(recs ...Record) {
 
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
-
-// Instructions returns the total dynamic instruction count of the trace.
-func (t *Trace) Instructions() uint64 {
-	var n uint64
-	for _, r := range t.Records {
-		n += r.Instructions()
-	}
-	return n
-}
-
-// Transactions returns the number of committed (TxEnd) transactions.
-func (t *Trace) Transactions() uint64 {
-	var n uint64
-	for _, r := range t.Records {
-		if r.Kind == KindTxEnd {
-			n++
-		}
-	}
-	return n
-}
 
 // Reader yields trace records one at a time. The core model consumes a
 // Reader so that mechanisms can interpose rewriting readers without
@@ -89,13 +71,17 @@ type Stats struct {
 	MaxTxStores int
 }
 
-// Summarize computes Stats for a trace.
-func Summarize(t *Trace) Stats {
+// Summarize drains rd and computes Stats over every record it yields.
+func Summarize(rd Reader) Stats {
 	var s Stats
-	s.Records = len(t.Records)
 	inTx := false
 	txStores := 0
-	for _, r := range t.Records {
+	for {
+		r, ok := rd.Next()
+		if !ok {
+			break
+		}
+		s.Records++
 		s.Instructions += r.Instructions()
 		switch r.Kind {
 		case KindLoad:
@@ -128,9 +114,8 @@ func Summarize(t *Trace) Stats {
 	return s
 }
 
-// StreamValidator checks trace well-formedness one record at a time, so
-// a streaming run validates records as they flow by instead of scanning
-// a materialized trace:
+// StreamValidator checks trace well-formedness one record at a time, as
+// records flow from the generator to the core:
 //   - transactions do not nest and every begin has a matching end with the
 //     same id;
 //   - transaction ids strictly increase;
@@ -196,17 +181,4 @@ func (v *StreamValidator) Finish() error {
 		return fmt.Errorf("trace ends inside open transaction %d", v.curID)
 	}
 	return nil
-}
-
-// Validate checks a materialized trace's well-formedness (the
-// StreamValidator conditions applied to every record), returning the
-// first violation found.
-func Validate(t *Trace) error {
-	var v StreamValidator
-	for _, r := range t.Records {
-		if err := v.Check(r); err != nil {
-			return err
-		}
-	}
-	return v.Finish()
 }

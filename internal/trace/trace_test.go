@@ -36,11 +36,12 @@ func TestInstructionsAccounting(t *testing.T) {
 func TestTraceInstructionsAndTransactions(t *testing.T) {
 	var tr Trace
 	tr.Append(TxBegin(1), Compute(10), Store(nvm(0), 5), TxEnd(1), Compute(3))
-	if got := tr.Instructions(); got != 16 {
-		t.Errorf("Instructions = %d, want 16", got)
+	s := Summarize(NewReader(&tr))
+	if s.Instructions != 16 {
+		t.Errorf("Instructions = %d, want 16", s.Instructions)
 	}
-	if got := tr.Transactions(); got != 1 {
-		t.Errorf("Transactions = %d, want 1", got)
+	if s.Transactions != 1 {
+		t.Errorf("Transactions = %d, want 1", s.Transactions)
 	}
 }
 
@@ -82,7 +83,10 @@ func TestSummarize(t *testing.T) {
 		CLWB(nvm(8)),
 		SFence(),
 	)
-	s := Summarize(&tr)
+	s := Summarize(NewReader(&tr))
+	if s.Records != tr.Len() {
+		t.Errorf("records = %d, want %d", s.Records, tr.Len())
+	}
 	if s.Loads != 2 || s.PersistentLoads != 1 {
 		t.Errorf("loads = %d/%d persistent, want 2/1", s.Loads, s.PersistentLoads)
 	}
@@ -103,6 +107,18 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// validate drives a StreamValidator over recs, returning the first
+// violation.
+func validate(recs []Record) error {
+	var v StreamValidator
+	for _, r := range recs {
+		if err := v.Check(r); err != nil {
+			return err
+		}
+	}
+	return v.Finish()
+}
+
 func TestValidateAcceptsWellFormed(t *testing.T) {
 	var tr Trace
 	tr.Append(
@@ -112,8 +128,8 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 		Store(dram(8), 9), // volatile store outside tx is fine
 		TxBegin(2), Store(nvm(16), 2), TxEnd(2),
 	)
-	if err := Validate(&tr); err != nil {
-		t.Fatalf("Validate rejected well-formed trace: %v", err)
+	if err := validate(tr.Records); err != nil {
+		t.Fatalf("validator rejected well-formed trace: %v", err)
 	}
 }
 
@@ -133,9 +149,8 @@ func TestValidateRejections(t *testing.T) {
 		{"empty compute", []Record{Compute(0)}},
 	}
 	for _, c := range cases {
-		tr := &Trace{Records: c.recs}
-		if err := Validate(tr); err == nil {
-			t.Errorf("%s: Validate accepted invalid trace", c.name)
+		if err := validate(c.recs); err == nil {
+			t.Errorf("%s: validator accepted invalid trace", c.name)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("txcache: %d bytes / %d-byte entries leaves %d entries, need at least 2",
 			c.SizeBytes, c.EntryBytes, c.Entries())
 	}
-	if c.HighWaterFrac <= 0 || c.HighWaterFrac > 1 {
+	if !(c.HighWaterFrac > 0 && c.HighWaterFrac <= 1) { // NaN fails too
 		return fmt.Errorf("txcache: HighWaterFrac %g must be in (0, 1]", c.HighWaterFrac)
 	}
 	if c.IssuePerCycle <= 0 {

@@ -1,6 +1,7 @@
 package txcache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -536,6 +537,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 64, EntryBytes: 64, HighWaterFrac: 0.9, IssuePerCycle: 1},       // 1 entry
 		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 1.5, IssuePerCycle: 1},
 		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: -0.1, IssuePerCycle: 1},
+		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: math.NaN(), IssuePerCycle: 1},
 		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 0.9, IssuePerCycle: -2},
 	}
 	for i, cfg := range bad {

@@ -8,72 +8,54 @@ import (
 	"pmemaccel/internal/trace"
 )
 
-// drain pulls the stream dry, returning every record.
-func drain(t *testing.T, out *Output) []trace.Record {
-	t.Helper()
+// generate builds b's workload with the transaction history switched
+// on, drains the stream into a trace, and returns the first error from
+// NewStream or the stream itself.
+func generate(b Benchmark, p Params) (*Output, *trace.Trace, error) {
+	out, err := NewStream(b, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.Recorder.SetRetainTxHistory(true)
+	tr := &trace.Trace{}
 	rd := out.NewReader()
-	var recs []trace.Record
 	for {
 		rec, ok := rd.Next()
 		if !ok {
 			break
 		}
-		recs = append(recs, rec)
+		tr.Append(rec)
 	}
-	return recs
+	return out, tr, out.StreamErr()
 }
 
-// TestStreamMatchesGenerateRecords is the workload-level half of the
-// byte-identity contract: for every benchmark, NewStream must emit
-// exactly the record sequence Generate materializes, and the two oracles
-// (final image, instruction and transaction counters, base image, meta)
-// must agree.
+// TestStreamMatchesGenerateRecords pins the oracle's consistency with the
+// stream it rides on, for every benchmark: the running counters equal a
+// Summarize of the drained records, the incremental final image equals
+// the fold of the retained history over the base image, and exactly one
+// transaction commits per op.
 func TestStreamMatchesGenerateRecords(t *testing.T) {
 	for _, b := range Extended {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			p := testParams(3, 150, 250)
-			mat, err := Generate(b, p)
+			out, tr, err := generate(b, p)
 			if err != nil {
-				t.Fatalf("Generate: %v", err)
+				t.Fatalf("generate: %v", err)
 			}
-			str, err := NewStream(b, p)
-			if err != nil {
-				t.Fatalf("NewStream: %v", err)
+			s := trace.Summarize(trace.NewReader(tr))
+			if got := out.Recorder.Instructions(); got != s.Instructions {
+				t.Errorf("instruction counter = %d, records sum to %d", got, s.Instructions)
 			}
-			recs := drain(t, str)
-			if err := str.StreamErr(); err != nil {
-				t.Fatalf("StreamErr: %v", err)
+			if got := out.Recorder.Transactions(); got != s.Transactions {
+				t.Errorf("transaction counter = %d, records hold %d", got, s.Transactions)
 			}
-			if len(recs) != mat.Trace.Len() {
-				t.Fatalf("stream produced %d records, materialized %d", len(recs), mat.Trace.Len())
+			all := len(out.Recorder.Committed())
+			if !out.FinalImage.Equal(out.Recorder.CommittedPrefixImage(out.BaseImage, all)) {
+				t.Error("final image differs from the committed-prefix fold over the base image")
 			}
-			for i, rec := range recs {
-				if rec != mat.Trace.Records[i] {
-					t.Fatalf("record %d differs: stream %+v, materialized %+v", i, rec, mat.Trace.Records[i])
-				}
-			}
-			if got, want := str.Recorder.Instructions(), mat.Trace.Instructions(); got != want {
-				t.Errorf("streamed instruction counter = %d, want %d", got, want)
-			}
-			if got, want := str.Recorder.Transactions(), mat.Trace.Transactions(); got != want {
-				t.Errorf("streamed transaction counter = %d, want %d", got, want)
-			}
-			if !str.FinalImage.Equal(mat.FinalImage) {
-				t.Error("final images differ between streaming and materialized runs")
-			}
-			if !str.BaseImage.Equal(mat.BaseImage) {
-				t.Error("base images differ between streaming and materialized runs")
-			}
-			if str.Meta != mat.Meta {
-				t.Errorf("meta differs: stream %+v, materialized %+v", str.Meta, mat.Meta)
-			}
-			// Streaming keeps no per-transaction history, only the counter.
-			if n := len(str.Recorder.Committed()); n != 0 {
-				t.Errorf("streaming run retained %d tx records, want 0", n)
-			}
-			if got := str.Recorder.CommittedCount(); got != uint64(p.Ops) {
-				t.Errorf("CommittedCount = %d, want %d", got, p.Ops)
+			if got := out.Recorder.CommittedCount(); got != uint64(p.Ops) || all != p.Ops {
+				t.Errorf("CommittedCount = %d, history holds %d, want %d", got, all, p.Ops)
 			}
 		})
 	}
@@ -152,10 +134,6 @@ func TestStreamErrorSurfaces(t *testing.T) {
 	}
 	if err := out.StreamErr(); err == nil {
 		t.Fatal("stream exhausted the heap mid-run but StreamErr is nil")
-	}
-	// Materialized generation of the same params fails eagerly.
-	if _, err := Generate(RBTree, p); err == nil {
-		t.Fatal("Generate succeeded on params that exhaust the heap")
 	}
 }
 

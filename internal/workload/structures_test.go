@@ -1,7 +1,7 @@
 package workload
 
 // Direct structural tests of the individual data structures, driving them
-// harder than the Generate path does and checking invariants after every
+// harder than a generated workload does and checking invariants after every
 // few operations.
 
 import (

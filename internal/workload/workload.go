@@ -236,19 +236,17 @@ func DefaultParams(b Benchmark, core, nCores int, seed uint64, initialSize, ops 
 	return p
 }
 
-// Output is the product of generating one core's workload: the trace the
-// timing model replays, the oracle of committed transactions, and the
-// durable base image (the NVM content assumed durable before cycle 0).
+// Output is the product of building one core's workload: the record
+// stream the timing model pulls, the oracle of committed transactions,
+// and the durable base image (the NVM content assumed durable before
+// cycle 0).
 type Output struct {
 	Benchmark Benchmark
 	Params    Params
-	// Trace is the materialized record sequence (nil in streaming mode).
-	Trace    *trace.Trace
-	Recorder *trace.Recorder
-	// Stream is the lazy record producer (nil in materialized mode): the
-	// measured window's op() loop runs behind a bounded per-op buffer as
-	// the core pulls records, so memory stays O(structure footprint)
-	// instead of O(run length).
+	Recorder  *trace.Recorder
+	// Stream is the lazy record producer: the measured window's op() loop
+	// runs behind a bounded per-op buffer as the core pulls records, so
+	// memory stays O(structure footprint) instead of O(run length).
 	Stream *trace.Generator
 	// Meta anchors the structure for post-crash image validation.
 	Meta Meta
@@ -256,31 +254,19 @@ type Output struct {
 	// state at the start of the measured window.
 	BaseImage *memimage.Image
 	// FinalImage is BaseImage plus every committed transaction — what
-	// NVM must contain once all persistence traffic drains. In streaming
-	// mode it fills incrementally and is complete only once Stream is
-	// exhausted.
+	// NVM must contain once all persistence traffic drains. It fills
+	// incrementally and is complete only once Stream is exhausted.
 	FinalImage *memimage.Image
 }
 
 // NewReader returns the trace source the core model consumes: the
-// generator in streaming mode, a slice reader otherwise.
-func (o *Output) NewReader() trace.Reader {
-	if o.Stream != nil {
-		return o.Stream
-	}
-	return trace.NewReader(o.Trace)
-}
+// generator.
+func (o *Output) NewReader() trace.Reader { return o.Stream }
 
-// StreamErr surfaces a streaming generation failure (a workload error,
-// invariant violation or malformed record mid-run). The core model sees
-// a failed stream as merely exhausted, so drivers must check this after
-// the run. Always nil in materialized mode — Generate validates eagerly.
-func (o *Output) StreamErr() error {
-	if o.Stream != nil {
-		return o.Stream.Err()
-	}
-	return nil
-}
+// StreamErr surfaces a generation failure (a workload error, invariant
+// violation or malformed record mid-run). The core model sees a failed
+// stream as merely exhausted, so drivers must check this after the run.
+func (o *Output) StreamErr() error { return o.Stream.Err() }
 
 // bench is the internal contract each data structure implements.
 type bench interface {
@@ -303,10 +289,8 @@ type bench interface {
 // exercised alongside the NVM path.
 const ringWords = 1024
 
-// generation is the shared state of one core's workload run: the data
-// structure, its recorder, and the volatile scratch ring. Both the
-// materialized (Generate) and streaming (NewStream) paths drive it, so
-// the two produce identical record sequences by construction.
+// generation is the state of one core's workload run: the data
+// structure, its recorder, and the volatile scratch ring.
 type generation struct {
 	b    Benchmark
 	p    Params
@@ -381,7 +365,7 @@ func (g *generation) finish() error {
 	return nil
 }
 
-// output assembles the Output common to both paths.
+// output assembles the Output (without its Stream).
 func (g *generation) output() *Output {
 	meta := g.impl.describe()
 	meta.MaxElems = 4*(int64(g.p.InitialSize)+int64(g.p.Ops)) + 16
@@ -395,46 +379,23 @@ func (g *generation) output() *Output {
 	}
 }
 
-// Generate builds the data structure, runs the measured window, and
-// returns the materialized trace plus oracle. The returned trace always
-// passes trace.Validate.
-func Generate(b Benchmark, p Params) (*Output, error) {
-	g, err := build(b, p)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < p.Ops; i++ {
-		if err := g.runOp(i); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.finish(); err != nil {
-		return nil, err
-	}
-	if err := trace.Validate(&g.rec.Trace); err != nil {
-		return nil, fmt.Errorf("workload %s: invalid trace: %w", b, err)
-	}
-	out := g.output()
-	out.Trace = &g.rec.Trace
-	return out, nil
-}
-
 // NewStream builds the data structure (warmup included, so BaseImage is
 // ready for machine construction) but defers the measured window: the
 // returned Output carries a trace.Generator that runs one op per refill
 // of its bounded buffer as the consumer pulls records. Records are
-// validated as they flow by (the streaming trace.Validate), structural
+// validated as they flow by (trace.StreamValidator), structural
 // invariants are checked at exhaustion, and any failure surfaces through
-// Output.StreamErr. The record sequence is byte-identical to Generate's
-// for the same parameters; memory stays O(structure footprint) instead
-// of O(ops).
+// Output.StreamErr. Memory stays O(structure footprint) instead of
+// O(ops). The per-transaction history is off; a caller that needs it
+// (crash-prefix checking) switches it on with
+// Recorder.SetRetainTxHistory before pulling the first record.
 func NewStream(b Benchmark, p Params) (*Output, error) {
 	g, err := build(b, p)
 	if err != nil {
 		return nil, err
 	}
-	// The full per-transaction history is O(ops) memory; streaming runs
-	// rely on the incremental final image and counters instead.
+	// The full per-transaction history is O(ops) memory; a run to
+	// quiescence relies on the incremental final image and counters.
 	g.rec.SetRetainTxHistory(false)
 	var sv trace.StreamValidator
 	i := 0

@@ -38,14 +38,11 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 	for _, b := range All {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			out, err := Generate(b, testParams(1, 200, 300))
+			out, tr, err := generate(b, testParams(1, 200, 300))
 			if err != nil {
-				t.Fatalf("Generate: %v", err)
+				t.Fatalf("generate: %v", err)
 			}
-			if err := trace.Validate(out.Trace); err != nil {
-				t.Fatalf("trace invalid: %v", err)
-			}
-			s := trace.Summarize(out.Trace)
+			s := trace.Summarize(trace.NewReader(tr))
 			if s.Transactions != 300 {
 				t.Errorf("transactions = %d, want 300 (one per op)", s.Transactions)
 			}
@@ -64,19 +61,19 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	for _, b := range All {
-		a1, err := Generate(b, testParams(7, 100, 150))
+		a1, t1, err := generate(b, testParams(7, 100, 150))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		a2, err := Generate(b, testParams(7, 100, 150))
+		a2, t2, err := generate(b, testParams(7, 100, 150))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		if a1.Trace.Len() != a2.Trace.Len() {
-			t.Fatalf("%v: trace lengths differ: %d vs %d", b, a1.Trace.Len(), a2.Trace.Len())
+		if t1.Len() != t2.Len() {
+			t.Fatalf("%v: trace lengths differ: %d vs %d", b, t1.Len(), t2.Len())
 		}
-		for i := range a1.Trace.Records {
-			if a1.Trace.Records[i] != a2.Trace.Records[i] {
+		for i := range t1.Records {
+			if t1.Records[i] != t2.Records[i] {
 				t.Fatalf("%v: record %d differs", b, i)
 			}
 		}
@@ -87,18 +84,18 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSeedsDiffer(t *testing.T) {
-	a, err := Generate(RBTree, testParams(1, 100, 100))
+	_, a, err := generate(RBTree, testParams(1, 100, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(RBTree, testParams(2, 100, 100))
+	_, b, err := generate(RBTree, testParams(2, 100, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Trace.Len() == b.Trace.Len() {
+	if a.Len() == b.Len() {
 		same := true
-		for i := range a.Trace.Records {
-			if a.Trace.Records[i] != b.Trace.Records[i] {
+		for i := range a.Records {
+			if a.Records[i] != b.Records[i] {
 				same = false
 				break
 			}
@@ -114,7 +111,7 @@ func TestFinalImageMatchesArchitecturalState(t *testing.T) {
 	// final architectural image on every persistent word the oracle
 	// touched.
 	for _, b := range All {
-		out, err := Generate(b, testParams(3, 150, 200))
+		out, _, err := generate(b, testParams(3, 150, 200))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -136,11 +133,11 @@ func TestSPSIsMostWriteIntensive(t *testing.T) {
 	// workload suite preserves that ranking (persistent stores per
 	// instruction).
 	intensity := func(b Benchmark) float64 {
-		out, err := Generate(b, testParams(4, 300, 300))
+		_, tr, err := generate(b, testParams(4, 300, 300))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		s := trace.Summarize(out.Trace)
+		s := trace.Summarize(trace.NewReader(tr))
 		return float64(s.PersistentStores) / float64(s.Instructions)
 	}
 	sps := intensity(SPS)
@@ -153,10 +150,10 @@ func TestSPSIsMostWriteIntensive(t *testing.T) {
 
 func TestSetupTooSmallFails(t *testing.T) {
 	p := testParams(1, 0, 10)
-	if _, err := Generate(SPS, p); err == nil {
+	if _, _, err := generate(SPS, p); err == nil {
 		t.Error("sps with 0 elements did not fail")
 	}
-	if _, err := Generate(Graph, p); err == nil {
+	if _, _, err := generate(Graph, p); err == nil {
 		t.Error("graph with 0 vertices did not fail")
 	}
 }
@@ -164,7 +161,7 @@ func TestSetupTooSmallFails(t *testing.T) {
 func TestHeapExhaustionSurfacesAsError(t *testing.T) {
 	p := testParams(1, 100, 100)
 	p.PersistentRegion.Size = 1 << 10 // far too small
-	if _, err := Generate(RBTree, p); err == nil {
+	if _, _, err := generate(RBTree, p); err == nil {
 		t.Error("tiny persistent region did not fail")
 	}
 }
@@ -189,11 +186,11 @@ func TestDefaultParamsDisjointAcrossCores(t *testing.T) {
 }
 
 func TestTraceHasVolatileTraffic(t *testing.T) {
-	out, err := Generate(SPS, testParams(5, 100, 100))
+	_, tr, err := generate(SPS, testParams(5, 100, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := trace.Summarize(out.Trace)
+	s := trace.Summarize(trace.NewReader(tr))
 	if s.Stores <= s.PersistentStores {
 		t.Error("no volatile stores in trace (DRAM path unexercised)")
 	}
@@ -217,11 +214,11 @@ func TestTraceCompositionCharacteristics(t *testing.T) {
 		BTree:     {3.0, 40.0, 1.5}, // shifting writes + descents
 	}
 	for b, w := range want {
-		out, err := Generate(b, testParams(6, 400, 400))
+		_, tr, err := generate(b, testParams(6, 400, 400))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		s := trace.Summarize(out.Trace)
+		s := trace.Summarize(trace.NewReader(tr))
 		perTx := float64(s.PersistentStores) / float64(s.Transactions)
 		if perTx < w.minStoresPerTx || perTx > w.maxStoresPerTx {
 			t.Errorf("%v: %.2f persistent stores/tx outside [%.1f, %.1f]",
@@ -238,12 +235,12 @@ func TestDependentLoadTagging(t *testing.T) {
 	// Pointer-chasing benchmarks must tag most loads dependent; sps must
 	// tag none.
 	depFraction := func(b Benchmark) float64 {
-		out, err := Generate(b, testParams(8, 300, 300))
+		_, tr, err := generate(b, testParams(8, 300, 300))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
 		var dep, all int
-		for _, r := range out.Trace.Records {
+		for _, r := range tr.Records {
 			if r.Kind == trace.KindLoad {
 				all++
 				if r.Dep {
@@ -265,7 +262,7 @@ func TestDependentLoadTagging(t *testing.T) {
 
 func TestMetaAnchorsPopulated(t *testing.T) {
 	for _, b := range All {
-		out, err := Generate(b, testParams(2, 200, 100))
+		out, _, err := generate(b, testParams(2, 200, 100))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -293,7 +290,7 @@ func TestMetaAnchorsPopulated(t *testing.T) {
 
 func TestCheckImageDetectsCorruption(t *testing.T) {
 	// Corrupting the recovered image must trip the validators.
-	out, err := Generate(RBTree, testParams(4, 300, 100))
+	out, _, err := generate(RBTree, testParams(4, 300, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +302,7 @@ func TestCheckImageDetectsCorruption(t *testing.T) {
 		t.Fatal("red root not detected")
 	}
 
-	outS, err := Generate(SPS, testParams(4, 300, 100))
+	outS, _, err := generate(SPS, testParams(4, 300, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +329,17 @@ func TestPerCoreStreamStableAcrossWidths(t *testing.T) {
 						b, core, n, p4, n, pn)
 				}
 			}
-			a, err := Generate(b, p4)
+			_, a, err := generate(b, p4)
 			if err != nil {
 				t.Fatalf("%v core %d: %v", b, core, err)
 			}
-			bOut, err := Generate(b, DefaultParams(b, core, 64, 7, 50, 40))
+			_, bTr, err := generate(b, DefaultParams(b, core, 64, 7, 50, 40))
 			if err != nil {
 				t.Fatalf("%v core %d (64-wide params): %v", b, core, err)
 			}
-			if !reflect.DeepEqual(a.Trace.Records, bOut.Trace.Records) {
+			if !reflect.DeepEqual(a.Records, bTr.Records) {
 				t.Fatalf("%v core %d: trace diverges across machine widths (%d vs %d records)",
-					b, core, len(a.Trace.Records), len(bOut.Trace.Records))
+					b, core, len(a.Records), len(bTr.Records))
 			}
 		}
 	}

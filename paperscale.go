@@ -18,10 +18,9 @@ const PaperInstructionTarget = 1_700_000_000
 const paperScaleMaxCycles = 64_000_000_000
 
 // PaperScale returns the configuration resized to a
-// PaperInstructionTarget-class instruction window: streaming generation
-// switched on (a materialized trace of this length would not fit in
-// memory — the point of the streaming pipeline), Ops set from a short
+// PaperInstructionTarget-class instruction window: Ops set from a short
 // per-benchmark calibration sample, and the cycle bound raised to match.
+// Generation streams, so the run needs O(structure) memory at any length.
 // Machine geometry (Scale, channels, caches) is left untouched, so
 // paper-scale composes with any machine configuration.
 func (c Config) PaperScale() (Config, error) {
@@ -29,8 +28,6 @@ func (c Config) PaperScale() (Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Streaming = true
-
 	// Calibrate instructions-per-op for every core's benchmark (they
 	// differ under Mix); Ops is global, so size it from the mean cost.
 	perOp := make(map[workload.Benchmark]float64)

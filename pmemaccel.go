@@ -57,17 +57,6 @@ type Config struct {
 	InitialSize int
 	Ops         int
 
-	// Streaming generates each core's workload lazily: the measured
-	// window's op() loop runs behind a small bounded buffer as the core
-	// pulls records, instead of materializing the full trace and
-	// per-transaction oracle history up front. Results are byte-identical
-	// to materialized runs (the streaming golden tests pin it) but memory
-	// stays O(structure footprint) instead of O(ops) — what makes
-	// paper-scale instruction windows possible. Mid-run crash-prefix
-	// recovery checking needs the materialized history, so streaming is
-	// off by default.
-	Streaming bool
-
 	// Scale divides the cache and transaction-cache capacities by a
 	// power of two, shrinking the machine for fast runs while keeping
 	// capacity ratios. 1 reproduces Table 2 exactly.
@@ -275,7 +264,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("pmemaccel: unknown NVMTech %d (want one of %v)", int(c.NVMTech), NVMTechs)
 	}
-	if c.ContentionPct < 0 || c.ContentionPct > 1 {
+	// Range checks are written !(in range) so NaN fails them too.
+	if !(c.ContentionPct >= 0 && c.ContentionPct <= 1) {
 		return fmt.Errorf("pmemaccel: ContentionPct %g must be in [0, 1] (0 selects the workload default)", c.ContentionPct)
 	}
 	if c.SharedAccounts < 0 {
@@ -287,7 +277,7 @@ func (c Config) Validate() error {
 	if c.Scale < 0 || (c.Scale > 0 && c.Scale&(c.Scale-1) != 0) {
 		return fmt.Errorf("pmemaccel: Scale %d must be a positive power of two", c.Scale)
 	}
-	if c.TCHighWaterFrac < 0 || c.TCHighWaterFrac > 1 {
+	if !(c.TCHighWaterFrac >= 0 && c.TCHighWaterFrac <= 1) {
 		return fmt.Errorf("pmemaccel: TCHighWaterFrac %g must be in [0, 1] (0 selects the default 0.9)", c.TCHighWaterFrac)
 	}
 	if len(c.Mix) > 0 && len(c.Mix) != c.Cores {

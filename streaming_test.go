@@ -7,26 +7,42 @@ import (
 	"pmemaccel/internal/workload"
 )
 
-// runStreaming runs one cell with Config.Streaming set, returning the
-// result with Config zeroed for comparison.
-func runStreaming(t *testing.T, cfg Config) *Result {
-	t.Helper()
-	cfg.Streaming = true
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("streaming Run: %v", err)
-	}
+// stripped zeroes the fields a stop-and-resume may legitimately move:
+// Config, and SkippedCycles, because a stop can split a fast-forward into
+// skipped and stepped cycles without changing any simulated state.
+func stripped(r *Result) *Result {
 	r.Config = Config{}
+	r.SkippedCycles = 0
 	return r
 }
 
-// TestStreamingIdenticalAllCells is the tentpole acceptance gate: every
-// benchmark x mechanism cell must produce a result under streaming
-// workload generation that is byte-identical to the materialized path's.
-// The generator emits the same record sequence Generate would have
-// appended (the workload-level tests pin that), so the machine must not
-// be able to tell the modes apart; only Config is zeroed (Streaming is
-// the intended difference).
+// runSplit builds cfg's system, stops it at cycle stop with the
+// transaction history on (the crash-check path), then finishes it with
+// Run. No component may schedule into the past on the way.
+func runSplit(t *testing.T, cfg Config, stop uint64) *Result {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	if sys.RunToCycle(stop) {
+		t.Fatalf("workload quiesced before the stop at cycle %d", stop)
+	}
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatalf("Run after RunToCycle(%d): %v", stop, err)
+	}
+	if ps := sys.Kernel.PastSchedules(); ps != 0 {
+		t.Errorf("%d ScheduleAt calls targeted the past (coerced forward); want zero", ps)
+	}
+	return stripped(r)
+}
+
+// TestStreamingIdenticalAllCells is the byte-identity gate for the crash
+// path: on every benchmark x mechanism cell, a system stopped mid-run
+// with its transaction history on and then finished with Run must
+// produce the same Result as a plain Run. The history and the stop are
+// pure observers, so the machine must not be able to tell the two apart.
 func TestStreamingIdenticalAllCells(t *testing.T) {
 	for _, b := range workload.All {
 		for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
@@ -34,21 +50,21 @@ func TestStreamingIdenticalAllCells(t *testing.T) {
 			t.Run(b.String()+"/"+m.String(), func(t *testing.T) {
 				t.Parallel()
 				cfg := smokeConfig(b, m)
-				mat, err := Run(cfg)
+				plain, err := Run(cfg)
 				if err != nil {
-					t.Fatalf("materialized Run: %v", err)
+					t.Fatalf("Run: %v", err)
 				}
-				mat.Config = Config{}
-				str := runStreaming(t, cfg)
-				if !reflect.DeepEqual(mat, str) {
-					t.Errorf("results diverge materialized vs streaming:\n  materialized: %v\n  streaming:    %v", mat, str)
-					if mat.Cycles != str.Cycles {
-						t.Errorf("Cycles: %d vs %d", mat.Cycles, str.Cycles)
+				stripped(plain)
+				split := runSplit(t, cfg, plain.Cycles/2)
+				if !reflect.DeepEqual(plain, split) {
+					t.Errorf("results diverge plain vs stopped-and-resumed:\n  plain: %v\n  split: %v", plain, split)
+					if plain.Cycles != split.Cycles {
+						t.Errorf("Cycles: %d vs %d", plain.Cycles, split.Cycles)
 					}
-					for c := range mat.PerCore {
-						if !reflect.DeepEqual(mat.PerCore[c], str.PerCore[c]) {
-							t.Errorf("core %d stats diverge:\n  materialized: %+v\n  streaming:    %+v",
-								c, mat.PerCore[c], str.PerCore[c])
+					for c := range plain.PerCore {
+						if !reflect.DeepEqual(plain.PerCore[c], split.PerCore[c]) {
+							t.Errorf("core %d stats diverge:\n  plain: %+v\n  split: %+v",
+								c, plain.PerCore[c], split.PerCore[c])
 						}
 					}
 				}
@@ -57,19 +73,63 @@ func TestStreamingIdenticalAllCells(t *testing.T) {
 	}
 }
 
-// TestStreamingCrashCheckMatchesRecovery pins the end-of-run oracle in
-// streaming mode: with no per-transaction history, ExpectedDurable folds
-// the incremental final image, which after a full drain must agree with
-// what the mechanism's recovery produces. Optimal is excluded: it makes
-// no durability guarantee (recovery is the identity and committed lines
-// may still be dirty in the volatile caches), in either generation mode.
+// TestRunDropsTxHistory pins the history rule on a core-private
+// workload: NewSystem retains every core's transaction history, so a
+// RunToCycle stop can fold committed prefixes, and Run releases it
+// because the incremental final image suffices at quiescence.
+func TestRunDropsTxHistory(t *testing.T) {
+	cfg := smokeConfig(workload.RBTree, TCache)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.RunToCycle(20_000) {
+		t.Fatal("workload quiesced before the stop")
+	}
+	for c, out := range sys.Outputs {
+		if len(out.Recorder.Committed()) == 0 {
+			t.Errorf("core %d: no transaction history after RunToCycle", c)
+		}
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, out := range sys.Outputs {
+		if n := len(out.Recorder.Committed()); n != 0 {
+			t.Errorf("core %d: %d transactions still in the history after Run", c, n)
+		}
+	}
+	if res.DurableDiffCount != 0 {
+		t.Errorf("%d durable diffs after Run", res.DurableDiffCount)
+	}
+
+	fresh, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for c, out := range fresh.Outputs {
+		if n := len(out.Recorder.Committed()); n != 0 {
+			t.Errorf("core %d: plain Run kept %d transactions of history", c, n)
+		}
+	}
+}
+
+// TestStreamingCrashCheckMatchesRecovery pins the end-of-run oracle: Run
+// drops the per-transaction history, so ExpectedDurable folds the
+// incremental final image, which after a full drain must agree with what
+// the mechanism's recovery produces. Optimal is excluded: it makes no
+// durability guarantee (recovery is the identity and committed lines may
+// still be dirty in the volatile caches).
 func TestStreamingCrashCheckMatchesRecovery(t *testing.T) {
 	for _, m := range []Kind{SP, TCache, Kiln} {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := smokeConfig(workload.SPS, m)
-			cfg.Streaming = true
 			sys, err := NewSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -79,7 +139,7 @@ func TestStreamingCrashCheckMatchesRecovery(t *testing.T) {
 			}
 			diffs := CheckDurable(sys.ExpectedDurable(), sys.RecoveredDurable(), 5)
 			if len(diffs) != 0 {
-				t.Errorf("recovered image diverges from streaming expectation: %v", diffs)
+				t.Errorf("recovered image diverges from the final-image expectation: %v", diffs)
 			}
 		})
 	}
@@ -87,16 +147,13 @@ func TestStreamingCrashCheckMatchesRecovery(t *testing.T) {
 
 // TestPaperScaleCalibration checks PaperScale's sizing math without
 // paying for a paper-scale run: the calibrated op count must put the
-// projected instruction window in the right class, streaming must be
-// forced on, and the cycle bound must be raised.
+// projected instruction window in the right class, and the cycle bound
+// must be raised.
 func TestPaperScaleCalibration(t *testing.T) {
 	cfg := DefaultConfig(workload.SPS, TCache)
 	scaled, err := cfg.PaperScale()
 	if err != nil {
 		t.Fatalf("PaperScale: %v", err)
-	}
-	if !scaled.Streaming {
-		t.Error("PaperScale did not enable streaming")
 	}
 	if scaled.MaxCycles < 2_000_000_001 {
 		t.Errorf("MaxCycles = %d, want the paper-scale bound", scaled.MaxCycles)

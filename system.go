@@ -69,10 +69,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{Config: cfg}
 
-	// Workloads first: their base images seed the memory state. In
-	// streaming mode the measured window is deferred — each output holds
-	// a generator the core pulls records from during the run, so no
-	// materialized trace (or per-transaction history) ever exists.
+	// Workloads first: their base images seed the memory state. The
+	// measured window is deferred — each output holds a generator the core
+	// pulls records from during the run, so no record trace ever exists.
 	shared := false
 	for c := 0; c < cfg.Cores; c++ {
 		bench := cfg.benchmarkFor(c)
@@ -86,23 +85,15 @@ func NewSystem(cfg Config) (*System, error) {
 				p.SharedAccounts = cfg.SharedAccounts
 			}
 		}
-		var out *workload.Output
-		if cfg.Streaming {
-			out, err = workload.NewStream(bench, p)
-		} else {
-			out, err = workload.Generate(bench, p)
-		}
+		out, err := workload.NewStream(bench, p)
 		if err != nil {
 			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
 		}
-		if cfg.Streaming && bench == workload.BankShared {
-			// The shared-mode serialization oracle folds per-transaction
-			// write sets in global commit order, so the contended
-			// benchmark retains its transaction history even when
-			// streaming: memory is O(committed write sets) — still far
-			// below the full record trace streaming avoids.
-			out.Recorder.SetRetainTxHistory(true)
-		}
+		// Mid-run crash checks (RunToCycle, then ExpectedDurable) fold
+		// each core's committed prefix, so the history is on until Run
+		// decides it is not needed. Nothing is generated before the first
+		// cycle, so this costs nothing up front.
+		out.Recorder.SetRetainTxHistory(true)
 		s.Outputs = append(s.Outputs, out)
 	}
 
@@ -124,14 +115,15 @@ func NewSystem(cfg Config) (*System, error) {
 	s.Backend.SetProbe(s.Probe)
 	s.Backend.SetMetrics(s.Metrics)
 
-	// Address-space validation: every address the run will ever send to
-	// the backend must classify into a mapped space, so an unmapped
-	// address is a build-time error here rather than a mid-simulation
-	// fault. The workload traces and base images are the only external
-	// address sources (mechanism log regions are carved from the NVMLog
-	// space by construction).
+	// Address-space validation: the base images must classify into
+	// mapped spaces, so an unmapped address is a build-time error here
+	// rather than a mid-simulation fault. Record addresses are checked as
+	// they flow (trace.StreamValidator classifies every load and store),
+	// and a violation surfaces through Output.StreamErr after the run.
+	// Mechanism log regions are carved from the NVMLog space by
+	// construction.
 	for c, out := range s.Outputs {
-		if err := validateAddressSpaces(out); err != nil {
+		if err := validateBaseImage(out.BaseImage); err != nil {
 			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
 		}
 	}
@@ -196,38 +188,18 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// validateAddressSpaces rejects a workload whose trace or base image
-// touches an address outside every mapped memory space. The backend's
-// For would report such an address as a run-time fault; catching it here
-// turns a mid-run surprise into a build-time error naming the record.
-//
-// In streaming mode there is no materialized trace to scan; the record
-// half of this check runs incrementally instead — the generator's
-// per-record validator (trace.StreamValidator) classifies every load and
-// store address as it flows by, and a violation surfaces through
-// Output.StreamErr after the run. Only the base image is checked eagerly.
-func validateAddressSpaces(out *workload.Output) error {
+// validateBaseImage rejects a base image holding an address outside
+// every mapped memory space. The backend would report such an address as
+// a run-time fault; catching it here turns a mid-run surprise into a
+// build-time error.
+func validateBaseImage(img *memimage.Image) error {
 	var err error
-	out.BaseImage.ForEach(func(addr, _ uint64) {
+	img.ForEach(func(addr, _ uint64) {
 		if err == nil && memaddr.Classify(addr) == memaddr.SpaceInvalid {
 			err = fmt.Errorf("base image holds unmapped address %#x", addr)
 		}
 	})
-	if err != nil {
-		return err
-	}
-	if out.Trace == nil {
-		return nil
-	}
-	for i, rec := range out.Trace.Records {
-		switch rec.Kind {
-		case trace.KindLoad, trace.KindStore, trace.KindCLWB, trace.KindCLFlush:
-			if memaddr.Classify(rec.Addr) == memaddr.SpaceInvalid {
-				return fmt.Errorf("trace record %d (%v) touches unmapped address %#x", i, rec.Kind, rec.Addr)
-			}
-		}
-	}
-	return nil
+	return err
 }
 
 // startSampler registers the time-series sources and the periodic
@@ -260,8 +232,17 @@ func (s *System) quiesced() bool {
 	return s.Mech.Drained() && s.Hier.Pending() == 0 && s.Backend.Quiescent()
 }
 
-// Run simulates to quiescence and collects the result.
+// Run simulates to quiescence and collects the result. Core-private
+// workloads drop their transaction history first: Run always ends at
+// quiescence, where ExpectedDurable's fold of the incremental final
+// image equals the per-prefix fold, so memory stays O(structure). The
+// shared-mode commit-order oracle keeps the history it needs.
 func (s *System) Run() (*Result, error) {
+	if s.Commits == nil {
+		for _, out := range s.Outputs {
+			out.Recorder.SetRetainTxHistory(false)
+		}
+	}
 	endOfTrace, ok := s.Kernel.RunUntil(func() bool {
 		for _, c := range s.Cores {
 			if !c.Finished() {
@@ -286,7 +267,7 @@ func (s *System) Run() (*Result, error) {
 	if err := s.Backend.Fault(); err != nil {
 		return nil, fmt.Errorf("pmemaccel: %w", err)
 	}
-	// A streaming generator that failed mid-run (workload error, invariant
+	// A generator that failed mid-run (workload error, invariant
 	// violation, malformed record) looks exhausted to its core; surface the
 	// sticky error now so a truncated run never passes as a clean one.
 	for c, out := range s.Outputs {
@@ -357,12 +338,11 @@ func (s *System) ExpectedDurable() *memimage.Image {
 	}
 	for c, out := range s.Outputs {
 		if !out.Recorder.RetainsTxHistory() {
-			// Streaming runs keep no per-transaction history — only the
+			// Run dropped the per-transaction history — only the
 			// incremental final image (base plus every committed write
-			// set). That equals the per-prefix expectation exactly when
-			// every committed transaction is durably committed, which
-			// holds after Run drains the machine; mid-run crash-prefix
-			// checking needs the materialized mode.
+			// set) remains. That equals the per-prefix expectation exactly
+			// when every committed transaction is durably committed, which
+			// holds once Run drains the machine.
 			out.FinalImage.ForEach(func(addr, v uint64) {
 				if memaddr.Classify(addr) == memaddr.SpaceNVM {
 					img.WriteWord(addr, v)

@@ -6,6 +6,7 @@ package pmemaccel
 // and accept everything DefaultConfig/PaperConfig produce.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"non-power-of-two scale", func(c *Config) { c.Scale = 48 }, "power of two"},
 		{"negative scale", func(c *Config) { c.Scale = -4 }, "power of two"},
 		{"high-water above 1", func(c *Config) { c.TCHighWaterFrac = 1.5 }, "TCHighWaterFrac"},
+		{"high-water NaN", func(c *Config) { c.TCHighWaterFrac = math.NaN() }, "TCHighWaterFrac"},
+		{"contention NaN", func(c *Config) { c.ContentionPct = math.NaN() }, "ContentionPct"},
 		{"mix length mismatch", func(c *Config) { c.Mix = []workload.Benchmark{workload.SPS} }, "Mix"},
 		{"tc entry size mismatch", func(c *Config) { c.TCBytes = 100 }, "transaction cache"},
 		{"unknown mechanism", func(c *Config) { c.Mechanism = Kind(9) }, "Mechanism"},
@@ -74,5 +77,17 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 	// mechanism.New after every core's workload was generated.
 	if _, err := NewSystem(DefaultConfig(workload.RBTree, Kind(9))); err == nil {
 		t.Fatal("NewSystem accepted Mechanism 9")
+	}
+	// NaN passes a `x < 0 || x > 1` range check; a NaN high-water mark
+	// used to make every TC write fall back.
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.TCHighWaterFrac = math.NaN() },
+		func(c *Config) { c.ContentionPct = math.NaN() },
+	} {
+		cfg := DefaultConfig(workload.BankShared, TCache)
+		mutate(&cfg)
+		if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("NewSystem with a NaN fraction: err = %v, want one naming NaN", err)
+		}
 	}
 }
