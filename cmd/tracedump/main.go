@@ -109,17 +109,19 @@ func main() {
 		fatal(fmt.Errorf("only -mech sp rewrites the trace"))
 	}
 
-	for i := 0; i < *skip; i++ {
-		if _, ok := rd.Next(); !ok {
-			return
-		}
-	}
-	for i := 0; i < *n; i++ {
+	for i := 0; i < *skip+*n; i++ {
 		rec, ok := rd.Next()
 		if !ok {
 			break
 		}
-		fmt.Printf("%5d  %s\n", *skip+i, format(rec))
+		if i >= *skip {
+			fmt.Printf("%5d  %s\n", i, format(rec))
+		}
+	}
+	// A failed generator looks exhausted: surface its error instead of
+	// passing a truncated dump off as the whole trace.
+	if err := out.StreamErr(); err != nil {
+		fatal(err)
 	}
 }
 

@@ -70,10 +70,11 @@ func (c Config) WithDefaults() Config {
 // memctrl.Backend, which routes each line to its owning channel).
 type Memory interface {
 	// Read fetches a line; done fires when data returns.
-	Read(lineAddr uint64, done func())
-	// Write retires a line towards memory. apply runs at durability
-	// time (durable-image update), then onDurable (both may be nil).
-	Write(lineAddr uint64, apply, onDurable func())
+	Read(lineAddr uint64, done sim.Event)
+	// Write retires a line towards memory. apply fires at durability
+	// time (durable-image update), then onDurable (either may be the
+	// zero Event).
+	Write(lineAddr uint64, apply, onDurable sim.Event)
 }
 
 // Hooks are the narrow points where persistence mechanisms observe or
@@ -83,7 +84,7 @@ type Hooks struct {
 	// DropLLCEviction, if non-nil, is consulted for every dirty LLC
 	// victim; returning true discards the write-back (the transaction
 	// cache design drops persistent evictions, §3).
-	DropLLCEviction func(victim *Line) bool
+	DropLLCEviction func(victim Line) bool
 	// SidePathProbe, if non-nil, is called for every LLC miss on a
 	// persistent line (the LLC "issues miss requests toward not only
 	// the NVM but also the transaction cache"). The return value
@@ -102,10 +103,11 @@ type Hooks struct {
 	// OnLLCDirtyInstall runs after a line becomes dirty in the LLC
 	// (Kiln snapshots the line's value into its nonvolatile-LLC image).
 	OnLLCDirtyInstall func(lineAddr uint64)
-	// WritebackApply builds the durable-image update closure for a
-	// dirty line written back to main memory; nil (or a nil return)
-	// means no functional effect (volatile DRAM lines).
-	WritebackApply func(lineAddr uint64) func()
+	// WritebackApply builds the durable-image update for a dirty line
+	// written back to main memory, fired when the write is durable;
+	// nil (or a zero Event) means no functional effect (volatile DRAM
+	// lines).
+	WritebackApply func(lineAddr uint64) sim.Event
 }
 
 // Stats aggregates hierarchy-level counters that the per-level tag arrays
@@ -144,11 +146,7 @@ type llcReq struct {
 	// read fields
 	persistent bool
 	// writeback fields
-	line Line
-	// onDone fires when the request has been processed at the LLC (for
-	// writebacks: installed; for reads: unused — the inflight table
-	// owns read completion).
-	onDone  func()
+	line    Line
 	enqueue uint64
 }
 
@@ -158,7 +156,25 @@ type waiter struct {
 	persistent bool
 	txID       uint64
 	uncommit   bool
-	done       func()
+	done       sim.Event
+}
+
+// Event Arg encoding for fills: a line address is 64-byte aligned, so
+// its low bits carry flags.
+const argPersistent = 1
+
+// sideHit is a metrics-enabled side-hit fill in flight: the line and
+// the cycle the LLC served the miss.
+type sideHit struct {
+	lineAddr, start uint64
+}
+
+// pendingFlush is a clwb/clflush write waiting out the L1 latency before
+// it enters memory: the durable-image update is built at flush time, so
+// it rides along with the core's completion.
+type pendingFlush struct {
+	lineAddr    uint64
+	apply, done sim.Event
 }
 
 // Hierarchy is the three-level cache model shared by all four mechanisms.
@@ -173,7 +189,22 @@ type Hierarchy struct {
 
 	queue    []llcReq
 	inflight map[uint64][]waiter
+	// wfree recycles MSHR waiter slices: a completed fill returns its
+	// slice here and the next new miss reuses it.
+	wfree    [][]waiter
 	portBusy uint64 // cycle until which the LLC port is occupied
+
+	// Per-request state that does not fit an Event's Arg word: dirty
+	// lines between LLC service and install, metrics-timed side-hit
+	// fills, and flush writes waiting out the L1 latency.
+	wbs     sim.Slots[Line]
+	timed   sim.Slots[sideHit]
+	flushes sim.Slots[pendingFlush]
+
+	// Handlers bound once at construction (see sim.Event).
+	enqueueReadFn, hitFillFn, missReadFn, memFillFn     func(uint64)
+	timedReadFn, timedFillFn, wbInstallFn, flushWriteFn func(uint64)
+
 	// commitLocks counts in-progress FlushTx commits. While nonzero,
 	// demand reads stall at the LLC and only writebacks (the flush's
 	// own traffic) are served — Kiln commits "block subsequent cache
@@ -185,7 +216,7 @@ type Hierarchy struct {
 	// drain (Kiln: a commit may not complete while any of the
 	// transaction's evicted lines is still in transit to the LLC).
 	txWB     map[uint64]int
-	txWBWait map[uint64]func()
+	txWBWait map[uint64]sim.Event
 
 	// probe is the observability recorder (nil when disabled).
 	probe *obs.Probe
@@ -209,8 +240,16 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int) *Hierar
 		llc:      NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
 		inflight: make(map[uint64][]waiter),
 		txWB:     make(map[uint64]int),
-		txWBWait: make(map[uint64]func()),
+		txWBWait: make(map[uint64]sim.Event),
 	}
+	h.enqueueReadFn = h.enqueueRead
+	h.hitFillFn = h.hitFill
+	h.missReadFn = h.missRead
+	h.memFillFn = h.memFill
+	h.timedReadFn = h.timedRead
+	h.timedFillFn = h.timedFill
+	h.wbInstallFn = h.wbInstall
+	h.flushWriteFn = h.flushWrite
 	for c := 0; c < nCores; c++ {
 		h.l1 = append(h.l1, NewSetAssoc(fmt.Sprintf("L1-%d", c), cfg.L1Size, cfg.L1Ways))
 		h.l2 = append(h.l2, NewSetAssoc(fmt.Sprintf("L2-%d", c), cfg.L2Size, cfg.L2Ways))
@@ -267,7 +306,7 @@ func (h *Hierarchy) InflightFills() int { return len(h.inflight) }
 // access completes (data returned for loads; line owned and written in L1
 // for stores). txID/uncommitted tag store-touched lines for Kiln; other
 // mechanisms pass 0/false.
-func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID uint64, uncommitted bool, done func()) {
+func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID uint64, uncommitted bool, done sim.Event) {
 	lineAddr := memaddr.LineAddr(addr)
 	// L1.
 	if l := h.l1[core].Lookup(lineAddr, true); l != nil {
@@ -298,12 +337,28 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 		h.inflight[lineAddr] = append(ws, w)
 		return
 	}
-	h.inflight[lineAddr] = []waiter{w}
-	delay := h.cfg.L1Latency + h.cfg.L2Latency
-	h.k.Schedule(delay, func() {
-		h.queue = append(h.queue, llcReq{
-			kind: llcRead, lineAddr: lineAddr, persistent: persistent, enqueue: h.k.Now(),
-		})
+	var ws []waiter
+	if n := len(h.wfree); n > 0 {
+		ws = h.wfree[n-1]
+		h.wfree = h.wfree[:n-1]
+	}
+	h.inflight[lineAddr] = append(ws, w)
+	h.k.Schedule(h.cfg.L1Latency+h.cfg.L2Latency, sim.Event{Fn: h.enqueueReadFn, Arg: fillArg(lineAddr, persistent)})
+}
+
+// fillArg packs a line address and a persistent flag into an Event Arg.
+func fillArg(lineAddr uint64, persistent bool) uint64 {
+	if persistent {
+		return lineAddr | argPersistent
+	}
+	return lineAddr
+}
+
+// enqueueRead queues a demand miss at the LLC once the private levels'
+// tag checks have elapsed.
+func (h *Hierarchy) enqueueRead(arg uint64) {
+	h.queue = append(h.queue, llcReq{
+		kind: llcRead, lineAddr: arg &^ argPersistent, persistent: arg&argPersistent != 0, enqueue: h.k.Now(),
 	})
 }
 
@@ -339,7 +394,7 @@ func (h *Hierarchy) installL2(core int, line Line) {
 	*installed = line
 	installed.Valid = true
 	if evicted.Valid && evicted.Dirty {
-		h.queueWriteback(evicted, nil)
+		h.queueWriteback(evicted)
 	}
 }
 
@@ -357,7 +412,7 @@ func (h *Hierarchy) mergeFlags(dst *Line, src Line) {
 }
 
 // queueWriteback enqueues a dirty line for installation into the LLC.
-func (h *Hierarchy) queueWriteback(line Line, onDone func()) {
+func (h *Hierarchy) queueWriteback(line Line) {
 	if DebugLine != 0 && line.Addr == DebugLine {
 		fmt.Printf("[%d] queueWriteback line %#x tx=%d uncommit=%v dirty=%v\n",
 			h.k.Now(), line.Addr, line.TxID, line.Uncommitted, line.Dirty)
@@ -366,7 +421,7 @@ func (h *Hierarchy) queueWriteback(line Line, onDone func()) {
 		h.txWB[line.TxID]++
 	}
 	h.queue = append(h.queue, llcReq{
-		kind: llcWriteback, lineAddr: line.Addr, line: line, onDone: onDone, enqueue: h.k.Now(),
+		kind: llcWriteback, lineAddr: line.Addr, line: line, enqueue: h.k.Now(),
 	})
 }
 
@@ -379,9 +434,9 @@ func (h *Hierarchy) wbLanded(txID uint64) {
 	h.txWB[txID]--
 	if h.txWB[txID] <= 0 {
 		delete(h.txWB, txID)
-		if wake := h.txWBWait[txID]; wake != nil {
+		if wake, ok := h.txWBWait[txID]; ok {
 			delete(h.txWBWait, txID)
-			wake()
+			wake.Fire()
 		}
 	}
 }
@@ -436,8 +491,9 @@ func (h *Hierarchy) Tick(now uint64) {
 
 func (h *Hierarchy) serveLLCRead(req llcReq) {
 	if l := h.llc.Lookup(req.lineAddr, true); l != nil {
-		line := *l
-		h.k.Schedule(h.cfg.LLCLatency, func() { h.completeFill(req.lineAddr, line, false) })
+		// The hit's Persistent bit is captured now, not when the fill
+		// lands.
+		h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.hitFillFn, Arg: fillArg(req.lineAddr, l.Persistent)})
 		return
 	}
 	if req.persistent && h.hooks.SidePathProbe != nil {
@@ -454,21 +510,40 @@ func (h *Hierarchy) serveLLCRead(req llcReq) {
 			// Metrics-enabled side-hit fill: identical timing to the
 			// plain path below, plus a latency observation when the
 			// data returns.
-			start := h.k.Now()
-			h.k.Schedule(h.cfg.LLCLatency, func() {
-				h.mem.Read(req.lineAddr, func() {
-					h.hSideHitLat.Observe(h.k.Now() - start)
-					h.completeFill(req.lineAddr, Line{Addr: req.lineAddr, Valid: true}, true)
-				})
-			})
+			slot := h.timed.Put(sideHit{lineAddr: req.lineAddr, start: h.k.Now()})
+			h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.timedReadFn, Arg: slot})
 			return
 		}
 	}
-	h.k.Schedule(h.cfg.LLCLatency, func() {
-		h.mem.Read(req.lineAddr, func() {
-			h.completeFill(req.lineAddr, Line{Addr: req.lineAddr, Valid: true}, true)
-		})
-	})
+	h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.missReadFn, Arg: req.lineAddr})
+}
+
+// hitFill completes an LLC hit (Arg: fillArg of the line and the hit
+// line's Persistent bit).
+func (h *Hierarchy) hitFill(arg uint64) {
+	h.completeFill(arg&^argPersistent, Line{Persistent: arg&argPersistent != 0}, false)
+}
+
+// missRead sends an LLC miss to memory once the LLC latency elapsed.
+func (h *Hierarchy) missRead(lineAddr uint64) {
+	h.mem.Read(lineAddr, sim.Event{Fn: h.memFillFn, Arg: lineAddr})
+}
+
+// memFill completes a fill from memory.
+func (h *Hierarchy) memFill(lineAddr uint64) {
+	h.completeFill(lineAddr, Line{Addr: lineAddr, Valid: true}, true)
+}
+
+// timedRead and timedFill are missRead and memFill for a side-hit fill
+// whose latency the metrics registry observes (Arg: h.timed slot).
+func (h *Hierarchy) timedRead(slot uint64) {
+	h.mem.Read(h.timed.Get(slot).lineAddr, sim.Event{Fn: h.timedFillFn, Arg: slot})
+}
+
+func (h *Hierarchy) timedFill(slot uint64) {
+	f := h.timed.Take(slot)
+	h.hSideHitLat.Observe(h.k.Now() - f.start)
+	h.completeFill(f.lineAddr, Line{Addr: f.lineAddr, Valid: true}, true)
 }
 
 // completeFill distributes a returned line to every merged waiter and,
@@ -498,66 +573,64 @@ func (h *Hierarchy) completeFill(lineAddr uint64, line Line, fromMemory bool) {
 		} else {
 			h.installL1(w.core, filled)
 		}
-		if w.done != nil {
-			w.done()
-		}
+		w.done.Fire()
 	}
+	clear(waiters)
+	h.wfree = append(h.wfree, waiters[:0])
 }
 
 // serveLLCWriteback installs a dirty line arriving from a private L2 (or
 // a Kiln commit flush) into the LLC.
 func (h *Hierarchy) serveLLCWriteback(req llcReq) {
-	h.k.Schedule(h.cfg.LLCLatency, func() {
-		line := req.line
-		if DebugLine != 0 && line.Addr == DebugLine {
-			ex := h.llc.Lookup(line.Addr, false)
-			fmt.Printf("[%d] serveWB line %#x tx=%d uncommit=%v existing=%+v\n",
-				h.k.Now(), line.Addr, line.TxID, line.Uncommitted, ex)
-		}
-		// Probe, not demand lookup: writeback installs must not skew
-		// the demand miss-rate statistics.
-		if l := h.llc.Lookup(line.Addr, false); l != nil {
-			if h.hooks.BeforeLLCDirtyUpdate != nil {
-				h.hooks.BeforeLLCDirtyUpdate(*l, line.TxID, line.Uncommitted)
-				// The hook may have reshaped the set (placeholder
-				// installs): re-resolve the line pointer.
-				l = h.llc.Lookup(line.Addr, false)
-				if l == nil {
-					if installed := h.insertLLC(line); installed != nil {
-						if h.hooks.OnLLCDirtyInstall != nil {
-							h.hooks.OnLLCDirtyInstall(line.Addr)
-						}
-					} else {
-						h.writebackToMemory(line)
+	h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.wbInstallFn, Arg: h.wbs.Put(req.line)})
+}
+
+// wbInstall installs a served writeback once the LLC latency elapsed
+// (Arg: h.wbs slot).
+func (h *Hierarchy) wbInstall(slot uint64) {
+	line := h.wbs.Take(slot)
+	if DebugLine != 0 && line.Addr == DebugLine {
+		ex := h.llc.Lookup(line.Addr, false)
+		fmt.Printf("[%d] serveWB line %#x tx=%d uncommit=%v existing=%+v\n",
+			h.k.Now(), line.Addr, line.TxID, line.Uncommitted, ex)
+	}
+	// Probe, not demand lookup: writeback installs must not skew
+	// the demand miss-rate statistics.
+	if l := h.llc.Lookup(line.Addr, false); l != nil {
+		if h.hooks.BeforeLLCDirtyUpdate != nil {
+			h.hooks.BeforeLLCDirtyUpdate(*l, line.TxID, line.Uncommitted)
+			// The hook may have reshaped the set (placeholder
+			// installs): re-resolve the line pointer.
+			l = h.llc.Lookup(line.Addr, false)
+			if l == nil {
+				if installed := h.insertLLC(line); installed != nil {
+					if h.hooks.OnLLCDirtyInstall != nil {
+						h.hooks.OnLLCDirtyInstall(line.Addr)
 					}
-					h.wbLanded(line.TxID)
-					if req.onDone != nil {
-						req.onDone()
-					}
-					return
+				} else {
+					h.writebackToMemory(line)
 				}
+				h.wbLanded(line.TxID)
+				return
 			}
-			h.mergeFlags(l, line)
-			l.Uncommitted = line.Uncommitted
-			l.TxID = line.TxID
-			if h.hooks.OnLLCDirtyInstall != nil {
-				h.hooks.OnLLCDirtyInstall(line.Addr)
-			}
-		} else if installed := h.insertLLC(line); installed != nil {
-			if h.hooks.OnLLCDirtyInstall != nil {
-				h.hooks.OnLLCDirtyInstall(line.Addr)
-			}
-		} else {
-			// Bypass under total pinning pressure: retire straight
-			// to memory (counted; recovery strictness is checked by
-			// the crash tests).
-			h.writebackToMemory(line)
 		}
-		h.wbLanded(line.TxID)
-		if req.onDone != nil {
-			req.onDone()
+		h.mergeFlags(l, line)
+		l.Uncommitted = line.Uncommitted
+		l.TxID = line.TxID
+		if h.hooks.OnLLCDirtyInstall != nil {
+			h.hooks.OnLLCDirtyInstall(line.Addr)
 		}
-	})
+	} else if installed := h.insertLLC(line); installed != nil {
+		if h.hooks.OnLLCDirtyInstall != nil {
+			h.hooks.OnLLCDirtyInstall(line.Addr)
+		}
+	} else {
+		// Bypass under total pinning pressure: retire straight
+		// to memory (counted; recovery strictness is checked by
+		// the crash tests).
+		h.writebackToMemory(line)
+	}
+	h.wbLanded(line.TxID)
 }
 
 // insertLLC installs a line, handling victim policy and eviction routing.
@@ -577,7 +650,7 @@ func (h *Hierarchy) insertLLC(line Line) *Line {
 	*installed = line
 	installed.Valid = true
 	if evicted.Valid && evicted.Dirty {
-		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(&evicted) {
+		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
 			h.stats.DroppedEvictions++
 			h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
 		} else {
@@ -610,7 +683,7 @@ func (h *Hierarchy) InstallPlaceholder(lineAddr, protect uint64) {
 	}
 	installed.Valid = true
 	if evicted.Valid && evicted.Dirty {
-		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(&evicted) {
+		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
 			h.stats.DroppedEvictions++
 			h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
 		} else {
@@ -621,11 +694,11 @@ func (h *Hierarchy) InstallPlaceholder(lineAddr, protect uint64) {
 
 func (h *Hierarchy) writebackToMemory(line Line) {
 	h.stats.MemWritebacks++
-	var apply func()
+	var apply sim.Event
 	if h.hooks.WritebackApply != nil {
 		apply = h.hooks.WritebackApply(line.Addr)
 	}
-	h.mem.Write(line.Addr, apply, nil)
+	h.mem.Write(line.Addr, apply, sim.Event{})
 }
 
 // Flush implements clwb for core: cached copies of the line containing
@@ -634,17 +707,17 @@ func (h *Hierarchy) writebackToMemory(line Line) {
 // is unconditional — clwb is posted through the memory pipeline, and its
 // functional effect comes from the durable-image apply, so it is safe
 // even if the covered store's fill is still in flight.
-func (h *Hierarchy) Flush(core int, addr uint64, done func()) {
+func (h *Hierarchy) Flush(core int, addr uint64, done sim.Event) {
 	h.flushLine(core, addr, false, done)
 }
 
 // FlushInv implements clflush: like Flush, but the line is also
 // invalidated everywhere, so the next access misses.
-func (h *Hierarchy) FlushInv(core int, addr uint64, done func()) {
+func (h *Hierarchy) FlushInv(core int, addr uint64, done sim.Event) {
 	h.flushLine(core, addr, true, done)
 }
 
-func (h *Hierarchy) flushLine(core int, addr uint64, invalidate bool, done func()) {
+func (h *Hierarchy) flushLine(core int, addr uint64, invalidate bool, done sim.Event) {
 	lineAddr := memaddr.LineAddr(addr)
 	for _, c := range []*SetAssoc{h.l1[core], h.l2[core], h.llc} {
 		if l := c.Lookup(lineAddr, false); l != nil {
@@ -658,20 +731,26 @@ func (h *Hierarchy) flushLine(core int, addr uint64, invalidate bool, done func(
 		}
 	}
 	h.stats.MemWritebacks++
-	var apply func()
+	var apply sim.Event
 	if h.hooks.WritebackApply != nil {
 		apply = h.hooks.WritebackApply(lineAddr)
 	}
-	h.k.Schedule(h.cfg.L1Latency, func() {
-		h.mem.Write(lineAddr, apply, done)
-	})
+	slot := h.flushes.Put(pendingFlush{lineAddr: lineAddr, apply: apply, done: done})
+	h.k.Schedule(h.cfg.L1Latency, sim.Event{Fn: h.flushWriteFn, Arg: slot})
+}
+
+// flushWrite sends a flush's write to memory once the L1 latency
+// elapsed (Arg: h.flushes slot).
+func (h *Hierarchy) flushWrite(slot uint64) {
+	f := h.flushes.Take(slot)
+	h.mem.Write(f.lineAddr, f.apply, f.done)
 }
 
 // FlushTx moves every dirty line of txID out of core's private caches
 // into the LLC (Kiln's commit flush) and, once all are installed, clears
 // the Uncommitted pin on the transaction's LLC lines. done fires at that
 // point.
-func (h *Hierarchy) FlushTx(core int, txID uint64, done func()) {
+func (h *Hierarchy) FlushTx(core int, txID uint64, done sim.Event) {
 	// Flushed lines remain tagged uncommitted while in transit; the
 	// commit becomes visible atomically in the unpin walk below, so a
 	// crash mid-flush never exposes a partially committed transaction.
@@ -697,7 +776,7 @@ func (h *Hierarchy) FlushTx(core int, txID uint64, done func()) {
 	h.commitLocks++
 	flushStart := h.k.Now()
 	nLines := uint64(len(lines))
-	finish := func() {
+	finish := sim.Event{Fn: func(uint64) {
 		h.probe.Span(obs.KTxFlush, core, txID, flushStart, h.k.Now(), nLines)
 		h.commitLocks--
 		h.llc.ForEach(func(l *Line) {
@@ -709,10 +788,10 @@ func (h *Hierarchy) FlushTx(core int, txID uint64, done func()) {
 				l.TxID = 0
 			}
 		})
-		done()
-	}
+		done.Fire()
+	}}
 	for _, line := range lines {
-		h.queueWriteback(line, nil)
+		h.queueWriteback(line)
 	}
 	// The commit completes when every writeback of this transaction has
 	// landed in the LLC — both the flush's own lines and any mid-
@@ -721,7 +800,7 @@ func (h *Hierarchy) FlushTx(core int, txID uint64, done func()) {
 		h.k.Schedule(1, finish)
 		return
 	}
-	if h.txWBWait[txID] != nil {
+	if _, ok := h.txWBWait[txID]; ok {
 		panic("cache: concurrent FlushTx for one transaction")
 	}
 	h.txWBWait[txID] = finish

@@ -17,21 +17,16 @@ type fakeMemory struct {
 	writes   []uint64
 }
 
-func (m *fakeMemory) Read(lineAddr uint64, done func()) {
+func (m *fakeMemory) Read(lineAddr uint64, done sim.Event) {
 	m.reads = append(m.reads, lineAddr)
 	m.k.Schedule(m.readLat, done)
 }
 
-func (m *fakeMemory) Write(lineAddr uint64, apply, onDurable func()) {
+func (m *fakeMemory) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	m.writes = append(m.writes, lineAddr)
-	m.k.Schedule(m.writeLat, func() {
-		if apply != nil {
-			apply()
-		}
-		if onDurable != nil {
-			onDurable()
-		}
-	})
+	// Back-to-back schedules fire back to back: apply, then onDurable.
+	m.k.Schedule(m.writeLat, apply)
+	m.k.Schedule(m.writeLat, onDurable)
 }
 
 func smallConfig() Config {
@@ -56,10 +51,10 @@ func runAccess(t *testing.T, k *sim.Kernel, h *Hierarchy, core int, addr uint64,
 	start := k.Now()
 	var end uint64
 	done := false
-	h.Access(core, addr, store, memaddr.IsPersistent(addr), 0, false, func() {
+	h.Access(core, addr, store, memaddr.IsPersistent(addr), 0, false, sim.Event{Fn: func(uint64) {
 		end = k.Now()
 		done = true
-	})
+	}})
 	if _, ok := k.RunUntil(func() bool { return done }, start+100000); !ok {
 		t.Fatal("access did not complete")
 	}
@@ -122,7 +117,7 @@ func TestMergedMissesSingleMemoryRead(t *testing.T) {
 	k, h, mem := newTestHierarchy(t, Hooks{})
 	doneCount := 0
 	for i := 0; i < 3; i++ {
-		h.Access(0, memaddr.NVMBase+uint64(i)*8, false, true, 0, false, func() { doneCount++ })
+		h.Access(0, memaddr.NVMBase+uint64(i)*8, false, true, 0, false, sim.Event{Fn: func(uint64) { doneCount++ }})
 	}
 	k.RunUntil(func() bool { return doneCount == 3 }, 100000)
 	if doneCount != 3 {
@@ -140,7 +135,7 @@ func TestEvictionCascadesToMemory(t *testing.T) {
 	// lines; touch 1000 lines.
 	done := 0
 	for i := 0; i < 1000; i++ {
-		h.Access(0, memaddr.DRAMBase+uint64(i)*64, true, false, 0, false, func() { done++ })
+		h.Access(0, memaddr.DRAMBase+uint64(i)*64, true, false, 0, false, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 1000 && h.Pending() == 0 }, 5_000_000)
 	if len(mem.writes) == 0 {
@@ -155,12 +150,12 @@ func TestDropHookDiscardsPersistentEvictions(t *testing.T) {
 	k := sim.NewKernel()
 	mem := &fakeMemory{k: k, readLat: 130, writeLat: 152}
 	hooks := Hooks{
-		DropLLCEviction: func(v *Line) bool { return v.Persistent },
+		DropLLCEviction: func(v Line) bool { return v.Persistent },
 	}
 	h := New(k, smallConfig(), mem, hooks, 1)
 	done := 0
 	for i := 0; i < 1000; i++ {
-		h.Access(0, memaddr.NVMBase+uint64(i)*64, true, true, 0, false, func() { done++ })
+		h.Access(0, memaddr.NVMBase+uint64(i)*64, true, true, 0, false, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 1000 && h.Pending() == 0 }, 5_000_000)
 	if len(mem.writes) != 0 {
@@ -183,7 +178,7 @@ func TestSidePathProbeCalledOnPersistentLLCMiss(t *testing.T) {
 	}
 	h := New(k, smallConfig(), mem, hooks, 1)
 	done := false
-	h.Access(0, memaddr.NVMBase, false, true, 0, false, func() { done = true })
+	h.Access(0, memaddr.NVMBase, false, true, 0, false, sim.Event{Fn: func(uint64) { done = true }})
 	k.RunUntil(func() bool { return done }, 100000)
 	if len(probed) != 1 || probed[0] != memaddr.NVMBase {
 		t.Fatalf("probes = %v, want one at NVMBase", probed)
@@ -195,7 +190,7 @@ func TestSidePathProbeCalledOnPersistentLLCMiss(t *testing.T) {
 
 	// Volatile misses never probe.
 	done = false
-	h.Access(0, memaddr.DRAMBase, false, false, 0, false, func() { done = true })
+	h.Access(0, memaddr.DRAMBase, false, false, 0, false, sim.Event{Fn: func(uint64) { done = true }})
 	k.RunUntil(func() bool { return done }, 100000)
 	if len(probed) != 1 {
 		t.Fatal("volatile miss probed the side path")
@@ -211,7 +206,7 @@ func TestFlushCleansAndWritesBack(t *testing.T) {
 	flushed := false
 	hooksApplied := &applied
 	_ = hooksApplied
-	h.Flush(0, memaddr.NVMBase, func() { flushed = true })
+	h.Flush(0, memaddr.NVMBase, sim.Event{Fn: func(uint64) { flushed = true }})
 	k.RunUntil(func() bool { return flushed }, 100000)
 	if len(mem.writes) != 1 {
 		t.Fatalf("flush produced %d memory writes, want 1", len(mem.writes))
@@ -228,7 +223,7 @@ func TestFlushAlwaysWritesEvenWhenClean(t *testing.T) {
 	k, h, mem := newTestHierarchy(t, Hooks{})
 	runAccess(t, k, h, 0, memaddr.NVMBase, false) // clean line
 	var end uint64
-	h.Flush(0, memaddr.NVMBase, func() { end = k.Now() })
+	h.Flush(0, memaddr.NVMBase, sim.Event{Fn: func(uint64) { end = k.Now() }})
 	k.RunUntil(func() bool { return end != 0 }, 100000)
 	if len(mem.writes) != 1 {
 		t.Fatalf("clean-line flush produced %d writes, want 1", len(mem.writes))
@@ -249,11 +244,11 @@ func TestFlushTxMovesDirtyLinesToLLCAndUnpins(t *testing.T) {
 	// Store 3 lines under tx 7.
 	done := 0
 	for i := 0; i < 3; i++ {
-		h.Access(0, memaddr.NVMBase+uint64(i)*64, true, true, 7, true, func() { done++ })
+		h.Access(0, memaddr.NVMBase+uint64(i)*64, true, true, 7, true, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 3 }, 100000)
 	flushed := false
-	h.FlushTx(0, 7, func() { flushed = true })
+	h.FlushTx(0, 7, sim.Event{Fn: func(uint64) { flushed = true }})
 	k.RunUntil(func() bool { return flushed }, 100000)
 	if h.Stats().FlushedLines != 3 {
 		t.Fatalf("FlushedLines = %d, want 3", h.Stats().FlushedLines)
@@ -284,7 +279,7 @@ func TestFlushTxMovesDirtyLinesToLLCAndUnpins(t *testing.T) {
 func TestFlushTxWithNoDirtyLinesCompletes(t *testing.T) {
 	k, h, _ := newTestHierarchy(t, Hooks{})
 	flushed := false
-	h.FlushTx(0, 99, func() { flushed = true })
+	h.FlushTx(0, 99, sim.Event{Fn: func(uint64) { flushed = true }})
 	k.RunUntil(func() bool { return flushed }, 1000)
 	if !flushed {
 		t.Fatal("empty FlushTx never completed")
@@ -303,18 +298,18 @@ func TestPinnedLLCBypass(t *testing.T) {
 	setStride := uint64(64 * 64)
 	done := 0
 	for i := 0; i < 4; i++ {
-		h.Access(0, memaddr.NVMBase+uint64(i)*setStride, true, true, 5, true, func() { done++ })
+		h.Access(0, memaddr.NVMBase+uint64(i)*setStride, true, true, 5, true, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 4 }, 100000)
 	// Push them to the LLC via commit-less eviction: flush tx moves them.
 	moved := false
-	h.FlushTx(0, 5, func() { moved = true })
+	h.FlushTx(0, 5, sim.Event{Fn: func(uint64) { moved = true }})
 	k.RunUntil(func() bool { return moved }, 100000)
 	// Re-pin them (FlushTx unpins; set manually for the bypass test).
 	h.LLC().ForEach(func(l *Line) { l.Uncommitted = true })
 	// A fifth same-set fill must bypass.
 	done5 := false
-	h.Access(0, memaddr.NVMBase+4*setStride, false, true, 0, false, func() { done5 = true })
+	h.Access(0, memaddr.NVMBase+4*setStride, false, true, 0, false, sim.Event{Fn: func(uint64) { done5 = true }})
 	k.RunUntil(func() bool { return done5 }, 100000)
 	if h.Stats().LLCBypasses == 0 {
 		t.Fatal("full-pinned set did not bypass")
@@ -336,7 +331,7 @@ func TestLLCQueueWaitAccumulates(t *testing.T) {
 	k, h, _ := newTestHierarchy(t, Hooks{})
 	done := 0
 	for i := 0; i < 50; i++ {
-		h.Access(0, memaddr.NVMBase+uint64(i)*64*8, false, true, 0, false, func() { done++ })
+		h.Access(0, memaddr.NVMBase+uint64(i)*64*8, false, true, 0, false, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 50 }, 1_000_000)
 	s := h.Stats()
@@ -373,7 +368,7 @@ func TestQuickNoLostDirtyLines(t *testing.T) {
 				stored[addr] = true
 			}
 			pending++
-			h.Access(core, addr, op.Store, false, 0, false, func() { pending-- })
+			h.Access(core, addr, op.Store, false, 0, false, sim.Event{Fn: func(uint64) { pending-- }})
 		}
 		k.RunUntil(func() bool { return pending == 0 && h.Pending() == 0 }, 10_000_000)
 		if pending != 0 {
@@ -420,7 +415,7 @@ func TestQuickHierarchyQuiesces(t *testing.T) {
 		for i, ln := range lines {
 			addr := memaddr.NVMBase + uint64(ln%512)*64
 			pending++
-			h.Access(0, addr, i%3 == 0, true, 0, false, func() { pending-- })
+			h.Access(0, addr, i%3 == 0, true, 0, false, sim.Event{Fn: func(uint64) { pending-- }})
 		}
 		k.RunUntil(func() bool { return pending == 0 && h.Pending() == 0 }, 10_000_000)
 		return pending == 0 && h.Pending() == 0

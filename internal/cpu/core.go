@@ -40,9 +40,10 @@ type Persistence interface {
 	// TxBegin observes TX_BEGIN retirement.
 	TxBegin(core int, txID uint64)
 	// TxEnd observes TX_END retirement. Returning true stalls the core
-	// until resume is called (commit flushes). The mechanism must call
-	// resume exactly once iff it returns true.
-	TxEnd(core int, txID uint64, resume func()) bool
+	// until resume fires (commit flushes). The mechanism must fire
+	// resume exactly once iff it returns true, and not before TxEnd
+	// returns.
+	TxEnd(core int, txID uint64, resume sim.Event) bool
 	// Store observes a persistent store about to leave the core.
 	Store(core int, txID uint64, addr, value uint64) StoreAction
 }
@@ -54,7 +55,7 @@ type NullPersistence struct{}
 func (NullPersistence) TxBegin(int, uint64) {}
 
 // TxEnd implements Persistence.
-func (NullPersistence) TxEnd(int, uint64, func()) bool { return false }
+func (NullPersistence) TxEnd(int, uint64, sim.Event) bool { return false }
 
 // Store implements Persistence.
 func (NullPersistence) Store(int, uint64, uint64, uint64) StoreAction { return StoreAction{} }
@@ -230,6 +231,13 @@ type Core struct {
 	probe   *obs.Probe
 	txStart uint64
 
+	// commitFrom is the cycle TX_END retired into a commit wait; the
+	// resume handler measures the wait from it.
+	commitFrom uint64
+
+	// Completion handlers, bound once in New (see sim.Event).
+	loadDoneFn, storeDoneFn, flushDoneFn, resumeFn, wakeFn func(uint64)
+
 	// hTxLat and hCommitWait stream per-transaction latencies into the
 	// metrics registry (nil when metrics are disabled — same
 	// nil-pointer discipline as probe).
@@ -252,6 +260,11 @@ func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persiste
 		pers = NullPersistence{}
 	}
 	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire}
+	c.loadDoneFn = c.loadDone
+	c.storeDoneFn = c.storeDone
+	c.flushDoneFn = c.flushDone
+	c.resumeFn = c.resume
+	c.wakeFn = c.wake
 	k.Register(c)
 	return c
 }
@@ -349,10 +362,11 @@ func (c *Core) abortTx() {
 		attempts = 6
 	}
 	backoff := (uint64(8) << uint(attempts)) + uint64((c.id*7)%8)
-	c.k.Schedule(backoff, func() {
-		c.aborting = false
-	})
+	c.k.Schedule(backoff, sim.Event{Fn: c.wakeFn})
 }
+
+// wake ends an abort backoff window.
+func (c *Core) wake(uint64) { c.aborting = false }
 
 func (c *Core) retire() { c.hasCur = false }
 
@@ -469,7 +483,7 @@ func (c *Core) Tick(now uint64) {
 				c.onStoreRetire(c.cur.Addr, c.cur.Value)
 			}
 			c.hier.Access(c.id, c.cur.Addr, true, persistent, act.TxTag, act.Uncommitted,
-				func() { c.outStores--; c.finishCheck() })
+				sim.Event{Fn: c.storeDoneFn})
 			c.stats.Stores++
 			c.stats.Instructions++
 			budget--
@@ -505,26 +519,18 @@ func (c *Core) Tick(now uint64) {
 			c.txBuf = c.txBuf[:0]
 			c.replayIdx = 0
 			c.abortAttempts = 0
-			txStart := c.txStart
-			if c.pers.TxEnd(c.id, id, func() {
-				c.commitWait = false
-				c.stats.Transactions++
-				end := c.k.Now()
-				c.probe.Span(obs.KCommitWait, c.id, id, now, end, 0)
-				c.probe.Span(obs.KTx, c.id, id, txStart, end, 0)
-				c.hCommitWait.Observe(end - now)
-				c.hTxLat.Observe(end - txStart)
-				c.fr.Commit(c.id, id, now, end)
-				c.finishCheck()
-			}) {
+			// The core stalls until resume fires, so no later TX_BEGIN
+			// can move txStart before the wait's latencies are taken.
+			c.commitFrom = now
+			if c.pers.TxEnd(c.id, id, sim.Event{Fn: c.resumeFn, Arg: id}) {
 				c.commitWait = true
 				bd.CommitWait++
 				return
 			}
 			c.stats.Transactions++
-			c.probe.Span(obs.KTx, c.id, id, txStart, now, 0)
+			c.probe.Span(obs.KTx, c.id, id, c.txStart, now, 0)
 			c.hCommitWait.Observe(0)
-			c.hTxLat.Observe(now - txStart)
+			c.hTxLat.Observe(now - c.txStart)
 			c.fr.Commit(c.id, id, now, now)
 			budget--
 
@@ -537,7 +543,7 @@ func (c *Core) Tick(now uint64) {
 			if c.cur.Kind == trace.KindCLFlush {
 				flush = c.hier.FlushInv
 			}
-			flush(c.id, c.cur.Addr, func() { c.outFlushes--; c.finishCheck() })
+			flush(c.id, c.cur.Addr, sim.Event{Fn: c.flushDoneFn})
 			c.stats.Instructions++
 			budget--
 			c.retire()
@@ -647,25 +653,59 @@ func (c *Core) peekExhaustion() {
 	}
 }
 
+// issueLoad sends a load into the hierarchy. Its completion Event
+// carries the issue cycle shifted left once, with the low bit marking a
+// persistent load.
 func (c *Core) issueLoad(addr uint64, now uint64) {
 	c.stats.Loads++
 	persistent := memaddr.IsPersistent(addr)
 	c.outLoads++
-	done := func() {
-		c.outLoads--
-		if persistent {
-			lat := c.k.Now() - now
-			c.stats.PersistentLoads++
-			c.stats.PersistentLoadLatencySum += lat
-			idx := bits.Len64(lat)
-			if idx >= len(c.stats.PloadHist) {
-				idx = len(c.stats.PloadHist) - 1
-			}
-			c.stats.PloadHist[idx]++
-		}
-		c.finishCheck()
+	arg := now << 1
+	if persistent {
+		arg |= 1
 	}
-	c.hier.Access(c.id, addr, false, persistent, 0, false, done)
+	c.hier.Access(c.id, addr, false, persistent, 0, false, sim.Event{Fn: c.loadDoneFn, Arg: arg})
+}
+
+// loadDone completes a load; persistent loads record their latency.
+func (c *Core) loadDone(arg uint64) {
+	c.outLoads--
+	if arg&1 != 0 {
+		lat := c.k.Now() - arg>>1
+		c.stats.PersistentLoads++
+		c.stats.PersistentLoadLatencySum += lat
+		idx := bits.Len64(lat)
+		if idx >= len(c.stats.PloadHist) {
+			idx = len(c.stats.PloadHist) - 1
+		}
+		c.stats.PloadHist[idx]++
+	}
+	c.finishCheck()
+}
+
+// storeDone completes a store: it frees a store-buffer entry.
+func (c *Core) storeDone(uint64) {
+	c.outStores--
+	c.finishCheck()
+}
+
+// flushDone completes a clwb/clflush.
+func (c *Core) flushDone(uint64) {
+	c.outFlushes--
+	c.finishCheck()
+}
+
+// resume ends a commit wait (Arg: the committing transaction's id).
+func (c *Core) resume(id uint64) {
+	c.commitWait = false
+	c.stats.Transactions++
+	end := c.k.Now()
+	c.probe.Span(obs.KCommitWait, c.id, id, c.commitFrom, end, 0)
+	c.probe.Span(obs.KTx, c.id, id, c.txStart, end, 0)
+	c.hCommitWait.Observe(end - c.commitFrom)
+	c.hTxLat.Observe(end - c.txStart)
+	c.fr.Commit(c.id, id, c.commitFrom, end)
+	c.finishCheck()
 }
 
 // PloadPercentile returns an upper bound on the given percentile of the

@@ -16,21 +16,16 @@ type fakeMem struct {
 	writes int
 }
 
-func (m *fakeMem) Read(lineAddr uint64, done func()) {
+func (m *fakeMem) Read(lineAddr uint64, done sim.Event) {
 	m.reads++
 	m.k.Schedule(130, done)
 }
 
-func (m *fakeMem) Write(lineAddr uint64, apply, onDurable func()) {
+func (m *fakeMem) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	m.writes++
-	m.k.Schedule(152, func() {
-		if apply != nil {
-			apply()
-		}
-		if onDurable != nil {
-			onDurable()
-		}
-	})
+	// Back-to-back schedules fire back to back: apply, then onDurable.
+	m.k.Schedule(152, apply)
+	m.k.Schedule(152, onDurable)
 }
 
 func testHier(k *sim.Kernel) (*cache.Hierarchy, *fakeMem) {
@@ -189,7 +184,7 @@ type recordingPersistence struct {
 
 func (p *recordingPersistence) TxBegin(core int, txID uint64) { p.begins = append(p.begins, txID) }
 
-func (p *recordingPersistence) TxEnd(core int, txID uint64, resume func()) bool {
+func (p *recordingPersistence) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	p.ends = append(p.ends, txID)
 	if p.stallTx {
 		p.k.Schedule(p.resumeAt, resume)
@@ -407,5 +402,47 @@ func TestMergeHist(t *testing.T) {
 	m := MergeHist(a, b)
 	if m[0] != 1 || m[1] != 5 || m[2] != 5 {
 		t.Fatalf("merge = %v", m[:3])
+	}
+}
+
+// loopReader replays a fixed record sequence forever without allocating.
+type loopReader struct {
+	recs []trace.Record
+	i    int
+}
+
+func (r *loopReader) Next() (trace.Record, bool) {
+	rec := r.recs[r.i%len(r.recs)]
+	r.i++
+	return rec, true
+}
+
+// TestLoadStoreCompletionAllocationFree pins the core's load and store
+// paths (issue into the hierarchy, completion back into the core,
+// persistent-load latency accounting) at zero heap allocations.
+func TestLoadStoreCompletionAllocationFree(t *testing.T) {
+	k := sim.NewKernel()
+	h, _ := testHier(k)
+	rd := &loopReader{recs: []trace.Record{
+		trace.LoadDep(memaddr.NVMBase),
+		trace.Store(memaddr.NVMBase+64, 7),
+		trace.Compute(3),
+	}}
+	c := New(k, 0, Config{}, h, nil, rd, nil)
+	for i := 0; i < 1000; i++ {
+		k.Step()
+	}
+	before := c.Stats()
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 20; i++ {
+			k.Step()
+		}
+	}); allocs != 0 {
+		t.Fatalf("core load/store completions allocated %.1f times per 20 cycles, want 0", allocs)
+	}
+	after := c.Stats()
+	if after.PersistentLoads-before.PersistentLoads < 100 || after.Stores-before.Stores < 100 {
+		t.Fatalf("measured window completed %d persistent loads and issued %d stores, want >= 100 each",
+			after.PersistentLoads-before.PersistentLoads, after.Stores-before.Stores)
 	}
 }

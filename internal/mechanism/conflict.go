@@ -2,7 +2,7 @@ package mechanism
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/txcache"
@@ -43,6 +43,8 @@ type guardCore struct {
 	// pending counts committed-but-not-yet-durable writes per line
 	// (TCache drain path); ownership releases when it reaches zero.
 	pending map[uint64]int
+	// sorted is sortedHeld's reused result buffer.
+	sorted []uint64
 }
 
 type guardDecision int
@@ -109,14 +111,16 @@ func (g *conflictGuard) noteWrite(core int, addr uint64) {
 }
 
 // sortedHeld returns this core's held lines in address order, so arbiter
-// mutations never depend on map iteration order.
+// mutations never depend on map iteration order. The result reuses a
+// per-core buffer: it is valid until the next call for the same core.
 func (g *conflictGuard) sortedHeld(core int) []uint64 {
 	gc := &g.cores[core]
-	lines := make([]uint64, 0, len(gc.held))
+	lines := gc.sorted[:0]
 	for l := range gc.held {
 		lines = append(lines, l)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
+	gc.sorted = lines
 	return lines
 }
 

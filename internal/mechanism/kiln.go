@@ -7,6 +7,7 @@ import (
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
+	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 )
 
@@ -27,6 +28,11 @@ type kiln struct {
 	g     *conflictGuard
 
 	committed []uint64
+
+	// resume holds each core's commit continuation while its commit
+	// flush is in progress; flushedFn (Arg: core) is bound once.
+	resume    []sim.Event
+	flushedFn func(uint64)
 
 	// retained holds old committed line versions displaced by an
 	// uncommitted overwrite whose forced write-back has not yet become
@@ -59,12 +65,15 @@ var DebugLine uint64
 const kilnShadowBit = uint64(1) << 62
 
 func newKiln(env *Env) Mechanism {
-	return &kiln{
+	m := &kiln{
 		env: env, nvllc: memimage.New(),
 		g:         newConflictGuard(env),
 		committed: make([]uint64, env.Cores),
+		resume:    make([]sim.Event, env.Cores),
 		retained:  make(map[uint64]retainedVersion),
 	}
+	m.flushedFn = m.flushed
+	return m
 }
 
 func (m *kiln) Kind() Kind { return Kiln }
@@ -88,12 +97,12 @@ func (m *kiln) Hooks() cache.Hooks {
 				vals := m.nvllc.ReadLine(addr)
 				gen := m.ForcedWritebacks
 				m.retained[addr] = retainedVersion{vals: vals, gen: gen}
-				m.env.Mem.Write(addr, func() {
+				m.env.Mem.Write(addr, sim.Event{Fn: func(uint64) {
 					m.env.Durable.WriteLine(addr, vals)
 					if r, ok := m.retained[addr]; ok && r.gen == gen {
 						delete(m.retained, addr)
 					}
-				}, nil)
+				}}, sim.Event{})
 				// Kiln is multi-versioned: the old committed copy
 				// occupies a second LLC way until the overwriting
 				// transaction commits. Versions are short-lived
@@ -115,16 +124,16 @@ func (m *kiln) Hooks() cache.Hooks {
 		// LLC evictions carry the LLC's (nvllc) version to NVM,
 		// snapshotted at eviction time (the line may be reinstalled
 		// with uncommitted data before the write drains).
-		WritebackApply: func(lineAddr uint64) func() {
+		WritebackApply: func(lineAddr uint64) sim.Event {
 			if !memaddr.IsPersistent(lineAddr) {
-				return nil
+				return sim.Event{}
 			}
 			vals := m.nvllc.ReadLine(lineAddr)
 			if DebugLine != 0 && lineAddr == DebugLine {
 				fmt.Printf("[%d] kiln evict-writeback line %#x nvllc[0]=%d\n",
 					m.env.K.Now(), lineAddr, vals[0])
 			}
-			return func() { m.env.Durable.WriteLine(lineAddr, vals) }
+			return sim.Event{Fn: func(uint64) { m.env.Durable.WriteLine(lineAddr, vals) }}
 		},
 	}
 }
@@ -160,19 +169,24 @@ func (m *kiln) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction 
 // TxEnd stalls the core while the transaction's dirty lines flush into
 // the nonvolatile LLC; the commit becomes visible atomically when the
 // flush completes and the lines unpin.
-func (m *kiln) TxEnd(core int, txID uint64, resume func()) bool {
-	tag := m.tag(core, txID)
-	done := func() {
-		// Flush completion is Kiln's durability instant: the
-		// transaction's lines are in the nonvolatile LLC. Record the
-		// global commit order and release shared-line ownership here.
-		m.committed[core]++
-		m.env.noteDurableCommit(core)
-		m.g.releaseTxNow(core)
-		resume()
-	}
-	m.hier.FlushTx(core, tag, done)
+func (m *kiln) TxEnd(core int, txID uint64, resume sim.Event) bool {
+	m.resume[core] = resume
+	m.hier.FlushTx(core, m.tag(core, txID), sim.Event{Fn: m.flushedFn, Arg: uint64(core)})
 	return true
+}
+
+// flushed completes a commit flush (Arg: core). Flush completion is
+// Kiln's durability instant: the transaction's lines are in the
+// nonvolatile LLC. Record the global commit order and release
+// shared-line ownership here.
+func (m *kiln) flushed(core uint64) {
+	c := int(core)
+	m.committed[c]++
+	m.env.noteDurableCommit(c)
+	m.g.releaseTxNow(c)
+	resume := m.resume[c]
+	m.resume[c] = sim.Event{}
+	resume.Fire()
 }
 
 func (m *kiln) Drained() bool { return true }

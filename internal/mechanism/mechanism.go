@@ -96,10 +96,10 @@ func (k Kind) Description() string {
 // per-channel FIFO durability ordering is the backend's contract.
 type MemPort interface {
 	// Read fetches a line; done fires when data returns.
-	Read(lineAddr uint64, done func())
-	// Write retires a line towards memory. apply runs at durability
-	// time, then onDurable (both may be nil).
-	Write(lineAddr uint64, apply, onDurable func())
+	Read(lineAddr uint64, done sim.Event)
+	// Write retires a line towards memory. apply fires at durability
+	// time, then onDurable (either may be the zero Event).
+	Write(lineAddr uint64, apply, onDurable sim.Event)
 	// PendingNVMWrites reports queued, unissued writes summed across
 	// the NVM channels.
 	PendingNVMWrites() int
@@ -241,11 +241,27 @@ func New(kind Kind, env *Env) Mechanism {
 	}
 }
 
-// copyLiveApply returns an apply closure copying the live image's line
-// into the durable image for persistent lines, nil for volatile ones.
-func copyLiveApply(env *Env, lineAddr uint64) func() {
+// liveCopier is the WritebackApply of the mechanisms whose durable image
+// takes a written-back line's live contents (Optimal and SP): the
+// durable update copies the live line at durability time.
+type liveCopier struct {
+	env    *Env
+	copyFn func(lineAddr uint64)
+}
+
+func newLiveCopier(env *Env) *liveCopier {
+	lc := &liveCopier{env: env}
+	lc.copyFn = lc.copyLine
+	return lc
+}
+
+func (lc *liveCopier) copyLine(lineAddr uint64) { lc.env.Durable.CopyLine(lc.env.Live, lineAddr) }
+
+// apply returns the durable update for a written-back line: a copy of
+// the live line for persistent lines, the zero Event for volatile ones.
+func (lc *liveCopier) apply(lineAddr uint64) sim.Event {
 	if !memaddr.IsPersistent(lineAddr) {
-		return nil
+		return sim.Event{}
 	}
-	return func() { env.Durable.CopyLine(env.Live, lineAddr) }
+	return sim.Event{Fn: lc.copyFn, Arg: lineAddr}
 }

@@ -71,7 +71,7 @@ func TestOptimalIsTransparent(t *testing.T) {
 	env := testEnv(t)
 	m := New(Optimal, env)
 	attach(env, m)
-	if m.TxEnd(0, 1, nil) {
+	if m.TxEnd(0, 1, sim.Event{}) {
 		t.Fatal("optimal TxEnd requested a stall")
 	}
 	act := m.Store(0, 1, memaddr.NVMBase, 5)
@@ -190,7 +190,7 @@ func TestTCacheStoreCommitDrain(t *testing.T) {
 	if act := m.Store(0, 1, memaddr.NVMBase, 42); act.Retry {
 		t.Fatal("store rejected by empty TC")
 	}
-	if m.TxEnd(0, 1, nil) {
+	if m.TxEnd(0, 1, sim.Event{}) {
 		t.Fatal("non-overflow commit requested a stall")
 	}
 	if m.DurablyCommitted(0) != 1 {
@@ -207,7 +207,7 @@ func TestTCacheRecoverReplaysCommittedEntries(t *testing.T) {
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
 	m.Store(0, 1, memaddr.NVMBase, 10)
-	m.TxEnd(0, 1, nil)
+	m.TxEnd(0, 1, sim.Event{})
 	m.Store(0, 2, memaddr.NVMBase+8, 20) // active, uncommitted
 	// Crash now, before any drain tick.
 	out := m.Recover(env.Durable)
@@ -252,7 +252,7 @@ func TestTCacheOverflowFallback(t *testing.T) {
 		t.Fatalf("TC still holds %d entries of the overflowed tx", m.tcs[0].Occupancy())
 	}
 	resumed := false
-	if !m.TxEnd(0, 1, func() { resumed = true }) {
+	if !m.TxEnd(0, 1, sim.Event{Fn: func(uint64) { resumed = true }}) {
 		t.Fatal("overflowed commit did not stall")
 	}
 	env.K.RunUntil(func() bool { return resumed }, 100000)
@@ -295,10 +295,10 @@ func TestTCacheDropsPersistentEvictions(t *testing.T) {
 	if hooks.DropLLCEviction == nil {
 		t.Fatal("TCache has no drop hook")
 	}
-	if !hooks.DropLLCEviction(&cache.Line{Persistent: true, Dirty: true}) {
+	if !hooks.DropLLCEviction(cache.Line{Persistent: true, Dirty: true}) {
 		t.Fatal("persistent victim not dropped")
 	}
-	if hooks.DropLLCEviction(&cache.Line{Persistent: false, Dirty: true}) {
+	if hooks.DropLLCEviction(cache.Line{Persistent: false, Dirty: true}) {
 		t.Fatal("volatile victim dropped")
 	}
 }
@@ -328,11 +328,11 @@ func TestKilnCommitFlushesAndCounts(t *testing.T) {
 		t.Fatalf("kiln store action = %+v, want tagged", act)
 	}
 	env.Live.WriteWord(memaddr.NVMBase, 9)
-	h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, func() { done = true })
+	h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, sim.Event{Fn: func(uint64) { done = true }})
 	env.K.RunUntil(func() bool { return done }, 100000)
 
 	resumed := false
-	if !m.TxEnd(0, 1, func() { resumed = true }) {
+	if !m.TxEnd(0, 1, sim.Event{Fn: func(uint64) { resumed = true }}) {
 		t.Fatal("kiln commit did not stall")
 	}
 	env.K.RunUntil(func() bool { return resumed }, 100000)
@@ -353,7 +353,7 @@ func TestKilnUncommittedLinesDiscardedOnRecovery(t *testing.T) {
 	act := m.Store(0, 1, memaddr.NVMBase, 9)
 	env.Live.WriteWord(memaddr.NVMBase, 9)
 	done := false
-	h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, func() { done = true })
+	h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, sim.Event{Fn: func(uint64) { done = true }})
 	env.K.RunUntil(func() bool { return done }, 100000)
 	// No commit: even if the line were evicted into the LLC it stays
 	// uncommitted. Force it there via FlushTx-free eviction is complex;
@@ -380,9 +380,9 @@ func TestSPPcommitStallsUntilWriteQueueDrains(t *testing.T) {
 	attach(env, m)
 	// With writes pending at the NVM controller, TX_END stalls until
 	// the queue drains (pcommit).
-	env.Mem.Write(memaddr.NVMBase, nil, nil)
+	env.Mem.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
 	resumed := false
-	if !m.TxEnd(0, 1, func() { resumed = true }) {
+	if !m.TxEnd(0, 1, sim.Event{Fn: func(uint64) { resumed = true }}) {
 		t.Fatal("TxEnd with pending NVM writes did not stall")
 	}
 	env.K.RunUntil(func() bool { return resumed }, 100000)
@@ -390,7 +390,7 @@ func TestSPPcommitStallsUntilWriteQueueDrains(t *testing.T) {
 		t.Fatal("pcommit never resumed")
 	}
 	// With an idle queue, TX_END is instant.
-	if m.TxEnd(0, 2, nil) {
+	if m.TxEnd(0, 2, sim.Event{}) {
 		t.Fatal("TxEnd with idle NVM queue stalled")
 	}
 }
@@ -413,7 +413,7 @@ func TestTCacheRecoveryCostCountsCommittedEntries(t *testing.T) {
 	attach(env, m)
 	m.Store(0, 1, memaddr.NVMBase, 1)
 	m.Store(0, 1, memaddr.NVMBase+8, 2)
-	m.TxEnd(0, 1, nil)
+	m.TxEnd(0, 1, sim.Event{})
 	m.Store(0, 2, memaddr.NVMBase+16, 3) // active: scanned but not replayed
 	c := m.RecoveryCost()
 	if c.ScannedItems != 3 || c.NVMWrites != 2 {

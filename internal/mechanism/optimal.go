@@ -4,6 +4,7 @@ import (
 	"pmemaccel/internal/cache"
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memimage"
+	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func (m *optimal) Kind() Kind { return Optimal }
 
 func (m *optimal) Hooks() cache.Hooks {
 	return cache.Hooks{
-		WritebackApply: func(lineAddr uint64) func() { return copyLiveApply(m.env, lineAddr) },
+		WritebackApply: newLiveCopier(m.env).apply,
 	}
 }
 
@@ -35,7 +36,7 @@ func (m *optimal) Rewrite(core int, r trace.Reader) trace.Reader { return r }
 
 func (m *optimal) TxBegin(core int, txID uint64) {}
 
-func (m *optimal) TxEnd(core int, txID uint64, resume func()) bool {
+func (m *optimal) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	// "Commit" is only an instruction boundary: nothing becomes durable.
 	m.committed[core]++
 	// The "durable" instant for Optimal's oracle bookkeeping is the

@@ -7,6 +7,7 @@ import (
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
+	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 )
 
@@ -36,6 +37,12 @@ type sp struct {
 	logs      []memaddr.Range
 	cursor    []uint64
 	committed []uint64
+
+	// resume holds each core's commit continuation while its pcommit
+	// poll waits for the NVM write queues to drain; pollFn is the poll
+	// handler (Arg: core), bound once.
+	resume []sim.Event
+	pollFn func(uint64)
 }
 
 // spLogCost is the bookkeeping instruction count per logged store — the
@@ -56,14 +63,19 @@ func newSP(env *Env) Mechanism {
 	for c, r := range logs {
 		cursor[c] = r.Base
 	}
-	return &sp{env: env, logs: logs, cursor: cursor, committed: make([]uint64, env.Cores)}
+	m := &sp{
+		env: env, logs: logs, cursor: cursor, committed: make([]uint64, env.Cores),
+		resume: make([]sim.Event, env.Cores),
+	}
+	m.pollFn = m.pcommitPoll
+	return m
 }
 
 func (m *sp) Kind() Kind { return SP }
 
 func (m *sp) Hooks() cache.Hooks {
 	return cache.Hooks{
-		WritebackApply: func(lineAddr uint64) func() { return copyLiveApply(m.env, lineAddr) },
+		WritebackApply: newLiveCopier(m.env).apply,
 	}
 }
 
@@ -89,21 +101,26 @@ type spReader struct {
 	core int
 	src  trace.Reader
 
+	// queue[head:] is the expansion not yet handed out; the slice is
+	// reset once consumed, so its storage is reused.
 	queue    []trace.Record
+	head     int
 	deferred []trace.Record
 	inTx     bool
 }
 
 func (r *spReader) Next() (trace.Record, bool) {
-	for len(r.queue) == 0 {
+	for r.head == len(r.queue) {
+		r.queue = r.queue[:0]
+		r.head = 0
 		rec, ok := r.src.Next()
 		if !ok {
 			return trace.Record{}, false
 		}
 		r.expand(rec)
 	}
-	rec := r.queue[0]
-	r.queue = r.queue[1:]
+	rec := r.queue[r.head]
+	r.head++
 	return rec, true
 }
 
@@ -148,7 +165,7 @@ func (m *sp) TxBegin(core int, txID uint64) {}
 // durable by construction at this point. The remaining cost is pcommit
 // (Figure 3(a)): the core stalls until the NVM controller's write queue
 // drains.
-func (m *sp) TxEnd(core int, txID uint64, resume func()) bool {
+func (m *sp) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	m.committed[core]++
 	// SP does not arbitrate (in-place stores are deferred past the
 	// commit record, so there is no conflict window), but it still
@@ -159,16 +176,21 @@ func (m *sp) TxEnd(core int, txID uint64, resume func()) bool {
 	if m.env.Mem.PendingNVMWrites() == 0 {
 		return false
 	}
-	var poll func()
-	poll = func() {
-		if m.env.Mem.PendingNVMWrites() == 0 {
-			resume()
-			return
-		}
-		m.env.K.Schedule(1, poll)
-	}
-	m.env.K.Schedule(1, poll)
+	m.resume[core] = resume
+	m.env.K.Schedule(1, sim.Event{Fn: m.pollFn, Arg: uint64(core)})
 	return true
+}
+
+// pcommitPoll re-checks the NVM write queues each cycle until they have
+// drained, then resumes the core (Arg: core).
+func (m *sp) pcommitPoll(core uint64) {
+	if m.env.Mem.PendingNVMWrites() == 0 {
+		resume := m.resume[core]
+		m.resume[core] = sim.Event{}
+		resume.Fire()
+		return
+	}
+	m.env.K.Schedule(1, sim.Event{Fn: m.pollFn, Arg: core})
 }
 
 func (m *sp) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction {

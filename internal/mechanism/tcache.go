@@ -8,6 +8,7 @@ import (
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/obs/metrics"
+	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 	"pmemaccel/internal/txcache"
 )
@@ -40,6 +41,10 @@ type tcMech struct {
 	shadow        []memaddr.Range
 	shadowCursor  []uint64
 
+	// Handlers bound once in newTCache (Arg: core): a shadow write
+	// became durable; the per-cycle fall-back commit poll.
+	fbDurableFn, fbPollFn func(uint64)
+
 	// fallbackTxs counts transactions that overflowed to the COW path,
 	// per core.
 	fallbackTxs []uint64
@@ -62,6 +67,8 @@ func newTCache(env *Env) Mechanism {
 		fallbackTxs:   make([]uint64, env.Cores),
 		cFallback:     env.Metrics.Counter("tc_fallback_txs"),
 	}
+	m.fbDurableFn = m.fallbackDurable
+	m.fbPollFn = m.fallbackPoll
 	m.g = newConflictGuard(env)
 	for c := range m.shadowCursor {
 		m.shadow[c] = memaddr.PerCoreLog(c)
@@ -113,7 +120,7 @@ func (m *tcMech) Hooks() cache.Hooks {
 		// "We drop the last-level cache write-backs — these blocks are
 		// simply discarded after being evicted out of the last-level
 		// cache." The TC path is the only writer of persistent data.
-		DropLLCEviction: func(victim *cache.Line) bool { return victim.Persistent },
+		DropLLCEviction: func(victim cache.Line) bool { return victim.Persistent },
 		// "Last level cache will issue miss requests toward not only
 		// the NVM but also the transaction cache."
 		SidePathProbe: func(lineAddr uint64) bool {
@@ -126,7 +133,7 @@ func (m *tcMech) Hooks() cache.Hooks {
 		},
 		// Persistent lines never reach memory through the hierarchy,
 		// so no writeback carries durable semantics.
-		WritebackApply: func(lineAddr uint64) func() { return nil },
+		WritebackApply: func(lineAddr uint64) sim.Event { return sim.Event{} },
 	}
 }
 
@@ -208,17 +215,19 @@ func (m *tcMech) fallbackWrite(core int, addr, value uint64) {
 	}
 	m.fbPending[core] = append(m.fbPending[core], trace.Write{Addr: memaddr.WordAddr(addr), Value: value})
 	m.fbOutstanding[core]++
-	onDurable := func() {
-		m.fbOutstanding[core]--
-		m.checkFallbackCommit(core)
-	}
-	m.env.Mem.Write(memaddr.LineAddr(slot), nil, onDurable)
+	m.env.Mem.Write(memaddr.LineAddr(slot), sim.Event{}, sim.Event{Fn: m.fbDurableFn, Arg: uint64(core)})
+}
+
+// fallbackDurable retires one durable shadow write (Arg: core).
+func (m *tcMech) fallbackDurable(core uint64) {
+	m.fbOutstanding[core]--
+	m.checkFallbackCommit(int(core))
 }
 
 // TxEnd commits: ordinarily a single commit request to the nonvolatile TC
 // (no stall); for an overflowed transaction the commit waits for shadow
 // durability plus a commit record.
-func (m *tcMech) TxEnd(core int, txID uint64, resume func()) bool {
+func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	if m.fbActive[core] && m.fbTx[core] == txID {
 		m.fbCommit[core] = func() {
 			// Invariant at this point: the shadow writes are durable
@@ -230,7 +239,7 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume func()) bool {
 			slot := m.shadowCursor[core]
 			m.shadowCursor[core] += 2 * memaddr.WordSize
 			pend := m.fbPending[core]
-			apply := func() {
+			apply := sim.Event{Fn: func(uint64) {
 				for _, w := range pend {
 					m.env.Durable.WriteWord(w.Addr, w.Value)
 				}
@@ -241,7 +250,7 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume func()) bool {
 				// applied, so shared-line ownership releases here.
 				m.env.noteDurableCommit(core)
 				m.g.releaseTxNow(core)
-			}
+			}}
 			m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume)
 			m.fbPending[core] = nil
 			m.fbActive[core] = false
@@ -278,10 +287,13 @@ func (m *tcMech) pollFallbackCommit(core int) {
 	if m.fbCommit[core] == nil {
 		return
 	}
-	m.env.K.Schedule(1, func() {
-		m.checkFallbackCommit(core)
-		m.pollFallbackCommit(core)
-	})
+	m.env.K.Schedule(1, sim.Event{Fn: m.fbPollFn, Arg: uint64(core)})
+}
+
+// fallbackPoll is one cycle of pollFallbackCommit (Arg: core).
+func (m *tcMech) fallbackPoll(core uint64) {
+	m.checkFallbackCommit(int(core))
+	m.pollFallbackCommit(int(core))
 }
 
 func (m *tcMech) Drained() bool {

@@ -164,11 +164,11 @@ func (b *Backend) forWithID(addr uint64) (*Controller, int, error) {
 // recordFault keeps the first unmapped-address error and completes the
 // request's callback on the next cycle, so the simulation drains instead
 // of deadlocking; the fault is surfaced after the run via Fault().
-func (b *Backend) recordFault(err error, done func()) {
+func (b *Backend) recordFault(err error, done sim.Event) {
 	if b.fault == nil {
 		b.fault = err
 	}
-	if done != nil {
+	if done.Fn != nil {
 		b.k.Schedule(1, done)
 	}
 }
@@ -177,7 +177,7 @@ func (b *Backend) recordFault(err error, done func()) {
 func (b *Backend) Fault() error { return b.fault }
 
 // Read enqueues a line read on the owning channel.
-func (b *Backend) Read(lineAddr uint64, done func()) {
+func (b *Backend) Read(lineAddr uint64, done sim.Event) {
 	c, err := b.For(lineAddr)
 	if err != nil {
 		b.recordFault(err, done)
@@ -187,7 +187,7 @@ func (b *Backend) Read(lineAddr uint64, done func()) {
 }
 
 // Write enqueues a line write on the owning channel.
-func (b *Backend) Write(lineAddr uint64, apply, onDurable func()) {
+func (b *Backend) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	c, err := b.For(lineAddr)
 	if err != nil {
 		b.recordFault(err, onDurable)
@@ -201,7 +201,7 @@ func (b *Backend) Write(lineAddr uint64, apply, onDurable func()) {
 // and the owning channel's global id (NVM 0..N-1, DRAM N..N+M-1, the
 // SetProbe track numbering). Faulted requests never mark w — the flight
 // recorder treats the missing checkpoint defensively.
-func (b *Backend) WriteTracked(lineAddr uint64, apply, onDurable func(), w *txflight.Write) {
+func (b *Backend) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *txflight.Write) {
 	c, id, err := b.forWithID(lineAddr)
 	if err != nil {
 		b.recordFault(err, onDurable)

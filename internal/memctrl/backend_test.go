@@ -20,9 +20,9 @@ func TestBackendDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nvmDone, dramDone, logDone bool
-	b.Read(memaddr.NVMBase, func() { nvmDone = true })
-	b.Read(memaddr.DRAMBase, func() { dramDone = true })
-	b.Write(memaddr.NVMLogBase, nil, func() { logDone = true })
+	b.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { nvmDone = true }})
+	b.Read(memaddr.DRAMBase, sim.Event{Fn: func(uint64) { dramDone = true }})
+	b.Write(memaddr.NVMLogBase, sim.Event{}, sim.Event{Fn: func(uint64) { logDone = true }})
 	k.RunUntil(func() bool { return nvmDone && dramDone && logDone }, 10000)
 	if b.NVMStats().Reads != 1 || b.DRAMStats().Reads != 1 {
 		t.Fatalf("backend misdispatched: NVM %d reads, DRAM %d reads",
@@ -51,8 +51,8 @@ func TestBackendUnmappedAddressFaults(t *testing.T) {
 	// The request must still complete (the machine drains) and the fault
 	// must be sticky and descriptive.
 	done := false
-	b.Read(4, func() { done = true })
-	b.Write(8, nil, nil)
+	b.Read(4, sim.Event{Fn: func(uint64) { done = true }})
+	b.Write(8, sim.Event{}, sim.Event{})
 	k.RunUntil(func() bool { return done }, 100)
 	if !done {
 		t.Fatal("unmapped read never completed — simulation would deadlock")
@@ -156,9 +156,9 @@ func TestBackendAggregatesStatsAndWear(t *testing.T) {
 	reads, writes := 0, 0
 	for blk := 0; blk < 8; blk++ {
 		addr := memaddr.NVMBase + uint64(blk)*4096
-		b.Read(addr, func() { reads++ })
-		b.Write(addr, nil, func() { writes++ })
-		b.Write(addr, nil, func() { writes++ }) // same line again: wear hotspots
+		b.Read(addr, sim.Event{Fn: func(uint64) { reads++ }})
+		b.Write(addr, sim.Event{}, sim.Event{Fn: func(uint64) { writes++ }})
+		b.Write(addr, sim.Event{}, sim.Event{Fn: func(uint64) { writes++ }}) // same line again: wear hotspots
 	}
 	k.RunUntil(func() bool { return reads == 8 && writes == 16 }, 100000)
 	if reads != 8 || writes != 16 {

@@ -7,10 +7,11 @@
 // of address-interleaved NVM and DRAM channels (Table 2's machine is the
 // default 1x1 topology) behind one typed request port.
 //
-// Writes carry two callbacks: apply, run at the instant the write becomes
-// durable (the caller uses it to update the durable memory image), and
-// onDurable, the completion notification (the NVM controller's
-// acknowledgment message back to the transaction cache, §4.3).
+// Writes carry two completions (sim.Events): apply, fired at the instant
+// the write becomes durable (the caller uses it to update the durable
+// memory image), and onDurable, the completion notification (the NVM
+// controller's acknowledgment message back to the transaction cache,
+// §4.3).
 package memctrl
 
 import (
@@ -110,8 +111,8 @@ type request struct {
 	// are too hot to repeat there.
 	bank    int
 	row     uint64
-	apply   func()
-	done    func()
+	apply   sim.Event
+	done    sim.Event
 	trk     *txflight.Write
 	trkChan int
 	enqueue uint64
@@ -141,10 +142,14 @@ type Controller struct {
 	cfg   Config
 	banks []bank
 
-	reads    []request
-	writes   []request
-	inFlight int // issued commands whose completion has not fired
-	draining bool
+	reads  []request
+	writes []request
+	// flight holds issued commands whose completion has not fired; the
+	// completion Event's Arg is the slot index shifted left once, with
+	// the low bit marking a write.
+	flight     sim.Slots[request]
+	completeFn func(uint64)
+	draining   bool
 
 	// probe is the observability recorder (nil when disabled); chanID
 	// labels this channel's track. drainStart/drainWrites frame the
@@ -168,6 +173,7 @@ type Controller struct {
 func New(k *sim.Kernel, cfg Config) *Controller {
 	cfg = cfg.WithDefaults()
 	c := &Controller{k: k, cfg: cfg, banks: make([]bank, cfg.Banks), wear: newWear()}
+	c.completeFn = c.complete
 	k.Register(c)
 	return c
 }
@@ -212,16 +218,16 @@ func (c *Controller) PendingReads() int { return len(c.reads) }
 func (c *Controller) PendingWrites() int { return len(c.writes) }
 
 // Read enqueues a line read; done fires when the data returns.
-func (c *Controller) Read(lineAddr uint64, done func()) {
+func (c *Controller) Read(lineAddr uint64, done sim.Event) {
 	c.reads = append(c.reads, request{
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		done: done, enqueue: c.k.Now(),
 	})
 }
 
-// Write enqueues a line write. apply (may be nil) runs at durability time,
-// immediately before onDurable (may be nil).
-func (c *Controller) Write(lineAddr uint64, apply, onDurable func()) {
+// Write enqueues a line write. apply (may be the zero Event) fires at
+// durability time, immediately before onDurable (may be zero).
+func (c *Controller) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	c.writes = append(c.writes, request{
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		apply: apply, done: onDurable, enqueue: c.k.Now(),
@@ -237,7 +243,7 @@ func (c *Controller) Write(lineAddr uint64, apply, onDurable func()) {
 // WPQ-wait/NVM-write stage boundary. Taking the concrete *txflight.Write
 // rather than a callback keeps the tracked path free of per-write
 // closure allocations.
-func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable func(), w *txflight.Write, channel int) {
+func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *txflight.Write, channel int) {
 	c.writes = append(c.writes, request{
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		apply: apply, done: onDurable, trk: w, trkChan: channel, enqueue: c.k.Now(),
@@ -309,27 +315,29 @@ func (c *Controller) issue(q *[]request, idx int, isWrite bool, now uint64) {
 	} else {
 		c.stats.Reads++
 	}
-	c.inFlight++
 	if r.trk != nil {
 		r.trk.ServiceStart(r.trkChan, now)
 	}
-	req := r
-	c.k.Schedule(lat, func() {
-		c.inFlight--
-		if !isWrite {
-			l := c.k.Now() - req.enqueue
-			c.stats.ReadLatencySum += l
-			if l > c.stats.ReadLatencyMax {
-				c.stats.ReadLatencyMax = l
-			}
+	arg := c.flight.Put(r) << 1
+	if isWrite {
+		arg |= 1
+	}
+	c.k.Schedule(lat, sim.Event{Fn: c.completeFn, Arg: arg})
+}
+
+// complete retires an issued command when its bank latency has elapsed:
+// read latency accounting, then the request's apply and done.
+func (c *Controller) complete(arg uint64) {
+	req := c.flight.Take(arg >> 1)
+	if arg&1 == 0 {
+		l := c.k.Now() - req.enqueue
+		c.stats.ReadLatencySum += l
+		if l > c.stats.ReadLatencyMax {
+			c.stats.ReadLatencyMax = l
 		}
-		if req.apply != nil {
-			req.apply()
-		}
-		if req.done != nil {
-			req.done()
-		}
-	})
+	}
+	req.apply.Fire()
+	req.done.Fire()
 }
 
 // Tick implements sim.Tickable: issue up to CmdPerCycle commands under the
@@ -407,5 +415,5 @@ func (c *Controller) Idle() bool {
 // Quiescent reports whether no requests are queued or in flight: every
 // accepted request has completed and fired its callbacks.
 func (c *Controller) Quiescent() bool {
-	return len(c.reads) == 0 && len(c.writes) == 0 && c.inFlight == 0
+	return len(c.reads) == 0 && len(c.writes) == 0 && c.flight.Len() == 0
 }

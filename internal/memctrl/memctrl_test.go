@@ -21,7 +21,7 @@ func TestReadCompletesWithMissLatency(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig())
 	done := uint64(0)
-	c.Read(memaddr.NVMBase, func() { done = k.Now() })
+	c.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { done = k.Now() }})
 	k.RunUntil(func() bool { return done != 0 }, 10000)
 	// Issue happens on the first tick (cycle 1), completion 130 later.
 	if done != 1+130 {
@@ -36,8 +36,8 @@ func TestRowHitIsFaster(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig())
 	var t1, t2 uint64
-	c.Read(memaddr.NVMBase, func() { t1 = k.Now() })
-	c.Read(memaddr.NVMBase+64, func() { t2 = k.Now() }) // same row, same bank? bank = line%4
+	c.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { t1 = k.Now() }})
+	c.Read(memaddr.NVMBase+64, sim.Event{Fn: func(uint64) { t2 = k.Now() }}) // same row, same bank? bank = line%4
 	// line 0 -> bank 0; line 1 -> bank 1: different banks. Use +64*4 for
 	// same bank, same row (row = line/banks/...).
 	k.RunUntil(func() bool { return t1 != 0 && t2 != 0 }, 10000)
@@ -46,8 +46,8 @@ func TestRowHitIsFaster(t *testing.T) {
 		k2 := sim.NewKernel()
 		c2 := New(k2, testConfig())
 		var u1, u2 uint64
-		c2.Read(memaddr.NVMBase, func() { u1 = k2.Now() })
-		c2.Read(memaddr.NVMBase+64*4, func() { u2 = k2.Now() })
+		c2.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { u1 = k2.Now() }})
+		c2.Read(memaddr.NVMBase+64*4, sim.Event{Fn: func(uint64) { u2 = k2.Now() }})
 		k2.RunUntil(func() bool { return u1 != 0 && u2 != 0 }, 10000)
 		if c2.Stats().RowHits != 1 {
 			t.Fatalf("same-bank same-row second read not a row hit: %+v", c2.Stats())
@@ -64,8 +64,8 @@ func TestBankParallelism(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig())
 	var a, b uint64
-	c.Read(memaddr.NVMBase, func() { a = k.Now() })    // bank 0
-	c.Read(memaddr.NVMBase+64, func() { b = k.Now() }) // bank 1
+	c.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { a = k.Now() }})    // bank 0
+	c.Read(memaddr.NVMBase+64, sim.Event{Fn: func(uint64) { b = k.Now() }}) // bank 1
 	k.RunUntil(func() bool { return a != 0 && b != 0 }, 10000)
 	if b != a+1 { // one-cycle command offset only
 		t.Fatalf("different-bank reads done at %d and %d, want 1 cycle apart", a, b)
@@ -74,8 +74,8 @@ func TestBankParallelism(t *testing.T) {
 	k2 := sim.NewKernel()
 	c2 := New(k2, testConfig())
 	var x, y uint64
-	c2.Read(memaddr.NVMBase, func() { x = k2.Now() })
-	c2.Read(memaddr.NVMBase+64*4, func() { y = k2.Now() }) // same bank
+	c2.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { x = k2.Now() }})
+	c2.Read(memaddr.NVMBase+64*4, sim.Event{Fn: func(uint64) { y = k2.Now() }}) // same bank
 	k2.RunUntil(func() bool { return x != 0 && y != 0 }, 10000)
 	if y-x < 30 {
 		t.Fatalf("same-bank reads done %d apart, want >= row-hit latency", y-x)
@@ -86,7 +86,7 @@ func TestWriteRunsApplyThenDone(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig())
 	var order []string
-	c.Write(memaddr.NVMBase, func() { order = append(order, "apply") }, func() { order = append(order, "done") })
+	c.Write(memaddr.NVMBase, sim.Event{Fn: func(uint64) { order = append(order, "apply") }}, sim.Event{Fn: func(uint64) { order = append(order, "done") }})
 	k.RunUntil(func() bool { return len(order) == 2 }, 10000)
 	if order[0] != "apply" || order[1] != "done" {
 		t.Fatalf("order = %v, want [apply done]", order)
@@ -102,8 +102,8 @@ func TestReadFirstPolicy(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig())
 	var readDone, writeDone uint64
-	c.Write(memaddr.NVMBase+64*8, nil, func() { writeDone = k.Now() })
-	c.Read(memaddr.NVMBase, func() { readDone = k.Now() })
+	c.Write(memaddr.NVMBase+64*8, sim.Event{}, sim.Event{Fn: func(uint64) { writeDone = k.Now() }})
+	c.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { readDone = k.Now() }})
 	k.RunUntil(func() bool { return readDone != 0 && writeDone != 0 }, 10000)
 	if readDone > writeDone {
 		t.Fatalf("read done at %d after write at %d despite read-first", readDone, writeDone)
@@ -120,13 +120,13 @@ func TestWriteDrainTriggersAtThreshold(t *testing.T) {
 	feed = func() {
 		reads++
 		if reads < 200 {
-			c.Read(memaddr.NVMBase+uint64(reads%4)*64, func() { feed() })
+			c.Read(memaddr.NVMBase+uint64(reads%4)*64, sim.Event{Fn: func(uint64) { feed() }})
 		}
 	}
 	feed()
 	writesDone := 0
 	for i := 0; i < cfg.DrainHigh+5; i++ {
-		c.Write(memaddr.NVMBase+uint64(i)*64, nil, func() { writesDone++ })
+		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{Fn: func(uint64) { writesDone++ }})
 	}
 	k.RunUntil(func() bool { return writesDone >= 20 }, 200000)
 	if c.Stats().DrainEntries == 0 {
@@ -142,7 +142,7 @@ func TestOpportunisticWritesWhenNoReads(t *testing.T) {
 	c := New(k, testConfig())
 	done := 0
 	for i := 0; i < 5; i++ {
-		c.Write(memaddr.NVMBase+uint64(i)*64, nil, func() { done++ })
+		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 5 }, 10000)
 	if done != 5 {
@@ -160,7 +160,7 @@ func TestQuiescent(t *testing.T) {
 		t.Fatal("fresh controller not quiescent")
 	}
 	fired := false
-	c.Read(memaddr.NVMBase, func() { fired = true })
+	c.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { fired = true }})
 	if c.Quiescent() {
 		t.Fatal("controller with pending read is quiescent")
 	}
@@ -175,7 +175,7 @@ func TestReadLatencyStats(t *testing.T) {
 	c := New(k, testConfig())
 	n := 0
 	for i := 0; i < 10; i++ {
-		c.Read(memaddr.NVMBase+uint64(i)*64, func() { n++ })
+		c.Read(memaddr.NVMBase+uint64(i)*64, sim.Event{Fn: func(uint64) { n++ }})
 	}
 	k.RunUntil(func() bool { return n == 10 }, 100000)
 	s := c.Stats()
@@ -213,11 +213,11 @@ func TestQuickSameLineWriteOrdering(t *testing.T) {
 			}
 			line := memaddr.NVMBase + uint64(s%4)*64*4 // few distinct lines
 			id := i
-			c.Write(line, nil, func() { got = append(got, id) })
+			c.Write(line, sim.Event{}, sim.Event{Fn: func(uint64) { got = append(got, id) }})
 			n++
 			// Interleave some reads for scheduling noise.
 			if s%3 == 0 {
-				c.Read(memaddr.NVMBase+uint64(s)*64, nil)
+				c.Read(memaddr.NVMBase+uint64(s)*64, sim.Event{})
 			}
 		}
 		k.RunUntil(c.Quiescent, 1_000_000)
@@ -249,10 +249,10 @@ func TestQuickNoReadStarvation(t *testing.T) {
 		k := sim.NewKernel()
 		c := New(k, testConfig())
 		for i := 0; i < int(nWrites); i++ {
-			c.Write(memaddr.NVMBase+uint64(i)*64, nil, nil)
+			c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{})
 		}
 		done := false
-		c.Read(memaddr.NVMBase, func() { done = true })
+		c.Read(memaddr.NVMBase, sim.Event{Fn: func(uint64) { done = true }})
 		k.RunUntil(func() bool { return done }, 1_000_000)
 		return done
 	}
@@ -265,7 +265,7 @@ func TestWriteQueuePeakTracksDepth(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig())
 	for i := 0; i < 10; i++ {
-		c.Write(memaddr.NVMBase+uint64(i)*64, nil, nil)
+		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{})
 	}
 	if c.Stats().WriteQueuePeak != 10 {
 		t.Fatalf("peak = %d, want 10", c.Stats().WriteQueuePeak)
@@ -277,10 +277,10 @@ func TestWearTracking(t *testing.T) {
 	c := New(k, testConfig())
 	done := 0
 	for i := 0; i < 6; i++ {
-		c.Write(memaddr.NVMBase, nil, func() { done++ }) // same line x6
+		c.Write(memaddr.NVMBase, sim.Event{}, sim.Event{Fn: func(uint64) { done++ }}) // same line x6
 	}
 	for i := 0; i < 3; i++ {
-		c.Write(memaddr.NVMBase+uint64(i+1)*64, nil, func() { done++ })
+		c.Write(memaddr.NVMBase+uint64(i+1)*64, sim.Event{}, sim.Event{Fn: func(uint64) { done++ }})
 	}
 	k.RunUntil(func() bool { return done == 9 }, 100000)
 	w := c.Wear()
@@ -325,7 +325,7 @@ func TestOpenDrainWindowFlushedAtCollection(t *testing.T) {
 	p := obs.NewProbe(256)
 	c.SetProbe(p, 1)
 	for i := 0; i < cfg.DrainHigh+5; i++ {
-		c.Write(memaddr.NVMBase+uint64(i)*64, nil, nil)
+		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{})
 	}
 	// A couple of ticks: the drain starts (queue >= DrainHigh) but is
 	// nowhere near DrainLow yet.
@@ -364,7 +364,7 @@ func TestDrainSpanEndsWhenQueueReachesLow(t *testing.T) {
 	p := obs.NewProbe(256)
 	c.SetProbe(p, 0)
 	for i := 0; i < cfg.DrainHigh; i++ {
-		c.Write(memaddr.NVMBase+uint64(i)*64, nil, nil)
+		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{})
 	}
 	reachedLow := uint64(0)
 	for i := 0; i < 100000 && p.CountKind(obs.KWPQDrain) == 0; i++ {
@@ -417,5 +417,37 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
 		}
+	}
+}
+
+// TestIssueCompletionAllocationFree pins a read and a write round trip
+// through the controller (enqueue, issue, completion with apply and
+// done) at zero heap allocations once the queues and the in-flight slot
+// table have grown.
+func TestIssueCompletionAllocationFree(t *testing.T) {
+	k := sim.NewKernel()
+	c := New(k, testConfig())
+	var applied, done int
+	apply := sim.Event{Fn: func(uint64) { applied++ }}
+	complete := sim.Event{Fn: func(uint64) { done++ }}
+	// Fixed lines: the wear tracker's per-line map must not grow inside
+	// the measured window.
+	roundTrip := func() {
+		want := done + 2
+		c.Read(memaddr.NVMBase, complete)
+		c.Write(memaddr.NVMBase+64*1024, apply, complete)
+		if _, ok := k.RunUntil(func() bool { return done == want }, k.Now()+10_000); !ok {
+			t.Fatal("read/write round trip did not complete")
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("read+write round trip allocated %.1f times, want 0", allocs)
+	}
+	if applied != 101+1 || c.Stats().Reads != 102 || c.Stats().Writes != 102 {
+		t.Fatalf("applied %d, reads %d, writes %d; want 102 each", applied, c.Stats().Reads, c.Stats().Writes)
+	}
+	if !c.Quiescent() {
+		t.Fatal("controller not quiescent after every completion fired")
 	}
 }

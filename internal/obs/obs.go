@@ -327,8 +327,8 @@ func (p *Probe) StartSampling(k *sim.Kernel, every uint64) {
 		return
 	}
 	p.sampleEvery = every
-	var fire func()
-	fire = func() {
+	var fire sim.Event
+	fire.Fn = func(uint64) {
 		p.sample(k.Now())
 		k.Schedule(every, fire)
 	}

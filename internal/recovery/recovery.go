@@ -66,15 +66,26 @@ func (tr *Trial) String() string {
 }
 
 // RunTrial builds a system from cfg, runs it to crashCycle, crashes, and
-// checks recovery.
+// checks recovery. A workload generator that failed before the crash is
+// an error: its core saw a truncated trace, so the trial would check a
+// run that never happened.
 func RunTrial(cfg pmemaccel.Config, crashCycle uint64) (*Trial, error) {
 	s, err := pmemaccel.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return crash(s, cfg.Cores, crashCycle)
+}
+
+// crash is RunTrial on a built system. cores is the caller's
+// Config.Cores, which sizes CommittedPerCore.
+func crash(s *pmemaccel.System, cores int, crashCycle uint64) (*Trial, error) {
 	finished := s.RunToCycle(crashCycle)
+	if err := s.StreamErr(); err != nil {
+		return nil, err
+	}
 	tr := &Trial{CrashCycle: s.Kernel.Now(), FinishedEarly: finished}
-	for c := 0; c < cfg.Cores; c++ {
+	for c := 0; c < cores; c++ {
 		tr.CommittedPerCore = append(tr.CommittedPerCore, s.Mech.DurablyCommitted(c))
 	}
 	tr.Cost = s.Mech.RecoveryCost()

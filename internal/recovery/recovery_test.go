@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pmemaccel"
+	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/trace"
 	"pmemaccel/internal/workload"
 )
 
@@ -289,5 +291,46 @@ func TestTrialsAreDeterministic(t *testing.T) {
 	}
 	if a.Cost != b.Cost {
 		t.Fatalf("recovery costs diverged: %+v vs %+v", a.Cost, b.Cost)
+	}
+}
+
+// TestRunTrialSurfacesStreamError is the regression guard for truncated
+// trials: a core whose generator fails before the crash cycle sees an
+// exhausted trace, and the trial must report that failure rather than a
+// consistent crash. Config cannot shrink a core's persistent heap, so the
+// failing generator is the heap-exhaustion setup of the workload
+// package's TestStreamErrorSurfaces (an rbtree whose inserts outgrow a
+// 16 KB region), chained into core 0's stream through its per-record
+// check: every record core 0 pulls advances the failing generator by
+// one, and its error becomes core 0's stream error.
+func TestRunTrialSurfacesStreamError(t *testing.T) {
+	p := workload.DefaultParams(workload.RBTree, 0, 1, 1, 16, 1_000_000)
+	p.SearchesPerOp = 0
+	p.PersistentRegion = memaddr.Range{Base: memaddr.NVMBase, Size: 1 << 14}
+	failing, err := workload.NewStream(workload.RBTree, p)
+	if err != nil {
+		t.Fatalf("NewStream: %v", err)
+	}
+
+	cfg := crashConfig(workload.RBTree, pmemaccel.TCache, 1)
+	s, err := pmemaccel.NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	s.Outputs[0].Stream.SetCheck(func(trace.Record) error {
+		if _, ok := failing.Stream.Next(); !ok {
+			return failing.StreamErr()
+		}
+		return nil
+	})
+	tr, err := crash(s, cfg.Cores, 1<<40)
+	if err == nil {
+		t.Fatalf("trial on a truncated run reported %v, want the generator's error", tr)
+	}
+	if !strings.Contains(err.Error(), "core 0") {
+		t.Errorf("error %q does not name the failing core", err)
+	}
+	if failing.StreamErr() == nil {
+		t.Fatal("test setup: the chained generator never failed")
 	}
 }

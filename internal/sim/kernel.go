@@ -1,6 +1,6 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // timed component in pmemaccel: a cycle clock, an event heap for latency
-// callbacks, and a registry of per-cycle tickable components.
+// completions (Events), and a registry of per-cycle tickable components.
 //
 // The kernel advances one cycle at a time. Within a cycle it first fires
 // every event scheduled for that cycle (in schedule order, so execution is
@@ -49,12 +49,12 @@ type CycleSkipper interface {
 	SkipCycles(n uint64)
 }
 
-// event is a callback scheduled for a future cycle. seq breaks ties so that
+// event is an Event scheduled for a future cycle. seq breaks ties so that
 // two events scheduled for the same cycle fire in schedule order.
 type event struct {
 	cycle uint64
 	seq   uint64
-	fn    func()
+	ev    Event
 }
 
 // before orders events by (cycle, seq) — the same total order the old
@@ -71,8 +71,10 @@ func (e event) before(o event) bool {
 // container/heap it never boxes events through interface{}, so Schedule
 // does not allocate per event (only amortized slice growth), and the
 // shallower tree halves the sift-down depth on the pop-heavy kernel
-// workload. Because (cycle, seq) is a total order, pop order is
-// independent of heap shape.
+// workload. Events are stored by value (a bound handler plus one state
+// word), so with allocation-free Events the heap allocates nothing once
+// its slice has grown. Because (cycle, seq) is a total order, pop order
+// is independent of heap shape.
 type eventHeap struct {
 	a []event
 }
@@ -102,7 +104,7 @@ func (h *eventHeap) pop() event {
 	root := h.a[0]
 	n := len(h.a) - 1
 	h.a[0] = h.a[n]
-	h.a[n] = event{} // drop the fn reference so the closure can be collected
+	h.a[n] = event{} // drop the handler reference so a cold-path closure can be collected
 	h.a = h.a[:n]
 	i := 0
 	for {
@@ -191,19 +193,19 @@ func (k *Kernel) Register(t Tickable) {
 	k.tickables = append(k.tickables, e)
 }
 
-// Schedule arranges for fn to run delay cycles from now. A delay of 0 runs
-// fn at the start of the next cycle (events for the current cycle have
-// already fired), keeping same-cycle feedback loops impossible.
-func (k *Kernel) Schedule(delay uint64, fn func()) {
-	k.ScheduleAt(k.now+delay, fn)
+// Schedule arranges for ev to fire delay cycles from now. A delay of 0
+// fires ev at the start of the next cycle (events for the current cycle
+// have already fired), keeping same-cycle feedback loops impossible.
+func (k *Kernel) Schedule(delay uint64, ev Event) {
+	k.ScheduleAt(k.now+delay, ev)
 }
 
-// ScheduleAt arranges for fn to run at the given absolute cycle. Scheduling
+// ScheduleAt arranges for ev to fire at the given absolute cycle. Scheduling
 // in the past (or for the current cycle) is adjusted to the next cycle.
 // Current-cycle targets are the documented Schedule(0) idiom; strictly
 // past targets additionally increment the PastSchedules counter, since
 // they indicate a caller computed a stale cycle.
-func (k *Kernel) ScheduleAt(cycle uint64, fn func()) {
+func (k *Kernel) ScheduleAt(cycle uint64, ev Event) {
 	if cycle <= k.now {
 		if cycle < k.now {
 			k.pastSchedules++
@@ -211,7 +213,7 @@ func (k *Kernel) ScheduleAt(cycle uint64, fn func()) {
 		cycle = k.now + 1
 	}
 	k.seq++
-	k.events.push(event{cycle: cycle, seq: k.seq, fn: fn})
+	k.events.push(event{cycle: cycle, seq: k.seq, ev: ev})
 }
 
 // Pending reports the number of not-yet-fired events.
@@ -224,7 +226,7 @@ func (k *Kernel) Pending() int { return k.events.len() }
 func (k *Kernel) Step() {
 	k.now++
 	for k.events.len() > 0 && k.events.head().cycle <= k.now {
-		k.events.pop().fn()
+		k.events.pop().ev.Fire()
 	}
 	for i := range k.tickables {
 		k.tickables[i].t.Tick(k.now)

@@ -15,7 +15,7 @@ func TestKernelStartsAtCycleZero(t *testing.T) {
 func TestScheduleFiresAtExactCycle(t *testing.T) {
 	k := NewKernel()
 	fired := uint64(0)
-	k.Schedule(5, func() { fired = k.Now() })
+	k.Schedule(5, Event{Fn: func(uint64) { fired = k.Now() }})
 	for i := 0; i < 10; i++ {
 		k.Step()
 	}
@@ -27,7 +27,7 @@ func TestScheduleFiresAtExactCycle(t *testing.T) {
 func TestZeroDelayFiresNextCycle(t *testing.T) {
 	k := NewKernel()
 	fired := uint64(0)
-	k.Schedule(0, func() { fired = k.Now() })
+	k.Schedule(0, Event{Fn: func(uint64) { fired = k.Now() }})
 	k.Step()
 	if fired != 1 {
 		t.Fatalf("zero-delay event fired at cycle %d, want 1", fired)
@@ -39,7 +39,7 @@ func TestSameCycleEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(3, func() { order = append(order, i) })
+		k.Schedule(3, Event{Fn: func(uint64) { order = append(order, i) }})
 	}
 	for i := 0; i < 5; i++ {
 		k.Step()
@@ -57,9 +57,9 @@ func TestSameCycleEventsFireInScheduleOrder(t *testing.T) {
 func TestEventsFireInCycleOrderRegardlessOfScheduleOrder(t *testing.T) {
 	k := NewKernel()
 	var order []uint64
-	k.Schedule(7, func() { order = append(order, 7) })
-	k.Schedule(2, func() { order = append(order, 2) })
-	k.Schedule(5, func() { order = append(order, 5) })
+	k.Schedule(7, Event{Fn: func(uint64) { order = append(order, 7) }})
+	k.Schedule(2, Event{Fn: func(uint64) { order = append(order, 2) }})
+	k.Schedule(5, Event{Fn: func(uint64) { order = append(order, 5) }})
 	for i := 0; i < 10; i++ {
 		k.Step()
 	}
@@ -80,7 +80,7 @@ func TestScheduleAtPastClampsToNextCycle(t *testing.T) {
 		k.Step()
 	}
 	fired := uint64(0)
-	k.ScheduleAt(1, func() { fired = k.Now() })
+	k.ScheduleAt(1, Event{Fn: func(uint64) { fired = k.Now() }})
 	k.Step()
 	if fired != 5 {
 		t.Fatalf("past-scheduled event fired at %d, want 5 (next cycle)", fired)
@@ -90,14 +90,14 @@ func TestScheduleAtPastClampsToNextCycle(t *testing.T) {
 func TestEventMayScheduleFurtherEvents(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	var chain func()
-	chain = func() {
+	var chain func(uint64)
+	chain = func(uint64) {
 		count++
 		if count < 5 {
-			k.Schedule(2, chain)
+			k.Schedule(2, Event{Fn: chain})
 		}
 	}
-	k.Schedule(1, chain)
+	k.Schedule(1, Event{Fn: chain})
 	if !k.Drain(100) {
 		t.Fatal("Drain did not empty the queue")
 	}
@@ -140,7 +140,7 @@ func TestEventsFireBeforeTicksWithinACycle(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Register(tickFunc(func(uint64) { order = append(order, "tick") }))
-	k.Schedule(1, func() { order = append(order, "event") })
+	k.Schedule(1, Event{Fn: func(uint64) { order = append(order, "event") }})
 	k.Step()
 	if len(order) != 2 || order[0] != "event" || order[1] != "tick" {
 		t.Fatalf("order = %v, want [event tick]", order)
@@ -154,7 +154,7 @@ func (f tickFunc) Tick(cycle uint64) { f(cycle) }
 func TestRunUntilStopsOnPredicate(t *testing.T) {
 	k := NewKernel()
 	done := false
-	k.Schedule(12, func() { done = true })
+	k.Schedule(12, Event{Fn: func(uint64) { done = true }})
 	cycle, ok := k.RunUntil(func() bool { return done }, 1000)
 	if !ok || cycle != 12 {
 		t.Fatalf("RunUntil = (%d, %v), want (12, true)", cycle, ok)
@@ -171,8 +171,8 @@ func TestRunUntilRespectsLimit(t *testing.T) {
 
 func TestPendingCountsUnfiredEvents(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(1, func() {})
-	k.Schedule(2, func() {})
+	k.Schedule(1, Event{Fn: func(uint64) {}})
+	k.Schedule(2, Event{Fn: func(uint64) {}})
 	if k.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", k.Pending())
 	}
@@ -199,9 +199,9 @@ func TestQuickEventOrdering(t *testing.T) {
 			}
 			want += k.Now()
 			w := want
-			k.Schedule(uint64(d), func() {
+			k.Schedule(uint64(d), Event{Fn: func(uint64) {
 				fired = append(fired, firing{want: w, got: k.Now()})
-			})
+			}})
 		}
 		k.Drain(1 << 20)
 		if len(fired) != len(delays) {
@@ -239,7 +239,7 @@ func TestFastForwardSkipsIdleGapToNextEvent(t *testing.T) {
 	q := &quiescentTicker{k: k}
 	k.Register(q)
 	fired := uint64(0)
-	k.Schedule(100, func() { fired = k.Now() })
+	k.Schedule(100, Event{Fn: func(uint64) { fired = k.Now() }})
 	cycle, ok := k.RunUntil(func() bool { return fired != 0 }, 1000)
 	if !ok || cycle != 100 || fired != 100 {
 		t.Fatalf("RunUntil = (%d, %v), fired at %d; want event at 100", cycle, ok, fired)
@@ -265,7 +265,7 @@ func TestFastForwardDisabledTicksEveryCycle(t *testing.T) {
 	q := &quiescentTicker{k: k}
 	k.Register(q)
 	fired := false
-	k.Schedule(50, func() { fired = true })
+	k.Schedule(50, Event{Fn: func(uint64) { fired = true }})
 	k.RunUntil(func() bool { return fired }, 1000)
 	if k.Skipped() != 0 {
 		t.Fatalf("Skipped = %d with fast-forward off, want 0", k.Skipped())
@@ -280,7 +280,7 @@ func TestBusyComponentBlocksFastForward(t *testing.T) {
 	q := &quiescentTicker{k: k, busyUntil: 30}
 	k.Register(q)
 	fired := false
-	k.Schedule(100, func() { fired = true })
+	k.Schedule(100, Event{Fn: func(uint64) { fired = true }})
 	k.RunUntil(func() bool { return fired }, 1000)
 	// Cycles 1..30 tick for real (idle only once now >= 30); the jump
 	// covers the remaining gap up to the event at 100.
@@ -300,7 +300,7 @@ func TestFastForwardWithoutQuiescerNeverSkips(t *testing.T) {
 	c := &countingTicker{}
 	k.Register(c) // implements Tickable only
 	fired := false
-	k.Schedule(40, func() { fired = true })
+	k.Schedule(40, Event{Fn: func(uint64) { fired = true }})
 	k.RunUntil(func() bool { return fired }, 1000)
 	if k.Skipped() != 0 {
 		t.Fatalf("Skipped = %d, want 0: a non-Quiescer component is always busy", k.Skipped())
@@ -324,26 +324,40 @@ func TestFastForwardRespectsRunUntilLimit(t *testing.T) {
 	}
 }
 
+// argSum is a component whose completion handler is bound once, the way
+// simulator components bind theirs at construction.
+type argSum struct {
+	sum  uint64
+	done func(uint64)
+}
+
+func (a *argSum) onDone(arg uint64) { a.sum += arg }
+
 func TestScheduleDoesNotAllocatePerEvent(t *testing.T) {
 	k := NewKernel()
-	fn := func() {}
+	a := &argSum{}
+	a.done = a.onDone
 	// Warm the heap so slice growth is out of the picture.
 	for i := 0; i < 64; i++ {
-		k.Schedule(uint64(i+1), fn)
+		k.Schedule(uint64(i+1), Event{Fn: a.done, Arg: 1})
 	}
 	for k.Pending() > 0 {
 		k.Step()
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
-			k.Schedule(uint64(i+1), fn)
+			k.Schedule(uint64(i+1), Event{Fn: a.done, Arg: uint64(i)})
 		}
 		for k.Pending() > 0 {
 			k.Step()
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("Schedule/pop allocated %.1f allocs per run, want 0 (typed heap must not box events)", allocs)
+		t.Fatalf("Schedule/pop allocated %.1f allocs per run, want 0 (a bound Event must not allocate)", allocs)
+	}
+	// 64 warm-up events of 1, then 101 runs of 0+1+...+31.
+	if want := uint64(64 + 101*31*32/2); a.sum != want {
+		t.Fatalf("handler saw arg sum %d, want %d", a.sum, want)
 	}
 }
 
@@ -352,7 +366,7 @@ func TestDebugIdleBlockersCountsFirstBusy(t *testing.T) {
 	q := &quiescentTicker{k: k, busyUntil: 10}
 	k.Register(q)
 	counts := DebugIdleBlockers(k)
-	k.Schedule(20, func() {})
+	k.Schedule(20, Event{Fn: func(uint64) {}})
 	k.RunUntil(func() bool { return false }, 20)
 	got := counts()
 	if len(got) != 1 {
@@ -370,13 +384,13 @@ func TestPastSchedulesCountsOnlyStrictPast(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		k.Step()
 	}
-	k.Schedule(0, func() {})         // documented next-cycle idiom: not counted
-	k.ScheduleAt(k.Now(), func() {}) // current cycle: coerced, not counted
+	k.Schedule(0, Event{Fn: func(uint64) {}})         // documented next-cycle idiom: not counted
+	k.ScheduleAt(k.Now(), Event{Fn: func(uint64) {}}) // current cycle: coerced, not counted
 	if k.PastSchedules() != 0 {
 		t.Fatalf("PastSchedules = %d after current-cycle schedules, want 0", k.PastSchedules())
 	}
-	k.ScheduleAt(2, func() {}) // strictly past: counted
-	k.ScheduleAt(0, func() {})
+	k.ScheduleAt(2, Event{Fn: func(uint64) {}}) // strictly past: counted
+	k.ScheduleAt(0, Event{Fn: func(uint64) {}})
 	if k.PastSchedules() != 2 {
 		t.Fatalf("PastSchedules = %d, want 2", k.PastSchedules())
 	}
@@ -399,7 +413,7 @@ func TestDebugIdleBlockersManyTickables(t *testing.T) {
 		qs = append(qs, q)
 	}
 	counts := DebugIdleBlockers(k)
-	k.Schedule(20, func() {})
+	k.Schedule(20, Event{Fn: func(uint64) {}})
 	k.RunUntil(func() bool { return false }, 20)
 	got := counts()
 	if len(got) != n {
@@ -422,7 +436,7 @@ func TestDebugIdleBlockersLateRegistration(t *testing.T) {
 	for i := 0; i < 66; i++ {
 		k.Register(&quiescentTicker{k: k, busyUntil: 3})
 	}
-	k.Schedule(10, func() {})
+	k.Schedule(10, Event{Fn: func(uint64) {}})
 	k.RunUntil(func() bool { return false }, 10)
 	if got := counts(); len(got) != 66 {
 		t.Fatalf("counts for %d tickables, want 66", len(got))

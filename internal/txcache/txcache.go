@@ -84,7 +84,7 @@ const (
 // topology-blind — per-channel FIFO completion of same-line writes is all
 // its address-matched acknowledgments require.
 type Port interface {
-	Write(lineAddr uint64, apply, onDurable func())
+	Write(lineAddr uint64, apply, onDurable sim.Event)
 }
 
 // TrackedPort is the optional port capability the flight recorder
@@ -93,7 +93,7 @@ type Port interface {
 // memctrl.Backend implements it; timing-only fake ports need not.
 type TrackedPort interface {
 	Port
-	WriteTracked(lineAddr uint64, apply, onDurable func(), w *txflight.Write)
+	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *txflight.Write)
 }
 
 // Config sizes one per-core transaction cache.
@@ -172,6 +172,11 @@ type Stats struct {
 	OccupancyPeak  int
 }
 
+// drainWrite is one issued drain write: the buffered word it carries.
+type drainWrite struct {
+	addr, value uint64
+}
+
 // TxCache is one core's transaction cache. Register with the kernel so
 // the drain state machine ticks.
 type TxCache struct {
@@ -195,6 +200,15 @@ type TxCache struct {
 	// issuable counts committed, unissued entries between issue and
 	// head.
 	unissued int
+
+	// drains holds the word each issued drain write carries, from issue
+	// to acknowledgment; the write's apply and ack Events hold the slot
+	// index. (A ring index would not do: an ack retires the matching
+	// entry nearest the tail, not necessarily the one that issued it.)
+	drains         sim.Slots[drainWrite]
+	applyFn, ackFn func(uint64)
+	// evicted is EvictTx's reused result buffer.
+	evicted []Entry
 
 	// probe is the observability recorder (nil when disabled); coreID
 	// labels this TC's events. burst* track the current drain burst:
@@ -231,6 +245,8 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 		k: k, cfg: cfg, mem: mem, durableApply: durableApply,
 		entries: make([]Entry, cfg.Entries()),
 	}
+	tc.applyFn = tc.applyDrain
+	tc.ackFn = tc.ackDrain
 	k.Register(tc)
 	return tc
 }
@@ -464,18 +480,19 @@ func (tc *TxCache) issueOne() bool {
 		tc.burstIssued = 0
 	}
 	tc.burstIssued++
-	addr, value := e.Addr, e.Value
-	var apply func()
+	slot := tc.drains.Put(drainWrite{addr: e.Addr, value: e.Value})
+	var apply sim.Event
 	if tc.durableApply != nil {
-		apply = func() { tc.durableApply(addr, value) }
+		apply = sim.Event{Fn: tc.applyFn, Arg: slot}
 	}
+	ack := sim.Event{Fn: tc.ackFn, Arg: slot}
 	if tc.fr != nil && tc.fr.Sampled(e.TxID) {
 		// Sampled transaction: route through the tracked port so the
 		// flight recorder sees TC issue, WPQ service start (with the
 		// channel) and durable completion for this write.
-		tc.issueTracked(addr, apply, e.TxID, tc.k.Now())
+		tc.issueTracked(e.Addr, apply, ack, e.TxID, tc.k.Now())
 	} else {
-		tc.mem.Write(memaddr.LineAddr(addr), apply, func() { tc.Ack(addr) })
+		tc.mem.Write(memaddr.LineAddr(e.Addr), apply, ack)
 	}
 	tc.issue = tc.next(tc.issue)
 	return true
@@ -484,13 +501,25 @@ func (tc *TxCache) issueOne() bool {
 // issueTracked is issueOne's drain write for a sampled transaction: it
 // opens the flight-recorder write and routes through the tracked port so
 // the recorder sees TC issue, WPQ service start and durable completion.
-// Kept out of line so the serial hot path builds no extra closures.
-func (tc *TxCache) issueTracked(addr uint64, apply func(), txID, issueAt uint64) {
+// Sampling is off the hot path, so the durable mark rides in a closure.
+func (tc *TxCache) issueTracked(addr uint64, apply, ack sim.Event, txID, issueAt uint64) {
 	w := tc.fr.TCIssue(tc.coreID, txID, issueAt)
-	tc.frPort.WriteTracked(memaddr.LineAddr(addr), apply, func() {
-		tc.Ack(addr)
+	tc.frPort.WriteTracked(memaddr.LineAddr(addr), apply, sim.Event{Fn: func(uint64) {
+		ack.Fire()
 		tc.fr.WriteDurable(w, tc.k.Now())
-	}, w)
+	}}, w)
+}
+
+// applyDrain writes a drain write's word into the durable image at
+// durability time (Arg: tc.drains slot).
+func (tc *TxCache) applyDrain(slot uint64) {
+	d := tc.drains.Get(slot)
+	tc.durableApply(d.addr, d.value)
+}
+
+// ackDrain delivers a drain write's acknowledgment and releases its slot.
+func (tc *TxCache) ackDrain(slot uint64) {
+	tc.Ack(tc.drains.Take(slot).addr)
 }
 
 // Ack handles the NVM controller's acknowledgment for a written-back
@@ -525,9 +554,10 @@ func (tc *TxCache) Ack(addr uint64) {
 // them in FIFO (program) order. The overflow fall-back uses it to move an
 // overflowed transaction's buffered updates to the copy-on-write shadow,
 // so one transaction never has updates split across the two paths (which
-// could apply to NVM out of order).
+// could apply to NVM out of order). The returned slice is reused by the
+// next EvictTx call, so an abort's discarded eviction allocates nothing.
 func (tc *TxCache) EvictTx(txID uint64) []Entry {
-	var out []Entry
+	out := tc.evicted[:0]
 	for n, i := 0, tc.tail; n < len(tc.entries); n, i = n+1, tc.next(i) {
 		e := &tc.entries[i]
 		if e.State == Active && e.TxID == txID {
@@ -544,6 +574,7 @@ func (tc *TxCache) EvictTx(txID uint64) []Entry {
 		tc.tail = tc.head
 		tc.issue = tc.head
 	}
+	tc.evicted = out
 	return out
 }
 

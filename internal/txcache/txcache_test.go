@@ -16,30 +16,24 @@ type fakeNVM struct {
 	k      *sim.Kernel
 	lat    uint64
 	hold   bool
-	held   []func()
+	held   []sim.Event // apply, onDurable pairs
 	writes []uint64
 }
 
-func (m *fakeNVM) Write(lineAddr uint64, apply, onDurable func()) {
+func (m *fakeNVM) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	m.writes = append(m.writes, lineAddr)
-	fire := func() {
-		if apply != nil {
-			apply()
-		}
-		if onDurable != nil {
-			onDurable()
-		}
-	}
 	if m.hold {
-		m.held = append(m.held, fire)
+		m.held = append(m.held, apply, onDurable)
 		return
 	}
-	m.k.Schedule(m.lat, fire)
+	// Back-to-back schedules fire back to back: apply, then onDurable.
+	m.k.Schedule(m.lat, apply)
+	m.k.Schedule(m.lat, onDurable)
 }
 
 func (m *fakeNVM) release() {
-	for _, f := range m.held {
-		f()
+	for _, e := range m.held {
+		e.Fire()
 	}
 	m.held = nil
 }
@@ -544,5 +538,46 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, cfg)
 		}
+	}
+}
+
+// stubPort is an allocation-free Port: fixed latency, no history.
+type stubPort struct{ k *sim.Kernel }
+
+func (p stubPort) Write(lineAddr uint64, apply, onDurable sim.Event) {
+	p.k.Schedule(152, apply)
+	p.k.Schedule(152, onDurable)
+}
+
+// TestDrainAllocationFree pins the TC's durability round trip (write,
+// commit, drain issue, durable apply, acknowledgment) at zero heap
+// allocations once the drain slot table has grown.
+func TestDrainAllocationFree(t *testing.T) {
+	k := sim.NewKernel()
+	img := memimage.New()
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, stubPort{k: k},
+		func(addr, value uint64) { img.WriteWord(addr, value) })
+	var tx uint64
+	roundTrip := func() {
+		tx++
+		for i := 0; i < 3; i++ {
+			if r := tc.Write(tx, nvmAddr(i), tx); r != Accepted {
+				t.Fatalf("write %d: %v", i, r)
+			}
+		}
+		tc.Commit(tx)
+		if _, ok := k.RunUntil(tc.Drained, k.Now()+10_000); !ok {
+			t.Fatal("TC did not drain")
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("write/commit/drain/ack allocated %.1f times per transaction, want 0", allocs)
+	}
+	if got := tc.Stats().Acked; got != 3*101+3 {
+		t.Fatalf("acked %d entries, want %d", got, 3*101+3)
+	}
+	if img.ReadWord(nvmAddr(2)) != tx {
+		t.Fatalf("durable word = %d, want %d", img.ReadWord(nvmAddr(2)), tx)
 	}
 }

@@ -267,15 +267,25 @@ func (s *System) Run() (*Result, error) {
 	if err := s.Backend.Fault(); err != nil {
 		return nil, fmt.Errorf("pmemaccel: %w", err)
 	}
-	// A generator that failed mid-run (workload error, invariant
-	// violation, malformed record) looks exhausted to its core; surface the
-	// sticky error now so a truncated run never passes as a clean one.
-	for c, out := range s.Outputs {
-		if err := out.StreamErr(); err != nil {
-			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
-		}
+	if err := s.StreamErr(); err != nil {
+		return nil, err
 	}
 	return s.collect(endOfTrace), nil
+}
+
+// StreamErr reports the first core whose generator failed (workload
+// error, invariant violation, malformed record), or nil. A failed
+// generator looks exhausted to its core, so a run that used it is
+// truncated: Run checks this before collecting, and a caller that stops
+// the run early with RunToCycle must check it before trusting the
+// machine state.
+func (s *System) StreamErr() error {
+	for c, out := range s.Outputs {
+		if err := out.StreamErr(); err != nil {
+			return fmt.Errorf("pmemaccel: core %d: %w", c, err)
+		}
+	}
+	return nil
 }
 
 // RunToCycle advances the simulation to the given absolute cycle (the
