@@ -10,11 +10,11 @@ import (
 // TestRunAllocationCeiling bounds the heap allocations of the Run phase
 // (simulation, drain and result collection; NewSystem is excluded) per
 // committed transaction on a small rbtree/TCache cell. Completions on the
-// per-access paths are allocation-free sim.Events, so what remains is
-// trace generation and transaction bookkeeping: about 0.32 allocations
-// per transaction, and the ceiling is twice that. When every completion
-// was a one-shot func() closure, the same cell allocated 119.7 times per
-// committed transaction.
+// per-access paths are allocation-free sim.Events, and memory images
+// grow by slab chunks of 4 KiB pages, so what remains is trace generation
+// and transaction bookkeeping: about 0.18 allocations per transaction,
+// under a ceiling of 0.64. When every completion was a one-shot func() closure, the same
+// cell allocated 119.7 times per committed transaction.
 func TestRunAllocationCeiling(t *testing.T) {
 	const ceiling = 0.64
 	cfg := tinyConfig(workload.RBTree, TCache)

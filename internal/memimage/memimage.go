@@ -8,58 +8,156 @@
 package memimage
 
 import (
+	"math/bits"
 	"sort"
 
 	"pmemaccel/internal/memaddr"
 )
 
-// Image is a sparse, word-granular memory content image. Unwritten words
-// read as zero, matching hardware that zeroes (or never exposes) fresh
-// pages. The zero value is NOT usable; call New.
+const (
+	// pageShift fixes the page size at 4 KiB. Every memaddr region base
+	// is 4 KiB-aligned, so a page never straddles two spaces.
+	pageShift    = 12
+	pageSize     = 1 << pageShift
+	wordsPerPage = pageSize / memaddr.WordSize
+
+	// noPage is a key no address maps to (keys are addr>>pageShift), so
+	// the last-page cache starts empty.
+	noPage = ^pageKey(0)
+
+	// Growth chunks hold as many pages as the image already has,
+	// clamped to [minChunk, maxChunk].
+	minChunk = 8
+	maxChunk = 128
+)
+
+// pageKey is a page number: a byte address shifted right by pageShift.
+type pageKey uint64
+
+// page holds one 4 KiB page of words and a bitmap of which of them were
+// ever written, so Len and ForEach keep the sparse map's semantics: a
+// zero-valued write counts, an untouched word in a resident page does not.
+type page struct {
+	key     pageKey
+	words   [wordsPerPage]uint64
+	written [wordsPerPage / 64]uint64
+}
+
+// Image is a sparse, word-granular memory content image, stored as 4 KiB
+// pages. Unwritten words read as zero, matching hardware that zeroes (or
+// never exposes) fresh pages. The zero value is NOT usable; call New.
+// Reads update the last-page cache, so an Image is not safe for
+// concurrent use, even read-only.
 type Image struct {
-	words map[uint64]uint64
+	pages map[pageKey]*page
+	// order lists the resident pages in ascending key order: ForEach
+	// and the diffs walk it, so iteration never depends on map order.
+	order []*page
+	// free is the unused tail of the newest slab chunk.
+	free []page
+	// last caches the most recently found page.
+	lastKey pageKey
+	last    *page
+	// n counts distinct words ever written.
+	n int
 }
 
 // New returns an empty image.
 func New() *Image {
-	return &Image{words: make(map[uint64]uint64)}
+	return &Image{pages: make(map[pageKey]*page), lastKey: noPage}
 }
 
-// NewSized returns an empty image pre-sized for about n words, avoiding
-// rehash churn when the caller knows the fill size up front (seeding the
+// NewSized returns an empty image with pages for about n words allocated
+// up front in one slab, for callers that know the fill size (seeding the
 // live/durable images from generated base images, building the expected
 // recovery image).
 func NewSized(n int) *Image {
-	return &Image{words: make(map[uint64]uint64, n)}
+	np := (n + wordsPerPage - 1) / wordsPerPage
+	return &Image{
+		pages:   make(map[pageKey]*page, np),
+		order:   make([]*page, 0, np),
+		free:    make([]page, np),
+		lastKey: noPage,
+	}
+}
+
+// find returns the resident page k, or nil.
+func (m *Image) find(k pageKey) *page {
+	if k == m.lastKey {
+		return m.last
+	}
+	p := m.pages[k]
+	if p != nil {
+		m.lastKey, m.last = k, p
+	}
+	return p
+}
+
+// page returns page k, making it resident if it is not.
+func (m *Image) page(k pageKey) *page {
+	if p := m.find(k); p != nil {
+		return p
+	}
+	if len(m.free) == 0 {
+		c := min(max(len(m.order), minChunk), maxChunk)
+		m.free = make([]page, c)
+	}
+	p := &m.free[0]
+	m.free = m.free[1:]
+	p.key = k
+	m.pages[k] = p
+	i := sort.Search(len(m.order), func(i int) bool { return m.order[i].key > k })
+	m.order = append(m.order, nil)
+	copy(m.order[i+1:], m.order[i:])
+	m.order[i] = p
+	m.lastKey, m.last = k, p
+	return p
+}
+
+// split returns addr's page key and the index of its word in the page.
+func split(addr uint64) (pageKey, int) {
+	return pageKey(addr >> pageShift), int(addr>>3) & (wordsPerPage - 1)
 }
 
 // ReadWord returns the 64-bit word at addr. addr is word-aligned by the
 // caller's contract; misaligned addresses are aligned down.
 func (m *Image) ReadWord(addr uint64) uint64 {
-	return m.words[memaddr.WordAddr(addr)]
+	k, i := split(addr)
+	if p := m.find(k); p != nil {
+		return p.words[i]
+	}
+	return 0
 }
 
 // WriteWord stores a 64-bit word at addr (aligned down).
 func (m *Image) WriteWord(addr, value uint64) {
-	m.words[memaddr.WordAddr(addr)] = value
+	k, i := split(addr)
+	p := m.page(k)
+	p.words[i] = value
+	if bit := uint64(1) << (i & 63); p.written[i>>6]&bit == 0 {
+		p.written[i>>6] |= bit
+		m.n++
+	}
 }
 
 // ReadLine returns the 8 words of the cache line containing addr.
 func (m *Image) ReadLine(addr uint64) [memaddr.WordsPerLine]uint64 {
-	base := memaddr.LineAddr(addr)
-	var line [memaddr.WordsPerLine]uint64
-	for i := range line {
-		line[i] = m.words[base+uint64(i)*memaddr.WordSize]
+	k, i := split(memaddr.LineAddr(addr))
+	if p := m.find(k); p != nil {
+		return [memaddr.WordsPerLine]uint64(p.words[i : i+memaddr.WordsPerLine])
 	}
-	return line
+	return [memaddr.WordsPerLine]uint64{}
 }
 
 // WriteLine stores 8 words at the cache line containing addr.
 func (m *Image) WriteLine(addr uint64, line [memaddr.WordsPerLine]uint64) {
-	base := memaddr.LineAddr(addr)
-	for i, w := range line {
-		m.words[base+uint64(i)*memaddr.WordSize] = w
-	}
+	k, i := split(memaddr.LineAddr(addr))
+	p := m.page(k)
+	copy(p.words[i:i+memaddr.WordsPerLine], line[:])
+	// A line's 8 written bits are one aligned byte of a bitmap word.
+	mask := uint64(1<<memaddr.WordsPerLine-1) << (i & 63)
+	m.n += bits.OnesCount64(mask &^ p.written[i>>6])
+	p.written[i>>6] |= mask
 }
 
 // CopyLine copies the cache line containing addr from src into m. It is
@@ -70,14 +168,22 @@ func (m *Image) CopyLine(src *Image, addr uint64) {
 }
 
 // Len reports the number of distinct words ever written.
-func (m *Image) Len() int { return len(m.words) }
+func (m *Image) Len() int { return m.n }
 
 // Snapshot returns an independent deep copy, used to capture the durable
-// state at a crash point.
+// state at a crash point. The copy's pages share one fresh slab.
 func (m *Image) Snapshot() *Image {
-	c := &Image{words: make(map[uint64]uint64, len(m.words))}
-	for a, v := range m.words {
-		c.words[a] = v
+	slab := make([]page, len(m.order))
+	c := &Image{
+		pages:   make(map[pageKey]*page, len(m.order)),
+		order:   make([]*page, len(m.order)),
+		lastKey: noPage,
+		n:       m.n,
+	}
+	for i, p := range m.order {
+		slab[i] = *p
+		c.order[i] = &slab[i]
+		c.pages[p.key] = &slab[i]
 	}
 	return c
 }
@@ -98,55 +204,80 @@ type Diff struct {
 // once limit differences are found (limit <= 0 means unlimited).
 func (m *Image) DiffLimit(o *Image, limit int) int {
 	n := 0
-	for a, v := range m.words {
-		if o.words[a] != v {
-			n++
-			if limit > 0 && n >= limit {
-				return n
-			}
+	m.diff(o, nil, func(Diff) bool {
+		n++
+		return limit <= 0 || n < limit
+	})
+	return n
+}
+
+// Diffs returns up to max word-level differences (max <= 0 means all) in
+// ascending address order, so a truncated list holds the lowest
+// addresses.
+func (m *Image) Diffs(o *Image, max int) []Diff {
+	return m.diffs(o, nil, max)
+}
+
+// SpaceDiffs is Diffs restricted to the addresses in space. A page never
+// straddles two spaces, so pages outside space are skipped whole.
+func (m *Image) SpaceDiffs(o *Image, space memaddr.Space, max int) []Diff {
+	return m.diffs(o, func(base uint64) bool { return memaddr.Classify(base) == space }, max)
+}
+
+func (m *Image) diffs(o *Image, keep func(base uint64) bool, max int) []Diff {
+	var out []Diff
+	m.diff(o, keep, func(d Diff) bool {
+		out = append(out, d)
+		return max <= 0 || len(out) < max
+	})
+	return out
+}
+
+// diff calls fn with every word whose value differs between m and o
+// (absent words read as zero), in ascending address order, until fn
+// returns false. A non-nil keep limits the walk to the pages whose base
+// address it accepts.
+func (m *Image) diff(o *Image, keep func(base uint64) bool, fn func(Diff) bool) {
+	var zero page
+	a, b := m.order, o.order
+	for len(a) > 0 || len(b) > 0 {
+		// A page resident in only one image compares against zeros.
+		var key pageKey
+		pa, pb := &zero, &zero
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].key < b[0].key:
+			key, pa, a = a[0].key, a[0], a[1:]
+		case len(a) == 0 || b[0].key < a[0].key:
+			key, pb, b = b[0].key, b[0], b[1:]
+		default:
+			key, pa, pb, a, b = a[0].key, a[0], b[0], a[1:], b[1:]
 		}
-	}
-	for a, v := range o.words {
-		if v != 0 {
-			if _, ok := m.words[a]; !ok {
-				n++
-				if limit > 0 && n >= limit {
-					return n
+		base := uint64(key) << pageShift
+		if pa.words == pb.words || keep != nil && !keep(base) {
+			continue
+		}
+		for i := range pa.words {
+			if pa.words[i] != pb.words[i] {
+				addr := base + uint64(i)*memaddr.WordSize
+				if !fn(Diff{Addr: addr, A: pa.words[i], B: pb.words[i]}) {
+					return
 				}
 			}
 		}
 	}
-	return n
 }
 
-// Diffs returns up to max word-level differences, sorted by address, for
-// diagnostics in failing tests.
-func (m *Image) Diffs(o *Image, max int) []Diff {
-	var out []Diff
-	seen := make(map[uint64]bool)
-	for a, v := range m.words {
-		if o.words[a] != v {
-			out = append(out, Diff{Addr: a, A: v, B: o.words[a]})
-			seen[a] = true
-		}
-	}
-	for a, v := range o.words {
-		if v != 0 && !seen[a] {
-			if _, ok := m.words[a]; !ok {
-				out = append(out, Diff{Addr: a, A: 0, B: v})
+// ForEach visits every written word in ascending address order. fn must
+// not write to m.
+func (m *Image) ForEach(fn func(addr, value uint64)) {
+	for _, p := range m.order {
+		base := uint64(p.key) << pageShift
+		for w, set := range p.written {
+			for set != 0 {
+				i := w*64 + bits.TrailingZeros64(set)
+				fn(base+uint64(i)*memaddr.WordSize, p.words[i])
+				set &= set - 1
 			}
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
-// ForEach visits every written word in unspecified order.
-func (m *Image) ForEach(fn func(addr, value uint64)) {
-	for a, v := range m.words {
-		fn(a, v)
 	}
 }

@@ -167,3 +167,73 @@ func TestQuickSnapshotEqual(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sink keeps allocation-test results alive.
+var sink *Image
+
+func TestResidentAccessAllocationFree(t *testing.T) {
+	src, dst := New(), New()
+	const addr = memaddr.NVMBase + 3*pageSize + 40
+	src.WriteWord(addr, 1)
+	dst.WriteWord(addr, 2)
+	var line [memaddr.WordsPerLine]uint64
+	var w uint64
+	for name, fn := range map[string]func(){
+		"ReadWord":  func() { w = src.ReadWord(addr) },
+		"WriteWord": func() { dst.WriteWord(addr, w) },
+		"ReadLine":  func() { line = src.ReadLine(addr) },
+		"WriteLine": func() { dst.WriteLine(addr, line) },
+		"CopyLine":  func() { dst.CopyLine(src, addr) },
+	} {
+		if a := testing.AllocsPerRun(100, fn); a != 0 {
+			t.Errorf("%s on a resident page allocated %v times, want 0", name, a)
+		}
+	}
+}
+
+// fill writes n consecutive words starting at the NVM base.
+func fill(m *Image, n int) {
+	for i := 0; i < n; i++ {
+		m.WriteWord(memaddr.NVMBase+uint64(i)*memaddr.WordSize, uint64(i))
+	}
+}
+
+// An image's allocation count does not grow with its page count: the
+// page table, the ordered page list and one slab. The page table is a Go
+// map, which above 8 entries is itself 4 allocations, so the Image, the
+// order slice, the slab and the map make 7; one allocation per page would
+// make 200 more here.
+func TestSlabAllocation(t *testing.T) {
+	const pages = 200
+	const n = pages * wordsPerPage
+	if a := testing.AllocsPerRun(5, func() {
+		m := NewSized(n)
+		fill(m, n)
+		sink = m
+	}); a > 7 {
+		t.Errorf("NewSized(%d) plus filling %d pages allocated %v times, want <= 7", n, pages, a)
+	}
+	m := NewSized(n)
+	fill(m, n)
+	if a := testing.AllocsPerRun(5, func() { sink = m.Snapshot() }); a > 7 {
+		t.Errorf("Snapshot of %d pages allocated %v times, want <= 7", pages, a)
+	}
+	// Growth takes pages from chunks, not one page at a time.
+	if a := testing.AllocsPerRun(5, func() {
+		m := New()
+		fill(m, n)
+		sink = m
+	}); a > pages/4 {
+		t.Errorf("New plus filling %d pages allocated %v times, want <= %d", pages, a, pages/4)
+	}
+}
+
+// Pages occupy 4 KiB of address space and never straddle a memaddr
+// space, so every page belongs to exactly one Space.
+func TestPagesNeverStraddleSpaces(t *testing.T) {
+	for _, base := range []uint64{memaddr.DRAMBase, memaddr.NVMBase, memaddr.NVMLogBase, memaddr.SharedNVMBase} {
+		if base%pageSize != 0 {
+			t.Errorf("region base %#x is not %d-byte aligned", base, pageSize)
+		}
+	}
+}

@@ -189,9 +189,9 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // validateBaseImage rejects a base image holding an address outside
-// every mapped memory space. The backend would report such an address as
-// a run-time fault; catching it here turns a mid-run surprise into a
-// build-time error.
+// every mapped memory space, naming the lowest such address. The backend
+// would report such an address as a run-time fault; catching it here
+// turns a mid-run surprise into a build-time error.
 func validateBaseImage(img *memimage.Image) error {
 	var err error
 	img.ForEach(func(addr, _ uint64) {
@@ -375,32 +375,11 @@ func (s *System) ExpectedDurable() *memimage.Image {
 }
 
 // CheckDurable compares a recovered image against an expected one over
-// the NVM data space, returning up to max mismatches (both directions:
-// lost committed writes and leaked uncommitted ones).
+// the NVM data space, returning up to max mismatches (max <= 0 means all)
+// in ascending address order. Both directions count: lost committed
+// writes and leaked uncommitted ones.
 func CheckDurable(expected, recovered *memimage.Image, max int) []memimage.Diff {
-	var diffs []memimage.Diff
-	seen := map[uint64]bool{}
-	expected.ForEach(func(addr, v uint64) {
-		if memaddr.Classify(addr) != memaddr.SpaceNVM {
-			return
-		}
-		if got := recovered.ReadWord(addr); got != v {
-			diffs = append(diffs, memimage.Diff{Addr: addr, A: v, B: got})
-			seen[addr] = true
-		}
-	})
-	recovered.ForEach(func(addr, v uint64) {
-		if memaddr.Classify(addr) != memaddr.SpaceNVM || v == 0 || seen[addr] {
-			return
-		}
-		if expected.ReadWord(addr) != v {
-			diffs = append(diffs, memimage.Diff{Addr: addr, A: expected.ReadWord(addr), B: v})
-		}
-	})
-	if max > 0 && len(diffs) > max {
-		diffs = diffs[:max]
-	}
-	return diffs
+	return expected.SpaceDiffs(recovered, memaddr.SpaceNVM, max)
 }
 
 // Run is the one-call entry point: build a system and run it to

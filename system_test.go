@@ -2,10 +2,12 @@ package pmemaccel
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/workload"
 )
 
@@ -348,5 +350,56 @@ func TestLargeMachineSmoke(t *testing.T) {
 	}
 	if res.TotalTransactions() != 12000 {
 		t.Fatalf("transactions = %d, want 12000", res.TotalTransactions())
+	}
+}
+
+// CheckDurable reports the lowest-addressed NVM mismatches, in ascending
+// order, whatever order the images were written in: a truncated report
+// is the same on every run.
+func TestCheckDurableReportsLowestAddressesInOrder(t *testing.T) {
+	expected, recovered := memimage.New(), memimage.New()
+	var want []memimage.Diff
+	for i := 99; i >= 0; i-- {
+		addr := memaddr.NVMBase + uint64(i*1237)*memaddr.WordSize
+		expected.WriteWord(addr, uint64(i)+1)
+		if i%3 != 0 {
+			recovered.WriteWord(addr, uint64(i)+1) // equal: no diff
+			continue
+		}
+		if i%2 == 0 {
+			recovered.WriteWord(addr, 7*uint64(i)+2)
+		}
+		want = append([]memimage.Diff{{Addr: addr, A: uint64(i) + 1, B: recovered.ReadWord(addr)}}, want...)
+	}
+	// A leaked write the expectation never mentions, and mismatches
+	// outside the NVM data space, which CheckDurable ignores.
+	leak := memaddr.SharedNVMBase + 64
+	recovered.WriteWord(leak, 5)
+	want = append(want, memimage.Diff{Addr: leak, A: 0, B: 5})
+	recovered.WriteWord(memaddr.NVMLogBase, 9)
+	expected.WriteWord(memaddr.DRAMBase, 9)
+
+	if got := CheckDurable(expected, recovered, 0); !slices.Equal(got, want) {
+		t.Fatalf("CheckDurable(max 0) = %+v\nwant %+v", got, want)
+	}
+	const max = 8
+	first := CheckDurable(expected, recovered, max)
+	second := CheckDurable(expected, recovered, max)
+	if !slices.Equal(first, want[:max]) || !slices.Equal(second, first) {
+		t.Fatalf("CheckDurable(max %d) = %+v then %+v, want the lowest %d: %+v", max, first, second, max, want[:max])
+	}
+}
+
+// validateBaseImage names the lowest unmapped address, not whichever one
+// iteration happens to reach first.
+func TestValidateBaseImageNamesLowestUnmappedAddress(t *testing.T) {
+	img := memimage.New()
+	img.WriteWord(2*memaddr.NVMLogBase, 1) // above the log region
+	img.WriteWord(memaddr.NVMBase, 2)      // mapped
+	img.WriteWord(0x40, 3)                 // below DRAM
+	img.WriteWord(0x18, 4)                 // lower still
+	err := validateBaseImage(img)
+	if err == nil || !strings.Contains(err.Error(), "unmapped address 0x18") {
+		t.Fatalf("validateBaseImage = %v, want it to name 0x18", err)
 	}
 }
