@@ -176,19 +176,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	probe := sys.Obs.Probe()
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, sys.Probe.WriteChromeTrace); err != nil {
+		if err := writeFile(*traceOut, probe.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "pmemsim: wrote %s (%d events, %d dropped)\n",
-			*traceOut, sys.Probe.Recorded(), sys.Probe.Dropped())
+			*traceOut, probe.Recorded(), probe.Dropped())
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, sys.Probe.WriteMetricsCSV); err != nil {
+		if err := writeFile(*metricsOut, probe.WriteMetricsCSV); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "pmemsim: wrote %s (%d samples)\n",
-			*metricsOut, sys.Probe.SampleCount())
+			*metricsOut, probe.SampleCount())
 	}
 	if *asJSON {
 		data, err := json.MarshalIndent(res, "", "  ")

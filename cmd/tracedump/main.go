@@ -93,7 +93,7 @@ func main() {
 		// Build a minimal environment just to drive the rewriter.
 		k := sim.NewKernel()
 		backend, berr := memctrl.NewBackend(k, memctrl.Topology{},
-			memctrl.Config{Name: "NVM"}, memctrl.Config{Name: "DRAM"})
+			memctrl.Config{Name: "NVM"}, memctrl.Config{Name: "DRAM"}, nil)
 		if berr != nil {
 			fatal(berr)
 		}

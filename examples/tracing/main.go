@@ -35,20 +35,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	probe := sys.Obs.Probe()
 
-	if err := writeFile("trace.json", sys.Probe.WriteChromeTrace); err != nil {
+	if err := writeFile("trace.json", probe.WriteChromeTrace); err != nil {
 		log.Fatal(err)
 	}
-	if err := writeFile("metrics.csv", sys.Probe.WriteMetricsCSV); err != nil {
+	if err := writeFile("metrics.csv", probe.WriteMetricsCSV); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("persistent memory accelerator — tracing")
 	fmt.Printf("  run:            %v\n", res)
 	fmt.Printf("  trace.json:     %d events recorded, %d dropped (ring full)\n",
-		sys.Probe.Recorded(), sys.Probe.Dropped())
+		probe.Recorded(), probe.Dropped())
 	fmt.Printf("  metrics.csv:    %d samples of %v\n",
-		sys.Probe.SampleCount(), sys.Probe.SourceNames())
+		probe.SampleCount(), probe.SourceNames())
 	fmt.Printf("\n%s", res.AttributionTable())
 	fmt.Println("open trace.json in chrome://tracing or https://ui.perfetto.dev")
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 
 	"pmemaccel/internal/cpu"
+	"pmemaccel/internal/obs"
 	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 )
 
 // Export is the JSON-friendly projection of a Result, for downstream
@@ -82,7 +82,7 @@ type Export struct {
 	// TxFlight is the flight recorder's sampled-transaction aggregate
 	// (per-stage cycle sums, critical-stage counts, end-to-end total).
 	// Present only when the run enabled Config.Obs.TxSample.
-	TxFlight *txflight.Aggregate `json:"tx_flight,omitempty"`
+	TxFlight *obs.FlightAggregate `json:"tx_flight,omitempty"`
 }
 
 // Export builds the JSON projection.

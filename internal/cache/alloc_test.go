@@ -55,7 +55,7 @@ func roundTrip(t *testing.T, k *sim.Kernel, h *Hierarchy, c *completions, addr u
 func TestAccessAllocationFree(t *testing.T) {
 	k := sim.NewKernel()
 	mem := &stubMemory{k: k}
-	h := New(k, smallConfig(), mem, Hooks{}, 1)
+	h := New(k, smallConfig(), mem, Hooks{}, 1, nil)
 	c := newCompletions()
 	base := memaddr.NVMBase
 	// smallConfig's L1 has 8 sets of 2 ways: three lines 512 bytes apart

@@ -5,7 +5,6 @@ import (
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/obs"
-	"pmemaccel/internal/obs/metrics"
 	"pmemaccel/internal/sim"
 )
 
@@ -125,14 +124,6 @@ type Stats struct {
 	CommitLockStalls uint64 // cycles demand traffic waited on commits
 }
 
-// DebugLine, when nonzero, prints every LLC-side event touching that
-// line (temporary diagnostic aid). Debug-only: nothing in the repo
-// writes it, so concurrent pmemaccel.Run calls (the internal/sweep
-// worker pool) only ever read the constant zero. Set it from a
-// single-threaded debugging session only — it is deliberately not part
-// of Config, and writing it during a parallel sweep is a data race.
-var DebugLine uint64
-
 type llcReqKind uint8
 
 const (
@@ -195,7 +186,7 @@ type Hierarchy struct {
 	portBusy uint64 // cycle until which the LLC port is occupied
 
 	// Per-request state that does not fit an Event's Arg word: dirty
-	// lines between LLC service and install, metrics-timed side-hit
+	// lines between LLC service and install, observed side-hit
 	// fills, and flush writes waiting out the L1 latency.
 	wbs     sim.Slots[Line]
 	timed   sim.Slots[sideHit]
@@ -218,25 +209,18 @@ type Hierarchy struct {
 	txWB     map[uint64]int
 	txWBWait map[uint64]sim.Event
 
-	// probe is the observability recorder (nil when disabled).
-	probe *obs.Probe
-
-	// hSideHitLat streams the fill latency of LLC misses whose
-	// side-path probe hit the transaction cache (nil when metrics are
-	// disabled). The side path holds words, not lines, so the fill
-	// still completes at memory latency — the histogram quantifies
-	// exactly that: what a "TC hit" costs the loading core.
-	hSideHitLat *metrics.Histogram
+	// obs observes the hierarchy (nil when disabled).
+	obs *obs.Sink
 
 	stats Stats
 }
 
 // New builds the hierarchy for nCores cores and registers its LLC
-// arbiter with the kernel.
-func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int) *Hierarchy {
+// arbiter with the kernel. o observes it (nil disables observation).
+func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.Sink) *Hierarchy {
 	cfg = cfg.WithDefaults()
 	h := &Hierarchy{
-		k: k, cfg: cfg, mem: mem, hooks: hooks,
+		k: k, cfg: cfg, mem: mem, hooks: hooks, obs: o,
 		llc:      NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
 		inflight: make(map[uint64][]waiter),
 		txWB:     make(map[uint64]int),
@@ -272,13 +256,6 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 
 // Config returns the (defaulted) configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
-
-// SetProbe attaches the observability recorder (nil disables probing).
-func (h *Hierarchy) SetProbe(p *obs.Probe) { h.probe = p }
-
-// SetMetrics attaches the side-probe hit-latency histogram (nil
-// disables the observation).
-func (h *Hierarchy) SetMetrics(sideHitLat *metrics.Histogram) { h.hSideHitLat = sideHitLat }
 
 // Pending reports outstanding LLC-queue entries plus in-flight memory
 // fills, for quiescence checks.
@@ -413,10 +390,6 @@ func (h *Hierarchy) mergeFlags(dst *Line, src Line) {
 
 // queueWriteback enqueues a dirty line for installation into the LLC.
 func (h *Hierarchy) queueWriteback(line Line) {
-	if DebugLine != 0 && line.Addr == DebugLine {
-		fmt.Printf("[%d] queueWriteback line %#x tx=%d uncommit=%v dirty=%v\n",
-			h.k.Now(), line.Addr, line.TxID, line.Uncommitted, line.Dirty)
-	}
 	if line.TxID != 0 {
 		h.txWB[line.TxID]++
 	}
@@ -503,13 +476,13 @@ func (h *Hierarchy) serveLLCRead(req llcReq) {
 			h.stats.SidePathHits++
 			hit = 1
 		}
-		if h.probe != nil { // guard: this site is per-LLC-miss hot
-			h.probe.Instant(obs.KSideProbe, -1, req.lineAddr, h.k.Now(), hit)
-		}
-		if h.hSideHitLat != nil && hit == 1 {
-			// Metrics-enabled side-hit fill: identical timing to the
-			// plain path below, plus a latency observation when the
-			// data returns.
+		h.obs.SideProbe(req.lineAddr, hit, h.k.Now())
+		if h.obs != nil && hit == 1 {
+			// Observed side-hit fill: identical timing to the plain
+			// path below, plus a latency report when the data returns.
+			// The side path holds words, not lines, so the fill still
+			// completes at memory latency — the report quantifies
+			// exactly that: what a "TC hit" costs the loading core.
 			slot := h.timed.Put(sideHit{lineAddr: req.lineAddr, start: h.k.Now()})
 			h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.timedReadFn, Arg: slot})
 			return
@@ -535,14 +508,14 @@ func (h *Hierarchy) memFill(lineAddr uint64) {
 }
 
 // timedRead and timedFill are missRead and memFill for a side-hit fill
-// whose latency the metrics registry observes (Arg: h.timed slot).
+// whose latency the observer sees (Arg: h.timed slot).
 func (h *Hierarchy) timedRead(slot uint64) {
 	h.mem.Read(h.timed.Get(slot).lineAddr, sim.Event{Fn: h.timedFillFn, Arg: slot})
 }
 
 func (h *Hierarchy) timedFill(slot uint64) {
 	f := h.timed.Take(slot)
-	h.hSideHitLat.Observe(h.k.Now() - f.start)
+	h.obs.SideHitFilled(h.k.Now() - f.start)
 	h.completeFill(f.lineAddr, Line{Addr: f.lineAddr, Valid: true}, true)
 }
 
@@ -589,11 +562,6 @@ func (h *Hierarchy) serveLLCWriteback(req llcReq) {
 // (Arg: h.wbs slot).
 func (h *Hierarchy) wbInstall(slot uint64) {
 	line := h.wbs.Take(slot)
-	if DebugLine != 0 && line.Addr == DebugLine {
-		ex := h.llc.Lookup(line.Addr, false)
-		fmt.Printf("[%d] serveWB line %#x tx=%d uncommit=%v existing=%+v\n",
-			h.k.Now(), line.Addr, line.TxID, line.Uncommitted, ex)
-	}
 	// Probe, not demand lookup: writeback installs must not skew
 	// the demand miss-rate statistics.
 	if l := h.llc.Lookup(line.Addr, false); l != nil {
@@ -652,7 +620,7 @@ func (h *Hierarchy) insertLLC(line Line) *Line {
 	if evicted.Valid && evicted.Dirty {
 		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
 			h.stats.DroppedEvictions++
-			h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
+			h.obs.LLCDrop(evicted.Addr, h.k.Now())
 		} else {
 			h.writebackToMemory(evicted)
 		}
@@ -685,7 +653,7 @@ func (h *Hierarchy) InstallPlaceholder(lineAddr, protect uint64) {
 	if evicted.Valid && evicted.Dirty {
 		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
 			h.stats.DroppedEvictions++
-			h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
+			h.obs.LLCDrop(evicted.Addr, h.k.Now())
 		} else {
 			h.writebackToMemory(evicted)
 		}
@@ -757,10 +725,6 @@ func (h *Hierarchy) FlushTx(core int, txID uint64, done sim.Event) {
 	var lines []Line
 	for _, c := range []*SetAssoc{h.l1[core], h.l2[core]} {
 		c.ForEach(func(l *Line) {
-			if DebugLine != 0 && l.Addr == DebugLine {
-				fmt.Printf("[%d] FlushTx(%d) sees %s line %#x dirty=%v tx=%d\n",
-					h.k.Now(), txID, c.Name(), l.Addr, l.Dirty, l.TxID)
-			}
 			if l.Dirty && l.TxID == txID {
 				lines = append(lines, Line{
 					Addr: l.Addr, Valid: true, Dirty: true,
@@ -777,13 +741,10 @@ func (h *Hierarchy) FlushTx(core int, txID uint64, done sim.Event) {
 	flushStart := h.k.Now()
 	nLines := uint64(len(lines))
 	finish := sim.Event{Fn: func(uint64) {
-		h.probe.Span(obs.KTxFlush, core, txID, flushStart, h.k.Now(), nLines)
+		h.obs.TxFlush(core, txID, flushStart, h.k.Now(), nLines)
 		h.commitLocks--
 		h.llc.ForEach(func(l *Line) {
 			if l.TxID == txID {
-				if DebugLine != 0 && l.Addr == DebugLine {
-					fmt.Printf("[%d] unpin line %#x tx=%d\n", h.k.Now(), l.Addr, txID)
-				}
 				l.Uncommitted = false
 				l.TxID = 0
 			}

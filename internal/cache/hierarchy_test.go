@@ -42,7 +42,7 @@ func newTestHierarchy(t *testing.T, hooks Hooks) (*sim.Kernel, *Hierarchy, *fake
 	t.Helper()
 	k := sim.NewKernel()
 	mem := &fakeMemory{k: k, readLat: 130, writeLat: 152}
-	h := New(k, smallConfig(), mem, hooks, 2)
+	h := New(k, smallConfig(), mem, hooks, 2, nil)
 	return k, h, mem
 }
 
@@ -152,7 +152,7 @@ func TestDropHookDiscardsPersistentEvictions(t *testing.T) {
 	hooks := Hooks{
 		DropLLCEviction: func(v Line) bool { return v.Persistent },
 	}
-	h := New(k, smallConfig(), mem, hooks, 1)
+	h := New(k, smallConfig(), mem, hooks, 1, nil)
 	done := 0
 	for i := 0; i < 1000; i++ {
 		h.Access(0, memaddr.NVMBase+uint64(i)*64, true, true, 0, false, sim.Event{Fn: func(uint64) { done++ }})
@@ -176,7 +176,7 @@ func TestSidePathProbeCalledOnPersistentLLCMiss(t *testing.T) {
 			return true
 		},
 	}
-	h := New(k, smallConfig(), mem, hooks, 1)
+	h := New(k, smallConfig(), mem, hooks, 1, nil)
 	done := false
 	h.Access(0, memaddr.NVMBase, false, true, 0, false, sim.Event{Fn: func(uint64) { done = true }})
 	k.RunUntil(func() bool { return done }, 100000)
@@ -240,7 +240,7 @@ func TestFlushTxMovesDirtyLinesToLLCAndUnpins(t *testing.T) {
 	hooks := Hooks{
 		OnLLCDirtyInstall: func(lineAddr uint64) { installs++ },
 	}
-	h := New(k, smallConfig(), mem, hooks, 1)
+	h := New(k, smallConfig(), mem, hooks, 1, nil)
 	// Store 3 lines under tx 7.
 	done := 0
 	for i := 0; i < 3; i++ {
@@ -292,7 +292,7 @@ func TestPinnedLLCBypass(t *testing.T) {
 	hooks := Hooks{
 		AllowLLCVictim: func(l *Line) bool { return !l.Uncommitted },
 	}
-	h := New(k, smallConfig(), mem, hooks, 1)
+	h := New(k, smallConfig(), mem, hooks, 1, nil)
 	// Fill one LLC set (4 ways) with pinned lines. LLC sets = 16KB/64/4
 	// = 64, so stride 64 lines maps to the same set.
 	setStride := uint64(64 * 64)
@@ -355,7 +355,7 @@ func TestQuickNoLostDirtyLines(t *testing.T) {
 	}) bool {
 		k := sim.NewKernel()
 		mem := &fakeMemory{k: k, readLat: 30, writeLat: 30}
-		h := New(k, smallConfig(), mem, Hooks{}, 2)
+		h := New(k, smallConfig(), mem, Hooks{}, 2, nil)
 		stored := map[uint64]bool{}
 		pending := 0
 		for _, op := range ops {
@@ -410,7 +410,7 @@ func TestQuickHierarchyQuiesces(t *testing.T) {
 	f := func(lines []uint16) bool {
 		k := sim.NewKernel()
 		mem := &fakeMemory{k: k, readLat: 130, writeLat: 152}
-		h := New(k, smallConfig(), mem, Hooks{}, 1)
+		h := New(k, smallConfig(), mem, Hooks{}, 1, nil)
 		pending := 0
 		for i, ln := range lines {
 			addr := memaddr.NVMBase + uint64(ln%512)*64

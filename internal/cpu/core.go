@@ -12,8 +12,6 @@ import (
 	"pmemaccel/internal/cache"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/obs"
-	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 )
@@ -225,10 +223,10 @@ type Core struct {
 	fenceWait  bool
 	commitWait bool
 
-	// probe is the observability recorder (nil when disabled — the
-	// zero-overhead path). txStart remembers the cycle the current
-	// transaction's TX_BEGIN retired, for the lifecycle span.
-	probe   *obs.Probe
+	// obs observes the core (nil when disabled — the zero-overhead
+	// path). txStart remembers the cycle the current transaction's
+	// TX_BEGIN retired, for its lifecycle report.
+	obs     *obs.Sink
 	txStart uint64
 
 	// commitFrom is the cycle TX_END retired into a commit wait; the
@@ -238,28 +236,18 @@ type Core struct {
 	// Completion handlers, bound once in New (see sim.Event).
 	loadDoneFn, storeDoneFn, flushDoneFn, resumeFn, wakeFn func(uint64)
 
-	// hTxLat and hCommitWait stream per-transaction latencies into the
-	// metrics registry (nil when metrics are disabled — same
-	// nil-pointer discipline as probe).
-	hTxLat      *metrics.Histogram
-	hCommitWait *metrics.Histogram
-
-	// fr is the transaction flight recorder (nil when sampling is off):
-	// the core marks flight begin and commit checkpoints.
-	fr *txflight.Recorder
-
 	stats Stats
 }
 
 // New builds a core and registers it with the kernel. onStoreRetire may
-// be nil.
+// be nil; o observes the core (nil disables observation).
 func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persistence,
-	rd trace.Reader, onStoreRetire func(addr, value uint64)) *Core {
+	rd trace.Reader, onStoreRetire func(addr, value uint64), o *obs.Sink) *Core {
 	cfg = cfg.WithDefaults()
 	if pers == nil {
 		pers = NullPersistence{}
 	}
-	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire}
+	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire, obs: o}
 	c.loadDoneFn = c.loadDone
 	c.storeDoneFn = c.storeDone
 	c.flushDoneFn = c.flushDone
@@ -271,21 +259,6 @@ func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persiste
 
 // ID returns the core index.
 func (c *Core) ID() int { return c.id }
-
-// SetProbe attaches the observability recorder (nil disables probing).
-func (c *Core) SetProbe(p *obs.Probe) { c.probe = p }
-
-// SetFlight attaches the transaction flight recorder (nil disables
-// flight sampling).
-func (c *Core) SetFlight(fr *txflight.Recorder) { c.fr = fr }
-
-// SetMetrics attaches the streaming histograms for transaction latency
-// (TX_BEGIN retirement to commit completion) and commit-wait stalls
-// (TX_END to mechanism resume). Nil histograms disable the observations.
-func (c *Core) SetMetrics(txLat, commitWait *metrics.Histogram) {
-	c.hTxLat = txLat
-	c.hCommitWait = commitWait
-}
 
 // Stats returns a copy of the counters.
 func (c *Core) Stats() Stats { return c.stats }
@@ -493,9 +466,7 @@ func (c *Core) Tick(now uint64) {
 			c.mode = c.cur.TxID
 			c.txStart = now
 			c.txInstrBase = c.stats.Instructions
-			if c.fr.Sampled(c.cur.TxID) {
-				c.fr.Begin(c.id, c.cur.TxID, now)
-			}
+			c.obs.TxBegin(c.id, c.cur.TxID, now)
 			c.pers.TxBegin(c.id, c.cur.TxID)
 			c.stats.Instructions++
 			budget--
@@ -528,10 +499,7 @@ func (c *Core) Tick(now uint64) {
 				return
 			}
 			c.stats.Transactions++
-			c.probe.Span(obs.KTx, c.id, id, c.txStart, now, 0)
-			c.hCommitWait.Observe(0)
-			c.hTxLat.Observe(now - c.txStart)
-			c.fr.Commit(c.id, id, now, now)
+			c.obs.TxCommit(c.id, id, c.txStart, now, now, false)
 			budget--
 
 		case trace.KindCLWB, trace.KindCLFlush:
@@ -580,7 +548,7 @@ func (c *Core) Tick(now uint64) {
 //
 // A persistent store that would be presented to the mechanism reports
 // busy: pers.Store may mutate mechanism state (TC full-reject counters,
-// probe instants) every retry cycle, so it is not provably a no-op.
+// observer instants) every retry cycle, so it is not provably a no-op.
 func (c *Core) Idle() bool {
 	if c.Finished() {
 		return true
@@ -699,12 +667,7 @@ func (c *Core) flushDone(uint64) {
 func (c *Core) resume(id uint64) {
 	c.commitWait = false
 	c.stats.Transactions++
-	end := c.k.Now()
-	c.probe.Span(obs.KCommitWait, c.id, id, c.commitFrom, end, 0)
-	c.probe.Span(obs.KTx, c.id, id, c.txStart, end, 0)
-	c.hCommitWait.Observe(end - c.commitFrom)
-	c.hTxLat.Observe(end - c.txStart)
-	c.fr.Commit(c.id, id, c.commitFrom, end)
+	c.obs.TxCommit(c.id, id, c.txStart, c.commitFrom, c.k.Now(), true)
 	c.finishCheck()
 }
 

@@ -34,7 +34,7 @@ func testHier(k *sim.Kernel) (*cache.Hierarchy, *fakeMem) {
 		L1Size: 1 << 10, L1Ways: 2, L1Latency: 1,
 		L2Size: 4 << 10, L2Ways: 4, L2Latency: 9,
 		LLCSize: 16 << 10, LLCWays: 4, LLCLatency: 20,
-	}, mem, cache.Hooks{}, 1)
+	}, mem, cache.Hooks{}, 1, nil)
 	return h, mem
 }
 
@@ -42,7 +42,7 @@ func runCore(t *testing.T, tr *trace.Trace, pers Persistence) (*sim.Kernel, *Cor
 	t.Helper()
 	k := sim.NewKernel()
 	h, _ := testHier(k)
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(tr), nil, nil)
 	if _, ok := k.RunUntil(c.Finished, 10_000_000); !ok {
 		t.Fatal("core did not finish")
 	}
@@ -100,7 +100,7 @@ func TestMLPWindowLimitsOutstandingLoads(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	h, _ := testHier(k)
-	c := New(k, 0, Config{MLP: 2}, h, nil, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{MLP: 2}, h, nil, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 10_000_000)
 	if c.Stats().StallLoad == 0 {
 		t.Fatal("MLP=2 window never stalled 20 parallel misses")
@@ -162,7 +162,7 @@ func TestModeRegisterTracksTransactions(t *testing.T) {
 	h, _ := testHier(k)
 	var modeAtStore uint64
 	pers := &recordingPersistence{onStore: func(core int, txID uint64) { modeAtStore = txID }}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if modeAtStore != 5 {
 		t.Fatalf("mode at store = %d, want 5", modeAtStore)
@@ -206,7 +206,7 @@ func TestTxEndStallWaitsForResume(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	pers := &recordingPersistence{stallTx: true, resumeAt: 300, k: k}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	s := c.Stats()
 	if s.StallCommit < 250 {
@@ -236,7 +236,7 @@ func TestStoreRetryStalls(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	pers := &retryOncePersistence{retries: 5}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if c.Stats().StallStoreRetry != 5 {
 		t.Fatalf("retry stalls = %d, want 5", c.Stats().StallStoreRetry)
@@ -253,7 +253,7 @@ func TestVolatileStoreSkipsPersistence(t *testing.T) {
 	h, _ := testHier(k)
 	called := false
 	pers := &recordingPersistence{onStore: func(int, uint64) { called = true }}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil)
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if called {
 		t.Fatal("Persistence.Store called for a volatile store")
@@ -299,7 +299,7 @@ func TestOnStoreRetireAppliesValues(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	got := map[uint64]uint64{}
-	c := New(k, 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) { got[a] = v })
+	c := New(k, 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) { got[a] = v }, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if got[memaddr.NVMBase] != 42 {
 		t.Fatalf("live image = %v, want 42 at NVMBase", got)
@@ -428,7 +428,7 @@ func TestLoadStoreCompletionAllocationFree(t *testing.T) {
 		trace.Store(memaddr.NVMBase+64, 7),
 		trace.Compute(3),
 	}}
-	c := New(k, 0, Config{}, h, nil, rd, nil)
+	c := New(k, 0, Config{}, h, nil, rd, nil, nil)
 	for i := 0; i < 1000; i++ {
 		k.Step()
 	}

@@ -1,8 +1,6 @@
 package mechanism
 
 import (
-	"fmt"
-
 	"pmemaccel/internal/cache"
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memaddr"
@@ -50,14 +48,6 @@ type retainedVersion struct {
 	vals [8]uint64
 	gen  uint64
 }
-
-// DebugLine, when nonzero, traces every Kiln event touching that line
-// address (temporary diagnostic aid). Debug-only: nothing in the repo
-// writes it, so concurrent pmemaccel.Run calls (the internal/sweep
-// worker pool) only ever read the constant zero. Set it from a
-// single-threaded debugging session only — it is deliberately not part
-// of Config, and writing it during a parallel sweep is a data race.
-var DebugLine uint64
 
 // kilnShadowBit maps a line address to its version-placeholder address:
 // same LLC set (the bit is above every index bit), no collision with any
@@ -115,10 +105,6 @@ func (m *kiln) Hooks() cache.Hooks {
 		},
 		// Snapshot the physical LLC content of every dirty install.
 		OnLLCDirtyInstall: func(lineAddr uint64) {
-			if DebugLine != 0 && lineAddr == DebugLine {
-				fmt.Printf("[%d] kiln install line %#x live[0]=%d\n",
-					m.env.K.Now(), lineAddr, m.env.Live.ReadWord(lineAddr))
-			}
 			m.nvllc.CopyLine(m.env.Live, lineAddr)
 		},
 		// LLC evictions carry the LLC's (nvllc) version to NVM,
@@ -129,10 +115,6 @@ func (m *kiln) Hooks() cache.Hooks {
 				return sim.Event{}
 			}
 			vals := m.nvllc.ReadLine(lineAddr)
-			if DebugLine != 0 && lineAddr == DebugLine {
-				fmt.Printf("[%d] kiln evict-writeback line %#x nvllc[0]=%d\n",
-					m.env.K.Now(), lineAddr, vals[0])
-			}
 			return sim.Event{Fn: func(uint64) { m.env.Durable.WriteLine(lineAddr, vals) }}
 		},
 	}

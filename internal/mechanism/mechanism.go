@@ -23,8 +23,6 @@ import (
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/obs"
-	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 	"pmemaccel/internal/txcache"
@@ -100,6 +98,9 @@ type MemPort interface {
 	// Write retires a line towards memory. apply fires at durability
 	// time, then onDurable (either may be the zero Event).
 	Write(lineAddr uint64, apply, onDurable sim.Event)
+	// WriteTracked is Write marking a flight token (the TC's drain
+	// writes of sampled transactions).
+	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite)
 	// PendingNVMWrites reports queued, unissued writes summed across
 	// the NVM channels.
 	PendingNVMWrites() int
@@ -130,20 +131,11 @@ type Env struct {
 	Durable *memimage.Image
 	// TC configures the per-core transaction caches (TCache only).
 	TC txcache.Config
-	// Probe is the observability recorder, nil when disabled.
-	// Mechanisms hand it to the components they build (the TCache's
-	// per-core transaction caches); their own behaviour is traced
-	// through the core (commit-wait spans) and hierarchy (flush spans).
-	Probe *obs.Probe
-	// Metrics is the run-wide metrics registry, nil when disabled.
-	// Mechanisms wire the components they build into it (the TCache's
-	// drain-burst histograms, its fall-back counter); a nil registry
-	// hands out nil metrics, the zero-overhead path.
-	Metrics *metrics.Registry
-	// Flight is the transaction flight recorder, nil when sampling is
-	// off. Mechanisms that build TCs hand it down so drain writes carry
-	// flight checkpoints; the fall-back path marks sampled flights.
-	Flight *txflight.Recorder
+	// Obs is the run's observer, nil when disabled. Mechanisms hand it
+	// to the components they build (the TCache's per-core transaction
+	// caches); their own behaviour is observed through the core
+	// (commit-wait spans) and hierarchy (flush spans).
+	Obs *obs.Sink
 	// Arb is the shared-line ownership arbiter, non-nil only when the
 	// workload has a cross-core shared region. Mechanisms with a
 	// conflict window (in-transaction stores that must not interleave

@@ -18,6 +18,7 @@ func testEnv(t *testing.T) *Env {
 	backend, err := memctrl.NewBackend(k, memctrl.Topology{},
 		memctrl.Config{Name: "NVM", Banks: 4, ReadHit: 40, ReadMiss: 130, WriteHit: 120, WriteMiss: 152},
 		memctrl.Config{Name: "DRAM", Banks: 4, ReadHit: 27, ReadMiss: 80, WriteHit: 27, WriteMiss: 80},
+		nil,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +37,7 @@ func attach(env *Env, m Mechanism) *cache.Hierarchy {
 	h := cache.New(env.K, cache.Config{
 		L1Size: 1 << 10, L1Ways: 2, L2Size: 4 << 10, L2Ways: 4,
 		LLCSize: 16 << 10, LLCWays: 4,
-	}, env.Mem, m.Hooks(), env.Cores)
+	}, env.Mem, m.Hooks(), env.Cores, nil)
 	m.Attach(h)
 	return h
 }

@@ -7,7 +7,6 @@ import (
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
-	"pmemaccel/internal/obs/metrics"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 	"pmemaccel/internal/txcache"
@@ -48,9 +47,6 @@ type tcMech struct {
 	// fallbackTxs counts transactions that overflowed to the COW path,
 	// per core.
 	fallbackTxs []uint64
-	// cFallback mirrors the fall-back count into the metrics registry
-	// (nil when metrics are disabled).
-	cFallback *metrics.Counter
 }
 
 func newTCache(env *Env) Mechanism {
@@ -65,7 +61,6 @@ func newTCache(env *Env) Mechanism {
 		shadow:        make([]memaddr.Range, env.Cores),
 		shadowCursor:  make([]uint64, env.Cores),
 		fallbackTxs:   make([]uint64, env.Cores),
-		cFallback:     env.Metrics.Counter("tc_fallback_txs"),
 	}
 	m.fbDurableFn = m.fallbackDurable
 	m.fbPollFn = m.fallbackPoll
@@ -76,16 +71,7 @@ func newTCache(env *Env) Mechanism {
 	}
 	durableApply := func(addr, value uint64) { env.Durable.WriteWord(addr, value) }
 	for c := 0; c < env.Cores; c++ {
-		tc := txcache.New(env.K, env.TC, env.Mem, durableApply)
-		tc.SetProbe(env.Probe, c)
-		tc.SetFlight(env.Flight)
-		// Drain-burst histograms are run-wide (shared across cores):
-		// the paper's claim is about the burst distribution, not any
-		// one core's. A nil registry hands out nil histograms.
-		tc.SetMetrics(
-			env.Metrics.Histogram("tc_drain_burst_entries"),
-			env.Metrics.Histogram("tc_drain_burst_cycles"),
-		)
+		tc := txcache.New(env.K, env.TC, env.Mem, durableApply, env.Obs, c)
 		if m.g != nil {
 			// Shared-line ownership releases when the owning
 			// transaction's last committed write drains out of the TC.
@@ -176,10 +162,6 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64) cpu.StoreActio
 		m.fbActive[core] = true
 		m.fbTx[core] = txID
 		m.fallbackTxs[core]++
-		m.cFallback.Inc()
-		if fr := m.env.Flight; fr.Sampled(txID) {
-			fr.MarkFallback(core, txID)
-		}
 		// The whole transaction moves to the copy-on-write path: its
 		// TC-resident entries are evicted into the shadow first (in
 		// program order), so no word of this transaction has updates

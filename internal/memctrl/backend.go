@@ -2,12 +2,9 @@ package memctrl
 
 import (
 	"fmt"
-	"strings"
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/obs"
-	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/sim"
 )
 
@@ -92,19 +89,24 @@ type Backend struct {
 // order as the original two-controller router for the 1x1 topology).
 // nvmCfg and dramCfg configure every channel of their space; with more
 // than one channel the per-channel name gains the channel index
-// ("NVM0", "NVM1", ...).
-func NewBackend(k *sim.Kernel, topo Topology, nvmCfg, dramCfg Config) (*Backend, error) {
+// ("NVM0", "NVM1", ...). Every channel reports to o (nil disables
+// observation) under its global channel id: NVM channels take 0..N-1,
+// DRAM channels N..N+M-1 — for the 1x1 topology the original 0=NVM,
+// 1=DRAM assignment.
+func NewBackend(k *sim.Kernel, topo Topology, nvmCfg, dramCfg Config, o *obs.Sink) (*Backend, error) {
 	topo = topo.WithDefaults()
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	b := &Backend{k: k, topo: topo, shift: topo.shift()}
-	b.nvm = buildChannels(k, nvmCfg, topo.NVMChannels)
-	b.dram = buildChannels(k, dramCfg, topo.DRAMChannels)
+	b.nvm = buildChannels(k, nvmCfg, topo.NVMChannels, o, 0)
+	b.dram = buildChannels(k, dramCfg, topo.DRAMChannels, o, topo.NVMChannels)
 	return b, nil
 }
 
-func buildChannels(k *sim.Kernel, cfg Config, n int) []*Controller {
+// buildChannels builds n channels of one space, the first taking global
+// channel id first.
+func buildChannels(k *sim.Kernel, cfg Config, n int, o *obs.Sink, first int) []*Controller {
 	chans := make([]*Controller, n)
 	for i := range chans {
 		c := cfg
@@ -112,6 +114,8 @@ func buildChannels(k *sim.Kernel, cfg Config, n int) []*Controller {
 			c.Name = fmt.Sprintf("%s%d", cfg.Name, i)
 		}
 		chans[i] = New(k, c)
+		chans[i].obs, chans[i].id = o, first+i
+		o.AddChannel(first+i, c.Name)
 	}
 	return chans
 }
@@ -137,26 +141,15 @@ func (b *Backend) channelIndex(off uint64, n int) int {
 // address outside every mapped space. Log-region addresses interleave
 // across the NVM channels like data-region ones.
 func (b *Backend) For(addr uint64) (*Controller, error) {
-	c, _, err := b.forWithID(addr)
-	return c, err
-}
-
-// forWithID resolves addr to its controller plus the global channel id
-// used by SetProbe's track numbering: NVM channels 0..N-1, DRAM
-// channels N..N+M-1.
-func (b *Backend) forWithID(addr uint64) (*Controller, int, error) {
 	switch memaddr.Classify(addr) {
 	case memaddr.SpaceDRAM:
-		i := b.channelIndex(addr-memaddr.DRAMBase, len(b.dram))
-		return b.dram[i], len(b.nvm) + i, nil
+		return b.dram[b.channelIndex(addr-memaddr.DRAMBase, len(b.dram))], nil
 	case memaddr.SpaceNVM:
-		i := b.channelIndex(addr-memaddr.NVMBase, len(b.nvm))
-		return b.nvm[i], i, nil
+		return b.nvm[b.channelIndex(addr-memaddr.NVMBase, len(b.nvm))], nil
 	case memaddr.SpaceNVMLog:
-		i := b.channelIndex(addr-memaddr.NVMLogBase, len(b.nvm))
-		return b.nvm[i], i, nil
+		return b.nvm[b.channelIndex(addr-memaddr.NVMLogBase, len(b.nvm))], nil
 	default:
-		return nil, -1, fmt.Errorf("memctrl: request for unmapped address %#x (mapped: DRAM [%#x,...), NVM [%#x,...), NVMLog [%#x,...))",
+		return nil, fmt.Errorf("memctrl: request for unmapped address %#x (mapped: DRAM [%#x,...), NVM [%#x,...), NVMLog [%#x,...))",
 			addr, memaddr.DRAMBase, memaddr.NVMBase, memaddr.NVMLogBase)
 	}
 }
@@ -197,21 +190,16 @@ func (b *Backend) Write(lineAddr uint64, apply, onDurable sim.Event) {
 }
 
 // WriteTracked enqueues a line write like Write, additionally marking
-// the flight-recorder write w (may be nil) with its service-start cycle
-// and the owning channel's global id (NVM 0..N-1, DRAM N..N+M-1, the
-// SetProbe track numbering). Faulted requests never mark w — the flight
+// the flight token w (may be nil) with its service-start cycle and the
+// owning channel's global id. Faulted requests never mark w — the flight
 // recorder treats the missing checkpoint defensively.
-func (b *Backend) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *txflight.Write) {
-	c, id, err := b.forWithID(lineAddr)
+func (b *Backend) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite) {
+	c, err := b.For(lineAddr)
 	if err != nil {
 		b.recordFault(err, onDurable)
 		return
 	}
-	if w == nil {
-		c.Write(lineAddr, apply, onDurable)
-		return
-	}
-	c.WriteTracked(lineAddr, apply, onDurable, w, id)
+	c.WriteTracked(lineAddr, apply, onDurable, w)
 }
 
 // PendingNVMWrites reports queued, unissued writes summed across the NVM
@@ -238,34 +226,6 @@ func (b *Backend) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// SetProbe attaches the observability recorder to every channel (nil
-// disables probing). Channel IDs label the trace tracks: NVM channels
-// take 0..N-1, DRAM channels N..N+M-1 — for the 1x1 topology that is the
-// original 0=NVM, 1=DRAM assignment.
-func (b *Backend) SetProbe(p *obs.Probe) {
-	for i, c := range b.nvm {
-		c.SetProbe(p, i)
-	}
-	for i, c := range b.dram {
-		c.SetProbe(p, len(b.nvm)+i)
-	}
-}
-
-// SetMetrics wires every channel's write-drain histograms into the
-// registry, one pair per channel keyed by the channel's (lowercased)
-// name: "wpq_drain_cycles_nvm0", "wpq_drain_writes_nvm0", ... — for the
-// 1x1 topology simply "..._nvm" and "..._dram". A nil registry hands
-// the controllers nil histograms, the disabled path.
-func (b *Backend) SetMetrics(reg *metrics.Registry) {
-	for _, c := range append(append([]*Controller{}, b.nvm...), b.dram...) {
-		name := strings.ToLower(c.cfg.Name)
-		c.SetMetrics(
-			reg.Histogram("wpq_drain_cycles_"+name),
-			reg.Histogram("wpq_drain_writes_"+name),
-		)
-	}
 }
 
 // AddQueueSources registers every channel's read/write queue depths with

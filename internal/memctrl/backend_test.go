@@ -15,7 +15,7 @@ func dramTestConfig() Config {
 
 func TestBackendDispatch(t *testing.T) {
 	k := sim.NewKernel()
-	b, err := NewBackend(k, Topology{}, testConfig(), dramTestConfig())
+	b, err := NewBackend(k, Topology{}, testConfig(), dramTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestBackendDispatch(t *testing.T) {
 
 func TestBackendUnmappedAddressFaults(t *testing.T) {
 	k := sim.NewKernel()
-	b, err := NewBackend(k, Topology{}, testConfig(), dramTestConfig())
+	b, err := NewBackend(k, Topology{}, testConfig(), dramTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTopologyValidate(t *testing.T) {
 			t.Errorf("Validate accepted %+v", topo)
 		}
 	}
-	if _, err := NewBackend(sim.NewKernel(), Topology{InterleaveBytes: 100}, testConfig(), dramTestConfig()); err == nil {
+	if _, err := NewBackend(sim.NewKernel(), Topology{InterleaveBytes: 100}, testConfig(), dramTestConfig(), nil); err == nil {
 		t.Fatal("NewBackend accepted an invalid topology")
 	}
 }
@@ -92,7 +92,7 @@ func TestTopologyValidate(t *testing.T) {
 func TestBackendInterleavesAcrossChannels(t *testing.T) {
 	k := sim.NewKernel()
 	topo := Topology{NVMChannels: 4, DRAMChannels: 2, InterleaveBytes: 4096}
-	b, err := NewBackend(k, topo, testConfig(), dramTestConfig())
+	b, err := NewBackend(k, topo, testConfig(), dramTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestBackendInterleavesAcrossChannels(t *testing.T) {
 }
 
 func TestBackendSingleChannelKeepsSeedNaming(t *testing.T) {
-	b, err := NewBackend(sim.NewKernel(), Topology{}, testConfig(), dramTestConfig())
+	b, err := NewBackend(sim.NewKernel(), Topology{}, testConfig(), dramTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBackendSingleChannelKeepsSeedNaming(t *testing.T) {
 func TestBackendAggregatesStatsAndWear(t *testing.T) {
 	k := sim.NewKernel()
 	topo := Topology{NVMChannels: 4, DRAMChannels: 1, InterleaveBytes: 4096}
-	b, err := NewBackend(k, topo, testConfig(), dramTestConfig())
+	b, err := NewBackend(k, topo, testConfig(), dramTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,15 +196,19 @@ func TestBackendAggregatesStatsAndWear(t *testing.T) {
 
 func TestBackendProbeChannelIDs(t *testing.T) {
 	k := sim.NewKernel()
-	b, err := NewBackend(k, Topology{NVMChannels: 2, DRAMChannels: 2}, testConfig(), dramTestConfig())
+	p := obs.NewProbe(64)
+	b, err := NewBackend(k, Topology{NVMChannels: 2, DRAMChannels: 2}, testConfig(), dramTestConfig(), obs.NewSink(p, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := obs.NewProbe(64)
-	b.SetProbe(p) // must not panic; IDs are NVM 0..1, DRAM 2..3
+	// Global channel ids: NVM 0..1, then DRAM 2..3.
+	for i, c := range append(b.NVM(), b.DRAM()...) {
+		if c.id != i {
+			t.Errorf("channel %s has id %d, want %d", c.cfg.Name, c.id, i)
+		}
+	}
 	b.AddQueueSources(p)
-	// Nil probe is the observability-off path: both must be no-ops.
-	b.SetProbe(nil)
+	// Nil probe is the observability-off path: a no-op.
 	var nilProbe *obs.Probe
 	b.AddQueueSources(nilProbe)
 }

@@ -18,8 +18,6 @@ import (
 	"fmt"
 
 	"pmemaccel/internal/obs"
-	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/sim"
 )
 
@@ -113,8 +111,7 @@ type request struct {
 	row     uint64
 	apply   sim.Event
 	done    sim.Event
-	trk     *txflight.Write
-	trkChan int
+	trk     *obs.FlightWrite
 	enqueue uint64
 }
 
@@ -151,19 +148,11 @@ type Controller struct {
 	completeFn func(uint64)
 	draining   bool
 
-	// probe is the observability recorder (nil when disabled); chanID
-	// labels this channel's track. drainStart/drainWrites frame the
-	// current write-drain window.
-	probe       *obs.Probe
-	chanID      int
-	drainStart  uint64
-	drainWrites uint64
-
-	// hDrainCycles/hDrainWrites stream each closed write-drain window's
-	// duration and write count into the metrics registry (nil when
-	// disabled).
-	hDrainCycles *metrics.Histogram
-	hDrainWrites *metrics.Histogram
+	// obs observes the channel (nil when disabled); id is its global
+	// channel index (NVM channels first, then DRAM), which labels its
+	// trace track and its tracked writes. The Backend sets both.
+	obs *obs.Sink
+	id  int
 
 	stats Stats
 	wear  *Wear
@@ -176,30 +165,6 @@ func New(k *sim.Kernel, cfg Config) *Controller {
 	c.completeFn = c.complete
 	k.Register(c)
 	return c
-}
-
-// SetProbe attaches the observability recorder (nil disables probing);
-// chanID labels the channel's trace track (0 NVM, 1 DRAM). A drain
-// window still open when the probe is collected is flushed as a
-// KWPQDrainOpen span ending at the collection cycle, so truncated spans
-// appear in the trace instead of vanishing.
-func (c *Controller) SetProbe(p *obs.Probe, chanID int) {
-	c.probe = p
-	c.chanID = chanID
-	p.AddOpenSpanFlusher(func(now uint64) {
-		if c.draining {
-			p.Span(obs.KWPQDrainOpen, c.chanID, 0, c.drainStart, now,
-				c.stats.Writes-c.drainWrites)
-		}
-	})
-}
-
-// SetMetrics attaches the write-drain histograms: window duration in
-// cycles and writes issued per window. Nil histograms disable the
-// observations; only windows that close are observed.
-func (c *Controller) SetMetrics(drainCycles, drainWrites *metrics.Histogram) {
-	c.hDrainCycles = drainCycles
-	c.hDrainWrites = drainWrites
 }
 
 // Config returns the (defaulted) configuration.
@@ -228,25 +193,19 @@ func (c *Controller) Read(lineAddr uint64, done sim.Event) {
 // Write enqueues a line write. apply (may be the zero Event) fires at
 // durability time, immediately before onDurable (may be zero).
 func (c *Controller) Write(lineAddr uint64, apply, onDurable sim.Event) {
-	c.writes = append(c.writes, request{
-		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
-		apply: apply, done: onDurable, enqueue: c.k.Now(),
-	})
-	if len(c.writes) > c.stats.WriteQueuePeak {
-		c.stats.WriteQueuePeak = len(c.writes)
-	}
+	c.WriteTracked(lineAddr, apply, onDurable, nil)
 }
 
 // WriteTracked enqueues a line write like Write, additionally marking
-// the flight-recorder write w (may be nil) with the cycle the scheduler
-// starts servicing it and the channel id — the recorder's
-// WPQ-wait/NVM-write stage boundary. Taking the concrete *txflight.Write
-// rather than a callback keeps the tracked path free of per-write
-// closure allocations.
-func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *txflight.Write, channel int) {
+// the flight token w (may be nil) with the cycle the scheduler starts
+// servicing it and the channel id — the flight recorder's
+// WPQ-wait/NVM-write stage boundary. Taking the concrete token rather
+// than a callback keeps the tracked path free of per-write closure
+// allocations.
+func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite) {
 	c.writes = append(c.writes, request{
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
-		apply: apply, done: onDurable, trk: w, trkChan: channel, enqueue: c.k.Now(),
+		apply: apply, done: onDurable, trk: w, enqueue: c.k.Now(),
 	})
 	if len(c.writes) > c.stats.WriteQueuePeak {
 		c.stats.WriteQueuePeak = len(c.writes)
@@ -312,12 +271,11 @@ func (c *Controller) issue(q *[]request, idx int, isWrite bool, now uint64) {
 	if isWrite {
 		c.stats.Writes++
 		c.wear.record(r.lineAddr)
+		c.obs.WPQWrite(c.id)
 	} else {
 		c.stats.Reads++
 	}
-	if r.trk != nil {
-		r.trk.ServiceStart(r.trkChan, now)
-	}
+	r.trk.ServiceStart(c.id, now)
 	arg := c.flight.Put(r) << 1
 	if isWrite {
 		arg |= 1
@@ -346,8 +304,7 @@ func (c *Controller) Tick(now uint64) {
 	if !c.draining && len(c.writes) >= c.cfg.DrainHigh {
 		c.draining = true
 		c.stats.DrainEntries++
-		c.drainStart = now
-		c.drainWrites = c.stats.Writes
+		c.obs.WPQDrainStart(c.id, now)
 	}
 	issued := false
 	for n := 0; n < c.cfg.CmdPerCycle; n++ {
@@ -380,10 +337,7 @@ func (c *Controller) Tick(now uint64) {
 	// emptied the queue to DrainLow.
 	if c.draining && len(c.writes) <= c.cfg.DrainLow {
 		c.draining = false
-		c.probe.Span(obs.KWPQDrain, c.chanID, 0, c.drainStart, now,
-			c.stats.Writes-c.drainWrites)
-		c.hDrainCycles.Observe(now - c.drainStart)
-		c.hDrainWrites.Observe(c.stats.Writes - c.drainWrites)
+		c.obs.WPQDrainEnd(c.id, now)
 	}
 }
 

@@ -315,6 +315,15 @@ func TestWearEmpty(t *testing.T) {
 	}
 }
 
+// observe attaches a sink over p to a standalone controller under
+// global channel id, the way NewBackend wires its channels.
+func observe(c *Controller, p *obs.Probe, id int) *obs.Sink {
+	o := obs.NewSink(p, nil, 0)
+	c.obs, c.id = o, id
+	o.AddChannel(id, c.cfg.Name)
+	return o
+}
+
 // TestOpenDrainWindowFlushedAtCollection: a write-drain window still
 // open when the probe is collected surfaces as KWPQDrainOpen ending at
 // the collection cycle.
@@ -323,7 +332,7 @@ func TestOpenDrainWindowFlushedAtCollection(t *testing.T) {
 	cfg := testConfig()
 	c := New(k, cfg)
 	p := obs.NewProbe(256)
-	c.SetProbe(p, 1)
+	o := observe(c, p, 1)
 	for i := 0; i < cfg.DrainHigh+5; i++ {
 		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{})
 	}
@@ -337,7 +346,7 @@ func TestOpenDrainWindowFlushedAtCollection(t *testing.T) {
 	if c.Idle() {
 		t.Fatal("controller mid-drain reports idle")
 	}
-	p.FlushOpenSpans(k.Now())
+	o.FlushOpenSpans(k.Now())
 	if n := p.CountKind(obs.KWPQDrainOpen); n != 1 {
 		t.Fatalf("flushed %d open-drain spans, want 1", n)
 	}
@@ -362,7 +371,7 @@ func TestDrainSpanEndsWhenQueueReachesLow(t *testing.T) {
 	cfg := testConfig()
 	c := New(k, cfg)
 	p := obs.NewProbe(256)
-	c.SetProbe(p, 0)
+	observe(c, p, 0)
 	for i := 0; i < cfg.DrainHigh; i++ {
 		c.Write(memaddr.NVMBase+uint64(i)*64, sim.Event{}, sim.Event{})
 	}

@@ -1,25 +1,27 @@
-// Package obs is the cycle-level observability layer: a probe/recorder
-// threaded through the simulation kernel, cores, cache hierarchy,
-// persistence mechanisms, transaction caches and memory controllers.
+// Package obs is the cycle-level observability layer. Components hold
+// one *Sink (sink.go) and report each event to it exactly once — a
+// transaction commit, a TC drain issue, an LLC persistent-line drop, a
+// write-drain window opening — and the sink fans the event out to every
+// consumer the run switched on:
 //
-// It has three pillars:
-//
-//  1. a span/event trace — a bounded ring buffer of Events capturing
+//  1. the event trace — a bounded ring buffer of Events (Probe) capturing
 //     transaction lifecycles, TC drain bursts, LLC persistent-line drops
 //     and side-path probes, and memory-controller write-drain windows,
 //     exported as Chrome trace_event JSON (chrometrace.go) loadable in
-//     Perfetto or chrome://tracing;
-//  2. a periodic sampler — kernel-callback-driven time series of named
-//     integer sources (TC occupancy, queue depths), exported as CSV;
-//  3. per-core cycle attribution — accumulated in cpu.Stats (the cpu
-//     package owns the counters; obs defines nothing there), surfaced
-//     through Result.
+//     Perfetto or chrome://tracing, plus a periodic sampler of named
+//     integer sources (TC occupancy, queue depths) exported as CSV;
+//  2. the metrics registry (obs/metrics) — run-wide histograms and
+//     counters the sink resolves once by name;
+//  3. the transaction flight recorder (flight.go) — sampled
+//     per-transaction stage waterfalls.
 //
-// The probe is nil-safe by design: every method on a nil *Probe returns
-// immediately, so components hold a plain *Probe field that defaults to
-// nil and pay only an untaken branch when observability is disabled. The
-// disabled path allocates nothing (see the AllocsPerRun regression test)
-// and costs <2% end to end (see BenchmarkSimulatorSpeed variants).
+// Per-core cycle attribution is not here: cpu.Stats owns those counters
+// and Result surfaces them.
+//
+// The sink is nil-safe by design: every method on a nil *Sink returns
+// immediately, so a disabled run pays one untaken branch per emit site
+// and allocates nothing (see the per-layer AllocsPerRun tests and
+// TestRunAllocationCeiling).
 package obs
 
 import (
@@ -73,14 +75,14 @@ const (
 	// KTCDrainOpen is a span: a transaction-cache drain burst still in
 	// progress when the probe was collected. End is the collection
 	// cycle, not the burst's natural close; Arg is entries issued so
-	// far. Emitted by FlushOpenSpans.
+	// far. Emitted by Sink.FlushOpenSpans.
 	KTCDrainOpen
 	// KWPQDrainOpen is a span: a memory-controller write-drain window
 	// still open at probe collection. End is the collection cycle; Arg
-	// is writes issued so far. Emitted by FlushOpenSpans.
+	// is writes issued so far. Emitted by Sink.FlushOpenSpans.
 	KWPQDrainOpen
 	// KTxStage is a span: one stage of a sampled transaction's flight
-	// waterfall (internal/obs/txflight). ID is the flow id
+	// waterfall (FlightRecorder). ID is the flow id
 	// (core<<40 | tx id), Arg is the stage index into TxStageNames, and
 	// Core is the core for core-side stages or the global channel index
 	// for memory-side stages.
@@ -144,9 +146,9 @@ type sampleRow struct {
 	vals  []int
 }
 
-// Probe is the central recorder. A nil *Probe is valid: every method is
-// a no-op, which is the zero-overhead disabled path. Build an enabled
-// probe with NewProbe.
+// Probe is the event ring and time-series sampler — the trace consumer
+// behind a Sink. A nil *Probe is valid: every method is a no-op. Build
+// an enabled probe with NewProbe.
 type Probe struct {
 	// events is the ring buffer: append-until-full, then overwrite the
 	// oldest at next.
@@ -162,11 +164,9 @@ type Probe struct {
 	samples     []sampleRow
 	sampleEvery uint64
 
-	// openFlushers emit spans still open at collection time; openSpans
-	// counts how many were flushed (previously they were silently
-	// dropped with no counter).
-	openFlushers []func(now uint64)
-	openSpans    uint64
+	// openSpans counts spans Sink.FlushOpenSpans recorded still open at
+	// collection time.
+	openSpans uint64
 }
 
 // DefaultTraceCapacity bounds the event ring when the caller does not:
@@ -187,7 +187,11 @@ func NewProbe(capacity int) *Probe {
 func (p *Probe) Enabled() bool { return p != nil }
 
 // record appends to the ring, overwriting the oldest event once full.
-func (p *Probe) record(e Event) {
+// It takes the event's fields and builds the Event itself: that keeps
+// the Sink's one-line emit methods (TCFull, LLCDrop, ...) within the
+// inlining budget, so a disabled sink costs a single branch per site.
+func (p *Probe) record(k Kind, core int, start, end, id, arg uint64) {
+	e := Event{Kind: k, Core: int32(core), Start: start, End: end, ID: id, Arg: arg}
 	if len(p.events) < cap(p.events) {
 		p.events = append(p.events, e)
 	} else {
@@ -208,7 +212,7 @@ func (p *Probe) Span(k Kind, core int, id, start, end, arg uint64) {
 	if p == nil {
 		return
 	}
-	p.record(Event{Kind: k, Core: int32(core), Start: start, End: end, ID: id, Arg: arg})
+	p.record(k, core, start, end, id, arg)
 }
 
 // Instant records a point event at the given cycle.
@@ -216,7 +220,7 @@ func (p *Probe) Instant(k Kind, core int, id, cycle, arg uint64) {
 	if p == nil {
 		return
 	}
-	p.record(Event{Kind: k, Core: int32(core), Start: cycle, End: cycle, ID: id, Arg: arg})
+	p.record(k, core, cycle, cycle, id, arg)
 }
 
 // Events returns the retained events ordered by start cycle.
@@ -273,37 +277,8 @@ func (p *Probe) DroppedByKind() []uint64 {
 	return out
 }
 
-// AddOpenSpanFlusher registers a callback that emits any span the
-// component still has open (a TC drain burst, a write-queue drain
-// window) when FlushOpenSpans runs. The callback must record through the
-// probe's usual Span method, using the open-span kind for its event, and
-// must not mutate component state — simulation may in principle continue
-// after a collection.
-func (p *Probe) AddOpenSpanFlusher(fn func(now uint64)) {
-	if p == nil {
-		return
-	}
-	p.openFlushers = append(p.openFlushers, fn)
-}
-
-// FlushOpenSpans records every still-open span, ending at the given
-// cycle — without it, a burst or drain window in progress when the run
-// stops silently vanishes from the trace. Call it once, at collection
-// time (System.collect does; call it manually before exporting a probe
-// from a run stopped mid-flight, e.g. after RunToCycle). Calling it
-// twice records the still-open spans twice.
-func (p *Probe) FlushOpenSpans(now uint64) {
-	if p == nil {
-		return
-	}
-	before := p.total
-	for _, fn := range p.openFlushers {
-		fn(now)
-	}
-	p.openSpans += p.total - before
-}
-
-// OpenSpansFlushed reports how many open spans FlushOpenSpans recorded.
+// OpenSpansFlushed reports how many open spans Sink.FlushOpenSpans
+// recorded.
 func (p *Probe) OpenSpansFlushed() uint64 {
 	if p == nil {
 		return 0

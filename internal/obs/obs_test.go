@@ -279,25 +279,25 @@ func BenchmarkEnabledProbe(b *testing.B) {
 	}
 }
 
-// TestFlushOpenSpans: registered flushers run once per Flush call, the
-// counter tracks spans actually recorded, and the nil probe no-ops.
+// TestFlushOpenSpans: each Flush call records the windows open at that
+// moment, the counter tracks spans actually recorded, and the nil sink
+// no-ops.
 func TestFlushOpenSpans(t *testing.T) {
-	var nilp *Probe
-	nilp.AddOpenSpanFlusher(func(uint64) { t.Fatal("nil probe invoked a flusher") })
-	nilp.FlushOpenSpans(10)
-	if nilp.OpenSpansFlushed() != 0 {
-		t.Fatal("nil probe reports flushed spans")
+	var nilo *Sink
+	nilo.AddTC(0)
+	nilo.TCBurstIssue(0, 5)
+	nilo.FlushOpenSpans(10)
+	if nilo.Probe().OpenSpansFlushed() != 0 {
+		t.Fatal("nil sink reports flushed spans")
 	}
 
 	p := NewProbe(16)
-	open := true
-	p.AddOpenSpanFlusher(func(now uint64) {
-		if open {
-			p.Span(KTCDrainOpen, 0, 0, 5, now, 2)
-		}
-	})
-	p.AddOpenSpanFlusher(func(now uint64) {}) // a component with nothing open
-	p.FlushOpenSpans(42)
+	o := NewSink(p, nil, 0)
+	o.AddTC(0)
+	o.AddTC(1) // a component with nothing open
+	o.TCBurstIssue(0, 5)
+	o.TCBurstIssue(0, 6)
+	o.FlushOpenSpans(42)
 	if p.OpenSpansFlushed() != 1 {
 		t.Fatalf("OpenSpansFlushed = %d, want 1", p.OpenSpansFlushed())
 	}
@@ -306,8 +306,8 @@ func TestFlushOpenSpans(t *testing.T) {
 		t.Fatalf("events = %+v, want one KTCDrainOpen ending at 42", ev)
 	}
 	// After the span closes, a second collection flushes nothing new.
-	open = false
-	p.FlushOpenSpans(50)
+	o.TCBurstEnd(0, 45)
+	o.FlushOpenSpans(50)
 	if p.OpenSpansFlushed() != 1 {
 		t.Fatalf("OpenSpansFlushed after close = %d, want 1", p.OpenSpansFlushed())
 	}
@@ -317,8 +317,13 @@ func TestFlushOpenSpans(t *testing.T) {
 // trace export as duration events and the counter appears in otherData.
 func TestOpenSpanKindsExported(t *testing.T) {
 	p := NewProbe(16)
-	p.AddOpenSpanFlusher(func(now uint64) { p.Span(KWPQDrainOpen, 0, 0, 10, now, 7) })
-	p.FlushOpenSpans(99)
+	o := NewSink(p, nil, 0)
+	o.AddChannel(0, "NVM")
+	o.WPQDrainStart(0, 10)
+	for i := 0; i < 7; i++ {
+		o.WPQWrite(0)
+	}
+	o.FlushOpenSpans(99)
 	var buf bytes.Buffer
 	if err := p.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

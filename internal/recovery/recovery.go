@@ -74,18 +74,19 @@ func RunTrial(cfg pmemaccel.Config, crashCycle uint64) (*Trial, error) {
 	if err != nil {
 		return nil, err
 	}
-	return crash(s, cfg.Cores, crashCycle)
+	return crash(s, crashCycle)
 }
 
-// crash is RunTrial on a built system. cores is the caller's
-// Config.Cores, which sizes CommittedPerCore.
-func crash(s *pmemaccel.System, cores int, crashCycle uint64) (*Trial, error) {
+// crash is RunTrial on a built system. CommittedPerCore has one entry
+// per built core: the caller's Config.Cores may be 0 (the default
+// width).
+func crash(s *pmemaccel.System, crashCycle uint64) (*Trial, error) {
 	finished := s.RunToCycle(crashCycle)
 	if err := s.StreamErr(); err != nil {
 		return nil, err
 	}
 	tr := &Trial{CrashCycle: s.Kernel.Now(), FinishedEarly: finished}
-	for c := 0; c < cores; c++ {
+	for c := range s.Cores {
 		tr.CommittedPerCore = append(tr.CommittedPerCore, s.Mech.DurablyCommitted(c))
 	}
 	tr.Cost = s.Mech.RecoveryCost()

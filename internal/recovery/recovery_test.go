@@ -109,6 +109,28 @@ func TestTrialReportsCommitCounts(t *testing.T) {
 	}
 }
 
+// TestTrialCountsDefaultWidthCores: a configuration that leaves Cores at
+// 0 (DefaultConfig, as cmd/crashtest builds it) still reports one
+// committed count per core of the built machine, not an empty list.
+func TestTrialCountsDefaultWidthCores(t *testing.T) {
+	cfg := crashConfig(workload.RBTree, pmemaccel.TCache, 3)
+	cfg.Cores = 0
+	cfg.Ops = 60
+	tr, err := RunTrial(cfg, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.CommittedPerCore) != pmemaccel.DefaultCores {
+		t.Fatalf("committed counts %v, want one per core of the default %d-core machine",
+			tr.CommittedPerCore, pmemaccel.DefaultCores)
+	}
+	for c, n := range tr.CommittedPerCore {
+		if n != uint64(cfg.Ops) {
+			t.Errorf("core %d: %d committed at quiescence, want %d", c, n, cfg.Ops)
+		}
+	}
+}
+
 func TestRecoveryCostReported(t *testing.T) {
 	// Mid-run, the TCache mechanism holds buffered entries, so recovery
 	// has work to do; after quiescence it has none.
@@ -323,7 +345,7 @@ func TestRunTrialSurfacesStreamError(t *testing.T) {
 		}
 		return nil
 	})
-	tr, err := crash(s, cfg.Cores, 1<<40)
+	tr, err := crash(s, 1<<40)
 	if err == nil {
 		t.Fatalf("trial on a truncated run reported %v, want the generator's error", tr)
 	}

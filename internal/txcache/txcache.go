@@ -23,8 +23,6 @@ import (
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/obs"
-	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/sim"
 )
 
@@ -85,15 +83,10 @@ const (
 // its address-matched acknowledgments require.
 type Port interface {
 	Write(lineAddr uint64, apply, onDurable sim.Event)
-}
-
-// TrackedPort is the optional port capability the flight recorder
-// rides on: a write that additionally marks the flight-recorder write w
-// with its service-start cycle and owning global channel id.
-// memctrl.Backend implements it; timing-only fake ports need not.
-type TrackedPort interface {
-	Port
-	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *txflight.Write)
+	// WriteTracked is Write for a flight-sampled transaction: the port
+	// also marks the flight token w with its service-start cycle and
+	// owning global channel id.
+	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite)
 }
 
 // Config sizes one per-core transaction cache.
@@ -210,32 +203,18 @@ type TxCache struct {
 	// evicted is EvictTx's reused result buffer.
 	evicted []Entry
 
-	// probe is the observability recorder (nil when disabled); coreID
-	// labels this TC's events. burst* track the current drain burst:
-	// first committed-entry issue until nothing is left unissued.
-	probe       *obs.Probe
-	coreID      int
-	burstActive bool
-	burstStart  uint64
-	burstIssued uint64
-
-	// hBurstEntries/hBurstCycles stream each closed drain burst's size
-	// and duration into the metrics registry (nil when disabled).
-	hBurstEntries *metrics.Histogram
-	hBurstCycles  *metrics.Histogram
-
-	// fr is the transaction flight recorder (nil when sampling is off);
-	// frPort is the tracked write port it observes drain writes
-	// through. Both are set together by SetFlight.
-	fr     *txflight.Recorder
-	frPort TrackedPort
+	// obs observes this TC (nil when disabled); core is the owning
+	// core, which labels its events.
+	obs  *obs.Sink
+	core int
 
 	stats Stats
 }
 
-// New builds a TC draining into mem and registers it with k.
-// durableApply may be nil (timing-only use).
-func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint64)) *TxCache {
+// New builds core's TC draining into mem and registers it with k.
+// durableApply may be nil (timing-only use); o observes the TC (nil
+// disables observation).
+func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint64), o *obs.Sink, core int) *TxCache {
 	cfg = cfg.WithDefaults()
 	if cfg.Entries() < 2 {
 		panic(fmt.Sprintf("txcache: %d bytes / %d-byte entries leaves %d entries",
@@ -244,7 +223,9 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 	tc := &TxCache{
 		k: k, cfg: cfg, mem: mem, durableApply: durableApply,
 		entries: make([]Entry, cfg.Entries()),
+		obs:     o, core: core,
 	}
+	o.AddTC(core)
 	tc.applyFn = tc.applyDrain
 	tc.ackFn = tc.ackDrain
 	k.Register(tc)
@@ -254,46 +235,6 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 // SetAckHook installs fn to observe every drain acknowledgment's word
 // address. Wire-up time only (before the run starts).
 func (tc *TxCache) SetAckHook(fn func(addr uint64)) { tc.onAck = fn }
-
-// SetProbe attaches the observability recorder (nil disables probing);
-// core labels this TC's events in the trace. A drain burst still open
-// when the probe is collected is flushed as a KTCDrainOpen span ending
-// at the collection cycle, so truncated bursts appear in the trace
-// instead of vanishing.
-func (tc *TxCache) SetProbe(p *obs.Probe, core int) {
-	tc.probe = p
-	tc.coreID = core
-	p.AddOpenSpanFlusher(func(now uint64) {
-		if tc.burstActive {
-			p.Span(obs.KTCDrainOpen, tc.coreID, 0, tc.burstStart, now, tc.burstIssued)
-		}
-	})
-}
-
-// SetFlight attaches the transaction flight recorder. The tracked
-// write checkpoints (TC issue, service start, durable) need the memory
-// port to support WriteTracked, so the hooks engage only when it does;
-// with a plain Port the recorder still sees commits and the flight
-// simply ends at commit with zero tracked writes.
-func (tc *TxCache) SetFlight(fr *txflight.Recorder) {
-	if fr == nil {
-		return
-	}
-	if tp, ok := tc.mem.(TrackedPort); ok {
-		tc.fr = fr
-		tc.frPort = tp
-	}
-}
-
-// SetMetrics attaches the drain-burst histograms: entries issued per
-// burst and burst duration in cycles. Nil histograms disable the
-// observations; only bursts that close naturally are observed (a burst
-// still open at collection is visible through the probe's open-span
-// flush, not the histograms).
-func (tc *TxCache) SetMetrics(burstEntries, burstCycles *metrics.Histogram) {
-	tc.hBurstEntries = burstEntries
-	tc.hBurstCycles = burstCycles
-}
 
 // Config returns the (defaulted) configuration.
 func (tc *TxCache) Config() Config { return tc.cfg }
@@ -316,26 +257,18 @@ func (tc *TxCache) next(i int) int {
 	return i + 1
 }
 
-// recordInstant records a probe instant at the current cycle.
-func (tc *TxCache) recordInstant(k obs.Kind, txID, arg uint64) {
-	if tc.probe == nil {
-		return
-	}
-	tc.probe.Instant(k, tc.coreID, txID, tc.k.Now(), arg)
-}
-
 // Write inserts a buffered store for txID at the head. The result tells
 // the caller whether to proceed normally, take the fall-back path, or
 // stall.
 func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 	if tc.count >= len(tc.entries) {
 		tc.stats.FullRejects++
-		tc.recordInstant(obs.KTCFull, txID, addr)
+		tc.obs.TCFull(tc.core, txID, addr, tc.k.Now())
 		return Full
 	}
 	if tc.count >= tc.highWater() {
 		tc.stats.FallbackWrites++
-		tc.recordInstant(obs.KTCFallback, txID, addr)
+		tc.obs.TCFallback(tc.core, txID, addr, tc.k.Now())
 		return Fallback
 	}
 	e := &tc.entries[tc.head]
@@ -345,7 +278,7 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 		// use holes ("we have to wait for data being written back",
 		// §4.1), so the writer stalls exactly as on a full ring.
 		tc.stats.FullRejects++
-		tc.recordInstant(obs.KTCFull, txID, addr)
+		tc.obs.TCFull(tc.core, txID, addr, tc.k.Now())
 		return Full
 	}
 	*e = Entry{State: Active, TxID: txID, Addr: memaddr.WordAddr(addr), Value: value}
@@ -370,15 +303,7 @@ func (tc *TxCache) Commit(txID uint64) {
 			matched++
 		}
 	}
-	if tc.probe == nil && tc.fr == nil {
-		return
-	}
-	tc.probe.Instant(obs.KTCCommit, tc.coreID, txID, tc.k.Now(), matched)
-	// The flight recorder learns how many tracked writes the commit must
-	// wait out before the flight can finalize.
-	if tc.fr != nil {
-		tc.fr.CommitMatched(tc.coreID, txID, int(matched))
-	}
+	tc.obs.TCCommit(tc.core, txID, matched, tc.k.Now())
 }
 
 // Probe serves an LLC miss request: CAM-match live entries for the cache
@@ -417,15 +342,14 @@ func (tc *TxCache) prev(i int) int {
 
 // Idle implements sim.Quiescer: Tick is a pure no-op exactly when
 // either nothing is left to issue and no drain burst is waiting to close
-// (the burst-end check emits a probe span and clears burstActive, a
-// state change), or the issue pointer is parked on an active entry — in
+// (the burst-end report closes the observer's burst, a state change), or the issue pointer is parked on an active entry — in
 // FIFO order an uncommitted entry blocks everything younger, so issueOne
 // returns without advancing the pointer or touching the burst. The
 // blocking entry can only commit through its core's activity, and a core
 // that could run reports busy itself.
 func (tc *TxCache) Idle() bool {
 	if tc.unissued == 0 {
-		return !tc.burstActive
+		return !tc.obs.TCBurstOpen(tc.core)
 	}
 	return tc.entries[tc.issue].State == Active
 }
@@ -440,11 +364,8 @@ func (tc *TxCache) Tick(now uint64) {
 			break
 		}
 	}
-	if tc.burstActive && tc.unissued == 0 {
-		tc.probe.Span(obs.KTCDrain, tc.coreID, 0, tc.burstStart, now, tc.burstIssued)
-		tc.hBurstEntries.Observe(tc.burstIssued)
-		tc.hBurstCycles.Observe(now - tc.burstStart)
-		tc.burstActive = false
+	if tc.unissued == 0 {
+		tc.obs.TCBurstEnd(tc.core, now)
 	}
 }
 
@@ -474,19 +395,14 @@ func (tc *TxCache) issueOne() bool {
 	e.issued = true
 	tc.unissued--
 	tc.stats.Issued++
-	if (tc.probe != nil || tc.hBurstCycles != nil) && !tc.burstActive {
-		tc.burstActive = true
-		tc.burstStart = tc.k.Now()
-		tc.burstIssued = 0
-	}
-	tc.burstIssued++
+	tc.obs.TCBurstIssue(tc.core, tc.k.Now())
 	slot := tc.drains.Put(drainWrite{addr: e.Addr, value: e.Value})
 	var apply sim.Event
 	if tc.durableApply != nil {
 		apply = sim.Event{Fn: tc.applyFn, Arg: slot}
 	}
 	ack := sim.Event{Fn: tc.ackFn, Arg: slot}
-	if tc.fr != nil && tc.fr.Sampled(e.TxID) {
+	if tc.obs.Sampled(e.TxID) {
 		// Sampled transaction: route through the tracked port so the
 		// flight recorder sees TC issue, WPQ service start (with the
 		// channel) and durable completion for this write.
@@ -499,14 +415,14 @@ func (tc *TxCache) issueOne() bool {
 }
 
 // issueTracked is issueOne's drain write for a sampled transaction: it
-// opens the flight-recorder write and routes through the tracked port so
-// the recorder sees TC issue, WPQ service start and durable completion.
+// takes a flight token and routes through the tracked port so the
+// recorder sees TC issue, WPQ service start and durable completion.
 // Sampling is off the hot path, so the durable mark rides in a closure.
 func (tc *TxCache) issueTracked(addr uint64, apply, ack sim.Event, txID, issueAt uint64) {
-	w := tc.fr.TCIssue(tc.coreID, txID, issueAt)
-	tc.frPort.WriteTracked(memaddr.LineAddr(addr), apply, sim.Event{Fn: func(uint64) {
+	w := tc.obs.TCWrite(tc.core, txID, issueAt)
+	tc.mem.WriteTracked(memaddr.LineAddr(addr), apply, sim.Event{Fn: func(uint64) {
 		ack.Fire()
-		tc.fr.WriteDurable(w, tc.k.Now())
+		tc.obs.WriteDurable(w, tc.k.Now())
 	}}, w)
 }
 

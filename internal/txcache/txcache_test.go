@@ -31,6 +31,10 @@ func (m *fakeNVM) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	m.k.Schedule(m.lat, onDurable)
 }
 
+func (m *fakeNVM) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *obs.FlightWrite) {
+	m.Write(lineAddr, apply, onDurable)
+}
+
 func (m *fakeNVM) release() {
 	for _, e := range m.held {
 		e.Fire()
@@ -44,7 +48,7 @@ func newTC(t *testing.T, entries int) (*sim.Kernel, *TxCache, *fakeNVM, *memimag
 	nvm := &fakeNVM{k: k, lat: 152}
 	img := memimage.New()
 	cfg := Config{SizeBytes: entries * 64, EntryBytes: 64}
-	tc := New(k, cfg, nvm, func(addr, value uint64) { img.WriteWord(addr, value) })
+	tc := New(k, cfg, nvm, func(addr, value uint64) { img.WriteWord(addr, value) }, nil, 0)
 	return k, tc, nvm, img
 }
 
@@ -66,7 +70,7 @@ func TestTinyConfigPanics(t *testing.T) {
 			t.Fatal("1-entry TC did not panic")
 		}
 	}()
-	New(sim.NewKernel(), Config{SizeBytes: 64, EntryBytes: 64}, &fakeNVM{}, nil)
+	New(sim.NewKernel(), Config{SizeBytes: 64, EntryBytes: 64}, &fakeNVM{}, nil, nil, 0)
 }
 
 func TestWriteBuffersWithoutDraining(t *testing.T) {
@@ -160,7 +164,7 @@ func TestFullWhenEveryEntryLive(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 100}
 	// HighWaterFrac 1.0 disables the fallback so Full is reachable.
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	for i := 0; i < 4; i++ {
 		if r := tc.Write(1, nvmAddr(i), 1); r != Accepted {
 			t.Fatalf("write %d = %v", i, r)
@@ -201,7 +205,7 @@ func TestHeadHoleStallsDespiteFreeSpace(t *testing.T) {
 	// slot is still live, writes stall even though count < capacity.
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	for i := 0; i < 4; i++ {
 		tc.Write(1, nvmAddr(i), uint64(i))
 	}
@@ -231,7 +235,7 @@ func TestHeadHoleStallsDespiteFreeSpace(t *testing.T) {
 func TestAckMatchesNearestTailForDuplicateAddresses(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	tc.Write(1, nvmAddr(0), 1)
 	tc.Write(1, nvmAddr(0), 2) // same word, younger value
 	tc.Commit(1)
@@ -326,7 +330,7 @@ func TestQuickDrainMatchesLastCommittedValue(t *testing.T) {
 		nvm := &fakeNVM{k: k, lat: 7}
 		img := memimage.New()
 		tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64}, nvm,
-			func(a, v uint64) { img.WriteWord(a, v) })
+			func(a, v uint64) { img.WriteWord(a, v) }, nil, 0)
 		want := map[uint64]uint64{}
 		id := uint64(1)
 		for _, tx := range txs {
@@ -369,7 +373,7 @@ func TestQuickDrainMatchesLastCommittedValue(t *testing.T) {
 func TestEvictTxRemovesOnlyThatTransaction(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Commit(1) // older committed tx stays
@@ -401,7 +405,7 @@ func TestEvictTxRemovesOnlyThatTransaction(t *testing.T) {
 
 func TestEvictTxEmptiesRingCompletely(t *testing.T) {
 	k := sim.NewKernel()
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, &fakeNVM{k: k, lat: 1}, nil)
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, &fakeNVM{k: k, lat: 1}, nil, nil, 0)
 	for i := 0; i < 3; i++ {
 		tc.Write(7, nvmAddr(i), uint64(i))
 	}
@@ -426,7 +430,7 @@ func TestEvictTxDoesNotTouchCommittedEntries(t *testing.T) {
 	nvm := &fakeNVM{k: k, lat: 3}
 	img := memimage.New()
 	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm,
-		func(a, v uint64) { img.WriteWord(a, v) })
+		func(a, v uint64) { img.WriteWord(a, v) }, nil, 0)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Commit(1)
 	if got := len(tc.EvictTx(1)); got != 0 {
@@ -445,7 +449,7 @@ func TestEvictTxDoesNotTouchCommittedEntries(t *testing.T) {
 func TestNilProbePathAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true} // hold acks: no drain closures
-	tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil)
+	tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	var tx uint64
 	allocs := testing.AllocsPerRun(100, func() {
 		tx++
@@ -466,14 +470,14 @@ func TestNilProbePathAllocatesNothing(t *testing.T) {
 }
 
 // TestOpenDrainBurstFlushedAtCollection: a drain burst still in progress
-// when the probe is collected must surface as a KTCDrainOpen span ending
+// when the sink is collected must surface as a KTCDrainOpen span ending
 // at the collection cycle (previously it silently vanished).
 func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 152}
 	p := obs.NewProbe(64)
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64}, nvm, nil)
-	tc.SetProbe(p, 3)
+	o := obs.NewSink(p, nil, 0)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64}, nvm, nil, o, 3)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Write(1, nvmAddr(2), 12)
@@ -484,7 +488,7 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	if tc.Idle() {
 		t.Fatal("TC mid-burst reports idle")
 	}
-	p.FlushOpenSpans(k.Now())
+	o.FlushOpenSpans(k.Now())
 	if n := p.CountKind(obs.KTCDrainOpen); n != 1 {
 		t.Fatalf("flushed %d open-burst spans, want 1", n)
 	}
@@ -499,7 +503,7 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	// and must not re-flush.
 	k.RunUntil(tc.Drained, 10000)
 	k.Step() // one more tick for the burst-close check
-	p.FlushOpenSpans(k.Now())
+	o.FlushOpenSpans(k.Now())
 	if p.OpenSpansFlushed() != 1 {
 		t.Fatalf("closed burst re-flushed: OpenSpansFlushed = %d, want 1", p.OpenSpansFlushed())
 	}
@@ -549,6 +553,10 @@ func (p stubPort) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	p.k.Schedule(152, onDurable)
 }
 
+func (p stubPort) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *obs.FlightWrite) {
+	p.Write(lineAddr, apply, onDurable)
+}
+
 // TestDrainAllocationFree pins the TC's durability round trip (write,
 // commit, drain issue, durable apply, acknowledgment) at zero heap
 // allocations once the drain slot table has grown.
@@ -556,7 +564,7 @@ func TestDrainAllocationFree(t *testing.T) {
 	k := sim.NewKernel()
 	img := memimage.New()
 	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, stubPort{k: k},
-		func(addr, value uint64) { img.WriteWord(addr, value) })
+		func(addr, value uint64) { img.WriteWord(addr, value) }, nil, 0)
 	var tx uint64
 	roundTrip := func() {
 		tx++

@@ -20,8 +20,8 @@ func TestMetricsRegistryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Metrics == nil {
-		t.Fatal("Obs.Metrics set but System.Metrics is nil")
+	if sys.Obs.Metrics() == nil {
+		t.Fatal("Obs.Metrics set but System.Obs.Metrics() is nil")
 	}
 	res, err := sys.Run()
 	if err != nil {
@@ -155,7 +155,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Metrics != nil {
+	if sys.Obs.Metrics() != nil {
 		t.Fatal("registry allocated without Obs.Metrics")
 	}
 	res, err := sys.Run()
@@ -193,7 +193,7 @@ func TestObsRingAccounting(t *testing.T) {
 	if res.ObsEventsDropped == 0 {
 		t.Errorf("64-entry ring over %d events reported zero drops", res.ObsEventsRecorded)
 	}
-	retained := uint64(len(sys.Probe.Events()))
+	retained := uint64(len(sys.Obs.Probe().Events()))
 	if res.ObsEventsRecorded != retained+res.ObsEventsDropped {
 		t.Errorf("recorded %d != retained %d + dropped %d",
 			res.ObsEventsRecorded, retained, res.ObsEventsDropped)

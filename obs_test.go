@@ -58,15 +58,15 @@ func TestObsTraceAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Probe == nil {
-		t.Fatal("Obs.Enabled set but System.Probe is nil")
+	if sys.Obs.Probe() == nil {
+		t.Fatal("Obs.Enabled set but System.Obs.Probe() is nil")
 	}
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	var trace bytes.Buffer
-	if err := sys.Probe.WriteChromeTrace(&trace); err != nil {
+	if err := sys.Obs.Probe().WriteChromeTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -97,7 +97,7 @@ func TestObsTraceAndMetrics(t *testing.T) {
 	}
 
 	var csv bytes.Buffer
-	if err := sys.Probe.WriteMetricsCSV(&csv); err != nil {
+	if err := sys.Obs.Probe().WriteMetricsCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -126,7 +126,7 @@ func TestObsDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Probe != nil {
+	if sys.Obs.Probe() != nil {
 		t.Fatal("probe allocated without Obs.Enabled")
 	}
 	if _, err := sys.Run(); err != nil {
@@ -182,7 +182,7 @@ func TestSamplerUnderFastForward(t *testing.T) {
 		if noFF == false && sys.Kernel.Skipped() == 0 {
 			t.Log("note: fast-forward never engaged on this run")
 		}
-		return sys.Probe.SampleCycles(), sys.Kernel.Now()
+		return sys.Obs.Probe().SampleCycles(), sys.Kernel.Now()
 	}
 
 	ff, ffNow := run(false)
@@ -225,7 +225,7 @@ func runObsTrace(t *testing.T, cfg Config) (*Result, []byte) {
 		t.Fatalf("Run(NoFastForward=%v): %v", cfg.NoFastForward, err)
 	}
 	var buf bytes.Buffer
-	if err := sys.Probe.WriteChromeTrace(&buf); err != nil {
+	if err := sys.Obs.Probe().WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace(NoFastForward=%v): %v", cfg.NoFastForward, err)
 	}
 	return r, buf.Bytes()
@@ -290,12 +290,12 @@ func TestParallelKernelOpenSpanFlushMidRun(t *testing.T) {
 		if sys.RunToCycle(stop) {
 			t.Fatalf("stop@%d: workload finished before the stop cycle", stop)
 		}
-		sys.Probe.FlushOpenSpans(sys.Kernel.Now())
+		sys.Obs.FlushOpenSpans(sys.Kernel.Now())
 		var buf bytes.Buffer
-		if err := sys.Probe.WriteChromeTrace(&buf); err != nil {
+		if err := sys.Obs.Probe().WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return sys, buf.Bytes(), sys.Probe.OpenSpansFlushed()
+		return sys, buf.Bytes(), sys.Obs.Probe().OpenSpansFlushed()
 	}
 
 	// Find a stop cycle where a span is open, so the flush path is
@@ -313,9 +313,9 @@ func TestParallelKernelOpenSpanFlushMidRun(t *testing.T) {
 			t.Fatalf("stop@%d: mid-run traces diverge (%d bytes vs %d bytes)",
 				stop, len(firstTrace), len(againTrace))
 		}
-		before := first.Probe.Recorded()
-		first.Probe.FlushOpenSpans(first.Kernel.Now())
-		if got := first.Probe.Recorded() - before; got != firstFlushed {
+		before := first.Obs.Probe().Recorded()
+		first.Obs.FlushOpenSpans(first.Kernel.Now())
+		if got := first.Obs.Probe().Recorded() - before; got != firstFlushed {
 			t.Fatalf("stop@%d: re-flush recorded %d spans, want %d (one per open span)",
 				stop, got, firstFlushed)
 		}
@@ -346,12 +346,12 @@ func TestSamplerEveryLongerThanRun(t *testing.T) {
 	if res.Cycles != base.Cycles {
 		t.Errorf("cycles changed with an unreachable sampler: %d vs %d", res.Cycles, base.Cycles)
 	}
-	if n := sys.Probe.SampleCount(); n != 0 {
+	if n := sys.Obs.Probe().SampleCount(); n != 0 {
 		t.Errorf("SampleCount = %d with every=%d on a %d-cycle run, want 0",
 			n, cfg.Obs.SampleEvery, res.Cycles)
 	}
 	var csv bytes.Buffer
-	if err := sys.Probe.WriteMetricsCSV(&csv); err != nil {
+	if err := sys.Obs.Probe().WriteMetricsCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Split(strings.TrimSpace(csv.String()), "\n"); len(lines) != 1 {

@@ -2,10 +2,9 @@ package pmemaccel
 
 // Concurrency smoke tests for the parallel sweep engine
 // (internal/sweep): Run must be safe to call from many goroutines at
-// once — every simulation seeds its own RNG from its configuration and
-// shares no mutable package state (the cache.DebugLine and
-// mechanism.DebugLine globals are debug-only: never written at runtime,
-// only read against a constant zero). `go test -race` drives this file.
+// once — every simulation seeds its own RNG from its configuration,
+// owns its observer, and shares no mutable package state. `go test
+// -race` drives this file.
 
 import (
 	"sync"

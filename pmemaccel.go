@@ -107,34 +107,36 @@ type Config struct {
 	NoFastForward bool
 
 	// Obs configures the cycle-level observability layer (off by
-	// default: the probe is nil and every probe site is an untaken
+	// default: System.Obs is nil and every emit site is an untaken
 	// branch).
 	Obs ObsConfig
 }
 
-// ObsConfig switches on the observability layer: a bounded event trace
-// (exported as Chrome trace_event JSON via System.Probe), a periodic
-// time-series sampler (exported as CSV), and per-core cycle attribution
-// (always collected — attribution counters live in cpu.Stats and cost
-// one increment per cycle regardless).
+// ObsConfig picks the consumers of the observer sink (System.Obs): a
+// bounded event trace (exported as Chrome trace_event JSON via
+// System.Obs.Probe()) with an optional periodic time-series sampler
+// (exported as CSV), the metrics registry, and the transaction flight
+// recorder. Per-core cycle attribution is always collected: its counters
+// live in cpu.Stats and cost one increment per cycle regardless.
 type ObsConfig struct {
-	// Enabled turns on event recording and sampling.
+	// Enabled turns on the event trace (and the sampler, when
+	// SampleEvery is set).
 	Enabled bool
 	// TraceCapacity bounds the event ring buffer (entries; 0 selects
 	// the obs package default, 262144). Oldest events are overwritten.
 	TraceCapacity int
 	// SampleEvery is the sampling period in cycles (0 disables the
-	// time-series sampler).
+	// time-series sampler; it samples only when Enabled is set).
 	SampleEvery uint64
 	// Metrics turns on the run-wide metrics registry: streaming
-	// log2-bucketed histograms at the probe points (transaction latency,
+	// log2-bucketed histograms of the sink's events (transaction latency,
 	// commit wait, TC drain bursts, per-channel write-drain windows,
 	// side-probe hit latency, per-line NVM wear), surfaced as
 	// Result.Metrics and in the JSON export. Independent of Enabled —
 	// the registry is cheap (a few histogram increments on events that
 	// already happen) where the event trace is not. Off by default:
-	// every metrics site is a nil-receiver no-op and results are
-	// byte-identical to a run without it.
+	// the sink's metrics are nil, every observation is a no-op, and
+	// results are byte-identical to a run without it.
 	Metrics bool
 	// TxSample turns on the transaction flight recorder, sampling every
 	// N-th transaction id per core (1 samples every transaction, 0 —

@@ -8,8 +8,8 @@ import (
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/memctrl"
+	"pmemaccel/internal/obs"
 	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/stats"
 	"pmemaccel/internal/txcache"
 )
@@ -87,7 +87,7 @@ type Result struct {
 	// verdict counts, and the end-to-end total (the stage-sum
 	// invariant: StageCycles sums exactly to E2ECycles). Nil unless
 	// Config.Obs.TxSample was set.
-	TxFlight *txflight.Aggregate
+	TxFlight *obs.FlightAggregate
 
 	// SkippedCycles is how many cycles the kernel's quiescence
 	// fast-forward jumped instead of stepping — the audit trail for
@@ -102,14 +102,15 @@ func (s *System) collect(cycles uint64) *Result {
 	// Close the observability record before reading it out: spans still
 	// open (a TC drain burst, a write-drain window) are flushed into the
 	// trace as explicit open-span events instead of being dropped.
-	s.Probe.FlushOpenSpans(s.Kernel.Now())
+	s.Obs.FlushOpenSpans(s.Kernel.Now())
 	r := &Result{Config: s.Config, Cycles: cycles}
 	r.SkippedCycles = s.Kernel.Skipped()
-	r.ObsEventsRecorded = s.Probe.Recorded()
-	r.ObsEventsDropped = s.Probe.Dropped()
-	r.ObsOpenSpansFlushed = s.Probe.OpenSpansFlushed()
-	if s.Flight != nil {
-		agg := s.Flight.Aggregate()
+	p := s.Obs.Probe()
+	r.ObsEventsRecorded = p.Recorded()
+	r.ObsEventsDropped = p.Dropped()
+	r.ObsOpenSpansFlushed = p.OpenSpansFlushed()
+	if fr := s.Obs.Flight(); fr != nil {
+		agg := fr.Aggregate()
 		r.TxFlight = &agg
 	}
 	for _, c := range s.Cores {
@@ -175,13 +176,13 @@ func (s *System) collect(cycles uint64) *Result {
 		r.DurableDiffCount = len(CheckDurable(s.ExpectedDurable(), s.RecoveredDurable(), 0))
 	}
 
-	if s.Metrics != nil {
+	if reg := s.Obs.Metrics(); reg != nil {
 		// Collect-time fills: distributions only final at end of run
 		// (wear), and counters/gauges the components already track
 		// exactly — mirroring them here costs nothing on the hot path.
-		wear.FillHistogram(s.Metrics.Histogram("nvm_line_writes"))
-		fillStatMetrics(s.Metrics, r)
-		r.Metrics = s.Metrics.Snapshot()
+		wear.FillHistogram(reg.Histogram("nvm_line_writes"))
+		fillStatMetrics(reg, r)
+		r.Metrics = reg.Snapshot()
 	}
 	return r
 }

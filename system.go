@@ -11,7 +11,6 @@ import (
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/obs"
 	"pmemaccel/internal/obs/metrics"
-	"pmemaccel/internal/obs/txflight"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 	"pmemaccel/internal/txcache"
@@ -31,22 +30,17 @@ type System struct {
 	Cores   []*cpu.Core
 	Outputs []*workload.Output
 
-	// Probe is the observability recorder — nil unless Config.Obs is
-	// enabled. Export its contents with Probe.WriteChromeTrace and
-	// Probe.WriteMetricsCSV after (or during) a run.
-	Probe *obs.Probe
-
-	// Metrics is the run-wide metrics registry — nil unless
-	// Config.Obs.Metrics is set. Live histograms fill during the run;
-	// counters and gauges mirrored from the component stats are added at
-	// collection time, and the whole registry is snapshotted into
-	// Result.Metrics.
-	Metrics *metrics.Registry
-
-	// Flight is the transaction flight recorder — nil unless
-	// Config.Obs.TxSample > 0. Its aggregate is collected into
-	// Result.TxFlight; its KTxStage spans land in Probe (when enabled).
-	Flight *txflight.Recorder
+	// Obs is the observer every component reports to — nil unless
+	// Config.Obs switches on at least one consumer. Obs.Probe() is the
+	// event ring (Config.Obs.Enabled): export it with WriteChromeTrace
+	// and WriteMetricsCSV after (or during) a run. Obs.Metrics() is the
+	// run-wide registry (Config.Obs.Metrics): live histograms fill
+	// during the run, counters and gauges mirrored from the component
+	// stats are added at collection, and the whole registry is
+	// snapshotted into Result.Metrics. Obs.Flight() is the flight
+	// recorder (Config.Obs.TxSample): its aggregate is collected into
+	// Result.TxFlight.
+	Obs *obs.Sink
 
 	// Live is the volatile shadow image (newest store values); Durable
 	// is the NVM content that survives a crash.
@@ -99,21 +93,19 @@ func NewSystem(cfg Config) (*System, error) {
 
 	s.Kernel = sim.NewKernel()
 	s.Kernel.SetFastForward(!cfg.NoFastForward)
+	var probe *obs.Probe
 	if cfg.Obs.Enabled {
-		s.Probe = obs.NewProbe(cfg.Obs.TraceCapacity)
+		probe = obs.NewProbe(cfg.Obs.TraceCapacity)
 	}
+	var reg *metrics.Registry
 	if cfg.Obs.Metrics {
-		s.Metrics = metrics.NewRegistry()
+		reg = metrics.NewRegistry()
 	}
-	if cfg.Obs.TxSample > 0 {
-		s.Flight = txflight.New(cfg.Obs.TxSample, s.Probe)
-	}
-	s.Backend, err = memctrl.NewBackend(s.Kernel, cfg.topology(), cfg.nvmConfig(), cfg.dramConfig())
+	s.Obs = obs.NewSink(probe, reg, cfg.Obs.TxSample)
+	s.Backend, err = memctrl.NewBackend(s.Kernel, cfg.topology(), cfg.nvmConfig(), cfg.dramConfig(), s.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("pmemaccel: %w", err)
 	}
-	s.Backend.SetProbe(s.Probe)
-	s.Backend.SetMetrics(s.Metrics)
 
 	// Address-space validation: the base images must classify into
 	// mapped spaces, so an unmapped address is a build-time error here
@@ -157,31 +149,18 @@ func NewSystem(cfg Config) (*System, error) {
 		Live:    s.Live,
 		Durable: s.Durable,
 		TC:      cfg.tcConfig(),
-		Probe:   s.Probe,
-		Metrics: s.Metrics,
-		Flight:  s.Flight,
+		Obs:     s.Obs,
 		Arb:     s.Arb,
 		Commits: s.Commits,
 	}
 	s.Mech = mechanism.New(cfg.Mechanism, env)
-	s.Hier = cache.New(s.Kernel, cfg.cacheConfig(), s.Backend, s.Mech.Hooks(), cfg.Cores)
-	s.Hier.SetProbe(s.Probe)
-	s.Hier.SetMetrics(s.Metrics.Histogram("side_probe_hit_latency_cycles"))
+	s.Hier = cache.New(s.Kernel, cfg.cacheConfig(), s.Backend, s.Mech.Hooks(), cfg.Cores, s.Obs)
 	s.Mech.Attach(s.Hier)
 
 	for c := 0; c < cfg.Cores; c++ {
 		rd := s.Mech.Rewrite(c, s.Outputs[c].NewReader())
 		core := cpu.New(s.Kernel, c, cfg.CPU, s.Hier, s.Mech, rd,
-			func(addr, value uint64) { s.Live.WriteWord(addr, value) })
-		core.SetProbe(s.Probe)
-		core.SetFlight(s.Flight)
-		// Transaction latency and commit-wait distributions are
-		// run-wide: every core observes into the same pair of
-		// histograms (nil when metrics are off).
-		core.SetMetrics(
-			s.Metrics.Histogram("tx_latency_cycles"),
-			s.Metrics.Histogram("commit_wait_cycles"),
-		)
+			func(addr, value uint64) { s.Live.WriteWord(addr, value) }, s.Obs)
 		s.Cores = append(s.Cores, core)
 	}
 	s.startSampler()
@@ -206,19 +185,20 @@ func validateBaseImage(img *memimage.Image) error {
 // kernel callback that samples them. No-op unless the probe is live and
 // a sampling period is configured.
 func (s *System) startSampler() {
-	if s.Probe == nil || s.Config.Obs.SampleEvery == 0 {
+	p := s.Obs.Probe()
+	if p == nil || s.Config.Obs.SampleEvery == 0 {
 		return
 	}
 	if tp, ok := s.Mech.(mechanism.TCIntrospector); ok {
 		for c := 0; c < s.Config.Cores; c++ {
-			s.Probe.AddSource(fmt.Sprintf("tc%d_occupancy", c), tp.TC(c).Occupancy)
+			p.AddSource(fmt.Sprintf("tc%d_occupancy", c), tp.TC(c).Occupancy)
 		}
 	}
-	s.Probe.AddSource("llc_demand_queue", func() int { r, _ := s.Hier.QueueDepths(); return r })
-	s.Probe.AddSource("llc_writeback_queue", func() int { _, w := s.Hier.QueueDepths(); return w })
-	s.Probe.AddSource("llc_inflight_fills", s.Hier.InflightFills)
-	s.Backend.AddQueueSources(s.Probe)
-	s.Probe.StartSampling(s.Kernel, s.Config.Obs.SampleEvery)
+	p.AddSource("llc_demand_queue", func() int { r, _ := s.Hier.QueueDepths(); return r })
+	p.AddSource("llc_writeback_queue", func() int { _, w := s.Hier.QueueDepths(); return w })
+	p.AddSource("llc_inflight_fills", s.Hier.InflightFills)
+	s.Backend.AddQueueSources(p)
+	p.StartSampling(s.Kernel, s.Config.Obs.SampleEvery)
 }
 
 // quiesced reports whether every core finished and all persistence and

@@ -127,7 +127,7 @@ func TestTxFlightTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sys.Probe.WriteChromeTrace(&buf); err != nil {
+	if err := sys.Obs.Probe().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data, err := obs.ReadChromeTrace(bytes.NewReader(buf.Bytes()))
@@ -154,7 +154,7 @@ func TestTxFlightTraceRoundTrip(t *testing.T) {
 			t.Errorf("ring dropped events: %s=%s", k, v)
 		}
 	}
-	for k, n := range sys.Probe.DroppedByKind() {
+	for k, n := range sys.Obs.Probe().DroppedByKind() {
 		if n != 0 {
 			t.Errorf("probe dropped %d %v events", n, obs.Kind(k))
 		}
@@ -173,8 +173,8 @@ func TestTxFlightOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Flight != nil {
-		t.Fatal("System.Flight allocated without Obs.TxSample")
+	if sys.Obs.Flight() != nil {
+		t.Fatal("flight recorder allocated without Obs.TxSample")
 	}
 	res, err := sys.Run()
 	if err != nil {
@@ -183,7 +183,7 @@ func TestTxFlightOffByDefault(t *testing.T) {
 	if res.TxFlight != nil {
 		t.Fatal("Result.TxFlight set without Obs.TxSample")
 	}
-	if n := sys.Probe.CountKind(obs.KTxStage); n != 0 {
+	if n := sys.Obs.Probe().CountKind(obs.KTxStage); n != 0 {
 		t.Fatalf("trace carries %d stage spans with sampling off", n)
 	}
 }
