@@ -52,7 +52,7 @@ func main() {
 		dramChans = flag.Int("dram-channels", 0, "address-interleaved DRAM channels (0 = 1)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		jobs      = flag.Int("j", 0, "concurrent grid cells (0 = all cores); output is identical for every -j")
-		noFF      = flag.Bool("no-ff", false, "disable quiescence fast-forward (step every cycle; same results, slower)")
+		noFF      = flag.Bool("no-ff", false, "disable component sleep and fast-forward (tick everything every cycle; same results, slower)")
 		progress  = flag.Bool("progress", false, "render a live one-line grid status (cells/s, busy workers, ETA) instead of per-cell results")
 		metrics   = flag.Bool("metrics", false, "enable the per-run metrics registry and print latency-percentile tables after the figures")
 		txSample  = flag.Uint64("tx-sample", 0, "flight-record every Nth transaction per core (1 = all, 0 = off) and print the per-cell stage-breakdown table")

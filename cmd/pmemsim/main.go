@@ -66,7 +66,7 @@ func main() {
 		sampleEvery = flag.Uint64("sample-every", 1000, "sampling period in cycles for -metrics-out")
 		metrics     = flag.Bool("metrics", false, "enable the run-wide metrics registry and print its percentile table")
 		txSample    = flag.Uint64("tx-sample", 0, "flight-record every Nth transaction per core (1 = all, 0 = off; enables observability)")
-		noFF        = flag.Bool("no-ff", false, "disable quiescence fast-forward (step every cycle; same results, slower)")
+		noFF        = flag.Bool("no-ff", false, "disable component sleep and fast-forward (tick everything every cycle; same results, slower)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof format) to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")

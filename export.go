@@ -58,9 +58,9 @@ type Export struct {
 	LineConflicts      uint64  `json:"line_conflicts,omitempty"`
 	LineAcquires       uint64  `json:"line_acquires,omitempty"`
 
-	// SkippedCycles is the kernel's quiescence fast-forward audit
-	// counter: how many of Cycles were proven idle and bulk-applied
-	// rather than stepped. Always 0 under -no-ff.
+	// SkippedCycles is the kernel's fast-forward audit counter: how many
+	// of Cycles were jumped because every component was asleep, rather
+	// than stepped. Always 0 under -no-ff.
 	SkippedCycles uint64 `json:"skipped_cycles"`
 
 	// Attribution is the all-core cycle breakdown as percentages of the

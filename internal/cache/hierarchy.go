@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 
 	"pmemaccel/internal/memaddr"
@@ -17,9 +18,6 @@ type Config struct {
 	L2Latency        uint64
 	LLCSize, LLCWays int
 	LLCLatency       uint64
-	// LLCPortsPerCycle is how many queued LLC requests (demand misses
-	// from L2 and writebacks into the LLC) are accepted per cycle.
-	LLCPortsPerCycle int
 	// LLCWriteOccupancy is how many cycles a write (writeback install)
 	// occupies the LLC port. 1 for SRAM; Kiln's STT-RAM LLC uses a
 	// multiple, so commit-flush bursts congest demand misses.
@@ -56,13 +54,20 @@ func (c Config) WithDefaults() Config {
 	if c.LLCLatency == 0 {
 		c.LLCLatency = 20
 	}
-	if c.LLCPortsPerCycle == 0 {
-		c.LLCPortsPerCycle = 1
-	}
 	if c.LLCWriteOccupancy == 0 {
 		c.LLCWriteOccupancy = 1
 	}
 	return c
+}
+
+// Validate rejects a geometry NewSetAssoc would panic on: every level
+// needs a nonzero, power-of-two set count. Call it on the defaulted
+// configuration.
+func (c Config) Validate() error {
+	_, l1 := geometry("L1", c.L1Size, c.L1Ways)
+	_, l2 := geometry("L2", c.L2Size, c.L2Ways)
+	_, llc := geometry("LLC", c.LLCSize, c.LLCWays)
+	return errors.Join(l1, l2, llc)
 }
 
 // Memory is the main-memory interface the LLC misses to (implemented by
@@ -171,6 +176,7 @@ type pendingFlush struct {
 // Hierarchy is the three-level cache model shared by all four mechanisms.
 type Hierarchy struct {
 	k     *sim.Kernel
+	slot  int // kernel slot, for Sleep
 	cfg   Config
 	mem   Memory
 	hooks Hooks
@@ -238,7 +244,8 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.
 		h.l1 = append(h.l1, NewSetAssoc(fmt.Sprintf("L1-%d", c), cfg.L1Size, cfg.L1Ways))
 		h.l2 = append(h.l2, NewSetAssoc(fmt.Sprintf("L2-%d", c), cfg.L2Size, cfg.L2Ways))
 	}
-	k.Register(h)
+	h.slot = k.Register(h)
+	h.sleep()
 	return h
 }
 
@@ -337,6 +344,7 @@ func (h *Hierarchy) enqueueRead(arg uint64) {
 	h.queue = append(h.queue, llcReq{
 		kind: llcRead, lineAddr: arg &^ argPersistent, persistent: arg&argPersistent != 0, enqueue: h.k.Now(),
 	})
+	h.sleep()
 }
 
 func (h *Hierarchy) markStore(l *Line, persistent bool, txID uint64, uncommitted bool) {
@@ -396,6 +404,7 @@ func (h *Hierarchy) queueWriteback(line Line) {
 	h.queue = append(h.queue, llcReq{
 		kind: llcWriteback, lineAddr: line.Addr, line: line, enqueue: h.k.Now(),
 	})
+	h.sleep()
 }
 
 // wbLanded retires one in-transit writeback for a transaction, waking a
@@ -414,50 +423,47 @@ func (h *Hierarchy) wbLanded(txID uint64) {
 	}
 }
 
-// Idle implements sim.Quiescer: with an empty request queue Tick is a
-// pure no-op regardless of portBusy or commitLocks (the serve loop never
-// iterates, and CommitLockStalls only accrues against queued demand
-// reads). Queue entries are only ever appended from ticks and fired
-// events, so an empty queue stays empty across a fast-forward. In-flight
-// fills complete through kernel events and do not require ticking.
-func (h *Hierarchy) Idle() bool { return len(h.queue) == 0 }
+// sleep re-evaluates whether the LLC arbiter sleeps: with an empty
+// request queue Tick is a pure no-op regardless of portBusy or
+// commitLocks (CommitLockStalls only accrues against queued demand
+// reads). Only the two queue appends end that, and both call sleep;
+// in-flight fills complete through kernel events and need no tick.
+func (h *Hierarchy) sleep() { h.k.Sleep(h.slot, len(h.queue) == 0) }
 
-// Tick implements sim.Tickable: serve up to LLCPortsPerCycle queued LLC
-// requests, honouring write-port occupancy (slow STT-RAM writes keep the
-// port busy for several cycles).
+// Tick implements sim.Tickable: serve one queued LLC request, honouring
+// write-port occupancy (slow STT-RAM writes keep the port busy for
+// several cycles).
 func (h *Hierarchy) Tick(now uint64) {
-	if now < h.portBusy {
+	if now < h.portBusy || len(h.queue) == 0 {
 		return
 	}
-	for n := 0; n < h.cfg.LLCPortsPerCycle && len(h.queue) > 0; n++ {
-		idx := 0
-		if h.commitLocks > 0 {
-			// Commit in progress: only writebacks proceed.
-			idx = -1
-			for i := range h.queue {
-				if h.queue[i].kind == llcWriteback {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				h.stats.CommitLockStalls++
-				return
+	idx := 0
+	if h.commitLocks > 0 {
+		// Commit in progress: only writebacks proceed.
+		idx = -1
+		for i := range h.queue {
+			if h.queue[i].kind == llcWriteback {
+				idx = i
+				break
 			}
 		}
-		req := h.queue[idx]
-		h.queue = append(h.queue[:idx], h.queue[idx+1:]...)
-		h.stats.LLCQueueServed++
-		h.stats.LLCQueueWaitSum += now - req.enqueue
-		switch req.kind {
-		case llcRead:
-			h.serveLLCRead(req)
-		case llcWriteback:
-			h.serveLLCWriteback(req)
-			if h.cfg.LLCWriteOccupancy > 1 {
-				h.portBusy = now + h.cfg.LLCWriteOccupancy
-				return
-			}
+		if idx < 0 {
+			h.stats.CommitLockStalls++
+			return
+		}
+	}
+	req := h.queue[idx]
+	h.queue = append(h.queue[:idx], h.queue[idx+1:]...)
+	h.sleep()
+	h.stats.LLCQueueServed++
+	h.stats.LLCQueueWaitSum += now - req.enqueue
+	switch req.kind {
+	case llcRead:
+		h.serveLLCRead(req)
+	case llcWriteback:
+		h.serveLLCWriteback(req)
+		if h.cfg.LLCWriteOccupancy > 1 {
+			h.portBusy = now + h.cfg.LLCWriteOccupancy
 		}
 	}
 }

@@ -52,16 +52,26 @@ type SetAssoc struct {
 	Hits, Misses, Evictions, DirtyEvictions uint64
 }
 
-// NewSetAssoc builds a cache of sizeBytes with the given associativity.
-// sizeBytes must yield a power-of-two, nonzero set count.
-func NewSetAssoc(name string, sizeBytes, ways int) *SetAssoc {
+// geometry returns the set count of a sizeBytes cache with the given
+// associativity, or an error unless it is a nonzero power of two.
+func geometry(name string, sizeBytes, ways int) (int, error) {
 	if sizeBytes <= 0 || ways <= 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry %d bytes / %d ways", name, sizeBytes, ways))
+		return 0, fmt.Errorf("cache %s: bad geometry %d bytes / %d ways", name, sizeBytes, ways)
 	}
 	sets := sizeBytes / memaddr.LineSize / ways
 	if sets == 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: %d bytes / %d ways gives %d sets (need nonzero power of two)",
-			name, sizeBytes, ways, sets))
+		return 0, fmt.Errorf("cache %s: %d bytes / %d ways gives %d sets (need nonzero power of two)",
+			name, sizeBytes, ways, sets)
+	}
+	return sets, nil
+}
+
+// NewSetAssoc builds a cache of sizeBytes with the given associativity.
+// sizeBytes must yield a power-of-two, nonzero set count.
+func NewSetAssoc(name string, sizeBytes, ways int) *SetAssoc {
+	sets, err := geometry(name, sizeBytes, ways)
+	if err != nil {
+		panic(err.Error())
 	}
 	return &SetAssoc{
 		name:  name,

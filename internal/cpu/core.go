@@ -6,6 +6,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -82,6 +83,18 @@ func (c Config) WithDefaults() Config {
 		c.MLP = 8
 	}
 	return c
+}
+
+// Validate rejects sizes WithDefaults leaves in place but the core cannot
+// run with: a non-positive issue width never retires an instruction, and
+// a non-positive store buffer or MLP window never issues a store or an
+// independent load. Call it on the defaulted configuration.
+func (c Config) Validate() error {
+	if c.IssueWidth <= 0 || c.StoreBuffer <= 0 || c.MLP <= 0 {
+		return fmt.Errorf("cpu: IssueWidth %d, StoreBuffer %d and MLP %d must be positive",
+			c.IssueWidth, c.StoreBuffer, c.MLP)
+	}
+	return nil
 }
 
 // CycleBreakdown attributes every cycle of a core's run to exactly one
@@ -182,7 +195,8 @@ type Stats struct {
 	DoneAt uint64
 }
 
-// Core executes one trace stream. Register with the kernel to run.
+// Core executes one trace stream. It registers with the kernel, which
+// ticks it on every cycle it is awake.
 type Core struct {
 	k    *sim.Kernel
 	id   int
@@ -210,7 +224,7 @@ type Core struct {
 
 	// Conflict-abort state: while aborting, the core sits out an
 	// exponential-backoff window (a scheduled wake event ends it, so
-	// fast-forward skips the stall) before replaying from txBuf.
+	// the core sleeps through the stall) before replaying from txBuf.
 	aborting      bool
 	abortAttempts int
 	txInstrBase   uint64 // Instructions at TX_BEGIN, for wasted-work accounting
@@ -236,6 +250,13 @@ type Core struct {
 	// Completion handlers, bound once in New (see sim.Event).
 	loadDoneFn, storeDoneFn, flushDoneFn, resumeFn, wakeFn func(uint64)
 
+	// slot is the core's kernel id. Every cycle up to settled is
+	// charged; while the core sleeps, later ones are owed to the
+	// counters its skipped Ticks would have charged (nil while awake).
+	slot                  int
+	settled               uint64
+	owedStall, owedBucket *uint64
+
 	stats Stats
 }
 
@@ -253,15 +274,20 @@ func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persiste
 	c.flushDoneFn = c.flushDone
 	c.resumeFn = c.resume
 	c.wakeFn = c.wake
-	k.Register(c)
+	c.slot = k.Register(c)
+	c.changed(k.Now())
 	return c
 }
 
 // ID returns the core index.
 func (c *Core) ID() int { return c.id }
 
-// Stats returns a copy of the counters.
-func (c *Core) Stats() Stats { return c.stats }
+// Stats returns a copy of the counters, with the cycles slept through so
+// far charged. Call it between kernel steps.
+func (c *Core) Stats() Stats {
+	c.settle(c.k.Now())
+	return c.stats
+}
 
 // Mode returns the TxID/Mode register (0 = normal mode).
 func (c *Core) Mode() uint64 { return c.mode }
@@ -318,8 +344,8 @@ func (c *Core) fetch() bool {
 // the replay cursor rewinds to TX_BEGIN, and the core enters a bounded
 // exponential backoff — 8·2^min(attempts-1,6) cycles plus a small
 // deterministic per-core jitter so symmetric losers desynchronize. The
-// wake is a scheduled kernel event, so quiescence fast-forward skips
-// the stall window.
+// wake is a scheduled kernel event, so the core sleeps through the
+// stall window.
 func (c *Core) abortTx() {
 	c.stats.TxAborts++
 	c.stats.TxRetries++
@@ -339,16 +365,45 @@ func (c *Core) abortTx() {
 }
 
 // wake ends an abort backoff window.
-func (c *Core) wake(uint64) { c.aborting = false }
+func (c *Core) wake(uint64) {
+	c.aborting = false
+	c.changed(c.k.Now() - 1)
+}
 
 func (c *Core) retire() { c.hasCur = false }
 
-// finishCheck stamps DoneAt the moment the core quiesces. It runs at the
-// end of every tick and after every completion callback, so DoneAt is
-// exact regardless of which event finished last.
-func (c *Core) finishCheck() {
+// changed runs after every state change — at the end of every tick and of
+// every completion handler — with the last cycle the core has been
+// charged for: the tick's own cycle, or the previous one for a handler,
+// since handlers run in the event phase before the cycle's ticks. It
+// settles what a sleep owes, stamps DoneAt the moment the core quiesces
+// (exact regardless of which event finished last), and re-evaluates
+// whether the core sleeps.
+func (c *Core) changed(charged uint64) {
+	c.settle(charged)
 	if c.stats.DoneAt == 0 && c.Finished() {
 		c.stats.DoneAt = c.k.Now()
+	}
+	stall, bucket, idle := c.idleCharge()
+	if !c.k.Sleep(c.slot, idle) {
+		stall, bucket = nil, nil
+	}
+	c.owedStall, c.owedBucket = stall, bucket
+}
+
+// settle charges the cycles slept through, up to and including cycle
+// through, to the counters the core fell asleep owing.
+func (c *Core) settle(through uint64) {
+	if through <= c.settled {
+		return
+	}
+	n := through - c.settled
+	c.settled = through
+	if c.owedStall != nil {
+		*c.owedStall += n
+	}
+	if c.owedBucket != nil {
+		*c.owedBucket += n
 	}
 }
 
@@ -357,10 +412,7 @@ func (c *Core) finishCheck() {
 // exactly one CycleBreakdown bucket — the condition that terminated the
 // cycle (partial issue followed by a stall is attributed to the stall).
 func (c *Core) Tick(now uint64) {
-	defer func() {
-		c.peekExhaustion()
-		c.finishCheck()
-	}()
+	defer c.ticked(now)
 	if c.Finished() {
 		return
 	}
@@ -530,95 +582,63 @@ func (c *Core) Tick(now uint64) {
 	bd.Compute++
 }
 
-// Idle implements sim.Quiescer: report true only when Tick is provably a
-// no-op at the current state, apart from the per-cycle stall accounting
-// that SkipCycles applies in bulk. The conditions mirror Tick's early
-// returns exactly, in Tick's precedence order:
+// idleCharge reports whether Tick is provably a no-op at the current
+// state apart from per-cycle stall accounting and, if so, the counters
+// each such Tick charges: a Stats stall counter and a CycleBreakdown
+// bucket, either nil when none. The cases mirror Tick's early returns
+// exactly, in Tick's precedence order:
 //
 //   - finished: Tick returns immediately;
+//   - abort backoff: the scheduled wake event is the only exit;
 //   - commit wait: the mechanism's resume callback (a kernel event) is
 //     the only exit;
 //   - fence wait with outstanding stores/flushes: their completion
 //     callbacks (events) are the only exits;
+//   - trace exhausted, waiting for outstanding accesses to drain;
 //   - blocked load at the head of the trace: dependent behind an
 //     outstanding load, or independent at the MLP limit;
 //   - store at the head with a full store buffer (checked before the
-//     mechanism sees the store, so Tick touches nothing else);
-//   - trace exhausted, waiting for outstanding accesses to drain.
+//     mechanism sees the store, so Tick touches nothing else).
 //
-// A persistent store that would be presented to the mechanism reports
-// busy: pers.Store may mutate mechanism state (TC full-reject counters,
-// observer instants) every retry cycle, so it is not provably a no-op.
-func (c *Core) Idle() bool {
-	if c.Finished() {
-		return true
-	}
-	if c.aborting {
-		// The backoff wake is a scheduled event; until it fires, Tick
-		// only accrues abort-stall cycles.
-		return true
-	}
-	if c.commitWait {
-		return true
-	}
-	if c.fenceWait && (c.outStores > 0 || c.outFlushes > 0) {
-		return true
-	}
-	if !c.hasCur {
-		// Exhausted with outstanding accesses: pure drain wait. A core
-		// that could still fetch makes progress.
-		return c.exhausted
-	}
-	switch c.cur.Kind {
-	case trace.KindLoad:
-		if c.cur.Dep {
-			return c.outLoads > 0
-		}
-		return c.outLoads >= c.cfg.MLP
-	case trace.KindStore:
-		return c.outStores >= c.cfg.StoreBuffer
-	}
-	return false
-}
-
-// SkipCycles implements sim.CycleSkipper: bulk-charge n skipped cycles
-// to exactly the stall bucket n idle Ticks would have accrued one cycle
-// at a time (the cases, and their precedence, mirror Idle and Tick).
-func (c *Core) SkipCycles(n uint64) {
-	if c.Finished() {
-		return
-	}
-	bd := &c.stats.Breakdown
+// A persistent store that would be presented to the mechanism is not
+// idle: pers.Store may mutate mechanism state (TC full-reject counters,
+// observer instants) every retry cycle. A fence whose accesses already
+// completed falls through to the head record: Tick clears it and
+// charges whatever that record stalls on.
+func (c *Core) idleCharge() (stall, bucket *uint64, idle bool) {
+	s, bd := &c.stats, &c.stats.Breakdown
 	switch {
+	case c.Finished():
+		return nil, nil, true
 	case c.aborting:
-		c.stats.StallAbort += n
-		bd.AbortStall += n
+		return &s.StallAbort, &bd.AbortStall, true
 	case c.commitWait:
-		c.stats.StallCommit += n
-		bd.CommitWait += n
+		return &s.StallCommit, &bd.CommitWait, true
 	case c.fenceWait && (c.outStores > 0 || c.outFlushes > 0):
-		// The guard mirrors Tick: a fence whose outstanding accesses
-		// already completed is cleared on the next Tick and the cycle
-		// is charged to whatever the head record stalls on instead.
-		c.stats.StallFence += n
-		bd.FenceStall += n
-	case c.hasCur && c.cur.Kind == trace.KindLoad:
-		c.stats.StallLoad += n
-		bd.LoadStall += n
-	case c.hasCur && c.cur.Kind == trace.KindStore:
-		c.stats.StallStoreBuf += n
-		bd.StoreBufStall += n
-	default:
-		bd.DrainWait += n
+		return &s.StallFence, &bd.FenceStall, true
+	case !c.hasCur:
+		// A core that could still fetch makes progress.
+		return nil, &bd.DrainWait, c.exhausted
+	case c.cur.Kind == trace.KindLoad:
+		if c.cur.Dep && c.outLoads > 0 || !c.cur.Dep && c.outLoads >= c.cfg.MLP {
+			return &s.StallLoad, &bd.LoadStall, true
+		}
+	case c.cur.Kind == trace.KindStore:
+		if c.outStores >= c.cfg.StoreBuffer {
+			return &s.StallStoreBuf, &bd.StoreBufStall, true
+		}
 	}
+	return nil, nil, false
 }
 
-// peekExhaustion discovers end-of-stream eagerly so Finished (and DoneAt)
-// reflect the cycle the last instruction retired, not one cycle later.
-func (c *Core) peekExhaustion() {
+// ticked ends every Tick. It discovers end-of-stream eagerly, so Finished
+// (and DoneAt) reflect the cycle the last instruction retired, not one
+// cycle later, then re-evaluates sleep.
+func (c *Core) ticked(now uint64) {
 	if !c.hasCur && !c.exhausted {
 		c.fetch()
 	}
+	c.changed(now)
 }
 
 // issueLoad sends a load into the hierarchy. Its completion Event
@@ -648,19 +668,19 @@ func (c *Core) loadDone(arg uint64) {
 		}
 		c.stats.PloadHist[idx]++
 	}
-	c.finishCheck()
+	c.changed(c.k.Now() - 1)
 }
 
 // storeDone completes a store: it frees a store-buffer entry.
 func (c *Core) storeDone(uint64) {
 	c.outStores--
-	c.finishCheck()
+	c.changed(c.k.Now() - 1)
 }
 
 // flushDone completes a clwb/clflush.
 func (c *Core) flushDone(uint64) {
 	c.outFlushes--
-	c.finishCheck()
+	c.changed(c.k.Now() - 1)
 }
 
 // resume ends a commit wait (Arg: the committing transaction's id).
@@ -668,7 +688,7 @@ func (c *Core) resume(id uint64) {
 	c.commitWait = false
 	c.stats.Transactions++
 	c.obs.TxCommit(c.id, id, c.txStart, c.commitFrom, c.k.Now(), true)
-	c.finishCheck()
+	c.changed(c.k.Now() - 1)
 }
 
 // PloadPercentile returns an upper bound on the given percentile of the

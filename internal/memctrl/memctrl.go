@@ -40,8 +40,6 @@ type Config struct {
 	// count; DrainLow ends it. Table 2: drain at 80% of the 64-entry
 	// queue.
 	DrainHigh, DrainLow int
-	// CmdPerCycle is the command-issue bandwidth (default 1).
-	CmdPerCycle int
 }
 
 // WithDefaults fills zero fields with usable defaults.
@@ -64,9 +62,6 @@ func (c Config) WithDefaults() Config {
 	if c.DrainLow == 0 {
 		c.DrainLow = c.WriteWindow / 4
 	}
-	if c.CmdPerCycle == 0 {
-		c.CmdPerCycle = 1
-	}
 	return c
 }
 
@@ -83,9 +78,6 @@ func (c Config) Validate() error {
 	if c.ReadWindow <= 0 || c.WriteWindow <= 0 {
 		return fmt.Errorf("memctrl %s: scheduling windows (read %d, write %d) must be positive",
 			c.Name, c.ReadWindow, c.WriteWindow)
-	}
-	if c.CmdPerCycle <= 0 {
-		return fmt.Errorf("memctrl %s: CmdPerCycle = %d, must be positive", c.Name, c.CmdPerCycle)
 	}
 	if c.DrainHigh <= 0 || c.DrainLow < 0 {
 		return fmt.Errorf("memctrl %s: drain thresholds (high %d, low %d) must be non-negative with DrainHigh > 0",
@@ -132,8 +124,8 @@ type Stats struct {
 	BusyCycles         uint64 // cycles with >= 1 command issued
 }
 
-// Controller is one memory channel. Register it with the kernel so Tick
-// runs every cycle.
+// Controller is one memory channel. It registers with the kernel, which
+// ticks it on every cycle it is awake.
 type Controller struct {
 	k     *sim.Kernel
 	cfg   Config
@@ -147,6 +139,7 @@ type Controller struct {
 	flight     sim.Slots[request]
 	completeFn func(uint64)
 	draining   bool
+	slot       int // kernel slot, for Sleep
 
 	// obs observes the channel (nil when disabled); id is its global
 	// channel index (NVM channels first, then DRAM), which labels its
@@ -163,7 +156,8 @@ func New(k *sim.Kernel, cfg Config) *Controller {
 	cfg = cfg.WithDefaults()
 	c := &Controller{k: k, cfg: cfg, banks: make([]bank, cfg.Banks), wear: newWear()}
 	c.completeFn = c.complete
-	k.Register(c)
+	c.slot = k.Register(c)
+	c.sleep()
 	return c
 }
 
@@ -188,6 +182,7 @@ func (c *Controller) Read(lineAddr uint64, done sim.Event) {
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		done: done, enqueue: c.k.Now(),
 	})
+	c.sleep()
 }
 
 // Write enqueues a line write. apply (may be the zero Event) fires at
@@ -210,6 +205,7 @@ func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w
 	if len(c.writes) > c.stats.WriteQueuePeak {
 		c.stats.WriteQueuePeak = len(c.writes)
 	}
+	c.sleep()
 }
 
 func (c *Controller) bankOf(lineAddr uint64) int {
@@ -296,42 +292,27 @@ func (c *Controller) complete(arg uint64) {
 	}
 	req.apply.Fire()
 	req.done.Fire()
+	// The bank freed this cycle: a request blocked on it may issue.
+	c.sleep()
 }
 
-// Tick implements sim.Tickable: issue up to CmdPerCycle commands under the
-// read-first / write-drain policy.
+// Tick implements sim.Tickable: issue one command under the read-first /
+// write-drain policy.
 func (c *Controller) Tick(now uint64) {
 	if !c.draining && len(c.writes) >= c.cfg.DrainHigh {
 		c.draining = true
 		c.stats.DrainEntries++
 		c.obs.WPQDrainStart(c.id, now)
 	}
-	issued := false
-	for n := 0; n < c.cfg.CmdPerCycle; n++ {
-		if c.draining {
-			if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, now); i >= 0 {
-				c.issue(&c.writes, i, true, now)
-				issued = true
-				continue
-			}
-			// Banks busy for every window entry: fall through to
-			// try reads rather than idling the channel.
-		}
-		if i := c.pickIssuable(c.reads, c.cfg.ReadWindow, now); i >= 0 {
-			c.issue(&c.reads, i, false, now)
-			issued = true
-			continue
-		}
-		// Reads empty or blocked: opportunistically issue writes.
-		if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, now); i >= 0 {
+	if i, write := c.pick(now); i >= 0 {
+		if write {
 			c.issue(&c.writes, i, true, now)
-			issued = true
+		} else {
+			c.issue(&c.reads, i, false, now)
 		}
-	}
-	if issued {
 		c.stats.BusyCycles++
 	}
-	// The drain window is re-checked after the issue loop, not before it:
+	// The drain window is re-checked after the issue, not before it:
 	// checking first (against last cycle's queue) recorded a span end —
 	// and held the draining flag — one cycle past the issue that actually
 	// emptied the queue to DrainLow.
@@ -339,31 +320,47 @@ func (c *Controller) Tick(now uint64) {
 		c.draining = false
 		c.obs.WPQDrainEnd(c.id, now)
 	}
+	c.sleep()
 }
 
-// Idle implements sim.Quiescer. Tick is a provable no-op when no drain
-// transition is pending and neither scheduling window holds an issuable
-// request; BusyCycles only accrues on issue, and a drain window can only
-// close in the tick that issued the queue down to DrainLow.
+// sleep re-evaluates whether the controller sleeps. Tick is a provable
+// no-op when no drain transition is pending and neither scheduling
+// window holds an issuable request; BusyCycles only accrues on issue,
+// and a drain window can only close in the tick that issued the queue
+// down to DrainLow. The queue appends (Read, WriteTracked) and the bank
+// frees (complete) are the only ways out, and each calls sleep.
 //
 // The window-blocked case (requests queued, every candidate's bank busy)
-// is skippable because every busy bank has a completion event pending at
+// is sound because every busy bank has a completion event pending at
 // exactly its busyUntil cycle — issue schedules both together and events
-// are never cancelled — so the kernel's skip target never passes the
-// cycle a bank frees, and the blocked window stays blocked across every
-// skipped cycle.
-func (c *Controller) Idle() bool {
-	if !c.draining && len(c.writes) >= c.cfg.DrainHigh {
-		return false // drain-start transition pending
+// are never cancelled — so the bank frees inside complete, which
+// re-evaluates.
+func (c *Controller) sleep() {
+	// A pending drain start keeps the controller awake.
+	idle := c.draining || len(c.writes) < c.cfg.DrainHigh
+	if idle {
+		i, _ := c.pick(c.k.Now())
+		idle = i < 0
 	}
-	now := c.k.Now()
-	if len(c.reads) > 0 && c.pickIssuable(c.reads, c.cfg.ReadWindow, now) >= 0 {
-		return false
+	c.k.Sleep(c.slot, idle)
+}
+
+// pick chooses the next command under the read-first / write-drain
+// policy and reports its index and queue, or -1 when nothing can issue.
+func (c *Controller) pick(now uint64) (i int, write bool) {
+	if c.draining {
+		if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, now); i >= 0 {
+			return i, true
+		}
+		// Banks busy for every window entry: try reads rather than
+		// idling the channel.
+		return c.pickIssuable(c.reads, c.cfg.ReadWindow, now), false
 	}
-	if len(c.writes) > 0 && c.pickIssuable(c.writes, c.cfg.WriteWindow, now) >= 0 {
-		return false
+	if i := c.pickIssuable(c.reads, c.cfg.ReadWindow, now); i >= 0 {
+		return i, false
 	}
-	return true
+	// Reads empty or blocked: opportunistically issue writes.
+	return c.pickIssuable(c.writes, c.cfg.WriteWindow, now), true
 }
 
 // Quiescent reports whether no requests are queued or in flight: every

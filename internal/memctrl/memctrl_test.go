@@ -190,7 +190,7 @@ func TestReadLatencyStats(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.Banks == 0 || c.ReadWindow == 0 || c.WriteWindow == 0 ||
-		c.DrainHigh == 0 || c.DrainLow == 0 || c.CmdPerCycle == 0 || c.RowBytes == 0 {
+		c.DrainHigh == 0 || c.DrainLow == 0 || c.RowBytes == 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	if c.DrainHigh != c.WriteWindow*8/10 {
@@ -343,8 +343,8 @@ func TestOpenDrainWindowFlushedAtCollection(t *testing.T) {
 	if c.Stats().DrainEntries != 1 {
 		t.Fatalf("drains started = %d, want 1", c.Stats().DrainEntries)
 	}
-	if c.Idle() {
-		t.Fatal("controller mid-drain reports idle")
+	if k.Awake() == 0 {
+		t.Fatal("controller mid-drain sleeps")
 	}
 	o.FlushOpenSpans(k.Now())
 	if n := p.CountKind(obs.KWPQDrainOpen); n != 1 {
@@ -417,7 +417,6 @@ func TestConfigValidate(t *testing.T) {
 		{"drain low >= high", func(c *Config) { c.DrainLow = c.DrainHigh }},
 		{"drain low above high", func(c *Config) { c.DrainLow = c.DrainHigh + 10 }},
 		{"negative read window", func(c *Config) { c.ReadWindow = -8 }},
-		{"negative cmd rate", func(c *Config) { c.CmdPerCycle = -1 }},
 		{"hit slower than miss", func(c *Config) { c.ReadHit = c.ReadMiss + 1 }},
 	}
 	for _, tc := range bad {

@@ -4,16 +4,17 @@
 //
 // The kernel advances one cycle at a time. Within a cycle it first fires
 // every event scheduled for that cycle (in schedule order, so execution is
-// deterministic), then ticks every registered Tickable in registration
-// order. Components therefore see a consistent "events happen, then state
-// machines advance" discipline each cycle.
+// deterministic), then ticks every awake registered Tickable in
+// registration order. Components therefore see a consistent "events
+// happen, then state machines advance" discipline each cycle.
 //
-// When every registered component also implements Quiescer and reports
-// idle, the kernel fast-forwards the clock to the next scheduled event
-// instead of spinning no-op tick sweeps — the event-driven mode that makes
-// long memory-latency stalls cheap. The quiescence contract (when a
-// component may legally report idle) is documented on Quiescer and in
-// DESIGN.md §10; the contract guarantees results are byte-identical with
+// A component puts itself to sleep (Kernel.Sleep) when its next Tick would
+// be a no-op, and wakes itself when an entry point or a completion changes
+// that; the kernel skips a sleeping component's Tick. When no component is
+// awake the kernel fast-forwards the clock to the next scheduled event
+// instead of stepping empty cycles — the event-driven mode that makes long
+// memory-latency stalls cheap. The sleep contract is documented on Sleep
+// and in DESIGN.md §10; it guarantees results are byte-identical with
 // fast-forward on or off.
 package sim
 
@@ -22,31 +23,6 @@ type Tickable interface {
 	// Tick advances the component by one cycle. The current cycle number
 	// is passed so components do not need a back-pointer to the kernel.
 	Tick(cycle uint64)
-}
-
-// Quiescer is an optional interface a Tickable may implement to let the
-// kernel fast-forward across cycles where the whole machine is provably
-// quiet.
-//
-// Idle must return true only when the component's next Tick would be a
-// no-op at its current state: no state change, no event scheduled, no
-// probe emission — nothing observable except per-cycle accounting, which
-// the kernel applies in bulk through CycleSkipper. Component state may
-// only change between ticks through kernel events, and the kernel never
-// skips past an event, so a component that is idle now is idle for every
-// skipped cycle. When in doubt a component must report busy: a false
-// "busy" only costs speed, a false "idle" breaks the byte-identical
-// guarantee.
-type Quiescer interface {
-	Idle() bool
-}
-
-// CycleSkipper is an optional companion to Quiescer for components whose
-// idle Tick still accrues per-cycle accounting (a stalled core charging
-// its stall bucket). SkipCycles(n) must apply exactly the accounting n
-// consecutive idle Ticks would have, and nothing else.
-type CycleSkipper interface {
-	SkipCycles(n uint64)
 }
 
 // event is an Event scheduled for a future cycle. seq breaks ties so that
@@ -128,13 +104,10 @@ func (h *eventHeap) pop() event {
 	return root
 }
 
-// tickEntry caches the optional-interface assertions done once at
-// Register time, keeping the per-cycle and per-skip loops free of type
-// switches.
+// tickEntry is one registered component and whether it sleeps.
 type tickEntry struct {
-	t Tickable
-	q Quiescer     // nil: component never reports idle (always busy)
-	s CycleSkipper // nil: no bulk accounting on skip
+	t      Tickable
+	asleep bool
 }
 
 // Kernel is the simulation engine. The zero value is not usable; use
@@ -144,9 +117,11 @@ type Kernel struct {
 	seq       uint64
 	events    eventHeap
 	tickables []tickEntry
+	// awake counts the registered components that are not asleep.
+	awake int
 
-	// ff enables quiescence fast-forward; skipped counts the cycles the
-	// kernel jumped instead of stepping.
+	// ff lets components sleep and the clock fast-forward; skipped
+	// counts the cycles the kernel jumped instead of stepping.
 	ff      bool
 	skipped uint64
 
@@ -156,12 +131,10 @@ type Kernel struct {
 	// cycle, and the coercion would otherwise hide it as a quiet
 	// reordering.
 	pastSchedules uint64
-
-	debugBlocked func(int)
 }
 
 // NewKernel returns a kernel at cycle 0 with no pending events and
-// quiescence fast-forward enabled.
+// fast-forward enabled.
 func NewKernel() *Kernel {
 	return &Kernel{ff: true}
 }
@@ -169,13 +142,23 @@ func NewKernel() *Kernel {
 // Now reports the current cycle.
 func (k *Kernel) Now() uint64 { return k.now }
 
-// SetFastForward enables or disables quiescence fast-forward. Results
-// are byte-identical either way; disabling exists for equivalence tests
-// and perf comparison.
-func (k *Kernel) SetFastForward(on bool) { k.ff = on }
+// SetFastForward enables or disables component sleep and fast-forward.
+// Disabled is the literal reference mode: every component ticks every
+// cycle and Sleep never puts one to sleep. Results are byte-identical
+// either way; disabling exists for equivalence tests and perf
+// comparison. It must be called before the first Register.
+func (k *Kernel) SetFastForward(on bool) {
+	if len(k.tickables) > 0 {
+		panic("sim: SetFastForward after Register")
+	}
+	k.ff = on
+}
 
 // Skipped reports how many cycles fast-forward jumped over so far.
 func (k *Kernel) Skipped() uint64 { return k.skipped }
+
+// Awake reports how many registered components are awake.
+func (k *Kernel) Awake() int { return k.awake }
 
 // PastSchedules reports how many ScheduleAt calls targeted a cycle
 // strictly in the past and were coerced to the next cycle. Always zero
@@ -183,14 +166,42 @@ func (k *Kernel) Skipped() uint64 { return k.skipped }
 // benchmark assert it.
 func (k *Kernel) PastSchedules() uint64 { return k.pastSchedules }
 
-// Register adds a component to the per-cycle tick list. Components tick in
-// registration order. Components implementing Quiescer (and optionally
-// CycleSkipper) participate in quiescence fast-forward.
-func (k *Kernel) Register(t Tickable) {
-	e := tickEntry{t: t}
-	e.q, _ = t.(Quiescer)
-	e.s, _ = t.(CycleSkipper)
-	k.tickables = append(k.tickables, e)
+// Register adds a component, awake, to the per-cycle tick list and
+// returns its id for Sleep. Components tick in registration order.
+func (k *Kernel) Register(t Tickable) int {
+	k.tickables = append(k.tickables, tickEntry{t: t})
+	k.awake++
+	return len(k.tickables) - 1
+}
+
+// Sleep puts component id to sleep when idle is true and wakes it
+// otherwise, and reports whether it is now asleep (always false with
+// fast-forward off). The kernel skips a sleeping component's Tick.
+//
+// idle may be true only when the component's next Tick would be a
+// provable no-op at its current state: no state change, no event
+// scheduled, no observer report — nothing except per-cycle accounting,
+// which the component settles itself for the cycles it slept through.
+// A component re-evaluates idle at the end of its own Tick and in every
+// entry point or completion handler that changes the state the test
+// reads, so the flag always equals the test. Time alone never ends idle:
+// every way out of it is a kernel event or another component's call.
+// When in doubt a component must stay awake: a false "awake" only costs
+// speed, a false "asleep" breaks the byte-identical guarantee.
+func (k *Kernel) Sleep(id int, idle bool) bool {
+	if !k.ff {
+		return false
+	}
+	e := &k.tickables[id]
+	if e.asleep != idle {
+		e.asleep = idle
+		if idle {
+			k.awake--
+		} else {
+			k.awake++
+		}
+	}
+	return idle
 }
 
 // Schedule arranges for ev to fire delay cycles from now. A delay of 0
@@ -220,106 +231,51 @@ func (k *Kernel) ScheduleAt(cycle uint64, ev Event) {
 func (k *Kernel) Pending() int { return k.events.len() }
 
 // Step advances the clock by exactly one cycle: fire due events, then
-// tick every registered component. Step never fast-forwards; the skip
-// logic lives in RunUntil so single-stepping callers keep cycle-exact
-// control.
+// tick every awake component in registration order. A component woken
+// during the cycle ticks in it if its turn has not yet come. Step never
+// fast-forwards; the skip logic lives in RunUntil so single-stepping
+// callers keep cycle-exact control.
 func (k *Kernel) Step() {
 	k.now++
 	for k.events.len() > 0 && k.events.head().cycle <= k.now {
 		k.events.pop().ev.Fire()
 	}
 	for i := range k.tickables {
-		k.tickables[i].t.Tick(k.now)
-	}
-}
-
-// maybeSkip fast-forwards the clock to one cycle before the next event
-// (or before limit when no event is pending) when every registered
-// component is provably idle. The following Step then lands exactly on
-// the event cycle with the usual events-then-ticks discipline.
-//
-// Soundness: component state changes only inside Tick or a fired event.
-// Every skipped Tick is a no-op by the Quiescer contract and no event
-// fires in the skipped range, so the machine state at the skip target is
-// identical to stepping there — except per-cycle accounting, which
-// SkipCycles applies in bulk for exactly the skipped cycle count.
-func (k *Kernel) maybeSkip(limit uint64) {
-	if !k.ff {
-		return
-	}
-	target := limit
-	if k.events.len() > 0 && k.events.head().cycle < target {
-		target = k.events.head().cycle
-	}
-	if target <= k.now+1 {
-		return
-	}
-	// Poll idleness in reverse registration order: the components
-	// registered last (cores) answer cheapest and are busiest, so they
-	// short-circuit the poll before the controllers' window scans run.
-	// Polling order is unobservable — Idle must not mutate state.
-	for i := len(k.tickables) - 1; i >= 0; i-- {
-		if k.tickables[i].q == nil || !k.tickables[i].q.Idle() {
-			if k.debugBlocked != nil {
-				k.debugBlocked(i)
-			}
-			return
+		if e := &k.tickables[i]; !e.asleep {
+			e.t.Tick(k.now)
 		}
 	}
-	n := target - k.now - 1
-	for i := range k.tickables {
-		if k.tickables[i].s != nil {
-			k.tickables[i].s.SkipCycles(n)
-		}
-	}
-	k.now += n
-	k.skipped += n
 }
 
 // RunUntil steps the kernel until the predicate returns true or the cycle
 // limit is reached. It returns the cycle at which it stopped and whether
-// the predicate was satisfied. When the machine is quiescent it
-// fast-forwards between events instead of stepping every cycle; the
-// predicate is evaluated at the same component states either way (state
-// cannot change across provably idle cycles).
+// the predicate was satisfied. When no component is awake it jumps the
+// clock to one cycle before the next event (or before limit when no event
+// is pending), so the following Step lands exactly on the event cycle
+// with the usual events-then-ticks discipline.
+//
+// Soundness: component state changes only inside Tick, a fired event or
+// a call from one of those. Every sleeping component's Tick is a no-op by
+// the Sleep contract and no event fires in the skipped range, so the
+// machine state at the skip target is identical to stepping there, and
+// the predicate is evaluated at the same states either way.
 func (k *Kernel) RunUntil(done func() bool, limit uint64) (uint64, bool) {
 	for !done() {
 		if k.now >= limit {
 			return k.now, false
 		}
-		k.maybeSkip(limit)
+		if k.ff && k.awake == 0 {
+			target := limit
+			if k.events.len() > 0 && k.events.head().cycle < target {
+				target = k.events.head().cycle
+			}
+			if target > k.now+1 {
+				n := target - k.now - 1
+				k.now += n
+				k.skipped += n
+			}
+		}
 		k.Step()
 	}
 	return k.now, true
-}
-
-// Drain steps the kernel until no events remain, up to limit cycles.
-// Tickables still tick each stepped cycle. It reports whether the event
-// queue emptied.
-func (k *Kernel) Drain(limit uint64) bool {
-	_, ok := k.RunUntil(func() bool { return k.events.len() == 0 }, limit)
-	return ok
-}
-
-// DebugIdleBlockers instruments the kernel (test use): returns a closure
-// reporting, per tickable index, how many idle polls that component was
-// the first to answer "busy" to. Components registered after the call
-// are accounted too: the counts slice grows on demand, so machines with
-// any number of tickables (a 64-core grid registers well over 64) are
-// safe.
-func DebugIdleBlockers(k *Kernel) func() []uint64 {
-	counts := make([]uint64, len(k.tickables))
-	grow := func(n int) {
-		for len(counts) < n {
-			counts = append(counts, 0)
-		}
-	}
-	k.debugBlocked = func(i int) {
-		grow(i + 1)
-		counts[i]++
-	}
-	return func() []uint64 {
-		grow(len(k.tickables))
-		return counts[:len(k.tickables)]
-	}
 }

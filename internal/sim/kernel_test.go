@@ -98,8 +98,8 @@ func TestEventMayScheduleFurtherEvents(t *testing.T) {
 		}
 	}
 	k.Schedule(1, Event{Fn: chain})
-	if !k.Drain(100) {
-		t.Fatal("Drain did not empty the queue")
+	if _, ok := k.RunUntil(func() bool { return k.Pending() == 0 }, 100); !ok {
+		t.Fatal("the event queue did not empty")
 	}
 	if count != 5 {
 		t.Fatalf("chain ran %d times, want 5", count)
@@ -111,10 +111,16 @@ func TestEventMayScheduleFurtherEvents(t *testing.T) {
 }
 
 type countingTicker struct {
-	ticks []uint64
+	ticks  []uint64
+	onTick func() // optional: runs inside every tick
 }
 
-func (c *countingTicker) Tick(cycle uint64) { c.ticks = append(c.ticks, cycle) }
+func (c *countingTicker) Tick(cycle uint64) {
+	c.ticks = append(c.ticks, cycle)
+	if c.onTick != nil {
+		c.onTick()
+	}
+}
 
 func TestTickablesTickEveryCycleInRegistrationOrder(t *testing.T) {
 	k := NewKernel()
@@ -203,7 +209,7 @@ func TestQuickEventOrdering(t *testing.T) {
 				fired = append(fired, firing{want: w, got: k.Now()})
 			}})
 		}
-		k.Drain(1 << 20)
+		k.RunUntil(func() bool { return k.Pending() == 0 }, 1<<20)
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -221,89 +227,94 @@ func TestQuickEventOrdering(t *testing.T) {
 	}
 }
 
-// quiescentTicker is a Tickable that is idle unless it has pending work,
-// and counts both real ticks and bulk-skipped cycles.
+// quiescentTicker is a component with a count of pending work: each
+// tick retires one unit, and it sleeps while none is left. Its wake
+// handler adds a unit, the way a completion gives a component work.
 type quiescentTicker struct {
-	busyUntil uint64 // busy while now < busyUntil
-	k         *Kernel
-	ticks     uint64
-	skipped   uint64
+	k     *Kernel
+	id    int
+	work  uint64
+	ticks uint64
 }
 
-func (q *quiescentTicker) Tick(cycle uint64)   { q.ticks++ }
-func (q *quiescentTicker) Idle() bool          { return q.k.Now() >= q.busyUntil }
-func (q *quiescentTicker) SkipCycles(n uint64) { q.skipped += n }
+func newQuiescentTicker(k *Kernel, work uint64) *quiescentTicker {
+	q := &quiescentTicker{k: k, work: work}
+	q.id = k.Register(q)
+	q.k.Sleep(q.id, q.work == 0)
+	return q
+}
+
+func (q *quiescentTicker) Tick(uint64) {
+	q.ticks++
+	if q.work > 0 {
+		q.work--
+	}
+	q.k.Sleep(q.id, q.work == 0)
+}
+
+// wake is the ticker's completion handler: one more unit of work.
+func (q *quiescentTicker) wake(uint64) {
+	q.work++
+	q.k.Sleep(q.id, false)
+}
 
 func TestFastForwardSkipsIdleGapToNextEvent(t *testing.T) {
 	k := NewKernel()
-	q := &quiescentTicker{k: k}
-	k.Register(q)
-	fired := uint64(0)
-	k.Schedule(100, Event{Fn: func(uint64) { fired = k.Now() }})
-	cycle, ok := k.RunUntil(func() bool { return fired != 0 }, 1000)
-	if !ok || cycle != 100 || fired != 100 {
-		t.Fatalf("RunUntil = (%d, %v), fired at %d; want event at 100", cycle, ok, fired)
+	q := newQuiescentTicker(k, 0)
+	k.Schedule(100, Event{Fn: q.wake})
+	cycle, ok := k.RunUntil(func() bool { return q.ticks > 0 }, 1000)
+	if !ok || cycle != 100 {
+		t.Fatalf("RunUntil = (%d, %v); want the wake at 100", cycle, ok)
 	}
 	if k.Skipped() != 99 {
 		t.Fatalf("Skipped = %d, want 99 (cycles 1..99 jumped)", k.Skipped())
 	}
-	if q.skipped != 99 {
-		t.Fatalf("SkipCycles total = %d, want 99", q.skipped)
-	}
 	// The event cycle itself must be a real Step (events then ticks).
 	if q.ticks != 1 {
 		t.Fatalf("real ticks = %d, want 1 (only the event cycle)", q.ticks)
-	}
-	if q.ticks+q.skipped != 100 {
-		t.Fatalf("ticks+skipped = %d, want 100 (accounting must cover every cycle)", q.ticks+q.skipped)
 	}
 }
 
 func TestFastForwardDisabledTicksEveryCycle(t *testing.T) {
 	k := NewKernel()
 	k.SetFastForward(false)
-	q := &quiescentTicker{k: k}
-	k.Register(q)
-	fired := false
-	k.Schedule(50, Event{Fn: func(uint64) { fired = true }})
-	k.RunUntil(func() bool { return fired }, 1000)
+	q := newQuiescentTicker(k, 0)
+	k.Schedule(50, Event{Fn: q.wake})
+	k.RunUntil(func() bool { return q.work > 0 || k.Now() >= 50 }, 1000)
 	if k.Skipped() != 0 {
 		t.Fatalf("Skipped = %d with fast-forward off, want 0", k.Skipped())
 	}
-	if q.ticks != 50 || q.skipped != 0 {
-		t.Fatalf("ticks = %d skipped = %d, want 50 real ticks, 0 skipped", q.ticks, q.skipped)
+	if q.ticks != 50 || k.Awake() != 1 {
+		t.Fatalf("ticks = %d, awake = %d; want 50 real ticks and nothing asleep", q.ticks, k.Awake())
 	}
 }
 
 func TestBusyComponentBlocksFastForward(t *testing.T) {
 	k := NewKernel()
-	q := &quiescentTicker{k: k, busyUntil: 30}
-	k.Register(q)
-	fired := false
-	k.Schedule(100, Event{Fn: func(uint64) { fired = true }})
-	k.RunUntil(func() bool { return fired }, 1000)
-	// Cycles 1..30 tick for real (idle only once now >= 30); the jump
-	// covers the remaining gap up to the event at 100.
-	if q.ticks+q.skipped != 100 {
-		t.Fatalf("ticks+skipped = %d, want 100", q.ticks+q.skipped)
+	q := newQuiescentTicker(k, 30)
+	k.Schedule(100, Event{Fn: q.wake})
+	k.RunUntil(func() bool { return k.Now() >= 100 }, 1000)
+	// Cycles 1..30 tick for real (asleep once the work is done); the
+	// jump covers the remaining gap up to the wake at 100, which ticks.
+	if q.ticks != 31 {
+		t.Fatalf("real ticks = %d, want 31 (busy cycles must not be skipped)", q.ticks)
 	}
-	if q.ticks < 30 {
-		t.Fatalf("real ticks = %d, want >= 30 (busy cycles must not be skipped)", q.ticks)
-	}
-	if k.Skipped() == 0 {
-		t.Fatal("expected some cycles skipped after the component went idle")
+	if k.Skipped() != 69 {
+		t.Fatalf("Skipped = %d, want 69 (cycles 31..99)", k.Skipped())
 	}
 }
 
+// A component that never calls Sleep stays awake, so it ticks every
+// cycle and the kernel never jumps.
 func TestFastForwardWithoutQuiescerNeverSkips(t *testing.T) {
 	k := NewKernel()
 	c := &countingTicker{}
-	k.Register(c) // implements Tickable only
+	k.Register(c)
 	fired := false
 	k.Schedule(40, Event{Fn: func(uint64) { fired = true }})
 	k.RunUntil(func() bool { return fired }, 1000)
 	if k.Skipped() != 0 {
-		t.Fatalf("Skipped = %d, want 0: a non-Quiescer component is always busy", k.Skipped())
+		t.Fatalf("Skipped = %d, want 0: a component that never sleeps is always awake", k.Skipped())
 	}
 	if len(c.ticks) != 40 {
 		t.Fatalf("ticked %d cycles, want 40", len(c.ticks))
@@ -312,15 +323,45 @@ func TestFastForwardWithoutQuiescerNeverSkips(t *testing.T) {
 
 func TestFastForwardRespectsRunUntilLimit(t *testing.T) {
 	k := NewKernel()
-	q := &quiescentTicker{k: k}
-	k.Register(q)
+	q := newQuiescentTicker(k, 0)
 	// No events at all: with an idle machine RunUntil jumps to the limit.
 	cycle, ok := k.RunUntil(func() bool { return false }, 75)
 	if ok || cycle != 75 {
 		t.Fatalf("RunUntil = (%d, %v), want (75, false)", cycle, ok)
 	}
-	if q.ticks+q.skipped != 75 {
-		t.Fatalf("ticks+skipped = %d, want 75", q.ticks+q.skipped)
+	if q.ticks != 0 || k.Skipped() != 74 {
+		t.Fatalf("ticks = %d, skipped = %d; want the jump to 74, then a step to 75 that leaves the sleeper alone", q.ticks, k.Skipped())
+	}
+}
+
+// A component woken by another's Tick in the same cycle ticks in that
+// cycle when its turn comes after the waker's, and from the next cycle
+// when it came before; a sleeping one is not ticked.
+func TestWakeTicksInRegistrationOrder(t *testing.T) {
+	k := NewKernel()
+	before := newQuiescentTicker(k, 0)
+	waker := &countingTicker{}
+	k.Register(waker)
+	after := newQuiescentTicker(k, 0)
+	k.Step()
+	if before.ticks != 0 || after.ticks != 0 {
+		t.Fatalf("sleeping components ticked: before %d, after %d", before.ticks, after.ticks)
+	}
+	// Wake both from inside the waker's tick at cycle 2.
+	k.Schedule(1, Event{Fn: func(uint64) {
+		waker.onTick = func() { before.wake(0); after.wake(0) }
+	}})
+	k.Step()
+	if before.ticks != 0 || after.ticks != 1 {
+		t.Fatalf("cycle 2 ticks: before %d, after %d; want 0 and 1", before.ticks, after.ticks)
+	}
+	waker.onTick = nil
+	k.Step()
+	if before.ticks != 1 || after.ticks != 1 {
+		t.Fatalf("cycle 3 ticks: before %d, after %d; want 1 and 1", before.ticks, after.ticks)
+	}
+	if k.Awake() != 1 {
+		t.Fatalf("Awake = %d, want 1 (only the waker)", k.Awake())
 	}
 }
 
@@ -361,24 +402,6 @@ func TestScheduleDoesNotAllocatePerEvent(t *testing.T) {
 	}
 }
 
-func TestDebugIdleBlockersCountsFirstBusy(t *testing.T) {
-	k := NewKernel()
-	q := &quiescentTicker{k: k, busyUntil: 10}
-	k.Register(q)
-	counts := DebugIdleBlockers(k)
-	k.Schedule(20, Event{Fn: func(uint64) {}})
-	k.RunUntil(func() bool { return false }, 20)
-	got := counts()
-	if len(got) != 1 {
-		t.Fatalf("counts for %d tickables, want 1", len(got))
-	}
-	// One blocked poll per cycle 0..9; the component reports idle from
-	// cycle 10 and the kernel jumps the rest of the way to the limit.
-	if got[0] != 10 {
-		t.Fatalf("blocked %d polls, want 10", got[0])
-	}
-}
-
 func TestPastSchedulesCountsOnlyStrictPast(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 5; i++ {
@@ -397,48 +420,5 @@ func TestPastSchedulesCountsOnlyStrictPast(t *testing.T) {
 	// The coercion itself still fires the event next cycle.
 	if k.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", k.Pending())
-	}
-}
-
-// Regression: DebugIdleBlockers used a hardcoded 64-entry slice, so any
-// machine with more tickables (a 64-core grid registers hundreds)
-// sliced out of range.
-func TestDebugIdleBlockersManyTickables(t *testing.T) {
-	k := NewKernel()
-	const n = 70
-	var qs []*quiescentTicker
-	for i := 0; i < n; i++ {
-		q := &quiescentTicker{k: k, busyUntil: 5}
-		k.Register(q)
-		qs = append(qs, q)
-	}
-	counts := DebugIdleBlockers(k)
-	k.Schedule(20, Event{Fn: func(uint64) {}})
-	k.RunUntil(func() bool { return false }, 20)
-	got := counts()
-	if len(got) != n {
-		t.Fatalf("counts for %d tickables, want %d", len(got), n)
-	}
-	var total uint64
-	for _, c := range got {
-		total += c
-	}
-	if total == 0 {
-		t.Fatal("no blocked polls recorded while components were busy")
-	}
-}
-
-// Registration after instrumentation must also be in range (the counts
-// slice grows on demand).
-func TestDebugIdleBlockersLateRegistration(t *testing.T) {
-	k := NewKernel()
-	counts := DebugIdleBlockers(k)
-	for i := 0; i < 66; i++ {
-		k.Register(&quiescentTicker{k: k, busyUntil: 3})
-	}
-	k.Schedule(10, Event{Fn: func(uint64) {}})
-	k.RunUntil(func() bool { return false }, 10)
-	if got := counts(); len(got) != 66 {
-		t.Fatalf("counts for %d tickables, want 66", len(got))
 	}
 }

@@ -99,8 +99,6 @@ type Config struct {
 	Latency uint64
 	// HighWaterFrac triggers the overflow fall-back (0.9).
 	HighWaterFrac float64
-	// IssuePerCycle bounds committed-entry drain bandwidth.
-	IssuePerCycle int
 }
 
 // WithDefaults fills zero fields with the Table 2 values.
@@ -116,9 +114,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.HighWaterFrac == 0 {
 		c.HighWaterFrac = 0.9
-	}
-	if c.IssuePerCycle == 0 {
-		c.IssuePerCycle = 1
 	}
 	return c
 }
@@ -146,9 +141,6 @@ func (c Config) Validate() error {
 	if !(c.HighWaterFrac > 0 && c.HighWaterFrac <= 1) { // NaN fails too
 		return fmt.Errorf("txcache: HighWaterFrac %g must be in (0, 1]", c.HighWaterFrac)
 	}
-	if c.IssuePerCycle <= 0 {
-		return fmt.Errorf("txcache: IssuePerCycle %d must be positive", c.IssuePerCycle)
-	}
 	return nil
 }
 
@@ -170,12 +162,13 @@ type drainWrite struct {
 	addr, value uint64
 }
 
-// TxCache is one core's transaction cache. Register with the kernel so
-// the drain state machine ticks.
+// TxCache is one core's transaction cache. It registers with the kernel,
+// which ticks its drain state machine on every cycle it is awake.
 type TxCache struct {
-	k   *sim.Kernel
-	cfg Config
-	mem Port
+	k    *sim.Kernel
+	slot int // kernel slot, for Sleep
+	cfg  Config
+	mem  Port
 	// durableApply writes one word into the durable NVM image; the
 	// system provides it so the TC stays image-agnostic.
 	durableApply func(addr, value uint64)
@@ -228,7 +221,8 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 	o.AddTC(core)
 	tc.applyFn = tc.applyDrain
 	tc.ackFn = tc.ackDrain
-	k.Register(tc)
+	tc.slot = k.Register(tc)
+	tc.sleep()
 	return tc
 }
 
@@ -289,6 +283,7 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 		tc.stats.OccupancyPeak = tc.count
 	}
 	tc.stats.Writes++
+	tc.sleep()
 	return Accepted
 }
 
@@ -304,6 +299,7 @@ func (tc *TxCache) Commit(txID uint64) {
 		}
 	}
 	tc.obs.TCCommit(tc.core, txID, matched, tc.k.Now())
+	tc.sleep()
 }
 
 // Probe serves an LLC miss request: CAM-match live entries for the cache
@@ -340,41 +336,37 @@ func (tc *TxCache) prev(i int) int {
 	return i - 1
 }
 
-// Idle implements sim.Quiescer: Tick is a pure no-op exactly when
-// either nothing is left to issue and no drain burst is waiting to close
-// (the burst-end report closes the observer's burst, a state change), or the issue pointer is parked on an active entry — in
-// FIFO order an uncommitted entry blocks everything younger, so issueOne
-// returns without advancing the pointer or touching the burst. The
-// blocking entry can only commit through its core's activity, and a core
-// that could run reports busy itself.
-func (tc *TxCache) Idle() bool {
-	if tc.unissued == 0 {
-		return !tc.obs.TCBurstOpen(tc.core)
+// sleep re-evaluates whether the TC sleeps. Tick is a pure no-op exactly
+// when either nothing is left to issue and no drain burst is waiting to
+// close (the burst-end report closes the observer's burst, a state
+// change), or the issue pointer is parked on an active entry — in FIFO
+// order an uncommitted entry blocks everything younger, so issueOne
+// returns without advancing the pointer or touching the burst. Write,
+// Commit, Ack and EvictTx change that state, and each calls sleep.
+func (tc *TxCache) sleep() {
+	idle := !tc.obs.TCBurstOpen(tc.core)
+	if tc.unissued > 0 {
+		idle = tc.entries[tc.issue].State == Active
 	}
-	return tc.entries[tc.issue].State == Active
+	tc.k.Sleep(tc.slot, idle)
 }
 
-// Tick implements sim.Tickable: issue committed entries toward the NVM in
-// FIFO order, up to IssuePerCycle. A drain burst (the off-critical-path
-// write stream of §4.3) spans from the first issue until nothing is left
-// unissued.
+// Tick implements sim.Tickable: issue the oldest committed entry toward
+// the NVM. A drain burst (the off-critical-path write stream of §4.3)
+// spans from the first issue until nothing is left unissued.
 func (tc *TxCache) Tick(now uint64) {
-	for n := 0; n < tc.cfg.IssuePerCycle; n++ {
-		if !tc.issueOne() {
-			break
-		}
-	}
+	tc.issueOne()
 	if tc.unissued == 0 {
 		tc.obs.TCBurstEnd(tc.core, now)
 	}
+	tc.sleep()
 }
 
-// issueOne sends the oldest committed, unissued entry. It returns false
-// when nothing is issuable (the next candidate is active or the ring is
-// drained).
-func (tc *TxCache) issueOne() bool {
+// issueOne sends the oldest committed, unissued entry, if the next
+// candidate is not active and the ring is not drained.
+func (tc *TxCache) issueOne() {
 	if tc.unissued == 0 {
-		return false
+		return
 	}
 	// Advance the issue pointer over already-issued or available
 	// entries to the oldest unissued one. Bounded by the ring size;
@@ -390,7 +382,7 @@ func (tc *TxCache) issueOne() bool {
 	if e.State == Active {
 		// FIFO order: an active (uncommitted) entry blocks everything
 		// younger than it.
-		return false
+		return
 	}
 	e.issued = true
 	tc.unissued--
@@ -411,7 +403,6 @@ func (tc *TxCache) issueOne() bool {
 		tc.mem.Write(memaddr.LineAddr(e.Addr), apply, ack)
 	}
 	tc.issue = tc.next(tc.issue)
-	return true
 }
 
 // issueTracked is issueOne's drain write for a sampled transaction: it
@@ -457,6 +448,7 @@ func (tc *TxCache) Ack(addr uint64) {
 				tc.tail = tc.head
 				tc.issue = tc.head
 			}
+			tc.sleep()
 			if tc.onAck != nil {
 				tc.onAck(addr)
 			}
@@ -491,6 +483,7 @@ func (tc *TxCache) EvictTx(txID uint64) []Entry {
 		tc.issue = tc.head
 	}
 	tc.evicted = out
+	tc.sleep()
 	return out
 }
 

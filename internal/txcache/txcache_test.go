@@ -482,11 +482,11 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Write(1, nvmAddr(2), 12)
 	tc.Commit(1)
-	// One tick issues one entry (IssuePerCycle default 1): the burst is
-	// open with two entries still unissued.
+	// One tick issues one entry: the burst is open with two entries
+	// still unissued.
 	k.Step()
-	if tc.Idle() {
-		t.Fatal("TC mid-burst reports idle")
+	if k.Awake() == 0 {
+		t.Fatal("TC mid-burst sleeps")
 	}
 	o.FlushOpenSpans(k.Now())
 	if n := p.CountKind(obs.KTCDrainOpen); n != 1 {
@@ -530,13 +530,12 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("defaulted zero config rejected: %v", err)
 	}
 	bad := []Config{
-		{SizeBytes: -64, EntryBytes: 64, HighWaterFrac: 0.9, IssuePerCycle: 1},
-		{SizeBytes: 4 << 10, EntryBytes: 100, HighWaterFrac: 0.9, IssuePerCycle: 1}, // 100 does not divide 4096
-		{SizeBytes: 64, EntryBytes: 64, HighWaterFrac: 0.9, IssuePerCycle: 1},       // 1 entry
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 1.5, IssuePerCycle: 1},
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: -0.1, IssuePerCycle: 1},
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: math.NaN(), IssuePerCycle: 1},
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 0.9, IssuePerCycle: -2},
+		{SizeBytes: -64, EntryBytes: 64, HighWaterFrac: 0.9},
+		{SizeBytes: 4 << 10, EntryBytes: 100, HighWaterFrac: 0.9}, // 100 does not divide 4096
+		{SizeBytes: 64, EntryBytes: 64, HighWaterFrac: 0.9},       // 1 entry
+		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 1.5},
+		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: -0.1},
+		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

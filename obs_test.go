@@ -159,7 +159,7 @@ func TestObsDeterminismUnchanged(t *testing.T) {
 }
 
 // TestSamplerUnderFastForward checks the sampler's interaction with the
-// kernel's quiescence fast-forward: the self-rescheduling sample event
+// kernel's fast-forward: the self-rescheduling sample event
 // keeps the period exact (skips land between events, never across
 // them), so sample cycles are strictly monotonic on an exact
 // SampleEvery cadence, never past the kernel clock (the run's drain

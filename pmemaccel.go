@@ -59,12 +59,11 @@ type Config struct {
 
 	// Scale divides the cache and transaction-cache capacities by a
 	// power of two, shrinking the machine for fast runs while keeping
-	// capacity ratios. 1 reproduces Table 2 exactly.
+	// capacity ratios. 1 reproduces Table 2 exactly. The transaction
+	// cache does not scale: transaction footprints do not shrink with
+	// the machine, and the TC is sized to transactions, not to the
+	// hierarchy.
 	Scale int
-	// ScaleTC also divides the transaction cache by Scale. Off by
-	// default: transaction footprints do not shrink with the machine,
-	// and the TC is sized to transactions, not to the hierarchy.
-	ScaleTC bool
 
 	CPU cpu.Config
 	// NVMTech selects the nonvolatile technology timing model
@@ -99,11 +98,11 @@ type Config struct {
 	// MaxCycles bounds the run (0 = default bound).
 	MaxCycles uint64
 
-	// NoFastForward disables the kernel's quiescence fast-forward, so
-	// every cycle is stepped even when the whole machine is provably
-	// idle. Results are byte-identical either way (the skip-equivalence
-	// tests enforce it); the switch exists for those tests and for perf
-	// comparison.
+	// NoFastForward is the tick-everything reference mode: no component
+	// sleeps, so every component ticks every cycle and the kernel never
+	// fast-forwards. Results are byte-identical either way (the
+	// skip-equivalence tests enforce it); the switch exists for those
+	// tests and for perf comparison.
 	NoFastForward bool
 
 	// Obs configures the cycle-level observability layer (off by
@@ -290,6 +289,12 @@ func (c Config) Validate() error {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
+	if err := c.CPU.WithDefaults().Validate(); err != nil {
+		return fmt.Errorf("pmemaccel: %w", err)
+	}
+	if err := c.cacheConfig().WithDefaults().Validate(); err != nil {
+		return fmt.Errorf("pmemaccel: Scale %d: %w", c.Scale, err)
+	}
 	if err := c.tcConfig().WithDefaults().Validate(); err != nil {
 		return fmt.Errorf("pmemaccel: transaction cache: %w", err)
 	}
@@ -354,7 +359,6 @@ func (c Config) cacheConfig() cache.Config {
 		L1Size: 32 << 10 / private, L1Ways: 4, L1Latency: 1,
 		L2Size: 256 << 10 / private, L2Ways: 8, L2Latency: 9,
 		LLCSize: 64 << 20 / c.Scale, LLCWays: 16, LLCLatency: 20,
-		LLCPortsPerCycle: 1,
 	}
 	if c.Mechanism == Kiln {
 		// Kiln's LLC is STT-RAM: writes are slow (~20 ns against the 10 ns SRAM-like read),
@@ -367,12 +371,8 @@ func (c Config) cacheConfig() cache.Config {
 
 // tcConfig builds the per-core transaction cache configuration.
 func (c Config) tcConfig() txcache.Config {
-	size := c.TCBytes
-	if c.ScaleTC {
-		size /= c.Scale
-	}
 	return txcache.Config{
-		SizeBytes:     size,
+		SizeBytes:     c.TCBytes,
 		EntryBytes:    64,
 		Latency:       1,
 		HighWaterFrac: c.TCHighWaterFrac,

@@ -1,11 +1,11 @@
 package pmemaccel
 
-// Skip-equivalence suite for the kernel's quiescence fast-forward
+// Skip-equivalence suite for component sleep and fast-forward
 // (internal/sim): every workload x mechanism cell must produce an
-// identical Result with fast-forward on and off. The Quiescer contract
+// identical Result with fast-forward on and off. The sleep contract
 // (DESIGN.md §10) promises byte-identical simulation output; these tests
 // enforce it field by field, including the per-core cycle attribution
-// that SkipCycles back-fills in bulk.
+// that a sleeping core charges in bulk.
 
 import (
 	"reflect"
@@ -14,22 +14,21 @@ import (
 	"pmemaccel/internal/workload"
 )
 
-// runPair runs one cell with fast-forward on and off and returns both
-// results with their Configs zeroed (the NoFastForward flag is the one
-// intended difference; everything downstream of it must agree).
-func runPair(t *testing.T, b workload.Benchmark, m Kind) (ff, noff *Result) {
+// runPair runs one configuration with fast-forward on and off and
+// returns both results with their Configs zeroed (the NoFastForward flag
+// is the one intended difference; everything downstream of it must
+// agree).
+func runPair(t *testing.T, cfg Config) (ff, noff *Result) {
 	t.Helper()
-	cfg := smokeConfig(b, m)
-
 	cfg.NoFastForward = false
 	ff, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("%v/%v fast-forward on: %v", b, m, err)
+		t.Fatalf("fast-forward on: %v", err)
 	}
 	cfg.NoFastForward = true
 	noff, err = Run(cfg)
 	if err != nil {
-		t.Fatalf("%v/%v fast-forward off: %v", b, m, err)
+		t.Fatalf("fast-forward off: %v", err)
 	}
 	ff.Config = Config{}
 	noff.Config = Config{}
@@ -37,42 +36,101 @@ func runPair(t *testing.T, b workload.Benchmark, m Kind) (ff, noff *Result) {
 	// the audit trail for the flag under test): assert the expected
 	// shape, then zero it so DeepEqual covers everything else.
 	if noff.SkippedCycles != 0 {
-		t.Errorf("%v/%v: NoFastForward run reported %d skipped cycles, want 0", b, m, noff.SkippedCycles)
+		t.Errorf("NoFastForward run reported %d skipped cycles, want 0", noff.SkippedCycles)
 	}
 	ff.SkippedCycles = 0
 	noff.SkippedCycles = 0
 	return ff, noff
 }
 
-func TestFastForwardResultsIdenticalAllCells(t *testing.T) {
+// equivalenceCells is every workload x mechanism cell of the paper's
+// suite, plus a contended 16-core machine and Kiln on two NVM channels.
+func equivalenceCells() map[string]Config {
+	cells := map[string]Config{}
 	for _, b := range workload.All {
 		for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
-			b, m := b, m
-			t.Run(b.String()+"/"+m.String(), func(t *testing.T) {
-				t.Parallel()
-				ff, noff := runPair(t, b, m)
-				if !reflect.DeepEqual(ff, noff) {
-					t.Errorf("results diverge with fast-forward on vs off:\n  on:  %v\n  off: %v", ff, noff)
-					// Narrow the divergence for the failure message.
-					if ff.Cycles != noff.Cycles {
-						t.Errorf("Cycles: %d vs %d", ff.Cycles, noff.Cycles)
-					}
-					for c := range ff.PerCore {
-						if !reflect.DeepEqual(ff.PerCore[c], noff.PerCore[c]) {
-							t.Errorf("core %d stats diverge:\n  on:  %+v\n  off: %+v",
-								c, ff.PerCore[c], noff.PerCore[c])
-						}
+			cells[b.String()+"/"+m.String()] = smokeConfig(b, m)
+		}
+	}
+	wide := smokeConfig(workload.BankShared, TCache)
+	wide.Cores = 16
+	cells["bankshared/tcache/16c"] = wide
+	kiln2 := smokeConfig(workload.RBTree, Kiln)
+	kiln2.NVMChannels = 2
+	cells["rbtree/kiln/2nvm"] = kiln2
+	return cells
+}
+
+func TestFastForwardResultsIdenticalAllCells(t *testing.T) {
+	for name, cfg := range equivalenceCells() {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ff, noff := runPair(t, cfg)
+			if !reflect.DeepEqual(ff, noff) {
+				t.Errorf("results diverge with fast-forward on vs off:\n  on:  %v\n  off: %v", ff, noff)
+				// Narrow the divergence for the failure message.
+				if ff.Cycles != noff.Cycles {
+					t.Errorf("Cycles: %d vs %d", ff.Cycles, noff.Cycles)
+				}
+				for c := range ff.PerCore {
+					if !reflect.DeepEqual(ff.PerCore[c], noff.PerCore[c]) {
+						t.Errorf("core %d stats diverge:\n  on:  %+v\n  off: %+v",
+							c, ff.PerCore[c], noff.PerCore[c])
 					}
 				}
-			})
-		}
+			}
+		})
+	}
+}
+
+// TestFastForwardMidRunStateIdentical stops the same machine with
+// fast-forward on and off at a ladder of cycles and compares the clock
+// and every core's counters at each stop. A core's slept cycles are
+// charged lazily, so a stop inside a sleep catches any that were never
+// settled.
+func TestFastForwardMidRunStateIdentical(t *testing.T) {
+	for _, name := range []string{"rbtree/tcache", "sps/sp", "graph/optimal", "btree/kiln", "bankshared/tcache/16c"} {
+		cfg := equivalenceCells()[name]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var sys [2]*System
+			for i, noFF := range []bool{false, true} {
+				c := cfg
+				c.NoFastForward = noFF
+				s, err := NewSystem(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys[i] = s
+			}
+			ff, ref := sys[0], sys[1]
+			for stop := uint64(1); ; stop = stop*3 + 7 {
+				doneFF, doneRef := ff.RunToCycle(stop), ref.RunToCycle(stop)
+				if ff.Kernel.Now() != ref.Kernel.Now() || doneFF != doneRef {
+					t.Fatalf("stop %d: clock %d (done %v) with fast-forward, %d (done %v) without",
+						stop, ff.Kernel.Now(), doneFF, ref.Kernel.Now(), doneRef)
+				}
+				for c := range ff.Cores {
+					if a, b := ff.Cores[c].Stats(), ref.Cores[c].Stats(); !reflect.DeepEqual(a, b) {
+						t.Fatalf("stop %d: core %d stats diverge:\n  on:  %+v\n  off: %+v", stop, c, a, b)
+					}
+				}
+				if doneFF {
+					break
+				}
+			}
+			if ff.Kernel.Skipped() == 0 {
+				t.Fatal("fast-forward never engaged; the comparison is vacuous")
+			}
+		})
 	}
 }
 
 // TestAttributionClosesUnderFastForward re-asserts the cycle-attribution
 // invariant (every cycle of the performance window lands in exactly one
-// bucket) on the fast-forward path, where skipped spans are bulk-charged
-// by Core.SkipCycles instead of accrued tick by tick.
+// bucket) on the fast-forward path, where the cycles a core sleeps
+// through are charged in bulk instead of accrued tick by tick.
 func TestAttributionClosesUnderFastForward(t *testing.T) {
 	for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
 		m := m

@@ -89,12 +89,13 @@ type Result struct {
 	// Config.Obs.TxSample was set.
 	TxFlight *obs.FlightAggregate
 
-	// SkippedCycles is how many cycles the kernel's quiescence
-	// fast-forward jumped instead of stepping — the audit trail for
-	// `-no-ff` equivalence runs (which must report 0) and for judging
-	// how much of a run the event-driven mode covered. Skipped cycles
-	// are real simulated cycles (they are included in Cycles); this
-	// counter only records that they were proven idle and bulk-applied.
+	// SkippedCycles is how many cycles the kernel fast-forwarded
+	// because every component was asleep — the audit trail for `-no-ff`
+	// equivalence runs (which must report 0) and for judging how much of
+	// a run the event-driven mode covered. Skipped cycles are real
+	// simulated cycles (they are included in Cycles); this counter only
+	// records that no component ticked in them. Components also sleep
+	// while others are awake; those cycles are stepped, not counted here.
 	SkippedCycles uint64
 }
 

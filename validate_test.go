@@ -47,6 +47,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"tc entry size mismatch", func(c *Config) { c.TCBytes = 100 }, "transaction cache"},
 		{"unknown mechanism", func(c *Config) { c.Mechanism = Kind(9) }, "Mechanism"},
 		{"unknown nvm tech", func(c *Config) { c.NVMTech = NVMTech(7) }, "NVMTech"},
+		{"negative issue width", func(c *Config) { c.CPU.IssueWidth = -1 }, "IssueWidth"},
+		{"negative store buffer", func(c *Config) { c.CPU.StoreBuffer = -1 }, "StoreBuffer"},
+		{"negative MLP", func(c *Config) { c.CPU.MLP = -1 }, "MLP"},
+		{"scale leaves the LLC no sets", func(c *Config) { c.Scale = 1 << 17 }, "LLC"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(workload.RBTree, TCache)
