@@ -47,6 +47,9 @@ type Export struct {
 	NVMWearMax      uint64  `json:"nvm_wear_max"`
 	NVMWearHotness  float64 `json:"nvm_wear_hotness"`
 
+	// TCFullStallPct is the mean share of core cycles a persistent
+	// store spent rejected and retried: transaction cache full, or the
+	// conflict guard's one-cycle shared-line arbitration retry.
 	TCFullStallPct   float64 `json:"tc_full_stall_pct"`
 	DurableDiffCount int     `json:"durable_diff_count"`
 

@@ -19,9 +19,15 @@ import (
 
 // StoreAction tells the core how to treat one persistent store.
 type StoreAction struct {
-	// Retry stalls the core one cycle and asks again (transaction
-	// cache full, or a shared-line ownership request in flight).
+	// Retry stalls the core one cycle and asks again: the transaction
+	// cache is full, or a shared-line ownership request is in flight
+	// (the conflict guard's one-cycle arbitration retry).
 	Retry bool
+	// Park, with Retry, promises that every retry returns the same
+	// answer with the same side effects until the mechanism fires the
+	// store's wake Event (exactly once, never before Store returns), so
+	// the core sleeps until then instead of asking every cycle.
+	Park bool
 	// Abort squashes the current transaction: the core lost a
 	// shared-line conflict arbitration. It discards the in-flight
 	// record, waits out a bounded exponential backoff, and replays the
@@ -43,8 +49,9 @@ type Persistence interface {
 	// resume exactly once iff it returns true, and not before TxEnd
 	// returns.
 	TxEnd(core int, txID uint64, resume sim.Event) bool
-	// Store observes a persistent store about to leave the core.
-	Store(core int, txID uint64, addr, value uint64) StoreAction
+	// Store observes a persistent store about to leave the core. wake
+	// is fired by the mechanism iff it answers Retry with Park.
+	Store(core int, txID uint64, addr, value uint64, wake sim.Event) StoreAction
 }
 
 // NullPersistence takes no action on any event.
@@ -57,7 +64,9 @@ func (NullPersistence) TxBegin(int, uint64) {}
 func (NullPersistence) TxEnd(int, uint64, sim.Event) bool { return false }
 
 // Store implements Persistence.
-func (NullPersistence) Store(int, uint64, uint64, uint64) StoreAction { return StoreAction{} }
+func (NullPersistence) Store(int, uint64, uint64, uint64, sim.Event) StoreAction {
+	return StoreAction{}
+}
 
 // Config sizes one core.
 type Config struct {
@@ -111,8 +120,9 @@ type CycleBreakdown struct {
 	LoadStall uint64
 	// StoreBufStall: the store buffer was full.
 	StoreBufStall uint64
-	// TCFullStall: a persistent store was rejected by the mechanism
-	// (transaction cache full) and retried.
+	// TCFullStall: a persistent store was rejected by the mechanism and
+	// retried — the transaction cache was full, or the conflict guard
+	// held the store one cycle for a shared-line arbitration.
 	TCFullStall uint64
 	// FenceStall: an sfence waited on outstanding stores/flushes.
 	FenceStall uint64
@@ -225,7 +235,10 @@ type Core struct {
 	// Conflict-abort state: while aborting, the core sits out an
 	// exponential-backoff window (a scheduled wake event ends it, so
 	// the core sleeps through the stall) before replaying from txBuf.
+	// parked marks the head store as retried with Park: it sleeps until
+	// the mechanism fires the same wake handler.
 	aborting      bool
+	parked        bool
 	abortAttempts int
 	txInstrBase   uint64 // Instructions at TX_BEGIN, for wasted-work accounting
 
@@ -364,9 +377,10 @@ func (c *Core) abortTx() {
 	c.k.Schedule(backoff, sim.Event{Fn: c.wakeFn})
 }
 
-// wake ends an abort backoff window.
+// wake ends an abort backoff window or a parked store's sleep.
 func (c *Core) wake(uint64) {
 	c.aborting = false
+	c.parked = false
 	c.changed(c.k.Now() - 1)
 }
 
@@ -488,7 +502,8 @@ func (c *Core) Tick(now uint64) {
 			persistent := memaddr.IsPersistent(c.cur.Addr)
 			act := StoreAction{}
 			if persistent {
-				act = c.pers.Store(c.id, c.mode, c.cur.Addr, c.cur.Value)
+				act = c.pers.Store(c.id, c.mode, c.cur.Addr, c.cur.Value, sim.Event{Fn: c.wakeFn})
+				c.parked = act.Retry && act.Park
 				if act.Abort {
 					c.abortTx()
 					c.stats.StallAbort++
@@ -598,13 +613,15 @@ func (c *Core) Tick(now uint64) {
 //   - blocked load at the head of the trace: dependent behind an
 //     outstanding load, or independent at the MLP limit;
 //   - store at the head with a full store buffer (checked before the
-//     mechanism sees the store, so Tick touches nothing else).
+//     mechanism sees the store, so Tick touches nothing else);
+//   - parked store at the head: the mechanism promised every retry the
+//     same answer until it fires wake, and settles its own per-retry
+//     side effects (the TC's full-reject count) for the slept cycles.
 //
-// A persistent store that would be presented to the mechanism is not
-// idle: pers.Store may mutate mechanism state (TC full-reject counters,
-// observer instants) every retry cycle. A fence whose accesses already
-// completed falls through to the head record: Tick clears it and
-// charges whatever that record stalls on.
+// Any other persistent store that would be presented to the mechanism
+// is not idle: pers.Store may mutate mechanism state every retry cycle.
+// A fence whose accesses already completed falls through to the head
+// record: Tick clears it and charges whatever that record stalls on.
 func (c *Core) idleCharge() (stall, bucket *uint64, idle bool) {
 	s, bd := &c.stats, &c.stats.Breakdown
 	switch {
@@ -626,6 +643,9 @@ func (c *Core) idleCharge() (stall, bucket *uint64, idle bool) {
 	case c.cur.Kind == trace.KindStore:
 		if c.outStores >= c.cfg.StoreBuffer {
 			return &s.StallStoreBuf, &bd.StoreBufStall, true
+		}
+		if c.parked {
+			return &s.StallStoreRetry, &bd.TCFullStall, true
 		}
 	}
 	return nil, nil, false

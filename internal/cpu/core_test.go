@@ -193,7 +193,7 @@ func (p *recordingPersistence) TxEnd(core int, txID uint64, resume sim.Event) bo
 	return false
 }
 
-func (p *recordingPersistence) Store(core int, txID uint64, addr, value uint64) StoreAction {
+func (p *recordingPersistence) Store(core int, txID uint64, addr, value uint64, _ sim.Event) StoreAction {
 	if p.onStore != nil {
 		p.onStore(core, txID)
 	}
@@ -222,7 +222,7 @@ type retryOncePersistence struct {
 	retries int
 }
 
-func (p *retryOncePersistence) Store(core int, txID uint64, addr, value uint64) StoreAction {
+func (p *retryOncePersistence) Store(core int, txID uint64, addr, value uint64, _ sim.Event) StoreAction {
 	if p.retries > 0 {
 		p.retries--
 		return StoreAction{Retry: true}
@@ -243,6 +243,64 @@ func TestStoreRetryStalls(t *testing.T) {
 	}
 	if c.Stats().Stores != 1 {
 		t.Fatalf("stores = %d, want 1 (eventually issued)", c.Stats().Stores)
+	}
+}
+
+// parkingPersistence answers the first persistent store with a parked
+// retry and fires its wake cycles later, the way a full transaction
+// cache's drain ack does; every retry before then (a tick-everything
+// run keeps asking) gets the same answer.
+type parkingPersistence struct {
+	NullPersistence
+	k      *sim.Kernel
+	cycles uint64
+	wakeAt uint64 // 0 until the first store
+}
+
+func (p *parkingPersistence) Store(core int, txID uint64, addr, value uint64, wake sim.Event) StoreAction {
+	if p.wakeAt == 0 {
+		p.wakeAt = p.k.Now() + p.cycles
+		p.k.ScheduleAt(p.wakeAt, wake)
+	}
+	if p.k.Now() < p.wakeAt {
+		return StoreAction{Retry: true, Park: true}
+	}
+	return StoreAction{}
+}
+
+// A parked store sleeps the core until the mechanism's wake, and the
+// slept cycles are charged as the retries a tick-everything run makes.
+func TestParkedStoreSleepsUntilWake(t *testing.T) {
+	var tr trace.Trace
+	tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 1), trace.TxEnd(1), trace.Compute(8))
+	var midPark, final [2]Stats
+	for i, ff := range []bool{true, false} {
+		k := sim.NewKernel()
+		k.SetFastForward(ff)
+		h, _ := testHier(k)
+		pers := &parkingPersistence{k: k, cycles: 200}
+		c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
+		k.RunUntil(func() bool { return pers.wakeAt != 0 }, 1000)
+		k.RunUntil(func() bool { return false }, pers.wakeAt-1)
+		if ff && (k.Awake() != 0 || k.Skipped() == 0) {
+			t.Fatalf("mid-park: %d components awake, %d cycles skipped; want the core asleep and the clock jumping",
+				k.Awake(), k.Skipped())
+		}
+		midPark[i] = c.Stats()
+		if _, ok := k.RunUntil(c.Finished, 1_000_000); !ok {
+			t.Fatal("core did not finish")
+		}
+		final[i] = c.Stats()
+	}
+	if midPark[0] != midPark[1] {
+		t.Fatalf("mid-park stats diverge:\n  ff:  %+v\n  ref: %+v", midPark[0], midPark[1])
+	}
+	if final[0] != final[1] {
+		t.Fatalf("final stats diverge:\n  ff:  %+v\n  ref: %+v", final[0], final[1])
+	}
+	if s := final[0]; s.StallStoreRetry != 200 || s.Breakdown.TCFullStall != 200 || s.Stores != 1 {
+		t.Fatalf("retry stalls %d, tc-full cycles %d, stores %d; want 200, 200, 1",
+			s.StallStoreRetry, s.Breakdown.TCFullStall, s.Stores)
 	}
 }
 

@@ -137,7 +137,7 @@ func (m *kiln) tag(core int, txID uint64) uint64 {
 // abort nothing needs unwinding mechanism-side — the replayed attempt
 // re-tags the same lines with the same transaction id, and only the
 // eventual commit flush makes them durable.
-func (m *kiln) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction {
+func (m *kiln) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.StoreAction {
 	switch m.g.check(core, txID, addr) {
 	case gdRetry:
 		return cpu.StoreAction{Retry: true}

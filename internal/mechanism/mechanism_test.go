@@ -75,7 +75,7 @@ func TestOptimalIsTransparent(t *testing.T) {
 	if m.TxEnd(0, 1, sim.Event{}) {
 		t.Fatal("optimal TxEnd requested a stall")
 	}
-	act := m.Store(0, 1, memaddr.NVMBase, 5)
+	act := m.Store(0, 1, memaddr.NVMBase, 5, sim.Event{})
 	if act.Retry || act.TxTag != 0 {
 		t.Fatalf("optimal store action = %+v, want zero", act)
 	}
@@ -188,7 +188,7 @@ func TestTCacheStoreCommitDrain(t *testing.T) {
 	env := testEnv(t)
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
-	if act := m.Store(0, 1, memaddr.NVMBase, 42); act.Retry {
+	if act := m.Store(0, 1, memaddr.NVMBase, 42, sim.Event{}); act.Retry {
 		t.Fatal("store rejected by empty TC")
 	}
 	if m.TxEnd(0, 1, sim.Event{}) {
@@ -207,9 +207,9 @@ func TestTCacheRecoverReplaysCommittedEntries(t *testing.T) {
 	env := testEnv(t)
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
-	m.Store(0, 1, memaddr.NVMBase, 10)
+	m.Store(0, 1, memaddr.NVMBase, 10, sim.Event{})
 	m.TxEnd(0, 1, sim.Event{})
-	m.Store(0, 2, memaddr.NVMBase+8, 20) // active, uncommitted
+	m.Store(0, 2, memaddr.NVMBase+8, 20, sim.Event{}) // active, uncommitted
 	// Crash now, before any drain tick.
 	out := m.Recover(env.Durable)
 	if out.ReadWord(memaddr.NVMBase) != 10 {
@@ -226,12 +226,29 @@ func TestTCacheFullStallsStore(t *testing.T) {
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
 	for i := 0; i < 8; i++ {
-		if act := m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, 1); act.Retry {
+		if act := m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, 1, sim.Event{}); act.Retry {
 			t.Fatalf("store %d rejected before capacity", i)
 		}
 	}
-	if act := m.Store(0, 1, memaddr.NVMBase+64, 1); !act.Retry {
-		t.Fatal("store into full TC not retried")
+	if act := m.Store(0, 1, memaddr.NVMBase+64, 1, sim.Event{}); !act.Retry || !act.Park {
+		t.Fatalf("store into full TC = %+v, want a parked retry", act)
+	}
+}
+
+// The conflict guard's one-cycle arbitration retry must not park: the
+// verdict it waits for is consumed on the very next cycle, and no TC
+// ack would ever wake the core.
+func TestTCacheArbitrationRetryDoesNotPark(t *testing.T) {
+	env := testEnv(t)
+	env.Arb = txcache.NewLineArbiter(env.Cores)
+	m := New(TCache, env).(*tcMech)
+	attach(env, m)
+	act := m.Store(0, 1, memaddr.SharedNVMBase, 1, sim.Event{})
+	if !act.Retry || act.Park {
+		t.Fatalf("first store to a shared line = %+v, want an unparked retry", act)
+	}
+	if act := m.Store(0, 1, memaddr.SharedNVMBase, 1, sim.Event{}); act.Retry || act.Abort {
+		t.Fatalf("retry after the grant = %+v, want the store to proceed", act)
 	}
 }
 
@@ -242,7 +259,7 @@ func TestTCacheOverflowFallback(t *testing.T) {
 	// High water = 7 of 8 entries: the 8th store falls back, evicting
 	// the transaction to the shadow.
 	for i := 0; i < 9; i++ {
-		if act := m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, uint64(100+i)); act.Retry {
+		if act := m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, uint64(100+i), sim.Event{}); act.Retry {
 			t.Fatalf("store %d stalled; fallback should absorb overflow", i)
 		}
 	}
@@ -278,7 +295,7 @@ func TestTCacheOverflowCrashBeforeCommitLosesNothingCommitted(t *testing.T) {
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
 	for i := 0; i < 9; i++ {
-		m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, uint64(100+i))
+		m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, uint64(100+i), sim.Event{})
 	}
 	// Crash before TxEnd: nothing of tx 1 may be recovered.
 	out := m.Recover(env.Durable)
@@ -308,7 +325,7 @@ func TestTCacheSidePathProbe(t *testing.T) {
 	env := testEnv(t)
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
-	m.Store(1, 1, memaddr.NVMBase+128, 5) // core 1's TC
+	m.Store(1, 1, memaddr.NVMBase+128, 5, sim.Event{}) // core 1's TC
 	hooks := m.Hooks()
 	if !hooks.SidePathProbe(memaddr.NVMBase + 128) {
 		t.Fatal("probe missed a buffered line")
@@ -324,7 +341,7 @@ func TestKilnCommitFlushesAndCounts(t *testing.T) {
 	h := attach(env, m)
 	// Dirty a line in L1 under tx 1 via the hierarchy.
 	done := false
-	act := m.Store(0, 1, memaddr.NVMBase, 9)
+	act := m.Store(0, 1, memaddr.NVMBase, 9, sim.Event{})
 	if act.TxTag == 0 || !act.Uncommitted {
 		t.Fatalf("kiln store action = %+v, want tagged", act)
 	}
@@ -351,7 +368,7 @@ func TestKilnUncommittedLinesDiscardedOnRecovery(t *testing.T) {
 	env := testEnv(t)
 	m := New(Kiln, env).(*kiln)
 	h := attach(env, m)
-	act := m.Store(0, 1, memaddr.NVMBase, 9)
+	act := m.Store(0, 1, memaddr.NVMBase, 9, sim.Event{})
 	env.Live.WriteWord(memaddr.NVMBase, 9)
 	done := false
 	h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, sim.Event{Fn: func(uint64) { done = true }})
@@ -368,8 +385,8 @@ func TestKilnUncommittedLinesDiscardedOnRecovery(t *testing.T) {
 func TestKilnTagNamespacesCores(t *testing.T) {
 	env := testEnv(t)
 	m := New(Kiln, env).(*kiln)
-	a := m.Store(0, 7, memaddr.NVMBase, 1).TxTag
-	b := m.Store(1, 7, memaddr.NVMBase+8, 1).TxTag
+	a := m.Store(0, 7, memaddr.NVMBase, 1, sim.Event{}).TxTag
+	b := m.Store(1, 7, memaddr.NVMBase+8, 1, sim.Event{}).TxTag
 	if a == b {
 		t.Fatal("same tx id on different cores produced identical tags")
 	}
@@ -412,10 +429,10 @@ func TestTCacheRecoveryCostCountsCommittedEntries(t *testing.T) {
 	env := testEnv(t)
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
-	m.Store(0, 1, memaddr.NVMBase, 1)
-	m.Store(0, 1, memaddr.NVMBase+8, 2)
+	m.Store(0, 1, memaddr.NVMBase, 1, sim.Event{})
+	m.Store(0, 1, memaddr.NVMBase+8, 2, sim.Event{})
 	m.TxEnd(0, 1, sim.Event{})
-	m.Store(0, 2, memaddr.NVMBase+16, 3) // active: scanned but not replayed
+	m.Store(0, 2, memaddr.NVMBase+16, 3, sim.Event{}) // active: scanned but not replayed
 	c := m.RecoveryCost()
 	if c.ScannedItems != 3 || c.NVMWrites != 2 {
 		t.Fatalf("cost = %+v, want scan 3 / writes 2", c)

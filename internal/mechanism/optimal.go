@@ -46,7 +46,7 @@ func (m *optimal) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	return false
 }
 
-func (m *optimal) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction {
+func (m *optimal) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.StoreAction {
 	// Optimal offers no persistence, but it arbitrates shared lines like
 	// the hardware mechanisms do: the IPC-vs-Optimal comparison under
 	// contention is apples-to-apples only if the conflict window costs

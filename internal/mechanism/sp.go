@@ -193,7 +193,7 @@ func (m *sp) pcommitPoll(core uint64) {
 	m.env.K.Schedule(1, sim.Event{Fn: m.pollFn, Arg: core})
 }
 
-func (m *sp) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction {
+func (m *sp) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.StoreAction {
 	return cpu.StoreAction{}
 }
 

@@ -130,14 +130,17 @@ func (m *tcMech) Rewrite(core int, r trace.Reader) trace.Reader { return r }
 func (m *tcMech) TxBegin(core int, txID uint64) {}
 
 // Store copies the persistent store into the TC beside the normal cache
-// path. A full TC stalls the core; at the high-water mark the store takes
-// the copy-on-write fall-back.
-func (m *tcMech) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction {
+// path. A full TC stalls the core, parked until the TC's next drain
+// acknowledgment fires wake; at the high-water mark the store takes the
+// copy-on-write fall-back.
+func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event) cpu.StoreAction {
 	// Shared lines pass the ownership probe before entering either
 	// durability path. On a lost arbitration the transaction's TC
 	// entries are discarded (they are Active, never drained) and any
 	// fall-back state is dropped; in-flight shadow log writes are
-	// harmless — nothing applies them without a commit record.
+	// harmless — nothing applies them without a commit record. The
+	// one-cycle arbitration retry never parks: its verdict is consumed
+	// on the next cycle.
 	switch m.g.check(core, txID, addr) {
 	case gdRetry:
 		return cpu.StoreAction{Retry: true}
@@ -175,7 +178,9 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64) cpu.StoreActio
 		m.g.noteWrite(core, addr)
 		return cpu.StoreAction{}
 	default: // Full
-		return cpu.StoreAction{Retry: true}
+		// Only this TC's next ack can change the answer: the guard's
+		// verdict stays proceed and no fall-back starts meanwhile.
+		return cpu.StoreAction{Retry: true, Park: m.tcs[core].Park(wake)}
 	}
 }
 

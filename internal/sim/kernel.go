@@ -18,6 +18,8 @@
 // fast-forward on or off.
 package sim
 
+import "math/bits"
+
 // Tickable is a component that advances its state machine once per cycle.
 type Tickable interface {
 	// Tick advances the component by one cycle. The current cycle number
@@ -104,21 +106,17 @@ func (h *eventHeap) pop() event {
 	return root
 }
 
-// tickEntry is one registered component and whether it sleeps.
-type tickEntry struct {
-	t      Tickable
-	asleep bool
-}
-
 // Kernel is the simulation engine. The zero value is not usable; use
 // NewKernel.
 type Kernel struct {
 	now       uint64
 	seq       uint64
 	events    eventHeap
-	tickables []tickEntry
-	// awake counts the registered components that are not asleep.
-	awake int
+	tickables []Tickable
+	// awakeBits has bit id%64 of word id/64 set while component id is
+	// awake, so Step visits only awake components; awake counts them.
+	awakeBits []uint64
+	awake     int
 
 	// ff lets components sleep and the clock fast-forward; skipped
 	// counts the cycles the kernel jumped instead of stepping.
@@ -169,9 +167,14 @@ func (k *Kernel) PastSchedules() uint64 { return k.pastSchedules }
 // Register adds a component, awake, to the per-cycle tick list and
 // returns its id for Sleep. Components tick in registration order.
 func (k *Kernel) Register(t Tickable) int {
-	k.tickables = append(k.tickables, tickEntry{t: t})
+	id := len(k.tickables)
+	k.tickables = append(k.tickables, t)
+	if id%64 == 0 {
+		k.awakeBits = append(k.awakeBits, 0)
+	}
+	k.awakeBits[id/64] |= 1 << (id % 64)
 	k.awake++
-	return len(k.tickables) - 1
+	return id
 }
 
 // Sleep puts component id to sleep when idle is true and wakes it
@@ -192,9 +195,9 @@ func (k *Kernel) Sleep(id int, idle bool) bool {
 	if !k.ff {
 		return false
 	}
-	e := &k.tickables[id]
-	if e.asleep != idle {
-		e.asleep = idle
+	w, bit := &k.awakeBits[id/64], uint64(1)<<(id%64)
+	if (*w&bit == 0) != idle {
+		*w ^= bit
 		if idle {
 			k.awake--
 		} else {
@@ -240,9 +243,13 @@ func (k *Kernel) Step() {
 	for k.events.len() > 0 && k.events.head().cycle <= k.now {
 		k.events.pop().ev.Fire()
 	}
-	for i := range k.tickables {
-		if e := &k.tickables[i]; !e.asleep {
-			e.t.Tick(k.now)
+	for wi := range k.awakeBits {
+		for w := k.awakeBits[wi]; w != 0; {
+			b := bits.TrailingZeros64(w)
+			k.tickables[wi*64+b].Tick(k.now)
+			// A Tick may wake or sleep any component: re-read the word
+			// and keep only the bits after this one.
+			w = k.awakeBits[wi] & (^uint64(1) << b)
 		}
 	}
 }

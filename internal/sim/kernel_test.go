@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -365,6 +366,78 @@ func TestWakeTicksInRegistrationOrder(t *testing.T) {
 	}
 }
 
+// logTicker appends its id to a shared log on every Tick, then runs
+// onTick.
+type logTicker struct {
+	id     int
+	log    *[]int
+	onTick func()
+}
+
+func (l *logTicker) Tick(uint64) {
+	*l.log = append(*l.log, l.id)
+	if l.onTick != nil {
+		l.onTick()
+	}
+}
+
+// The awake set spans several 64-bit words: Step visits awake components
+// in registration order across word boundaries, a component woken
+// mid-cycle ticks in that cycle only if its turn is still to come (in
+// its own word or a later one), and a Sleep called from inside a Tick
+// takes effect before the sleeper's turn.
+func TestAwakeBitmapAcrossWords(t *testing.T) {
+	const n = 130
+	k := NewKernel()
+	var log []int
+	ts := make([]*logTicker, n)
+	for i := range ts {
+		ts[i] = &logTicker{id: i, log: &log}
+		if id := k.Register(ts[i]); id != i {
+			t.Fatalf("Register returned id %d, want %d", id, i)
+		}
+	}
+	step := func(want ...int) {
+		t.Helper()
+		log = nil
+		k.Step()
+		if !slices.Equal(log, want) {
+			t.Fatalf("cycle %d ticked %v, want %v", k.Now(), log, want)
+		}
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	step(all...)
+
+	for i := 0; i < n; i++ {
+		k.Sleep(i, i != 63 && i != 64 && i != 70)
+	}
+	if k.Awake() != 3 {
+		t.Fatalf("Awake = %d, want 3", k.Awake())
+	}
+	// 63, the last bit of word 0, sleeps itself and 64, the first bit of
+	// word 1, before 64's turn. 70 wakes an earlier word (10), an earlier
+	// bit of its own word (65), a later bit of its own word (71) and the
+	// last bit of a later word (127), which wakes the first bit of the
+	// word after it (128).
+	ts[63].onTick = func() { k.Sleep(63, true); k.Sleep(64, true) }
+	ts[70].onTick = func() {
+		for _, id := range []int{10, 65, 71, 127} {
+			k.Sleep(id, false)
+		}
+	}
+	ts[127].onTick = func() { k.Sleep(128, false) }
+	step(63, 70, 71, 127, 128)
+
+	ts[63].onTick, ts[70].onTick, ts[127].onTick = nil, nil, nil
+	step(10, 65, 70, 71, 127, 128)
+	if k.Awake() != 6 {
+		t.Fatalf("Awake = %d, want 6", k.Awake())
+	}
+}
+
 // argSum is a component whose completion handler is bound once, the way
 // simulator components bind theirs at construction.
 type argSum struct {
@@ -420,5 +493,22 @@ func TestPastSchedulesCountsOnlyStrictPast(t *testing.T) {
 	// The coercion itself still fires the event next cycle.
 	if k.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", k.Pending())
+	}
+}
+
+type nopTicker struct{}
+
+func (nopTicker) Tick(uint64) {}
+
+// BenchmarkStepSparse measures one Step of a 16-core TCache machine's
+// shape: 35 registered components of which 6 are awake, no events.
+func BenchmarkStepSparse(b *testing.B) {
+	k := NewKernel()
+	for i := 0; i < 35; i++ {
+		k.Sleep(k.Register(nopTicker{}), i%6 != 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
 	}
 }

@@ -201,6 +201,14 @@ type TxCache struct {
 	obs  *obs.Sink
 	core int
 
+	// A writer parked on a Full reject sleeps until the next Ack fires
+	// wake. rejected is the last cycle whose reject FullRejects counts;
+	// the cycles after it that the writer sleeps through are charged
+	// lazily, one reject each, as its retries would have been.
+	parked   bool
+	wake     sim.Event
+	rejected uint64
+
 	stats Stats
 }
 
@@ -233,8 +241,12 @@ func (tc *TxCache) SetAckHook(fn func(addr uint64)) { tc.onAck = fn }
 // Config returns the (defaulted) configuration.
 func (tc *TxCache) Config() Config { return tc.cfg }
 
-// Stats returns a copy of the counters.
-func (tc *TxCache) Stats() Stats { return tc.stats }
+// Stats returns a copy of the counters, with the rejects of a parked
+// writer's slept cycles charged. Call it between kernel steps.
+func (tc *TxCache) Stats() Stats {
+	tc.chargeParked(tc.k.Now() + 1)
+	return tc.stats
+}
 
 // Occupancy reports live (non-available) entries.
 func (tc *TxCache) Occupancy() int { return tc.count }
@@ -256,9 +268,7 @@ func (tc *TxCache) next(i int) int {
 // stall.
 func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 	if tc.count >= len(tc.entries) {
-		tc.stats.FullRejects++
-		tc.obs.TCFull(tc.core, txID, addr, tc.k.Now())
-		return Full
+		return tc.reject(txID, addr)
 	}
 	if tc.count >= tc.highWater() {
 		tc.stats.FallbackWrites++
@@ -271,9 +281,7 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 		// behind a still-live entry at the head slot. The FIFO cannot
 		// use holes ("we have to wait for data being written back",
 		// §4.1), so the writer stalls exactly as on a full ring.
-		tc.stats.FullRejects++
-		tc.obs.TCFull(tc.core, txID, addr, tc.k.Now())
-		return Full
+		return tc.reject(txID, addr)
 	}
 	*e = Entry{State: Active, TxID: txID, Addr: memaddr.WordAddr(addr), Value: value}
 	tc.head = tc.next(tc.head)
@@ -285,6 +293,38 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 	tc.stats.Writes++
 	tc.sleep()
 	return Accepted
+}
+
+// reject counts and reports one Full answer.
+func (tc *TxCache) reject(txID, addr uint64) WriteResult {
+	tc.stats.FullRejects++
+	tc.rejected = tc.k.Now()
+	tc.obs.TCFull(tc.core, txID, addr, tc.rejected)
+	return Full
+}
+
+// Park lets the writer Write just rejected as Full sleep until the next
+// Ack, which fires wake, and reports whether it may. Only an Ack can end
+// Full (Write and EvictTx come from the sleeping writer itself, and
+// Commit leaves every slot live), so until then every retry would
+// return Full and charge one FullRejects, which the TC settles lazily.
+// A retry also emits a tc-full instant, so the TC refuses while its
+// sink records events.
+func (tc *TxCache) Park(wake sim.Event) bool {
+	if tc.obs.Probe() != nil {
+		return false
+	}
+	tc.parked, tc.wake = true, wake
+	return true
+}
+
+// chargeParked charges a parked writer one reject for every cycle after
+// the last charged one and before cycle end.
+func (tc *TxCache) chargeParked(end uint64) {
+	if tc.parked && end > tc.rejected+1 {
+		tc.stats.FullRejects += end - 1 - tc.rejected
+		tc.rejected = end - 1
+	}
 }
 
 // Commit CAM-matches every active entry of txID into the committed state.
@@ -449,6 +489,13 @@ func (tc *TxCache) Ack(addr uint64) {
 				tc.issue = tc.head
 			}
 			tc.sleep()
+			// The parked writer retries this cycle for real; it parks
+			// again if the head slot is still blocked.
+			if tc.parked {
+				tc.chargeParked(tc.k.Now())
+				tc.parked = false
+				tc.wake.Fire()
+			}
 			if tc.onAck != nil {
 				tc.onAck(addr)
 			}

@@ -588,3 +588,118 @@ func TestDrainAllocationFree(t *testing.T) {
 		t.Fatalf("durable word = %d, want %d", img.ReadWord(nvmAddr(2)), tx)
 	}
 }
+
+// fullTC builds a 4-entry TC without the fall-back (so Full is
+// reachable) whose drain writes are held unacknowledged, fills it with
+// one committed transaction and steps until every entry has issued.
+func fullTC(t *testing.T, o *obs.Sink) (*sim.Kernel, *TxCache) {
+	t.Helper()
+	k := sim.NewKernel()
+	nvm := &fakeNVM{k: k, hold: true}
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, o, 0)
+	for i := 0; i < 4; i++ {
+		tc.Write(1, nvmAddr(i), uint64(i))
+	}
+	tc.Commit(1)
+	for tc.Stats().Issued < 4 {
+		k.Step()
+	}
+	return k, tc
+}
+
+// ackNext delivers the drain acknowledgment for addr in the next cycle's
+// event phase, where the memory system delivers it.
+func ackNext(k *sim.Kernel, tc *TxCache, addr uint64) {
+	k.Schedule(0, sim.Event{Fn: func(uint64) { tc.Ack(addr) }})
+	k.Step()
+}
+
+// A writer parked on Full is charged one FullRejects per cycle it
+// sleeps, exactly as if it retried every cycle, whether the count is
+// read mid-park through Stats or settled at the waking Ack.
+func TestParkedWriterChargesOneRejectPerSleptCycle(t *testing.T) {
+	const slept = 9
+	run := func(mode string) (Stats, int) {
+		k, tc := fullTC(t, nil)
+		wakes := 0
+		wake := sim.Event{Fn: func(uint64) { wakes++ }}
+		for i := 0; i < slept; i++ {
+			if i == 0 || mode == "retry" {
+				if r := tc.Write(2, nvmAddr(8), 8); r != Full {
+					t.Fatalf("%s: write into full TC = %v, want Full", mode, r)
+				}
+				if !tc.Park(wake) {
+					t.Fatalf("%s: Park refused without a probe", mode)
+				}
+			}
+			if mode == "read" {
+				if got, want := tc.Stats().FullRejects, uint64(i+1); got != want {
+					t.Fatalf("mid-park FullRejects = %d after %d cycles, want %d", got, i, want)
+				}
+			}
+			if i < slept-1 {
+				k.Step()
+			}
+		}
+		ackNext(k, tc, nvmAddr(0))
+		// The woken writer's retry in the acking cycle is real.
+		if r := tc.Write(2, nvmAddr(8), 8); r != Accepted {
+			t.Fatalf("%s: write after ack = %v, want Accepted", mode, r)
+		}
+		return tc.Stats(), wakes
+	}
+	parked, wakes := run("park")
+	if wakes != 1 {
+		t.Fatalf("wake fired %d times, want 1", wakes)
+	}
+	if parked.FullRejects != slept {
+		t.Fatalf("FullRejects = %d, want %d (one per rejected cycle)", parked.FullRejects, slept)
+	}
+	if read, _ := run("read"); read != parked {
+		t.Fatalf("stats read mid-park %+v, settled at the ack %+v", read, parked)
+	}
+	if retried, _ := run("retry"); retried != parked {
+		t.Fatalf("stats retrying every cycle %+v, parked %+v", retried, parked)
+	}
+}
+
+// An ack that leaves the head slot blocked (a hole behind a live head)
+// still wakes the writer, whose retry finds Full again and re-parks.
+func TestAckLeavingHeadBlockedReparks(t *testing.T) {
+	k, tc := fullTC(t, nil)
+	wakes := 0
+	wake := sim.Event{Fn: func(uint64) { wakes++ }}
+	if tc.Write(2, nvmAddr(8), 8) != Full || !tc.Park(wake) {
+		t.Fatal("writer into a full TC did not park")
+	}
+	ackNext(k, tc, nvmAddr(1)) // a hole at slot 1; the head slot 0 stays live
+	if wakes != 1 {
+		t.Fatalf("wakes after the hole ack = %d, want 1", wakes)
+	}
+	if r := tc.Write(2, nvmAddr(8), 8); r != Full || !tc.Park(wake) {
+		t.Fatalf("retry into the holey ring = %v, want Full and a re-park", r)
+	}
+	ackNext(k, tc, nvmAddr(0))
+	if wakes != 2 {
+		t.Fatalf("wakes after the head ack = %d, want 2", wakes)
+	}
+	if r := tc.Write(2, nvmAddr(8), 8); r != Accepted {
+		t.Fatalf("write after the head freed = %v, want Accepted", r)
+	}
+	if got := tc.Stats().FullRejects; got != 2 {
+		t.Fatalf("FullRejects = %d, want 2 (one real reject per acking cycle)", got)
+	}
+}
+
+// While the TC's sink records events every retry emits a tc-full
+// instant, so the writer must keep retrying: Park refuses.
+func TestParkRefusedWhileProbeRecords(t *testing.T) {
+	_, tc := fullTC(t, obs.NewSink(obs.NewProbe(64), nil, 0))
+	if tc.Write(2, nvmAddr(8), 8) != Full {
+		t.Fatal("write into full TC not rejected")
+	}
+	if tc.Park(sim.Event{Fn: func(uint64) { t.Fatal("refused park fired wake") }}) {
+		t.Fatal("Park accepted while the sink records tc-full instants")
+	}
+	tc.Ack(nvmAddr(0))
+}

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/workload"
 )
 
@@ -85,10 +86,11 @@ func TestFastForwardResultsIdenticalAllCells(t *testing.T) {
 }
 
 // TestFastForwardMidRunStateIdentical stops the same machine with
-// fast-forward on and off at a ladder of cycles and compares the clock
-// and every core's counters at each stop. A core's slept cycles are
-// charged lazily, so a stop inside a sleep catches any that were never
-// settled.
+// fast-forward on and off at a ladder of cycles and compares the clock,
+// every core's counters and every transaction cache's counters at each
+// stop. A core's slept cycles, and the full rejects of a store parked on
+// its TC, are charged lazily, so a stop inside a sleep catches any that
+// were never settled.
 func TestFastForwardMidRunStateIdentical(t *testing.T) {
 	for _, name := range []string{"rbtree/tcache", "sps/sp", "graph/optimal", "btree/kiln", "bankshared/tcache/16c"} {
 		cfg := equivalenceCells()[name]
@@ -114,6 +116,12 @@ func TestFastForwardMidRunStateIdentical(t *testing.T) {
 				for c := range ff.Cores {
 					if a, b := ff.Cores[c].Stats(), ref.Cores[c].Stats(); !reflect.DeepEqual(a, b) {
 						t.Fatalf("stop %d: core %d stats diverge:\n  on:  %+v\n  off: %+v", stop, c, a, b)
+					}
+				}
+				if tp, ok := ff.Mech.(mechanism.TCIntrospector); ok {
+					a, b := tp.TCStatsAll(), ref.Mech.(mechanism.TCIntrospector).TCStatsAll()
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("stop %d: TC stats diverge:\n  on:  %+v\n  off: %+v", stop, a, b)
 					}
 				}
 				if doneFF {

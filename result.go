@@ -298,7 +298,8 @@ func (r *Result) AvgPersistentLoadLatency() float64 {
 func (r *Result) NVMWriteTraffic() uint64 { return r.NVM.Writes }
 
 // StallFraction reports the fraction of core-cycles spent in the given
-// stall counter extractor (e.g. TC-full stalls, §5.2).
+// stall counter extractor (e.g. StallStoreRetry: TC-full stalls, §5.2,
+// plus the conflict guard's one-cycle arbitration retries).
 func (r *Result) StallFraction(get func(cpu.Stats) uint64) float64 {
 	var stall, total uint64
 	for _, s := range r.PerCore {
