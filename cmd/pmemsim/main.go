@@ -94,6 +94,9 @@ func main() {
 	if err := checkCoresFlag(*cores); err != nil {
 		fatal(err)
 	}
+	if err := checkSampleEveryFlag(*metricsOut, *sampleEvery); err != nil {
+		fatal(err)
+	}
 
 	if *cpuprofile != "" {
 		stop, err := prof.StartCPU(*cpuprofile)
@@ -237,6 +240,15 @@ func main() {
 func checkCoresFlag(n int) error {
 	if err := pmemaccel.ValidateCLICores(n); err != nil {
 		return fmt.Errorf("-cores: %w", err)
+	}
+	return nil
+}
+
+// checkSampleEveryFlag rejects -sample-every 0 with -metrics-out: a zero
+// period disables the sampler, so the run would write a header-only CSV.
+func checkSampleEveryFlag(metricsOut string, every uint64) error {
+	if metricsOut != "" && every == 0 {
+		return fmt.Errorf("-sample-every 0 takes no samples for -metrics-out %s; pass a period of at least 1 cycle", metricsOut)
 	}
 	return nil
 }

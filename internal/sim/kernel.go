@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// timed component in pmemaccel: a cycle clock, an event heap for latency
-// completions (Events), and a registry of per-cycle tickable components.
+// timed component in pmemaccel: a cycle clock, a calendar wheel of
+// per-cycle buckets for latency completions (Events), and a registry of
+// per-cycle tickable components.
 //
 // The kernel advances one cycle at a time. Within a cycle it first fires
 // every event scheduled for that cycle (in schedule order, so execution is
@@ -27,17 +28,30 @@ type Tickable interface {
 	Tick(cycle uint64)
 }
 
-// event is an Event scheduled for a future cycle. seq breaks ties so that
-// two events scheduled for the same cycle fire in schedule order.
+// wheelSpan is the calendar wheel's size in cycles. An event due fewer
+// than wheelSpan cycles out goes straight into its cycle's bucket; one
+// due further out waits in the far heap until it comes within range.
+const (
+	wheelSpan = 1024
+	wheelMask = wheelSpan - 1
+)
+
+// wheelNode is one pooled list node: an event and the node index + 1 of
+// the next one in the same list (0 ends the list).
+type wheelNode struct {
+	ev   Event
+	next uint32
+}
+
+// event is an Event in the far heap. seq breaks ties so that two far
+// events due at the same cycle leave the heap in schedule order.
 type event struct {
 	cycle uint64
 	seq   uint64
 	ev    Event
 }
 
-// before orders events by (cycle, seq) — the same total order the old
-// container/heap implementation used, so firing order (and therefore
-// every simulation result) is unchanged.
+// before orders events by (cycle, seq).
 func (e event) before(o event) bool {
 	if e.cycle != o.cycle {
 		return e.cycle < o.cycle
@@ -45,14 +59,9 @@ func (e event) before(o event) bool {
 	return e.seq < o.seq
 }
 
-// eventHeap is a typed 4-ary min-heap keyed by (cycle, seq). Unlike
-// container/heap it never boxes events through interface{}, so Schedule
-// does not allocate per event (only amortized slice growth), and the
-// shallower tree halves the sift-down depth on the pop-heavy kernel
-// workload. Events are stored by value (a bound handler plus one state
-// word), so with allocation-free Events the heap allocates nothing once
-// its slice has grown. Because (cycle, seq) is a total order, pop order
-// is independent of heap shape.
+// eventHeap is a typed 4-ary min-heap keyed by (cycle, seq): the far
+// list of events due wheelSpan or more cycles out. Events are stored by
+// value, so it allocates only when its slice grows past its peak.
 type eventHeap struct {
 	a []event
 }
@@ -109,9 +118,24 @@ func (h *eventHeap) pop() event {
 // Kernel is the simulation engine. The zero value is not usable; use
 // NewKernel.
 type Kernel struct {
-	now       uint64
-	seq       uint64
-	events    eventHeap
+	now uint64
+
+	// The calendar wheel. Bucket b is a FIFO list, head[b] to tail[b]
+	// (node index + 1, 0 = empty), of the events due at the one cycle
+	// c ≡ b mod wheelSpan in now+1 … now+wheelSpan-1; occ has bit b set
+	// while it is non-empty. The lists are threaded through the pooled
+	// nodes, whose free list starts at free; inWheel counts the events
+	// they hold.
+	head, tail [wheelSpan]uint32
+	occ        [wheelSpan / 64]uint64
+	nodes      []wheelNode
+	free       uint32
+	inWheel    int
+	// far holds the events due wheelSpan or more cycles out; seq numbers
+	// them in schedule order.
+	far eventHeap
+	seq uint64
+
 	tickables []Tickable
 	// awakeBits has bit id%64 of word id/64 set while component id is
 	// awake, so Step visits only awake components; awake counts them.
@@ -226,12 +250,59 @@ func (k *Kernel) ScheduleAt(cycle uint64, ev Event) {
 		}
 		cycle = k.now + 1
 	}
-	k.seq++
-	k.events.push(event{cycle: cycle, seq: k.seq, ev: ev})
+	if cycle-k.now >= wheelSpan {
+		k.seq++
+		k.far.push(event{cycle: cycle, seq: k.seq, ev: ev})
+		return
+	}
+	k.appendWheel(cycle&wheelMask, ev)
+}
+
+// appendWheel adds ev at the tail of bucket b, taking a node from the
+// free list or growing the pool.
+func (k *Kernel) appendWheel(b uint64, ev Event) {
+	n := k.free
+	if n != 0 {
+		k.free = k.nodes[n-1].next
+		k.nodes[n-1] = wheelNode{ev: ev}
+	} else {
+		k.nodes = append(k.nodes, wheelNode{ev: ev})
+		n = uint32(len(k.nodes))
+	}
+	if t := k.tail[b]; t != 0 {
+		k.nodes[t-1].next = n
+	} else {
+		k.head[b] = n
+		k.occ[b/64] |= 1 << (b % 64)
+	}
+	k.tail[b] = n
+	k.inWheel++
 }
 
 // Pending reports the number of not-yet-fired events.
-func (k *Kernel) Pending() int { return k.events.len() }
+func (k *Kernel) Pending() int { return k.inWheel + k.far.len() }
+
+// nextEvent reports the cycle of the earliest pending event. Every wheel
+// event is due before every far one, so the far heap is consulted only
+// when the wheel is empty.
+func (k *Kernel) nextEvent() (uint64, bool) {
+	if k.inWheel > 0 {
+		// Scan the occupancy bitmap from bucket now+1, wrapping once.
+		start := (k.now + 1) & wheelMask
+		w := start / 64
+		word := k.occ[w] &^ (1<<(start%64) - 1)
+		for word == 0 {
+			w = (w + 1) % uint64(len(k.occ))
+			word = k.occ[w]
+		}
+		b := w*64 + uint64(bits.TrailingZeros64(word))
+		return k.now + 1 + (b-start)&wheelMask, true
+	}
+	if k.far.len() > 0 {
+		return k.far.head().cycle, true
+	}
+	return 0, false
+}
 
 // Step advances the clock by exactly one cycle: fire due events, then
 // tick every awake component in registration order. A component woken
@@ -240,8 +311,29 @@ func (k *Kernel) Pending() int { return k.events.len() }
 // callers keep cycle-exact control.
 func (k *Kernel) Step() {
 	k.now++
-	for k.events.len() > 0 && k.events.head().cycle <= k.now {
-		k.events.pop().ev.Fire()
+	// Far events move into their bucket on the step they come within
+	// range, before anything else can append to it: a far event for cycle
+	// c was scheduled before any direct append to c's bucket, so list
+	// order stays (cycle, seq) order.
+	for k.far.len() > 0 && k.far.head().cycle <= k.now+wheelMask {
+		e := k.far.pop()
+		k.appendWheel(e.cycle&wheelMask, e.ev)
+	}
+	// Handlers schedule only into other buckets (now+1 … now+wheelSpan-1)
+	// or the far heap, so the bucket is detached before its list fires.
+	if b := k.now & wheelMask; k.head[b] != 0 {
+		n := k.head[b]
+		k.head[b], k.tail[b] = 0, 0
+		k.occ[b/64] &^= 1 << (b % 64)
+		for n != 0 {
+			nd := &k.nodes[n-1]
+			ev, next := nd.ev, nd.next
+			*nd = wheelNode{next: k.free} // drop the handler reference
+			k.free = n
+			k.inWheel--
+			ev.Fire()
+			n = next
+		}
 	}
 	for wi := range k.awakeBits {
 		for w := k.awakeBits[wi]; w != 0; {
@@ -273,8 +365,8 @@ func (k *Kernel) RunUntil(done func() bool, limit uint64) (uint64, bool) {
 		}
 		if k.ff && k.awake == 0 {
 			target := limit
-			if k.events.len() > 0 && k.events.head().cycle < target {
-				target = k.events.head().cycle
+			if c, ok := k.nextEvent(); ok && c < target {
+				target = c
 			}
 			if target > k.now+1 {
 				n := target - k.now - 1

@@ -176,55 +176,168 @@ func TestRunUntilRespectsLimit(t *testing.T) {
 	}
 }
 
-func TestPendingCountsUnfiredEvents(t *testing.T) {
-	k := NewKernel()
-	k.Schedule(1, Event{Fn: func(uint64) {}})
-	k.Schedule(2, Event{Fn: func(uint64) {}})
-	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", k.Pending())
+// quickDelay maps a generated value onto the kernel's delay classes:
+// short (within one bucket word), within the wheel span, and far.
+func quickDelay(x uint16) uint64 {
+	switch x % 3 {
+	case 0:
+		return uint64(x % 64)
+	case 1:
+		return uint64(x % 2100)
 	}
-	k.Step()
-	if k.Pending() != 1 {
-		t.Fatalf("Pending after one step = %d, want 1", k.Pending())
-	}
+	return uint64(x)
 }
 
-// Property: for any set of delays, events fire in non-decreasing cycle
-// order and each at exactly now+delay (clamped to >= now+1).
+// Property: for any set of delays, including ones scheduled by handlers
+// as they fire, each event fires at exactly now+delay (clamped to >=
+// now+1) and events fire in (cycle, schedule order) order.
 func TestQuickEventOrdering(t *testing.T) {
-	f := func(delays []uint16) bool {
+	f := func(delays, children []uint16) bool {
 		if len(delays) > 200 {
 			delays = delays[:200]
 		}
 		k := NewKernel()
-		type firing struct{ want, got uint64 }
+		type firing struct{ want, got, id uint64 }
 		var fired []firing
-		for _, d := range delays {
-			want := uint64(d)
-			if want == 0 {
-				want = 1
-			}
-			want += k.Now()
-			w := want
-			k.Schedule(uint64(d), Event{Fn: func(uint64) {
-				fired = append(fired, firing{want: w, got: k.Now()})
+		var ids, spawned uint64
+		var schedule func(x uint16)
+		schedule = func(x uint16) {
+			d := quickDelay(x)
+			want := k.Now() + max(d, 1)
+			id := ids
+			ids++
+			k.Schedule(d, Event{Fn: func(uint64) {
+				fired = append(fired, firing{want: want, got: k.Now(), id: id})
+				if spawned < uint64(len(children)) {
+					spawned++
+					schedule(children[spawned-1])
+				}
 			}})
 		}
-		k.RunUntil(func() bool { return k.Pending() == 0 }, 1<<20)
-		if len(fired) != len(delays) {
+		for _, x := range delays {
+			schedule(x)
+		}
+		k.RunUntil(func() bool { return k.Pending() == 0 }, 1<<40) // a chain of far delays can run for millions of cycles
+		if uint64(len(fired)) != ids {
 			return false
 		}
-		prev := uint64(0)
-		for _, f := range fired {
-			if f.got != f.want || f.got < prev {
+		for i, f := range fired {
+			if f.got != f.want {
 				return false
 			}
-			prev = f.got
+			if i > 0 {
+				p := fired[i-1]
+				if f.got < p.got || f.got == p.got && f.id < p.id {
+					return false
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Events due at one cycle fire in schedule order whether they waited in
+// the far heap (scheduled wheelSpan or more cycles out, some while the
+// clock fast-forwarded) or were appended straight to the bucket.
+func TestFarAndWheelEventsShareCycleInScheduleOrder(t *testing.T) {
+	const due = 3000
+	k := NewKernel()
+	var order []string
+	at := func(name string) Event {
+		return Event{Fn: func(uint64) { order = append(order, name) }}
+	}
+	k.ScheduleAt(due, at("far@0a"))
+	k.ScheduleAt(due, at("far@0b"))
+	// Each hook schedules the due-cycle event from the given cycle; the
+	// last far delay is exactly wheelSpan, the first wheel one wheelSpan-1.
+	hooks := []struct {
+		cycle uint64
+		name  string
+	}{
+		{1000, "far@1000"},
+		{due - wheelSpan, "far@1976"},
+		{due - wheelSpan + 1, "wheel@1977"},
+		{2500, "wheel@2500"},
+		{due - 1, "wheel@2999"},
+	}
+	for _, h := range hooks {
+		k.ScheduleAt(h.cycle, Event{Fn: func(uint64) { k.ScheduleAt(due, at(h.name)) }})
+	}
+	k.RunUntil(func() bool { return k.Pending() == 0 }, 10000)
+	want := []string{"far@0a", "far@0b", "far@1000", "far@1976", "wheel@1977", "wheel@2500", "wheel@2999"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("cycle %d fired %v, want %v", due, order, want)
+	}
+	if k.Now() != due || k.Skipped() == 0 {
+		t.Fatalf("drained at %d with %d skipped, want %d with the idle gaps fast-forwarded", k.Now(), k.Skipped(), due)
+	}
+}
+
+// Delays at and beyond the wheel span fire on their exact cycle, whether
+// the clock steps there or fast-forwards.
+func TestWheelBoundaryDelaysFireOnTime(t *testing.T) {
+	for _, d := range []uint64{wheelSpan - 1, wheelSpan, wheelSpan + 1, 3*wheelSpan + 7} {
+		for _, stepped := range []bool{false, true} {
+			k := NewKernel()
+			for i := 0; i < 5; i++ {
+				k.Step()
+			}
+			fired := uint64(0)
+			k.Schedule(d, Event{Fn: func(uint64) { fired = k.Now() }})
+			if stepped {
+				for k.Pending() > 0 {
+					k.Step()
+				}
+			} else {
+				k.RunUntil(func() bool { return k.Pending() == 0 }, 1<<20)
+			}
+			if fired != 5+d {
+				t.Errorf("delay %d (stepped %v) fired at %d, want %d", d, stepped, fired, 5+d)
+			}
+		}
+	}
+}
+
+// With the wheel empty, fast-forward lands exactly on an event that sits
+// only in the far heap.
+func TestFastForwardLandsOnFarEvent(t *testing.T) {
+	k := NewKernel()
+	q := newQuiescentTicker(k, 0)
+	k.Schedule(5000, Event{Fn: q.wake})
+	if k.inWheel != 0 || k.far.len() != 1 {
+		t.Fatalf("wheel holds %d and far heap %d events, want 0 and 1", k.inWheel, k.far.len())
+	}
+	cycle, ok := k.RunUntil(func() bool { return q.ticks > 0 }, 1<<20)
+	if !ok || cycle != 5000 {
+		t.Fatalf("RunUntil = (%d, %v); want the wake at 5000", cycle, ok)
+	}
+	if k.Skipped() != 4999 || q.ticks != 1 {
+		t.Fatalf("Skipped = %d, ticks = %d; want 4999 jumped and 1 real tick", k.Skipped(), q.ticks)
+	}
+}
+
+// Pending counts unfired events in both the wheel and the far heap.
+func TestPendingCountsUnfiredEvents(t *testing.T) {
+	k := NewKernel()
+	nop := Event{Fn: func(uint64) {}}
+	for _, d := range []uint64{1, 2, wheelSpan - 1, wheelSpan, 2 * wheelSpan} {
+		k.Schedule(d, nop)
+	}
+	if k.Pending() != 5 || k.inWheel != 3 || k.far.len() != 2 {
+		t.Fatalf("Pending = %d (wheel %d, far %d), want 5 (3, 2)", k.Pending(), k.inWheel, k.far.len())
+	}
+	k.Step()
+	k.Step()
+	// Cycles 1 and 2 fired; the wheelSpan event migrated at cycle 1.
+	if k.Pending() != 3 || k.inWheel != 2 || k.far.len() != 1 {
+		t.Fatalf("after 2 steps Pending = %d (wheel %d, far %d), want 3 (2, 1)", k.Pending(), k.inWheel, k.far.len())
+	}
+	k.RunUntil(func() bool { return k.Pending() == 0 }, 1<<20)
+	if k.Now() != 2*wheelSpan {
+		t.Fatalf("drained at %d, want %d", k.Now(), 2*wheelSpan)
 	}
 }
 
@@ -467,11 +580,24 @@ func TestScheduleDoesNotAllocatePerEvent(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("Schedule/pop allocated %.1f allocs per run, want 0 (a bound Event must not allocate)", allocs)
+		t.Fatalf("Schedule/fire allocated %.1f allocs per run, want 0 (a bound Event must not allocate)", allocs)
 	}
 	// 64 warm-up events of 1, then 101 runs of 0+1+...+31.
 	if want := uint64(64 + 101*31*32/2); a.sum != want {
 		t.Fatalf("handler saw arg sum %d, want %d", a.sum, want)
+	}
+
+	// Far delays pass through the far heap and migrate into the wheel:
+	// once both have grown, that path allocates nothing either.
+	far := func() {
+		for i := 0; i < 32; i++ {
+			k.Schedule(wheelSpan+uint64(i*97), Event{Fn: a.done, Arg: 1})
+		}
+		k.RunUntil(func() bool { return k.Pending() == 0 }, k.Now()+1<<20)
+	}
+	far()
+	if allocs := testing.AllocsPerRun(20, far); allocs > 0 {
+		t.Fatalf("far-delay Schedule/fire allocated %.1f allocs per run, want 0", allocs)
 	}
 }
 
@@ -494,6 +620,37 @@ func TestPastSchedulesCountsOnlyStrictPast(t *testing.T) {
 	if k.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", k.Pending())
 	}
+}
+
+// BenchmarkKernelEvents measures the event path per fired event on the
+// simulator's measured mix: about 8 events pending, about 90 % of delays
+// at most 64 cycles and the rest up to 519 (the abort backoff). Each
+// handler reschedules itself, and the idle gaps between events are
+// fast-forwarded as in a run whose components all sleep.
+func BenchmarkKernelEvents(b *testing.B) {
+	const pending = 8
+	rng := NewRNG(1)
+	delays := make([]uint64, 4096)
+	for i := range delays {
+		if rng.Bool(0.9) {
+			delays[i] = 1 + rng.Uint64n(64)
+		} else {
+			delays[i] = 65 + rng.Uint64n(519-64)
+		}
+	}
+	k := NewKernel()
+	fired := 0
+	var fn func(uint64)
+	fn = func(arg uint64) {
+		fired++
+		k.Schedule(delays[arg%4096], Event{Fn: fn, Arg: arg + pending})
+	}
+	for i := uint64(0); i < pending; i++ {
+		k.Schedule(delays[i], Event{Fn: fn, Arg: i})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunUntil(func() bool { return fired >= b.N }, 1<<62)
 }
 
 type nopTicker struct{}

@@ -3,6 +3,7 @@ package pmemaccel
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -164,50 +165,56 @@ func TestObsDeterminismUnchanged(t *testing.T) {
 // them), so sample cycles are strictly monotonic on an exact
 // SampleEvery cadence, never past the kernel clock (the run's drain
 // tail may extend past the performance window), and identical with
-// fast-forward disabled.
+// fast-forward disabled. Periods 1500 and 5000 exceed the kernel's
+// calendar-wheel span, so each sample event waits in the far heap while
+// the machine's own completions fill the wheel buckets.
 func TestSamplerUnderFastForward(t *testing.T) {
-	cfg := tinyConfig(workload.RBTree, TCache)
-	cfg.Obs.Enabled = true
-	cfg.Obs.SampleEvery = 500
+	for _, every := range []uint64{500, 1500, 5000} {
+		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+			cfg := tinyConfig(workload.RBTree, TCache)
+			cfg.Obs.Enabled = true
+			cfg.Obs.SampleEvery = every
 
-	run := func(noFF bool) ([]uint64, uint64) {
-		cfg.NoFastForward = noFF
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if noFF == false && sys.Kernel.Skipped() == 0 {
-			t.Log("note: fast-forward never engaged on this run")
-		}
-		return sys.Obs.Probe().SampleCycles(), sys.Kernel.Now()
-	}
+			run := func(noFF bool) ([]uint64, uint64) {
+				cfg.NoFastForward = noFF
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if noFF == false && sys.Kernel.Skipped() == 0 {
+					t.Log("note: fast-forward never engaged on this run")
+				}
+				return sys.Obs.Probe().SampleCycles(), sys.Kernel.Now()
+			}
 
-	ff, ffNow := run(false)
-	if len(ff) == 0 {
-		t.Fatal("no samples recorded at every=500")
-	}
-	prev := uint64(0)
-	for i, c := range ff {
-		if c <= prev && i > 0 {
-			t.Fatalf("sample cycles not strictly increasing: %d then %d", prev, c)
-		}
-		if c%cfg.Obs.SampleEvery != 0 {
-			t.Errorf("sample %d at cycle %d, not a multiple of %d", i, c, cfg.Obs.SampleEvery)
-		}
-		if c > ffNow {
-			t.Errorf("sample %d at cycle %d, beyond the kernel clock %d", i, c, ffNow)
-		}
-		prev = c
-	}
-	noff, noffNow := run(true)
-	if ffNow != noffNow {
-		t.Fatalf("kernel clock diverges with fast-forward: %d vs %d", ffNow, noffNow)
-	}
-	if !reflect.DeepEqual(ff, noff) {
-		t.Errorf("sample cycles diverge with fast-forward:\n  on:  %v\n  off: %v", ff, noff)
+			ff, ffNow := run(false)
+			if len(ff) < 2 {
+				t.Fatalf("%d samples recorded at every=%d, want at least 2", len(ff), every)
+			}
+			prev := uint64(0)
+			for i, c := range ff {
+				if c <= prev && i > 0 {
+					t.Fatalf("sample cycles not strictly increasing: %d then %d", prev, c)
+				}
+				if c%every != 0 {
+					t.Errorf("sample %d at cycle %d, not a multiple of %d", i, c, every)
+				}
+				if c > ffNow {
+					t.Errorf("sample %d at cycle %d, beyond the kernel clock %d", i, c, ffNow)
+				}
+				prev = c
+			}
+			noff, noffNow := run(true)
+			if ffNow != noffNow {
+				t.Fatalf("kernel clock diverges with fast-forward: %d vs %d", ffNow, noffNow)
+			}
+			if !reflect.DeepEqual(ff, noff) {
+				t.Errorf("sample cycles diverge with fast-forward:\n  on:  %v\n  off: %v", ff, noff)
+			}
+		})
 	}
 }
 
