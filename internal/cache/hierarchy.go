@@ -570,39 +570,28 @@ func (h *Hierarchy) wbInstall(slot uint64) {
 	line := h.wbs.Take(slot)
 	// Probe, not demand lookup: writeback installs must not skew
 	// the demand miss-rate statistics.
-	if l := h.llc.Lookup(line.Addr, false); l != nil {
-		if h.hooks.BeforeLLCDirtyUpdate != nil {
-			h.hooks.BeforeLLCDirtyUpdate(*l, line.TxID, line.Uncommitted)
-			// The hook may have reshaped the set (placeholder
-			// installs): re-resolve the line pointer.
-			l = h.llc.Lookup(line.Addr, false)
-			if l == nil {
-				if installed := h.insertLLC(line); installed != nil {
-					if h.hooks.OnLLCDirtyInstall != nil {
-						h.hooks.OnLLCDirtyInstall(line.Addr)
-					}
-				} else {
-					h.writebackToMemory(line)
-				}
-				h.wbLanded(line.TxID)
-				return
-			}
-		}
+	l := h.llc.Lookup(line.Addr, false)
+	if l != nil && h.hooks.BeforeLLCDirtyUpdate != nil {
+		h.hooks.BeforeLLCDirtyUpdate(*l, line.TxID, line.Uncommitted)
+		// The hook may have reshaped the set (placeholder installs):
+		// re-resolve the line pointer.
+		l = h.llc.Lookup(line.Addr, false)
+	}
+	if l != nil {
 		h.mergeFlags(l, line)
 		l.Uncommitted = line.Uncommitted
 		l.TxID = line.TxID
-		if h.hooks.OnLLCDirtyInstall != nil {
-			h.hooks.OnLLCDirtyInstall(line.Addr)
-		}
-	} else if installed := h.insertLLC(line); installed != nil {
-		if h.hooks.OnLLCDirtyInstall != nil {
-			h.hooks.OnLLCDirtyInstall(line.Addr)
-		}
 	} else {
+		l = h.insertLLC(line)
+	}
+	switch {
+	case l == nil:
 		// Bypass under total pinning pressure: retire straight
 		// to memory (counted; recovery strictness is checked by
 		// the crash tests).
 		h.writebackToMemory(line)
+	case h.hooks.OnLLCDirtyInstall != nil:
+		h.hooks.OnLLCDirtyInstall(line.Addr)
 	}
 	h.wbLanded(line.TxID)
 }
@@ -623,15 +612,23 @@ func (h *Hierarchy) insertLLC(line Line) *Line {
 	}
 	*installed = line
 	installed.Valid = true
-	if evicted.Valid && evicted.Dirty {
-		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
-			h.stats.DroppedEvictions++
-			h.obs.LLCDrop(evicted.Addr, h.k.Now())
-		} else {
-			h.writebackToMemory(evicted)
-		}
-	}
+	h.routeLLCVictim(evicted)
 	return installed
+}
+
+// routeLLCVictim disposes of a line evicted from the LLC: a dirty victim
+// is dropped when the mechanism claims it (DropLLCEviction), else written
+// back to memory.
+func (h *Hierarchy) routeLLCVictim(evicted Line) {
+	if !evicted.Valid || !evicted.Dirty {
+		return
+	}
+	if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
+		h.stats.DroppedEvictions++
+		h.obs.LLCDrop(evicted.Addr, h.k.Now())
+	} else {
+		h.writebackToMemory(evicted)
+	}
 }
 
 // InstallPlaceholder installs a clean line at a synthetic address —
@@ -656,14 +653,7 @@ func (h *Hierarchy) InstallPlaceholder(lineAddr, protect uint64) {
 		return
 	}
 	installed.Valid = true
-	if evicted.Valid && evicted.Dirty {
-		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(evicted) {
-			h.stats.DroppedEvictions++
-			h.obs.LLCDrop(evicted.Addr, h.k.Now())
-		} else {
-			h.writebackToMemory(evicted)
-		}
-	}
+	h.routeLLCVictim(evicted)
 }
 
 func (h *Hierarchy) writebackToMemory(line Line) {

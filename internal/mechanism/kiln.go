@@ -25,8 +25,6 @@ type kiln struct {
 	nvllc *memimage.Image
 	g     *conflictGuard
 
-	committed []uint64
-
 	// resume holds each core's commit continuation while its commit
 	// flush is in progress; flushedFn (Arg: core) is bound once.
 	resume    []sim.Event
@@ -57,10 +55,9 @@ const kilnShadowBit = uint64(1) << 62
 func newKiln(env *Env) Mechanism {
 	m := &kiln{
 		env: env, nvllc: memimage.New(),
-		g:         newConflictGuard(env),
-		committed: make([]uint64, env.Cores),
-		resume:    make([]sim.Event, env.Cores),
-		retained:  make(map[uint64]retainedVersion),
+		g:        newConflictGuard(env),
+		resume:   make([]sim.Event, env.Cores),
+		retained: make(map[uint64]retainedVersion),
 	}
 	m.flushedFn = m.flushed
 	return m
@@ -163,8 +160,7 @@ func (m *kiln) TxEnd(core int, txID uint64, resume sim.Event) bool {
 // shared-line ownership here.
 func (m *kiln) flushed(core uint64) {
 	c := int(core)
-	m.committed[c]++
-	m.env.noteDurableCommit(c)
+	m.env.Oracle.Commit(c)
 	m.g.releaseTxNow(c)
 	resume := m.resume[c]
 	m.resume[c] = sim.Event{}
@@ -172,8 +168,6 @@ func (m *kiln) flushed(core uint64) {
 }
 
 func (m *kiln) Drained() bool { return true }
-
-func (m *kiln) DurablyCommitted(core int) uint64 { return m.committed[core] }
 
 // RecoveryCost walks the nonvolatile LLC and writes back every committed
 // dirty persistent line.

@@ -10,9 +10,9 @@
 //
 // A mechanism contributes: cache-hierarchy hooks, a per-core trace
 // rewriter (SP injects its logging code), the cpu.Persistence behaviour at
-// transaction boundaries and persistent stores, a durable-commit counter
-// used by crash checking, and a Recover procedure that turns a crash-time
-// durable state into the post-recovery NVM image.
+// transaction boundaries and persistent stores, a call to the recovery
+// oracle at each transaction's durable instant, and a Recover procedure
+// that turns a crash-time durable state into the post-recovery NVM image.
 package mechanism
 
 import (
@@ -144,29 +144,11 @@ type Env struct {
 	// model, because in-place stores happen after commit and recovery
 	// replays logs in global commit order.
 	Arb *txcache.LineArbiter
-	// Commits is the global durable-commit log, non-nil only when the
-	// workload has a shared region. Every mechanism appends each
-	// transaction at the instant it becomes durably committed; the
-	// system folds committed write sets in this order to build the
-	// expected durable image (the serialization oracle).
-	Commits *CommitLog
-}
-
-// CommitLog records the global order in which transactions became
-// durably committed, as (core) entries — each core's transactions commit
-// in program order, so the core index alone identifies the transaction.
-type CommitLog struct {
-	Order []int
-}
-
-// Append records that core's next transaction just became durable.
-func (l *CommitLog) Append(core int) { l.Order = append(l.Order, core) }
-
-// noteDurableCommit appends to the global commit log if one is wired.
-func (env *Env) noteDurableCommit(core int) {
-	if env.Commits != nil {
-		env.Commits.Append(core)
-	}
+	// Oracle is the commit-order recovery oracle. Every mechanism calls
+	// Oracle.Commit(core) at the instant each transaction becomes
+	// durably committed, so the oracle folds write sets in the global
+	// durable-commit order.
+	Oracle *trace.Oracle
 }
 
 // Mechanism is the strategy interface.
@@ -185,10 +167,6 @@ type Mechanism interface {
 	Rewrite(core int, r trace.Reader) trace.Reader
 	// Drained reports whether all persistence machinery has quiesced.
 	Drained() bool
-	// DurablyCommitted reports how many of core's transactions are
-	// durably committed at this instant — the oracle prefix a crash
-	// right now must recover to.
-	DurablyCommitted(core int) uint64
 	// Recover builds the post-recovery NVM image from a crash-time
 	// durable image (plus the mechanism's own nonvolatile state).
 	Recover(durable *memimage.Image) *memimage.Image

@@ -30,7 +30,44 @@ func testEnv(t *testing.T) *Env {
 		Live:    memimage.New(),
 		Durable: memimage.New(),
 		TC:      txcache.Config{SizeBytes: 8 * 64, EntryBytes: 64},
+		Oracle:  trace.NewOracle(2, memimage.New()),
 	}
+}
+
+// generateTx queues one transaction's write set on env's oracle as
+// core's, as a workload recorder does when it generates the transaction.
+func generateTx(env *Env, core int, ws ...trace.Write) {
+	r := trace.NewRecorder(memimage.New())
+	r.SetOracle(env.Oracle, core)
+	r.TxBegin()
+	for _, w := range ws {
+		r.Store(w.Addr, w.Value)
+	}
+	r.TxEnd()
+}
+
+// durableLogCommits is the reference for SP's durable count: a full scan
+// of core's durable log, counting the commit records before the first
+// hole — the transactions SP's recovery replays. The oracle's count, kept
+// incrementally as log lines land, must equal it at every cycle.
+func durableLogCommits(m *sp, durable *memimage.Image, core int) uint64 {
+	var n uint64
+	for pos := m.logs[core].Base; pos < m.cursor[core]; pos += 16 {
+		a := durable.ReadWord(pos)
+		if a == 0 {
+			break
+		}
+		if a == spCommitMagic {
+			n++
+		}
+	}
+	return n
+}
+
+// DurableLogCommits exposes durableLogCommits to the external tests,
+// which run SP inside a whole system.
+func DurableLogCommits(m Mechanism, durable *memimage.Image, core int) uint64 {
+	return durableLogCommits(m.(*sp), durable, core)
 }
 
 func attach(env *Env, m Mechanism) *cache.Hierarchy {
@@ -72,6 +109,7 @@ func TestOptimalIsTransparent(t *testing.T) {
 	env := testEnv(t)
 	m := New(Optimal, env)
 	attach(env, m)
+	generateTx(env, 0, trace.Write{Addr: memaddr.NVMBase, Value: 5})
 	if m.TxEnd(0, 1, sim.Event{}) {
 		t.Fatal("optimal TxEnd requested a stall")
 	}
@@ -82,8 +120,8 @@ func TestOptimalIsTransparent(t *testing.T) {
 	if !m.Drained() {
 		t.Fatal("optimal not drained")
 	}
-	if m.DurablyCommitted(0) != 1 {
-		t.Fatalf("committed = %d, want 1", m.DurablyCommitted(0))
+	if got := env.Oracle.Committed(0); got != 1 {
+		t.Fatalf("committed = %d, want 1", got)
 	}
 	// Recover is the identity.
 	env.Durable.WriteWord(memaddr.NVMBase, 77)
@@ -191,11 +229,14 @@ func TestTCacheStoreCommitDrain(t *testing.T) {
 	if act := m.Store(0, 1, memaddr.NVMBase, 42, sim.Event{}); act.Retry {
 		t.Fatal("store rejected by empty TC")
 	}
+	generateTx(env, 0, trace.Write{Addr: memaddr.NVMBase, Value: 42})
 	if m.TxEnd(0, 1, sim.Event{}) {
 		t.Fatal("non-overflow commit requested a stall")
 	}
-	if m.DurablyCommitted(0) != 1 {
-		t.Fatal("commit not counted")
+	// The commit request reaching the nonvolatile TC is the durable
+	// instant: the oracle folds the write set before any drain.
+	if env.Oracle.Committed(0) != 1 || env.Oracle.Image().ReadWord(memaddr.NVMBase) != 42 {
+		t.Fatal("commit not folded into the oracle")
 	}
 	env.K.RunUntil(m.Drained, 100000)
 	if env.Durable.ReadWord(memaddr.NVMBase) != 42 {
@@ -208,6 +249,7 @@ func TestTCacheRecoverReplaysCommittedEntries(t *testing.T) {
 	m := New(TCache, env).(*tcMech)
 	attach(env, m)
 	m.Store(0, 1, memaddr.NVMBase, 10, sim.Event{})
+	generateTx(env, 0, trace.Write{Addr: memaddr.NVMBase, Value: 10})
 	m.TxEnd(0, 1, sim.Event{})
 	m.Store(0, 2, memaddr.NVMBase+8, 20, sim.Event{}) // active, uncommitted
 	// Crash now, before any drain tick.
@@ -269,15 +311,19 @@ func TestTCacheOverflowFallback(t *testing.T) {
 	if m.tcs[0].Occupancy() != 0 {
 		t.Fatalf("TC still holds %d entries of the overflowed tx", m.tcs[0].Occupancy())
 	}
+	generateTx(env, 0)
 	resumed := false
 	if !m.TxEnd(0, 1, sim.Event{Fn: func(uint64) { resumed = true }}) {
 		t.Fatal("overflowed commit did not stall")
+	}
+	if env.Oracle.Committed(0) != 0 {
+		t.Fatal("overflowed tx counted committed before its commit record is durable")
 	}
 	env.K.RunUntil(func() bool { return resumed }, 100000)
 	if !resumed {
 		t.Fatal("overflowed commit never resumed")
 	}
-	if m.DurablyCommitted(0) != 1 {
+	if env.Oracle.Committed(0) != 1 {
 		t.Fatal("overflowed tx not counted committed")
 	}
 	for i := 0; i < 9; i++ {
@@ -349,12 +395,13 @@ func TestKilnCommitFlushesAndCounts(t *testing.T) {
 	h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, sim.Event{Fn: func(uint64) { done = true }})
 	env.K.RunUntil(func() bool { return done }, 100000)
 
+	generateTx(env, 0, trace.Write{Addr: memaddr.NVMBase, Value: 9})
 	resumed := false
 	if !m.TxEnd(0, 1, sim.Event{Fn: func(uint64) { resumed = true }}) {
 		t.Fatal("kiln commit did not stall")
 	}
 	env.K.RunUntil(func() bool { return resumed }, 100000)
-	if m.DurablyCommitted(0) != 1 {
+	if env.Oracle.Committed(0) != 1 {
 		t.Fatal("commit not counted")
 	}
 	// Recovery merges the committed dirty LLC line.
@@ -431,6 +478,7 @@ func TestTCacheRecoveryCostCountsCommittedEntries(t *testing.T) {
 	attach(env, m)
 	m.Store(0, 1, memaddr.NVMBase, 1, sim.Event{})
 	m.Store(0, 1, memaddr.NVMBase+8, 2, sim.Event{})
+	generateTx(env, 0)
 	m.TxEnd(0, 1, sim.Event{})
 	m.Store(0, 2, memaddr.NVMBase+16, 3, sim.Event{}) // active: scanned but not replayed
 	c := m.RecoveryCost()
@@ -439,5 +487,40 @@ func TestTCacheRecoveryCostCountsCommittedEntries(t *testing.T) {
 	}
 	if c.EstCycles == 0 {
 		t.Fatal("estimate is zero with pending work")
+	}
+}
+
+// TestSPCommitRecordLandingIsDurableInstant drives SP's log write-backs
+// by hand: a landed log entry commits nothing, and the landing of the
+// commit record folds the transaction into the oracle.
+func TestSPCommitRecordLandingIsDurableInstant(t *testing.T) {
+	env := testEnv(t)
+	m := New(SP, env).(*sp)
+	var tr trace.Trace
+	tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 11), trace.TxEnd(1))
+	rd := m.Rewrite(0, trace.NewReader(&tr))
+	for {
+		if _, ok := rd.Next(); !ok {
+			break
+		}
+	}
+	generateTx(env, 0, trace.Write{Addr: memaddr.NVMBase, Value: 11})
+	entry := m.logs[0].Base
+	land := func(slot, a, v uint64) {
+		env.Live.WriteWord(slot, a)
+		env.Live.WriteWord(slot+8, v)
+		m.Hooks().WritebackApply(memaddr.LineAddr(slot)).Fire()
+	}
+
+	land(entry, memaddr.NVMBase, 11)
+	if env.Oracle.Committed(0) != 0 {
+		t.Fatal("a log entry without its commit record counted as committed")
+	}
+	land(entry+16, spCommitMagic, 1)
+	if env.Oracle.Committed(0) != 1 || env.Oracle.Image().ReadWord(memaddr.NVMBase) != 11 {
+		t.Fatal("commit record landed but the oracle did not fold the transaction")
+	}
+	if got := durableLogCommits(m, env.Durable, 0); got != 1 {
+		t.Fatalf("durable log holds %d commits, want 1", got)
 	}
 }

@@ -13,13 +13,12 @@ import (
 // that committed data reaches NVM atomically — which is exactly what the
 // crash tests demonstrate.
 type optimal struct {
-	env       *Env
-	committed []uint64
-	g         *conflictGuard
+	env *Env
+	g   *conflictGuard
 }
 
 func newOptimal(env *Env) Mechanism {
-	return &optimal{env: env, committed: make([]uint64, env.Cores), g: newConflictGuard(env)}
+	return &optimal{env: env, g: newConflictGuard(env)}
 }
 
 func (m *optimal) Kind() Kind { return Optimal }
@@ -38,10 +37,9 @@ func (m *optimal) TxBegin(core int, txID uint64) {}
 
 func (m *optimal) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	// "Commit" is only an instruction boundary: nothing becomes durable.
-	m.committed[core]++
 	// The "durable" instant for Optimal's oracle bookkeeping is the
 	// commit marker itself; ownership releases with it.
-	m.env.noteDurableCommit(core)
+	m.env.Oracle.Commit(core)
 	m.g.releaseTxNow(core)
 	return false
 }
@@ -62,8 +60,6 @@ func (m *optimal) Store(core int, txID uint64, addr, value uint64, _ sim.Event) 
 }
 
 func (m *optimal) Drained() bool { return true }
-
-func (m *optimal) DurablyCommitted(core int) uint64 { return m.committed[core] }
 
 // RecoveryCost is zero: there is no recovery procedure (and no
 // guarantee).

@@ -31,12 +31,26 @@ import (
 // In-place stores are deferred past the commit record (Mnemosyne-style
 // write-through logging), so an uncommitted transaction can never leak
 // in-place data into NVM via cache evictions — recovery is exactly "replay
-// the log of every transaction whose commit record is durable".
+// the log of every transaction whose commit record is durable". That
+// makes the commit record's arrival in the durable image each
+// transaction's durable instant.
 type sp struct {
-	env       *Env
-	logs      []memaddr.Range
-	cursor    []uint64
-	committed []uint64
+	env    *Env
+	copier *liveCopier
+	logs   []memaddr.Range
+	// cursor is each core's next free log slot; durable is its first log
+	// slot not yet scanned in the durable image (every slot before it is
+	// durable, every commit record before it is folded into the oracle).
+	cursor  []uint64
+	durable []uint64
+	// shared marks a workload with a cross-core shared region. Recovery
+	// then replays the logs in global durable-commit order: order lists
+	// the committing core as each commit record lands.
+	shared bool
+	order  []int
+	// logLandedFn is the durable update of a written-back log line
+	// (Arg: line address), bound once.
+	logLandedFn func(uint64)
 
 	// resume holds each core's commit continuation while its pcommit
 	// poll waits for the NVM write queues to drain; pollFn is the poll
@@ -64,10 +78,14 @@ func newSP(env *Env) Mechanism {
 		cursor[c] = r.Base
 	}
 	m := &sp{
-		env: env, logs: logs, cursor: cursor, committed: make([]uint64, env.Cores),
+		env: env, copier: newLiveCopier(env), logs: logs,
+		cursor: cursor, durable: append([]uint64(nil), cursor...),
+		// Arb is wired exactly when the workload has a shared region.
+		shared: env.Arb != nil,
 		resume: make([]sim.Event, env.Cores),
 	}
 	m.pollFn = m.pcommitPoll
+	m.logLandedFn = m.logLanded
 	return m
 }
 
@@ -75,7 +93,41 @@ func (m *sp) Kind() Kind { return SP }
 
 func (m *sp) Hooks() cache.Hooks {
 	return cache.Hooks{
-		WritebackApply: newLiveCopier(m.env).apply,
+		WritebackApply: m.writebackApply,
+	}
+}
+
+// writebackApply is the durable update of a written-back line: the live
+// line's contents, and for a log line also the scan for the commit
+// records it made durable. Every log word reaches the durable image
+// through here.
+func (m *sp) writebackApply(lineAddr uint64) sim.Event {
+	if memaddr.Classify(lineAddr) == memaddr.SpaceNVMLog {
+		return sim.Event{Fn: m.logLandedFn, Arg: lineAddr}
+	}
+	return m.copier.apply(lineAddr)
+}
+
+// logLanded copies a log line into the durable image, then advances its
+// core's durable scan over the newly durable log slots. A commit record
+// found there is its transaction's durable instant. The scan stops at
+// the first hole, as recovery does; a slot is written once, so every
+// slot behind the scan stays as scanned.
+func (m *sp) logLanded(lineAddr uint64) {
+	m.copier.copyLine(lineAddr)
+	core := int((lineAddr - memaddr.NVMLogBase) / memaddr.PerCoreLogSize)
+	for pos := m.durable[core]; pos < m.cursor[core]; pos += 16 {
+		a := m.env.Durable.ReadWord(pos)
+		if a == 0 {
+			break
+		}
+		if a == spCommitMagic {
+			m.env.Oracle.Commit(core)
+			if m.shared {
+				m.order = append(m.order, core)
+			}
+		}
+		m.durable[core] = pos + 16
 	}
 }
 
@@ -162,17 +214,10 @@ func (r *spReader) expand(rec trace.Record) {
 func (m *sp) TxBegin(core int, txID uint64) {}
 
 // TxEnd retires after the commit record's sfence, so the transaction is
-// durable by construction at this point. The remaining cost is pcommit
-// (Figure 3(a)): the core stalls until the NVM controller's write queue
-// drains.
+// already durable (logLanded saw its record land). The remaining cost is
+// pcommit (Figure 3(a)): the core stalls until the NVM controller's
+// write queue drains.
 func (m *sp) TxEnd(core int, txID uint64, resume sim.Event) bool {
-	m.committed[core]++
-	// SP does not arbitrate (in-place stores are deferred past the
-	// commit record, so there is no conflict window), but it still
-	// reports its commit order: shared-mode recovery replays the logs
-	// globally in this order, which overrides whatever order the
-	// deferred in-place stores later reach NVM in.
-	m.env.noteDurableCommit(core)
 	if m.env.Mem.PendingNVMWrites() == 0 {
 		return false
 	}
@@ -198,24 +243,6 @@ func (m *sp) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.S
 }
 
 func (m *sp) Drained() bool { return true }
-
-// DurablyCommitted counts the commit records present in the DURABLE log —
-// the same source recovery reads. (The retirement-time counter would lag
-// by the few cycles between the record's clflush completing and TX_END
-// retiring, misclassifying a crash inside that window.)
-func (m *sp) DurablyCommitted(core int) uint64 {
-	var n uint64
-	for pos := m.logs[core].Base; pos < m.cursor[core]; pos += 16 {
-		a := m.env.Durable.ReadWord(pos)
-		if a == 0 {
-			break
-		}
-		if a == spCommitMagic {
-			n++
-		}
-	}
-	return n
-}
 
 // RecoveryCost scans every durable log record and replays the committed
 // entries.
@@ -249,7 +276,7 @@ func (m *sp) RecoveryCost() RecoveryCost {
 // hole (a zero address — nothing durable beyond it can be committed,
 // because the pre-commit sfence orders every entry before its record).
 func (m *sp) Recover(durable *memimage.Image) *memimage.Image {
-	if m.env.Commits != nil {
+	if m.shared {
 		return m.recoverGlobal(durable)
 	}
 	out := durable.Snapshot()
@@ -276,17 +303,17 @@ func (m *sp) Recover(durable *memimage.Image) *memimage.Image {
 
 // recoverGlobal replays the per-core logs interleaved in global durable
 // commit order — the shared-mode serialization discipline. Per core the
-// log is in program order, so a cursor per core plus the commit log's
-// core sequence reconstructs exactly the order the transactions became
-// durable in, regardless of the order their deferred in-place stores
-// later reached NVM.
+// log is in program order, so a cursor per core plus order's core
+// sequence (recorded as each commit record landed) reconstructs exactly
+// the order the transactions became durable in, regardless of the order
+// their deferred in-place stores later reached NVM.
 func (m *sp) recoverGlobal(durable *memimage.Image) *memimage.Image {
 	out := durable.Snapshot()
 	pos := make([]uint64, m.env.Cores)
 	for c := range pos {
 		pos[c] = m.logs[c].Base
 	}
-	for _, core := range m.env.Commits.Order {
+	for _, core := range m.order {
 		var pending []trace.Write
 		p := pos[core]
 		for p < m.logs[core].End() {

@@ -29,8 +29,6 @@ type tcMech struct {
 	hier *cache.Hierarchy
 	g    *conflictGuard
 
-	committed []uint64
-
 	// Copy-on-write fall-back state, per core.
 	fbActive      []bool
 	fbTx          []uint64
@@ -52,7 +50,6 @@ type tcMech struct {
 func newTCache(env *Env) Mechanism {
 	m := &tcMech{
 		env:           env,
-		committed:     make([]uint64, env.Cores),
 		fbActive:      make([]bool, env.Cores),
 		fbTx:          make([]uint64, env.Cores),
 		fbPending:     make([][]trace.Write, env.Cores),
@@ -231,11 +228,10 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
 					m.env.Durable.WriteWord(w.Addr, w.Value)
 				}
 				m.tcs[core].Commit(txID)
-				m.committed[core]++
 				// Commit-record durability is the overflowed
 				// transaction's durable instant: its shadow writes just
 				// applied, so shared-line ownership releases here.
-				m.env.noteDurableCommit(core)
+				m.env.Oracle.Commit(core)
 				m.g.releaseTxNow(core)
 			}}
 			m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume)
@@ -247,12 +243,11 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
 		return true
 	}
 	m.tcs[core].Commit(txID)
-	m.committed[core]++
 	// The commit request to the nonvolatile TC is instantly durable, so
 	// TX_END is the durable instant. Ownership of the transaction's
 	// shared lines transfers to the drain-pending set and releases as
 	// the acks arrive.
-	m.env.noteDurableCommit(core)
+	m.env.Oracle.Commit(core)
 	m.g.commitPending(core)
 	return false
 }
@@ -291,8 +286,6 @@ func (m *tcMech) Drained() bool {
 	}
 	return true
 }
-
-func (m *tcMech) DurablyCommitted(core int) uint64 { return m.committed[core] }
 
 // RecoveryCost scans the nonvolatile TCs and replays their committed
 // entries.

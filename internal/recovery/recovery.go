@@ -9,8 +9,9 @@
 // software log, the NV-LLC), and then checks two properties per core:
 //
 //	atomicity  — the recovered NVM equals the base image plus exactly the
-//	             write sets of the first K committed transactions (the
-//	             mechanism's durably-committed count at the crash point);
+//	             write sets of the first K committed transactions of each
+//	             core (the oracle's durably-committed count at the crash
+//	             point), folded in durable-commit order;
 //	integrity  — the recovered data structure satisfies its own
 //	             invariants (a valid red-black tree, a sorted B+tree, ...).
 //
@@ -40,7 +41,7 @@ type Trial struct {
 	// core at the crash point.
 	CommittedPerCore []uint64
 	// AtomicityDiffs are word-level mismatches between the recovered
-	// image and the committed-prefix oracle (empty = atomic+durable).
+	// image and the commit-order oracle (empty = atomic+durable).
 	AtomicityDiffs []memimage.Diff
 	// IntegrityErr is the structural-validation failure, if any.
 	IntegrityErr error
@@ -87,7 +88,7 @@ func crash(s *pmemaccel.System, crashCycle uint64) (*Trial, error) {
 	}
 	tr := &Trial{CrashCycle: s.Kernel.Now(), FinishedEarly: finished}
 	for c := range s.Cores {
-		tr.CommittedPerCore = append(tr.CommittedPerCore, s.Mech.DurablyCommitted(c))
+		tr.CommittedPerCore = append(tr.CommittedPerCore, s.Oracle.Committed(c))
 	}
 	tr.Cost = s.Mech.RecoveryCost()
 	recovered := s.RecoveredDurable()

@@ -176,18 +176,17 @@ func TestStreamValidatorMatchesValidate(t *testing.T) {
 	}
 }
 
-// TestRecorderRunningCounters pins the incremental oracle: the running
+// TestRecorderRunningCounters: over a measured window after warmup, the
 // instruction/transaction counters match a Summarize of the emitted
-// records, and the incremental final image matches the full
-// committed-prefix fold.
+// records, and folding every queued write set over the base image yields
+// the architectural image.
 func TestRecorderRunningCounters(t *testing.T) {
 	r := NewRecorder(memimage.New())
 	tr := collect(r)
 	r.SetQuiet(true)
 	r.Store(memaddr.NVMBase, 1) // warmup write
 	r.SetQuiet(false)
-	base := r.Image().Snapshot()
-	r.SetFinalBase(base)
+	o := oracleFor(r, r.Image().Snapshot())
 
 	for i := 0; i < 5; i++ {
 		r.TxBegin()
@@ -203,32 +202,24 @@ func TestRecorderRunningCounters(t *testing.T) {
 	if got, want := r.Transactions(), sum.Transactions; got != want {
 		t.Errorf("Transactions counter = %d, trace says %d", got, want)
 	}
-	if got := r.CommittedCount(); got != 5 {
-		t.Errorf("CommittedCount = %d, want 5", got)
+	if got := pendingSets(o, 0); got != 5 {
+		t.Errorf("oracle queued %d write sets, want 5", got)
 	}
-	want := r.CommittedPrefixImage(base, len(r.Committed()))
-	if !r.FinalImage().Equal(want) {
-		t.Error("incremental final image differs from committed-prefix fold")
+	commitAll(o, 0)
+	if !o.Image().Equal(r.Image()) {
+		t.Error("oracle image at quiescence differs from the architectural image")
 	}
 }
 
-// TestRecorderSinkAndRetention: every record reaches the sink, switching
-// retention off releases the history kept so far, and with retention off
-// the history stays empty while the counters and final image keep
-// working.
-func TestRecorderSinkAndRetention(t *testing.T) {
+// TestRecorderSinkAndOracleQueue: every record reaches the sink, a
+// recorder without an oracle keeps no write sets, and once SetOracle
+// attaches one, each committed transaction is queued on it.
+func TestRecorderSinkAndOracleQueue(t *testing.T) {
 	r := NewRecorder(memimage.New())
-	r.SetFinalBase(memimage.New())
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 7)
 	r.TxEnd()
-	if len(r.Committed()) != 1 {
-		t.Fatalf("history holds %d txs with retention on, want 1", len(r.Committed()))
-	}
-	r.SetRetainTxHistory(false)
-	if r.RetainsTxHistory() {
-		t.Fatal("RetainsTxHistory true after disabling")
-	}
+	o := oracleFor(r, nil)
 	var sunk []Record
 	r.SetSink(func(rec Record) { sunk = append(sunk, rec) })
 
@@ -239,13 +230,14 @@ func TestRecorderSinkAndRetention(t *testing.T) {
 	if len(sunk) != 3 {
 		t.Errorf("sink received %d records, want 3 (begin, store, end)", len(sunk))
 	}
-	if len(r.Committed()) != 0 {
-		t.Errorf("history retained %d txs with retention off", len(r.Committed()))
+	if r.Transactions() != 2 {
+		t.Errorf("Transactions = %d, want 2", r.Transactions())
 	}
-	if r.CommittedCount() != 2 {
-		t.Errorf("CommittedCount = %d, want 2", r.CommittedCount())
+	if n := pendingSets(o, 0); n != 1 {
+		t.Fatalf("oracle queued %d write sets, want only the one after SetOracle", n)
 	}
-	if got := r.FinalImage().ReadWord(memaddr.NVMBase); got != 42 {
-		t.Errorf("final image word = %d, want 42", got)
+	o.Commit(0)
+	if got := o.Image().ReadWord(memaddr.NVMBase); got != 42 || o.Image().Len() != 1 {
+		t.Errorf("oracle word = %d over %d words, want 42 over 1", got, o.Image().Len())
 	}
 }

@@ -11,25 +11,15 @@ type Write struct {
 	Value uint64
 }
 
-// TxRecord is the oracle entry for one transaction: its id and its
-// persistent write set in program order.
-type TxRecord struct {
-	ID     uint64
-	Writes []Write
-}
-
 // Recorder is the memory interface the workloads program against. It plays
 // the role of the compiler plus persistent-heap runtime: every Load/Store
 // both updates the architectural program image (so the data structures
 // actually work) and emits a trace record. It also assigns transaction
-// ids (the CPU's "next TxID register" of §4.2) and maintains the oracle of
-// committed transactions used by crash-recovery checking.
+// ids (the CPU's "next TxID register" of §4.2) and queues each committed
+// transaction's persistent write set on the recovery oracle (SetOracle).
 //
 // Records flow into a sink (SetSink): the generator's bounded per-core
-// buffer, which keeps memory O(1) in the number of records. The oracle
-// has two forms: the full per-transaction history (Committed), retained
-// on request, and the incremental final image plus running counters,
-// which are always maintained and are all a run to quiescence needs.
+// buffer, which keeps memory O(1) in the number of records.
 type Recorder struct {
 	img    *memimage.Image
 	nextTx uint64
@@ -40,28 +30,23 @@ type Recorder struct {
 	// sink receives every emitted record (discard until SetSink).
 	sink func(Record)
 
-	// retain keeps the full committed-transaction history. It is O(ops)
-	// memory and only crash-prefix checking (CommittedPrefixImage) and
-	// the shared-mode commit-order oracle need it.
-	retain bool
+	// oracle receives each committed write set as core's; nil until
+	// SetOracle.
+	oracle *Oracle
+	core   int
 
 	// Running counters over the measured (non-quiet) window.
 	instructions uint64
 	transactions uint64
 
-	// final is the incremental oracle image: the post-warmup base plus
-	// every committed write set folded in at TxEnd. Nil until
-	// SetFinalBase.
-	final *memimage.Image
-
-	pending   []Write
-	committed []TxRecord
+	// pending is the open transaction's persistent write set.
+	pending []Write
 }
 
-// NewRecorder returns a recorder writing through to img. It retains the
-// transaction history and discards records until SetSink.
+// NewRecorder returns a recorder writing through to img. It discards
+// records until SetSink and write sets until SetOracle.
 func NewRecorder(img *memimage.Image) *Recorder {
-	return &Recorder{img: img, nextTx: 1, retain: true, sink: discard}
+	return &Recorder{img: img, nextTx: 1, sink: discard}
 }
 
 // discard is the sink of a recorder nobody consumes records from.
@@ -83,29 +68,9 @@ func (r *Recorder) Quiet() bool { return r.quiet }
 // generator points fn at its bounded per-core buffer.
 func (r *Recorder) SetSink(fn func(Record)) { r.sink = fn }
 
-// SetRetainTxHistory controls whether the full committed-transaction
-// history accumulates. Switching it off also releases the history kept so
-// far; the incremental final image and the committed counter remain
-// available either way.
-func (r *Recorder) SetRetainTxHistory(retain bool) {
-	r.retain = retain
-	if !retain {
-		r.committed = nil
-	}
-}
-
-// RetainsTxHistory reports whether Committed holds the full history.
-func (r *Recorder) RetainsTxHistory() bool { return r.retain }
-
-// SetFinalBase starts the incremental oracle image from a snapshot of
-// base (the post-warmup durable state). Committed write sets fold into
-// it at every TxEnd from then on.
-func (r *Recorder) SetFinalBase(base *memimage.Image) { r.final = base.Snapshot() }
-
-// FinalImage returns the incremental oracle image: base plus every
-// committed transaction so far. It is complete only once the generator
-// is exhausted. Nil before SetFinalBase.
-func (r *Recorder) FinalImage() *memimage.Image { return r.final }
+// SetOracle queues every transaction committed from now on, as core's,
+// on o.
+func (r *Recorder) SetOracle(o *Oracle, core int) { r.oracle, r.core = o, core }
 
 // Instructions returns the dynamic instruction count of the measured
 // window emitted so far.
@@ -114,10 +79,6 @@ func (r *Recorder) Instructions() uint64 { return r.instructions }
 // Transactions returns the number of committed (TxEnd) transactions
 // emitted so far.
 func (r *Recorder) Transactions() uint64 { return r.transactions }
-
-// CommittedCount returns how many transactions have committed in the
-// measured window, independent of whether their history was retained.
-func (r *Recorder) CommittedCount() uint64 { return r.transactions }
 
 // emit routes one record to the sink, maintaining the running counters.
 func (r *Recorder) emit(rec Record) {
@@ -184,24 +145,16 @@ func (r *Recorder) TxBegin() uint64 {
 	return id
 }
 
-// TxEnd commits the open transaction, adding its write set to the oracle
-// (the retained history when enabled, and the incremental final image
-// always).
+// TxEnd commits the open transaction, queueing its write set on the
+// oracle.
 func (r *Recorder) TxEnd() {
 	if !r.inTx {
 		panic("trace: TxEnd outside transaction")
 	}
 	if !r.quiet {
 		r.emit(TxEnd(r.curTx))
-		if r.retain {
-			ws := make([]Write, len(r.pending))
-			copy(ws, r.pending)
-			r.committed = append(r.committed, TxRecord{ID: r.curTx, Writes: ws})
-		}
-		if r.final != nil {
-			for _, w := range r.pending {
-				r.final.WriteWord(w.Addr, w.Value)
-			}
+		if r.oracle != nil {
+			r.oracle.queue(r.core, r.pending)
 		}
 	}
 	r.inTx = false
@@ -210,30 +163,3 @@ func (r *Recorder) TxEnd() {
 
 // InTx reports whether a transaction is open.
 func (r *Recorder) InTx() bool { return r.inTx }
-
-// Committed returns the oracle: every committed transaction with its
-// persistent write set, in commit order. Empty when history retention is
-// off (use CommittedCount and FinalImage instead).
-func (r *Recorder) Committed() []TxRecord { return r.committed }
-
-// CommittedPrefixImage builds the durable NVM image that results from
-// applying the first n committed transactions to base (nil base means an
-// empty image). Recovery checking compares a post-crash recovered image
-// against one of these prefixes. Requires the retained history.
-func (r *Recorder) CommittedPrefixImage(base *memimage.Image, n int) *memimage.Image {
-	var img *memimage.Image
-	if base != nil {
-		img = base.Snapshot()
-	} else {
-		img = memimage.New()
-	}
-	if n > len(r.committed) {
-		n = len(r.committed)
-	}
-	for _, tx := range r.committed[:n] {
-		for _, w := range tx.Writes {
-			img.WriteWord(w.Addr, w.Value)
-		}
-	}
-	return img
-}

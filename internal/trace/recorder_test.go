@@ -15,6 +15,31 @@ func collect(r *Recorder) *Trace {
 	return tr
 }
 
+// oracleFor attaches a one-core oracle starting from base (an empty image
+// when nil) to r and returns it.
+func oracleFor(r *Recorder, base *memimage.Image) *Oracle {
+	if base == nil {
+		base = memimage.New()
+	}
+	o := NewOracle(1, base)
+	r.SetOracle(o, 0)
+	return o
+}
+
+// pendingSets returns how many of core's queued write sets are not yet
+// folded.
+func pendingSets(o *Oracle, core int) int {
+	q := &o.cores[core]
+	return len(q.ends) - q.head
+}
+
+// commitAll folds every write set core has queued.
+func commitAll(o *Oracle, core int) {
+	for pendingSets(o, core) > 0 {
+		o.Commit(core)
+	}
+}
+
 func TestRecorderLoadStoreThroughImage(t *testing.T) {
 	r := NewRecorder(memimage.New())
 	tr := collect(r)
@@ -44,21 +69,24 @@ func TestRecorderTransactionIDsIncrease(t *testing.T) {
 
 func TestRecorderOracleTracksPersistentWritesOnly(t *testing.T) {
 	r := NewRecorder(memimage.New())
+	o := oracleFor(r, nil)
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 1)
 	r.Store(memaddr.DRAMBase+8, 2) // volatile, not in oracle
 	r.Store(memaddr.NVMBase+16, 3)
 	r.TxEnd()
-	c := r.Committed()
-	if len(c) != 1 {
-		t.Fatalf("committed %d txs, want 1", len(c))
+	if n := pendingSets(o, 0); n != 1 {
+		t.Fatalf("queued %d txs, want 1", n)
 	}
-	if len(c[0].Writes) != 2 {
-		t.Fatalf("oracle has %d writes, want 2 (persistent only)", len(c[0].Writes))
+	want := []Write{{memaddr.NVMBase + 8, 1}, {memaddr.NVMBase + 16, 3}}
+	q := o.cores[0].writes
+	if len(q) != 2 || q[0] != want[0] || q[1] != want[1] {
+		t.Fatalf("oracle writes = %+v, want %+v (persistent only)", q, want)
 	}
-	if c[0].Writes[0] != (Write{memaddr.NVMBase + 8, 1}) ||
-		c[0].Writes[1] != (Write{memaddr.NVMBase + 16, 3}) {
-		t.Fatalf("oracle writes = %+v", c[0].Writes)
+	o.Commit(0)
+	img := o.Image()
+	if img.Len() != 2 || img.ReadWord(memaddr.DRAMBase+8) != 0 {
+		t.Fatalf("oracle image holds %d words, want the 2 persistent ones", img.Len())
 	}
 }
 
@@ -66,9 +94,10 @@ func TestRecorderAbortsNotInOracle(t *testing.T) {
 	// A transaction never ended does not commit: the pending set is not
 	// published.
 	r := NewRecorder(memimage.New())
+	o := oracleFor(r, nil)
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 1)
-	if len(r.Committed()) != 0 {
+	if pendingSets(o, 0) != 0 {
 		t.Fatal("open transaction appeared in oracle")
 	}
 }
@@ -104,8 +133,12 @@ func TestComputeZeroIsDropped(t *testing.T) {
 	}
 }
 
+// TestCommittedPrefixImage: after each Commit the oracle image is the
+// fold of exactly the committed prefix of generated write sets, however
+// far generation ran ahead.
 func TestCommittedPrefixImage(t *testing.T) {
 	r := NewRecorder(memimage.New())
+	o := oracleFor(r, nil)
 	a, b := memaddr.NVMBase+8, memaddr.NVMBase+16
 	r.TxBegin()
 	r.Store(a, 1)
@@ -115,44 +148,105 @@ func TestCommittedPrefixImage(t *testing.T) {
 	r.Store(b, 5)
 	r.TxEnd()
 
-	img0 := r.CommittedPrefixImage(nil, 0)
-	if img0.ReadWord(a) != 0 {
+	if o.Image().Len() != 0 || o.Committed(0) != 0 {
 		t.Fatal("prefix 0 should be empty")
 	}
-	img1 := r.CommittedPrefixImage(nil, 1)
-	if img1.ReadWord(a) != 1 || img1.ReadWord(b) != 0 {
-		t.Fatalf("prefix 1: a=%d b=%d, want 1,0", img1.ReadWord(a), img1.ReadWord(b))
+	o.Commit(0)
+	if img := o.Image(); img.ReadWord(a) != 1 || img.ReadWord(b) != 0 {
+		t.Fatalf("prefix 1: a=%d b=%d, want 1,0", img.ReadWord(a), img.ReadWord(b))
 	}
-	img2 := r.CommittedPrefixImage(nil, 2)
-	if img2.ReadWord(a) != 2 || img2.ReadWord(b) != 5 {
-		t.Fatalf("prefix 2: a=%d b=%d, want 2,5", img2.ReadWord(a), img2.ReadWord(b))
+	o.Commit(0)
+	if img := o.Image(); img.ReadWord(a) != 2 || img.ReadWord(b) != 5 {
+		t.Fatalf("prefix 2: a=%d b=%d, want 2,5", img.ReadWord(a), img.ReadWord(b))
 	}
-	// Overshooting n clamps.
-	img9 := r.CommittedPrefixImage(nil, 9)
-	if !img9.Equal(img2) {
-		t.Fatal("overshot prefix differs from full prefix")
+	if o.Committed(0) != 2 || o.PeakPending(0) != 2 {
+		t.Fatalf("committed %d, peak pending %d, want 2 and 2", o.Committed(0), o.PeakPending(0))
 	}
+	// Committing past what was generated is a broken machine.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("commit with nothing queued did not panic")
+		}
+	}()
+	o.Commit(0)
 }
 
+// TestCommittedPrefixImageWithBase: the oracle starts from the base
+// image and folds committed write sets over it.
 func TestCommittedPrefixImageWithBase(t *testing.T) {
 	base := memimage.New()
 	base.WriteWord(memaddr.NVMBase+64, 42)
+	base.WriteWord(memaddr.NVMBase+8, 7)
 	r := NewRecorder(memimage.New())
+	o := oracleFor(r, base)
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 1)
 	r.TxEnd()
-	img := r.CommittedPrefixImage(base, 1)
-	if img.ReadWord(memaddr.NVMBase+64) != 42 {
+	if o.Image().ReadWord(memaddr.NVMBase+8) != 7 {
+		t.Fatal("a generated, uncommitted write reached the image")
+	}
+	o.Commit(0)
+	if o.Image().ReadWord(memaddr.NVMBase+64) != 42 {
 		t.Fatal("base contents lost")
 	}
-	if base.ReadWord(memaddr.NVMBase+8) != 0 {
-		t.Fatal("base image mutated")
+	if o.Image().ReadWord(memaddr.NVMBase+8) != 1 {
+		t.Fatal("committed write not folded over the base")
 	}
 }
 
-// Property: a recorder-produced trace always validates, and the final
-// committed-prefix image agrees with the architectural image on every
-// oracle address.
+// TestOracleFIFOAcrossCores interleaves generation and commits on two
+// cores, so each FIFO compacts while sets are still queued: every
+// commit must fold its own core's oldest set, and cross-core writes to
+// one word land in commit order.
+func TestOracleFIFOAcrossCores(t *testing.T) {
+	o := NewOracle(2, memimage.New())
+	recs := [2]*Recorder{NewRecorder(memimage.New()), NewRecorder(memimage.New())}
+	for c, r := range recs {
+		r.SetOracle(o, c)
+	}
+	shared := memaddr.NVMBase
+	gen := func(c int, v uint64) {
+		recs[c].TxBegin()
+		recs[c].Store(shared, v)
+		for i := uint64(0); i < v%3; i++ {
+			recs[c].Store(memaddr.NVMBase+uint64(c+1)*4096+8*i, v)
+		}
+		recs[c].TxEnd()
+	}
+	// Core c's k-th transaction writes 100*(c+1)+k.
+	next := [2]uint64{}
+	for k := 0; k < 3; k++ {
+		for c := range recs {
+			gen(c, 100*uint64(c+1)+next[c])
+			next[c]++
+		}
+	}
+	done := [2]uint64{}
+	for _, c := range []int{1, 0, 0, 1, 0, 1, 1, 0, 1, 0} {
+		o.Commit(c)
+		if want := 100*uint64(c+1) + done[c]; o.Image().ReadWord(shared) != want {
+			t.Fatalf("after core %d's commit %d the shared word is %d, want %d",
+				c, done[c], o.Image().ReadWord(shared), want)
+		}
+		done[c]++
+		if next[c]-done[c] < 2 {
+			gen(c, 100*uint64(c+1)+next[c])
+			next[c]++
+		}
+	}
+	for c := range recs {
+		if o.Committed(c) != done[c] {
+			t.Errorf("core %d: Committed = %d, want %d", c, o.Committed(c), done[c])
+		}
+		if o.PeakPending(c) != 3 {
+			t.Errorf("core %d: peak pending %d, want 3", c, o.PeakPending(c))
+		}
+	}
+}
+
+// Property: a recorder-produced trace always validates, and with every
+// queued write set folded the oracle image agrees with the architectural
+// image on every oracle address.
 func TestQuickRecorderTracesValidate(t *testing.T) {
 	f := func(ops []struct {
 		Off  uint16
@@ -163,6 +257,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 	}) bool {
 		r := NewRecorder(memimage.New())
 		tr := collect(r)
+		o := oracleFor(r, nil)
 		for _, op := range ops {
 			addr := memaddr.NVMBase + uint64(op.Off)*8
 			if op.Vol {
@@ -188,9 +283,9 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 		if v.Finish() != nil {
 			return false
 		}
-		final := r.CommittedPrefixImage(nil, len(r.Committed()))
+		commitAll(o, 0)
 		ok := true
-		final.ForEach(func(a, v uint64) {
+		o.Image().ForEach(func(a, v uint64) {
 			if r.Image().ReadWord(a) != v {
 				ok = false
 			}
@@ -205,6 +300,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 func TestQuietModeUpdatesImageOnly(t *testing.T) {
 	r := NewRecorder(memimage.New())
 	tr := collect(r)
+	o := oracleFor(r, nil)
 	r.SetQuiet(true)
 	if !r.Quiet() {
 		t.Fatal("Quiet() false after SetQuiet(true)")
@@ -220,7 +316,7 @@ func TestQuietModeUpdatesImageOnly(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("quiet mode recorded %d records", tr.Len())
 	}
-	if len(r.Committed()) != 0 {
+	if pendingSets(o, 0) != 0 {
 		t.Fatal("quiet transaction reached the oracle")
 	}
 	// Tx ids keep advancing across quiet transactions so measured-window

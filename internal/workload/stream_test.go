@@ -5,18 +5,28 @@ import (
 	"testing"
 
 	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/trace"
 )
 
-// generate builds b's workload with the transaction history switched
-// on, drains the stream into a trace, and returns the first error from
-// NewStream or the stream itself.
+// generate builds b's workload, drains the stream into a trace, and
+// returns the first error from NewStream or the stream itself.
 func generate(b Benchmark, p Params) (*Output, *trace.Trace, error) {
+	out, _, tr, err := generateFolded(b, p)
+	return out, tr, err
+}
+
+// generateFolded is generate with a one-core oracle attached, seeded
+// like the machine's with the base image's persistent words, and every
+// queued write set committed once the stream drains (the machine at
+// quiescence).
+func generateFolded(b Benchmark, p Params) (*Output, *trace.Oracle, *trace.Trace, error) {
 	out, err := NewStream(b, p)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	out.Recorder.SetRetainTxHistory(true)
+	o := trace.NewOracle(1, persistentWords(out.BaseImage))
+	out.Recorder.SetOracle(o, 0)
 	tr := &trace.Trace{}
 	rd := out.NewReader()
 	for {
@@ -26,20 +36,34 @@ func generate(b Benchmark, p Params) (*Output, *trace.Trace, error) {
 		}
 		tr.Append(rec)
 	}
-	return out, tr, out.StreamErr()
+	for i := uint64(0); i < out.Recorder.Transactions(); i++ {
+		o.Commit(0)
+	}
+	return out, o, tr, out.StreamErr()
+}
+
+// persistentWords returns img's persistent words.
+func persistentWords(img *memimage.Image) *memimage.Image {
+	out := memimage.New()
+	img.ForEach(func(addr, v uint64) {
+		if memaddr.IsPersistent(addr) {
+			out.WriteWord(addr, v)
+		}
+	})
+	return out
 }
 
 // TestStreamMatchesGenerateRecords pins the oracle's consistency with the
 // stream it rides on, for every benchmark: the running counters equal a
-// Summarize of the drained records, the incremental final image equals
-// the fold of the retained history over the base image, and exactly one
-// transaction commits per op.
+// Summarize of the drained records, exactly one transaction commits per
+// op, and with every write set folded the oracle image equals the
+// program image's persistent words.
 func TestStreamMatchesGenerateRecords(t *testing.T) {
 	for _, b := range Extended {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			p := testParams(3, 150, 250)
-			out, tr, err := generate(b, p)
+			out, o, tr, err := generateFolded(b, p)
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
@@ -50,12 +74,11 @@ func TestStreamMatchesGenerateRecords(t *testing.T) {
 			if got := out.Recorder.Transactions(); got != s.Transactions {
 				t.Errorf("transaction counter = %d, records hold %d", got, s.Transactions)
 			}
-			all := len(out.Recorder.Committed())
-			if !out.FinalImage.Equal(out.Recorder.CommittedPrefixImage(out.BaseImage, all)) {
-				t.Error("final image differs from the committed-prefix fold over the base image")
+			if got := o.Committed(0); got != uint64(p.Ops) {
+				t.Errorf("oracle committed %d transactions, want %d", got, p.Ops)
 			}
-			if got := out.Recorder.CommittedCount(); got != uint64(p.Ops) || all != p.Ops {
-				t.Errorf("CommittedCount = %d, history holds %d, want %d", got, all, p.Ops)
+			if !o.Image().Equal(persistentWords(out.Recorder.Image())) {
+				t.Error("oracle image at quiescence differs from the program image's persistent words")
 			}
 		})
 	}

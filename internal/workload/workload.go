@@ -237,8 +237,8 @@ func DefaultParams(b Benchmark, core, nCores int, seed uint64, initialSize, ops 
 }
 
 // Output is the product of building one core's workload: the record
-// stream the timing model pulls, the oracle of committed transactions,
-// and the durable base image (the NVM content assumed durable before
+// stream the timing model pulls, the recorder that queues committed
+// write sets on the oracle, and the durable base image (the NVM content assumed durable before
 // cycle 0).
 type Output struct {
 	Benchmark Benchmark
@@ -253,10 +253,6 @@ type Output struct {
 	// BaseImage is the post-warmup architectural image: the durable NVM
 	// state at the start of the measured window.
 	BaseImage *memimage.Image
-	// FinalImage is BaseImage plus every committed transaction — what
-	// NVM must contain once all persistence traffic drains. It fills
-	// incrementally and is complete only once Stream is exhausted.
-	FinalImage *memimage.Image
 }
 
 // NewReader returns the trace source the core model consumes: the
@@ -339,7 +335,6 @@ func build(b Benchmark, p Params) (*generation, error) {
 	}
 	rec.SetQuiet(false)
 	base := rec.Image().Snapshot()
-	rec.SetFinalBase(base)
 	return &generation{b: b, p: p, impl: impl, rec: rec, base: base, ring: ring}, nil
 }
 
@@ -370,12 +365,11 @@ func (g *generation) output() *Output {
 	meta := g.impl.describe()
 	meta.MaxElems = 4*(int64(g.p.InitialSize)+int64(g.p.Ops)) + 16
 	return &Output{
-		Benchmark:  g.b,
-		Params:     g.p,
-		Recorder:   g.rec,
-		Meta:       meta,
-		BaseImage:  g.base,
-		FinalImage: g.rec.FinalImage(),
+		Benchmark: g.b,
+		Params:    g.p,
+		Recorder:  g.rec,
+		Meta:      meta,
+		BaseImage: g.base,
 	}
 }
 
@@ -386,17 +380,13 @@ func (g *generation) output() *Output {
 // validated as they flow by (trace.StreamValidator), structural
 // invariants are checked at exhaustion, and any failure surfaces through
 // Output.StreamErr. Memory stays O(structure footprint) instead of
-// O(ops). The per-transaction history is off; a caller that needs it
-// (crash-prefix checking) switches it on with
-// Recorder.SetRetainTxHistory before pulling the first record.
+// O(ops). Committed write sets go to the oracle a caller attaches with
+// Recorder.SetOracle before pulling the first record.
 func NewStream(b Benchmark, p Params) (*Output, error) {
 	g, err := build(b, p)
 	if err != nil {
 		return nil, err
 	}
-	// The full per-transaction history is O(ops) memory; a run to
-	// quiescence relies on the incremental final image and counters.
-	g.rec.SetRetainTxHistory(false)
 	var sv trace.StreamValidator
 	i := 0
 	gen := trace.NewGenerator(func(emit func(trace.Record)) (bool, error) {

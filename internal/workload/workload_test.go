@@ -38,7 +38,7 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 	for _, b := range All {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			out, tr, err := generate(b, testParams(1, 200, 300))
+			_, o, tr, err := generateFolded(b, testParams(1, 200, 300))
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
@@ -49,8 +49,8 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 			if s.PersistentStores == 0 {
 				t.Error("no persistent stores recorded")
 			}
-			if len(out.Recorder.Committed()) != 300 {
-				t.Errorf("oracle has %d txs, want 300", len(out.Recorder.Committed()))
+			if o.Committed(0) != 300 {
+				t.Errorf("oracle has %d txs, want 300", o.Committed(0))
 			}
 			if s.Instructions == 0 || s.Loads == 0 {
 				t.Error("empty instruction/load stream")
@@ -61,11 +61,11 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	for _, b := range All {
-		a1, t1, err := generate(b, testParams(7, 100, 150))
+		_, o1, t1, err := generateFolded(b, testParams(7, 100, 150))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		a2, t2, err := generate(b, testParams(7, 100, 150))
+		_, o2, t2, err := generateFolded(b, testParams(7, 100, 150))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -77,7 +77,7 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("%v: record %d differs", b, i)
 			}
 		}
-		if !a1.FinalImage.Equal(a2.FinalImage) {
+		if !o1.Image().Equal(o2.Image()) {
 			t.Fatalf("%v: final images differ", b)
 		}
 	}
@@ -111,13 +111,13 @@ func TestFinalImageMatchesArchitecturalState(t *testing.T) {
 	// final architectural image on every persistent word the oracle
 	// touched.
 	for _, b := range All {
-		out, _, err := generate(b, testParams(3, 150, 200))
+		out, o, _, err := generateFolded(b, testParams(3, 150, 200))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
 		arch := out.Recorder.Image()
 		bad := 0
-		out.FinalImage.ForEach(func(addr, v uint64) {
+		o.Image().ForEach(func(addr, v uint64) {
 			if memaddr.IsPersistent(addr) && arch.ReadWord(addr) != v {
 				bad++
 			}

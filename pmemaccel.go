@@ -210,14 +210,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Scale < 0 || c.Scale&(c.Scale-1) != 0 {
-		return c, fmt.Errorf("pmemaccel: Scale %d must be a positive power of two", c.Scale)
-	}
 	if c.TCBytes == 0 {
 		c.TCBytes = 4 << 10
-	}
-	if len(c.Mix) > 0 && len(c.Mix) != c.Cores {
-		return c, fmt.Errorf("pmemaccel: Mix has %d entries for %d cores", len(c.Mix), c.Cores)
 	}
 	if c.InitialSize == 0 {
 		perCore := c.cacheConfig().WithDefaults().LLCSize / c.Cores

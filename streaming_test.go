@@ -16,9 +16,8 @@ func stripped(r *Result) *Result {
 	return r
 }
 
-// runSplit builds cfg's system, stops it at cycle stop with the
-// transaction history on (the crash-check path), then finishes it with
-// Run. No component may schedule into the past on the way.
+// runSplit builds cfg's system, stops it at cycle stop (the crash-check
+// path), then finishes it with Run. No component may schedule into the past on the way.
 func runSplit(t *testing.T, cfg Config, stop uint64) *Result {
 	t.Helper()
 	sys, err := NewSystem(cfg)
@@ -40,9 +39,9 @@ func runSplit(t *testing.T, cfg Config, stop uint64) *Result {
 
 // TestStreamingIdenticalAllCells is the byte-identity gate for the crash
 // path: on every benchmark x mechanism cell, a system stopped mid-run
-// with its transaction history on and then finished with Run must
-// produce the same Result as a plain Run. The history and the stop are
-// pure observers, so the machine must not be able to tell the two apart.
+// and then finished with Run must produce the same Result as a plain
+// Run. The stop is a pure observer, so the machine must not be able to
+// tell the two apart.
 func TestStreamingIdenticalAllCells(t *testing.T) {
 	for _, b := range workload.All {
 		for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
@@ -73,55 +72,61 @@ func TestStreamingIdenticalAllCells(t *testing.T) {
 	}
 }
 
-// TestRunDropsTxHistory pins the history rule on a core-private
-// workload: NewSystem retains every core's transaction history, so a
-// RunToCycle stop can fold committed prefixes, and Run releases it
-// because the incremental final image suffices at quiescence.
-func TestRunDropsTxHistory(t *testing.T) {
-	cfg := smokeConfig(workload.RBTree, TCache)
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestOraclePendingPeak pins the oracle's memory on the four benchmark
+// cells (seed 1): the most write sets a core ever had generated but not
+// yet durable. The oracle holds only those, so its memory is
+// O(transactions in flight), never O(run length).
+func TestOraclePendingPeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four full benchmark-cell runs")
 	}
-	if sys.RunToCycle(20_000) {
-		t.Fatal("workload quiesced before the stop")
+	cells := []struct {
+		name       string
+		bench      workload.Benchmark
+		mech       Kind
+		cores, ops int
+		contention float64
+	}{
+		{"rbtree-tcache-4c", workload.RBTree, TCache, 4, 3000, 0},
+		{"sps-sp-4c", workload.SPS, SP, 4, 9000, 0},
+		{"bankshared-tcache-16c", workload.BankShared, TCache, 16, 1000, 0.5},
+		{"graph-optimal-4c", workload.Graph, Optimal, 4, 9000, 0},
 	}
-	for c, out := range sys.Outputs {
-		if len(out.Recorder.Committed()) == 0 {
-			t.Errorf("core %d: no transaction history after RunToCycle", c)
-		}
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, out := range sys.Outputs {
-		if n := len(out.Recorder.Committed()); n != 0 {
-			t.Errorf("core %d: %d transactions still in the history after Run", c, n)
-		}
-	}
-	if res.DurableDiffCount != 0 {
-		t.Errorf("%d durable diffs after Run", res.DurableDiffCount)
-	}
-
-	fresh, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for c, out := range fresh.Outputs {
-		if n := len(out.Recorder.Committed()); n != 0 {
-			t.Errorf("core %d: plain Run kept %d transactions of history", c, n)
-		}
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig(c.bench, c.mech)
+			cfg.Scale = 128
+			cfg.Cores = c.cores
+			cfg.Ops = c.ops
+			cfg.ContentionPct = c.contention
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for core := 0; core < c.cores; core++ {
+				// Measured: one. A core's generator produces the next op
+				// only once the core has pulled every record of the
+				// previous one, and by then that op's transaction is
+				// durable on these cells.
+				if got := sys.Oracle.PeakPending(core); got != 1 {
+					t.Errorf("core %d: peak of %d pending write sets, want 1", core, got)
+				}
+				if got := sys.Oracle.Committed(core); got != uint64(c.ops) {
+					t.Errorf("core %d: %d durable commits at quiescence, want %d", core, got, c.ops)
+				}
+			}
+		})
 	}
 }
 
-// TestStreamingCrashCheckMatchesRecovery pins the end-of-run oracle: Run
-// drops the per-transaction history, so ExpectedDurable folds the
-// incremental final image, which after a full drain must agree with what
-// the mechanism's recovery produces. Optimal is excluded: it makes no
+// TestStreamingCrashCheckMatchesRecovery pins the end-of-run oracle:
+// after a full drain, ExpectedDurable (every write set folded) must agree
+// with what the mechanism's recovery produces. Optimal is excluded: it makes no
 // durability guarantee (recovery is the identity and committed lines may
 // still be dirty in the volatile caches).
 func TestStreamingCrashCheckMatchesRecovery(t *testing.T) {
@@ -139,7 +144,7 @@ func TestStreamingCrashCheckMatchesRecovery(t *testing.T) {
 			}
 			diffs := CheckDurable(sys.ExpectedDurable(), sys.RecoveredDurable(), 5)
 			if len(diffs) != 0 {
-				t.Errorf("recovered image diverges from the final-image expectation: %v", diffs)
+				t.Errorf("recovered image diverges from the oracle: %v", diffs)
 			}
 		})
 	}

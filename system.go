@@ -47,12 +47,15 @@ type System struct {
 	Live    *memimage.Image
 	Durable *memimage.Image
 
-	// Arb is the shared-line ownership arbiter and Commits the global
-	// durable-commit log — both nil unless some core runs a contended
-	// benchmark (workload.BankShared). Commits orders the serialization
-	// oracle; Arb's counters land in Result.Arb.
-	Arb     *txcache.LineArbiter
-	Commits *mechanism.CommitLog
+	// Arb is the shared-line ownership arbiter, nil unless some core
+	// runs a contended benchmark (workload.BankShared); its counters land
+	// in Result.Arb.
+	Arb *txcache.LineArbiter
+
+	// Oracle is the commit-order recovery oracle: every core's recorder
+	// queues its committed write sets on it, and the mechanism folds each
+	// into the expected image at its durable instant.
+	Oracle *trace.Oracle
 }
 
 // NewSystem generates the per-core workloads and assembles the machine.
@@ -83,11 +86,6 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
 		}
-		// Mid-run crash checks (RunToCycle, then ExpectedDurable) fold
-		// each core's committed prefix, so the history is on until Run
-		// decides it is not needed. Nothing is generated before the first
-		// cycle, so this costs nothing up front.
-		out.Recorder.SetRetainTxHistory(true)
 		s.Outputs = append(s.Outputs, out)
 	}
 
@@ -138,9 +136,14 @@ func NewSystem(cfg Config) (*System, error) {
 		})
 	}
 
+	// The oracle starts from the durable state at cycle 0. Nothing is
+	// generated before the first cycle, so every write set reaches it.
+	s.Oracle = trace.NewOracle(cfg.Cores, s.Durable.Snapshot())
+	for c, out := range s.Outputs {
+		out.Recorder.SetOracle(s.Oracle, c)
+	}
 	if shared {
 		s.Arb = txcache.NewLineArbiter(cfg.Cores)
-		s.Commits = &mechanism.CommitLog{}
 	}
 	env := &mechanism.Env{
 		K:       s.Kernel,
@@ -151,7 +154,7 @@ func NewSystem(cfg Config) (*System, error) {
 		TC:      cfg.tcConfig(),
 		Obs:     s.Obs,
 		Arb:     s.Arb,
-		Commits: s.Commits,
+		Oracle:  s.Oracle,
 	}
 	s.Mech = mechanism.New(cfg.Mechanism, env)
 	s.Hier = cache.New(s.Kernel, cfg.cacheConfig(), s.Backend, s.Mech.Hooks(), cfg.Cores, s.Obs)
@@ -212,17 +215,8 @@ func (s *System) quiesced() bool {
 	return s.Mech.Drained() && s.Hier.Pending() == 0 && s.Backend.Quiescent()
 }
 
-// Run simulates to quiescence and collects the result. Core-private
-// workloads drop their transaction history first: Run always ends at
-// quiescence, where ExpectedDurable's fold of the incremental final
-// image equals the per-prefix fold, so memory stays O(structure). The
-// shared-mode commit-order oracle keeps the history it needs.
+// Run simulates to quiescence and collects the result.
 func (s *System) Run() (*Result, error) {
-	if s.Commits == nil {
-		for _, out := range s.Outputs {
-			out.Recorder.SetRetainTxHistory(false)
-		}
-	}
 	endOfTrace, ok := s.Kernel.RunUntil(func() bool {
 		for _, c := range s.Cores {
 			if !c.Finished() {
@@ -282,75 +276,20 @@ func (s *System) RecoveredDurable() *memimage.Image {
 	return s.Mech.Recover(s.Durable)
 }
 
-// ExpectedDurable builds the NVM image that recovery must produce given
-// the per-core durably-committed transaction counts at this instant:
-// the warmed-up base plus each core's committed prefix of write sets.
+// ExpectedDurable builds the NVM image that recovery must produce at
+// this instant: the durable image's NVM-space words (mechanism regions
+// such as logs are outside the expectation domain) overlaid by the
+// oracle's image, the base plus every durably committed write set in
+// durable-commit order. It is a pure query, exact at every cycle.
 func (s *System) ExpectedDurable() *memimage.Image {
 	img := memimage.NewSized(s.Durable.Len())
-	s.Durable.ForEach(func(addr, v uint64) {
-		// Base persistent words only: mechanism-specific regions
-		// (logs) are excluded from the expectation domain.
+	keep := func(addr, v uint64) {
 		if memaddr.Classify(addr) == memaddr.SpaceNVM {
 			img.WriteWord(addr, v)
 		}
-	})
-	// Overwrite with base values (durable may have advanced past base).
-	for _, out := range s.Outputs {
-		out.BaseImage.ForEach(func(addr, v uint64) {
-			if memaddr.Classify(addr) == memaddr.SpaceNVM {
-				img.WriteWord(addr, v)
-			}
-		})
 	}
-	if s.Commits != nil {
-		// Shared mode: committed write sets fold in the global durable
-		// commit order the machine actually produced — cross-core writes
-		// to the shared region serialize in exactly that order, so a
-		// per-core fold would be wrong whenever two cores touched the
-		// same word. Exact at quiescence (every committed transaction is
-		// durably committed once the machine drains); mid-run
-		// crash-prefix checking is a core-private-workload capability.
-		committed := make([][]trace.TxRecord, len(s.Outputs))
-		for c, out := range s.Outputs {
-			committed[c] = out.Recorder.Committed()
-		}
-		idx := make([]int, len(s.Outputs))
-		for _, c := range s.Commits.Order {
-			if idx[c] >= len(committed[c]) {
-				continue
-			}
-			for _, w := range committed[c][idx[c]].Writes {
-				img.WriteWord(w.Addr, w.Value)
-			}
-			idx[c]++
-		}
-		return img
-	}
-	for c, out := range s.Outputs {
-		if !out.Recorder.RetainsTxHistory() {
-			// Run dropped the per-transaction history — only the
-			// incremental final image (base plus every committed write
-			// set) remains. That equals the per-prefix expectation exactly
-			// when every committed transaction is durably committed, which
-			// holds once Run drains the machine.
-			out.FinalImage.ForEach(func(addr, v uint64) {
-				if memaddr.Classify(addr) == memaddr.SpaceNVM {
-					img.WriteWord(addr, v)
-				}
-			})
-			continue
-		}
-		n := int(s.Mech.DurablyCommitted(c))
-		committed := out.Recorder.Committed()
-		if n > len(committed) {
-			n = len(committed)
-		}
-		for _, tx := range committed[:n] {
-			for _, w := range tx.Writes {
-				img.WriteWord(w.Addr, w.Value)
-			}
-		}
-	}
+	s.Durable.ForEach(keep)
+	s.Oracle.Image().ForEach(keep)
 	return img
 }
 
