@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/hwcost"
 	"pmemaccel/internal/workload"
 )
@@ -128,7 +127,7 @@ func BenchmarkTCStallFraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, wb := range workload.All {
 			r := g[wb][TCache]
-			frac := r.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry })
+			frac := r.TCFullStallFraction()
 			b.ReportMetric(frac*100, wb.String()+"_stall_pct")
 		}
 	}

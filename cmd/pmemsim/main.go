@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"pmemaccel"
-	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/obs"
 	"pmemaccel/internal/prof"
@@ -222,15 +221,16 @@ func main() {
 		fmt.Printf("DRAM: %+v\n", res.DRAM)
 		fmt.Printf("hier: %+v\n", sys.Hier.Stats())
 		for c, st := range res.PerCore {
-			fmt.Printf("core %d: inst=%d loads=%d stores=%d tx=%d stalls{load=%d sbuf=%d retry=%d fence=%d commit=%d}\n",
+			bd := st.Breakdown
+			fmt.Printf("core %d: inst=%d loads=%d stores=%d tx=%d stalls{load=%d sbuf=%d tc-full=%d fence=%d commit=%d abort=%d}\n",
 				c, st.Instructions, st.Loads, st.Stores, st.Transactions,
-				st.StallLoad, st.StallStoreBuf, st.StallStoreRetry, st.StallFence, st.StallCommit)
+				bd.LoadStall, bd.StoreBufStall, bd.TCFullStall, bd.FenceStall, bd.CommitWait, bd.AbortStall)
 		}
 		for c, tc := range res.TC {
 			fmt.Printf("tc %d: %+v\n", c, tc)
 		}
 		fmt.Printf("tc-full stall fraction: %.4f%%\n",
-			res.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry })/
+			res.TCFullStallFraction()/
 				float64(len(res.PerCore))*100)
 		fmt.Printf("\n%s", res.AttributionTable())
 	}

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"pmemaccel"
-	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/workload"
 )
 
@@ -30,7 +29,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stall := res.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry }) * 100
+		stall := res.TCFullStallFraction() * 100
 		var fallbacks, rejects uint64
 		for _, tc := range res.TC {
 			fallbacks += tc.FallbackWrites

@@ -49,7 +49,7 @@ type Export struct {
 
 	// TCFullStallPct is the mean share of core cycles a persistent
 	// store spent rejected and retried: transaction cache full, or the
-	// conflict guard's one-cycle shared-line arbitration retry.
+	// line arbiter's one-cycle shared-line arbitration stall.
 	TCFullStallPct   float64 `json:"tc_full_stall_pct"`
 	DurableDiffCount int     `json:"durable_diff_count"`
 
@@ -139,7 +139,7 @@ func (r *Result) Export() Export {
 		}
 	}
 	if len(r.PerCore) > 0 {
-		e.TCFullStallPct = r.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry }) /
+		e.TCFullStallPct = r.TCFullStallFraction() /
 			float64(len(r.PerCore)) * 100
 	}
 	if n := uint64(len(r.PerCore)) * r.Cycles; n > 0 {

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"pmemaccel"
-	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/sweep"
 	"pmemaccel/internal/workload"
 )
@@ -80,10 +79,10 @@ func runPoints(name string, pts []point, workers int) (*Sweep, error) {
 			Throughput: res.Throughput(),
 			IPC:        res.IPC(),
 		}
-		// StallFraction is already normalized by cores x Cycles; print
+		// TCFullStallFraction is already normalized by cores x Cycles; print
 		// it as-is (this used to divide by the core count a second
 		// time, under-reporting stalls 4x on the default machine).
-		p.StallPct = res.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry }) * 100
+		p.StallPct = res.TCFullStallFraction() * 100
 		for _, tc := range res.TC {
 			p.FallbackWrites += tc.FallbackWrites
 			p.FullRejects += tc.FullRejects

@@ -20,8 +20,8 @@ import (
 // StoreAction tells the core how to treat one persistent store.
 type StoreAction struct {
 	// Retry stalls the core one cycle and asks again: the transaction
-	// cache is full, or a shared-line ownership request is in flight
-	// (the conflict guard's one-cycle arbitration retry).
+	// cache is full, or the line arbiter just decided a shared-line
+	// ownership request (its one-cycle arbitration stall).
 	Retry bool
 	// Park, with Retry, promises that every retry returns the same
 	// answer with the same side effects until the mechanism fires the
@@ -121,7 +121,7 @@ type CycleBreakdown struct {
 	// StoreBufStall: the store buffer was full.
 	StoreBufStall uint64
 	// TCFullStall: a persistent store was rejected by the mechanism and
-	// retried — the transaction cache was full, or the conflict guard
+	// retried — the transaction cache was full, or the line arbiter
 	// held the store one cycle for a shared-line arbitration.
 	TCFullStall uint64
 	// FenceStall: an sfence waited on outstanding stores/flushes.
@@ -178,14 +178,6 @@ type Stats struct {
 	// percentiles beyond Figure 10's mean.
 	PloadHist [18]uint64
 
-	// Stall cycles by cause.
-	StallLoad       uint64
-	StallStoreBuf   uint64
-	StallStoreRetry uint64
-	StallFence      uint64
-	StallCommit     uint64
-	StallAbort      uint64
-
 	// Contention outcomes: transactions squashed by shared-line
 	// conflict arbitration (TxAborts), replays started (TxRetries —
 	// equal to TxAborts under abort-and-retry), and the instructions
@@ -196,9 +188,8 @@ type Stats struct {
 	TxRetries          uint64
 	WastedInstructions uint64
 
-	// Breakdown attributes each active cycle to exactly one category
-	// (the stall counters above may coexist with partial issue; the
-	// breakdown is the exhaustive per-cycle accounting).
+	// Breakdown attributes each active cycle to exactly one category:
+	// the core's stall ledger.
 	Breakdown CycleBreakdown
 
 	// DoneAt is the cycle the core fully quiesced (0 while running).
@@ -264,11 +255,11 @@ type Core struct {
 	loadDoneFn, storeDoneFn, flushDoneFn, resumeFn, wakeFn func(uint64)
 
 	// slot is the core's kernel id. Every cycle up to settled is
-	// charged; while the core sleeps, later ones are owed to the
-	// counters its skipped Ticks would have charged (nil while awake).
-	slot                  int
-	settled               uint64
-	owedStall, owedBucket *uint64
+	// charged; while the core sleeps, later ones are owed to the bucket
+	// its skipped Ticks would have charged (nil while awake).
+	slot    int
+	settled uint64
+	owed    *uint64
 
 	stats Stats
 }
@@ -398,26 +389,23 @@ func (c *Core) changed(charged uint64) {
 	if c.stats.DoneAt == 0 && c.Finished() {
 		c.stats.DoneAt = c.k.Now()
 	}
-	stall, bucket, idle := c.idleCharge()
+	bucket, idle := c.idleCharge()
 	if !c.k.Sleep(c.slot, idle) {
-		stall, bucket = nil, nil
+		bucket = nil
 	}
-	c.owedStall, c.owedBucket = stall, bucket
+	c.owed = bucket
 }
 
 // settle charges the cycles slept through, up to and including cycle
-// through, to the counters the core fell asleep owing.
+// through, to the bucket the core fell asleep owing.
 func (c *Core) settle(through uint64) {
 	if through <= c.settled {
 		return
 	}
 	n := through - c.settled
 	c.settled = through
-	if c.owedStall != nil {
-		*c.owedStall += n
-	}
-	if c.owedBucket != nil {
-		*c.owedBucket += n
+	if c.owed != nil {
+		*c.owed += n
 	}
 }
 
@@ -432,12 +420,10 @@ func (c *Core) Tick(now uint64) {
 	}
 	bd := &c.stats.Breakdown
 	if c.aborting {
-		c.stats.StallAbort++
 		bd.AbortStall++
 		return
 	}
 	if c.commitWait {
-		c.stats.StallCommit++
 		bd.CommitWait++
 		return
 	}
@@ -445,7 +431,6 @@ func (c *Core) Tick(now uint64) {
 		if c.outStores == 0 && c.outFlushes == 0 {
 			c.fenceWait = false
 		} else {
-			c.stats.StallFence++
 			bd.FenceStall++
 			return
 		}
@@ -479,12 +464,10 @@ func (c *Core) Tick(now uint64) {
 			// Dependent loads serialize behind every outstanding
 			// load; independent loads overlap up to the MLP window.
 			if c.cur.Dep && c.outLoads > 0 {
-				c.stats.StallLoad++
 				bd.LoadStall++
 				return
 			}
 			if !c.cur.Dep && c.outLoads >= c.cfg.MLP {
-				c.stats.StallLoad++
 				bd.LoadStall++
 				return
 			}
@@ -495,7 +478,6 @@ func (c *Core) Tick(now uint64) {
 
 		case trace.KindStore:
 			if c.outStores >= c.cfg.StoreBuffer {
-				c.stats.StallStoreBuf++
 				bd.StoreBufStall++
 				return
 			}
@@ -506,12 +488,10 @@ func (c *Core) Tick(now uint64) {
 				c.parked = act.Retry && act.Park
 				if act.Abort {
 					c.abortTx()
-					c.stats.StallAbort++
 					bd.AbortStall++
 					return
 				}
 				if act.Retry {
-					c.stats.StallStoreRetry++
 					bd.TCFullStall++
 					return
 				}
@@ -543,7 +523,6 @@ func (c *Core) Tick(now uint64) {
 			// Commit retires in order: the transaction's loads and
 			// stores must have completed first.
 			if c.outStores > 0 || c.outLoads > 0 {
-				c.stats.StallCommit++
 				bd.CommitWait++
 				return
 			}
@@ -598,9 +577,9 @@ func (c *Core) Tick(now uint64) {
 }
 
 // idleCharge reports whether Tick is provably a no-op at the current
-// state apart from per-cycle stall accounting and, if so, the counters
-// each such Tick charges: a Stats stall counter and a CycleBreakdown
-// bucket, either nil when none. The cases mirror Tick's early returns
+// state apart from per-cycle stall accounting and, if so, the
+// CycleBreakdown bucket each such Tick charges (nil when none). The
+// cases mirror Tick's early returns
 // exactly, in Tick's precedence order:
 //
 //   - finished: Tick returns immediately;
@@ -622,33 +601,33 @@ func (c *Core) Tick(now uint64) {
 // is not idle: pers.Store may mutate mechanism state every retry cycle.
 // A fence whose accesses already completed falls through to the head
 // record: Tick clears it and charges whatever that record stalls on.
-func (c *Core) idleCharge() (stall, bucket *uint64, idle bool) {
-	s, bd := &c.stats, &c.stats.Breakdown
+func (c *Core) idleCharge() (bucket *uint64, idle bool) {
+	bd := &c.stats.Breakdown
 	switch {
 	case c.Finished():
-		return nil, nil, true
+		return nil, true
 	case c.aborting:
-		return &s.StallAbort, &bd.AbortStall, true
+		return &bd.AbortStall, true
 	case c.commitWait:
-		return &s.StallCommit, &bd.CommitWait, true
+		return &bd.CommitWait, true
 	case c.fenceWait && (c.outStores > 0 || c.outFlushes > 0):
-		return &s.StallFence, &bd.FenceStall, true
+		return &bd.FenceStall, true
 	case !c.hasCur:
 		// A core that could still fetch makes progress.
-		return nil, &bd.DrainWait, c.exhausted
+		return &bd.DrainWait, c.exhausted
 	case c.cur.Kind == trace.KindLoad:
 		if c.cur.Dep && c.outLoads > 0 || !c.cur.Dep && c.outLoads >= c.cfg.MLP {
-			return &s.StallLoad, &bd.LoadStall, true
+			return &bd.LoadStall, true
 		}
 	case c.cur.Kind == trace.KindStore:
 		if c.outStores >= c.cfg.StoreBuffer {
-			return &s.StallStoreBuf, &bd.StoreBufStall, true
+			return &bd.StoreBufStall, true
 		}
 		if c.parked {
-			return &s.StallStoreRetry, &bd.TCFullStall, true
+			return &bd.TCFullStall, true
 		}
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // ticked ends every Tick. It discovers end-of-stream eagerly, so Finished

@@ -71,8 +71,8 @@ func TestDependentLoadSerializes(t *testing.T) {
 	overlapped.Append(trace.Load(memaddr.DRAMBase), trace.Load(memaddr.DRAMBase+4096))
 	_, a := runCore(t, &chained, nil)
 	_, b := runCore(t, &overlapped, nil)
-	if a.Stats().StallLoad < 100 {
-		t.Fatalf("dependent load stalled %d cycles, want >= 100", a.Stats().StallLoad)
+	if a.Stats().Breakdown.LoadStall < 100 {
+		t.Fatalf("dependent load stalled %d cycles, want >= 100", a.Stats().Breakdown.LoadStall)
 	}
 	if a.Stats().DoneAt < b.Stats().DoneAt+100 {
 		t.Fatalf("chained loads (%d) not ~one latency slower than overlapped (%d)",
@@ -102,7 +102,7 @@ func TestMLPWindowLimitsOutstandingLoads(t *testing.T) {
 	h, _ := testHier(k)
 	c := New(k, 0, Config{MLP: 2}, h, nil, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 10_000_000)
-	if c.Stats().StallLoad == 0 {
+	if c.Stats().Breakdown.LoadStall == 0 {
 		t.Fatal("MLP=2 window never stalled 20 parallel misses")
 	}
 }
@@ -150,7 +150,7 @@ func TestStoreBufferBackpressure(t *testing.T) {
 	}
 	tr.Append(trace.TxEnd(1))
 	_, c := runCore(t, &tr, nil)
-	if c.Stats().StallStoreBuf == 0 {
+	if c.Stats().Breakdown.StoreBufStall == 0 {
 		t.Fatal("64 missing stores never filled the 16-entry store buffer")
 	}
 }
@@ -209,8 +209,8 @@ func TestTxEndStallWaitsForResume(t *testing.T) {
 	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	s := c.Stats()
-	if s.StallCommit < 250 {
-		t.Fatalf("commit stall = %d cycles, want >= 250", s.StallCommit)
+	if s.Breakdown.CommitWait < 250 {
+		t.Fatalf("commit stall = %d cycles, want >= 250", s.Breakdown.CommitWait)
 	}
 	if s.Transactions != 1 {
 		t.Fatalf("transactions = %d, want 1", s.Transactions)
@@ -238,8 +238,8 @@ func TestStoreRetryStalls(t *testing.T) {
 	pers := &retryOncePersistence{retries: 5}
 	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
-	if c.Stats().StallStoreRetry != 5 {
-		t.Fatalf("retry stalls = %d, want 5", c.Stats().StallStoreRetry)
+	if c.Stats().Breakdown.TCFullStall != 5 {
+		t.Fatalf("retry stalls = %d, want 5", c.Stats().Breakdown.TCFullStall)
 	}
 	if c.Stats().Stores != 1 {
 		t.Fatalf("stores = %d, want 1 (eventually issued)", c.Stats().Stores)
@@ -298,9 +298,8 @@ func TestParkedStoreSleepsUntilWake(t *testing.T) {
 	if final[0] != final[1] {
 		t.Fatalf("final stats diverge:\n  ff:  %+v\n  ref: %+v", final[0], final[1])
 	}
-	if s := final[0]; s.StallStoreRetry != 200 || s.Breakdown.TCFullStall != 200 || s.Stores != 1 {
-		t.Fatalf("retry stalls %d, tc-full cycles %d, stores %d; want 200, 200, 1",
-			s.StallStoreRetry, s.Breakdown.TCFullStall, s.Stores)
+	if s := final[0]; s.Breakdown.TCFullStall != 200 || s.Stores != 1 {
+		t.Fatalf("tc-full cycles %d, stores %d; want 200, 1", s.Breakdown.TCFullStall, s.Stores)
 	}
 }
 
@@ -329,8 +328,8 @@ func TestSFenceWaitsForFlushes(t *testing.T) {
 	)
 	_, c := runCore(t, &tr, nil)
 	s := c.Stats()
-	if s.StallFence < 100 {
-		t.Fatalf("fence stall = %d, want >= 100 (NVM write latency)", s.StallFence)
+	if s.Breakdown.FenceStall < 100 {
+		t.Fatalf("fence stall = %d, want >= 100 (NVM write latency)", s.Breakdown.FenceStall)
 	}
 }
 
@@ -343,11 +342,11 @@ func TestCLWBIsPostedWithoutFence(t *testing.T) {
 	withFence.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 1), trace.CLWB(memaddr.NVMBase), trace.SFence(), trace.TxEnd(1), trace.Compute(40))
 	_, a := runCore(t, &noFence, nil)
 	_, b := runCore(t, &withFence, nil)
-	if a.Stats().StallFence != 0 {
-		t.Fatalf("unfenced clwb accrued %d fence-stall cycles", a.Stats().StallFence)
+	if a.Stats().Breakdown.FenceStall != 0 {
+		t.Fatalf("unfenced clwb accrued %d fence-stall cycles", a.Stats().Breakdown.FenceStall)
 	}
-	if b.Stats().StallFence < 100 {
-		t.Fatalf("fenced clwb accrued only %d fence-stall cycles", b.Stats().StallFence)
+	if b.Stats().Breakdown.FenceStall < 100 {
+		t.Fatalf("fenced clwb accrued only %d fence-stall cycles", b.Stats().Breakdown.FenceStall)
 	}
 }
 

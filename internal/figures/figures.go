@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"pmemaccel"
-	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/obs"
 	"pmemaccel/internal/obs/metrics"
 	"pmemaccel/internal/stats"
@@ -181,7 +180,7 @@ func (g *Grid) Figure(n int) (*stats.Series, error) {
 
 // StallTable reports the §5.2 observation: the fraction of execution time
 // each TCache run stalled on a full transaction cache (the paper: ~0
-// everywhere except 0.67%% on sps). Result.StallFraction already
+// everywhere except 0.67%% on sps). Result.TCFullStallFraction already
 // normalizes by cores x Cycles, so the fraction is printed as-is —
 // dividing by the core count again (as this table did before) would
 // under-report stall time by 4x on the default machine.
@@ -193,7 +192,7 @@ func (g *Grid) StallTable() string {
 		if r == nil {
 			continue
 		}
-		frac := r.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry })
+		frac := r.TCFullStallFraction()
 		fmt.Fprintf(&b, "  %-10s %6.3f%%\n", bench, frac*100)
 	}
 	return b.String()

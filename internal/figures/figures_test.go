@@ -81,25 +81,26 @@ func TestFig9OrderingHolds(t *testing.T) {
 	}
 }
 
-// TestStallTableMatchesStallFraction pins the §5.2 fix: the printed
-// fraction is Result.StallFraction exactly — no residual division by the
-// core count (which is already in StallFraction's denominator and used
-// to be applied twice, under-reporting stall time 4x on a 4-core run).
-func TestStallTableMatchesStallFraction(t *testing.T) {
+// TestStallTableMatchesTCFullStallFraction pins the §5.2 fix: the
+// printed fraction is Result.TCFullStallFraction exactly — no residual
+// division by the core count (which is already in TCFullStallFraction's
+// denominator and used to be applied twice, under-reporting stall time
+// 4x on a 4-core run).
+func TestStallTableMatchesTCFullStallFraction(t *testing.T) {
 	// Hand-built result: 4 cores, 1000 cycles, 40+10+0+30 = 80 stall
 	// cycles over 4*1000 core-cycles = exactly 2%.
 	r := &pmemaccel.Result{
 		Cycles: 1000,
 		PerCore: []cpu.Stats{
-			{StallStoreRetry: 40},
-			{StallStoreRetry: 10},
-			{StallStoreRetry: 0},
-			{StallStoreRetry: 30},
+			{Breakdown: cpu.CycleBreakdown{TCFullStall: 40}},
+			{Breakdown: cpu.CycleBreakdown{TCFullStall: 10}},
+			{Breakdown: cpu.CycleBreakdown{TCFullStall: 0}},
+			{Breakdown: cpu.CycleBreakdown{TCFullStall: 30}},
 		},
 	}
-	want := r.StallFraction(func(s cpu.Stats) uint64 { return s.StallStoreRetry })
+	want := r.TCFullStallFraction()
 	if want != 0.02 {
-		t.Fatalf("StallFraction = %v, want 0.02 (80 stalls / 4x1000 core-cycles)", want)
+		t.Fatalf("TCFullStallFraction = %v, want 0.02 (80 stalls / 4x1000 core-cycles)", want)
 	}
 	g := &Grid{
 		Benchs: []workload.Benchmark{workload.SPS},
@@ -110,7 +111,7 @@ func TestStallTableMatchesStallFraction(t *testing.T) {
 	}
 	table := g.StallTable()
 	if !strings.Contains(table, " 2.000%") {
-		t.Fatalf("stall table does not print StallFraction (2.000%%) verbatim:\n%s", table)
+		t.Fatalf("stall table does not print TCFullStallFraction (2.000%%) verbatim:\n%s", table)
 	}
 	if strings.Contains(table, "0.500%") {
 		t.Fatalf("stall table still divides by the core count:\n%s", table)
@@ -164,9 +165,8 @@ func TestParallelGridIsDeterministic(t *testing.T) {
 				t.Errorf("%v/%v: pload latency %v != %v", b, m,
 					s.AvgPersistentLoadLatency(), p.AvgPersistentLoadLatency())
 			}
-			sf := func(st cpu.Stats) uint64 { return st.StallStoreRetry }
-			if s.StallFraction(sf) != p.StallFraction(sf) {
-				t.Errorf("%v/%v: stall fraction %v != %v", b, m, s.StallFraction(sf), p.StallFraction(sf))
+			if s.TCFullStallFraction() != p.TCFullStallFraction() {
+				t.Errorf("%v/%v: stall fraction %v != %v", b, m, s.TCFullStallFraction(), p.TCFullStallFraction())
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
+	"pmemaccel/internal/txcache"
 )
 
 // kiln is the nonvolatile-LLC baseline [23]: transaction stores are
@@ -23,7 +24,6 @@ type kiln struct {
 	env   *Env
 	hier  *cache.Hierarchy
 	nvllc *memimage.Image
-	g     *conflictGuard
 
 	// resume holds each core's commit continuation while its commit
 	// flush is in progress; flushedFn (Arg: core) is bound once.
@@ -55,7 +55,6 @@ const kilnShadowBit = uint64(1) << 62
 func newKiln(env *Env) Mechanism {
 	m := &kiln{
 		env: env, nvllc: memimage.New(),
-		g:        newConflictGuard(env),
 		resume:   make([]sim.Event, env.Cores),
 		retained: make(map[uint64]retainedVersion),
 	}
@@ -130,18 +129,18 @@ func (m *kiln) tag(core int, txID uint64) uint64 {
 }
 
 // Store tags the line with its owning transaction so the hierarchy can
-// pin and flush it. Shared lines pass the ownership probe first; on an
+// pin and flush it. Shared lines pass the line arbiter first; on an
 // abort nothing needs unwinding mechanism-side — the replayed attempt
 // re-tags the same lines with the same transaction id, and only the
 // eventual commit flush makes them durable.
 func (m *kiln) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.StoreAction {
-	switch m.g.check(core, txID, addr) {
-	case gdRetry:
+	switch m.env.Arb.Check(core, txID, addr) {
+	case txcache.ArbRetry:
 		return cpu.StoreAction{Retry: true}
-	case gdAbort:
+	case txcache.ArbAbort:
 		return cpu.StoreAction{Abort: true}
 	}
-	m.g.noteWrite(core, addr)
+	m.env.Arb.NoteWrite(core, addr)
 	return cpu.StoreAction{TxTag: m.tag(core, txID), Uncommitted: true}
 }
 
@@ -161,7 +160,7 @@ func (m *kiln) TxEnd(core int, txID uint64, resume sim.Event) bool {
 func (m *kiln) flushed(core uint64) {
 	c := int(core)
 	m.env.Oracle.Commit(c)
-	m.g.releaseTxNow(c)
+	m.env.Arb.ReleaseTxNow(c)
 	resume := m.resume[c]
 	m.resume[c] = sim.Event{}
 	resume.Fire()

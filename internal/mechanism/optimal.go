@@ -6,6 +6,7 @@ import (
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
+	"pmemaccel/internal/txcache"
 )
 
 // optimal is native execution: stores flow through the unmodified
@@ -14,11 +15,10 @@ import (
 // crash tests demonstrate.
 type optimal struct {
 	env *Env
-	g   *conflictGuard
 }
 
 func newOptimal(env *Env) Mechanism {
-	return &optimal{env: env, g: newConflictGuard(env)}
+	return &optimal{env: env}
 }
 
 func (m *optimal) Kind() Kind { return Optimal }
@@ -40,7 +40,7 @@ func (m *optimal) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	// The "durable" instant for Optimal's oracle bookkeeping is the
 	// commit marker itself; ownership releases with it.
 	m.env.Oracle.Commit(core)
-	m.g.releaseTxNow(core)
+	m.env.Arb.ReleaseTxNow(core)
 	return false
 }
 
@@ -49,13 +49,13 @@ func (m *optimal) Store(core int, txID uint64, addr, value uint64, _ sim.Event) 
 	// the hardware mechanisms do: the IPC-vs-Optimal comparison under
 	// contention is apples-to-apples only if the conflict window costs
 	// every mechanism the same aborts.
-	switch m.g.check(core, txID, addr) {
-	case gdRetry:
+	switch m.env.Arb.Check(core, txID, addr) {
+	case txcache.ArbRetry:
 		return cpu.StoreAction{Retry: true}
-	case gdAbort:
+	case txcache.ArbAbort:
 		return cpu.StoreAction{Abort: true}
 	}
-	m.g.noteWrite(core, addr)
+	m.env.Arb.NoteWrite(core, addr)
 	return cpu.StoreAction{}
 }
 

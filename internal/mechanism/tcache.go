@@ -27,7 +27,6 @@ type tcMech struct {
 	env  *Env
 	tcs  []*txcache.TxCache
 	hier *cache.Hierarchy
-	g    *conflictGuard
 
 	// Copy-on-write fall-back state, per core.
 	fbActive      []bool
@@ -61,7 +60,6 @@ func newTCache(env *Env) Mechanism {
 	}
 	m.fbDurableFn = m.fallbackDurable
 	m.fbPollFn = m.fallbackPoll
-	m.g = newConflictGuard(env)
 	for c := range m.shadowCursor {
 		m.shadow[c] = memaddr.PerCoreLog(c)
 		m.shadowCursor[c] = m.shadow[c].Base
@@ -69,12 +67,9 @@ func newTCache(env *Env) Mechanism {
 	durableApply := func(addr, value uint64) { env.Durable.WriteWord(addr, value) }
 	for c := 0; c < env.Cores; c++ {
 		tc := txcache.New(env.K, env.TC, env.Mem, durableApply, env.Obs, c)
-		if m.g != nil {
-			// Shared-line ownership releases when the owning
-			// transaction's last committed write drains out of the TC.
-			core := c
-			tc.SetAckHook(func(addr uint64) { m.g.onAck(core, addr) })
-		}
+		// Shared-line ownership releases when the owning transaction's
+		// last committed write to the line drains out of the TC.
+		tc.SetArbiter(env.Arb)
 		m.tcs = append(m.tcs, tc)
 	}
 	return m
@@ -131,17 +126,18 @@ func (m *tcMech) TxBegin(core int, txID uint64) {}
 // acknowledgment fires wake; at the high-water mark the store takes the
 // copy-on-write fall-back.
 func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event) cpu.StoreAction {
-	// Shared lines pass the ownership probe before entering either
+	// Shared lines pass the line arbiter before entering either
 	// durability path. On a lost arbitration the transaction's TC
 	// entries are discarded (they are Active, never drained) and any
 	// fall-back state is dropped; in-flight shadow log writes are
 	// harmless — nothing applies them without a commit record. The
-	// one-cycle arbitration retry never parks: its verdict is consumed
-	// on the next cycle.
-	switch m.g.check(core, txID, addr) {
-	case gdRetry:
+	// one-cycle arbitration retry never parks: the request is decided
+	// already, and the next cycle's store proceeds or aborts.
+	arb := m.env.Arb
+	switch arb.Check(core, txID, addr) {
+	case txcache.ArbRetry:
 		return cpu.StoreAction{Retry: true}
-	case gdAbort:
+	case txcache.ArbAbort:
 		m.tcs[core].EvictTx(txID)
 		if m.fbActive[core] && m.fbTx[core] == txID {
 			m.fbActive[core] = false
@@ -151,12 +147,12 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 	}
 	if m.fbActive[core] && m.fbTx[core] == txID {
 		m.fallbackWrite(core, addr, value)
-		m.g.noteWrite(core, addr)
+		arb.NoteWrite(core, addr)
 		return cpu.StoreAction{}
 	}
 	switch m.tcs[core].Write(txID, addr, value) {
 	case txcache.Accepted:
-		m.g.noteWrite(core, addr)
+		arb.NoteWrite(core, addr)
 		return cpu.StoreAction{}
 	case txcache.Fallback:
 		m.fbActive[core] = true
@@ -172,11 +168,12 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 			m.fallbackWrite(core, e.Addr, e.Value)
 		}
 		m.fallbackWrite(core, addr, value)
-		m.g.noteWrite(core, addr)
+		arb.NoteWrite(core, addr)
 		return cpu.StoreAction{}
 	default: // Full
-		// Only this TC's next ack can change the answer: the guard's
-		// verdict stays proceed and no fall-back starts meanwhile.
+		// Only this TC's next ack can change the answer: the line stays
+		// held, so the arbiter keeps answering proceed, and no
+		// fall-back starts meanwhile.
 		return cpu.StoreAction{Retry: true, Park: m.tcs[core].Park(wake)}
 	}
 }
@@ -232,7 +229,7 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
 				// transaction's durable instant: its shadow writes just
 				// applied, so shared-line ownership releases here.
 				m.env.Oracle.Commit(core)
-				m.g.releaseTxNow(core)
+				m.env.Arb.ReleaseTxNow(core)
 			}}
 			m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume)
 			m.fbPending[core] = nil
@@ -244,11 +241,10 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	}
 	m.tcs[core].Commit(txID)
 	// The commit request to the nonvolatile TC is instantly durable, so
-	// TX_END is the durable instant. Ownership of the transaction's
-	// shared lines transfers to the drain-pending set and releases as
-	// the acks arrive.
+	// TX_END is the durable instant. The transaction's shared-line
+	// writes turn to draining, and each line releases at its last ack.
 	m.env.Oracle.Commit(core)
-	m.g.commitPending(core)
+	m.env.Arb.CommitPending(core)
 	return false
 }
 

@@ -172,11 +172,10 @@ type TxCache struct {
 	// durableApply writes one word into the durable NVM image; the
 	// system provides it so the TC stays image-agnostic.
 	durableApply func(addr, value uint64)
-	// onAck, when set, observes every drain acknowledgment (word
-	// address) after the entry clears — the conflict layer's release
-	// point for shared-line ownership. Acks fire from memory-completion
-	// events.
-	onAck func(addr uint64)
+	// arb, when set, sees every drain acknowledgment after the entry
+	// clears: the release point for this core's shared-line ownership.
+	// Acks fire from memory-completion events.
+	arb *LineArbiter
 
 	entries []Entry
 	head    int // next insert slot
@@ -234,9 +233,9 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 	return tc
 }
 
-// SetAckHook installs fn to observe every drain acknowledgment's word
-// address. Wire-up time only (before the run starts).
-func (tc *TxCache) SetAckHook(fn func(addr uint64)) { tc.onAck = fn }
+// SetArbiter reports every drain acknowledgment to a as this core's
+// DrainAck. Wire-up time only (before the run starts).
+func (tc *TxCache) SetArbiter(a *LineArbiter) { tc.arb = a }
 
 // Config returns the (defaulted) configuration.
 func (tc *TxCache) Config() Config { return tc.cfg }
@@ -496,9 +495,7 @@ func (tc *TxCache) Ack(addr uint64) {
 				tc.parked = false
 				tc.wake.Fire()
 			}
-			if tc.onAck != nil {
-				tc.onAck(addr)
-			}
+			tc.arb.DrainAck(tc.core, addr)
 			return
 		}
 	}
@@ -536,17 +533,6 @@ func (tc *TxCache) EvictTx(txID uint64) []Entry {
 
 // Drained reports whether no live entries remain.
 func (tc *TxCache) Drained() bool { return tc.count == 0 }
-
-// UnackedCommitted reports committed entries not yet acknowledged.
-func (tc *TxCache) UnackedCommitted() int {
-	n := 0
-	for i := range tc.entries {
-		if tc.entries[i].State == Committed {
-			n++
-		}
-	}
-	return n
-}
 
 // Contents returns the live entries in FIFO order (oldest first) — the
 // nonvolatile state a crash preserves, consumed by recovery.

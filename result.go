@@ -297,13 +297,13 @@ func (r *Result) AvgPersistentLoadLatency() float64 {
 // metric).
 func (r *Result) NVMWriteTraffic() uint64 { return r.NVM.Writes }
 
-// StallFraction reports the fraction of core-cycles spent in the given
-// stall counter extractor (e.g. StallStoreRetry: TC-full stalls, §5.2,
-// plus the conflict guard's one-cycle arbitration retries).
-func (r *Result) StallFraction(get func(cpu.Stats) uint64) float64 {
+// TCFullStallFraction reports the fraction of core-cycles spent in
+// rejected-and-retried persistent stores (Breakdown.TCFullStall): TC-full
+// stalls, §5.2, plus the line arbiter's one-cycle arbitration stalls.
+func (r *Result) TCFullStallFraction() float64 {
 	var stall, total uint64
 	for _, s := range r.PerCore {
-		stall += get(s)
+		stall += s.Breakdown.TCFullStall
 		total += r.Cycles
 	}
 	if total == 0 {
