@@ -229,9 +229,7 @@ func main() {
 		for c, tc := range res.TC {
 			fmt.Printf("tc %d: %+v\n", c, tc)
 		}
-		fmt.Printf("tc-full stall fraction: %.4f%%\n",
-			res.TCFullStallFraction()/
-				float64(len(res.PerCore))*100)
+		fmt.Printf("tc-full stall fraction: %.4f%%\n", res.TCFullStallFraction()*100)
 		fmt.Printf("\n%s", res.AttributionTable())
 	}
 }

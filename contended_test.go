@@ -26,8 +26,8 @@ func contendedConfig(m Kind) Config {
 
 // TestContendedConsistencyAllMechanisms runs the contended cell on every
 // mechanism and pins the core contract: zero durable diffs (recovery
-// reproduces the commit-order oracle), real aborts on the arbitrated
-// mechanisms, and none on SP (deferred in-place stores have no conflict
+// reproduces the commit-order oracle), every transaction committed,
+// real aborts on the arbitrated mechanisms, and none on SP (deferred in-place stores have no conflict
 // window — correctness comes from global-order log replay instead).
 func TestContendedConsistencyAllMechanisms(t *testing.T) {
 	for _, m := range []Kind{SP, TCache, Kiln, Optimal} {
@@ -43,10 +43,12 @@ func TestContendedConsistencyAllMechanisms(t *testing.T) {
 			if r.DurableDiffCount > 0 {
 				t.Fatalf("%d durable diffs; recovered image must match the commit-order oracle", r.DurableDiffCount)
 			}
-			aborts, retries := r.TotalTxAborts(), uint64(0)
-			for _, st := range r.PerCore {
-				retries += st.TxRetries
+			// Every aborted transaction re-ran and committed: each of
+			// the cell's ops is one transaction.
+			if got, want := r.TotalTransactions(), uint64(r.Config.Cores*r.Config.Ops); got != want {
+				t.Fatalf("%d transactions committed, want %d (cores x ops)", got, want)
 			}
+			aborts := r.TotalTxAborts()
 			if m == SP {
 				if aborts != 0 || r.Arb.Acquires != 0 {
 					t.Fatalf("SP does not arbitrate, got %d aborts, %d acquires", aborts, r.Arb.Acquires)
@@ -55,9 +57,6 @@ func TestContendedConsistencyAllMechanisms(t *testing.T) {
 			}
 			if aborts == 0 {
 				t.Fatal("80% contention produced zero aborts; conflict detection is not firing")
-			}
-			if retries < aborts {
-				t.Fatalf("%d retries < %d aborts; every aborted transaction must eventually re-execute", retries, aborts)
 			}
 			if r.TotalWastedInstructions() == 0 {
 				t.Fatal("aborts without wasted instructions; abort accounting is broken")

@@ -138,10 +138,7 @@ func (r *Result) Export() Export {
 			e.NVMChannelWrites[i] = s.Writes
 		}
 	}
-	if len(r.PerCore) > 0 {
-		e.TCFullStallPct = r.TCFullStallFraction() /
-			float64(len(r.PerCore)) * 100
-	}
+	e.TCFullStallPct = r.TCFullStallFraction() * 100
 	if n := uint64(len(r.PerCore)) * r.Cycles; n > 0 {
 		e.Attribution = make(map[string]float64, len(cpu.BreakdownCategories))
 		agg := make([]uint64, len(cpu.BreakdownCategories))

@@ -159,12 +159,6 @@ type waiter struct {
 // its low bits carry flags.
 const argPersistent = 1
 
-// sideHit is a metrics-enabled side-hit fill in flight: the line and
-// the cycle the LLC served the miss.
-type sideHit struct {
-	lineAddr, start uint64
-}
-
 // pendingFlush is a clwb/clflush write waiting out the L1 latency before
 // it enters memory: the durable-image update is built at flush time, so
 // it rides along with the core's completion.
@@ -192,15 +186,14 @@ type Hierarchy struct {
 	portBusy uint64 // cycle until which the LLC port is occupied
 
 	// Per-request state that does not fit an Event's Arg word: dirty
-	// lines between LLC service and install, observed side-hit
-	// fills, and flush writes waiting out the L1 latency.
+	// lines between LLC service and install, and flush writes waiting
+	// out the L1 latency.
 	wbs     sim.Slots[Line]
-	timed   sim.Slots[sideHit]
 	flushes sim.Slots[pendingFlush]
 
 	// Handlers bound once at construction (see sim.Event).
-	enqueueReadFn, hitFillFn, missReadFn, memFillFn     func(uint64)
-	timedReadFn, timedFillFn, wbInstallFn, flushWriteFn func(uint64)
+	enqueueReadFn, hitFillFn, missReadFn, memFillFn func(uint64)
+	wbInstallFn, flushWriteFn                       func(uint64)
 
 	// commitLocks counts in-progress FlushTx commits. While nonzero,
 	// demand reads stall at the LLC and only writebacks (the flush's
@@ -236,8 +229,6 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.
 	h.hitFillFn = h.hitFill
 	h.missReadFn = h.missRead
 	h.memFillFn = h.memFill
-	h.timedReadFn = h.timedRead
-	h.timedFillFn = h.timedFill
 	h.wbInstallFn = h.wbInstall
 	h.flushWriteFn = h.flushWrite
 	for c := 0; c < nCores; c++ {
@@ -483,16 +474,6 @@ func (h *Hierarchy) serveLLCRead(req llcReq) {
 			hit = 1
 		}
 		h.obs.SideProbe(req.lineAddr, hit, h.k.Now())
-		if h.obs != nil && hit == 1 {
-			// Observed side-hit fill: identical timing to the plain
-			// path below, plus a latency report when the data returns.
-			// The side path holds words, not lines, so the fill still
-			// completes at memory latency — the report quantifies
-			// exactly that: what a "TC hit" costs the loading core.
-			slot := h.timed.Put(sideHit{lineAddr: req.lineAddr, start: h.k.Now()})
-			h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.timedReadFn, Arg: slot})
-			return
-		}
 	}
 	h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.missReadFn, Arg: req.lineAddr})
 }
@@ -508,21 +489,11 @@ func (h *Hierarchy) missRead(lineAddr uint64) {
 	h.mem.Read(lineAddr, sim.Event{Fn: h.memFillFn, Arg: lineAddr})
 }
 
-// memFill completes a fill from memory.
+// memFill completes a fill from memory, reporting it to the observer
+// (which times the fills whose side-path probe hit).
 func (h *Hierarchy) memFill(lineAddr uint64) {
+	h.obs.MemFill(lineAddr, h.k.Now())
 	h.completeFill(lineAddr, Line{Addr: lineAddr, Valid: true}, true)
-}
-
-// timedRead and timedFill are missRead and memFill for a side-hit fill
-// whose latency the observer sees (Arg: h.timed slot).
-func (h *Hierarchy) timedRead(slot uint64) {
-	h.mem.Read(h.timed.Get(slot).lineAddr, sim.Event{Fn: h.timedFillFn, Arg: slot})
-}
-
-func (h *Hierarchy) timedFill(slot uint64) {
-	f := h.timed.Take(slot)
-	h.obs.SideHitFilled(h.k.Now() - f.start)
-	h.completeFill(f.lineAddr, Line{Addr: f.lineAddr, Valid: true}, true)
 }
 
 // completeFill distributes a returned line to every merged waiter and,

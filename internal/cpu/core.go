@@ -179,13 +179,11 @@ type Stats struct {
 	PloadHist [18]uint64
 
 	// Contention outcomes: transactions squashed by shared-line
-	// conflict arbitration (TxAborts), replays started (TxRetries —
-	// equal to TxAborts under abort-and-retry), and the instructions
-	// the aborted attempts retired before being squashed
-	// (WastedInstructions; these also remain in Instructions, so IPC
-	// reflects the wasted work's cost).
+	// conflict arbitration (TxAborts; each one replays from TX_BEGIN)
+	// and the instructions the aborted attempts retired before being
+	// squashed (WastedInstructions; these also remain in Instructions,
+	// so IPC reflects the wasted work's cost).
 	TxAborts           uint64
-	TxRetries          uint64
 	WastedInstructions uint64
 
 	// Breakdown attributes each active cycle to exactly one category:
@@ -226,8 +224,9 @@ type Core struct {
 	// Conflict-abort state: while aborting, the core sits out an
 	// exponential-backoff window (a scheduled wake event ends it, so
 	// the core sleeps through the stall) before replaying from txBuf.
-	// parked marks the head store as retried with Park: it sleeps until
-	// the mechanism fires the same wake handler.
+	// parked marks the head store as retried with Park: Tick does not
+	// present it again, and the core sleeps, until the mechanism fires
+	// the same wake handler.
 	aborting      bool
 	parked        bool
 	abortAttempts int
@@ -352,7 +351,6 @@ func (c *Core) fetch() bool {
 // stall window.
 func (c *Core) abortTx() {
 	c.stats.TxAborts++
-	c.stats.TxRetries++
 	c.stats.WastedInstructions += c.stats.Instructions - c.txInstrBase
 	c.abortAttempts++
 	c.mode = 0
@@ -481,6 +479,11 @@ func (c *Core) Tick(now uint64) {
 				bd.StoreBufStall++
 				return
 			}
+			if c.parked {
+				// The mechanism promised the same answer until wake.
+				bd.TCFullStall++
+				return
+			}
 			persistent := memaddr.IsPersistent(c.cur.Addr)
 			act := StoreAction{}
 			if persistent {
@@ -593,9 +596,10 @@ func (c *Core) Tick(now uint64) {
 //     outstanding load, or independent at the MLP limit;
 //   - store at the head with a full store buffer (checked before the
 //     mechanism sees the store, so Tick touches nothing else);
-//   - parked store at the head: the mechanism promised every retry the
-//     same answer until it fires wake, and settles its own per-retry
-//     side effects (the TC's full-reject count) for the slept cycles.
+//   - parked store at the head: Tick does not present it again (the
+//     mechanism promised every retry the same answer until it fires
+//     wake, and settles its own per-retry side effects, the TC's
+//     full-reject count, for the parked cycles).
 //
 // Any other persistent store that would be presented to the mechanism
 // is not idle: pers.Store may mutate mechanism state every retry cycle.

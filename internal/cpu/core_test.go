@@ -248,16 +248,18 @@ func TestStoreRetryStalls(t *testing.T) {
 
 // parkingPersistence answers the first persistent store with a parked
 // retry and fires its wake cycles later, the way a full transaction
-// cache's drain ack does; every retry before then (a tick-everything
-// run keeps asking) gets the same answer.
+// cache's drain ack does; any retry before then would get the same
+// answer. calls counts the stores presented.
 type parkingPersistence struct {
 	NullPersistence
 	k      *sim.Kernel
 	cycles uint64
 	wakeAt uint64 // 0 until the first store
+	calls  int
 }
 
 func (p *parkingPersistence) Store(core int, txID uint64, addr, value uint64, wake sim.Event) StoreAction {
+	p.calls++
 	if p.wakeAt == 0 {
 		p.wakeAt = p.k.Now() + p.cycles
 		p.k.ScheduleAt(p.wakeAt, wake)
@@ -269,7 +271,9 @@ func (p *parkingPersistence) Store(core int, txID uint64, addr, value uint64, wa
 }
 
 // A parked store sleeps the core until the mechanism's wake, and the
-// slept cycles are charged as the retries a tick-everything run makes.
+// slept cycles are charged as tc-full stalls. A tick-everything run
+// charges the same cycles without presenting the store again: both runs
+// present it twice, at the reject and after the wake.
 func TestParkedStoreSleepsUntilWake(t *testing.T) {
 	var tr trace.Trace
 	tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 1), trace.TxEnd(1), trace.Compute(8))
@@ -291,6 +295,9 @@ func TestParkedStoreSleepsUntilWake(t *testing.T) {
 			t.Fatal("core did not finish")
 		}
 		final[i] = c.Stats()
+		if pers.calls != 2 {
+			t.Fatalf("fast-forward %v: store presented %d times, want 2", ff, pers.calls)
+		}
 	}
 	if midPark[0] != midPark[1] {
 		t.Fatalf("mid-park stats diverge:\n  ff:  %+v\n  ref: %+v", midPark[0], midPark[1])

@@ -98,8 +98,8 @@ type MemPort interface {
 	// Write retires a line towards memory. apply fires at durability
 	// time, then onDurable (either may be the zero Event).
 	Write(lineAddr uint64, apply, onDurable sim.Event)
-	// WriteTracked is Write marking a flight token (the TC's drain
-	// writes of sampled transactions).
+	// WriteTracked is Write marking a flight token, nil unless the
+	// write's transaction is flight-sampled (the TC's drain writes).
 	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite)
 	// PendingNVMWrites reports queued, unissued writes summed across
 	// the NVM channels.

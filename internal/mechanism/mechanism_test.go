@@ -277,8 +277,8 @@ func TestTCacheFullStallsStore(t *testing.T) {
 	}
 }
 
-// The conflict guard's one-cycle arbitration retry must not park: the
-// verdict it waits for is consumed on the very next cycle, and no TC
+// The line arbiter's one-cycle arbitration retry must not park: the
+// decision it waits for is consumed on the very next cycle, and no TC
 // ack would ever wake the core.
 func TestTCacheArbitrationRetryDoesNotPark(t *testing.T) {
 	env := testEnv(t)
@@ -305,8 +305,8 @@ func TestTCacheOverflowFallback(t *testing.T) {
 			t.Fatalf("store %d stalled; fallback should absorb overflow", i)
 		}
 	}
-	if m.FallbackTxs() != 1 {
-		t.Fatalf("FallbackTxs = %d, want 1", m.FallbackTxs())
+	if !m.fbActive[0] || m.fbTx[0] != 1 {
+		t.Fatalf("fall-back active %v for tx %d, want active for tx 1", m.fbActive[0], m.fbTx[0])
 	}
 	if m.tcs[0].Occupancy() != 0 {
 		t.Fatalf("TC still holds %d entries of the overflowed tx", m.tcs[0].Occupancy())

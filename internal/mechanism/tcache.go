@@ -40,10 +40,6 @@ type tcMech struct {
 	// Handlers bound once in newTCache (Arg: core): a shadow write
 	// became durable; the per-cycle fall-back commit poll.
 	fbDurableFn, fbPollFn func(uint64)
-
-	// fallbackTxs counts transactions that overflowed to the COW path,
-	// per core.
-	fallbackTxs []uint64
 }
 
 func newTCache(env *Env) Mechanism {
@@ -56,7 +52,6 @@ func newTCache(env *Env) Mechanism {
 		fbCommit:      make([]func(), env.Cores),
 		shadow:        make([]memaddr.Range, env.Cores),
 		shadowCursor:  make([]uint64, env.Cores),
-		fallbackTxs:   make([]uint64, env.Cores),
 	}
 	m.fbDurableFn = m.fallbackDurable
 	m.fbPollFn = m.fallbackPoll
@@ -157,7 +152,6 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 	case txcache.Fallback:
 		m.fbActive[core] = true
 		m.fbTx[core] = txID
-		m.fallbackTxs[core]++
 		// The whole transaction moves to the copy-on-write path: its
 		// TC-resident entries are evicted into the shadow first (in
 		// program order), so no word of this transaction has updates
@@ -174,17 +168,9 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 		// Only this TC's next ack can change the answer: the line stays
 		// held, so the arbiter keeps answering proceed, and no
 		// fall-back starts meanwhile.
-		return cpu.StoreAction{Retry: true, Park: m.tcs[core].Park(wake)}
+		m.tcs[core].Park(wake)
+		return cpu.StoreAction{Retry: true, Park: true}
 	}
-}
-
-// FallbackTxs sums the per-core fall-back transaction counts.
-func (m *tcMech) FallbackTxs() uint64 {
-	var total uint64
-	for _, n := range m.fallbackTxs {
-		total += n
-	}
-	return total
 }
 
 // fallbackWrite sends one shadow (copy-on-write) update to NVM.

@@ -16,6 +16,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	p.Span(KTCDrain, 1, 2, 300, 340, 4)
 	p.Instant(KTCCommit, 0, 3, 260, 0)
 	p.Span(KWPQDrain, -1, 0, 400, 400, 9) // zero-length: exported as 1-cycle slice
+	p.Span(KTCFull, 2, 5, 500, 652, 0x40)
 
 	var buf bytes.Buffer
 	if err := p.WriteChromeTrace(&buf); err != nil {
@@ -25,8 +26,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Events) != 4 {
-		t.Fatalf("read %d events, want 4 (metadata must be filtered)", len(data.Events))
+	if len(data.Events) != 5 {
+		t.Fatalf("read %d events, want 5 (metadata must be filtered)", len(data.Events))
 	}
 	byName := map[string]ChromeEvent{}
 	for _, e := range data.Events {
@@ -45,12 +46,16 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if w := byName[KWPQDrain.String()]; !w.Span() || w.Dur != 1 {
 		t.Errorf("zero-length span read back as %+v", w)
 	}
+	if f := byName[KTCFull.String()]; !f.Span() || f.Ts != 500 || f.Dur != 152 || f.Tid != 2 ||
+		f.Args["id"] != 5 || f.Args["arg"] != 0x40 {
+		t.Errorf("tc-full span read back as %+v", f)
+	}
 	for _, key := range []string{"recorded", "dropped", "open_flushed", "time_unit"} {
 		if _, ok := data.OtherData[key]; !ok {
 			t.Errorf("OtherData missing %q: %+v", key, data.OtherData)
 		}
 	}
-	if data.OtherData["recorded"] != "4" || data.OtherData["dropped"] != "0" {
+	if data.OtherData["recorded"] != "5" || data.OtherData["dropped"] != "0" {
 		t.Errorf("accounting wrong: %+v", data.OtherData)
 	}
 }

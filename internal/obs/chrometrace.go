@@ -260,7 +260,7 @@ func (p *Probe) WriteChromeTrace(w io.Writer) error {
 
 func isSpanKind(k Kind) bool {
 	switch k {
-	case KTx, KCommitWait, KTxFlush, KTCDrain, KWPQDrain, KTCDrainOpen, KWPQDrainOpen, KTxStage:
+	case KTx, KCommitWait, KTxFlush, KTCDrain, KWPQDrain, KTCFull, KTCDrainOpen, KWPQDrainOpen, KTxStage:
 		return true
 	}
 	return false

@@ -216,9 +216,10 @@ func (r *FlightRecorder) Commit(core int, tx, reqAt, doneAt uint64) {
 
 // TCIssue records a tracked write leaving the TC for the memory backend
 // and returns its FlightWrite handle for the ServiceStart/WriteDurable
-// callbacks. Returns nil (safe to use) when the flight is unknown.
+// callbacks. Returns nil (safe to use) when tx is not sampled or the
+// flight is unknown.
 func (r *FlightRecorder) TCIssue(core int, tx, now uint64) *FlightWrite {
-	if r == nil {
+	if !r.Sampled(tx) {
 		return nil
 	}
 	fl := r.find(core, tx)

@@ -59,9 +59,11 @@ const (
 	// TC. ID is the transaction id; Arg is the entries CAM-matched to
 	// the committed state.
 	KTCCommit
-	// KTCFull is an instant: the TC rejected a store (ring full or head
-	// blocked) and the core will retry. ID is the transaction id; Arg is
-	// the store address.
+	// KTCFull is a span: a TC writer parked on a Full reject (ring full
+	// or head blocked), from the rejecting cycle to the drain ack that
+	// wakes it — or to the collection cycle, if Sink.FlushOpenSpans finds
+	// it still parked. ID is the transaction id; Arg is the store
+	// address.
 	KTCFull
 	// KTCFallback is an instant: a transaction overflowed to the
 	// copy-on-write fall-back path. ID is the transaction id.

@@ -11,8 +11,13 @@ import (
 // becomes in each consumer the run enabled — a Chrome-trace span or
 // instant in the Probe ring, a histogram observation or counter bump in
 // the metrics registry, a checkpoint in the flight recorder — and owns
-// the state that only observation needs (drain-burst and write-drain
-// window boundaries, and so the spans still open at collection).
+// the state that only observation needs (drain-burst, write-drain and
+// parked-writer span boundaries, and so the spans still open at
+// collection; the start cycle of each side-hit fill in flight).
+//
+// Observation never steers the simulation: no component reads the sink
+// to decide what to do, so a run takes the same code path, and produces
+// the same Result, with or without a sink attached.
 //
 // A nil *Sink is valid and inert: every method returns at once, so a
 // disabled run pays one untaken branch per emit site. Build one with
@@ -27,15 +32,17 @@ type Sink struct {
 	txLat, commitWait, sideHitLat *metrics.Histogram
 	fallbacks                     *metrics.Counter
 
-	// windows is set when a consumer wants drain windows (the trace or
-	// the registry). A flight-only sink leaves them untracked: an open
-	// burst keeps its TC from reporting idle, and a run observed only by
-	// the flight recorder must fast-forward exactly like an unobserved
-	// one. bursts (TC drain bursts, by core) and wpq (memory
-	// write-drain windows, by global channel id) hold them.
-	windows bool
-	bursts  []window
-	wpq     []window
+	// bursts (TC drain bursts, by core) and wpq (memory write-drain
+	// windows, by global channel id) hold the drain windows; full holds
+	// each core's tc-full span (a TC writer parked on a Full reject).
+	bursts []window
+	wpq    []window
+	full   []stall
+
+	// sideHits maps the line of each side-hit LLC miss in flight to the
+	// cycle its probe hit. The hierarchy merges misses per line, so one
+	// entry per line suffices, and the fill removes it.
+	sideHits map[uint64]uint64
 }
 
 // window is one drain window: open from start, n items issued so far,
@@ -44,6 +51,13 @@ type window struct {
 	open          bool
 	start, n      uint64
 	cycles, items *metrics.Histogram
+}
+
+// stall is one core's tc-full span: a store of tx to addr rejected at
+// start, open until the drain ack that wakes the parked writer.
+type stall struct {
+	open            bool
+	tx, addr, start uint64
 }
 
 // NewSink builds the observer over the given consumers: an event ring
@@ -57,10 +71,10 @@ func NewSink(p *Probe, reg *metrics.Registry, txSample uint64) *Sink {
 	}
 	return &Sink{
 		probe: p, reg: reg, flight: fr,
-		windows:    p != nil || reg != nil,
 		txLat:      reg.Histogram("tx_latency_cycles"),
 		commitWait: reg.Histogram("commit_wait_cycles"),
 		sideHitLat: reg.Histogram("side_probe_hit_latency_cycles"),
+		sideHits:   make(map[uint64]uint64),
 	}
 }
 
@@ -86,12 +100,6 @@ func (o *Sink) Flight() *FlightRecorder {
 		return nil
 	}
 	return o.flight
-}
-
-// Sampled reports whether transaction tx is followed by the flight
-// recorder, so its drain writes must be issued tracked (TCWrite).
-func (o *Sink) Sampled(tx uint64) bool {
-	return o != nil && o.flight.Sampled(tx)
 }
 
 // TxBegin reports a TX_BEGIN retiring on core.
@@ -129,6 +137,7 @@ func (o *Sink) AddTC(core int) {
 	}
 	for len(o.bursts) <= core {
 		o.bursts = append(o.bursts, window{})
+		o.full = append(o.full, stall{})
 	}
 	// Burst histograms are run-wide: the paper's claim is about the
 	// burst distribution, not any one core's.
@@ -137,11 +146,26 @@ func (o *Sink) AddTC(core int) {
 	o.fallbacks = o.reg.Counter("tc_fallback_txs")
 }
 
-// TCFull reports core's TC rejecting a store of tx (ring full or head
-// blocked); the core retries.
+// TCFull reports core's TC rejecting a store of tx to addr (ring full or
+// head blocked), which opens the core's tc-full span unless one is open.
 func (o *Sink) TCFull(core int, tx, addr, now uint64) {
+	if o != nil && !o.full[core].open {
+		o.full[core] = stall{open: true, tx: tx, addr: addr, start: now}
+	}
+}
+
+// TCWake reports the drain ack that wakes core's parked writer, closing
+// its tc-full span.
+func (o *Sink) TCWake(core int, now uint64) {
 	if o != nil {
-		o.probe.Instant(KTCFull, core, tx, now, addr)
+		o.tcWake(core, now)
+	}
+}
+
+func (o *Sink) tcWake(core int, now uint64) {
+	if s := &o.full[core]; s.open {
+		o.probe.Span(KTCFull, core, s.tx, s.start, now, s.addr)
+		s.open = false
 	}
 }
 
@@ -175,7 +199,7 @@ func (o *Sink) tcCommit(core int, tx, matched, now uint64) {
 // TCBurstIssue reports core's TC issuing one committed entry toward
 // memory; the first issue after an idle TC opens a drain burst.
 func (o *Sink) TCBurstIssue(core int, now uint64) {
-	if o == nil || !o.windows {
+	if o == nil {
 		return
 	}
 	b := &o.bursts[core]
@@ -185,8 +209,8 @@ func (o *Sink) TCBurstIssue(core int, now uint64) {
 	b.n++
 }
 
-// TCBurstEnd reports core's TC with nothing left to issue, closing an
-// open drain burst.
+// TCBurstEnd reports core's TC with nothing left to issue (after an
+// issue or an eviction), closing an open drain burst.
 func (o *Sink) TCBurstEnd(core int, now uint64) {
 	if o != nil && o.bursts[core].open {
 		o.close(KTCDrain, core, &o.bursts[core], now)
@@ -201,15 +225,9 @@ func (o *Sink) close(k Kind, track int, w *window, now uint64) {
 	w.open = false
 }
 
-// TCBurstOpen reports whether core's TC has a drain burst waiting for
-// TCBurstEnd — a pending state change the TC's Idle must not hide.
-func (o *Sink) TCBurstOpen(core int) bool {
-	return o != nil && o.bursts[core].open
-}
-
-// TCWrite reports a sampled transaction's drain write leaving core's TC
-// and returns the flight token the memory path marks (ServiceStart) and
-// hands back at durability (WriteDurable).
+// TCWrite reports a drain write of tx leaving core's TC and returns the
+// flight token the memory path marks (ServiceStart) and hands back at
+// durability (WriteDurable) — nil unless the flight recorder samples tx.
 func (o *Sink) TCWrite(core int, tx, now uint64) *FlightWrite {
 	if o == nil {
 		return nil
@@ -225,18 +243,30 @@ func (o *Sink) WriteDurable(w *FlightWrite, now uint64) {
 }
 
 // SideProbe reports an LLC miss on a persistent line probing the TC side
-// path; hit is 1 when a TC held the line.
+// path; hit is 1 when a TC held the line. A hit's fill latency is
+// observed when MemFill reports the line's fill.
 func (o *Sink) SideProbe(lineAddr, hit, now uint64) {
 	if o != nil {
 		o.probe.Instant(KSideProbe, -1, lineAddr, now, hit)
+		if hit == 1 {
+			o.sideHits[lineAddr] = now
+		}
 	}
 }
 
-// SideHitFilled reports the fill latency of an LLC miss whose side-path
-// probe hit.
-func (o *Sink) SideHitFilled(cycles uint64) {
+// MemFill reports an LLC miss's line returning from memory. When the
+// miss's side-path probe hit, the fill latency is observed: the side path
+// holds words, not lines, so a "TC hit" still fills at memory latency.
+func (o *Sink) MemFill(lineAddr, now uint64) {
 	if o != nil {
-		o.sideHitLat.Observe(cycles)
+		o.memFill(lineAddr, now)
+	}
+}
+
+func (o *Sink) memFill(lineAddr, now uint64) {
+	if start, ok := o.sideHits[lineAddr]; ok {
+		delete(o.sideHits, lineAddr)
+		o.sideHitLat.Observe(now - start)
 	}
 }
 
@@ -273,7 +303,7 @@ func (o *Sink) AddChannel(id int, name string) {
 
 // WPQDrainStart reports channel ch entering write-drain mode.
 func (o *Sink) WPQDrainStart(ch int, now uint64) {
-	if o != nil && o.windows {
+	if o != nil {
 		w := &o.wpq[ch]
 		w.open, w.start, w.n = true, now, 0
 	}
@@ -293,12 +323,13 @@ func (o *Sink) WPQDrainEnd(ch int, now uint64) {
 	}
 }
 
-// FlushOpenSpans records every window still open — write-drain windows
-// in channel order, then TC drain bursts in core order — as an open-span
-// event ending at now, so a burst in progress when the run stops does
-// not vanish from the trace. Call it once, at collection time (the
+// FlushOpenSpans records every span still open — write-drain windows in
+// channel order, then TC drain bursts and tc-full spans in core order —
+// as an event ending at now, so a burst in progress when the run stops
+// does not vanish from the trace. Drain windows become their -open kinds;
+// a tc-full span keeps its kind. Call it once, at collection time (the
 // system's collect does; call it by hand before exporting a trace from a
-// run stopped mid-flight). The windows stay open, so a second call
+// run stopped mid-flight). The spans stay open, so a second call
 // records them again.
 func (o *Sink) FlushOpenSpans(now uint64) {
 	p := o.Probe()
@@ -314,6 +345,11 @@ func (o *Sink) FlushOpenSpans(now uint64) {
 	for core, b := range o.bursts {
 		if b.open {
 			p.Span(KTCDrainOpen, core, 0, b.start, now, b.n)
+		}
+	}
+	for core, s := range o.full {
+		if s.open {
+			p.Span(KTCFull, core, s.tx, s.start, now, s.addr)
 		}
 	}
 	p.openSpans += p.total - before

@@ -82,10 +82,10 @@ const (
 // topology-blind — per-channel FIFO completion of same-line writes is all
 // its address-matched acknowledgments require.
 type Port interface {
-	Write(lineAddr uint64, apply, onDurable sim.Event)
-	// WriteTracked is Write for a flight-sampled transaction: the port
-	// also marks the flight token w with its service-start cycle and
-	// owning global channel id.
+	// WriteTracked retires a line towards memory: apply fires at
+	// durability time, then onDurable. The port also marks the flight
+	// token w (nil unless the write's transaction is flight-sampled)
+	// with its service-start cycle and owning global channel id.
 	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite)
 }
 
@@ -157,9 +157,11 @@ type Stats struct {
 	OccupancyPeak  int
 }
 
-// drainWrite is one issued drain write: the buffered word it carries.
+// drainWrite is one issued drain write: the buffered word it carries and
+// its flight token (nil unless its transaction is flight-sampled).
 type drainWrite struct {
 	addr, value uint64
+	w           *obs.FlightWrite
 }
 
 // TxCache is one core's transaction cache. It registers with the kernel,
@@ -186,10 +188,11 @@ type TxCache struct {
 	// head.
 	unissued int
 
-	// drains holds the word each issued drain write carries, from issue
-	// to acknowledgment; the write's apply and ack Events hold the slot
-	// index. (A ring index would not do: an ack retires the matching
-	// entry nearest the tail, not necessarily the one that issued it.)
+	// drains holds the word and flight token each issued drain write
+	// carries, from issue to acknowledgment; the write's apply and ack
+	// Events hold the slot index. (A ring index would not do: an ack
+	// retires the matching entry nearest the tail, not necessarily the
+	// one that issued it.)
 	drains         sim.Slots[drainWrite]
 	applyFn, ackFn func(uint64)
 	// evicted is EvictTx's reused result buffer.
@@ -294,7 +297,8 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 	return Accepted
 }
 
-// reject counts and reports one Full answer.
+// reject counts and reports one Full answer; the report opens the sink's
+// tc-full span.
 func (tc *TxCache) reject(txID, addr uint64) WriteResult {
 	tc.stats.FullRejects++
 	tc.rejected = tc.k.Now()
@@ -303,18 +307,13 @@ func (tc *TxCache) reject(txID, addr uint64) WriteResult {
 }
 
 // Park lets the writer Write just rejected as Full sleep until the next
-// Ack, which fires wake, and reports whether it may. Only an Ack can end
-// Full (Write and EvictTx come from the sleeping writer itself, and
-// Commit leaves every slot live), so until then every retry would
-// return Full and charge one FullRejects, which the TC settles lazily.
-// A retry also emits a tc-full instant, so the TC refuses while its
-// sink records events.
-func (tc *TxCache) Park(wake sim.Event) bool {
-	if tc.obs.Probe() != nil {
-		return false
-	}
+// Ack, which fires wake. Only an Ack can end Full (Write and EvictTx come
+// from the sleeping writer itself, and Commit leaves every slot live), so
+// until then every retry would return Full and charge one FullRejects,
+// which the TC settles lazily. The sink's tc-full span, opened by the
+// reject, closes at that Ack.
+func (tc *TxCache) Park(wake sim.Event) {
 	tc.parked, tc.wake = true, wake
-	return true
 }
 
 // chargeParked charges a parked writer one reject for every cycle after
@@ -375,19 +374,14 @@ func (tc *TxCache) prev(i int) int {
 	return i - 1
 }
 
-// sleep re-evaluates whether the TC sleeps. Tick is a pure no-op exactly
-// when either nothing is left to issue and no drain burst is waiting to
-// close (the burst-end report closes the observer's burst, a state
-// change), or the issue pointer is parked on an active entry — in FIFO
-// order an uncommitted entry blocks everything younger, so issueOne
-// returns without advancing the pointer or touching the burst. Write,
+// sleep re-evaluates whether the TC sleeps. Tick has nothing to do
+// exactly when either nothing is left to issue (the Tick or EvictTx that
+// emptied it closed the drain burst), or the issue pointer is parked on
+// an active entry — in FIFO order an uncommitted entry blocks everything
+// younger, so issueOne returns without advancing the pointer. Write,
 // Commit, Ack and EvictTx change that state, and each calls sleep.
 func (tc *TxCache) sleep() {
-	idle := !tc.obs.TCBurstOpen(tc.core)
-	if tc.unissued > 0 {
-		idle = tc.entries[tc.issue].State == Active
-	}
-	tc.k.Sleep(tc.slot, idle)
+	tc.k.Sleep(tc.slot, tc.unissued == 0 || tc.entries[tc.issue].State == Active)
 }
 
 // Tick implements sim.Tickable: issue the oldest committed entry toward
@@ -426,34 +420,18 @@ func (tc *TxCache) issueOne() {
 	e.issued = true
 	tc.unissued--
 	tc.stats.Issued++
-	tc.obs.TCBurstIssue(tc.core, tc.k.Now())
-	slot := tc.drains.Put(drainWrite{addr: e.Addr, value: e.Value})
+	now := tc.k.Now()
+	tc.obs.TCBurstIssue(tc.core, now)
+	// The flight token lets the recorder see TC issue, WPQ service start
+	// (with the channel) and durable completion for a sampled write.
+	w := tc.obs.TCWrite(tc.core, e.TxID, now)
+	slot := tc.drains.Put(drainWrite{addr: e.Addr, value: e.Value, w: w})
 	var apply sim.Event
 	if tc.durableApply != nil {
 		apply = sim.Event{Fn: tc.applyFn, Arg: slot}
 	}
-	ack := sim.Event{Fn: tc.ackFn, Arg: slot}
-	if tc.obs.Sampled(e.TxID) {
-		// Sampled transaction: route through the tracked port so the
-		// flight recorder sees TC issue, WPQ service start (with the
-		// channel) and durable completion for this write.
-		tc.issueTracked(e.Addr, apply, ack, e.TxID, tc.k.Now())
-	} else {
-		tc.mem.Write(memaddr.LineAddr(e.Addr), apply, ack)
-	}
+	tc.mem.WriteTracked(memaddr.LineAddr(e.Addr), apply, sim.Event{Fn: tc.ackFn, Arg: slot}, w)
 	tc.issue = tc.next(tc.issue)
-}
-
-// issueTracked is issueOne's drain write for a sampled transaction: it
-// takes a flight token and routes through the tracked port so the
-// recorder sees TC issue, WPQ service start and durable completion.
-// Sampling is off the hot path, so the durable mark rides in a closure.
-func (tc *TxCache) issueTracked(addr uint64, apply, ack sim.Event, txID, issueAt uint64) {
-	w := tc.obs.TCWrite(tc.core, txID, issueAt)
-	tc.mem.WriteTracked(memaddr.LineAddr(addr), apply, sim.Event{Fn: func(uint64) {
-		ack.Fire()
-		tc.obs.WriteDurable(w, tc.k.Now())
-	}}, w)
 }
 
 // applyDrain writes a drain write's word into the durable image at
@@ -463,9 +441,12 @@ func (tc *TxCache) applyDrain(slot uint64) {
 	tc.durableApply(d.addr, d.value)
 }
 
-// ackDrain delivers a drain write's acknowledgment and releases its slot.
+// ackDrain delivers a drain write's acknowledgment, releases its slot
+// and reports the write durable to its flight.
 func (tc *TxCache) ackDrain(slot uint64) {
-	tc.Ack(tc.drains.Take(slot).addr)
+	d := tc.drains.Take(slot)
+	tc.Ack(d.addr)
+	tc.obs.WriteDurable(d.w, tc.k.Now())
 }
 
 // Ack handles the NVM controller's acknowledgment for a written-back
@@ -493,6 +474,7 @@ func (tc *TxCache) Ack(addr uint64) {
 			if tc.parked {
 				tc.chargeParked(tc.k.Now())
 				tc.parked = false
+				tc.obs.TCWake(tc.core, tc.k.Now())
 				tc.wake.Fire()
 			}
 			tc.arb.DrainAck(tc.core, addr)
@@ -508,6 +490,8 @@ func (tc *TxCache) Ack(addr uint64) {
 // so one transaction never has updates split across the two paths (which
 // could apply to NVM out of order). The returned slice is reused by the
 // next EvictTx call, so an abort's discarded eviction allocates nothing.
+// EvictTx is the only way unissued reaches zero outside Tick, so it
+// closes an open drain burst itself.
 func (tc *TxCache) EvictTx(txID uint64) []Entry {
 	out := tc.evicted[:0]
 	for n, i := 0, tc.tail; n < len(tc.entries); n, i = n+1, tc.next(i) {
@@ -525,6 +509,9 @@ func (tc *TxCache) EvictTx(txID uint64) []Entry {
 	if tc.count == 0 {
 		tc.tail = tc.head
 		tc.issue = tc.head
+	}
+	if tc.unissued == 0 {
+		tc.obs.TCBurstEnd(tc.core, tc.k.Now())
 	}
 	tc.evicted = out
 	tc.sleep()

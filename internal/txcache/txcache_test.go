@@ -20,7 +20,7 @@ type fakeNVM struct {
 	writes []uint64
 }
 
-func (m *fakeNVM) Write(lineAddr uint64, apply, onDurable sim.Event) {
+func (m *fakeNVM) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *obs.FlightWrite) {
 	m.writes = append(m.writes, lineAddr)
 	if m.hold {
 		m.held = append(m.held, apply, onDurable)
@@ -29,10 +29,6 @@ func (m *fakeNVM) Write(lineAddr uint64, apply, onDurable sim.Event) {
 	// Back-to-back schedules fire back to back: apply, then onDurable.
 	m.k.Schedule(m.lat, apply)
 	m.k.Schedule(m.lat, onDurable)
-}
-
-func (m *fakeNVM) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *obs.FlightWrite) {
-	m.Write(lineAddr, apply, onDurable)
 }
 
 func (m *fakeNVM) release() {
@@ -512,6 +508,34 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	}
 }
 
+// TestEvictTxClosesDrainBurst: a burst held open by an active entry
+// blocking the issue pointer closes at the eviction that leaves nothing
+// unissued, and the TC sleeps as it would unobserved.
+func TestEvictTxClosesDrainBurst(t *testing.T) {
+	k := sim.NewKernel()
+	p := obs.NewProbe(64)
+	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64}, &fakeNVM{k: k, hold: true}, nil, obs.NewSink(p, nil, 0), 0)
+	tc.Write(1, nvmAddr(0), 10)
+	tc.Write(1, nvmAddr(1), 11)
+	tc.Commit(1)
+	tc.Write(2, nvmAddr(2), 12)
+	k.Step()
+	k.Step()
+	if k.Awake() != 0 || p.CountKind(obs.KTCDrain) != 0 {
+		t.Fatalf("blocked on an active entry: %d awake, %d bursts closed; want asleep with the burst open",
+			k.Awake(), p.CountKind(obs.KTCDrain))
+	}
+	k.Step()
+	tc.EvictTx(2)
+	if k.Awake() != 0 {
+		t.Fatal("TC with nothing to issue stays awake after the eviction")
+	}
+	ev := findKind(t, p, obs.KTCDrain)
+	if ev.End != k.Now() || ev.Arg != 2 {
+		t.Fatalf("burst = %+v, want 2 entries closing at the eviction cycle %d", ev, k.Now())
+	}
+}
+
 func findKind(t *testing.T, p *obs.Probe, k obs.Kind) obs.Event {
 	t.Helper()
 	for _, e := range p.Events() {
@@ -547,13 +571,9 @@ func TestConfigValidate(t *testing.T) {
 // stubPort is an allocation-free Port: fixed latency, no history.
 type stubPort struct{ k *sim.Kernel }
 
-func (p stubPort) Write(lineAddr uint64, apply, onDurable sim.Event) {
+func (p stubPort) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *obs.FlightWrite) {
 	p.k.Schedule(152, apply)
 	p.k.Schedule(152, onDurable)
-}
-
-func (p stubPort) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *obs.FlightWrite) {
-	p.Write(lineAddr, apply, onDurable)
 }
 
 // TestDrainAllocationFree pins the TC's durability round trip (write,
@@ -628,9 +648,7 @@ func TestParkedWriterChargesOneRejectPerSleptCycle(t *testing.T) {
 				if r := tc.Write(2, nvmAddr(8), 8); r != Full {
 					t.Fatalf("%s: write into full TC = %v, want Full", mode, r)
 				}
-				if !tc.Park(wake) {
-					t.Fatalf("%s: Park refused without a probe", mode)
-				}
+				tc.Park(wake)
 			}
 			if mode == "read" {
 				if got, want := tc.Stats().FullRejects, uint64(i+1); got != want {
@@ -669,16 +687,18 @@ func TestAckLeavingHeadBlockedReparks(t *testing.T) {
 	k, tc := fullTC(t, nil)
 	wakes := 0
 	wake := sim.Event{Fn: func(uint64) { wakes++ }}
-	if tc.Write(2, nvmAddr(8), 8) != Full || !tc.Park(wake) {
-		t.Fatal("writer into a full TC did not park")
+	if tc.Write(2, nvmAddr(8), 8) != Full {
+		t.Fatal("write into a full TC not rejected")
 	}
+	tc.Park(wake)
 	ackNext(k, tc, nvmAddr(1)) // a hole at slot 1; the head slot 0 stays live
 	if wakes != 1 {
 		t.Fatalf("wakes after the hole ack = %d, want 1", wakes)
 	}
-	if r := tc.Write(2, nvmAddr(8), 8); r != Full || !tc.Park(wake) {
-		t.Fatalf("retry into the holey ring = %v, want Full and a re-park", r)
+	if r := tc.Write(2, nvmAddr(8), 8); r != Full {
+		t.Fatalf("retry into the holey ring = %v, want Full", r)
 	}
+	tc.Park(wake)
 	ackNext(k, tc, nvmAddr(0))
 	if wakes != 2 {
 		t.Fatalf("wakes after the head ack = %d, want 2", wakes)
@@ -691,15 +711,55 @@ func TestAckLeavingHeadBlockedReparks(t *testing.T) {
 	}
 }
 
-// While the TC's sink records events every retry emits a tc-full
-// instant, so the writer must keep retrying: Park refuses.
-func TestParkRefusedWhileProbeRecords(t *testing.T) {
-	_, tc := fullTC(t, obs.NewSink(obs.NewProbe(64), nil, 0))
-	if tc.Write(2, nvmAddr(8), 8) != Full {
-		t.Fatal("write into full TC not rejected")
+// A traced TC parks like an untraced one, and its sink records one
+// tc-full span per parked interval: from the rejecting cycle to the
+// waking ack. An ack that leaves the head blocked ends the first span;
+// the woken writer's re-park opens a second.
+func TestTracedParkEmitsOneTCFullSpanPerInterval(t *testing.T) {
+	p := obs.NewProbe(64)
+	k, tc := fullTC(t, obs.NewSink(p, nil, 0))
+	wake := sim.Event{Fn: func(uint64) {}}
+	park := func() uint64 {
+		t.Helper()
+		if r := tc.Write(2, nvmAddr(8), 8); r != Full {
+			t.Fatalf("write into the full TC = %v, want Full", r)
+		}
+		tc.Park(wake)
+		return k.Now()
 	}
-	if tc.Park(sim.Event{Fn: func(uint64) { t.Fatal("refused park fired wake") }}) {
-		t.Fatal("Park accepted while the sink records tc-full instants")
+	spans := func() []obs.Event {
+		var out []obs.Event
+		for _, e := range p.Events() {
+			if e.Kind == obs.KTCFull {
+				out = append(out, e)
+			}
+		}
+		return out
 	}
-	tc.Ack(nvmAddr(0))
+	reject := park()
+	for i := 0; i < 5; i++ {
+		k.Step()
+	}
+	if n := len(spans()); n != 0 {
+		t.Fatalf("%d tc-full spans while parked, want none until the ack", n)
+	}
+	ackNext(k, tc, nvmAddr(1)) // a hole: the head slot stays live
+	holeAck := k.Now()
+	want := obs.Event{Kind: obs.KTCFull, Start: reject, End: holeAck, ID: 2, Arg: nvmAddr(8)}
+	if got := spans(); len(got) != 1 || got[0] != want {
+		t.Fatalf("tc-full spans after the hole ack = %+v, want [%+v]", got, want)
+	}
+	repark := park()
+	if repark != holeAck {
+		t.Fatalf("re-park at cycle %d, want the acking cycle %d", repark, holeAck)
+	}
+	k.Step()
+	ackNext(k, tc, nvmAddr(0))
+	second := obs.Event{Kind: obs.KTCFull, Start: repark, End: k.Now(), ID: 2, Arg: nvmAddr(8)}
+	if got := spans(); len(got) != 2 || got[1] != second {
+		t.Fatalf("tc-full spans after the head ack = %+v, want a second %+v", got, second)
+	}
+	if r := tc.Write(2, nvmAddr(8), 8); r != Accepted {
+		t.Fatalf("write after the head freed = %v, want Accepted", r)
+	}
 }
