@@ -14,10 +14,11 @@ ci: build vet staticcheck test race-sweep
 
 # Race-mode pass over the packages with goroutines: the parallel sweep
 # engine, the metrics registry it publishes progress/percentiles
-# through, the figure grids built on it, and the concurrent
-# pmemaccel.Run entry points.
+# through, the figure grids built on it, the record producer (trace),
+# the workloads it runs (workload), the crash trials that start and
+# join it (recovery), and the concurrent pmemaccel.Run entry points.
 race-sweep:
-	$(GO) test -race ./internal/sweep/ ./internal/obs/metrics/ ./internal/figures/ .
+	$(GO) test -race ./internal/sweep/ ./internal/obs/metrics/ ./internal/figures/ ./internal/trace/ ./internal/workload/ ./internal/recovery/ .
 
 build:
 	$(GO) build ./...

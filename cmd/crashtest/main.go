@@ -6,6 +6,7 @@
 // Usage:
 //
 //	crashtest -bench rbtree -mech tcache -trials 25
+//	crashtest -bench bankshared -mech sp -cores 16 -contention 0.5
 //	crashtest -mech optimal        # watch the baseline corrupt itself
 package main
 
@@ -23,17 +24,22 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("bench", "rbtree", "benchmark: graph, rbtree, sps, btree, hashtable")
-		mechName  = flag.String("mech", "tcache", "mechanism: sp, tcache, kiln, optimal")
-		trials    = flag.Int("trials", 20, "number of crash points")
-		ops       = flag.Int("ops", 800, "operations per core")
-		initial   = flag.Int("initial", 2000, "prepopulated elements per core")
-		scale     = flag.Int("scale", 128, "cache scale divisor")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		verbose   = flag.Bool("v", false, "print every trial")
-		jobs      = flag.Int("j", 0, "concurrent trials (0 = all cores); trial results are identical for every -j")
+		benchName  = flag.String("bench", "rbtree", "benchmark: graph, rbtree, sps, btree, hashtable, bank, bankshared")
+		mechName   = flag.String("mech", "tcache", "mechanism: sp, tcache, kiln, optimal")
+		trials     = flag.Int("trials", 20, "number of crash points")
+		ops        = flag.Int("ops", 800, "operations per core")
+		initial    = flag.Int("initial", 2000, "prepopulated elements per core")
+		scale      = flag.Int("scale", 128, "cache scale divisor")
+		cores      = flag.Int("cores", 0, "core count, a power of two up to 64 (0 = 4)")
+		contention = flag.Float64("contention", 0, "shared-op fraction for -bench bankshared, in (0,1] (0 = workload default 0.5)")
+		seed       = flag.Uint64("seed", 1, "random seed")
+		verbose    = flag.Bool("v", false, "print every trial")
+		jobs       = flag.Int("j", 0, "concurrent trials (0 = all cores); trial results are identical for every -j")
 	)
 	flag.Parse()
+	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
+		fatal(fmt.Errorf("-cores: %w", err))
+	}
 
 	b, err := workload.ParseBenchmark(*benchName)
 	if err != nil {
@@ -47,6 +53,10 @@ func main() {
 	cfg.Ops = *ops
 	cfg.InitialSize = *initial
 	cfg.Scale = *scale
+	if *cores > 0 {
+		cfg.Cores = *cores
+	}
+	cfg.ContentionPct = *contention
 	cfg.Seed = *seed
 
 	start := time.Now()

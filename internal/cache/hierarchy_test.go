@@ -423,3 +423,28 @@ func TestQuickHierarchyQuiesces(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFillFromMemoryIsNextL1Victim pins the hierarchy's effective
+// replacement policy, LRU insertion: installL1 overwrites the way Insert
+// stamped with a copy of the filled line, whose use stamp is 0 for a
+// fill from memory, so the fresh line is its set's next victim until it
+// is hit. Under true LRU the fourth fill below would evict a (last used
+// before c was filled), not c. Changing the policy moves every figure.
+func TestFillFromMemoryIsNextL1Victim(t *testing.T) {
+	k, h, _ := newTestHierarchy(t, Hooks{})
+	l1 := h.l1[0]
+	stride := uint64(l1.Sets() * memaddr.LineSize) // same L1 set, 2 ways
+	a, b, c, d := memaddr.NVMBase, memaddr.NVMBase+stride, memaddr.NVMBase+2*stride, memaddr.NVMBase+3*stride
+	runAccess(t, k, h, 0, a, false)
+	runAccess(t, k, h, 0, b, false)
+	runAccess(t, k, h, 0, a, false) // hit: a is now the most recently used
+	runAccess(t, k, h, 0, c, false) // evicts b, never hit
+	if l1.Lookup(b, false) != nil || l1.Lookup(a, false) == nil {
+		t.Fatal("filling c did not evict the unhit b")
+	}
+	runAccess(t, k, h, 0, d, false)
+	if l1.Lookup(c, false) != nil || l1.Lookup(a, false) == nil || l1.Lookup(d, false) == nil {
+		t.Fatalf("after filling d the set holds a:%v c:%v d:%v; want the fresh c evicted and a kept",
+			l1.Lookup(a, false) != nil, l1.Lookup(c, false) != nil, l1.Lookup(d, false) != nil)
+	}
+}

@@ -38,8 +38,19 @@ type Line struct {
 	lastUse uint64
 }
 
-// SetAssoc is an LRU set-associative tag array. It carries no data values;
-// the simulator's functional state lives in memory images.
+// SetAssoc is a set-associative tag array that evicts the way with the
+// oldest use stamp. It carries no data values; the simulator's
+// functional state lives in memory images.
+//
+// Insert and a touching Lookup stamp a way with the cache's clock, which
+// alone would make the policy LRU. The hierarchy, though, overwrites the
+// way Insert returns with a copy of the incoming line, stamp included
+// (installL1, installL2, insertLLC): a fill from memory carries stamp 0,
+// and a line moving between levels carries a stamp from another cache's
+// clock. So in the hierarchy a freshly filled line is the next victim of
+// its set until it is hit again: the effective policy is LRU insertion
+// (new lines enter at the LRU position), not LRU.
+// TestFillFromMemoryIsNextL1Victim pins it.
 type SetAssoc struct {
 	name  string
 	sets  int

@@ -316,7 +316,7 @@ func (c *Core) fetch() bool {
 		c.replayIdx++
 		c.hasCur = true
 		if c.cur.Kind == trace.KindCompute {
-			c.computeLeft = c.cur.N
+			c.computeLeft = int(c.cur.N)
 		}
 		return true
 	}
@@ -337,7 +337,7 @@ func (c *Core) fetch() bool {
 	c.cur = rec
 	c.hasCur = true
 	if rec.Kind == trace.KindCompute {
-		c.computeLeft = rec.N
+		c.computeLeft = int(rec.N)
 	}
 	return true
 }

@@ -35,15 +35,21 @@ func testEnv(t *testing.T) *Env {
 }
 
 // generateTx queues one transaction's write set on env's oracle as
-// core's, as a workload recorder does when it generates the transaction.
+// core's, as the core's generator does when the core pulls the TX_END.
 func generateTx(env *Env, core int, ws ...trace.Write) {
 	r := trace.NewRecorder(memimage.New())
-	r.SetOracle(env.Oracle, core)
-	r.TxBegin()
-	for _, w := range ws {
-		r.Store(w.Addr, w.Value)
+	g := trace.NewGenerator(func(emit func(trace.Record)) (bool, error) {
+		r.SetSink(emit)
+		r.TxBegin()
+		for _, w := range ws {
+			r.Store(w.Addr, w.Value)
+		}
+		r.TxEnd()
+		return false, nil
+	})
+	g.SetOracle(env.Oracle, core)
+	for _, ok := g.Next(); ok; _, ok = g.Next() {
 	}
-	r.TxEnd()
 }
 
 // durableLogCommits is the reference for SP's durable count: a full scan

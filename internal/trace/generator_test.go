@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
@@ -29,7 +30,7 @@ func TestGeneratorDrainsBatches(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, rec.N)
+		got = append(got, int(rec.N))
 	}
 	want := []int{1, 2, 3, 4, 5, 6}
 	if len(got) != len(want) {
@@ -186,7 +187,7 @@ func TestRecorderRunningCounters(t *testing.T) {
 	r.SetQuiet(true)
 	r.Store(memaddr.NVMBase, 1) // warmup write
 	r.SetQuiet(false)
-	o := oracleFor(r, r.Image().Snapshot())
+	o := oracleFor(r.Image().Snapshot())
 
 	for i := 0; i < 5; i++ {
 		r.TxBegin()
@@ -195,6 +196,7 @@ func TestRecorderRunningCounters(t *testing.T) {
 		r.TxEnd()
 		r.Load(memaddr.DRAMBase)
 	}
+	pull(o, 0, tr.Records)
 	sum := Summarize(NewReader(tr))
 	if got, want := r.Instructions(), sum.Instructions; got != want {
 		t.Errorf("Instructions counter = %d, trace says %d", got, want)
@@ -211,24 +213,46 @@ func TestRecorderRunningCounters(t *testing.T) {
 	}
 }
 
-// TestRecorderSinkAndOracleQueue: every record reaches the sink, a
-// recorder without an oracle keeps no write sets, and once SetOracle
-// attaches one, each committed transaction is queued on it.
-func TestRecorderSinkAndOracleQueue(t *testing.T) {
+// TestGeneratorSinkAndOracleQueue: every record the recorder emits
+// reaches the consumer through the generator's chunk, a generator
+// without an oracle keeps no write sets, and once SetOracle attaches one,
+// each transaction's set is queued as its TX_END is pulled, not before.
+func TestGeneratorSinkAndOracleQueue(t *testing.T) {
 	r := NewRecorder(memimage.New())
-	r.TxBegin()
-	r.Store(memaddr.NVMBase+8, 7)
-	r.TxEnd()
-	o := oracleFor(r, nil)
+	gen := func(addr, v uint64) *Generator {
+		return NewGenerator(func(emit func(Record)) (bool, error) {
+			r.SetSink(emit)
+			r.TxBegin()
+			r.Store(addr, v)
+			r.TxEnd()
+			return false, nil
+		})
+	}
+	o := oracleFor(nil)
 	var sunk []Record
-	r.SetSink(func(rec Record) { sunk = append(sunk, rec) })
-
-	r.TxBegin()
-	r.Store(memaddr.NVMBase, 42)
-	r.TxEnd()
-
+	for g := gen(memaddr.NVMBase+8, 7); ; {
+		rec, ok := g.Next()
+		if !ok {
+			break
+		}
+		sunk = append(sunk, rec)
+	}
 	if len(sunk) != 3 {
-		t.Errorf("sink received %d records, want 3 (begin, store, end)", len(sunk))
+		t.Errorf("consumer received %d records, want 3 (begin, store, end)", len(sunk))
+	}
+
+	g := gen(memaddr.NVMBase, 42)
+	g.SetOracle(o, 0)
+	for i := 0; i < 2; i++ {
+		if _, ok := g.Next(); !ok {
+			t.Fatalf("record %d missing", i)
+		}
+	}
+	if n := pendingSets(o, 0); n != 0 {
+		t.Fatalf("oracle queued %d write sets before the TX_END was pulled", n)
+	}
+	if rec, ok := g.Next(); !ok || rec.Kind != KindTxEnd {
+		t.Fatalf("third record = %+v, %v; want the TX_END", rec, ok)
 	}
 	if r.Transactions() != 2 {
 		t.Errorf("Transactions = %d, want 2", r.Transactions())
@@ -239,5 +263,150 @@ func TestRecorderSinkAndOracleQueue(t *testing.T) {
 	o.Commit(0)
 	if got := o.Image().ReadWord(memaddr.NVMBase); got != 42 || o.Image().Len() != 1 {
 		t.Errorf("oracle word = %d over %d words, want 42 over 1", got, o.Image().Len())
+	}
+}
+
+// withChunkRoom gives every chunk of g's ring room for n records, so a
+// test decides where chunk boundaries fall.
+func withChunkRoom(g *Generator, n int) {
+	for i := range g.ring {
+		g.ring[i].recs = make([]Record, 0, n)
+	}
+}
+
+// drain pulls g to the end, with a producer filling ahead when ahead is
+// set, and returns the records' N values. Next must keep reporting the
+// end once it has.
+func drain(t *testing.T, g *Generator, room int, ahead bool) []int {
+	t.Helper()
+	var stop func()
+	if ahead {
+		p := NewProducer([]*Generator{g})
+		withChunkRoom(g, room)
+		stop = p.Start()
+		defer stop()
+	} else {
+		withChunkRoom(g, room)
+	}
+	var got []int
+	for {
+		rec, ok := g.Next()
+		if !ok {
+			break
+		}
+		got = append(got, int(rec.N))
+	}
+	if _, ok := g.Next(); ok {
+		t.Error("Next delivered a record after the stream ended")
+	}
+	return got
+}
+
+// TestGeneratorErrorPosition: the stream ends exactly where pulling one
+// step at a time ends it, wherever the failure falls in a chunk and
+// whether or not a producer fills ahead. A failed step's records are
+// dropped; a check failure delivers every record before the failing one.
+// Steps emit three records each and a chunk has room for seven, so a
+// chunk holds two steps.
+func TestGeneratorErrorPosition(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name     string
+		failStep int // step that fails after emitting (-1: none)
+		badN     int // record the check rejects (0: none)
+		want     int // records delivered: N = 1..want
+	}{
+		{"check failure mid-chunk", -1, 5, 4},
+		{"step error mid-chunk", 1, 0, 3},
+		{"step error at a chunk boundary", 2, 0, 6},
+		{"clean", -1, 0, 18},
+	} {
+		for _, ahead := range []bool{false, true} {
+			steps := 0
+			g := NewGenerator(func(emit func(Record)) (bool, error) {
+				s := steps
+				steps++
+				for i := 1; i <= 3; i++ {
+					emit(Compute(3*s + i))
+				}
+				if s == c.failStep {
+					return false, boom
+				}
+				return s < 5, nil
+			})
+			g.SetCheck(func(r Record) error {
+				if int(r.N) == c.badN {
+					return boom
+				}
+				return nil
+			})
+			got := drain(t, g, 7, ahead)
+			if len(got) != c.want {
+				t.Errorf("%s (ahead %v): delivered %v, want N = 1..%d", c.name, ahead, got, c.want)
+			}
+			for i, n := range got {
+				if n != i+1 {
+					t.Errorf("%s (ahead %v): record %d has N %d, want %d", c.name, ahead, i, n, i+1)
+					break
+				}
+			}
+			if wantErr := c.want < 18; errors.Is(g.Err(), boom) != wantErr {
+				t.Errorf("%s (ahead %v): Err = %v, want the failure: %v", c.name, ahead, g.Err(), wantErr)
+			}
+			if g.Produced() != uint64(c.want) {
+				t.Errorf("%s (ahead %v): Produced = %d, want %d", c.name, ahead, g.Produced(), c.want)
+			}
+		}
+	}
+}
+
+// TestGeneratorWriteSetSpansChunks: a transaction whose TX_BEGIN and
+// TX_END land in different chunks is queued whole, and only when its
+// TX_END is pulled.
+func TestGeneratorWriteSetSpansChunks(t *testing.T) {
+	a, b := memaddr.NVMBase+8, memaddr.NVMBase+16
+	batches := [][]Record{
+		{TxBegin(1), Store(a, 1), Store(memaddr.DRAMBase, 9)},
+		{Store(b, 2), TxEnd(1), Compute(1)},
+	}
+	for _, ahead := range []bool{false, true} {
+		o := oracleFor(nil)
+		i := 0
+		g := NewGenerator(func(emit func(Record)) (bool, error) {
+			for _, r := range batches[i] {
+				emit(r)
+			}
+			i++
+			return i < len(batches), nil
+		})
+		g.SetOracle(o, 0)
+		p := NewProducer([]*Generator{g})
+		withChunkRoom(g, 4) // one batch per chunk
+		if ahead {
+			defer p.Start()()
+		}
+		for n := 0; n < 4; n++ {
+			if _, ok := g.Next(); !ok {
+				t.Fatalf("record %d missing", n)
+			}
+			if pendingSets(o, 0) != 0 {
+				t.Fatalf("write set queued after %d records, before the TX_END", n+1)
+			}
+		}
+		if rec, _ := g.Next(); rec.Kind != KindTxEnd || pendingSets(o, 0) != 1 {
+			t.Fatalf("pulled %v with %d sets queued, want the TX_END and 1", rec.Kind, pendingSets(o, 0))
+		}
+		want := []Write{{a, 1}, {b, 2}}
+		if q := o.cores[0].writes; len(q) != 2 || q[0] != want[0] || q[1] != want[1] {
+			t.Fatalf("queued write set %+v, want %+v", q, want)
+		}
+	}
+}
+
+// TestRecordSize pins the record at 32 bytes: every chunk, core buffer
+// and rewrite queue holds records by value.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 32 {
+		t.Fatalf("Record is %d bytes, want 32", got)
 	}
 }

@@ -6,22 +6,30 @@ import (
 	"pmemaccel/internal/memimage"
 )
 
+// Write is one durable word update, the unit of the recovery oracle.
+type Write struct {
+	Addr  uint64
+	Value uint64
+}
+
 // Oracle is the machine-wide commit-order recovery oracle: the NVM image
-// a crash at this instant must recover to. Each core's Recorder queues a
-// transaction's persistent write set at TxEnd, when the workload
-// generates it (generation runs a few records ahead of the machine).
+// a crash at this instant must recover to. Each core's Generator queues
+// a transaction's persistent write set when the core pulls its TX_END
+// record (SetOracle); generation may run chunks ahead of the machine, but
+// a set reaches the oracle only when the machine reaches the transaction.
 // The mechanism calls Commit at the transaction's durable instant, which
 // pops the core's oldest queued set and folds it into the image. A core's
 // transactions commit in program order, so the FIFO position alone names
 // the transaction, and folding at the durable instant orders cross-core
 // writes to a shared word exactly as the machine serialized them. Memory
-// is the base image plus O(transactions in flight).
+// is the base image plus O(transactions in flight). Every method runs on
+// the machine's goroutine.
 type Oracle struct {
 	img   *memimage.Image
 	cores []oracleQueue
 }
 
-// oracleQueue is one core's FIFO of generated, not yet durable write
+// oracleQueue is one core's FIFO of pulled, not yet durable write
 // sets, stored back to back in one reused buffer.
 type oracleQueue struct {
 	writes []Write
@@ -40,7 +48,7 @@ func NewOracle(cores int, base *memimage.Image) *Oracle {
 	return &Oracle{img: base, cores: make([]oracleQueue, cores)}
 }
 
-// queue appends one generated transaction's write set to core's FIFO,
+// queue appends one pulled transaction's write set to core's FIFO,
 // first dropping the sets already folded.
 func (o *Oracle) queue(core int, ws []Write) {
 	q := &o.cores[core]
@@ -63,7 +71,7 @@ func (o *Oracle) queue(core int, ws []Write) {
 func (o *Oracle) Commit(core int) {
 	q := &o.cores[core]
 	if q.head == len(q.ends) {
-		panic(fmt.Sprintf("trace: oracle: core %d committed a transaction it never generated", core))
+		panic(fmt.Sprintf("trace: oracle: core %d committed a transaction it never pulled", core))
 	}
 	start := 0
 	if q.head > 0 {
@@ -81,7 +89,7 @@ func (o *Oracle) Commit(core int) {
 func (o *Oracle) Committed(core int) uint64 { return o.cores[core].committed }
 
 // PeakPending returns the most write sets core ever had queued at once
-// (generated, not yet durable).
+// (pulled, not yet durable).
 func (o *Oracle) PeakPending(core int) int { return o.cores[core].peak }
 
 // Image returns the expected image: the base plus every durably

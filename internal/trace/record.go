@@ -71,17 +71,20 @@ func (k Kind) String() string {
 //	TxBegin, TxEnd: TxID
 //	CLWB:           Addr (any address within the line)
 //	SFence:         no operands
+//
+// The fields are laid out so a record packs into 32 bytes: Kind, Dep and
+// N share the first word.
 type Record struct {
-	Kind  Kind
-	Addr  uint64
-	Value uint64
-	TxID  uint64
-	N     int
+	Kind Kind
 	// Dep marks a load whose address depends on an earlier load's data
 	// (pointer chasing): it cannot issue while any load is outstanding.
 	// Independent loads overlap up to the core's MLP window — the
 	// trace-level approximation of out-of-order execution.
-	Dep bool
+	Dep   bool
+	N     int32
+	Addr  uint64
+	Value uint64
+	TxID  uint64
 }
 
 // Instructions returns how many dynamic instructions the record represents
@@ -98,7 +101,7 @@ func (r Record) Instructions() uint64 {
 // Convenience constructors keep workload code readable.
 
 // Compute returns a compute batch record of n instructions.
-func Compute(n int) Record { return Record{Kind: KindCompute, N: n} }
+func Compute(n int) Record { return Record{Kind: KindCompute, N: int32(n)} }
 
 // Load returns an independent load record.
 func Load(addr uint64) Record { return Record{Kind: KindLoad, Addr: addr} }

@@ -1,25 +1,18 @@
 package trace
 
-import (
-	"pmemaccel/internal/memaddr"
-	"pmemaccel/internal/memimage"
-)
-
-// Write is one durable word update, the unit of the recovery oracle.
-type Write struct {
-	Addr  uint64
-	Value uint64
-}
+import "pmemaccel/internal/memimage"
 
 // Recorder is the memory interface the workloads program against. It plays
 // the role of the compiler plus persistent-heap runtime: every Load/Store
 // both updates the architectural program image (so the data structures
 // actually work) and emits a trace record. It also assigns transaction
-// ids (the CPU's "next TxID register" of §4.2) and queues each committed
-// transaction's persistent write set on the recovery oracle (SetOracle).
+// ids (the CPU's "next TxID register" of §4.2).
 //
-// Records flow into a sink (SetSink): the generator's bounded per-core
-// buffer, which keeps memory O(1) in the number of records.
+// Records flow into a sink (SetSink): the generator's chunk under fill,
+// which keeps memory O(1) in the number of records. The recorder never
+// touches the recovery oracle: the generator derives each transaction's
+// write set from the records and queues it when the core pulls the
+// TX_END.
 type Recorder struct {
 	img    *memimage.Image
 	nextTx uint64
@@ -30,21 +23,13 @@ type Recorder struct {
 	// sink receives every emitted record (discard until SetSink).
 	sink func(Record)
 
-	// oracle receives each committed write set as core's; nil until
-	// SetOracle.
-	oracle *Oracle
-	core   int
-
 	// Running counters over the measured (non-quiet) window.
 	instructions uint64
 	transactions uint64
-
-	// pending is the open transaction's persistent write set.
-	pending []Write
 }
 
 // NewRecorder returns a recorder writing through to img. It discards
-// records until SetSink and write sets until SetOracle.
+// records until SetSink.
 func NewRecorder(img *memimage.Image) *Recorder {
 	return &Recorder{img: img, nextTx: 1, sink: discard}
 }
@@ -56,7 +41,7 @@ func discard(Record) {}
 func (r *Recorder) Image() *memimage.Image { return r.img }
 
 // SetQuiet toggles warmup mode. While quiet, accesses update the program
-// image but emit no trace records and publish nothing to the oracle —
+// image but emit no trace records (so no write sets reach the oracle) —
 // this models prepopulation whose effects are already durable before the
 // measured window starts.
 func (r *Recorder) SetQuiet(quiet bool) { r.quiet = quiet }
@@ -65,12 +50,8 @@ func (r *Recorder) SetQuiet(quiet bool) { r.quiet = quiet }
 func (r *Recorder) Quiet() bool { return r.quiet }
 
 // SetSink routes every emitted record to fn, which must be non-nil. The
-// generator points fn at its bounded per-core buffer.
+// generator points fn at its chunk under fill.
 func (r *Recorder) SetSink(fn func(Record)) { r.sink = fn }
-
-// SetOracle queues every transaction committed from now on, as core's,
-// on o.
-func (r *Recorder) SetOracle(o *Oracle, core int) { r.oracle, r.core = o, core }
 
 // Instructions returns the dynamic instruction count of the measured
 // window emitted so far.
@@ -107,16 +88,11 @@ func (r *Recorder) LoadDep(addr uint64) uint64 {
 	return r.img.ReadWord(addr)
 }
 
-// Store writes a 64-bit word, recording the access. Persistent stores
-// inside a transaction join the transaction's oracle write set.
+// Store writes a 64-bit word, recording the access.
 func (r *Recorder) Store(addr, value uint64) {
 	r.img.WriteWord(addr, value)
-	if r.quiet {
-		return
-	}
-	r.emit(Store(addr, value))
-	if r.inTx && memaddr.IsPersistent(addr) {
-		r.pending = append(r.pending, Write{Addr: memaddr.WordAddr(addr), Value: value})
+	if !r.quiet {
+		r.emit(Store(addr, value))
 	}
 }
 
@@ -138,27 +114,21 @@ func (r *Recorder) TxBegin() uint64 {
 	id := r.nextTx
 	r.nextTx++
 	r.inTx, r.curTx = true, id
-	r.pending = r.pending[:0]
 	if !r.quiet {
 		r.emit(TxBegin(id))
 	}
 	return id
 }
 
-// TxEnd commits the open transaction, queueing its write set on the
-// oracle.
+// TxEnd commits the open transaction.
 func (r *Recorder) TxEnd() {
 	if !r.inTx {
 		panic("trace: TxEnd outside transaction")
 	}
 	if !r.quiet {
 		r.emit(TxEnd(r.curTx))
-		if r.oracle != nil {
-			r.oracle.queue(r.core, r.pending)
-		}
 	}
 	r.inTx = false
-	r.pending = r.pending[:0]
 }
 
 // InTx reports whether a transaction is open.

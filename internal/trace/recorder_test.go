@@ -15,15 +15,28 @@ func collect(r *Recorder) *Trace {
 	return tr
 }
 
-// oracleFor attaches a one-core oracle starting from base (an empty image
-// when nil) to r and returns it.
-func oracleFor(r *Recorder, base *memimage.Image) *Oracle {
+// oracleFor returns a one-core oracle starting from base (an empty image
+// when nil).
+func oracleFor(base *memimage.Image) *Oracle {
 	if base == nil {
 		base = memimage.New()
 	}
-	o := NewOracle(1, base)
-	r.SetOracle(o, 0)
-	return o
+	return NewOracle(1, base)
+}
+
+// pull drains recs through a generator attached to o as core's, so each
+// transaction's write set is queued as a core pulling the stream queues
+// it.
+func pull(o *Oracle, core int, recs []Record) {
+	g := NewGenerator(func(emit func(Record)) (bool, error) {
+		for _, r := range recs {
+			emit(r)
+		}
+		return false, nil
+	})
+	g.SetOracle(o, core)
+	for _, ok := g.Next(); ok; _, ok = g.Next() {
+	}
 }
 
 // pendingSets returns how many of core's queued write sets are not yet
@@ -69,12 +82,14 @@ func TestRecorderTransactionIDsIncrease(t *testing.T) {
 
 func TestRecorderOracleTracksPersistentWritesOnly(t *testing.T) {
 	r := NewRecorder(memimage.New())
-	o := oracleFor(r, nil)
+	tr := collect(r)
+	o := oracleFor(nil)
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 1)
 	r.Store(memaddr.DRAMBase+8, 2) // volatile, not in oracle
 	r.Store(memaddr.NVMBase+16, 3)
 	r.TxEnd()
+	pull(o, 0, tr.Records)
 	if n := pendingSets(o, 0); n != 1 {
 		t.Fatalf("queued %d txs, want 1", n)
 	}
@@ -94,9 +109,11 @@ func TestRecorderAbortsNotInOracle(t *testing.T) {
 	// A transaction never ended does not commit: the pending set is not
 	// published.
 	r := NewRecorder(memimage.New())
-	o := oracleFor(r, nil)
+	tr := collect(r)
+	o := oracleFor(nil)
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 1)
+	pull(o, 0, tr.Records)
 	if pendingSets(o, 0) != 0 {
 		t.Fatal("open transaction appeared in oracle")
 	}
@@ -134,11 +151,12 @@ func TestComputeZeroIsDropped(t *testing.T) {
 }
 
 // TestCommittedPrefixImage: after each Commit the oracle image is the
-// fold of exactly the committed prefix of generated write sets, however
-// far generation ran ahead.
+// fold of exactly the committed prefix of pulled write sets, however
+// far the pulls ran ahead.
 func TestCommittedPrefixImage(t *testing.T) {
 	r := NewRecorder(memimage.New())
-	o := oracleFor(r, nil)
+	tr := collect(r)
+	o := oracleFor(nil)
 	a, b := memaddr.NVMBase+8, memaddr.NVMBase+16
 	r.TxBegin()
 	r.Store(a, 1)
@@ -147,6 +165,7 @@ func TestCommittedPrefixImage(t *testing.T) {
 	r.Store(a, 2)
 	r.Store(b, 5)
 	r.TxEnd()
+	pull(o, 0, tr.Records)
 
 	if o.Image().Len() != 0 || o.Committed(0) != 0 {
 		t.Fatal("prefix 0 should be empty")
@@ -162,7 +181,7 @@ func TestCommittedPrefixImage(t *testing.T) {
 	if o.Committed(0) != 2 || o.PeakPending(0) != 2 {
 		t.Fatalf("committed %d, peak pending %d, want 2 and 2", o.Committed(0), o.PeakPending(0))
 	}
-	// Committing past what was generated is a broken machine.
+	// Committing past what was pulled is a broken machine.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("commit with nothing queued did not panic")
@@ -178,12 +197,14 @@ func TestCommittedPrefixImageWithBase(t *testing.T) {
 	base.WriteWord(memaddr.NVMBase+64, 42)
 	base.WriteWord(memaddr.NVMBase+8, 7)
 	r := NewRecorder(memimage.New())
-	o := oracleFor(r, base)
+	tr := collect(r)
+	o := oracleFor(base)
 	r.TxBegin()
 	r.Store(memaddr.NVMBase+8, 1)
 	r.TxEnd()
+	pull(o, 0, tr.Records)
 	if o.Image().ReadWord(memaddr.NVMBase+8) != 7 {
-		t.Fatal("a generated, uncommitted write reached the image")
+		t.Fatal("a pulled, uncommitted write reached the image")
 	}
 	o.Commit(0)
 	if o.Image().ReadWord(memaddr.NVMBase+64) != 42 {
@@ -194,24 +215,23 @@ func TestCommittedPrefixImageWithBase(t *testing.T) {
 	}
 }
 
-// TestOracleFIFOAcrossCores interleaves generation and commits on two
+// TestOracleFIFOAcrossCores interleaves pulls and commits on two
 // cores, so each FIFO compacts while sets are still queued: every
 // commit must fold its own core's oldest set, and cross-core writes to
 // one word land in commit order.
 func TestOracleFIFOAcrossCores(t *testing.T) {
 	o := NewOracle(2, memimage.New())
 	recs := [2]*Recorder{NewRecorder(memimage.New()), NewRecorder(memimage.New())}
-	for c, r := range recs {
-		r.SetOracle(o, c)
-	}
 	shared := memaddr.NVMBase
 	gen := func(c int, v uint64) {
+		tr := collect(recs[c])
 		recs[c].TxBegin()
 		recs[c].Store(shared, v)
 		for i := uint64(0); i < v%3; i++ {
 			recs[c].Store(memaddr.NVMBase+uint64(c+1)*4096+8*i, v)
 		}
 		recs[c].TxEnd()
+		pull(o, c, tr.Records)
 	}
 	// Core c's k-th transaction writes 100*(c+1)+k.
 	next := [2]uint64{}
@@ -257,7 +277,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 	}) bool {
 		r := NewRecorder(memimage.New())
 		tr := collect(r)
-		o := oracleFor(r, nil)
+		o := oracleFor(nil)
 		for _, op := range ops {
 			addr := memaddr.NVMBase + uint64(op.Off)*8
 			if op.Vol {
@@ -283,6 +303,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 		if v.Finish() != nil {
 			return false
 		}
+		pull(o, 0, tr.Records)
 		commitAll(o, 0)
 		ok := true
 		o.Image().ForEach(func(a, v uint64) {
@@ -300,7 +321,7 @@ func TestQuickRecorderTracesValidate(t *testing.T) {
 func TestQuietModeUpdatesImageOnly(t *testing.T) {
 	r := NewRecorder(memimage.New())
 	tr := collect(r)
-	o := oracleFor(r, nil)
+	o := oracleFor(nil)
 	r.SetQuiet(true)
 	if !r.Quiet() {
 		t.Fatal("Quiet() false after SetQuiet(true)")
@@ -316,6 +337,7 @@ func TestQuietModeUpdatesImageOnly(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("quiet mode recorded %d records", tr.Len())
 	}
+	pull(o, 0, tr.Records)
 	if pendingSets(o, 0) != 0 {
 		t.Fatal("quiet transaction reached the oracle")
 	}

@@ -26,7 +26,7 @@ func generateFolded(b Benchmark, p Params) (*Output, *trace.Oracle, *trace.Trace
 		return nil, nil, nil, err
 	}
 	o := trace.NewOracle(1, persistentWords(out.BaseImage))
-	out.Recorder.SetOracle(o, 0)
+	out.Stream.SetOracle(o, 0)
 	tr := &trace.Trace{}
 	rd := out.NewReader()
 	for {

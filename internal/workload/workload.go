@@ -237,16 +237,21 @@ func DefaultParams(b Benchmark, core, nCores int, seed uint64, initialSize, ops 
 }
 
 // Output is the product of building one core's workload: the record
-// stream the timing model pulls, the recorder that queues committed
-// write sets on the oracle, and the durable base image (the NVM content assumed durable before
+// stream the timing model pulls (which queues each transaction's write
+// set on the oracle as the core pulls its TX_END), the recorder behind
+// it, and the durable base image (the NVM content assumed durable before
 // cycle 0).
 type Output struct {
 	Benchmark Benchmark
 	Params    Params
-	Recorder  *trace.Recorder
+	// Recorder runs the ops and counts what they emit. Its state belongs
+	// to whoever fills the stream, which may be a producer goroutine
+	// while a System runs: read its counters only once the stream is
+	// drained.
+	Recorder *trace.Recorder
 	// Stream is the lazy record producer: the measured window's op() loop
-	// runs behind a bounded per-op buffer as the core pulls records, so
-	// memory stays O(structure footprint) instead of O(run length).
+	// fills a small ring of record chunks ahead of the core, so memory
+	// stays O(structure footprint) instead of O(run length).
 	Stream *trace.Generator
 	// Meta anchors the structure for post-crash image validation.
 	Meta Meta
@@ -375,13 +380,14 @@ func (g *generation) output() *Output {
 
 // NewStream builds the data structure (warmup included, so BaseImage is
 // ready for machine construction) but defers the measured window: the
-// returned Output carries a trace.Generator that runs one op per refill
-// of its bounded buffer as the consumer pulls records. Records are
-// validated as they flow by (trace.StreamValidator), structural
-// invariants are checked at exhaustion, and any failure surfaces through
-// Output.StreamErr. Memory stays O(structure footprint) instead of
-// O(ops). Committed write sets go to the oracle a caller attaches with
-// Recorder.SetOracle before pulling the first record.
+// returned Output carries a trace.Generator that runs whole ops into its
+// chunks, ahead of the consumer or as it pulls. Records are validated in
+// stream order (trace.StreamValidator), structural invariants are
+// checked at exhaustion, and any failure surfaces through
+// Output.StreamErr once the consumer reaches it. Memory stays
+// O(structure footprint) instead of O(ops). Committed write sets go to
+// the oracle a caller attaches with Stream.SetOracle before pulling the
+// first record.
 func NewStream(b Benchmark, p Params) (*Output, error) {
 	g, err := build(b, p)
 	if err != nil {
@@ -396,8 +402,8 @@ func NewStream(b Benchmark, p Params) (*Output, error) {
 				return false, err
 			}
 			// Every emitted record has already passed the per-record
-			// check (the buffer drains before each refill), so only the
-			// end-of-stream condition remains.
+			// check (a fill checks each op's records before the next op
+			// runs), so only the end-of-stream condition remains.
 			if err := sv.Finish(); err != nil {
 				return false, fmt.Errorf("workload %s: invalid trace: %w", g.b, err)
 			}

@@ -1,9 +1,14 @@
 package pmemaccel
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"pmemaccel/internal/trace"
 	"pmemaccel/internal/workload"
 )
 
@@ -73,7 +78,7 @@ func TestStreamingIdenticalAllCells(t *testing.T) {
 }
 
 // TestOraclePendingPeak pins the oracle's memory on the four benchmark
-// cells (seed 1): the most write sets a core ever had generated but not
+// cells (seed 1): the most write sets a core ever had pulled but not
 // yet durable. The oracle holds only those, so its memory is
 // O(transactions in flight), never O(run length).
 func TestOraclePendingPeak(t *testing.T) {
@@ -109,10 +114,10 @@ func TestOraclePendingPeak(t *testing.T) {
 				t.Fatal(err)
 			}
 			for core := 0; core < c.cores; core++ {
-				// Measured: one. A core's generator produces the next op
-				// only once the core has pulled every record of the
-				// previous one, and by then that op's transaction is
-				// durable on these cells.
+				// Measured: one. A core's generator queues a write set
+				// only when the core pulls the transaction's TX_END, and
+				// by then the previous transaction is durable on these
+				// cells, however far generation ran ahead.
 				if got := sys.Oracle.PeakPending(core); got != 1 {
 					t.Errorf("core %d: peak of %d pending write sets, want 1", core, got)
 				}
@@ -173,4 +178,58 @@ func TestPaperScaleCalibration(t *testing.T) {
 		t.Errorf("projected window = %.0f instructions (ops=%d, %.1f instr/op), want within 10%% of %d",
 			projected, scaled.Ops, perOp, PaperInstructionTarget)
 	}
+}
+
+// TestNoGoroutineOutlivesARun: the producer that generates records ahead
+// of the cores is started by Run and RunToCycle and joined before they
+// return, so the goroutine count is back where it was after a finished
+// Run, after an abandoned RunToCycle and after a Run whose stream fails.
+func TestNoGoroutineOutlivesARun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	settled := func(after string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, %d before", after, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cfg := smokeConfig(workload.RBTree, TCache)
+	build := func() *System {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	res, err := build().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled("Run")
+
+	if build().RunToCycle(res.Cycles / 3) {
+		t.Fatal("the abandoned run finished early")
+	}
+	settled("an abandoned RunToCycle")
+
+	s := build()
+	injected := errors.New("injected")
+	checked := 0
+	s.Outputs[1].Stream.SetCheck(func(trace.Record) error {
+		if checked++; checked == 500 {
+			return injected
+		}
+		return nil
+	})
+	if _, err := s.Run(); !errors.Is(err, injected) || !strings.Contains(err.Error(), "core 1") {
+		t.Fatalf("Run = %v, want core 1's injected stream error", err)
+	}
+	if got := s.Outputs[1].Stream.Produced(); got != 499 {
+		t.Errorf("core 1 pulled %d records before its stream failed, want 499", got)
+	}
+	settled("a Run whose stream fails")
 }

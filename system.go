@@ -52,10 +52,15 @@ type System struct {
 	// in Result.Arb.
 	Arb *txcache.LineArbiter
 
-	// Oracle is the commit-order recovery oracle: every core's recorder
-	// queues its committed write sets on it, and the mechanism folds each
-	// into the expected image at its durable instant.
+	// Oracle is the commit-order recovery oracle: every core's generator
+	// queues a transaction's write set on it as the core pulls the
+	// TX_END, and the mechanism folds each into the expected image at its
+	// durable instant.
 	Oracle *trace.Oracle
+
+	// producer generates every core's records ahead of the machine
+	// during Run and RunToCycle.
+	producer *trace.Producer
 }
 
 // NewSystem generates the per-core workloads and assembles the machine.
@@ -137,11 +142,14 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	// The oracle starts from the durable state at cycle 0. Nothing is
-	// generated before the first cycle, so every write set reaches it.
+	// pulled before the first cycle, so every write set reaches it.
 	s.Oracle = trace.NewOracle(cfg.Cores, s.Durable.Snapshot())
+	gens := make([]*trace.Generator, len(s.Outputs))
 	for c, out := range s.Outputs {
-		out.Recorder.SetOracle(s.Oracle, c)
+		out.Stream.SetOracle(s.Oracle, c)
+		gens[c] = out.Stream
 	}
+	s.producer = trace.NewProducer(gens)
 	if shared {
 		s.Arb = txcache.NewLineArbiter(cfg.Cores)
 	}
@@ -217,22 +225,9 @@ func (s *System) quiesced() bool {
 
 // Run simulates to quiescence and collects the result.
 func (s *System) Run() (*Result, error) {
-	endOfTrace, ok := s.Kernel.RunUntil(func() bool {
-		for _, c := range s.Cores {
-			if !c.Finished() {
-				return false
-			}
-		}
-		return true
-	}, s.Config.MaxCycles)
-	if !ok {
-		return nil, fmt.Errorf("pmemaccel: run exceeded %d cycles (deadlock?)", s.Config.MaxCycles)
-	}
-	// Drain the persistence machinery and memory queues; this tail is
-	// excluded from the performance window (cores are done) but keeps
-	// functional state complete.
-	if _, ok := s.Kernel.RunUntil(s.quiesced, s.Config.MaxCycles); !ok {
-		return nil, fmt.Errorf("pmemaccel: post-run drain exceeded %d cycles", s.Config.MaxCycles)
+	endOfTrace, err := s.simulate()
+	if err != nil {
+		return nil, err
 	}
 	// An unmapped-address fault is recorded sticky by the backend (the
 	// request completes so the machine drains) and surfaced here; the
@@ -245,6 +240,32 @@ func (s *System) Run() (*Result, error) {
 		return nil, err
 	}
 	return s.collect(endOfTrace), nil
+}
+
+// simulate runs the machine until every core finished its trace, then
+// until the persistence machinery and memory queues drained, with the
+// producer generating records ahead of the cores. It returns the cycle
+// the last core finished at.
+func (s *System) simulate() (uint64, error) {
+	defer s.producer.Start()()
+	endOfTrace, ok := s.Kernel.RunUntil(func() bool {
+		for _, c := range s.Cores {
+			if !c.Finished() {
+				return false
+			}
+		}
+		return true
+	}, s.Config.MaxCycles)
+	if !ok {
+		return 0, fmt.Errorf("pmemaccel: run exceeded %d cycles (deadlock?)", s.Config.MaxCycles)
+	}
+	// Drain the persistence machinery and memory queues; this tail is
+	// excluded from the performance window (cores are done) but keeps
+	// functional state complete.
+	if _, ok := s.Kernel.RunUntil(s.quiesced, s.Config.MaxCycles); !ok {
+		return 0, fmt.Errorf("pmemaccel: post-run drain exceeded %d cycles", s.Config.MaxCycles)
+	}
+	return endOfTrace, nil
 }
 
 // StreamErr reports the first core whose generator failed (workload
@@ -264,8 +285,10 @@ func (s *System) StreamErr() error {
 
 // RunToCycle advances the simulation to the given absolute cycle (the
 // crash-injection primitive). It reports whether the workload finished
-// earlier.
+// earlier. The producer stops before it returns, so the machine state is
+// quiescent for a crash check.
 func (s *System) RunToCycle(cycle uint64) bool {
+	defer s.producer.Start()()
 	done, _ := s.Kernel.RunUntil(s.quiesced, cycle)
 	return done < cycle
 }
