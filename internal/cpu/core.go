@@ -254,8 +254,9 @@ type Core struct {
 	loadDoneFn, storeDoneFn, flushDoneFn, resumeFn, wakeFn func(uint64)
 
 	// slot is the core's kernel id. Every cycle up to settled is
-	// charged; while the core sleeps, later ones are owed to the bucket
-	// its skipped Ticks would have charged (nil while awake).
+	// charged. While the core's Ticks are provable no-ops, asleep or
+	// awake, later ones are owed to the bucket those Ticks would have
+	// charged (nil otherwise, and always with fast-forward off).
 	slot    int
 	settled uint64
 	owed    *uint64
@@ -379,23 +380,28 @@ func (c *Core) retire() { c.hasCur = false }
 // every completion handler — with the last cycle the core has been
 // charged for: the tick's own cycle, or the previous one for a handler,
 // since handlers run in the event phase before the cycle's ticks. It
-// settles what a sleep owes, stamps DoneAt the moment the core quiesces
-// (exact regardless of which event finished last), and re-evaluates
-// whether the core sleeps.
+// settles what the no-op Ticks since the last change owe, stamps DoneAt
+// the moment the core quiesces (exact regardless of which event finished
+// last), and re-evaluates idleCharge's two answers: whether the core
+// sleeps, and the bucket its no-op Ticks owe. With fast-forward on, the
+// bucket is kept whether the core sleeps or stays awake, so an awake
+// core's Tick returns at once; with it off nothing is owed and every
+// Tick runs in full.
 func (c *Core) changed(charged uint64) {
 	c.settle(charged)
 	if c.stats.DoneAt == 0 && c.Finished() {
 		c.stats.DoneAt = c.k.Now()
 	}
-	bucket, idle := c.idleCharge()
-	if !c.k.Sleep(c.slot, idle) {
+	bucket, sleep := c.idleCharge()
+	c.k.Sleep(c.slot, sleep)
+	if !c.k.FastForward() {
 		bucket = nil
 	}
 	c.owed = bucket
 }
 
-// settle charges the cycles slept through, up to and including cycle
-// through, to the bucket the core fell asleep owing.
+// settle charges the cycles whose Ticks were no-ops, up to and including
+// cycle through, to the bucket the core owes them.
 func (c *Core) settle(through uint64) {
 	if through <= c.settled {
 		return
@@ -411,7 +417,13 @@ func (c *Core) settle(through uint64) {
 // honouring stall conditions. Each tick of an unfinished core attributes
 // exactly one CycleBreakdown bucket — the condition that terminated the
 // cycle (partial issue followed by a stall is attributed to the stall).
+// A Tick that changed found to be a provable no-op (owed set: the core
+// waits at TX_END for its own accesses, the one such state in which it
+// stays awake) returns at once; settle charges its cycle later.
 func (c *Core) Tick(now uint64) {
+	if c.owed != nil {
+		return
+	}
 	defer c.ticked(now)
 	if c.Finished() {
 		return
@@ -579,11 +591,16 @@ func (c *Core) Tick(now uint64) {
 	bd.Compute++
 }
 
-// idleCharge reports whether Tick is provably a no-op at the current
-// state apart from per-cycle stall accounting and, if so, the
-// CycleBreakdown bucket each such Tick charges (nil when none). The
-// cases mirror Tick's early returns
-// exactly, in Tick's precedence order:
+// idleCharge answers two questions about the current state. First, is
+// the next Tick a provable no-op apart from per-cycle stall accounting,
+// and which CycleBreakdown bucket does it charge? bucket is that bucket,
+// or nil when the Tick is not a no-op or (finished) charges nothing.
+// Second, may the kernel skip the core's Ticks? sleep is true for every
+// no-op case but one: the TX_END drain wait, whose Ticks cost nothing
+// (owed) but whose cycles the kernel keeps stepping. Letting it sleep
+// would let the kernel fast-forward through them and change the cycles
+// it steps. The cases mirror Tick's early returns exactly, in Tick's
+// precedence order:
 //
 //   - finished: Tick returns immediately;
 //   - abort backoff: the scheduled wake event is the only exit;
@@ -599,13 +616,16 @@ func (c *Core) Tick(now uint64) {
 //   - parked store at the head: Tick does not present it again (the
 //     mechanism promised every retry the same answer until it fires
 //     wake, and settles its own per-retry side effects, the TC's
-//     full-reject count, for the parked cycles).
+//     full-reject count, for the parked cycles);
+//   - TX_END at the head, no fence pending, with the transaction's own
+//     stores or loads outstanding: their completions are the only
+//     exits. This case stays awake.
 //
 // Any other persistent store that would be presented to the mechanism
 // is not idle: pers.Store may mutate mechanism state every retry cycle.
 // A fence whose accesses already completed falls through to the head
 // record: Tick clears it and charges whatever that record stalls on.
-func (c *Core) idleCharge() (bucket *uint64, idle bool) {
+func (c *Core) idleCharge() (bucket *uint64, sleep bool) {
 	bd := &c.stats.Breakdown
 	switch {
 	case c.Finished():
@@ -618,7 +638,9 @@ func (c *Core) idleCharge() (bucket *uint64, idle bool) {
 		return &bd.FenceStall, true
 	case !c.hasCur:
 		// A core that could still fetch makes progress.
-		return &bd.DrainWait, c.exhausted
+		if c.exhausted {
+			return &bd.DrainWait, true
+		}
 	case c.cur.Kind == trace.KindLoad:
 		if c.cur.Dep && c.outLoads > 0 || !c.cur.Dep && c.outLoads >= c.cfg.MLP {
 			return &bd.LoadStall, true
@@ -629,6 +651,10 @@ func (c *Core) idleCharge() (bucket *uint64, idle bool) {
 		}
 		if c.parked {
 			return &bd.TCFullStall, true
+		}
+	case c.cur.Kind == trace.KindTxEnd:
+		if !c.fenceWait && (c.outStores > 0 || c.outLoads > 0) {
+			return &bd.CommitWait, false
 		}
 	}
 	return nil, false

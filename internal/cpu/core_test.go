@@ -30,12 +30,16 @@ func (m *fakeMem) Write(lineAddr uint64, apply, onDurable sim.Event) {
 
 func testHier(k *sim.Kernel) (*cache.Hierarchy, *fakeMem) {
 	mem := &fakeMem{k: k}
-	h := cache.New(k, cache.Config{
+	return smallHier(k, mem, 1), mem
+}
+
+// smallHier builds a small hierarchy for cores cores over mem.
+func smallHier(k *sim.Kernel, mem cache.Memory, cores int) *cache.Hierarchy {
+	return cache.New(k, cache.Config{
 		L1Size: 1 << 10, L1Ways: 2, L1Latency: 1,
 		L2Size: 4 << 10, L2Ways: 4, L2Latency: 9,
 		LLCSize: 16 << 10, LLCWays: 4, LLCLatency: 20,
-	}, mem, cache.Hooks{}, 1, nil)
-	return h, mem
+	}, mem, cache.Hooks{}, cores, nil)
 }
 
 func runCore(t *testing.T, tr *trace.Trace, pers Persistence) (*sim.Kernel, *Core) {
@@ -508,5 +512,101 @@ func TestLoadStoreCompletionAllocationFree(t *testing.T) {
 	if after.PersistentLoads-before.PersistentLoads < 100 || after.Stores-before.Stores < 100 {
 		t.Fatalf("measured window completed %d persistent loads and issued %d stores, want >= 100 each",
 			after.PersistentLoads-before.PersistentLoads, after.Stores-before.Stores)
+	}
+}
+
+// A core waiting at TX_END for its own store to drain stays awake, so
+// the kernel steps every cycle of the wait, but with fast-forward on its
+// Ticks are no-ops that owe CommitWait: a mid-wait Stats charges every
+// waited cycle, the wait calls neither the mechanism nor the hierarchy,
+// and TX_END retires on the same cycle as in the tick-everything run.
+func TestTxEndDrainWaitStaysAwake(t *testing.T) {
+	var tr trace.Trace
+	tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 1), trace.TxEnd(1), trace.Compute(8))
+	var mid, final [2]Stats
+	var retired [2]uint64
+	for i, ff := range []bool{true, false} {
+		k := sim.NewKernel()
+		k.SetFastForward(ff)
+		h, _ := testHier(k)
+		stores := 0
+		pers := &recordingPersistence{onStore: func(int, uint64) { stores++ }}
+		persCalls := func() int { return len(pers.begins) + len(pers.ends) + stores }
+		c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
+		// Cycle 1 retires TX_BEGIN and issues the store, whose miss
+		// holds TX_END for about 160 cycles.
+		k.Step()
+		calls, l1 := persCalls(), h.L1(0).Hits+h.L1(0).Misses
+		k.RunUntil(func() bool { return false }, 100)
+		if ff && (k.Skipped() != 0 || k.Awake() != 1) {
+			t.Fatalf("mid-wait: %d cycles skipped, %d components awake; want 0 and the waiting core",
+				k.Skipped(), k.Awake())
+		}
+		if ff != (c.owed == &c.stats.Breakdown.CommitWait) {
+			t.Fatalf("fast-forward %v: mid-wait Ticks owe %p, want CommitWait only with fast-forward on", ff, c.owed)
+		}
+		mid[i] = c.Stats()
+		if got := mid[i].Breakdown.CommitWait; got != k.Now() {
+			t.Fatalf("fast-forward %v: mid-wait commit-wait cycles %d, want %d", ff, got, k.Now())
+		}
+		if persCalls() != calls || h.L1(0).Hits+h.L1(0).Misses != l1 {
+			t.Fatalf("fast-forward %v: the wait made %d mechanism calls and %d hierarchy accesses, want none",
+				ff, persCalls()-calls, h.L1(0).Hits+h.L1(0).Misses-l1)
+		}
+		for c.Mode() != 0 {
+			k.Step()
+		}
+		retired[i] = k.Now()
+		if _, ok := k.RunUntil(c.Finished, 1_000_000); !ok {
+			t.Fatal("core did not finish")
+		}
+		final[i] = c.Stats()
+	}
+	if retired[0] != retired[1] {
+		t.Fatalf("TX_END retired at cycle %d with fast-forward, %d without", retired[0], retired[1])
+	}
+	if mid[0] != mid[1] {
+		t.Fatalf("mid-wait stats diverge:\n  ff:  %+v\n  ref: %+v", mid[0], mid[1])
+	}
+	if final[0] != final[1] {
+		t.Fatalf("final stats diverge:\n  ff:  %+v\n  ref: %+v", final[0], final[1])
+	}
+}
+
+// silentMem never answers: every miss stays outstanding.
+type silentMem struct{}
+
+func (silentMem) Read(uint64, sim.Event)             {}
+func (silentMem) Write(uint64, sim.Event, sim.Event) {}
+
+// BenchmarkCoreDrainWaitTick measures one kernel step of 16 cores that
+// all wait at TX_END for a store the memory never answers, with the rest
+// of the machine asleep: the cost of the drain wait's no-op Ticks.
+func BenchmarkCoreDrainWaitTick(b *testing.B) {
+	const cores = 16
+	k := sim.NewKernel()
+	h := smallHier(k, silentMem{}, cores)
+	cs := make([]*Core, cores)
+	for i := range cs {
+		var tr trace.Trace
+		tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase+uint64(i)*memaddr.LineSize, 1), trace.TxEnd(1))
+		cs[i] = New(k, i, Config{}, h, nil, trace.NewReader(&tr), nil, nil)
+	}
+	for i := 0; i < 100; i++ {
+		k.Step()
+	}
+	if k.Awake() != cores {
+		b.Fatalf("%d components awake, want the %d waiting cores", k.Awake(), cores)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.StopTimer()
+	for _, c := range cs {
+		if got := c.Stats().Breakdown.CommitWait; got != k.Now() {
+			b.Fatalf("core %d: commit-wait cycles %d, want %d", c.ID(), got, k.Now())
+		}
 	}
 }

@@ -176,6 +176,9 @@ func (k *Kernel) SetFastForward(on bool) {
 	k.ff = on
 }
 
+// FastForward reports whether component sleep and fast-forward are on.
+func (k *Kernel) FastForward() bool { return k.ff }
+
 // Skipped reports how many cycles fast-forward jumped over so far.
 func (k *Kernel) Skipped() uint64 { return k.skipped }
 

@@ -189,3 +189,35 @@ func TestNoFastForwardDisablesSkipping(t *testing.T) {
 		t.Fatalf("NoFastForward run skipped %d cycles, want 0", n)
 	}
 }
+
+// TestSteppedCyclesPinned pins the run length and the cycles the kernel
+// skipped on the two 16-core cells whose cores spend most of their time
+// waiting at TX_END for their own accesses to drain. Those waits keep
+// the core awake, so the kernel steps every cycle of them; letting them
+// sleep moves SkippedCycles (and the stepped-cycle rate the benchmark
+// reports), and must re-record these values on purpose.
+func TestSteppedCyclesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		b               workload.Benchmark
+		m               Kind
+		cycles, skipped uint64
+	}{
+		{"graph/optimal/16c", workload.Graph, Optimal, 43452, 3310},
+		{"bankshared/tcache/16c", workload.BankShared, TCache, 238664, 109657},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := smokeConfig(c.b, c.m)
+			cfg.Cores = 16
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cycles != c.cycles || res.SkippedCycles != c.skipped {
+				t.Errorf("cycles %d, skipped %d; want %d, %d", res.Cycles, res.SkippedCycles, c.cycles, c.skipped)
+			}
+		})
+	}
+}
