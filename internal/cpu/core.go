@@ -254,12 +254,14 @@ type Core struct {
 	loadDoneFn, storeDoneFn, flushDoneFn, resumeFn, wakeFn func(uint64)
 
 	// slot is the core's kernel id. Every cycle up to settled is
-	// charged. While the core's Ticks are provable no-ops, asleep or
-	// awake, later ones are owed to the bucket those Ticks would have
-	// charged (nil otherwise, and always with fast-forward off).
+	// charged. While the core sleeps, later cycles are owed to the
+	// bucket its skipped Ticks would have charged (nil while it is awake
+	// or finished, and always with fast-forward off). held marks a sleep
+	// that holds the kernel's clock (the TX_END drain wait).
 	slot    int
 	settled uint64
 	owed    *uint64
+	held    bool
 
 	stats Stats
 }
@@ -380,24 +382,28 @@ func (c *Core) retire() { c.hasCur = false }
 // every completion handler — with the last cycle the core has been
 // charged for: the tick's own cycle, or the previous one for a handler,
 // since handlers run in the event phase before the cycle's ticks. It
-// settles what the no-op Ticks since the last change owe, stamps DoneAt
+// settles what the skipped Ticks since the last change owe, stamps DoneAt
 // the moment the core quiesces (exact regardless of which event finished
-// last), and re-evaluates idleCharge's two answers: whether the core
-// sleeps, and the bucket its no-op Ticks owe. With fast-forward on, the
-// bucket is kept whether the core sleeps or stays awake, so an awake
-// core's Tick returns at once; with it off nothing is owed and every
-// Tick runs in full.
+// last), and re-evaluates idleCharge's answers: whether the core sleeps,
+// the bucket its skipped Ticks owe, and whether the sleep holds the
+// kernel's clock. With fast-forward off the core never sleeps, nothing is
+// owed and every Tick runs in full.
 func (c *Core) changed(charged uint64) {
 	c.settle(charged)
 	if c.stats.DoneAt == 0 && c.Finished() {
 		c.stats.DoneAt = c.k.Now()
 	}
-	bucket, sleep := c.idleCharge()
-	c.k.Sleep(c.slot, sleep)
-	if !c.k.FastForward() {
+	bucket, idle, hold := c.idleCharge()
+	asleep := c.k.Sleep(c.slot, idle)
+	if !asleep {
 		bucket = nil
 	}
 	c.owed = bucket
+	hold = hold && asleep
+	if hold != c.held {
+		c.held = hold
+		c.k.Hold(hold)
+	}
 }
 
 // settle charges the cycles whose Ticks were no-ops, up to and including
@@ -417,13 +423,7 @@ func (c *Core) settle(through uint64) {
 // honouring stall conditions. Each tick of an unfinished core attributes
 // exactly one CycleBreakdown bucket — the condition that terminated the
 // cycle (partial issue followed by a stall is attributed to the stall).
-// A Tick that changed found to be a provable no-op (owed set: the core
-// waits at TX_END for its own accesses, the one such state in which it
-// stays awake) returns at once; settle charges its cycle later.
 func (c *Core) Tick(now uint64) {
-	if c.owed != nil {
-		return
-	}
 	defer c.ticked(now)
 	if c.Finished() {
 		return
@@ -591,16 +591,14 @@ func (c *Core) Tick(now uint64) {
 	bd.Compute++
 }
 
-// idleCharge answers two questions about the current state. First, is
-// the next Tick a provable no-op apart from per-cycle stall accounting,
-// and which CycleBreakdown bucket does it charge? bucket is that bucket,
-// or nil when the Tick is not a no-op or (finished) charges nothing.
-// Second, may the kernel skip the core's Ticks? sleep is true for every
-// no-op case but one: the TX_END drain wait, whose Ticks cost nothing
-// (owed) but whose cycles the kernel keeps stepping. Letting it sleep
-// would let the kernel fast-forward through them and change the cycles
-// it steps. The cases mirror Tick's early returns exactly, in Tick's
-// precedence order:
+// idleCharge reports whether the next Tick is a provable no-op apart
+// from per-cycle stall accounting (idle), the CycleBreakdown bucket such a
+// Tick charges (nil when it charges nothing: the core finished), and
+// whether the core must hold the kernel's clock while it sleeps (hold).
+// Every idle state sleeps. One of them holds: the TX_END drain wait, whose
+// Ticks the kernel may skip but whose cycles it keeps stepping, since
+// fast-forwarding through them would change the cycles it steps. The
+// cases mirror Tick's early returns exactly, in Tick's precedence order:
 //
 //   - finished: Tick returns immediately;
 //   - abort backoff: the scheduled wake event is the only exit;
@@ -619,45 +617,45 @@ func (c *Core) Tick(now uint64) {
 //     full-reject count, for the parked cycles);
 //   - TX_END at the head, no fence pending, with the transaction's own
 //     stores or loads outstanding: their completions are the only
-//     exits. This case stays awake.
+//     exits. This case holds the clock.
 //
 // Any other persistent store that would be presented to the mechanism
 // is not idle: pers.Store may mutate mechanism state every retry cycle.
 // A fence whose accesses already completed falls through to the head
 // record: Tick clears it and charges whatever that record stalls on.
-func (c *Core) idleCharge() (bucket *uint64, sleep bool) {
+func (c *Core) idleCharge() (bucket *uint64, idle, hold bool) {
 	bd := &c.stats.Breakdown
 	switch {
 	case c.Finished():
-		return nil, true
+		return nil, true, false
 	case c.aborting:
-		return &bd.AbortStall, true
+		return &bd.AbortStall, true, false
 	case c.commitWait:
-		return &bd.CommitWait, true
+		return &bd.CommitWait, true, false
 	case c.fenceWait && (c.outStores > 0 || c.outFlushes > 0):
-		return &bd.FenceStall, true
+		return &bd.FenceStall, true, false
 	case !c.hasCur:
 		// A core that could still fetch makes progress.
 		if c.exhausted {
-			return &bd.DrainWait, true
+			return &bd.DrainWait, true, false
 		}
 	case c.cur.Kind == trace.KindLoad:
 		if c.cur.Dep && c.outLoads > 0 || !c.cur.Dep && c.outLoads >= c.cfg.MLP {
-			return &bd.LoadStall, true
+			return &bd.LoadStall, true, false
 		}
 	case c.cur.Kind == trace.KindStore:
 		if c.outStores >= c.cfg.StoreBuffer {
-			return &bd.StoreBufStall, true
+			return &bd.StoreBufStall, true, false
 		}
 		if c.parked {
-			return &bd.TCFullStall, true
+			return &bd.TCFullStall, true, false
 		}
 	case c.cur.Kind == trace.KindTxEnd:
 		if !c.fenceWait && (c.outStores > 0 || c.outLoads > 0) {
-			return &bd.CommitWait, false
+			return &bd.CommitWait, true, true
 		}
 	}
-	return nil, false
+	return nil, false, false
 }
 
 // ticked ends every Tick. It discovers end-of-stream eagerly, so Finished

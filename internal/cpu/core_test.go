@@ -515,12 +515,13 @@ func TestLoadStoreCompletionAllocationFree(t *testing.T) {
 	}
 }
 
-// A core waiting at TX_END for its own store to drain stays awake, so
-// the kernel steps every cycle of the wait, but with fast-forward on its
-// Ticks are no-ops that owe CommitWait: a mid-wait Stats charges every
-// waited cycle, the wait calls neither the mechanism nor the hierarchy,
-// and TX_END retires on the same cycle as in the tick-everything run.
-func TestTxEndDrainWaitStaysAwake(t *testing.T) {
+// A core waiting at TX_END for its own store to drain sleeps and holds
+// the clock, so with fast-forward on the kernel steps every cycle of the
+// wait without ticking the core, and the skipped Ticks owe CommitWait: a
+// mid-wait Stats charges every waited cycle, the wait calls neither the
+// mechanism nor the hierarchy, and TX_END retires on the same cycle as in
+// the tick-everything run.
+func TestTxEndDrainWaitSleepsHeld(t *testing.T) {
 	var tr trace.Trace
 	tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 1), trace.TxEnd(1), trace.Compute(8))
 	var mid, final [2]Stats
@@ -538,9 +539,15 @@ func TestTxEndDrainWaitStaysAwake(t *testing.T) {
 		k.Step()
 		calls, l1 := persCalls(), h.L1(0).Hits+h.L1(0).Misses
 		k.RunUntil(func() bool { return false }, 100)
-		if ff && (k.Skipped() != 0 || k.Awake() != 1) {
-			t.Fatalf("mid-wait: %d cycles skipped, %d components awake; want 0 and the waiting core",
-				k.Skipped(), k.Awake())
+		if k.Skipped() != 0 {
+			t.Fatalf("fast-forward %v: %d cycles skipped mid-wait, want 0", ff, k.Skipped())
+		}
+		if ff && (k.Awake() != 0 || k.Holds() != 1 || !c.held) {
+			t.Fatalf("mid-wait: %d components awake, %d holds (core holds: %v); want the core asleep holding the clock",
+				k.Awake(), k.Holds(), c.held)
+		}
+		if !ff && (k.Holds() != 0 || c.held) {
+			t.Fatalf("no fast-forward: %d holds (core holds: %v), want none", k.Holds(), c.held)
 		}
 		if ff != (c.owed == &c.stats.Breakdown.CommitWait) {
 			t.Fatalf("fast-forward %v: mid-wait Ticks owe %p, want CommitWait only with fast-forward on", ff, c.owed)
@@ -557,6 +564,9 @@ func TestTxEndDrainWaitStaysAwake(t *testing.T) {
 			k.Step()
 		}
 		retired[i] = k.Now()
+		if k.Holds() != 0 || c.held {
+			t.Fatalf("fast-forward %v: %d holds after TX_END retired, want none", ff, k.Holds())
+		}
 		if _, ok := k.RunUntil(c.Finished, 1_000_000); !ok {
 			t.Fatal("core did not finish")
 		}
@@ -581,7 +591,8 @@ func (silentMem) Write(uint64, sim.Event, sim.Event) {}
 
 // BenchmarkCoreDrainWaitTick measures one kernel step of 16 cores that
 // all wait at TX_END for a store the memory never answers, with the rest
-// of the machine asleep: the cost of the drain wait's no-op Ticks.
+// of the machine asleep: the cost of a drain wait that sleeps and holds
+// the clock.
 func BenchmarkCoreDrainWaitTick(b *testing.B) {
 	const cores = 16
 	k := sim.NewKernel()
@@ -595,8 +606,9 @@ func BenchmarkCoreDrainWaitTick(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		k.Step()
 	}
-	if k.Awake() != cores {
-		b.Fatalf("%d components awake, want the %d waiting cores", k.Awake(), cores)
+	if k.Awake() != 0 || k.Holds() != cores {
+		b.Fatalf("%d components awake and %d holds, want none awake and the %d waiting cores holding",
+			k.Awake(), k.Holds(), cores)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -107,10 +107,15 @@ type request struct {
 	enqueue uint64
 }
 
+// bank is one bank's row buffer and scheduling state. busy is set from
+// the issue of a command to the bank until its completion fires; inWin
+// counts the scheduling-window entries, reads and writes, that target
+// the bank.
 type bank struct {
-	busyUntil uint64
-	openRow   uint64
-	hasOpen   bool
+	openRow uint64
+	hasOpen bool
+	busy    bool
+	inWin   int
 }
 
 // Stats accumulates controller activity.
@@ -140,6 +145,9 @@ type Controller struct {
 	completeFn func(uint64)
 	draining   bool
 	slot       int // kernel slot, for Sleep
+	// ready counts the idle banks with at least one scheduling-window
+	// entry: pick finds a command to issue exactly when it is nonzero.
+	ready int
 
 	// obs observes the channel (nil when disabled); id is its global
 	// channel index (NVM channels first, then DRAM), which labels its
@@ -178,10 +186,14 @@ func (c *Controller) PendingWrites() int { return len(c.writes) }
 
 // Read enqueues a line read; done fires when the data returns.
 func (c *Controller) Read(lineAddr uint64, done sim.Event) {
+	b := c.bankOf(lineAddr)
 	c.reads = append(c.reads, request{
-		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
+		lineAddr: lineAddr, bank: b, row: c.rowOf(lineAddr),
 		done: done, enqueue: c.k.Now(),
 	})
+	if len(c.reads) <= c.cfg.ReadWindow {
+		c.enter(b)
+	}
 	c.sleep()
 }
 
@@ -198,10 +210,14 @@ func (c *Controller) Write(lineAddr uint64, apply, onDurable sim.Event) {
 // than a callback keeps the tracked path free of per-write closure
 // allocations.
 func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite) {
+	b := c.bankOf(lineAddr)
 	c.writes = append(c.writes, request{
-		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
+		lineAddr: lineAddr, bank: b, row: c.rowOf(lineAddr),
 		apply: apply, done: onDurable, trk: w, enqueue: c.k.Now(),
 	})
+	if len(c.writes) <= c.cfg.WriteWindow {
+		c.enter(b)
+	}
 	if len(c.writes) > c.stats.WriteQueuePeak {
 		c.stats.WriteQueuePeak = len(c.writes)
 	}
@@ -216,21 +232,39 @@ func (c *Controller) rowOf(lineAddr uint64) uint64 {
 	return lineAddr / c.cfg.RowBytes / uint64(c.cfg.Banks)
 }
 
+// enter counts a request that moved into its scheduling window against
+// its bank; leave uncounts one that moved out.
+func (c *Controller) enter(b int) {
+	bk := &c.banks[b]
+	bk.inWin++
+	if bk.inWin == 1 && !bk.busy {
+		c.ready++
+	}
+}
+
+func (c *Controller) leave(b int) {
+	bk := &c.banks[b]
+	bk.inWin--
+	if bk.inWin == 0 && !bk.busy {
+		c.ready--
+	}
+}
+
 // pickIssuable returns the index of the request to issue from q (bounded
 // by window): the first row-hit whose bank is idle, else the oldest whose
 // bank is idle, else -1 (FR-FCFS within the scheduling window).
-func (c *Controller) pickIssuable(q []request, window int, now uint64) int {
+func (c *Controller) pickIssuable(q []request, window int) int {
 	limit := len(q)
 	if limit > window {
 		limit = window
 	}
 	oldest := -1
 	for i := 0; i < limit; i++ {
-		b := q[i].bank
-		if c.banks[b].busyUntil > now {
+		b := &c.banks[q[i].bank]
+		if b.busy {
 			continue
 		}
-		if c.banks[b].hasOpen && c.banks[b].openRow == q[i].row {
+		if b.hasOpen && b.openRow == q[i].row {
 			return i
 		}
 		if oldest < 0 {
@@ -240,12 +274,27 @@ func (c *Controller) pickIssuable(q []request, window int, now uint64) int {
 	return oldest
 }
 
-func (c *Controller) issue(q *[]request, idx int, isWrite bool, now uint64) {
+// issue starts the command at index idx of the write or read queue
+// (inside its window) on its bank. The request leaves the window, the
+// first one beyond it slides in, and the bank stays busy until complete.
+func (c *Controller) issue(idx int, isWrite bool, now uint64) {
+	q, window := &c.reads, c.cfg.ReadWindow
+	if isWrite {
+		q, window = &c.writes, c.cfg.WriteWindow
+	}
 	r := (*q)[idx]
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
-	b := r.bank
+	c.leave(r.bank)
+	if len(*q) >= window {
+		c.enter((*q)[window-1].bank)
+	}
+	bk := &c.banks[r.bank]
+	if bk.inWin > 0 {
+		c.ready--
+	}
+	bk.busy = true
 	row := r.row
-	hit := c.banks[b].hasOpen && c.banks[b].openRow == row
+	hit := bk.hasOpen && bk.openRow == row
 	var lat uint64
 	switch {
 	case isWrite && hit:
@@ -257,8 +306,7 @@ func (c *Controller) issue(q *[]request, idx int, isWrite bool, now uint64) {
 	default:
 		lat = c.cfg.ReadMiss
 	}
-	c.banks[b].busyUntil = now + lat
-	c.banks[b].openRow, c.banks[b].hasOpen = row, true
+	bk.openRow, bk.hasOpen = row, true
 	if hit {
 		c.stats.RowHits++
 	} else {
@@ -283,6 +331,11 @@ func (c *Controller) issue(q *[]request, idx int, isWrite bool, now uint64) {
 // read latency accounting, then the request's apply and done.
 func (c *Controller) complete(arg uint64) {
 	req := c.flight.Take(arg >> 1)
+	bk := &c.banks[req.bank]
+	bk.busy = false
+	if bk.inWin > 0 {
+		c.ready++
+	}
 	if arg&1 == 0 {
 		l := c.k.Now() - req.enqueue
 		c.stats.ReadLatencySum += l
@@ -304,12 +357,8 @@ func (c *Controller) Tick(now uint64) {
 		c.stats.DrainEntries++
 		c.obs.WPQDrainStart(c.id, now)
 	}
-	if i, write := c.pick(now); i >= 0 {
-		if write {
-			c.issue(&c.writes, i, true, now)
-		} else {
-			c.issue(&c.reads, i, false, now)
-		}
+	if i, write := c.pick(); i >= 0 {
+		c.issue(i, write, now)
 		c.stats.BusyCycles++
 	}
 	// The drain window is re-checked after the issue, not before it:
@@ -327,40 +376,37 @@ func (c *Controller) Tick(now uint64) {
 // no-op when no drain transition is pending and neither scheduling
 // window holds an issuable request; BusyCycles only accrues on issue,
 // and a drain window can only close in the tick that issued the queue
-// down to DrainLow. The queue appends (Read, WriteTracked) and the bank
-// frees (complete) are the only ways out, and each calls sleep.
+// down to DrainLow. An issuable request is a window entry whose bank is
+// idle, which ready counts, so the test is O(1). The queue appends (Read,
+// WriteTracked) and the bank frees (complete) are the only ways out, and
+// each calls sleep.
 //
 // The window-blocked case (requests queued, every candidate's bank busy)
-// is sound because every busy bank has a completion event pending at
-// exactly its busyUntil cycle — issue schedules both together and events
-// are never cancelled — so the bank frees inside complete, which
-// re-evaluates.
+// is sound because every busy bank has a completion event pending —
+// issue schedules it with the command and events are never cancelled —
+// so the bank frees inside complete, which re-evaluates.
 func (c *Controller) sleep() {
 	// A pending drain start keeps the controller awake.
-	idle := c.draining || len(c.writes) < c.cfg.DrainHigh
-	if idle {
-		i, _ := c.pick(c.k.Now())
-		idle = i < 0
-	}
+	idle := (c.draining || len(c.writes) < c.cfg.DrainHigh) && c.ready == 0
 	c.k.Sleep(c.slot, idle)
 }
 
 // pick chooses the next command under the read-first / write-drain
 // policy and reports its index and queue, or -1 when nothing can issue.
-func (c *Controller) pick(now uint64) (i int, write bool) {
+func (c *Controller) pick() (i int, write bool) {
 	if c.draining {
-		if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, now); i >= 0 {
+		if i := c.pickIssuable(c.writes, c.cfg.WriteWindow); i >= 0 {
 			return i, true
 		}
 		// Banks busy for every window entry: try reads rather than
 		// idling the channel.
-		return c.pickIssuable(c.reads, c.cfg.ReadWindow, now), false
+		return c.pickIssuable(c.reads, c.cfg.ReadWindow), false
 	}
-	if i := c.pickIssuable(c.reads, c.cfg.ReadWindow, now); i >= 0 {
+	if i := c.pickIssuable(c.reads, c.cfg.ReadWindow); i >= 0 {
 		return i, false
 	}
 	// Reads empty or blocked: opportunistically issue writes.
-	return c.pickIssuable(c.writes, c.cfg.WriteWindow, now), true
+	return c.pickIssuable(c.writes, c.cfg.WriteWindow), true
 }
 
 // Quiescent reports whether no requests are queued or in flight: every

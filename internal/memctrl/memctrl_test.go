@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -457,5 +458,163 @@ func TestIssueCompletionAllocationFree(t *testing.T) {
 	}
 	if !c.Quiescent() {
 		t.Fatal("controller not quiescent after every completion fired")
+	}
+}
+
+// checkReady recounts every bank's scheduling-window entries and the
+// idle banks among them from the queues, and checks the controller's
+// counts, that ready is nonzero exactly when pick finds a command, and
+// (fast-forward on, the controller the only component) that the
+// controller sleeps exactly when nothing can issue and no drain start is
+// pending.
+func checkReady(c *Controller, k *sim.Kernel, ff bool) string {
+	inWin := make([]int, len(c.banks))
+	for i := 0; i < len(c.reads) && i < c.cfg.ReadWindow; i++ {
+		inWin[c.reads[i].bank]++
+	}
+	for i := 0; i < len(c.writes) && i < c.cfg.WriteWindow; i++ {
+		inWin[c.writes[i].bank]++
+	}
+	ready := 0
+	for b, n := range inWin {
+		if c.banks[b].inWin != n {
+			return fmt.Sprintf("bank %d counts %d window entries, queues hold %d", b, c.banks[b].inWin, n)
+		}
+		if n > 0 && !c.banks[b].busy {
+			ready++
+		}
+	}
+	if c.ready != ready {
+		return fmt.Sprintf("ready = %d, recount %d", c.ready, ready)
+	}
+	i, _ := c.pick()
+	if (c.ready > 0) != (i >= 0) {
+		return fmt.Sprintf("ready = %d but pick = %d", c.ready, i)
+	}
+	idle := i < 0 && (c.draining || len(c.writes) < c.cfg.DrainHigh)
+	if ff && (k.Awake() == 0) != idle {
+		return fmt.Sprintf("asleep = %v, want %v (pick %d, draining %v, %d writes)",
+			k.Awake() == 0, idle, i, c.draining, len(c.writes))
+	}
+	return ""
+}
+
+// Property: over a random mix of reads and writes on few banks, with
+// small windows and drain thresholds, the controller's ready count and
+// sleep state agree with a full rescan after every entry point and every
+// step, and the run completes every request on the same cycle with the
+// same Stats whether the kernel fast-forwards or ticks every cycle.
+func TestQuickReadyMatchesRescan(t *testing.T) {
+	type run struct {
+		done  []uint64
+		stats Stats
+		end   uint64
+	}
+	drive := func(shape uint8, ops []uint16, ff bool) (run, string) {
+		k := sim.NewKernel()
+		k.SetFastForward(ff)
+		win := 1 + int(shape%4)
+		c := New(k, Config{
+			Name: "NVM", Banks: 1 + int(shape>>2%3), RowBytes: 256,
+			ReadHit: 3, ReadMiss: 7, WriteHit: 5, WriteMiss: 11,
+			ReadWindow: 1 + int(shape>>4%3), WriteWindow: win,
+			DrainHigh: win + 1, DrainLow: int(shape >> 6 % 2),
+		})
+		r := run{done: make([]uint64, len(ops))}
+		var fail string
+		check := func() bool {
+			if fail == "" {
+				if msg := checkReady(c, k, ff); msg != "" {
+					fail = fmt.Sprintf("cycle %d: %s", k.Now(), msg)
+				}
+			}
+			return fail != ""
+		}
+		for i, op := range ops {
+			k.RunUntil(check, k.Now()+uint64(op&15))
+			line := memaddr.NVMBase + uint64(op>>4&31)*64
+			at := sim.Event{Fn: func(uint64) { r.done[i] = k.Now() }}
+			if op&(1<<9) != 0 {
+				c.Write(line, sim.Event{}, at)
+			} else {
+				c.Read(line, at)
+			}
+			if check() {
+				return r, fail
+			}
+		}
+		if _, ok := k.RunUntil(func() bool { return check() || c.Quiescent() }, k.Now()+100_000); !ok {
+			return r, "controller did not drain"
+		}
+		r.stats, r.end = c.Stats(), k.Now()
+		return r, fail
+	}
+	f := func(shape uint8, ops []uint16) bool {
+		ffRun, msg := drive(shape, ops, true)
+		if msg != "" {
+			t.Logf("fast-forward: %s", msg)
+			return false
+		}
+		ref, msg := drive(shape, ops, false)
+		if msg != "" {
+			t.Logf("reference: %s", msg)
+			return false
+		}
+		if ffRun.stats != ref.stats || ffRun.end != ref.end {
+			t.Logf("stats or end cycle diverge:\n  ff:  %+v @%d\n  ref: %+v @%d", ffRun.stats, ffRun.end, ref.stats, ref.end)
+			return false
+		}
+		for i := range ops {
+			if ffRun.done[i] != ref.done[i] {
+				t.Logf("request %d completed at %d with fast-forward, %d without", i, ffRun.done[i], ref.done[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkControllerDeepWriteQueue measures the controller with its
+// write queue held near 180 entries over 32 banks, the depth the
+// contended 16-core cell reaches: each op enqueues one write and steps
+// the kernel until the queue is back under the mark, so it costs one
+// request's enqueue, issue and completion plus the cycles spent waiting
+// on busy banks.
+func BenchmarkControllerDeepWriteQueue(b *testing.B) {
+	const depth = 180
+	k := sim.NewKernel()
+	cfg := testConfig()
+	cfg.Banks = 32
+	c := New(k, cfg)
+	// A fixed set of lines, visited in a scattered order, so the wear
+	// tracker's map stops growing before the timed loop.
+	next := uint64(0)
+	write := func() {
+		next = (next*1103515245 + 12345) % 4096
+		c.Write(memaddr.NVMBase+next*64, sim.Event{}, sim.Event{})
+	}
+	for c.PendingWrites() < depth {
+		write()
+	}
+	for i := 0; i < 10_000; i++ {
+		write()
+		for c.PendingWrites() >= depth {
+			k.Step()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write()
+		for c.PendingWrites() >= depth {
+			k.Step()
+		}
+	}
+	b.StopTimer()
+	if c.PendingWrites() != depth-1 {
+		b.Fatalf("%d writes pending, want %d", c.PendingWrites(), depth-1)
 	}
 }

@@ -12,11 +12,11 @@
 // A component puts itself to sleep (Kernel.Sleep) when its next Tick would
 // be a no-op, and wakes itself when an entry point or a completion changes
 // that; the kernel skips a sleeping component's Tick. When no component is
-// awake the kernel fast-forwards the clock to the next scheduled event
-// instead of stepping empty cycles — the event-driven mode that makes long
-// memory-latency stalls cheap. The sleep contract is documented on Sleep
-// and in DESIGN.md §10; it guarantees results are byte-identical with
-// fast-forward on or off.
+// awake and none holds the clock (Kernel.Hold) the kernel fast-forwards
+// the clock to the next scheduled event instead of stepping empty cycles
+// — the event-driven mode that makes long memory-latency stalls cheap.
+// The sleep contract is documented on Sleep and in DESIGN.md §10; it
+// guarantees results are byte-identical with fast-forward on or off.
 package sim
 
 import "math/bits"
@@ -141,6 +141,9 @@ type Kernel struct {
 	// awake, so Step visits only awake components; awake counts them.
 	awakeBits []uint64
 	awake     int
+	// holds counts the sleeping components that keep the clock stepping
+	// (Hold): while it is nonzero RunUntil never fast-forwards.
+	holds int
 
 	// ff lets components sleep and the clock fast-forward; skipped
 	// counts the cycles the kernel jumped instead of stepping.
@@ -176,14 +179,14 @@ func (k *Kernel) SetFastForward(on bool) {
 	k.ff = on
 }
 
-// FastForward reports whether component sleep and fast-forward are on.
-func (k *Kernel) FastForward() bool { return k.ff }
-
 // Skipped reports how many cycles fast-forward jumped over so far.
 func (k *Kernel) Skipped() uint64 { return k.skipped }
 
 // Awake reports how many registered components are awake.
 func (k *Kernel) Awake() int { return k.awake }
+
+// Holds reports how many holds on the clock are in place.
+func (k *Kernel) Holds() int { return k.holds }
 
 // PastSchedules reports how many ScheduleAt calls targeted a cycle
 // strictly in the past and were coerced to the next cycle. Always zero
@@ -218,6 +221,12 @@ func (k *Kernel) Register(t Tickable) int {
 // every way out of it is a kernel event or another component's call.
 // When in doubt a component must stay awake: a false "awake" only costs
 // speed, a false "asleep" breaks the byte-identical guarantee.
+//
+// Sleeping skips a component's Ticks; it does not by itself let the clock
+// jump. A sleeping component whose cycles must still be stepped (its
+// no-op Ticks are cheap to skip, but fast-forwarding through them would
+// change which cycles the kernel steps) also takes a Hold for as long as
+// it sleeps so.
 func (k *Kernel) Sleep(id int, idle bool) bool {
 	if !k.ff {
 		return false
@@ -232,6 +241,23 @@ func (k *Kernel) Sleep(id int, idle bool) bool {
 		}
 	}
 	return idle
+}
+
+// Hold adds (on) or drops (off) one hold on the clock. While any hold is
+// in place RunUntil steps every cycle, even with no component awake, so a
+// held sleeping component costs nothing per cycle yet the kernel steps
+// exactly the cycles it would step were the component awake. Each caller
+// pairs its own adds and drops. With fast-forward off the clock never
+// jumps and Hold does nothing.
+func (k *Kernel) Hold(on bool) {
+	if !k.ff {
+		return
+	}
+	if on {
+		k.holds++
+	} else {
+		k.holds--
+	}
 }
 
 // Schedule arranges for ev to fire delay cycles from now. A delay of 0
@@ -351,8 +377,8 @@ func (k *Kernel) Step() {
 
 // RunUntil steps the kernel until the predicate returns true or the cycle
 // limit is reached. It returns the cycle at which it stopped and whether
-// the predicate was satisfied. When no component is awake it jumps the
-// clock to one cycle before the next event (or before limit when no event
+// the predicate was satisfied. When no component is awake and no hold is
+// in place it jumps the clock to one cycle before the next event (or before limit when no event
 // is pending), so the following Step lands exactly on the event cycle
 // with the usual events-then-ticks discipline.
 //
@@ -366,7 +392,7 @@ func (k *Kernel) RunUntil(done func() bool, limit uint64) (uint64, bool) {
 		if k.now >= limit {
 			return k.now, false
 		}
-		if k.ff && k.awake == 0 {
+		if k.ff && k.awake == 0 && k.holds == 0 {
 			target := limit
 			if c, ok := k.nextEvent(); ok && c < target {
 				target = c

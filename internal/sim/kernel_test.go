@@ -418,6 +418,39 @@ func TestBusyComponentBlocksFastForward(t *testing.T) {
 	}
 }
 
+// A hold keeps the kernel stepping every cycle while the only component
+// sleeps, without ticking it; once the hold drops the kernel jumps to the
+// next event. With fast-forward off the hold changes nothing.
+func TestHeldClockIsNotSkipped(t *testing.T) {
+	for _, ff := range []bool{true, false} {
+		k := NewKernel()
+		k.SetFastForward(ff)
+		q := newQuiescentTicker(k, 0)
+		k.Hold(true)
+		heldAt50 := 0
+		k.Schedule(50, Event{Fn: func(uint64) { heldAt50 = k.Holds(); k.Hold(false) }})
+		k.Schedule(100, Event{Fn: q.wake})
+		cycle, ok := k.RunUntil(func() bool { return k.Now() >= 100 }, 1000)
+		if !ok || cycle != 100 {
+			t.Fatalf("fast-forward %v: RunUntil = (%d, %v), want the wake at 100", ff, cycle, ok)
+		}
+		if ff {
+			// Cycles 1..50 are stepped under the hold with the sleeper
+			// left alone; the jump covers 51..99.
+			if heldAt50 != 1 || k.Holds() != 0 {
+				t.Fatalf("holds = %d at cycle 50 and %d after, want 1 and 0", heldAt50, k.Holds())
+			}
+			if k.Skipped() != 49 || q.ticks != 1 {
+				t.Fatalf("skipped = %d, ticks = %d; want 49 (cycles 51..99) and only the wake cycle ticked",
+					k.Skipped(), q.ticks)
+			}
+		} else if k.Holds() != 0 || heldAt50 != 0 || k.Skipped() != 0 || q.ticks != 100 {
+			t.Fatalf("fast-forward off: holds = %d (%d at cycle 50), skipped = %d, ticks = %d; want 0, 0, 0, 100",
+				k.Holds(), heldAt50, k.Skipped(), q.ticks)
+		}
+	}
+}
+
 // A component that never calls Sleep stays awake, so it ticks every
 // cycle and the kernel never jumps.
 func TestFastForwardWithoutQuiescerNeverSkips(t *testing.T) {

@@ -8,6 +8,7 @@ package pmemaccel
 // that a sleeping core charges in bulk.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -192,10 +193,11 @@ func TestNoFastForwardDisablesSkipping(t *testing.T) {
 
 // TestSteppedCyclesPinned pins the run length and the cycles the kernel
 // skipped on the two 16-core cells whose cores spend most of their time
-// waiting at TX_END for their own accesses to drain. Those waits keep
-// the core awake, so the kernel steps every cycle of them; letting them
-// sleep moves SkippedCycles (and the stepped-cycle rate the benchmark
-// reports), and must re-record these values on purpose.
+// waiting at TX_END for their own accesses to drain. A waiting core
+// sleeps but holds the kernel's clock, so the kernel steps every cycle
+// of the wait; dropping the hold moves SkippedCycles (and the
+// stepped-cycle rate the benchmark reports), and must re-record these
+// values on purpose.
 func TestSteppedCyclesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name            string
@@ -219,5 +221,51 @@ func TestSteppedCyclesPinned(t *testing.T) {
 				t.Errorf("cycles %d, skipped %d; want %d, %d", res.Cycles, res.SkippedCycles, c.cycles, c.skipped)
 			}
 		})
+	}
+}
+
+// A finished core never runs again, which the run's finish predicate
+// relies on to resume its scan at the first core not yet seen finished.
+// Over a contended 16-core run, checked on every stepped cycle: no core
+// leaves Finished, every core before the predicate's index is finished
+// and the one at it is not.
+func TestFinishedCoresStayFinished(t *testing.T) {
+	cfg := smokeConfig(workload.BankShared, TCache)
+	cfg.Cores = 16
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.producer.Start()()
+	was := make([]bool, len(s.Cores))
+	finishes := 0
+	var fail string
+	_, ok := s.Kernel.RunUntil(func() bool {
+		for i, c := range s.Cores {
+			fin := c.Finished()
+			if was[i] && !fin && fail == "" {
+				fail = fmt.Sprintf("cycle %d: core %d finished, then unfinished", s.Kernel.Now(), i)
+			}
+			if fin && !was[i] {
+				finishes++
+			}
+			was[i] = fin
+		}
+		done := s.quiesced()
+		for i := 0; i < s.finished && fail == ""; i++ {
+			if !was[i] {
+				fail = fmt.Sprintf("cycle %d: index %d passed unfinished core %d", s.Kernel.Now(), s.finished, i)
+			}
+		}
+		if s.finished < len(s.Cores) && was[s.finished] && fail == "" {
+			fail = fmt.Sprintf("cycle %d: index %d stopped at a finished core", s.Kernel.Now(), s.finished)
+		}
+		return done || fail != ""
+	}, s.Config.MaxCycles)
+	if fail != "" {
+		t.Fatal(fail)
+	}
+	if !ok || finishes != len(s.Cores) {
+		t.Fatalf("run stopped (quiesced %v) with %d of %d cores seen finishing", ok, finishes, len(s.Cores))
 	}
 }

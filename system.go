@@ -61,6 +61,9 @@ type System struct {
 	// producer generates every core's records ahead of the machine
 	// during Run and RunToCycle.
 	producer *trace.Producer
+
+	// finished counts the leading cores seen Finished; see coresFinished.
+	finished int
 }
 
 // NewSystem generates the per-core workloads and assembles the machine.
@@ -212,15 +215,20 @@ func (s *System) startSampler() {
 	p.StartSampling(s.Kernel, s.Config.Obs.SampleEvery)
 }
 
+// coresFinished reports whether every core finished its trace. A finished
+// core never runs again, so the scan resumes at the first core not yet
+// seen finished: amortized O(1) per call over a run.
+func (s *System) coresFinished() bool {
+	for s.finished < len(s.Cores) && s.Cores[s.finished].Finished() {
+		s.finished++
+	}
+	return s.finished == len(s.Cores)
+}
+
 // quiesced reports whether every core finished and all persistence and
 // memory machinery drained.
 func (s *System) quiesced() bool {
-	for _, c := range s.Cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	return s.Mech.Drained() && s.Hier.Pending() == 0 && s.Backend.Quiescent()
+	return s.coresFinished() && s.Mech.Drained() && s.Hier.Pending() == 0 && s.Backend.Quiescent()
 }
 
 // Run simulates to quiescence and collects the result.
@@ -248,14 +256,7 @@ func (s *System) Run() (*Result, error) {
 // the last core finished at.
 func (s *System) simulate() (uint64, error) {
 	defer s.producer.Start()()
-	endOfTrace, ok := s.Kernel.RunUntil(func() bool {
-		for _, c := range s.Cores {
-			if !c.Finished() {
-				return false
-			}
-		}
-		return true
-	}, s.Config.MaxCycles)
+	endOfTrace, ok := s.Kernel.RunUntil(s.coresFinished, s.Config.MaxCycles)
 	if !ok {
 		return 0, fmt.Errorf("pmemaccel: run exceeded %d cycles (deadlock?)", s.Config.MaxCycles)
 	}
