@@ -34,7 +34,6 @@ func main() {
 		contention = flag.Float64("contention", 0, "shared-op fraction for -bench bankshared, in (0,1] (0 = workload default 0.5)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		verbose    = flag.Bool("v", false, "print every trial")
-		jobs       = flag.Int("j", 0, "concurrent trials (0 = all cores); trial results are identical for every -j")
 	)
 	flag.Parse()
 	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
@@ -67,7 +66,7 @@ func main() {
 	fmt.Printf("workload horizon: %d cycles; injecting %d crashes (%v/%v)\n",
 		horizon, *trials, b, m)
 
-	results, violations, err := recovery.SweepParallel(cfg, *trials, horizon, *seed+1, *jobs)
+	results, violations, err := recovery.Sweep(cfg, *trials, horizon, *seed+1)
 	if err != nil {
 		fatal(err)
 	}

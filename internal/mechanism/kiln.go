@@ -30,12 +30,17 @@ type kiln struct {
 	resume    []sim.Event
 	flushedFn func(uint64)
 
-	// retained holds old committed line versions displaced by an
-	// uncommitted overwrite whose forced write-back has not yet become
-	// durable. Physically this data is still in the nonvolatile LLC
-	// array (Kiln is multi-versioned), so recovery can read it; losing
-	// it during the write-back's flight would be a durability hole.
+	// retained holds committed line versions whose write-back to NVM
+	// has not yet become durable: old versions displaced by an
+	// uncommitted overwrite (forced write-back) and ordinary LLC
+	// evictions. Physically this data is still in the nonvolatile LLC
+	// array (Kiln is multi-versioned, and an eviction leaves the array
+	// only when its write lands), so recovery can read it; losing it
+	// during the write-back's flight would be a durability hole.
+	// retains numbers the retentions, so a landing write drops only
+	// its own version.
 	retained map[uint64]retainedVersion
+	retains  uint64
 
 	// ForcedWritebacks counts committed line versions written back
 	// early because an uncommitted update was about to overwrite them.
@@ -80,15 +85,7 @@ func (m *kiln) Hooks() cache.Hooks {
 				// NV-LLC array — Kiln is multi-versioned), so a crash
 				// mid-flight cannot lose committed data.
 				addr := old.Addr
-				vals := m.nvllc.ReadLine(addr)
-				gen := m.ForcedWritebacks
-				m.retained[addr] = retainedVersion{vals: vals, gen: gen}
-				m.env.Mem.Write(addr, sim.Event{Fn: func(uint64) {
-					m.env.Durable.WriteLine(addr, vals)
-					if r, ok := m.retained[addr]; ok && r.gen == gen {
-						delete(m.retained, addr)
-					}
-				}}, sim.Event{})
+				m.env.Mem.Write(addr, m.retain(addr, m.nvllc.ReadLine(addr)), sim.Event{})
 				// Kiln is multi-versioned: the old committed copy
 				// occupies a second LLC way until the overwriting
 				// transaction commits. Versions are short-lived
@@ -105,15 +102,31 @@ func (m *kiln) Hooks() cache.Hooks {
 		},
 		// LLC evictions carry the LLC's (nvllc) version to NVM,
 		// snapshotted at eviction time (the line may be reinstalled
-		// with uncommitted data before the write drains).
+		// with uncommitted data before the write drains). The evicted
+		// version is retained until then: it has left the LLC's tag
+		// array but is not yet in NVM.
 		WritebackApply: func(lineAddr uint64) sim.Event {
 			if !memaddr.IsPersistent(lineAddr) {
 				return sim.Event{}
 			}
-			vals := m.nvllc.ReadLine(lineAddr)
-			return sim.Event{Fn: func(uint64) { m.env.Durable.WriteLine(lineAddr, vals) }}
+			return m.retain(lineAddr, m.nvllc.ReadLine(lineAddr))
 		},
 	}
+}
+
+// retain keeps a committed line version recoverable while its write-back
+// is in flight and returns the write's completion, which makes it durable
+// and drops the retention unless a newer version of the line replaced it.
+func (m *kiln) retain(addr uint64, vals [8]uint64) sim.Event {
+	m.retains++
+	gen := m.retains
+	m.retained[addr] = retainedVersion{vals: vals, gen: gen}
+	return sim.Event{Fn: func(uint64) {
+		m.env.Durable.WriteLine(addr, vals)
+		if r, ok := m.retained[addr]; ok && r.gen == gen {
+			delete(m.retained, addr)
+		}
+	}}
 }
 
 func (m *kiln) Attach(h *cache.Hierarchy) { m.hier = h }

@@ -20,14 +20,13 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
+	"sort"
 
 	"pmemaccel"
 	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/sim"
-	"pmemaccel/internal/sweep"
 	"pmemaccel/internal/workload"
 )
 
@@ -102,24 +101,17 @@ func crash(s *pmemaccel.System, crashCycle uint64) (*Trial, error) {
 	return tr, nil
 }
 
-// Sweep runs trials at n pseudo-random crash cycles within (0, horizon].
-// It returns the trials and the count of violations. It is exactly
-// SweepParallel with one worker.
-func Sweep(cfg pmemaccel.Config, n int, horizon uint64, seed uint64) ([]*Trial, int, error) {
-	return SweepParallel(cfg, n, horizon, seed, 1)
-}
-
-// SweepParallel runs the crash trials on a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS). The crash cycles are drawn from
-// the seed up front in trial order, so the trial list — and therefore
-// the violation count — is bit-identical to the sequential path. On
-// error the returned trials are the successful prefix a sequential
-// sweep would have accumulated.
+// Sweep crashes one system at n pseudo-random cycles within (0, horizon],
+// in ascending order: RunToCycle resumes where the previous crash point
+// stopped and the recovery checks are pure queries, so every point sees
+// exactly the state an independent RunTrial at that cycle would. Trials
+// are returned in draw order with the count of violations; on an error
+// Sweep returns no trials.
 //
 // A zero horizon (a workload that quiesced immediately, or a caller
 // passing the Horizon of an empty run) is a descriptive error rather
 // than the panic it used to be: there is no cycle to crash into.
-func SweepParallel(cfg pmemaccel.Config, n int, horizon uint64, seed uint64, workers int) ([]*Trial, int, error) {
+func Sweep(cfg pmemaccel.Config, n int, horizon uint64, seed uint64) ([]*Trial, int, error) {
 	if horizon == 0 {
 		return nil, 0, fmt.Errorf(
 			"recovery: crash horizon is 0 for %v/%v (the workload quiesced immediately or the run was empty); nothing to crash into",
@@ -127,34 +119,30 @@ func SweepParallel(cfg pmemaccel.Config, n int, horizon uint64, seed uint64, wor
 	}
 	rng := sim.NewRNG(seed)
 	cycles := make([]uint64, n)
+	order := make([]int, n)
 	for i := range cycles {
 		cycles[i] = rng.Uint64n(horizon) + 1
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool { return cycles[order[a]] < cycles[order[b]] })
 
-	trials, err := sweep.Run(n, workers, func(i int) (*Trial, error) {
-		tr, terr := RunTrial(cfg, cycles[i])
-		if terr != nil {
-			return nil, fmt.Errorf("trial %d (crash@%d): %w", i, cycles[i], terr)
-		}
-		return tr, nil
-	}, nil)
+	s, err := pmemaccel.NewSystem(cfg)
 	if err != nil {
-		// Keep the sequential contract: return the trials completed
-		// before the first failing trial.
-		var se *sweep.Error
-		if errors.As(err, &se) {
-			trials = trials[:se.Cell]
-		} else {
-			trials = nil
-		}
+		return nil, 0, err
 	}
+	trials := make([]*Trial, n)
 	violations := 0
-	for _, tr := range trials {
+	for _, i := range order {
+		tr, err := crash(s, cycles[i])
+		if err != nil {
+			return nil, 0, fmt.Errorf("trial %d (crash@%d): %w", i, cycles[i], err)
+		}
+		trials[i] = tr
 		if !tr.OK() {
 			violations++
 		}
 	}
-	return trials, violations, err
+	return trials, violations, nil
 }
 
 // Horizon estimates a crash horizon by running the workload once to

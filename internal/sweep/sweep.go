@@ -1,8 +1,8 @@
 // Package sweep is the deterministic parallel engine behind every
-// evaluation grid: the paper's (benchmark x mechanism) figures, the
-// crash-injection sweeps, and the ablation parameter scans are all
-// embarrassingly parallel, so they run on a bounded worker pool and must
-// produce bit-identical output to a sequential run.
+// evaluation grid: the paper's (benchmark x mechanism) figures and the
+// ablation parameter scans are both embarrassingly parallel, so they run
+// on a bounded worker pool and must produce bit-identical output to a
+// sequential run.
 //
 // The determinism contract:
 //

@@ -46,9 +46,6 @@ func (r *Recorder) Image() *memimage.Image { return r.img }
 // measured window starts.
 func (r *Recorder) SetQuiet(quiet bool) { r.quiet = quiet }
 
-// Quiet reports whether warmup mode is active.
-func (r *Recorder) Quiet() bool { return r.quiet }
-
 // SetSink routes every emitted record to fn, which must be non-nil. The
 // generator points fn at its chunk under fill.
 func (r *Recorder) SetSink(fn func(Record)) { r.sink = fn }
@@ -130,6 +127,3 @@ func (r *Recorder) TxEnd() {
 	}
 	r.inTx = false
 }
-
-// InTx reports whether a transaction is open.
-func (r *Recorder) InTx() bool { return r.inTx }

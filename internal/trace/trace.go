@@ -51,9 +51,6 @@ func (r *SliceReader) Next() (Record, bool) {
 	return rec, true
 }
 
-// Remaining reports how many records are left.
-func (r *SliceReader) Remaining() int { return len(r.recs) - r.pos }
-
 // Stats summarizes the static composition of a trace.
 type Stats struct {
 	Records          int

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/pheap"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
@@ -112,64 +111,11 @@ func (b *bank) op(searches int) error {
 	return b.transfer(from, to, b.rng.Uint64()%200+1)
 }
 
-func (b *bank) check() error {
-	img := b.rec.Image()
-	var sum uint64
-	for i := 0; i < b.nAccounts; i++ {
-		sum += img.ReadWord(b.balanceAddr(i))
-	}
-	if sum != b.total {
-		return fmt.Errorf("bank total %d, want %d (money created or destroyed)", sum, b.total)
-	}
-	count := 0
-	for node := img.ReadWord(b.auditHead); node != 0; node = img.ReadWord(node + baNext*8) {
-		from := img.ReadWord(node + baFrom*8)
-		to := img.ReadWord(node + baTo*8)
-		if from >= uint64(b.nAccounts) || to >= uint64(b.nAccounts) || from == to {
-			return fmt.Errorf("audit record %#x references invalid accounts %d->%d", node, from, to)
-		}
-		count++
-		if count > b.transfers {
-			return fmt.Errorf("audit list longer than %d transfers (cycle?)", b.transfers)
-		}
-	}
-	if count != b.transfers {
-		return fmt.Errorf("audit list holds %d records, made %d transfers", count, b.transfers)
-	}
-	return nil
-}
+func (b *bank) expect() expected { return expected{n: int64(b.transfers)} }
 
 func (b *bank) describe() Meta {
 	return Meta{
 		ArrayBase: b.accounts, ArrayLen: b.nAccounts,
 		RootPtr: b.auditHead,
 	}
-}
-
-// checkBankImage validates a recovered image: balances non-negative and
-// conserved, audit chain well-formed. Called through CheckImage.
-func checkBankImage(meta Meta, img *memimage.Image) error {
-	var sum uint64
-	for i := 0; i < meta.ArrayLen; i++ {
-		bal := img.ReadWord(meta.ArrayBase + uint64(i)*8)
-		if bal > uint64(meta.ArrayLen)*bankInitialBalance {
-			return fmt.Errorf("bank account %d balance %d exceeds total money supply", i, bal)
-		}
-		sum += bal
-	}
-	if sum != uint64(meta.ArrayLen)*bankInitialBalance {
-		return fmt.Errorf("bank total %d, want %d (torn transfer)", sum, uint64(meta.ArrayLen)*bankInitialBalance)
-	}
-	var steps int64
-	for node := img.ReadWord(meta.RootPtr); node != 0; node = img.ReadWord(node + baNext*8) {
-		from := img.ReadWord(node + baFrom*8)
-		to := img.ReadWord(node + baTo*8)
-		if from >= uint64(meta.ArrayLen) || to >= uint64(meta.ArrayLen) || from == to {
-			return fmt.Errorf("bank audit record %#x invalid (%d->%d)", node, from, to)
-		}
-		if steps++; steps > meta.MaxElems {
-			return fmt.Errorf("bank audit chain cycle")
-		}
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pmemaccel/internal/memaddr"
-	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/pheap"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
@@ -136,25 +135,10 @@ func (b *bankShared) op(searches int) error {
 	return b.priv.op(searches)
 }
 
-func (b *bankShared) check() error {
-	// The private array and audit list keep bank's full invariants
-	// (shared transfers never touch private balances). The shared array
-	// in this core's generation image holds only this core's writes:
-	// initial balances or tags from this core.
-	if err := b.priv.check(); err != nil {
-		return err
-	}
-	img := b.rec.Image()
-	if got := img.ReadWord(b.counter); got != b.sharedSeq {
-		return fmt.Errorf("bankshared counter %d, want %d", got, b.sharedSeq)
-	}
-	for i := 0; i < b.nShared; i++ {
-		v := img.ReadWord(b.sharedAddr(i))
-		if v != bankInitialBalance && SharedTagCore(v) != b.core+1 {
-			return fmt.Errorf("bankshared[%d] = %#x: neither initial balance nor this core's tag", i, v)
-		}
-	}
-	return nil
+func (b *bankShared) expect() expected {
+	e := b.priv.expect()
+	e.counter, e.seq, e.core = b.counter, b.sharedSeq, b.core
+	return e
 }
 
 func (b *bankShared) describe() Meta {
@@ -162,23 +146,4 @@ func (b *bankShared) describe() Meta {
 	m.SharedBase = b.sharedBase
 	m.SharedLen = b.nShared
 	return m
-}
-
-// checkBankSharedImage validates a recovered image: the private part
-// keeps bank's invariants; each shared word is either the initial
-// balance or a well-formed tag from some core.
-func checkBankSharedImage(meta Meta, img *memimage.Image) error {
-	if err := checkBankImage(meta, img); err != nil {
-		return err
-	}
-	for i := 0; i < meta.SharedLen; i++ {
-		v := img.ReadWord(meta.SharedBase + uint64(i)*8)
-		if v == bankInitialBalance {
-			continue
-		}
-		if c := SharedTagCore(v); c < 1 || c > memaddr.MaxCores {
-			return fmt.Errorf("bankshared shared[%d] = %#x: malformed writer tag", i, v)
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"pmemaccel/internal/pheap"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
@@ -278,99 +276,7 @@ func (t *btree) op(searches int) error {
 	return t.insert(t.nextKey(), t.rng.Uint64())
 }
 
-// check validates B+tree invariants against the program image: sorted
-// keys, header bounds, uniform leaf depth, correct key count, and a
-// sorted, complete leaf chain.
-func (t *btree) check() error {
-	img := t.rec.Image()
-	root := img.ReadWord(t.rootPtr)
-	if root == 0 {
-		return fmt.Errorf("nil root")
-	}
-	header := func(n uint64) (int, bool) {
-		h := img.ReadWord(n)
-		return int(h & 0xffffffff), h&btLeafBit != 0
-	}
-	leafDepth := -1
-	count := 0
-	var leftmostLeaf uint64
-	var walk func(n uint64, lo, hi uint64, depth int) error
-	walk = func(n uint64, lo, hi uint64, depth int) error {
-		c, leaf := header(n)
-		if c < 1 || c > btMaxKeys {
-			if !(n == root && leaf && c == 0) { // empty root leaf is legal
-				return fmt.Errorf("node %#x count %d out of range", n, c)
-			}
-		}
-		var prev uint64
-		for i := 0; i < c; i++ {
-			k := img.ReadWord(n + uint64(1+i)*8)
-			if i > 0 && k <= prev {
-				return fmt.Errorf("node %#x keys not sorted at %d", n, i)
-			}
-			if k < lo || (hi != 0 && k >= hi) {
-				return fmt.Errorf("node %#x key %d outside [%d,%d)", n, k, lo, hi)
-			}
-			prev = k
-		}
-		if leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-				leftmostLeaf = n
-			} else if leafDepth != depth {
-				return fmt.Errorf("leaf %#x at depth %d, expected %d", n, depth, leafDepth)
-			}
-			count += c
-			return nil
-		}
-		for i := 0; i <= c; i++ {
-			child := img.ReadWord(n + uint64(8+i)*8)
-			if child == 0 {
-				return fmt.Errorf("node %#x child %d is nil", n, i)
-			}
-			clo, chi := lo, hi
-			if i > 0 {
-				clo = img.ReadWord(n + uint64(1+i-1)*8)
-			}
-			if i < c {
-				chi = img.ReadWord(n + uint64(1+i)*8)
-			}
-			if err := walk(child, clo, chi, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root, 0, 0, 0); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("tree holds %d keys, inserted %d distinct", count, t.size)
-	}
-	chainCount := 0
-	var prevKey uint64
-	for n := leftmostLeaf; n != 0; n = img.ReadWord(n + 15*8) {
-		c, leaf := header(n)
-		if !leaf {
-			return fmt.Errorf("leaf chain reached internal node %#x", n)
-		}
-		for i := 0; i < c; i++ {
-			k := img.ReadWord(n + uint64(1+i)*8)
-			if k <= prevKey {
-				return fmt.Errorf("leaf chain not sorted at key %d", k)
-			}
-			prevKey = k
-			chainCount++
-		}
-		if chainCount > count {
-			return fmt.Errorf("leaf chain cycle detected")
-		}
-	}
-	if chainCount != count {
-		return fmt.Errorf("leaf chain holds %d keys, tree holds %d", chainCount, count)
-	}
-	return nil
-}
+func (t *btree) expect() expected { return expected{n: int64(t.size)} }
 
 func (t *btree) describe() Meta {
 	return Meta{RootPtr: t.rootPtr}

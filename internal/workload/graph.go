@@ -103,29 +103,7 @@ func (g *graph) op(searches int) error {
 	return g.insertEdge(g.rng.Intn(g.vertices), g.rng.Intn(g.vertices))
 }
 
-func (g *graph) check() error {
-	img := g.rec.Image()
-	count := 0
-	for v := 0; v < g.vertices; v++ {
-		node := img.ReadWord(g.headAddr(v))
-		steps := 0
-		for node != 0 {
-			to := img.ReadWord(node + geTo*8)
-			if to >= uint64(g.vertices) {
-				return fmt.Errorf("vertex %d: edge to out-of-range vertex %d", v, to)
-			}
-			node = img.ReadWord(node + geNext*8)
-			count++
-			if steps++; steps > g.edges+1 {
-				return fmt.Errorf("vertex %d: adjacency list cycle detected", v)
-			}
-		}
-	}
-	if count != g.edges {
-		return fmt.Errorf("reachable edges = %d, inserted = %d", count, g.edges)
-	}
-	return nil
-}
+func (g *graph) expect() expected { return expected{n: int64(g.edges)} }
 
 func (g *graph) describe() Meta {
 	return Meta{Heads: g.heads, Vertices: g.vertices}

@@ -130,37 +130,7 @@ func (h *hashtable) op(searches int) error {
 	return h.insert(h.rng.Uint64()%keyRange+1, h.rng.Uint64())
 }
 
-func (h *hashtable) check() error {
-	img := h.rec.Image()
-	seen := make(map[uint64]bool)
-	count := 0
-	for i := 0; i < h.nbuckets; i++ {
-		node := img.ReadWord(h.buckets + uint64(i)*8)
-		steps := 0
-		for node != 0 {
-			key := img.ReadWord(node + htKey*8)
-			if key == 0 {
-				return fmt.Errorf("bucket %d: node %#x holds zero key", i, node)
-			}
-			if hash(key)%uint64(h.nbuckets) != uint64(i) {
-				return fmt.Errorf("bucket %d: key %d hashed to wrong chain", i, key)
-			}
-			if seen[key] {
-				return fmt.Errorf("key %d appears twice", key)
-			}
-			seen[key] = true
-			count++
-			node = img.ReadWord(node + htNext*8)
-			if steps++; steps > h.size+1 {
-				return fmt.Errorf("bucket %d: chain cycle detected", i)
-			}
-		}
-	}
-	if count != h.size {
-		return fmt.Errorf("table holds %d keys, inserted %d distinct", count, h.size)
-	}
-	return nil
-}
+func (h *hashtable) expect() expected { return expected{n: int64(h.size)} }
 
 func (h *hashtable) describe() Meta {
 	return Meta{Buckets: h.buckets, NBuckets: h.nbuckets}

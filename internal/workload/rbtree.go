@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"pmemaccel/internal/pheap"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
@@ -253,72 +251,7 @@ func (t *rbtree) op(searches int) error {
 	return t.insert(t.nextKey(), t.rng.Uint64())
 }
 
-// check validates the full red-black invariants against the program image.
-func (t *rbtree) check() error {
-	img := t.rec.Image()
-	read := func(n, f uint64) uint64 { return img.ReadWord(n + f*8) }
-	root := img.ReadWord(t.rootPtr)
-	if root == 0 {
-		if t.size != 0 {
-			return fmt.Errorf("empty tree but %d keys inserted", t.size)
-		}
-		return nil
-	}
-	if read(root, rbColor) != rbBlack {
-		return fmt.Errorf("root is red")
-	}
-	if read(root, rbParent) != 0 {
-		return fmt.Errorf("root has parent %#x", read(root, rbParent))
-	}
-	count := 0
-	var walk func(n uint64, lo, hi uint64) (blackHeight int, err error)
-	walk = func(n uint64, lo, hi uint64) (int, error) {
-		if n == 0 {
-			return 1, nil
-		}
-		count++
-		if count > t.size {
-			return 0, fmt.Errorf("more reachable nodes than inserted keys (cycle?)")
-		}
-		k := read(n, rbKey)
-		if k <= lo || (hi != 0 && k >= hi) {
-			return 0, fmt.Errorf("node %#x key %d violates BST bounds (%d,%d)", n, k, lo, hi)
-		}
-		l, r := read(n, rbLeft), read(n, rbRight)
-		if read(n, rbColor) == rbRed {
-			if l != 0 && read(l, rbColor) == rbRed || r != 0 && read(r, rbColor) == rbRed {
-				return 0, fmt.Errorf("red node %#x (key %d) has red child", n, k)
-			}
-		}
-		for _, c := range []uint64{l, r} {
-			if c != 0 && read(c, rbParent) != n {
-				return 0, fmt.Errorf("node %#x child %#x has wrong parent", n, c)
-			}
-		}
-		bl, err := walk(l, lo, k)
-		if err != nil {
-			return 0, err
-		}
-		br, err := walk(r, k, hi)
-		if err != nil {
-			return 0, err
-		}
-		if bl != br {
-			return 0, fmt.Errorf("node %#x (key %d): black heights %d != %d", n, k, bl, br)
-		}
-		if read(n, rbColor) == rbBlack {
-			bl++
-		}
-		return bl, nil
-	}
-	if _, err := walk(root, 0, 0); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("reachable nodes = %d, inserted keys = %d", count, t.size)
-	}
-	return nil
-}
+func (t *rbtree) expect() expected { return expected{n: int64(t.size)} }
 
 func (t *rbtree) describe() Meta {
 	return Meta{RootPtr: t.rootPtr}

@@ -65,23 +65,7 @@ func (s *sps) op(searches int) error {
 	return nil
 }
 
-func (s *sps) check() error {
-	// Swaps permute the array: the value multiset must still be exactly
-	// {1..n}.
-	img := s.rec.Image()
-	seen := make(map[uint64]bool, s.n)
-	for i := 0; i < s.n; i++ {
-		v := img.ReadWord(s.addr(i))
-		if v < 1 || v > uint64(s.n) {
-			return fmt.Errorf("element %d holds %d, outside 1..%d", i, v, s.n)
-		}
-		if seen[v] {
-			return fmt.Errorf("value %d duplicated", v)
-		}
-		seen[v] = true
-	}
-	return nil
-}
+func (s *sps) expect() expected { return expected{n: int64(s.n)} }
 
 func (s *sps) describe() Meta {
 	return Meta{ArrayBase: s.base, ArrayLen: s.n}

@@ -31,12 +31,12 @@ func TestRBTreeInvariantsUnderHeavyInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%250 == 0 {
-			if err := tr.check(); err != nil {
+			if err := checkProgram(RBTree, tr, rec.Image()); err != nil {
 				t.Fatalf("after %d inserts: %v", i+1, err)
 			}
 		}
 	}
-	if err := tr.check(); err != nil {
+	if err := checkProgram(RBTree, tr, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,7 +55,7 @@ func TestRBTreeSequentialKeysForceRotations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.check(); err != nil {
+	if err := checkProgram(RBTree, tr, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 	// Depth bound: 2*log2(n+1) for a red-black tree.
@@ -136,12 +136,12 @@ func TestBTreeInvariantsUnderHeavyInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%500 == 0 {
-			if err := bt.check(); err != nil {
+			if err := checkProgram(BTree, bt, rec.Image()); err != nil {
 				t.Fatalf("after %d inserts: %v", i+1, err)
 			}
 		}
 	}
-	if err := bt.check(); err != nil {
+	if err := checkProgram(BTree, bt, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,10 +161,9 @@ func TestBTreeSequentialAndReverseInserts(t *testing.T) {
 				t.Fatalf("%s insert %d: %v", name, i, err)
 			}
 		}
-		if err := bt.check(); err != nil {
+		if err := checkProgram(BTree, bt, rec.Image()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		_ = rec
 	}
 }
 
@@ -227,7 +226,7 @@ func TestHashtableCollisionsAndUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ht.check(); err != nil {
+	if err := checkProgram(Hashtable, ht, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 	// Update an existing key: size must not grow.
@@ -289,7 +288,7 @@ func TestGraphEdgeOrderIsLIFO(t *testing.T) {
 	if rec.Image().ReadWord(g.headAddr(0)) != headBefore {
 		t.Fatal("duplicate insert moved the head")
 	}
-	if err := g.check(); err != nil {
+	if err := checkProgram(Graph, g, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,7 +305,7 @@ func TestSPSSwapPreservesPermutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.check(); err != nil {
+	if err := checkProgram(SPS, s, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -323,7 +322,7 @@ func TestBankConservationAndAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.check(); err != nil {
+	if err := checkProgram(Bank, b, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 	if b.transfers != 500 {
@@ -357,7 +356,7 @@ func TestBankNeverOverdraws(t *testing.T) {
 	if got := img.ReadWord(b.balanceAddr(1)); got != 2*bankInitialBalance {
 		t.Fatalf("account 1 balance = %d, want %d", got, 2*bankInitialBalance)
 	}
-	if err := b.check(); err != nil {
+	if err := checkProgram(Bank, b, rec.Image()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -374,7 +373,7 @@ func TestBankImageValidatorDetectsTornTransfer(t *testing.T) {
 	img.WriteWord(b.balanceAddr(0), bankInitialBalance-100)
 	meta := b.describe()
 	meta.MaxElems = 100
-	if err := checkBankImage(meta, img); err == nil {
+	if err := CheckImage(Bank, meta, img); err == nil {
 		t.Fatal("torn transfer not detected")
 	}
 }

@@ -1,14 +1,18 @@
 package workload
 
-// Structural validators over arbitrary NVM images. After a crash and
-// recovery, the recovered image must be SOME consistent state of the data
-// structure (a committed prefix), so these checks are size-agnostic: they
-// verify invariants — ordering, balance, reachability, no cycles — but
-// not element counts.
+// One structural validator per benchmark, shared by the generator and by
+// crash recovery. The invariants it checks — ordering, balance,
+// reachability, no cycles — hold at every committed state, so they hold
+// both on the generator's program image at the end of its stream and on
+// a recovered image, which must be SOME committed prefix of the run. Each
+// checker walks the image once and counts what it finds. The generator
+// also knows the exact counts (expected) and compares them; a recovered
+// image is checked only against the MaxElems bounds.
 
 import (
 	"fmt"
 
+	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
 )
 
@@ -35,102 +39,130 @@ type Meta struct {
 	MaxElems int64
 }
 
-// CheckImage verifies benchmark b's structural invariants against img.
+// expected is what a generator knows exactly once its stream ends.
+type expected struct {
+	// n is the count the walk must find: keys (rbtree, btree,
+	// hashtable), edges (graph), audit records (bank, bankshared) or
+	// elements (sps).
+	n int64
+	// BankShared only: the private counter word at counter holds seq,
+	// and every shared word holds the initial balance or a tag of core,
+	// because a core's own image sees only its own writes.
+	counter, seq uint64
+	core         int
+}
+
+// CheckImage verifies benchmark b's structural invariants against a
+// recovered image.
 func CheckImage(b Benchmark, meta Meta, img *memimage.Image) error {
+	return validate(b, meta, img, nil)
+}
+
+// checkProgram verifies impl's program image against the exact counts
+// its generator knows.
+func checkProgram(b Benchmark, impl bench, img *memimage.Image) error {
+	want := impl.expect()
+	return validate(b, impl.describe(), img, &want)
+}
+
+// validate runs b's checker; want (nil for a recovered image) adds the
+// exact counts, which also become the traversal bound.
+func validate(b Benchmark, meta Meta, img *memimage.Image, want *expected) error {
+	if want != nil {
+		meta.MaxElems = want.n
+	}
+	var n int64
+	var err error
 	switch b {
 	case SPS:
-		return checkSPSImage(meta, img)
+		n, err = checkSPS(meta, img)
 	case Graph:
-		return checkGraphImage(meta, img)
+		n, err = checkGraph(meta, img)
 	case Hashtable:
-		return checkHashtableImage(meta, img)
+		n, err = checkHashtable(meta, img)
 	case RBTree:
-		return checkRBTreeImage(meta, img)
+		n, err = checkRBTree(meta, img)
 	case BTree:
-		return checkBTreeImage(meta, img)
+		n, err = checkBTree(meta, img)
 	case Bank:
-		return checkBankImage(meta, img)
+		n, err = checkBank(meta, img)
 	case BankShared:
-		return checkBankSharedImage(meta, img)
+		n, err = checkBankShared(meta, img, want)
 	default:
 		return fmt.Errorf("workload: no image checker for %v", b)
 	}
+	if err == nil && want != nil && n != want.n {
+		err = fmt.Errorf("%v image holds %d elements, generator made %d", b, n, want.n)
+	}
+	return err
 }
 
-// checkSPSImage: swaps permute, so any committed prefix is exactly the
+// checkSPS: swaps permute, so any committed prefix is exactly the
 // multiset {1..n}.
-func checkSPSImage(meta Meta, img *memimage.Image) error {
-	seen := make(map[uint64]bool, meta.ArrayLen)
+func checkSPS(meta Meta, img *memimage.Image) (int64, error) {
+	seen := make([]bool, meta.ArrayLen+1)
 	for i := 0; i < meta.ArrayLen; i++ {
 		v := img.ReadWord(meta.ArrayBase + uint64(i)*8)
 		if v < 1 || v > uint64(meta.ArrayLen) {
-			return fmt.Errorf("sps[%d] = %d outside 1..%d", i, v, meta.ArrayLen)
+			return 0, fmt.Errorf("sps[%d] = %d outside 1..%d", i, v, meta.ArrayLen)
 		}
 		if seen[v] {
-			return fmt.Errorf("sps value %d duplicated", v)
+			return 0, fmt.Errorf("sps value %d duplicated", v)
 		}
 		seen[v] = true
 	}
-	return nil
+	return int64(meta.ArrayLen), nil
 }
 
-func checkGraphImage(meta Meta, img *memimage.Image) error {
-	var total int64
+func checkGraph(meta Meta, img *memimage.Image) (int64, error) {
+	var n int64
 	for v := 0; v < meta.Vertices; v++ {
-		node := img.ReadWord(meta.Heads + uint64(v)*8)
-		var steps int64
-		for node != 0 {
-			to := img.ReadWord(node + geTo*8)
-			if to >= uint64(meta.Vertices) {
-				return fmt.Errorf("graph vertex %d: edge to %d out of range", v, to)
+		for node := img.ReadWord(meta.Heads + uint64(v)*8); node != 0; node = img.ReadWord(node + geNext*8) {
+			if to := img.ReadWord(node + geTo*8); to >= uint64(meta.Vertices) {
+				return 0, fmt.Errorf("graph vertex %d: edge to %d out of range", v, to)
 			}
-			node = img.ReadWord(node + geNext*8)
-			total++
-			if steps++; steps > meta.MaxElems {
-				return fmt.Errorf("graph vertex %d: cycle detected", v)
+			if n++; n > meta.MaxElems {
+				return 0, fmt.Errorf("graph vertex %d: cycle or overgrowth (> %d edges)", v, meta.MaxElems)
 			}
 		}
 	}
-	if total > meta.MaxElems {
-		return fmt.Errorf("graph has %d reachable edges, bound %d", total, meta.MaxElems)
-	}
-	return nil
+	return n, nil
 }
 
-func checkHashtableImage(meta Meta, img *memimage.Image) error {
+func checkHashtable(meta Meta, img *memimage.Image) (int64, error) {
 	seen := make(map[uint64]bool)
 	for i := 0; i < meta.NBuckets; i++ {
-		node := img.ReadWord(meta.Buckets + uint64(i)*8)
-		var steps int64
-		for node != 0 {
+		for node := img.ReadWord(meta.Buckets + uint64(i)*8); node != 0; node = img.ReadWord(node + htNext*8) {
 			key := img.ReadWord(node + htKey*8)
 			if key == 0 {
-				return fmt.Errorf("hashtable bucket %d: zero key at %#x", i, node)
+				return 0, fmt.Errorf("hashtable bucket %d: zero key at %#x", i, node)
 			}
 			if hash(key)%uint64(meta.NBuckets) != uint64(i) {
-				return fmt.Errorf("hashtable key %d in wrong bucket %d", key, i)
+				return 0, fmt.Errorf("hashtable key %d in wrong bucket %d", key, i)
 			}
 			if seen[key] {
-				return fmt.Errorf("hashtable key %d duplicated", key)
+				return 0, fmt.Errorf("hashtable key %d duplicated", key)
 			}
 			seen[key] = true
-			node = img.ReadWord(node + htNext*8)
-			if steps++; steps > meta.MaxElems {
-				return fmt.Errorf("hashtable bucket %d: cycle detected", i)
+			if int64(len(seen)) > meta.MaxElems {
+				return 0, fmt.Errorf("hashtable bucket %d: cycle or overgrowth (> %d keys)", i, meta.MaxElems)
 			}
 		}
 	}
-	return nil
+	return int64(len(seen)), nil
 }
 
-func checkRBTreeImage(meta Meta, img *memimage.Image) error {
+func checkRBTree(meta Meta, img *memimage.Image) (int64, error) {
 	read := func(n, f uint64) uint64 { return img.ReadWord(n + f*8) }
 	root := img.ReadWord(meta.RootPtr)
 	if root == 0 {
-		return nil
+		return 0, nil
 	}
 	if read(root, rbColor) != rbBlack {
-		return fmt.Errorf("rbtree root is red")
+		return 0, fmt.Errorf("rbtree root is red")
+	}
+	if p := read(root, rbParent); p != 0 {
+		return 0, fmt.Errorf("rbtree root has parent %#x", p)
 	}
 	var count int64
 	var walk func(n, lo, hi uint64) (int, error)
@@ -146,8 +178,15 @@ func checkRBTreeImage(meta Meta, img *memimage.Image) error {
 			return 0, fmt.Errorf("rbtree node %#x key %d violates BST bounds", n, k)
 		}
 		l, r := read(n, rbLeft), read(n, rbRight)
-		if read(n, rbColor) == rbRed {
-			if (l != 0 && read(l, rbColor) == rbRed) || (r != 0 && read(r, rbColor) == rbRed) {
+		color := read(n, rbColor)
+		for _, c := range [2]uint64{l, r} {
+			if c == 0 {
+				continue
+			}
+			if read(c, rbParent) != n {
+				return 0, fmt.Errorf("rbtree node %#x child %#x has wrong parent", n, c)
+			}
+			if color == rbRed && read(c, rbColor) == rbRed {
 				return 0, fmt.Errorf("rbtree red node %#x has red child", n)
 			}
 		}
@@ -162,51 +201,55 @@ func checkRBTreeImage(meta Meta, img *memimage.Image) error {
 		if bl != br {
 			return 0, fmt.Errorf("rbtree black heights differ at %#x", n)
 		}
-		if read(n, rbColor) == rbBlack {
+		if color == rbBlack {
 			bl++
 		}
 		return bl, nil
 	}
 	_, err := walk(root, 0, 0)
-	return err
+	return count, err
 }
 
-func checkBTreeImage(meta Meta, img *memimage.Image) error {
+// checkBTree counts leaf keys. Every internal node holds at least one
+// key and each child's key range excludes one of them, so a node that
+// reaches itself breaks the bounds and the walk terminates.
+func checkBTree(meta Meta, img *memimage.Image) (int64, error) {
 	root := img.ReadWord(meta.RootPtr)
 	if root == 0 {
-		return fmt.Errorf("btree root pointer is nil")
+		return 0, fmt.Errorf("btree root pointer is nil")
 	}
 	header := func(n uint64) (int, bool) {
 		h := img.ReadWord(n)
 		return int(h & 0xffffffff), h&btLeafBit != 0
 	}
+	key := func(n uint64, i int) uint64 { return img.ReadWord(n + uint64(1+i)*8) }
 	leafDepth := -1
 	var count int64
+	var leftmost uint64
 	var walk func(n, lo, hi uint64, depth int) error
 	walk = func(n, lo, hi uint64, depth int) error {
 		c, leaf := header(n)
-		if c < 0 || c > btMaxKeys {
+		// Only an empty tree's root leaf may hold no key.
+		if c > btMaxKeys || c == 0 && (n != root || !leaf) {
 			return fmt.Errorf("btree node %#x count %d out of range", n, c)
 		}
-		if count += int64(c); count > meta.MaxElems {
-			return fmt.Errorf("btree cycle or overgrowth")
-		}
-		var prev uint64
 		for i := 0; i < c; i++ {
-			k := img.ReadWord(n + uint64(1+i)*8)
-			if i > 0 && k <= prev {
+			k := key(n, i)
+			if i > 0 && k <= key(n, i-1) {
 				return fmt.Errorf("btree node %#x keys unsorted", n)
 			}
 			if k < lo || (hi != 0 && k >= hi) {
 				return fmt.Errorf("btree node %#x key %d outside [%d,%d)", n, k, lo, hi)
 			}
-			prev = k
 		}
 		if leaf {
 			if leafDepth == -1 {
-				leafDepth = depth
+				leafDepth, leftmost = depth, n
 			} else if leafDepth != depth {
 				return fmt.Errorf("btree leaf depths differ (%d vs %d)", depth, leafDepth)
+			}
+			if count += int64(c); count > meta.MaxElems {
+				return fmt.Errorf("btree overgrowth (> %d keys)", meta.MaxElems)
 			}
 			return nil
 		}
@@ -217,10 +260,10 @@ func checkBTreeImage(meta Meta, img *memimage.Image) error {
 			}
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = img.ReadWord(n + uint64(1+i-1)*8)
+				clo = key(n, i-1)
 			}
 			if i < c {
-				chi = img.ReadWord(n + uint64(1+i)*8)
+				chi = key(n, i)
 			}
 			if err := walk(child, clo, chi, depth+1); err != nil {
 				return err
@@ -228,5 +271,88 @@ func checkBTreeImage(meta Meta, img *memimage.Image) error {
 		}
 		return nil
 	}
-	return walk(root, 0, 0, 0)
+	if err := walk(root, 0, 0, 0); err != nil {
+		return 0, err
+	}
+	// The leaf chain is sorted and holds exactly the tree's keys.
+	var chain int64
+	var prev uint64
+	for n := leftmost; n != 0; n = img.ReadWord(n + 15*8) {
+		c, leaf := header(n)
+		if !leaf {
+			return 0, fmt.Errorf("btree leaf chain reached internal node %#x", n)
+		}
+		for i := 0; i < c; i++ {
+			k := key(n, i)
+			if k <= prev {
+				return 0, fmt.Errorf("btree leaf chain not sorted at key %d", k)
+			}
+			prev = k
+			if chain++; chain > count {
+				return 0, fmt.Errorf("btree leaf chain cycle or extra keys (> %d)", count)
+			}
+		}
+	}
+	if chain != count {
+		return 0, fmt.Errorf("btree leaf chain holds %d keys, tree holds %d", chain, count)
+	}
+	return count, nil
+}
+
+// checkBank: balances are conserved and none exceeds the money supply;
+// every audit record names two distinct accounts.
+func checkBank(meta Meta, img *memimage.Image) (int64, error) {
+	total := uint64(meta.ArrayLen) * bankInitialBalance
+	var sum uint64
+	for i := 0; i < meta.ArrayLen; i++ {
+		bal := img.ReadWord(meta.ArrayBase + uint64(i)*8)
+		if bal > total {
+			return 0, fmt.Errorf("bank account %d balance %d exceeds total money supply", i, bal)
+		}
+		sum += bal
+	}
+	if sum != total {
+		return 0, fmt.Errorf("bank total %d, want %d (torn transfer)", sum, total)
+	}
+	var n int64
+	for node := img.ReadWord(meta.RootPtr); node != 0; node = img.ReadWord(node + baNext*8) {
+		from := img.ReadWord(node + baFrom*8)
+		to := img.ReadWord(node + baTo*8)
+		if from >= uint64(meta.ArrayLen) || to >= uint64(meta.ArrayLen) || from == to {
+			return 0, fmt.Errorf("bank audit record %#x invalid (%d->%d)", node, from, to)
+		}
+		if n++; n > meta.MaxElems {
+			return 0, fmt.Errorf("bank audit chain cycle or overgrowth (> %d records)", meta.MaxElems)
+		}
+	}
+	return n, nil
+}
+
+// checkBankShared: the private part keeps bank's invariants (shared
+// transfers never touch private balances); each shared word is either
+// the initial balance or a well-formed tag from some core.
+func checkBankShared(meta Meta, img *memimage.Image, want *expected) (int64, error) {
+	n, err := checkBank(meta, img)
+	if err != nil {
+		return 0, err
+	}
+	if want != nil {
+		if got := img.ReadWord(want.counter); got != want.seq {
+			return 0, fmt.Errorf("bankshared counter %d, want %d", got, want.seq)
+		}
+	}
+	for i := 0; i < meta.SharedLen; i++ {
+		v := img.ReadWord(meta.SharedBase + uint64(i)*8)
+		if v == bankInitialBalance {
+			continue
+		}
+		c := SharedTagCore(v)
+		if c < 1 || c > memaddr.MaxCores {
+			return 0, fmt.Errorf("bankshared shared[%d] = %#x: malformed writer tag", i, v)
+		}
+		if want != nil && c != want.core+1 {
+			return 0, fmt.Errorf("bankshared shared[%d] = %#x: neither initial balance nor this core's tag", i, v)
+		}
+	}
+	return n, nil
 }

@@ -277,9 +277,9 @@ type bench interface {
 	// op runs one measured operation; searches read-only lookups
 	// precede the single durable transaction.
 	op(searches int) error
-	// check verifies structural invariants by reading the program image
-	// directly (no trace pollution); returns a descriptive error.
-	check() error
+	// expect returns the exact counts the structure's checker must
+	// find in the program image (validate.go).
+	expect() expected
 	// describe returns the anchors needed to validate a recovered
 	// image.
 	describe() Meta
@@ -359,7 +359,7 @@ func (g *generation) runOp(i int) error {
 // finish verifies the structure's invariants over the program image once
 // the measured window completes.
 func (g *generation) finish() error {
-	if err := g.impl.check(); err != nil {
+	if err := checkProgram(g.b, g.impl, g.rec.Image()); err != nil {
 		return fmt.Errorf("workload %s: invariant check: %w", g.b, err)
 	}
 	return nil

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/trace"
 )
 
@@ -310,6 +312,75 @@ func TestCheckImageDetectsCorruption(t *testing.T) {
 	imgS.WriteWord(outS.Meta.ArrayBase, 0) // 0 is outside 1..n
 	if err := CheckImage(SPS, outS.Meta, imgS); err == nil {
 		t.Fatal("sps corruption not detected")
+	}
+}
+
+// TestCheckerHoldsAfterEveryOp runs every benchmark's checker on the
+// program image after each measured op, with the generator's exact
+// counts and with only the recovered-image bounds. The invariants hold at
+// every committed state, which is what lets CheckImage share the checker
+// the generator runs at the end of its stream.
+func TestCheckerHoldsAfterEveryOp(t *testing.T) {
+	for _, b := range Extended {
+		for _, seed := range []uint64{1, 7} {
+			p := DefaultParams(b, 0, 4, seed, 200, 400)
+			g, err := build(b, p)
+			if err != nil {
+				t.Fatalf("%v seed %d: %v", b, seed, err)
+			}
+			meta := g.output().Meta
+			for i := 0; i < p.Ops; i++ {
+				if err := g.runOp(i); err != nil {
+					t.Fatalf("%v seed %d: %v", b, seed, err)
+				}
+				if err := checkProgram(b, g.impl, g.rec.Image()); err != nil {
+					t.Fatalf("%v seed %d after op %d: %v", b, seed, i, err)
+				}
+				if err := CheckImage(b, meta, g.rec.Image()); err != nil {
+					t.Fatalf("%v seed %d after op %d: recovered-image check: %v", b, seed, i, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckImageDetectsStructuralCorruption covers the invariants a
+// recovered image is held to beyond ordering and balance: rbtree parent
+// pointers, the B+tree leaf chain and the B+tree minimum node fill.
+func TestCheckImageDetectsStructuralCorruption(t *testing.T) {
+	rb, _, err := generate(RBTree, testParams(4, 300, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := rb.Recorder.Image().Snapshot()
+	root := img.ReadWord(rb.Meta.RootPtr)
+	child := img.ReadWord(root + rbLeft*8)
+	img.WriteWord(child+rbParent*8, child)
+	if err := CheckImage(RBTree, rb.Meta, img); err == nil || !strings.Contains(err.Error(), "wrong parent") {
+		t.Errorf("rbtree child with a wrong parent pointer: got %v", err)
+	}
+
+	bt, _, err := generate(BTree, testParams(4, 300, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// leftmost returns the B+tree's leftmost leaf in img.
+	leftmost := func(img *memimage.Image) uint64 {
+		n := img.ReadWord(bt.Meta.RootPtr)
+		for img.ReadWord(n)&btLeafBit == 0 {
+			n = img.ReadWord(n + 8*8)
+		}
+		return n
+	}
+	img = bt.Recorder.Image().Snapshot()
+	img.WriteWord(leftmost(img)+15*8, 0)
+	if err := CheckImage(BTree, bt.Meta, img); err == nil || !strings.Contains(err.Error(), "leaf chain") {
+		t.Errorf("truncated B+tree leaf chain: got %v", err)
+	}
+	img = bt.Recorder.Image().Snapshot()
+	img.WriteWord(leftmost(img), btLeafBit)
+	if err := CheckImage(BTree, bt.Meta, img); err == nil || !strings.Contains(err.Error(), "count 0") {
+		t.Errorf("empty non-root B+tree leaf: got %v", err)
 	}
 }
 
