@@ -1,7 +1,7 @@
 // Package cpu models the processor cores: a quantitative 4-wide core that
 // consumes a memory-reference trace, with blocking loads, a store buffer,
 // clwb/sfence semantics, and the TxID/Mode registers of §4.2. Persistence
-// mechanisms observe transaction boundaries and persistent stores through
+// mechanisms observe transaction commits and persistent stores through
 // the Persistence interface; everything else is mechanism-independent.
 package cpu
 
@@ -42,8 +42,6 @@ type StoreAction struct {
 // Persistence is the mechanism-facing contract. The zero-value
 // NullPersistence is the no-persistence baseline.
 type Persistence interface {
-	// TxBegin observes TX_BEGIN retirement.
-	TxBegin(core int, txID uint64)
 	// TxEnd observes TX_END retirement. Returning true stalls the core
 	// until resume fires (commit flushes). The mechanism must fire
 	// resume exactly once iff it returns true, and not before TxEnd
@@ -56,9 +54,6 @@ type Persistence interface {
 
 // NullPersistence takes no action on any event.
 type NullPersistence struct{}
-
-// TxBegin implements Persistence.
-func (NullPersistence) TxBegin(int, uint64) {}
 
 // TxEnd implements Persistence.
 func (NullPersistence) TxEnd(int, uint64, sim.Event) bool { return false }
@@ -204,8 +199,9 @@ type Core struct {
 	pers Persistence
 	rd   trace.Reader
 	// onStoreRetire applies a store's value to the live (volatile
-	// shadow) image the moment it enters the memory system.
-	onStoreRetire func(addr, value uint64)
+	// shadow) image the moment it enters the memory system, and returns
+	// the word it overwrote.
+	onStoreRetire func(addr, value uint64) uint64
 
 	cur         trace.Record
 	hasCur      bool
@@ -220,6 +216,11 @@ type Core struct {
 	txBuf     []trace.Record
 	replayIdx int
 	inTx      bool
+	// undo holds (addr, overwritten live word) for each persistent store
+	// the open transaction retired, in retire order. An abort replays it
+	// in reverse, so the squashed attempt's values leave the live image
+	// before another core can store to the lines it releases.
+	undo []trace.Write
 
 	// Conflict-abort state: while aborting, the core sits out an
 	// exponential-backoff window (a scheduled wake event ends it, so
@@ -269,7 +270,7 @@ type Core struct {
 // New builds a core and registers it with the kernel. onStoreRetire may
 // be nil; o observes the core (nil disables observation).
 func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persistence,
-	rd trace.Reader, onStoreRetire func(addr, value uint64), o *obs.Sink) *Core {
+	rd trace.Reader, onStoreRetire func(addr, value uint64) uint64, o *obs.Sink) *Core {
 	cfg = cfg.WithDefaults()
 	if pers == nil {
 		pers = NullPersistence{}
@@ -346,8 +347,9 @@ func (c *Core) fetch() bool {
 }
 
 // abortTx squashes the open transaction after a lost conflict
-// arbitration: the in-flight store is discarded (it stays in txBuf),
-// the replay cursor rewinds to TX_BEGIN, and the core enters a bounded
+// arbitration: the in-flight store is discarded (it stays in txBuf), the
+// retired stores' live words are restored, newest first, the replay
+// cursor rewinds to TX_BEGIN, and the core enters a bounded
 // exponential backoff — 8·2^min(attempts-1,6) cycles plus a small
 // deterministic per-core jitter so symmetric losers desynchronize. The
 // wake is a scheduled kernel event, so the core sleeps through the
@@ -356,6 +358,10 @@ func (c *Core) abortTx() {
 	c.stats.TxAborts++
 	c.stats.WastedInstructions += c.stats.Instructions - c.txInstrBase
 	c.abortAttempts++
+	for i := len(c.undo) - 1; i >= 0; i-- {
+		c.onStoreRetire(c.undo[i].Addr, c.undo[i].Value)
+	}
+	c.undo = c.undo[:0]
 	c.mode = 0
 	c.hasCur = false
 	c.computeLeft = 0
@@ -515,7 +521,10 @@ func (c *Core) Tick(now uint64) {
 			// The live image takes the value the moment the store
 			// enters the memory system.
 			if c.onStoreRetire != nil {
-				c.onStoreRetire(c.cur.Addr, c.cur.Value)
+				old := c.onStoreRetire(c.cur.Addr, c.cur.Value)
+				if persistent && c.mode != 0 {
+					c.undo = append(c.undo, trace.Write{Addr: c.cur.Addr, Value: old})
+				}
 			}
 			c.hier.Access(c.id, c.cur.Addr, true, persistent, act.TxTag, act.Uncommitted,
 				sim.Event{Fn: c.storeDoneFn})
@@ -526,10 +535,10 @@ func (c *Core) Tick(now uint64) {
 
 		case trace.KindTxBegin:
 			c.mode = c.cur.TxID
+			c.undo = c.undo[:0]
 			c.txStart = now
 			c.txInstrBase = c.stats.Instructions
 			c.obs.TxBegin(c.id, c.cur.TxID, now)
-			c.pers.TxBegin(c.id, c.cur.TxID)
 			c.stats.Instructions++
 			budget--
 			c.retire()

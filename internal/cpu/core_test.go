@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pmemaccel/internal/cache"
@@ -179,14 +180,11 @@ func TestModeRegisterTracksTransactions(t *testing.T) {
 type recordingPersistence struct {
 	NullPersistence
 	onStore  func(core int, txID uint64)
-	begins   []uint64
 	ends     []uint64
 	stallTx  bool
 	resumeAt uint64
 	k        *sim.Kernel
 }
-
-func (p *recordingPersistence) TxBegin(core int, txID uint64) { p.begins = append(p.begins, txID) }
 
 func (p *recordingPersistence) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	p.ends = append(p.ends, txID)
@@ -367,10 +365,53 @@ func TestOnStoreRetireAppliesValues(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	got := map[uint64]uint64{}
-	c := New(k, 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) { got[a] = v }, nil)
+	c := New(k, 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) uint64 { old := got[a]; got[a] = v; return old }, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if got[memaddr.NVMBase] != 42 {
 		t.Fatalf("live image = %v, want 42 at NVMBase", got)
+	}
+}
+
+// abortOncePersistence aborts the first store to abortAt and records the
+// live word at every store it is asked about.
+type abortOncePersistence struct {
+	NullPersistence
+	live    map[uint64]uint64
+	abortAt uint64
+	aborted bool
+	seen    []uint64
+}
+
+func (p *abortOncePersistence) Store(core int, txID uint64, addr, value uint64, _ sim.Event) StoreAction {
+	p.seen = append(p.seen, p.live[memaddr.NVMBase])
+	if addr == p.abortAt && !p.aborted {
+		p.aborted = true
+		return StoreAction{Abort: true}
+	}
+	return StoreAction{}
+}
+
+// TestAbortRestoresLiveWords: a conflict abort undoes the squashed
+// attempt's retired persistent stores in the live image, newest first,
+// before the transaction replays.
+func TestAbortRestoresLiveWords(t *testing.T) {
+	var tr trace.Trace
+	tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase, 1), trace.Store(memaddr.NVMBase, 2),
+		trace.Store(memaddr.NVMBase+8, 3), trace.TxEnd(1))
+	k := sim.NewKernel()
+	h, _ := testHier(k)
+	live := map[uint64]uint64{memaddr.NVMBase: 7}
+	pers := &abortOncePersistence{live: live, abortAt: memaddr.NVMBase + 8}
+	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr),
+		func(a, v uint64) uint64 { old := live[a]; live[a] = v; return old }, nil)
+	k.RunUntil(c.Finished, 1_000_000)
+	// The first attempt sees 7, 1, 2; the replay starts from the
+	// restored 7 again.
+	if want := []uint64{7, 1, 2, 7, 1, 2}; !reflect.DeepEqual(pers.seen, want) {
+		t.Fatalf("live word at each store = %v, want %v", pers.seen, want)
+	}
+	if live[memaddr.NVMBase] != 2 || live[memaddr.NVMBase+8] != 3 || c.Stats().TxAborts != 1 {
+		t.Fatalf("live image %v after %d aborts, want the committed attempt's values after 1", live, c.Stats().TxAborts)
 	}
 }
 
@@ -532,7 +573,7 @@ func TestTxEndDrainWaitSleepsHeld(t *testing.T) {
 		h, _ := testHier(k)
 		stores := 0
 		pers := &recordingPersistence{onStore: func(int, uint64) { stores++ }}
-		persCalls := func() int { return len(pers.begins) + len(pers.ends) + stores }
+		persCalls := func() int { return len(pers.ends) + stores }
 		c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil)
 		// Cycle 1 retires TX_BEGIN and issues the store, whose miss
 		// holds TX_END for about 160 cycles.

@@ -198,52 +198,6 @@ func (g *Grid) StallTable() string {
 	return b.String()
 }
 
-// ChannelSweep runs one benchmark across NVM channel counts for every
-// mechanism and returns absolute throughput (tx/kcycle) as a series with
-// one row per channel count — the memory-side scaling companion to the
-// paper's fixed-topology figures. Cells run on up to workers goroutines
-// (<= 0 selects GOMAXPROCS) and the series is identical for every worker
-// count.
-func ChannelSweep(bench workload.Benchmark, mechs []pmemaccel.Kind, counts []int,
-	configure func(workload.Benchmark, pmemaccel.Kind) pmemaccel.Config,
-	workers int) (*stats.Series, error) {
-
-	type cell struct {
-		n   int
-		m   pmemaccel.Kind
-		cfg pmemaccel.Config
-	}
-	var cells []cell
-	var rows, cols []string
-	for _, n := range counts {
-		rows = append(rows, fmt.Sprintf("%dch", n))
-		for _, m := range mechs {
-			cfg := configure(bench, m)
-			cfg.NVMChannels = n
-			cells = append(cells, cell{n, m, cfg})
-		}
-	}
-	for _, m := range mechs {
-		cols = append(cols, m.String())
-	}
-	results, err := sweep.Run(len(cells), workers,
-		func(i int) (*pmemaccel.Result, error) {
-			res, err := pmemaccel.Run(cells[i].cfg)
-			if err != nil {
-				return nil, fmt.Errorf("figures: %v/%v x%dch: %w", bench, cells[i].m, cells[i].n, err)
-			}
-			return res, nil
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	s := stats.NewSeries(fmt.Sprintf("NVM channel scaling (%v, tx/kcycle)", bench), rows, cols)
-	for i, c := range cells {
-		s.Set(fmt.Sprintf("%dch", c.n), c.m.String(), results[i].Throughput())
-	}
-	return s, nil
-}
-
 // ContentionSweep runs the contended benchmark (workload.BankShared)
 // across machine widths and contention levels for every mechanism — the
 // many-core companion to the paper's four-core, core-private figures. It

@@ -211,40 +211,6 @@ func TestStallTableAndSummaryRender(t *testing.T) {
 	}
 }
 
-// TestChannelSweepWorkerInvariant: the channel-scaling series must be
-// identical for every worker count — the sweep engine only changes which
-// goroutine runs a cell, never the cell's configuration or seed.
-func TestChannelSweepWorkerInvariant(t *testing.T) {
-	configure := func(b workload.Benchmark, m pmemaccel.Kind) pmemaccel.Config {
-		cfg := pmemaccel.DefaultConfig(b, m)
-		cfg.Cores = 2
-		cfg.Scale = 256
-		cfg.InitialSize = 300
-		cfg.Ops = 100
-		return cfg
-	}
-	mechs := []pmemaccel.Kind{pmemaccel.TCache, pmemaccel.SP}
-	counts := []int{1, 4}
-	seq, err := ChannelSweep(workload.SPS, mechs, counts, configure, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ChannelSweep(workload.SPS, mechs, counts, configure, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.CSV() != par.CSV() {
-		t.Fatalf("channel sweep differs across worker counts:\n-j1:\n%s\n-j4:\n%s", seq.CSV(), par.CSV())
-	}
-	for _, m := range mechs {
-		for _, row := range []string{"1ch", "4ch"} {
-			if v := seq.Get(row, m.String()); v <= 0 {
-				t.Fatalf("%s/%s throughput = %v, want positive", row, m, v)
-			}
-		}
-	}
-}
-
 // TestMetricsTableAndPercentileSeries runs a metrics-enabled grid and
 // checks the two metrics renderings: MetricsTable emits one snapshot
 // block per cell, and the TxLatencyP99 series is positive everywhere

@@ -67,8 +67,6 @@ func newKiln(env *Env) Mechanism {
 	return m
 }
 
-func (m *kiln) Kind() Kind { return Kiln }
-
 func (m *kiln) Hooks() cache.Hooks {
 	return cache.Hooks{
 		// Uncommitted transaction lines may not leave the LLC.
@@ -133,8 +131,6 @@ func (m *kiln) Attach(h *cache.Hierarchy) { m.hier = h }
 
 func (m *kiln) Rewrite(core int, r trace.Reader) trace.Reader { return r }
 
-func (m *kiln) TxBegin(core int, txID uint64) {}
-
 // tag namespaces per-core transaction ids into a globally unique line
 // tag: every core's trace numbers its transactions from 1.
 func (m *kiln) tag(core int, txID uint64) uint64 {
@@ -181,37 +177,24 @@ func (m *kiln) flushed(core uint64) {
 
 func (m *kiln) Drained() bool { return true }
 
-// RecoveryCost walks the nonvolatile LLC and writes back every committed
-// dirty persistent line.
-func (m *kiln) RecoveryCost() RecoveryCost {
-	scanned, writes := 0, len(m.retained)
-	m.hier.LLC().ForEach(func(l *cache.Line) {
-		scanned++
-		if l.Dirty && !l.Uncommitted && l.Persistent {
-			writes++
-		}
-	})
-	return RecoveryCost{
-		ScannedItems: scanned,
-		NVMWrites:    writes,
-		EstCycles:    estimateRecoveryCycles(scanned, writes),
-	}
-}
-
 // Recover merges the nonvolatile LLC into NVM: first the retained old
 // versions (displaced by uncommitted overwrites, write-back still in
 // flight), then committed dirty lines — a newer committed LLC copy of the
 // same line correctly overrides its retained predecessor. Uncommitted
-// lines are discarded.
-func (m *kiln) Recover(durable *memimage.Image) *memimage.Image {
+// lines are discarded. Every LLC line counts as scanned, every line
+// written back as an NVM write.
+func (m *kiln) Recover(durable *memimage.Image) (*memimage.Image, RecoveryCost) {
 	out := durable.Snapshot()
+	scanned, writes := 0, len(m.retained)
 	for addr, r := range m.retained {
 		out.WriteLine(addr, r.vals)
 	}
 	m.hier.LLC().ForEach(func(l *cache.Line) {
+		scanned++
 		if l.Dirty && !l.Uncommitted && l.Persistent {
 			out.CopyLine(m.nvllc, l.Addr)
+			writes++
 		}
 	})
-	return out
+	return out, recoveryCost(scanned, writes)
 }

@@ -10,9 +10,10 @@
 //
 // A mechanism contributes: cache-hierarchy hooks, a per-core trace
 // rewriter (SP injects its logging code), the cpu.Persistence behaviour at
-// transaction boundaries and persistent stores, a call to the recovery
-// oracle at each transaction's durable instant, and a Recover procedure
-// that turns a crash-time durable state into the post-recovery NVM image.
+// commits and persistent stores, a call to the recovery oracle at each
+// transaction's durable instant, and a Recover procedure that turns a
+// crash-time durable state into the post-recovery NVM image and counts
+// the work of that walk.
 package mechanism
 
 import (
@@ -87,14 +88,13 @@ func (k Kind) Description() string {
 	}
 }
 
-// MemPort is the mechanisms' port into main memory: the cache.Memory
-// request surface plus the one piece of memory-side introspection a
-// mechanism needs (SP's pcommit stall drains the NVM write queues). It is
-// implemented by memctrl.Backend; mechanisms never see the topology —
-// per-channel FIFO durability ordering is the backend's contract.
+// MemPort is the mechanisms' port into main memory: the write half of
+// the cache.Memory request surface (no mechanism reads memory) plus the
+// one piece of memory-side introspection a mechanism needs (SP's
+// pcommit stall drains the NVM write queues). It is implemented by
+// memctrl.Backend; mechanisms never see the topology — per-channel FIFO
+// durability ordering is the backend's contract.
 type MemPort interface {
-	// Read fetches a line; done fires when data returns.
-	Read(lineAddr uint64, done sim.Event)
 	// Write retires a line towards memory. apply fires at durability
 	// time, then onDurable (either may be the zero Event).
 	Write(lineAddr uint64, apply, onDurable sim.Event)
@@ -155,7 +155,6 @@ type Env struct {
 type Mechanism interface {
 	cpu.Persistence
 
-	Kind() Kind
 	// Hooks returns the cache-hierarchy hooks to build the hierarchy
 	// with.
 	Hooks() cache.Hooks
@@ -168,11 +167,10 @@ type Mechanism interface {
 	// Drained reports whether all persistence machinery has quiesced.
 	Drained() bool
 	// Recover builds the post-recovery NVM image from a crash-time
-	// durable image (plus the mechanism's own nonvolatile state).
-	Recover(durable *memimage.Image) *memimage.Image
-	// RecoveryCost estimates the reboot-time work recovery would do if
-	// the system crashed at this instant.
-	RecoveryCost() RecoveryCost
+	// durable image (plus the mechanism's own nonvolatile state), and
+	// counts the reboot-time work of that one walk over the nonvolatile
+	// state.
+	Recover(durable *memimage.Image) (*memimage.Image, RecoveryCost)
 }
 
 // RecoveryCost is a coarse reboot-time work estimate: how many
@@ -185,14 +183,18 @@ type RecoveryCost struct {
 	EstCycles    uint64
 }
 
-// estimateRecoveryCycles applies the shared cost model.
-func estimateRecoveryCycles(scanned, writes int) uint64 {
+// recoveryCost applies the shared cost model to a walk's counts.
+func recoveryCost(scanned, writes int) RecoveryCost {
 	const (
 		scanCost      = 40  // one NVM read-ish step per scanned item
 		writeCost     = 152 // NVM write latency
 		bankParallism = 32
 	)
-	return uint64(scanned)*scanCost/bankParallism + uint64(writes)*writeCost/bankParallism
+	return RecoveryCost{
+		ScannedItems: scanned,
+		NVMWrites:    writes,
+		EstCycles:    uint64(scanned)*scanCost/bankParallism + uint64(writes)*writeCost/bankParallism,
+	}
 }
 
 // New builds the mechanism of the given kind over env.

@@ -80,7 +80,7 @@ func attach(env *Env, m Mechanism) *cache.Hierarchy {
 	h := cache.New(env.K, cache.Config{
 		L1Size: 1 << 10, L1Ways: 2, L2Size: 4 << 10, L2Ways: 4,
 		LLCSize: 16 << 10, LLCWays: 4,
-	}, env.Mem, m.Hooks(), env.Cores, nil)
+	}, env.Mem.(*memctrl.Backend), m.Hooks(), env.Cores, nil)
 	m.Attach(h)
 	return h
 }
@@ -103,11 +103,7 @@ func TestKindStringsRoundTrip(t *testing.T) {
 func TestNewBuildsEveryKind(t *testing.T) {
 	for _, k := range All {
 		env := testEnv(t)
-		m := New(k, env)
-		if m.Kind() != k {
-			t.Errorf("New(%v).Kind() = %v", k, m.Kind())
-		}
-		attach(env, m)
+		attach(env, New(k, env))
 	}
 }
 
@@ -131,8 +127,8 @@ func TestOptimalIsTransparent(t *testing.T) {
 	}
 	// Recover is the identity.
 	env.Durable.WriteWord(memaddr.NVMBase, 77)
-	if got := m.Recover(env.Durable).ReadWord(memaddr.NVMBase); got != 77 {
-		t.Fatalf("optimal recover changed durable state: %d", got)
+	if got, _ := m.Recover(env.Durable); got.ReadWord(memaddr.NVMBase) != 77 {
+		t.Fatalf("optimal recover changed durable state: %d", got.ReadWord(memaddr.NVMBase))
 	}
 }
 
@@ -202,7 +198,7 @@ func TestSPRecoverReplaysCommittedOnly(t *testing.T) {
 	// In-flight tx: entry without commit record.
 	durable.WriteWord(base+48, memaddr.NVMBase+16)
 	durable.WriteWord(base+56, 99)
-	out := m.Recover(durable)
+	out, _ := m.Recover(durable)
 	if out.ReadWord(memaddr.NVMBase) != 11 || out.ReadWord(memaddr.NVMBase+8) != 22 {
 		t.Fatal("committed transaction not replayed")
 	}
@@ -222,7 +218,7 @@ func TestSPRecoverStopsAtHole(t *testing.T) {
 	durable.WriteWord(base+24, 5)
 	durable.WriteWord(base+32, spCommitMagic)
 	durable.WriteWord(base+40, 1)
-	out := m.Recover(durable)
+	out, _ := m.Recover(durable)
 	if out.ReadWord(memaddr.NVMBase) == 5 {
 		t.Fatal("entries beyond a log hole were replayed")
 	}
@@ -259,7 +255,7 @@ func TestTCacheRecoverReplaysCommittedEntries(t *testing.T) {
 	m.TxEnd(0, 1, sim.Event{})
 	m.Store(0, 2, memaddr.NVMBase+8, 20, sim.Event{}) // active, uncommitted
 	// Crash now, before any drain tick.
-	out := m.Recover(env.Durable)
+	out, _ := m.Recover(env.Durable)
 	if out.ReadWord(memaddr.NVMBase) != 10 {
 		t.Fatal("committed TC entry not recovered")
 	}
@@ -350,7 +346,7 @@ func TestTCacheOverflowCrashBeforeCommitLosesNothingCommitted(t *testing.T) {
 		m.Store(0, 1, memaddr.NVMBase+uint64(i)*8, uint64(100+i), sim.Event{})
 	}
 	// Crash before TxEnd: nothing of tx 1 may be recovered.
-	out := m.Recover(env.Durable)
+	out, _ := m.Recover(env.Durable)
 	for i := 0; i < 9; i++ {
 		if out.ReadWord(memaddr.NVMBase+uint64(i)*8) != 0 {
 			t.Fatalf("uncommitted overflowed write %d leaked into recovery", i)
@@ -411,7 +407,7 @@ func TestKilnCommitFlushesAndCounts(t *testing.T) {
 		t.Fatal("commit not counted")
 	}
 	// Recovery merges the committed dirty LLC line.
-	out := m.Recover(env.Durable)
+	out, _ := m.Recover(env.Durable)
 	if out.ReadWord(memaddr.NVMBase) != 9 {
 		t.Fatalf("recovered = %d, want 9 (from NV-LLC)", out.ReadWord(memaddr.NVMBase))
 	}
@@ -429,7 +425,7 @@ func TestKilnUncommittedLinesDiscardedOnRecovery(t *testing.T) {
 	// No commit: even if the line were evicted into the LLC it stays
 	// uncommitted. Force it there via FlushTx-free eviction is complex;
 	// instead verify Recover of the durable image alone.
-	out := m.Recover(env.Durable)
+	out, _ := m.Recover(env.Durable)
 	if out.ReadWord(memaddr.NVMBase) == 9 {
 		t.Fatal("uncommitted value recovered")
 	}
@@ -471,7 +467,7 @@ func TestRecoveryCostZeroWhenIdle(t *testing.T) {
 		env := testEnv(t)
 		m := New(k, env)
 		attach(env, m)
-		c := m.RecoveryCost()
+		_, c := m.Recover(env.Durable)
 		if c.ScannedItems != 0 || c.NVMWrites != 0 || c.EstCycles != 0 {
 			t.Errorf("%v: fresh mechanism has recovery cost %+v", k, c)
 		}
@@ -487,7 +483,7 @@ func TestTCacheRecoveryCostCountsCommittedEntries(t *testing.T) {
 	generateTx(env, 0)
 	m.TxEnd(0, 1, sim.Event{})
 	m.Store(0, 2, memaddr.NVMBase+16, 3, sim.Event{}) // active: scanned but not replayed
-	c := m.RecoveryCost()
+	_, c := m.Recover(env.Durable)
 	if c.ScannedItems != 3 || c.NVMWrites != 2 {
 		t.Fatalf("cost = %+v, want scan 3 / writes 2", c)
 	}
@@ -528,5 +524,53 @@ func TestSPCommitRecordLandingIsDurableInstant(t *testing.T) {
 	}
 	if got := durableLogCommits(m, env.Durable, 0); got != 1 {
 		t.Fatalf("durable log holds %d commits, want 1", got)
+	}
+}
+
+// TestSPSharedRecoveryCostCountsUncommittedTail drives a shared-mode SP
+// log by hand: one committed transaction, then two durable entries of a
+// transaction whose commit record has not landed. Recovery replays the
+// committed one in global commit order and scans on to the first hole:
+// the uncommitted entries count as scanned but not as written.
+func TestSPSharedRecoveryCostCountsUncommittedTail(t *testing.T) {
+	env := testEnv(t)
+	env.Arb = txcache.NewLineArbiter(env.Cores)
+	m := New(SP, env).(*sp)
+	var tr trace.Trace
+	tr.Append(
+		trace.TxBegin(1), trace.Store(memaddr.NVMBase, 11), trace.Store(memaddr.NVMBase+8, 22), trace.TxEnd(1),
+		trace.TxBegin(2), trace.Store(memaddr.NVMBase+16, 33), trace.Store(memaddr.NVMBase+24, 44), trace.TxEnd(2),
+	)
+	rd := m.Rewrite(0, trace.NewReader(&tr))
+	for {
+		if _, ok := rd.Next(); !ok {
+			break
+		}
+	}
+	generateTx(env, 0, trace.Write{Addr: memaddr.NVMBase, Value: 11}, trace.Write{Addr: memaddr.NVMBase + 8, Value: 22})
+	// Slots: tx 1's entries and commit record, then tx 2's two entries;
+	// tx 2's commit record (the sixth slot) never lands.
+	base := m.logs[0].Base
+	for i, w := range []trace.Write{
+		{Addr: memaddr.NVMBase, Value: 11}, {Addr: memaddr.NVMBase + 8, Value: 22}, {Addr: spCommitMagic, Value: 1},
+		{Addr: memaddr.NVMBase + 16, Value: 33}, {Addr: memaddr.NVMBase + 24, Value: 44},
+	} {
+		slot := base + uint64(i)*16
+		env.Live.WriteWord(slot, w.Addr)
+		env.Live.WriteWord(slot+8, w.Value)
+		m.Hooks().WritebackApply(memaddr.LineAddr(slot)).Fire()
+	}
+	if len(m.order) != 1 || env.Oracle.Committed(0) != 1 {
+		t.Fatalf("commit order %v, oracle committed %d; want one landed commit record", m.order, env.Oracle.Committed(0))
+	}
+	out, c := m.Recover(env.Durable)
+	if want := recoveryCost(5, 2); c != want {
+		t.Fatalf("cost = %+v, want %+v (5 entries scanned, tx 1's 2 written)", c, want)
+	}
+	if out.ReadWord(memaddr.NVMBase) != 11 || out.ReadWord(memaddr.NVMBase+8) != 22 {
+		t.Fatal("committed transaction not replayed")
+	}
+	if out.ReadWord(memaddr.NVMBase+16) == 33 || out.ReadWord(memaddr.NVMBase+24) == 44 {
+		t.Fatal("uncommitted entries were replayed")
 	}
 }

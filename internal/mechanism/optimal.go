@@ -21,8 +21,6 @@ func newOptimal(env *Env) Mechanism {
 	return &optimal{env: env}
 }
 
-func (m *optimal) Kind() Kind { return Optimal }
-
 func (m *optimal) Hooks() cache.Hooks {
 	return cache.Hooks{
 		WritebackApply: newLiveCopier(m.env).apply,
@@ -32,8 +30,6 @@ func (m *optimal) Hooks() cache.Hooks {
 func (m *optimal) Attach(*cache.Hierarchy) {}
 
 func (m *optimal) Rewrite(core int, r trace.Reader) trace.Reader { return r }
-
-func (m *optimal) TxBegin(core int, txID uint64) {}
 
 func (m *optimal) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	// "Commit" is only an instruction boundary: nothing becomes durable.
@@ -61,13 +57,9 @@ func (m *optimal) Store(core int, txID uint64, addr, value uint64, _ sim.Event) 
 
 func (m *optimal) Drained() bool { return true }
 
-// RecoveryCost is zero: there is no recovery procedure (and no
-// guarantee).
-func (m *optimal) RecoveryCost() RecoveryCost { return RecoveryCost{} }
-
-// Recover returns the durable image untouched: with no persistence
-// support there is nothing to recover from, and the image may well be an
-// inconsistent mix of old and new values.
-func (m *optimal) Recover(durable *memimage.Image) *memimage.Image {
-	return durable.Snapshot()
+// Recover returns the durable image untouched, at zero cost: with no
+// persistence support there is nothing to recover from, and the image
+// may well be an inconsistent mix of old and new values.
+func (m *optimal) Recover(durable *memimage.Image) (*memimage.Image, RecoveryCost) {
+	return durable.Snapshot(), RecoveryCost{}
 }

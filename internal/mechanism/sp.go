@@ -89,8 +89,6 @@ func newSP(env *Env) Mechanism {
 	return m
 }
 
-func (m *sp) Kind() Kind { return SP }
-
 func (m *sp) Hooks() cache.Hooks {
 	return cache.Hooks{
 		WritebackApply: m.writebackApply,
@@ -211,8 +209,6 @@ func (r *spReader) expand(rec trace.Record) {
 	}
 }
 
-func (m *sp) TxBegin(core int, txID uint64) {}
-
 // TxEnd retires after the commit record's sfence, so the transaction is
 // already durable (logLanded saw its record land). The remaining cost is
 // pcommit (Figure 3(a)): the core stalls until the NVM controller's
@@ -244,97 +240,58 @@ func (m *sp) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.S
 
 func (m *sp) Drained() bool { return true }
 
-// RecoveryCost scans every durable log record and replays the committed
-// entries.
-func (m *sp) RecoveryCost() RecoveryCost {
-	scanned, writes := 0, 0
-	for core := 0; core < m.env.Cores; core++ {
-		pending := 0
-		for pos := m.logs[core].Base; pos < m.cursor[core]; pos += 16 {
-			a := m.env.Durable.ReadWord(pos)
-			if a == 0 {
-				break
-			}
-			scanned++
-			if a == spCommitMagic {
-				writes += pending
-				pending = 0
-			} else {
-				pending++
-			}
-		}
-	}
-	return RecoveryCost{
-		ScannedItems: scanned,
-		NVMWrites:    writes,
-		EstCycles:    estimateRecoveryCycles(scanned, writes),
-	}
-}
-
-// Recover replays each core's durable log: accumulate (addr, value)
-// entries, apply them when a commit record appears, stop at the first
-// hole (a zero address — nothing durable beyond it can be committed,
-// because the pre-commit sfence orders every entry before its record).
-func (m *sp) Recover(durable *memimage.Image) *memimage.Image {
-	if m.shared {
-		return m.recoverGlobal(durable)
-	}
-	out := durable.Snapshot()
-	for core := 0; core < m.env.Cores; core++ {
-		var pending []trace.Write
-		for pos := m.logs[core].Base; pos < m.logs[core].End(); pos += 16 {
-			a := durable.ReadWord(pos)
-			v := durable.ReadWord(pos + 8)
-			switch {
-			case a == 0:
-				pos = m.logs[core].End() // hole: stop scanning
-			case a == spCommitMagic:
-				for _, w := range pending {
-					out.WriteWord(w.Addr, w.Value)
-				}
-				pending = pending[:0]
-			default:
-				pending = append(pending, trace.Write{Addr: a, Value: v})
-			}
-		}
-	}
-	return out
-}
-
-// recoverGlobal replays the per-core logs interleaved in global durable
-// commit order — the shared-mode serialization discipline. Per core the
-// log is in program order, so a cursor per core plus order's core
-// sequence (recorded as each commit record landed) reconstructs exactly
-// the order the transactions became durable in, regardless of the order
-// their deferred in-place stores later reached NVM.
-func (m *sp) recoverGlobal(durable *memimage.Image) *memimage.Image {
+// Recover replays the durable logs. A log entry is applied when its
+// transaction's commit record is reached; a hole (a zero address) ends a
+// core's log, because nothing durable beyond it can be committed (the
+// pre-commit sfence orders every entry before its record). In shared
+// mode the transactions are replayed in global durable-commit order:
+// per core the log is in program order, so order's core sequence,
+// recorded as each commit record landed, reconstructs exactly the order
+// the transactions became durable in, regardless of the order their
+// deferred in-place stores later reached NVM. A tail pass then scans each
+// core's log on to its first hole: in core-private mode (order is empty)
+// it replays every transaction, in shared mode it finds no further
+// commit record and only counts. Every entry scanned counts, every entry
+// applied is an NVM write.
+func (m *sp) Recover(durable *memimage.Image) (*memimage.Image, RecoveryCost) {
 	out := durable.Snapshot()
 	pos := make([]uint64, m.env.Cores)
 	for c := range pos {
 		pos[c] = m.logs[c].Base
 	}
-	for _, core := range m.order {
-		var pending []trace.Write
-		p := pos[core]
-		for p < m.logs[core].End() {
-			a := durable.ReadWord(p)
-			v := durable.ReadWord(p + 8)
-			p += 16
+	var pending []trace.Write
+	scanned, writes := 0, 0
+	// replay scans core's log from pos[core], applying the pending
+	// entries at each commit record, and stops at the first hole or,
+	// with once, just past the first commit record.
+	replay := func(core int, once bool) {
+		pending = pending[:0]
+		for end := m.logs[core].End(); pos[core] < end; pos[core] += 16 {
+			a := durable.ReadWord(pos[core])
 			if a == 0 {
-				// Hole before the next commit record: nothing durable
-				// beyond it, stop replaying this core.
-				p = m.logs[core].End()
-				break
+				return
 			}
-			if a == spCommitMagic {
-				for _, w := range pending {
-					out.WriteWord(w.Addr, w.Value)
-				}
-				break
+			scanned++
+			if a != spCommitMagic {
+				pending = append(pending, trace.Write{Addr: a, Value: durable.ReadWord(pos[core] + 8)})
+				continue
 			}
-			pending = append(pending, trace.Write{Addr: a, Value: v})
+			for _, w := range pending {
+				out.WriteWord(w.Addr, w.Value)
+			}
+			writes += len(pending)
+			pending = pending[:0]
+			if once {
+				pos[core] += 16
+				return
+			}
 		}
-		pos[core] = p
 	}
-	return out
+	for _, core := range m.order {
+		replay(core, true)
+	}
+	for core := range pos {
+		replay(core, false)
+	}
+	return out, recoveryCost(scanned, writes)
 }

@@ -24,9 +24,8 @@ import (
 // shadow writes plus a commit record — the only case where the TC design
 // ever stalls a commit.
 type tcMech struct {
-	env  *Env
-	tcs  []*txcache.TxCache
-	hier *cache.Hierarchy
+	env *Env
+	tcs []*txcache.TxCache
 
 	// Copy-on-write fall-back state, per core.
 	fbActive      []bool
@@ -70,8 +69,6 @@ func newTCache(env *Env) Mechanism {
 	return m
 }
 
-func (m *tcMech) Kind() Kind { return TCache }
-
 // The TCache mechanism is the one mechanism exposing its transaction
 // caches to the system layer's sampler and result collector.
 var _ TCIntrospector = (*tcMech)(nil)
@@ -110,11 +107,9 @@ func (m *tcMech) Hooks() cache.Hooks {
 	}
 }
 
-func (m *tcMech) Attach(h *cache.Hierarchy) { m.hier = h }
+func (m *tcMech) Attach(*cache.Hierarchy) {}
 
 func (m *tcMech) Rewrite(core int, r trace.Reader) trace.Reader { return r }
-
-func (m *tcMech) TxBegin(core int, txID uint64) {}
 
 // Store copies the persistent store into the TC beside the normal cache
 // path. A full TC stalls the core, parked until the TC's next drain
@@ -269,37 +264,22 @@ func (m *tcMech) Drained() bool {
 	return true
 }
 
-// RecoveryCost scans the nonvolatile TCs and replays their committed
-// entries.
-func (m *tcMech) RecoveryCost() RecoveryCost {
+// Recover replays the nonvolatile TCs: committed entries (in FIFO order)
+// are applied to the durable image; active entries belong to uncommitted
+// transactions and are discarded. Overflowed transactions were applied at
+// commit-record durability and need nothing here. Every entry counts as
+// scanned, every committed one as an NVM write.
+func (m *tcMech) Recover(durable *memimage.Image) (*memimage.Image, RecoveryCost) {
+	out := durable.Snapshot()
 	scanned, writes := 0, 0
 	for _, tc := range m.tcs {
 		for _, e := range tc.Contents() {
 			scanned++
 			if e.State == txcache.Committed {
+				out.WriteWord(e.Addr, e.Value)
 				writes++
 			}
 		}
 	}
-	return RecoveryCost{
-		ScannedItems: scanned,
-		NVMWrites:    writes,
-		EstCycles:    estimateRecoveryCycles(scanned, writes),
-	}
-}
-
-// Recover replays the nonvolatile TCs: committed entries (in FIFO order)
-// are applied to the durable image; active entries belong to uncommitted
-// transactions and are discarded. Overflowed transactions were applied at
-// commit-record durability and need nothing here.
-func (m *tcMech) Recover(durable *memimage.Image) *memimage.Image {
-	out := durable.Snapshot()
-	for _, tc := range m.tcs {
-		for _, e := range tc.Contents() {
-			if e.State == txcache.Committed {
-				out.WriteWord(e.Addr, e.Value)
-			}
-		}
-	}
-	return out
+	return out, recoveryCost(scanned, writes)
 }

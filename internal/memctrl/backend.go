@@ -82,6 +82,11 @@ type Backend struct {
 	nvm   []*Controller
 	dram  []*Controller
 	fault error
+	// wear counts the NVM writes the backend routes, per line, across
+	// every NVM channel (endurance questions are asked of the space).
+	// A routed write issues before the backend is quiescent, so after a
+	// run it equals the writes the channels serviced.
+	wear *Wear
 }
 
 // NewBackend builds the topology's controllers, registered with k in
@@ -98,7 +103,7 @@ func NewBackend(k *sim.Kernel, topo Topology, nvmCfg, dramCfg Config, o *obs.Sin
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Backend{k: k, topo: topo, shift: topo.shift()}
+	b := &Backend{k: k, topo: topo, shift: topo.shift(), wear: newWear()}
 	b.nvm = buildChannels(k, nvmCfg, topo.NVMChannels, o, 0)
 	b.dram = buildChannels(k, dramCfg, topo.DRAMChannels, o, topo.NVMChannels)
 	return b, nil
@@ -181,12 +186,7 @@ func (b *Backend) Read(lineAddr uint64, done sim.Event) {
 
 // Write enqueues a line write on the owning channel.
 func (b *Backend) Write(lineAddr uint64, apply, onDurable sim.Event) {
-	c, err := b.For(lineAddr)
-	if err != nil {
-		b.recordFault(err, onDurable)
-		return
-	}
-	c.Write(lineAddr, apply, onDurable)
+	b.WriteTracked(lineAddr, apply, onDurable, nil)
 }
 
 // WriteTracked enqueues a line write like Write, additionally marking
@@ -198,6 +198,9 @@ func (b *Backend) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *o
 	if err != nil {
 		b.recordFault(err, onDurable)
 		return
+	}
+	if memaddr.IsPersistent(lineAddr) {
+		b.wear.record(lineAddr)
 	}
 	c.WriteTracked(lineAddr, apply, onDurable, w)
 }
@@ -290,15 +293,6 @@ func aggregateStats(chans []*Controller) Stats {
 	return agg
 }
 
-// NVMWear returns the per-line write-count profile merged across the NVM
-// channels (the channel's own tracker when the space has one channel).
-func (b *Backend) NVMWear() *Wear {
-	if len(b.nvm) == 1 {
-		return b.nvm[0].Wear()
-	}
-	ws := make([]*Wear, len(b.nvm))
-	for i, c := range b.nvm {
-		ws[i] = c.Wear()
-	}
-	return MergeWear(ws...)
-}
+// NVMWear returns the per-line write-count profile of the NVM space.
+// Read it once the backend is quiescent.
+func (b *Backend) NVMWear() *Wear { return b.wear }

@@ -194,6 +194,42 @@ func TestBackendAggregatesStatsAndWear(t *testing.T) {
 	}
 }
 
+// TestWearTracking: the backend counts the NVM writes it routes, per
+// line, and DRAM writes not at all.
+func TestWearTracking(t *testing.T) {
+	k := sim.NewKernel()
+	b, err := NewBackend(k, Topology{}, testConfig(), dramTestConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	count := sim.Event{Fn: func(uint64) { done++ }}
+	for i := 0; i < 6; i++ {
+		b.Write(memaddr.NVMBase, sim.Event{}, count) // same line x6
+	}
+	for i := 0; i < 3; i++ {
+		b.Write(memaddr.NVMBase+uint64(i+1)*64, sim.Event{}, count)
+	}
+	b.Write(memaddr.DRAMBase, sim.Event{}, count)
+	k.RunUntil(func() bool { return done == 10 }, 100000)
+	if done != 10 {
+		t.Fatalf("completed %d writes, want 10", done)
+	}
+	w := b.NVMWear()
+	if w.TotalWrites() != 9 || w.LinesTouched() != 4 {
+		t.Fatalf("wear = %d writes / %d lines, want 9/4", w.TotalWrites(), w.LinesTouched())
+	}
+	if w.MaxLineWrites() != 6 {
+		t.Fatalf("max line writes = %d, want 6", w.MaxLineWrites())
+	}
+	if w.MeanLineWrites() != 2.25 {
+		t.Fatalf("mean = %v, want 2.25", w.MeanLineWrites())
+	}
+	if h := w.Hotness(); h < 2.6 || h > 2.7 {
+		t.Fatalf("hotness = %v, want ~2.67", h)
+	}
+}
+
 func TestBackendProbeChannelIDs(t *testing.T) {
 	k := sim.NewKernel()
 	p := obs.NewProbe(64)

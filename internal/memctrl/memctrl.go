@@ -156,13 +156,12 @@ type Controller struct {
 	id  int
 
 	stats Stats
-	wear  *Wear
 }
 
 // New returns a controller registered with k.
 func New(k *sim.Kernel, cfg Config) *Controller {
 	cfg = cfg.WithDefaults()
-	c := &Controller{k: k, cfg: cfg, banks: make([]bank, cfg.Banks), wear: newWear()}
+	c := &Controller{k: k, cfg: cfg, banks: make([]bank, cfg.Banks)}
 	c.completeFn = c.complete
 	c.slot = k.Register(c)
 	c.sleep()
@@ -174,9 +173,6 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// Wear returns the per-line write-count tracker (endurance analysis).
-func (c *Controller) Wear() *Wear { return c.wear }
 
 // PendingReads reports queued, unissued reads.
 func (c *Controller) PendingReads() int { return len(c.reads) }
@@ -314,7 +310,6 @@ func (c *Controller) issue(idx int, isWrite bool, now uint64) {
 	}
 	if isWrite {
 		c.stats.Writes++
-		c.wear.record(r.lineAddr)
 		c.obs.WPQWrite(c.id)
 	} else {
 		c.stats.Reads++

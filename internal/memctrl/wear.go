@@ -1,18 +1,12 @@
 package memctrl
 
-import (
-	"fmt"
-	"sort"
-	"strings"
+import "pmemaccel/internal/obs/metrics"
 
-	"pmemaccel/internal/obs/metrics"
-)
-
-// Wear tracks per-line write counts on a channel — endurance analysis for
-// NVM technologies with limited write cycles. The transaction cache
-// trades coalescing for decoupling (one NVM write per committed store),
-// so its wear profile versus Kiln's and Optimal's is a first-order
-// adoption question for STT-RAM/PCM deployments.
+// Wear tracks per-line write counts of a memory space — endurance
+// analysis for NVM technologies with limited write cycles. The
+// transaction cache trades coalescing for decoupling (one NVM write per
+// committed store), so its wear profile versus Kiln's and Optimal's is a
+// first-order adoption question for STT-RAM/PCM deployments.
 type Wear struct {
 	counts map[uint64]uint64
 	total  uint64
@@ -21,20 +15,6 @@ type Wear struct {
 // newWear returns an empty tracker.
 func newWear() *Wear {
 	return &Wear{counts: make(map[uint64]uint64)}
-}
-
-// MergeWear combines per-channel trackers into one whole-space profile
-// (interleaving splits a space's lines across channels; endurance
-// questions are asked of the space).
-func MergeWear(ws ...*Wear) *Wear {
-	m := newWear()
-	for _, w := range ws {
-		for line, c := range w.counts {
-			m.counts[line] += c
-		}
-		m.total += w.total
-	}
-	return m
 }
 
 // record notes one write to lineAddr.
@@ -91,47 +71,4 @@ func (w *Wear) FillHistogram(h *metrics.Histogram) {
 	for _, c := range w.counts {
 		h.Observe(c)
 	}
-}
-
-// TopLines returns the n hottest lines, hottest first.
-func (w *Wear) TopLines(n int) []struct {
-	Line   uint64
-	Writes uint64
-} {
-	type lw struct {
-		Line   uint64
-		Writes uint64
-	}
-	all := make([]lw, 0, len(w.counts))
-	for l, c := range w.counts {
-		all = append(all, lw{l, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Writes != all[j].Writes {
-			return all[i].Writes > all[j].Writes
-		}
-		return all[i].Line < all[j].Line
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]struct {
-		Line   uint64
-		Writes uint64
-	}, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct {
-			Line   uint64
-			Writes uint64
-		}{all[i].Line, all[i].Writes}
-	}
-	return out
-}
-
-// String summarizes the wear profile.
-func (w *Wear) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "wear: %d writes over %d lines (mean %.2f, max %d, hotness %.1fx)",
-		w.TotalWrites(), w.LinesTouched(), w.MeanLineWrites(), w.MaxLineWrites(), w.Hotness())
-	return b.String()
 }

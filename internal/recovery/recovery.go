@@ -89,8 +89,8 @@ func crash(s *pmemaccel.System, crashCycle uint64) (*Trial, error) {
 	for c := range s.Cores {
 		tr.CommittedPerCore = append(tr.CommittedPerCore, s.Oracle.Committed(c))
 	}
-	tr.Cost = s.Mech.RecoveryCost()
-	recovered := s.RecoveredDurable()
+	var recovered *memimage.Image
+	recovered, tr.Cost = s.Mech.Recover(s.Durable)
 	tr.AtomicityDiffs = pmemaccel.CheckDurable(s.ExpectedDurable(), recovered, 32)
 	for _, out := range s.Outputs {
 		if err := workload.CheckImage(out.Benchmark, out.Meta, recovered); err != nil {

@@ -356,15 +356,11 @@ func TestRunTrialSurfacesStreamError(t *testing.T) {
 
 // TestBankSharedCrashesMidRun crashes the contended workload mid-run, at
 // 4 and 16 cores: shared-line ownership releases, TC acks, fallback
-// commit records, abort evictions and SP's global-order replay are all
-// live at the crash point, and recovery must match the commit-order
-// oracle. Kiln is left out because it fails these trials: at 16 cores
-// every crash breaks the structure (torn transfers, bad audit records),
-// because an aborted attempt's squashed stores stay in the live image
-// that Kiln's LLC installs snapshot (ROADMAP item 1(b)). Add it once
-// that is fixed.
+// commit records, abort evictions, squashed-store undo and SP's
+// global-order replay are all live at the crash point, and recovery must
+// match the commit-order oracle.
 func TestBankSharedCrashesMidRun(t *testing.T) {
-	for _, m := range []pmemaccel.Kind{pmemaccel.SP, pmemaccel.TCache} {
+	for _, m := range []pmemaccel.Kind{pmemaccel.SP, pmemaccel.TCache, pmemaccel.Kiln} {
 		for _, cores := range []int{4, 16} {
 			for _, seed := range []uint64{1, 7} {
 				m, cores, seed := m, cores, seed
@@ -412,6 +408,37 @@ func TestKilnRetainsEvictedLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	trials, violations, err := Sweep(cfg, 20, horizon, cfg.Seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trials {
+		if !tr.OK() {
+			t.Errorf("%v", tr)
+		}
+	}
+	if violations != 0 {
+		t.Fatalf("%d/%d crash trials violated persistence", violations, len(trials))
+	}
+}
+
+// TestKilnUndoesSquashedStores crashes bankshared under Kiln on 8 cores,
+// where conflict aborts are frequent. An aborted attempt's retired stores
+// must leave the live image before the next owner of the released lines
+// commits: Kiln's LLC installs snapshot the live image, so a squashed
+// word left there would reach the NV-LLC inside another core's commit.
+func TestKilnUndoesSquashedStores(t *testing.T) {
+	cfg := pmemaccel.DefaultConfig(workload.BankShared, pmemaccel.Kiln)
+	cfg.Cores = 8
+	cfg.Ops = 100
+	cfg.InitialSize = 200
+	cfg.Scale = 128
+	cfg.ContentionPct = 0.5
+	cfg.Seed = 1
+	horizon, err := Horizon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, violations, err := Sweep(cfg, 8, horizon, cfg.Seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,11 @@ func NewSystem(cfg Config) (*System, error) {
 	for c := 0; c < cfg.Cores; c++ {
 		rd := s.Mech.Rewrite(c, s.Outputs[c].NewReader())
 		core := cpu.New(s.Kernel, c, cfg.CPU, s.Hier, s.Mech, rd,
-			func(addr, value uint64) { s.Live.WriteWord(addr, value) }, s.Obs)
+			func(addr, value uint64) uint64 {
+				old := s.Live.ReadWord(addr)
+				s.Live.WriteWord(addr, value)
+				return old
+			}, s.Obs)
 		s.Cores = append(s.Cores, core)
 	}
 	s.startSampler()
@@ -297,7 +301,8 @@ func (s *System) RunToCycle(cycle uint64) bool {
 // RecoveredDurable runs the mechanism's recovery over the current durable
 // state — "crash now, reboot, recover".
 func (s *System) RecoveredDurable() *memimage.Image {
-	return s.Mech.Recover(s.Durable)
+	img, _ := s.Mech.Recover(s.Durable)
+	return img
 }
 
 // ExpectedDurable builds the NVM image that recovery must produce at
