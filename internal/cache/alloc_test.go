@@ -117,3 +117,35 @@ func TestAccessAllocationFree(t *testing.T) {
 		t.Errorf("flushes reached memory %d times, want 101", mem.writes-writes)
 	}
 }
+
+// TestMergedMissAllocationFree pins a merged miss at zero heap
+// allocations once warm: two cores miss on one line in the same cycle,
+// the second merges into the first's MSHR entry, and one fill from
+// memory completes both.
+func TestMergedMissAllocationFree(t *testing.T) {
+	k := sim.NewKernel()
+	mem := &stubMemory{k: k}
+	h := New(k, smallConfig(), mem, Hooks{}, 2, nil)
+	c := newCompletions()
+	next := memaddr.NVMBase + 0x100000
+	merged := func() {
+		next += memaddr.LineSize
+		want := c.n + 2
+		h.Access(0, next, false, true, 0, false, c.done)
+		h.Access(1, next, true, true, 0, false, c.done)
+		if _, ok := k.RunUntil(func() bool { return c.n == want }, k.Now()+10_000); !ok {
+			t.Fatalf("merged miss on %#x did not complete", next)
+		}
+	}
+	merged() // warm-up: the first waiter slice is allocated here
+	reads := mem.reads
+	if allocs := testing.AllocsPerRun(100, merged); allocs != 0 {
+		t.Errorf("merged miss: %.1f allocs per round trip, want 0", allocs)
+	}
+	if mem.reads != reads+101 {
+		t.Errorf("merged misses read memory %d times, want 101 (one per line)", mem.reads-reads)
+	}
+	if h.InflightFills() != 0 || h.Pending() != 0 {
+		t.Errorf("MSHRs not drained: %d fills, %d pending", h.InflightFills(), h.Pending())
+	}
+}

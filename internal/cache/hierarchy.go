@@ -178,10 +178,11 @@ type Hierarchy struct {
 	l1, l2 []*SetAssoc
 	llc    *SetAssoc
 
-	queue    []llcReq
-	inflight map[uint64][]waiter
-	// wfree recycles MSHR waiter slices: a completed fill returns its
-	// slice here and the next new miss reuses it.
+	queue []llcReq
+	// mshrs holds the merged waiters of every line with a fill
+	// outstanding; wfree recycles their waiter slices: a completed fill
+	// returns its slice here and the next new miss reuses it.
+	mshrs    mshrTable
 	wfree    [][]waiter
 	portBusy uint64 // cycle until which the LLC port is occupied
 
@@ -221,7 +222,7 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.
 	h := &Hierarchy{
 		k: k, cfg: cfg, mem: mem, hooks: hooks, obs: o,
 		llc:      NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
-		inflight: make(map[uint64][]waiter),
+		mshrs:    newMSHRTable(mshrSlotsPerCore * nCores),
 		txWB:     make(map[uint64]int),
 		txWBWait: make(map[uint64]sim.Event),
 	}
@@ -257,7 +258,7 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Pending reports outstanding LLC-queue entries plus in-flight memory
 // fills, for quiescence checks.
-func (h *Hierarchy) Pending() int { return len(h.queue) + len(h.inflight) }
+func (h *Hierarchy) Pending() int { return len(h.queue) + h.mshrs.n }
 
 // QueueDepths reports the LLC request queue split by kind: demand reads
 // (misses beyond the private levels) and writeback installs. Sampled by
@@ -275,7 +276,7 @@ func (h *Hierarchy) QueueDepths() (reads, writebacks int) {
 
 // InflightFills reports lines with an outstanding fill (the MSHR
 // population). Sampled by the observability layer.
-func (h *Hierarchy) InflightFills() int { return len(h.inflight) }
+func (h *Hierarchy) InflightFills() int { return h.mshrs.n }
 
 // Access performs one 64-bit load or store for core. done fires when the
 // access completes (data returned for loads; line owned and written in L1
@@ -308,8 +309,8 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 	// Miss beyond the private levels: merge into an in-flight fill if
 	// one exists, else enqueue an LLC request.
 	w := waiter{core: core, store: store, persistent: persistent, txID: txID, uncommit: uncommitted, done: done}
-	if ws, ok := h.inflight[lineAddr]; ok {
-		h.inflight[lineAddr] = append(ws, w)
+	if ws := h.mshrs.find(lineAddr); ws != nil {
+		*ws = append(*ws, w)
 		return
 	}
 	var ws []waiter
@@ -317,7 +318,7 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 		ws = h.wfree[n-1]
 		h.wfree = h.wfree[:n-1]
 	}
-	h.inflight[lineAddr] = append(ws, w)
+	h.mshrs.insert(lineAddr, append(ws, w))
 	h.k.Schedule(h.cfg.L1Latency+h.cfg.L2Latency, sim.Event{Fn: h.enqueueReadFn, Arg: fillArg(lineAddr, persistent)})
 }
 
@@ -502,8 +503,7 @@ func (h *Hierarchy) completeFill(lineAddr uint64, line Line, fromMemory bool) {
 	if fromMemory {
 		h.insertLLC(line)
 	}
-	waiters := h.inflight[lineAddr]
-	delete(h.inflight, lineAddr)
+	waiters := h.mshrs.take(lineAddr)
 	for _, w := range waiters {
 		filled := Line{Addr: lineAddr, Valid: true, Persistent: line.Persistent}
 		if w.store {

@@ -202,6 +202,9 @@ type Core struct {
 	// shadow) image the moment it enters the memory system, and returns
 	// the word it overwrote.
 	onStoreRetire func(addr, value uint64) uint64
+	// onFinish runs the moment the core finishes (where DoneAt is
+	// stamped), so the machine's all-finished test need not poll cores.
+	onFinish func()
 
 	cur         trace.Record
 	hasCur      bool
@@ -267,15 +270,15 @@ type Core struct {
 	stats Stats
 }
 
-// New builds a core and registers it with the kernel. onStoreRetire may
-// be nil; o observes the core (nil disables observation).
+// New builds a core and registers it with the kernel. onStoreRetire and
+// onFinish may be nil; o observes the core (nil disables observation).
 func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persistence,
-	rd trace.Reader, onStoreRetire func(addr, value uint64) uint64, o *obs.Sink) *Core {
+	rd trace.Reader, onStoreRetire func(addr, value uint64) uint64, onFinish func(), o *obs.Sink) *Core {
 	cfg = cfg.WithDefaults()
 	if pers == nil {
 		pers = NullPersistence{}
 	}
-	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire, obs: o}
+	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire, onFinish: onFinish, obs: o}
 	c.loadDoneFn = c.loadDone
 	c.storeDoneFn = c.storeDone
 	c.flushDoneFn = c.flushDone
@@ -389,15 +392,18 @@ func (c *Core) retire() { c.hasCur = false }
 // charged for: the tick's own cycle, or the previous one for a handler,
 // since handlers run in the event phase before the cycle's ticks. It
 // settles what the skipped Ticks since the last change owe, stamps DoneAt
-// the moment the core quiesces (exact regardless of which event finished
-// last), and re-evaluates idleCharge's answers: whether the core sleeps,
-// the bucket its skipped Ticks owe, and whether the sleep holds the
-// kernel's clock. With fast-forward off the core never sleeps, nothing is
-// owed and every Tick runs in full.
+// and calls onFinish the moment the core quiesces (exact regardless of
+// which event finished last), and re-evaluates idleCharge's answers:
+// whether the core sleeps, the bucket its skipped Ticks owe, and whether
+// the sleep holds the kernel's clock. With fast-forward off the core
+// never sleeps, nothing is owed and every Tick runs in full.
 func (c *Core) changed(charged uint64) {
 	c.settle(charged)
 	if c.stats.DoneAt == 0 && c.Finished() {
 		c.stats.DoneAt = c.k.Now()
+		if c.onFinish != nil {
+			c.onFinish()
+		}
 	}
 	bucket, idle, hold := c.idleCharge()
 	asleep := c.k.Sleep(c.slot, idle)

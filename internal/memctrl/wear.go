@@ -1,6 +1,9 @@
 package memctrl
 
-import "pmemaccel/internal/obs/metrics"
+import (
+	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/obs/metrics"
+)
 
 // Wear tracks per-line write counts of a memory space — endurance
 // analysis for NVM technologies with limited write cycles. The
@@ -8,23 +11,79 @@ import "pmemaccel/internal/obs/metrics"
 // committed store), so its wear profile versus Kiln's and Optimal's is a
 // first-order adoption question for STT-RAM/PCM deployments.
 type Wear struct {
-	counts map[uint64]uint64
-	total  uint64
+	// pages maps a page number (line address >> wearPageShift) to its
+	// counts; last caches the most recently found page, so a run of
+	// writes to one page skips the map.
+	pages   map[uint64]*wearPage
+	lastKey uint64
+	last    *wearPage
+	// order lists the pages in first-write order for the collection
+	// walks; free is the unused tail of the newest slab chunk, so a new
+	// page costs no allocation of its own.
+	order []*wearPage
+	free  []wearPage
+	lines int // distinct lines written
+	total uint64
 }
+
+const (
+	// wearPageShift fixes a count page at 4 KiB of address space: one
+	// count per line, 64 lines a page.
+	wearPageShift = 12
+	linesPerPage  = 1 << wearPageShift / memaddr.LineSize
+
+	// noWearPage is a page number no line address maps to, so the
+	// last-page cache starts empty.
+	noWearPage = ^uint64(0)
+
+	// Slab chunks hold as many pages as the tracker already has,
+	// clamped to [minWearChunk, maxWearChunk].
+	minWearChunk = 8
+	maxWearChunk = 128
+)
+
+// wearPage holds the write counts of one 4 KiB page's lines.
+type wearPage [linesPerPage]uint64
 
 // newWear returns an empty tracker.
 func newWear() *Wear {
-	return &Wear{counts: make(map[uint64]uint64)}
+	return &Wear{pages: make(map[uint64]*wearPage), lastKey: noWearPage}
 }
 
 // record notes one write to lineAddr.
 func (w *Wear) record(lineAddr uint64) {
-	w.counts[lineAddr]++
+	k := lineAddr >> wearPageShift
+	p := w.last
+	if k != w.lastKey {
+		p = w.page(k)
+	}
+	c := &p[lineAddr/memaddr.LineSize%linesPerPage]
+	if *c == 0 {
+		w.lines++
+	}
+	*c++
 	w.total++
 }
 
+// page returns page k, carving it from the slab if it is new, and makes
+// it the cached page.
+func (w *Wear) page(k uint64) *wearPage {
+	p := w.pages[k]
+	if p == nil {
+		if len(w.free) == 0 {
+			w.free = make([]wearPage, min(max(len(w.order), minWearChunk), maxWearChunk))
+		}
+		p = &w.free[0]
+		w.free = w.free[1:]
+		w.pages[k] = p
+		w.order = append(w.order, p)
+	}
+	w.lastKey, w.last = k, p
+	return p
+}
+
 // LinesTouched reports how many distinct lines were written.
-func (w *Wear) LinesTouched() int { return len(w.counts) }
+func (w *Wear) LinesTouched() int { return w.lines }
 
 // TotalWrites reports all writes.
 func (w *Wear) TotalWrites() uint64 { return w.total }
@@ -32,21 +91,21 @@ func (w *Wear) TotalWrites() uint64 { return w.total }
 // MaxLineWrites reports the hottest line's write count — the wear-out
 // bound absent wear leveling.
 func (w *Wear) MaxLineWrites() uint64 {
-	var max uint64
-	for _, c := range w.counts {
-		if c > max {
-			max = c
+	var hi uint64
+	for _, p := range w.order {
+		for _, c := range p {
+			hi = max(hi, c)
 		}
 	}
-	return max
+	return hi
 }
 
 // MeanLineWrites reports the average writes per touched line.
 func (w *Wear) MeanLineWrites() float64 {
-	if len(w.counts) == 0 {
+	if w.lines == 0 {
 		return 0
 	}
-	return float64(w.total) / float64(len(w.counts))
+	return float64(w.total) / float64(w.lines)
 }
 
 // Hotness is the max/mean ratio: 1.0 is perfectly even wear; large values
@@ -68,7 +127,11 @@ func (w *Wear) FillHistogram(h *metrics.Histogram) {
 	if h == nil {
 		return
 	}
-	for _, c := range w.counts {
-		h.Observe(c)
+	for _, p := range w.order {
+		for _, c := range p {
+			if c != 0 {
+				h.Observe(c)
+			}
+		}
 	}
 }

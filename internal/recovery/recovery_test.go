@@ -146,6 +146,24 @@ func TestRecoveryCostReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !mid.OK() || mid.FinishedEarly {
+		t.Fatalf("mid-run trial: %v (finished early: %v)", mid, mid.FinishedEarly)
+	}
+	// Whether the TC holds entries at one sampled cycle is chance; over
+	// a sweep some crash point must find committed entries to replay.
+	trials, violations, err := Sweep(cfg, 8, horizon, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for _, tr := range trials {
+		if tr.Cost.ScannedItems > 0 {
+			scanned++
+		}
+	}
+	if violations != 0 || scanned == 0 {
+		t.Fatalf("sweep: %d violations, %d of %d crash points with TC entries to scan", violations, scanned, len(trials))
+	}
 	end, err := RunTrial(cfg, 1<<40)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +171,6 @@ func TestRecoveryCostReported(t *testing.T) {
 	if end.Cost.ScannedItems != 0 || end.Cost.NVMWrites != 0 {
 		t.Fatalf("post-quiescence recovery cost nonzero: %+v", end.Cost)
 	}
-	_ = mid // a mid-run TC may or may not hold entries at the sampled cycle
 }
 
 func TestSPRecoveryCostGrowsWithProgress(t *testing.T) {

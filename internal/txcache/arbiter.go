@@ -37,7 +37,10 @@ import (
 // A nil *LineArbiter means the workload has no shared region: every call
 // on it proceeds and does nothing.
 type LineArbiter struct {
-	owner map[uint64]int // line -> owning core
+	// owner holds each shared line's owning core plus one (0 = free;
+	// memaddr.MaxCores fits a byte), indexed by the line's number in
+	// the shared region. It grows to the highest shared line touched.
+	owner []uint8
 	cores []arbCore
 	stats ArbStats
 }
@@ -88,10 +91,17 @@ const (
 
 // NewLineArbiter returns an arbiter for an nCores-wide machine.
 func NewLineArbiter(nCores int) *LineArbiter {
-	return &LineArbiter{
-		owner: make(map[uint64]int),
-		cores: make([]arbCore, nCores),
+	return &LineArbiter{cores: make([]arbCore, nCores)}
+}
+
+// ownerSlot returns the owner-table slot of a shared line, growing the
+// table to hold it.
+func (a *LineArbiter) ownerSlot(line uint64) *uint8 {
+	i := int((line - memaddr.SharedNVMBase) / memaddr.LineSize)
+	if i >= len(a.owner) {
+		a.owner = append(a.owner, make([]uint8, i+1-len(a.owner))...)
 	}
+	return &a.owner[i]
 }
 
 // Check runs the ownership protocol for one store by core's transaction
@@ -115,11 +125,11 @@ func (a *LineArbiter) Check(core int, txID, addr uint64) ArbDecision {
 		return ArbAbort
 	}
 	a.stats.Acquires++
-	if _, owned := a.owner[line]; owned {
+	if own := a.ownerSlot(line); *own != 0 {
 		a.stats.Conflicts++
 		c.denied = line
 	} else {
-		a.owner[line] = core
+		*own = uint8(core + 1)
 		c.held = append(c.held, heldLine{line: line})
 	}
 	return ArbRetry
@@ -189,7 +199,7 @@ func (a *LineArbiter) DrainAck(core int, addr uint64) {
 }
 
 // sweep releases every line of core with no open and no draining writes.
-// Release order is unobservable — each release is one owner delete and
+// Release order is unobservable — each release is one owner-slot clear and
 // one counter increment — so the held list needs no sort.
 func (a *LineArbiter) sweep(core int) {
 	c := &a.cores[core]
@@ -207,10 +217,11 @@ func (a *LineArbiter) sweep(core int) {
 // release drops core's ownership of line. Releasing a line the core does
 // not own is a protocol bug and panics.
 func (a *LineArbiter) release(core int, line uint64) {
-	if own, held := a.owner[line]; !held || own != core {
+	own := a.ownerSlot(line)
+	if *own != uint8(core+1) {
 		panic("txcache: LineArbiter release of a line the core does not own")
 	}
-	delete(a.owner, line)
+	*own = 0
 	a.stats.Releases++
 }
 

@@ -13,8 +13,8 @@ func sharedLine(i int) uint64 { return memaddr.SharedNVMBase + uint64(i)*64 }
 
 // ownerOf reports line's owning core, -1 when free.
 func (a *LineArbiter) ownerOf(line uint64) int {
-	if c, ok := a.owner[line]; ok {
-		return c
+	if i := int((line - memaddr.SharedNVMBase) / memaddr.LineSize); i < len(a.owner) {
+		return int(a.owner[i]) - 1
 	}
 	return -1
 }
@@ -258,5 +258,48 @@ func TestArbiterPassesUnarbitratedStores(t *testing.T) {
 	}
 	if s := a.Stats(); s != (ArbStats{}) {
 		t.Fatalf("unarbitrated stores touched the arbiter: %+v", s)
+	}
+}
+
+// TestArbiterAllocationFree pins the arbiter's per-store paths at zero
+// heap allocations once warm: a grant and its proceeding retry, a
+// durable write, a denial and the loser's abort, and both release
+// points (TC drain acks after CommitPending, and ReleaseTxNow).
+func TestArbiterAllocationFree(t *testing.T) {
+	a := NewLineArbiter(2)
+	lines := []uint64{sharedLine(3), sharedLine(40), sharedLine(7)}
+	tx := uint64(0)
+	round := func() {
+		tx++
+		for _, l := range lines {
+			a.Check(0, tx, l)
+			a.Check(0, tx, l)
+			a.NoteWrite(0, l)
+		}
+		if d := a.Check(1, tx, lines[0]); d != ArbRetry {
+			t.Fatalf("contested store = %v, want ArbRetry", d)
+		}
+		if d := a.Check(1, tx, lines[0]); d != ArbAbort {
+			t.Fatalf("loser's retry = %v, want ArbAbort", d)
+		}
+		a.CommitPending(0)
+		for _, l := range lines[:2] {
+			a.DrainAck(0, l)
+		}
+		a.ReleaseTxNow(0) // lines[2] still draining: kept
+		a.DrainAck(0, lines[2])
+	}
+	round() // warm-up: the owner table and held list grow here
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocs per arbitration round, want 0", allocs)
+	}
+	for _, l := range lines {
+		if o := a.ownerOf(l); o != -1 {
+			t.Fatalf("line %#x still owned by core %d", l, o)
+		}
+	}
+	// One warm-up round, then AllocsPerRun's own warm-up and 100 runs.
+	if s := a.Stats(); s.Releases != 3*102 || s.Conflicts != 102 {
+		t.Fatalf("stats %+v, want 306 releases and 102 conflicts", s)
 	}
 }

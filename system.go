@@ -62,7 +62,8 @@ type System struct {
 	// during Run and RunToCycle.
 	producer *trace.Producer
 
-	// finished counts the leading cores seen Finished; see coresFinished.
+	// finished counts the leading cores that finished; coreFinished
+	// advances it.
 	finished int
 }
 
@@ -178,7 +179,7 @@ func NewSystem(cfg Config) (*System, error) {
 				old := s.Live.ReadWord(addr)
 				s.Live.WriteWord(addr, value)
 				return old
-			}, s.Obs)
+			}, s.coreFinished, s.Obs)
 		s.Cores = append(s.Cores, core)
 	}
 	s.startSampler()
@@ -219,15 +220,18 @@ func (s *System) startSampler() {
 	p.StartSampling(s.Kernel, s.Config.Obs.SampleEvery)
 }
 
-// coresFinished reports whether every core finished its trace. A finished
-// core never runs again, so the scan resumes at the first core not yet
-// seen finished: amortized O(1) per call over a run.
-func (s *System) coresFinished() bool {
+// coreFinished runs when a core finishes its trace. A finished core never
+// runs again, so it advances finished over the leading cores that have
+// finished: O(cores) over a whole run.
+func (s *System) coreFinished() {
 	for s.finished < len(s.Cores) && s.Cores[s.finished].Finished() {
 		s.finished++
 	}
-	return s.finished == len(s.Cores)
 }
+
+// coresFinished reports whether every core finished its trace: the
+// kernel's stop test, asked once per stepped cycle.
+func (s *System) coresFinished() bool { return s.finished == len(s.Cores) }
 
 // quiesced reports whether every core finished and all persistence and
 // memory machinery drained.
