@@ -90,8 +90,8 @@ func (k Kind) Description() string {
 
 // MemPort is the mechanisms' port into main memory: the write half of
 // the cache.Memory request surface (no mechanism reads memory) plus the
-// one piece of memory-side introspection a mechanism needs (SP's
-// pcommit stall drains the NVM write queues). It is implemented by
+// memory-side state SP's pcommit stall waits on, the NVM write queues,
+// with the notification that they drained. It is implemented by
 // memctrl.Backend; mechanisms never see the topology — per-channel FIFO
 // durability ordering is the backend's contract.
 type MemPort interface {
@@ -104,6 +104,10 @@ type MemPort interface {
 	// PendingNVMWrites reports queued, unissued writes summed across
 	// the NVM channels.
 	PendingNVMWrites() int
+	// OnNVMDrain subscribes fn to the NVM write queues' drain: fn runs,
+	// in the kernel's tick phase, each time PendingNVMWrites drops to
+	// zero (a channel issued the space's last queued write).
+	OnNVMDrain(fn func())
 }
 
 // TCIntrospector is the optional interface a mechanism implements when it

@@ -441,24 +441,157 @@ func TestKilnTagNamespacesCores(t *testing.T) {
 	}
 }
 
+// spWaitEnv is an SP mechanism over testEnv with a record of the
+// resumed commit waits: resume(core) is the wait's continuation, and
+// each resume appends its core and the cycle it fired.
+type spWaitEnv struct {
+	env     *Env
+	m       Mechanism
+	cores   []int
+	cycles  []uint64
+	resumed int
+	resume  func(core int) sim.Event
+}
+
+func newSPWaitEnv(t *testing.T) *spWaitEnv {
+	w := &spWaitEnv{env: testEnv(t)}
+	w.m = New(SP, w.env)
+	attach(w.env, w.m)
+	fn := func(core uint64) {
+		w.cores = append(w.cores, int(core))
+		w.cycles = append(w.cycles, w.env.K.Now())
+		w.resumed++
+	}
+	w.resume = func(core int) sim.Event { return sim.Event{Fn: fn, Arg: uint64(core)} }
+	return w
+}
+
+// stepUntilDrained steps the kernel until the NVM write queues are
+// empty and returns the cycle whose tick issued the last write.
+func (w *spWaitEnv) stepUntilDrained(t *testing.T) uint64 {
+	t.Helper()
+	for i := 0; w.env.Mem.PendingNVMWrites() > 0; i++ {
+		if i == 100000 {
+			t.Fatal("NVM write queues never drained")
+		}
+		w.env.K.Step()
+	}
+	return w.env.K.Now()
+}
+
 func TestSPPcommitStallsUntilWriteQueueDrains(t *testing.T) {
-	env := testEnv(t)
-	m := New(SP, env)
-	attach(env, m)
+	w := newSPWaitEnv(t)
+	// With idle NVM write queues, TX_END is instant and holds nothing.
+	if w.m.TxEnd(0, 1, w.resume(0)) {
+		t.Fatal("TxEnd with idle NVM write queues stalled")
+	}
+	if h := w.env.K.Holds(); h != 0 {
+		t.Fatalf("Holds = %d after an unstalled TxEnd, want 0", h)
+	}
 	// With writes pending at the NVM controller, TX_END stalls until
 	// the queue drains (pcommit).
-	env.Mem.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
-	resumed := false
-	if !m.TxEnd(0, 1, sim.Event{Fn: func(uint64) { resumed = true }}) {
+	w.env.Mem.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
+	if !w.m.TxEnd(0, 2, w.resume(0)) {
 		t.Fatal("TxEnd with pending NVM writes did not stall")
 	}
-	env.K.RunUntil(func() bool { return resumed }, 100000)
-	if !resumed {
-		t.Fatal("pcommit never resumed")
+	w.env.K.RunUntil(func() bool { return w.resumed > 0 }, 100000)
+	if w.resumed != 1 {
+		t.Fatalf("resumed %d times, want once (the stalled TxEnd only)", w.resumed)
 	}
-	// With an idle queue, TX_END is instant.
-	if m.TxEnd(0, 2, sim.Event{}) {
-		t.Fatal("TxEnd with idle NVM queue stalled")
+	if h := w.env.K.Holds(); h != 0 {
+		t.Fatalf("Holds = %d after the resume, want 0", h)
+	}
+}
+
+// TestSPPcommitResumesInTxEndOrder: the cores waiting on one drain resume
+// together, on the cycle after it, in the order their TxEnds stalled,
+// and SP drops the hold it took for each.
+func TestSPPcommitResumesInTxEndOrder(t *testing.T) {
+	w := newSPWaitEnv(t)
+	w.env.Mem.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
+	for _, core := range []int{1, 0} {
+		if !w.m.TxEnd(core, 1, w.resume(core)) {
+			t.Fatalf("core %d: TxEnd with a queued NVM write did not stall", core)
+		}
+	}
+	if h := w.env.K.Holds(); h != 2 {
+		t.Fatalf("Holds = %d with two cores waiting, want 2", h)
+	}
+	drained := w.stepUntilDrained(t)
+	if w.resumed != 0 {
+		t.Fatalf("resumed in the draining cycle %d", drained)
+	}
+	w.env.K.Step()
+	if len(w.cores) != 2 || w.cores[0] != 1 || w.cores[1] != 0 {
+		t.Fatalf("resumed cores %v, want [1 0]", w.cores)
+	}
+	for _, c := range w.cycles {
+		if c != drained+1 {
+			t.Fatalf("resumed at cycles %v, want %d", w.cycles, drained+1)
+		}
+	}
+	if h := w.env.K.Holds(); h != 0 {
+		t.Fatalf("Holds = %d after the last resume, want 0", h)
+	}
+}
+
+// TestSPPcommitCheckWaitsForNextDrain: a write enqueued between the drain
+// and the check (ahead of it in the next cycle) keeps the core waiting
+// until that write issues too.
+func TestSPPcommitCheckWaitsForNextDrain(t *testing.T) {
+	w := newSPWaitEnv(t)
+	w.env.Mem.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
+	if !w.m.TxEnd(0, 1, w.resume(0)) {
+		t.Fatal("TxEnd with a queued NVM write did not stall")
+	}
+	first := w.stepUntilDrained(t)
+	// Another bank, so the second write does not wait for the first.
+	w.env.Mem.Write(memaddr.NVMBase+memaddr.LineSize, sim.Event{}, sim.Event{})
+	w.env.K.Step()
+	if w.resumed != 0 {
+		t.Fatalf("resumed at cycle %d with a write queued since the drain at %d", w.cycles[0], first)
+	}
+	if h := w.env.K.Holds(); h != 1 {
+		t.Fatalf("Holds = %d while the core still waits, want 1", h)
+	}
+	second := w.stepUntilDrained(t)
+	w.env.K.RunUntil(func() bool { return w.resumed > 0 }, second+10)
+	if w.resumed != 1 || w.cycles[0] != second+1 {
+		t.Fatalf("resumed %d times at cycles %v, want once at %d", w.resumed, w.cycles, second+1)
+	}
+	if h := w.env.K.Holds(); h != 0 {
+		t.Fatalf("Holds = %d after the last resume, want 0", h)
+	}
+}
+
+// TestSPPcommitWaitAllocationFree pins a whole commit wait, two cores
+// stalling on a queued write and resuming after its drain, at zero heap
+// allocations once the queues and the kernel's pools are warm.
+func TestSPPcommitWaitAllocationFree(t *testing.T) {
+	w := newSPWaitEnv(t)
+	fn := func(uint64) { w.resumed++ }
+	ev := sim.Event{Fn: fn}
+	backend := w.env.Mem.(*memctrl.Backend)
+	want := 0
+	done := func() bool { return w.resumed == want && backend.Quiescent() }
+	round := func() {
+		w.env.Mem.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
+		for core := 0; core < 2; core++ {
+			if !w.m.TxEnd(core, 1, ev) {
+				t.Fatal("TxEnd with a queued NVM write did not stall")
+			}
+		}
+		want += 2
+		if _, ok := w.env.K.RunUntil(done, w.env.K.Now()+100000); !ok {
+			t.Fatal("commit wait never resumed")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocs per commit wait, want 0", allocs)
+	}
+	if h := w.env.K.Holds(); h != 0 {
+		t.Fatalf("Holds = %d after the last resume, want 0", h)
 	}
 }
 

@@ -52,11 +52,11 @@ type sp struct {
 	// (Arg: line address), bound once.
 	logLandedFn func(uint64)
 
-	// resume holds each core's commit continuation while its pcommit
-	// poll waits for the NVM write queues to drain; pollFn is the poll
-	// handler (Arg: core), bound once.
-	resume []sim.Event
-	pollFn func(uint64)
+	// waiters are the commit continuations of the cores stalled in
+	// pcommit, in TxEnd order; SP holds the kernel's clock once for each.
+	// checkFn is the post-drain check, bound once.
+	waiters []sim.Event
+	checkFn func(uint64)
 }
 
 // spLogCost is the bookkeeping instruction count per logged store — the
@@ -81,11 +81,12 @@ func newSP(env *Env) Mechanism {
 		env: env, copier: newLiveCopier(env), logs: logs,
 		cursor: cursor, durable: append([]uint64(nil), cursor...),
 		// Arb is wired exactly when the workload has a shared region.
-		shared: env.Arb != nil,
-		resume: make([]sim.Event, env.Cores),
+		shared:  env.Arb != nil,
+		waiters: make([]sim.Event, 0, env.Cores),
 	}
-	m.pollFn = m.pcommitPoll
+	m.checkFn = m.pcommitCheck
 	m.logLandedFn = m.logLanded
+	env.Mem.OnNVMDrain(m.nvmDrained)
 	return m
 }
 
@@ -211,27 +212,43 @@ func (r *spReader) expand(rec trace.Record) {
 
 // TxEnd retires after the commit record's sfence, so the transaction is
 // already durable (logLanded saw its record land). The remaining cost is
-// pcommit (Figure 3(a)): the core stalls until the NVM controller's
-// write queue drains.
+// pcommit (Figure 3(a)): the core stalls until the NVM controllers'
+// write queues drain. The waiting core sleeps; SP holds the clock on its
+// behalf, so the kernel steps every cycle of the wait, as for a core
+// that re-reads the queues each cycle, and SkippedCycles does not move.
 func (m *sp) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	if m.env.Mem.PendingNVMWrites() == 0 {
 		return false
 	}
-	m.resume[core] = resume
-	m.env.K.Schedule(1, sim.Event{Fn: m.pollFn, Arg: uint64(core)})
+	m.waiters = append(m.waiters, resume)
+	m.env.K.Hold(true)
 	return true
 }
 
-// pcommitPoll re-checks the NVM write queues each cycle until they have
-// drained, then resumes the core (Arg: core).
-func (m *sp) pcommitPoll(core uint64) {
-	if m.env.Mem.PendingNVMWrites() == 0 {
-		resume := m.resume[core]
-		m.resume[core] = sim.Event{}
-		resume.Fire()
+// nvmDrained runs in the tick that issues the NVM space's last queued
+// write. While cores wait it schedules the pcommit check for the next
+// cycle. The NVM channels tick first, so the check fires before any
+// event a later component schedules for that cycle in this tick: the
+// first read of the drained queues, as DESIGN.md §10 argues.
+func (m *sp) nvmDrained() {
+	if len(m.waiters) > 0 {
+		m.env.K.Schedule(1, sim.Event{Fn: m.checkFn})
+	}
+}
+
+// pcommitCheck resumes every waiting core, in TxEnd order, if the NVM
+// write queues are still empty; a write enqueued since the drain makes
+// them wait for the next one.
+func (m *sp) pcommitCheck(uint64) {
+	if m.env.Mem.PendingNVMWrites() != 0 {
 		return
 	}
-	m.env.K.Schedule(1, sim.Event{Fn: m.pollFn, Arg: core})
+	for i, resume := range m.waiters {
+		m.waiters[i] = sim.Event{}
+		m.env.K.Hold(false)
+		resume.Fire()
+	}
+	m.waiters = m.waiters[:0]
 }
 
 func (m *sp) Store(core int, txID uint64, addr, value uint64, _ sim.Event) cpu.StoreAction {

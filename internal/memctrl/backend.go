@@ -87,6 +87,8 @@ type Backend struct {
 	// A routed write issues before the backend is quiescent, so after a
 	// run it equals the writes the channels serviced.
 	wear *Wear
+	// onNVMDrain is the OnNVMDrain subscriber.
+	onNVMDrain func()
 }
 
 // NewBackend builds the topology's controllers, registered with k in
@@ -207,13 +209,35 @@ func (b *Backend) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *o
 
 // PendingNVMWrites reports queued, unissued writes summed across the NVM
 // channels — the quantity the SP mechanism's pcommit stall drains to
-// zero.
+// zero. It only shrinks when a channel issues a write, in the kernel's
+// tick phase, and the issue that takes it to zero calls the OnNVMDrain
+// subscriber.
 func (b *Backend) PendingNVMWrites() int {
 	n := 0
 	for _, c := range b.nvm {
 		n += c.PendingWrites()
 	}
 	return n
+}
+
+// OnNVMDrain subscribes fn to the NVM write queues' drain: fn runs,
+// inside the issuing channel's Tick, each time a channel issues its last
+// queued write while every other NVM channel's write queue is already
+// empty, that is, each time PendingNVMWrites drops to zero. There is one
+// subscriber; until it subscribes, the channels tell the backend nothing.
+func (b *Backend) OnNVMDrain(fn func()) {
+	b.onNVMDrain = fn
+	for _, c := range b.nvm {
+		c.space = b
+	}
+}
+
+// nvmChannelDrained runs when an NVM channel issues its last queued
+// write, and tells the subscriber if the whole space is drained.
+func (b *Backend) nvmChannelDrained() {
+	if b.PendingNVMWrites() == 0 {
+		b.onNVMDrain()
+	}
 }
 
 // Quiescent reports whether every channel is idle.

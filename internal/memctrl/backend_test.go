@@ -248,3 +248,52 @@ func TestBackendProbeChannelIDs(t *testing.T) {
 	var nilProbe *obs.Probe
 	b.AddQueueSources(nilProbe)
 }
+
+// TestBackendNVMDrainSumsChannels: the drain subscriber runs once per
+// drop of the summed NVM write queues to zero, in the tick that issues
+// the last queued write, and never for one channel emptying while
+// another still queues writes, nor for DRAM writes.
+func TestBackendNVMDrainSumsChannels(t *testing.T) {
+	k := sim.NewKernel()
+	topo := Topology{NVMChannels: 2, InterleaveBytes: 4096}
+	b, err := NewBackend(k, topo, testConfig(), dramTestConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drains []uint64
+	b.OnNVMDrain(func() {
+		if n := b.PendingNVMWrites(); n != 0 {
+			t.Errorf("drain reported with %d writes queued", n)
+		}
+		drains = append(drains, k.Now())
+	})
+	// Channel 0 takes one write; channel 1 two on one bank, so its second
+	// issues only once the first completes, long after channel 0 emptied.
+	b.Write(memaddr.NVMBase, sim.Event{}, sim.Event{})
+	b.Write(memaddr.NVMBase+4096, sim.Event{}, sim.Event{})
+	b.Write(memaddr.NVMBase+4096+4*memaddr.LineSize, sim.Event{}, sim.Event{})
+	b.Write(memaddr.DRAMBase, sim.Event{}, sim.Event{})
+	last := uint64(0)
+	for i := 0; b.PendingNVMWrites() > 0; i++ {
+		if i == 10000 {
+			t.Fatal("NVM write queues never drained")
+		}
+		if len(drains) > 0 {
+			t.Fatalf("drain reported at cycle %d with writes still queued", drains[0])
+		}
+		k.Step()
+		last = k.Now()
+	}
+	if len(drains) != 1 || drains[0] != last {
+		t.Fatalf("drains at cycles %v, want one at %d", drains, last)
+	}
+	if last < testConfig().WriteMiss {
+		t.Fatalf("queues drained at cycle %d; channel 1's second write did not wait for its bank", last)
+	}
+	k.RunUntil(b.Quiescent, 10000)
+	b.Write(memaddr.NVMLogBase, sim.Event{}, sim.Event{})
+	k.RunUntil(b.Quiescent, k.Now()+10000)
+	if len(drains) != 2 {
+		t.Fatalf("%d drains after a second queued write, want 2", len(drains))
+	}
+}

@@ -154,6 +154,11 @@ type Controller struct {
 	// trace track and its tracked writes. The Backend sets both.
 	obs *obs.Sink
 	id  int
+	// space is the Backend whose NVM space the channel belongs to, set
+	// once the backend has a drain subscriber (nil for DRAM channels and
+	// standalone controllers): issue tells it when the channel's last
+	// queued write issues.
+	space *Backend
 
 	stats Stats
 }
@@ -318,6 +323,9 @@ func (c *Controller) issue(idx int, isWrite bool, now uint64) {
 	arg := c.flight.Put(r) << 1
 	if isWrite {
 		arg |= 1
+		if len(c.writes) == 0 && c.space != nil {
+			c.space.nvmChannelDrained()
+		}
 	}
 	c.k.Schedule(lat, sim.Event{Fn: c.completeFn, Arg: arg})
 }

@@ -141,8 +141,9 @@ type Kernel struct {
 	// awake, so Step visits only awake components; awake counts them.
 	awakeBits []uint64
 	awake     int
-	// holds counts the sleeping components that keep the clock stepping
-	// (Hold): while it is nonzero RunUntil never fast-forwards.
+	// holds counts the holds that keep the clock stepping (Hold), taken
+	// by sleeping components or on their behalf: while it is nonzero
+	// RunUntil never fast-forwards.
 	holds int
 
 	// ff lets components sleep and the clock fast-forward; skipped
@@ -246,9 +247,11 @@ func (k *Kernel) Sleep(id int, idle bool) bool {
 // Hold adds (on) or drops (off) one hold on the clock. While any hold is
 // in place RunUntil steps every cycle, even with no component awake, so a
 // held sleeping component costs nothing per cycle yet the kernel steps
-// exactly the cycles it would step were the component awake. Each caller
-// pairs its own adds and drops. With fast-forward off the clock never
-// jumps and Hold does nothing.
+// exactly the cycles it would step were the component awake. A mechanism
+// may hold on behalf of a core it stalls, for the cycles a per-cycle poll
+// on the core's behalf would have stepped. Each caller pairs its own adds
+// and drops. With fast-forward off the clock never jumps and Hold does
+// nothing.
 func (k *Kernel) Hold(on bool) {
 	if !k.ff {
 		return

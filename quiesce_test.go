@@ -192,27 +192,35 @@ func TestNoFastForwardDisablesSkipping(t *testing.T) {
 }
 
 // TestSteppedCyclesPinned pins the run length and the cycles the kernel
-// skipped on the two 16-core cells whose cores spend most of their time
-// waiting at TX_END for their own accesses to drain. A waiting core
-// sleeps but holds the kernel's clock, so the kernel steps every cycle
-// of the wait; dropping the hold moves SkippedCycles (and the
-// stepped-cycle rate the benchmark reports), and must re-record these
-// values on purpose.
+// skipped on the cells whose cores spend most of their time in a held
+// wait. On the two 16-core graph and bankshared/tcache cells the cores
+// wait at TX_END for their own accesses to drain: a waiting core sleeps
+// but holds the kernel's clock, so the kernel steps every cycle of the
+// wait. On the SP cells the cores wait in pcommit for the NVM write
+// queues to drain, and SP holds the clock for each of them. Dropping a
+// hold moves SkippedCycles (and the stepped-cycle rate the benchmark
+// reports), and must re-record these values on purpose. The 2-channel
+// SP cell checks that the drain is the sum over every NVM channel.
 func TestSteppedCyclesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name            string
 		b               workload.Benchmark
 		m               Kind
+		cores, channels int
 		cycles, skipped uint64
 	}{
-		{"graph/optimal/16c", workload.Graph, Optimal, 43452, 3310},
-		{"bankshared/tcache/16c", workload.BankShared, TCache, 238664, 109657},
+		{"graph/optimal/16c", workload.Graph, Optimal, 16, 0, 43452, 3310},
+		{"bankshared/tcache/16c", workload.BankShared, TCache, 16, 0, 238664, 109657},
+		{"sps/sp/4c", workload.SPS, SP, 4, 0, 81202, 51032},
+		{"bankshared/sp/16c", workload.BankShared, SP, 16, 0, 335956, 38434},
+		{"sps/sp/8c/2nvm", workload.SPS, SP, 8, 2, 99057, 32240},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := smokeConfig(c.b, c.m)
-			cfg.Cores = 16
+			cfg.Cores = c.cores
+			cfg.NVMChannels = c.channels
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
