@@ -167,6 +167,13 @@ type pendingFlush struct {
 	apply, done sim.Event
 }
 
+// commitFlush is one core's FlushTx in progress (tag 0: none).
+type commitFlush struct {
+	tag, start, lines uint64 // the transaction, its start cycle, lines moved
+	done              sim.Event
+	waiting           bool // waits on the tag's in-transit writebacks
+}
+
 // Hierarchy is the three-level cache model shared by all four mechanisms.
 type Hierarchy struct {
 	k     *sim.Kernel
@@ -194,7 +201,7 @@ type Hierarchy struct {
 
 	// Handlers bound once at construction (see sim.Event).
 	enqueueReadFn, hitFillFn, missReadFn, memFillFn func(uint64)
-	wbInstallFn, flushWriteFn                       func(uint64)
+	wbInstallFn, flushWriteFn, commitDoneFn         func(uint64)
 
 	// commitLocks counts in-progress FlushTx commits. While nonzero,
 	// demand reads stall at the LLC and only writebacks (the flush's
@@ -203,11 +210,11 @@ type Hierarchy struct {
 	commitLocks int
 
 	// txWB counts queued/in-flight LLC writebacks per transaction;
-	// txWBWait holds the commit continuation waiting for that count to
-	// drain (Kiln: a commit may not complete while any of the
+	// commits holds each core's commit flush, which may wait for that
+	// count to drain (Kiln: a commit may not complete while any of the
 	// transaction's evicted lines is still in transit to the LLC).
-	txWB     map[uint64]int
-	txWBWait map[uint64]sim.Event
+	txWB    map[uint64]int
+	commits []commitFlush
 
 	// obs observes the hierarchy (nil when disabled).
 	obs *obs.Sink
@@ -221,10 +228,10 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.
 	cfg = cfg.WithDefaults()
 	h := &Hierarchy{
 		k: k, cfg: cfg, mem: mem, hooks: hooks, obs: o,
-		llc:      NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
-		mshrs:    newMSHRTable(mshrSlotsPerCore * nCores),
-		txWB:     make(map[uint64]int),
-		txWBWait: make(map[uint64]sim.Event),
+		llc:     NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
+		mshrs:   newMSHRTable(mshrSlotsPerCore * nCores),
+		txWB:    make(map[uint64]int),
+		commits: make([]commitFlush, nCores),
 	}
 	h.enqueueReadFn = h.enqueueRead
 	h.hitFillFn = h.hitFill
@@ -232,6 +239,7 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.
 	h.memFillFn = h.memFill
 	h.wbInstallFn = h.wbInstall
 	h.flushWriteFn = h.flushWrite
+	h.commitDoneFn = h.commitDone
 	for c := 0; c < nCores; c++ {
 		h.l1 = append(h.l1, NewSetAssoc(fmt.Sprintf("L1-%d", c), cfg.L1Size, cfg.L1Ways))
 		h.l2 = append(h.l2, NewSetAssoc(fmt.Sprintf("L2-%d", c), cfg.L2Size, cfg.L2Ways))
@@ -408,9 +416,10 @@ func (h *Hierarchy) wbLanded(txID uint64) {
 	h.txWB[txID]--
 	if h.txWB[txID] <= 0 {
 		delete(h.txWB, txID)
-		if wake, ok := h.txWBWait[txID]; ok {
-			delete(h.txWBWait, txID)
-			wake.Fire()
+		for c := range h.commits {
+			if f := &h.commits[c]; f.waiting && f.tag == txID {
+				h.commitDone(uint64(c))
+			}
 		}
 	}
 }
@@ -686,50 +695,52 @@ func (h *Hierarchy) flushWrite(slot uint64) {
 // the Uncommitted pin on the transaction's LLC lines. done fires at that
 // point.
 func (h *Hierarchy) FlushTx(core int, txID uint64, done sim.Event) {
+	f := &h.commits[core]
+	if f.tag != 0 {
+		panic("cache: concurrent FlushTx on one core")
+	}
+	*f = commitFlush{tag: txID, start: h.k.Now(), done: done}
 	// Flushed lines remain tagged uncommitted while in transit; the
-	// commit becomes visible atomically in the unpin walk below, so a
+	// commit becomes visible atomically in commitDone's unpin walk, so a
 	// crash mid-flush never exposes a partially committed transaction.
-	var lines []Line
 	for _, c := range []*SetAssoc{h.l1[core], h.l2[core]} {
 		c.ForEach(func(l *Line) {
 			if l.Dirty && l.TxID == txID {
-				lines = append(lines, Line{
+				h.queueWriteback(Line{
 					Addr: l.Addr, Valid: true, Dirty: true,
 					Persistent: l.Persistent, TxID: txID, Uncommitted: true,
 				})
 				l.Dirty = false
 				l.TxID = 0
 				l.Uncommitted = false
+				f.lines++
 			}
 		})
 	}
-	h.stats.FlushedLines += uint64(len(lines))
+	h.stats.FlushedLines += f.lines
 	h.commitLocks++
-	flushStart := h.k.Now()
-	nLines := uint64(len(lines))
-	finish := sim.Event{Fn: func(uint64) {
-		h.obs.TxFlush(core, txID, flushStart, h.k.Now(), nLines)
-		h.commitLocks--
-		h.llc.ForEach(func(l *Line) {
-			if l.TxID == txID {
-				l.Uncommitted = false
-				l.TxID = 0
-			}
-		})
-		done.Fire()
-	}}
-	for _, line := range lines {
-		h.queueWriteback(line)
-	}
 	// The commit completes when every writeback of this transaction has
 	// landed in the LLC — both the flush's own lines and any mid-
 	// transaction evictions still in transit.
 	if h.txWB[txID] == 0 {
-		h.k.Schedule(1, finish)
+		h.k.Schedule(1, sim.Event{Fn: h.commitDoneFn, Arg: uint64(core)})
 		return
 	}
-	if _, ok := h.txWBWait[txID]; ok {
-		panic("cache: concurrent FlushTx for one transaction")
-	}
-	h.txWBWait[txID] = finish
+	f.waiting = true
+}
+
+// commitDone completes core's commit flush (Arg: core): it unpins the
+// transaction's LLC lines and fires the flush's done.
+func (h *Hierarchy) commitDone(core uint64) {
+	f := &h.commits[core]
+	h.obs.TxFlush(int(core), f.tag, f.start, h.k.Now(), f.lines)
+	h.commitLocks--
+	h.llc.ForEach(func(l *Line) {
+		if l.TxID == f.tag {
+			l.Uncommitted = false
+			l.TxID = 0
+		}
+	})
+	f.tag, f.waiting = 0, false
+	f.done.Fire()
 }

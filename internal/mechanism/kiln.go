@@ -26,30 +26,33 @@ type kiln struct {
 	nvllc *memimage.Image
 
 	// resume holds each core's commit continuation while its commit
-	// flush is in progress; flushedFn (Arg: core) is bound once.
-	resume    []sim.Event
-	flushedFn func(uint64)
+	// flush is in progress. Handlers bound once in newKiln: a commit
+	// flush completed (Arg: core); a retained write-back landed (Arg:
+	// versions slot).
+	resume              []sim.Event
+	flushedFn, landedFn func(uint64)
 
-	// retained holds committed line versions whose write-back to NVM
+	// versions holds committed line versions whose write-back to NVM
 	// has not yet become durable: old versions displaced by an
 	// uncommitted overwrite (forced write-back) and ordinary LLC
 	// evictions. Physically this data is still in the nonvolatile LLC
 	// array (Kiln is multi-versioned, and an eviction leaves the array
 	// only when its write lands), so recovery can read it; losing it
 	// during the write-back's flight would be a durability hole.
-	// retains numbers the retentions, so a landing write drops only
-	// its own version.
-	retained map[uint64]retainedVersion
-	retains  uint64
+	// retained maps a line to the slot of its newest version in flight;
+	// the slot is the retention's identity, so a landing write drops
+	// only its own version.
+	versions sim.Slots[retainedWrite]
+	retained map[uint64]uint64
 
 	// ForcedWritebacks counts committed line versions written back
 	// early because an uncommitted update was about to overwrite them.
 	ForcedWritebacks uint64
 }
 
-type retainedVersion struct {
+type retainedWrite struct {
+	addr uint64
 	vals [8]uint64
-	gen  uint64
 }
 
 // kilnShadowBit maps a line address to its version-placeholder address:
@@ -61,9 +64,10 @@ func newKiln(env *Env) Mechanism {
 	m := &kiln{
 		env: env, nvllc: memimage.New(),
 		resume:   make([]sim.Event, env.Cores),
-		retained: make(map[uint64]retainedVersion),
+		retained: make(map[uint64]uint64),
 	}
 	m.flushedFn = m.flushed
+	m.landedFn = m.landed
 	return m
 }
 
@@ -116,15 +120,19 @@ func (m *kiln) Hooks() cache.Hooks {
 // is in flight and returns the write's completion, which makes it durable
 // and drops the retention unless a newer version of the line replaced it.
 func (m *kiln) retain(addr uint64, vals [8]uint64) sim.Event {
-	m.retains++
-	gen := m.retains
-	m.retained[addr] = retainedVersion{vals: vals, gen: gen}
-	return sim.Event{Fn: func(uint64) {
-		m.env.Durable.WriteLine(addr, vals)
-		if r, ok := m.retained[addr]; ok && r.gen == gen {
-			delete(m.retained, addr)
-		}
-	}}
+	slot := m.versions.Put(retainedWrite{addr: addr, vals: vals})
+	m.retained[addr] = slot
+	return sim.Event{Fn: m.landedFn, Arg: slot}
+}
+
+// landed makes a retained version durable once its write-back lands
+// (Arg: versions slot).
+func (m *kiln) landed(slot uint64) {
+	r := m.versions.Take(slot)
+	m.env.Durable.WriteLine(r.addr, r.vals)
+	if s, ok := m.retained[r.addr]; ok && s == slot {
+		delete(m.retained, r.addr)
+	}
 }
 
 func (m *kiln) Attach(h *cache.Hierarchy) { m.hier = h }
@@ -186,8 +194,8 @@ func (m *kiln) Drained() bool { return true }
 func (m *kiln) Recover(durable *memimage.Image) (*memimage.Image, RecoveryCost) {
 	out := durable.Snapshot()
 	scanned, writes := 0, len(m.retained)
-	for addr, r := range m.retained {
-		out.WriteLine(addr, r.vals)
+	for addr, slot := range m.retained {
+		out.WriteLine(addr, m.versions.Get(slot).vals)
 	}
 	m.hier.LLC().ForEach(func(l *cache.Line) {
 		scanned++

@@ -307,8 +307,8 @@ func TestTCacheOverflowFallback(t *testing.T) {
 			t.Fatalf("store %d stalled; fallback should absorb overflow", i)
 		}
 	}
-	if !m.fbActive[0] || m.fbTx[0] != 1 {
-		t.Fatalf("fall-back active %v for tx %d, want active for tx 1", m.fbActive[0], m.fbTx[0])
+	if fb := m.fb[0]; !fb.active || fb.tx != 1 {
+		t.Fatalf("fall-back active %v for tx %d, want active for tx 1", fb.active, fb.tx)
 	}
 	if m.tcs[0].Occupancy() != 0 {
 		t.Fatalf("TC still holds %d entries of the overflowed tx", m.tcs[0].Occupancy())
@@ -592,6 +592,107 @@ func TestSPPcommitWaitAllocationFree(t *testing.T) {
 	}
 	if h := w.env.K.Holds(); h != 0 {
 		t.Fatalf("Holds = %d after the last resume, want 0", h)
+	}
+}
+
+// TestTCacheOverflowCommitAllocationFree pins an overflowed commit's
+// whole round trip at zero heap allocations once the queues and the
+// kernel's pools are warm: an ordinary transaction leaves a committed
+// entry draining out of the TC, then the next one overflows into shadow
+// writes, its TX_END waits for them and for the TC drain, and the
+// commit record's landing applies the shadow writes and resumes the
+// core. Each round rewinds the shadow log to its base, so the NVM wear
+// tracker sees no new page.
+func TestTCacheOverflowCommitAllocationFree(t *testing.T) {
+	env := testEnv(t)
+	m := New(TCache, env).(*tcMech)
+	attach(env, m)
+	for i := 0; i < 250; i++ {
+		generateTx(env, 0)
+	}
+	resumed, want := 0, 0
+	ev := sim.Event{Fn: func(uint64) { resumed++ }}
+	backend := env.Mem.(*memctrl.Backend)
+	done := func() bool { return resumed == want && m.Drained() && backend.Quiescent() }
+	tx := uint64(0)
+	round := func() {
+		m.fb[0].cursor = m.fb[0].shadow.Base
+		tx++
+		m.Store(0, tx, memaddr.NVMBase+512, tx, sim.Event{})
+		if m.TxEnd(0, tx, sim.Event{}) {
+			t.Fatal("ordinary commit stalled")
+		}
+		tx++
+		for i := 0; i < 9; i++ {
+			m.Store(0, tx, memaddr.NVMBase+uint64(i)*8, tx+uint64(i), sim.Event{})
+		}
+		if !m.TxEnd(0, tx, ev) {
+			t.Fatal("overflowed commit did not stall")
+		}
+		want++
+		if _, ok := env.K.RunUntil(done, env.K.Now()+100000); !ok {
+			t.Fatal("overflowed commit never resumed")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocs per overflowed commit, want 0", allocs)
+	}
+	if got := env.Durable.ReadWord(memaddr.NVMBase + 8); got != tx+1 {
+		t.Fatalf("durable shadow-applied word = %d, want %d", got, tx+1)
+	}
+	if got := env.Oracle.Committed(0); got != tx {
+		t.Fatalf("oracle committed %d transactions, want %d", got, tx)
+	}
+}
+
+// TestKilnForcedWritebackCommitAllocationFree pins a Kiln commit whose
+// flush forces a write-back at zero heap allocations once warm: each
+// round re-dirties a line the previous commit left committed in the LLC,
+// so the flush's install displaces that version, which stays retained
+// until its write-back lands.
+func TestKilnForcedWritebackCommitAllocationFree(t *testing.T) {
+	env := testEnv(t)
+	m := New(Kiln, env).(*kiln)
+	h := attach(env, m)
+	for i := 0; i < 150; i++ {
+		generateTx(env, 0)
+	}
+	accessed, resumed, want := 0, 0, 0
+	onAccess := sim.Event{Fn: func(uint64) { accessed++ }}
+	onResume := sim.Event{Fn: func(uint64) { resumed++ }}
+	backend := env.Mem.(*memctrl.Backend)
+	stored := func() bool { return accessed == want }
+	done := func() bool { return resumed == want && backend.Quiescent() && len(m.retained) == 0 }
+	tx := uint64(0)
+	round := func() {
+		tx++
+		want++
+		act := m.Store(0, tx, memaddr.NVMBase, tx, sim.Event{})
+		env.Live.WriteWord(memaddr.NVMBase, tx)
+		h.Access(0, memaddr.NVMBase, true, true, act.TxTag, act.Uncommitted, onAccess)
+		env.K.RunUntil(stored, env.K.Now()+100000)
+		if !m.TxEnd(0, tx, onResume) {
+			t.Fatal("kiln commit did not stall")
+		}
+		if _, ok := env.K.RunUntil(done, env.K.Now()+100000); !ok {
+			t.Fatal("kiln commit never resumed")
+		}
+	}
+	round()
+	round()
+	forced := m.ForcedWritebacks
+	if forced == 0 {
+		t.Fatal("re-committing a committed LLC line forced no write-back")
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocs per commit with a forced write-back, want 0", allocs)
+	}
+	if got := m.ForcedWritebacks - forced; got != 101 {
+		t.Fatalf("%d forced write-backs over 101 rounds, want one a round", got)
+	}
+	if got := env.Durable.ReadWord(memaddr.NVMBase); got != tx-1 {
+		t.Fatalf("durable word = %d, want the previous commit's %d", got, tx-1)
 	}
 }
 

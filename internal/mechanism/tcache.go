@@ -26,37 +26,34 @@ import (
 type tcMech struct {
 	env *Env
 	tcs []*txcache.TxCache
-
-	// Copy-on-write fall-back state, per core.
-	fbActive      []bool
-	fbTx          []uint64
-	fbPending     [][]trace.Write // this transaction's shadow writes
-	fbOutstanding []int           // shadow writes not yet durable
-	fbCommit      []func()        // deferred commit waiting for drain
-	shadow        []memaddr.Range
-	shadowCursor  []uint64
+	fb  []fallback
 
 	// Handlers bound once in newTCache (Arg: core): a shadow write
-	// became durable; the per-cycle fall-back commit poll.
-	fbDurableFn, fbPollFn func(uint64)
+	// became durable; the per-cycle fall-back commit poll; the commit
+	// record became durable.
+	fbDurableFn, fbPollFn, fbApplyFn func(uint64)
+}
+
+// fallback is one core's copy-on-write fall-back state.
+type fallback struct {
+	active      bool
+	tx          uint64
+	writes      []trace.Write // this transaction's shadow writes
+	outstanding int           // shadow writes not yet durable
+	committing  bool          // TX_END seen; the commit waits for the drain
+	resume      sim.Event     // the stalled core's continuation
+	shadow      memaddr.Range // the core's shadow log
+	cursor      uint64        // next free shadow slot
 }
 
 func newTCache(env *Env) Mechanism {
-	m := &tcMech{
-		env:           env,
-		fbActive:      make([]bool, env.Cores),
-		fbTx:          make([]uint64, env.Cores),
-		fbPending:     make([][]trace.Write, env.Cores),
-		fbOutstanding: make([]int, env.Cores),
-		fbCommit:      make([]func(), env.Cores),
-		shadow:        make([]memaddr.Range, env.Cores),
-		shadowCursor:  make([]uint64, env.Cores),
-	}
+	m := &tcMech{env: env, fb: make([]fallback, env.Cores)}
 	m.fbDurableFn = m.fallbackDurable
 	m.fbPollFn = m.fallbackPoll
-	for c := range m.shadowCursor {
-		m.shadow[c] = memaddr.PerCoreLog(c)
-		m.shadowCursor[c] = m.shadow[c].Base
+	m.fbApplyFn = m.fallbackApply
+	for c := range m.fb {
+		m.fb[c].shadow = memaddr.PerCoreLog(c)
+		m.fb[c].cursor = m.fb[c].shadow.Base
 	}
 	durableApply := func(addr, value uint64) { env.Durable.WriteWord(addr, value) }
 	for c := 0; c < env.Cores; c++ {
@@ -123,19 +120,19 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 	// harmless — nothing applies them without a commit record. The
 	// one-cycle arbitration retry never parks: the request is decided
 	// already, and the next cycle's store proceeds or aborts.
-	arb := m.env.Arb
+	arb, fb := m.env.Arb, &m.fb[core]
 	switch arb.Check(core, txID, addr) {
 	case txcache.ArbRetry:
 		return cpu.StoreAction{Retry: true}
 	case txcache.ArbAbort:
 		m.tcs[core].EvictTx(txID)
-		if m.fbActive[core] && m.fbTx[core] == txID {
-			m.fbActive[core] = false
-			m.fbPending[core] = nil
+		if fb.active && fb.tx == txID {
+			fb.active = false
+			fb.writes = fb.writes[:0]
 		}
 		return cpu.StoreAction{Abort: true}
 	}
-	if m.fbActive[core] && m.fbTx[core] == txID {
+	if fb.active && fb.tx == txID {
 		m.fallbackWrite(core, addr, value)
 		arb.NoteWrite(core, addr)
 		return cpu.StoreAction{}
@@ -145,8 +142,8 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 		arb.NoteWrite(core, addr)
 		return cpu.StoreAction{}
 	case txcache.Fallback:
-		m.fbActive[core] = true
-		m.fbTx[core] = txID
+		fb.active = true
+		fb.tx = txID
 		// The whole transaction moves to the copy-on-write path: its
 		// TC-resident entries are evicted into the shadow first (in
 		// program order), so no word of this transaction has updates
@@ -168,21 +165,29 @@ func (m *tcMech) Store(core int, txID uint64, addr, value uint64, wake sim.Event
 	}
 }
 
-// fallbackWrite sends one shadow (copy-on-write) update to NVM.
-func (m *tcMech) fallbackWrite(core int, addr, value uint64) {
-	slot := m.shadowCursor[core]
-	m.shadowCursor[core] += 2 * memaddr.WordSize
-	if m.shadowCursor[core] > m.shadow[core].End() {
+// shadowSlot allocates core's next shadow log slot, for a shadow write
+// or a commit record, and returns its line address.
+func (m *tcMech) shadowSlot(core int) uint64 {
+	fb := &m.fb[core]
+	slot := fb.cursor
+	fb.cursor += 2 * memaddr.WordSize
+	if fb.cursor > fb.shadow.End() {
 		panic(fmt.Sprintf("mechanism: tcache shadow log for core %d exhausted", core))
 	}
-	m.fbPending[core] = append(m.fbPending[core], trace.Write{Addr: memaddr.WordAddr(addr), Value: value})
-	m.fbOutstanding[core]++
-	m.env.Mem.Write(memaddr.LineAddr(slot), sim.Event{}, sim.Event{Fn: m.fbDurableFn, Arg: uint64(core)})
+	return memaddr.LineAddr(slot)
+}
+
+// fallbackWrite sends one shadow (copy-on-write) update to NVM.
+func (m *tcMech) fallbackWrite(core int, addr, value uint64) {
+	fb := &m.fb[core]
+	fb.writes = append(fb.writes, trace.Write{Addr: memaddr.WordAddr(addr), Value: value})
+	fb.outstanding++
+	m.env.Mem.Write(m.shadowSlot(core), sim.Event{}, sim.Event{Fn: m.fbDurableFn, Arg: uint64(core)})
 }
 
 // fallbackDurable retires one durable shadow write (Arg: core).
 func (m *tcMech) fallbackDurable(core uint64) {
-	m.fbOutstanding[core]--
+	m.fb[core].outstanding--
 	m.checkFallbackCommit(int(core))
 }
 
@@ -190,32 +195,8 @@ func (m *tcMech) fallbackDurable(core uint64) {
 // (no stall); for an overflowed transaction the commit waits for shadow
 // durability plus a commit record.
 func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
-	if m.fbActive[core] && m.fbTx[core] == txID {
-		m.fbCommit[core] = func() {
-			// Invariant at this point: the shadow writes are durable
-			// AND the TC has drained its older committed entries, so
-			// the shadow apply cannot be overwritten by a stale
-			// in-flight TC drain.
-			// Commit record durable: apply the shadow writes, then
-			// commit the TC-resident entries — one atomic event.
-			slot := m.shadowCursor[core]
-			m.shadowCursor[core] += 2 * memaddr.WordSize
-			pend := m.fbPending[core]
-			apply := sim.Event{Fn: func(uint64) {
-				for _, w := range pend {
-					m.env.Durable.WriteWord(w.Addr, w.Value)
-				}
-				m.tcs[core].Commit(txID)
-				// Commit-record durability is the overflowed
-				// transaction's durable instant: its shadow writes just
-				// applied, so shared-line ownership releases here.
-				m.env.Oracle.Commit(core)
-				m.env.Arb.ReleaseTxNow(core)
-			}}
-			m.env.Mem.Write(memaddr.LineAddr(slot), apply, resume)
-			m.fbPending[core] = nil
-			m.fbActive[core] = false
-		}
+	if fb := &m.fb[core]; fb.active && fb.tx == txID {
+		fb.committing, fb.resume = true, resume
 		m.checkFallbackCommit(core)
 		m.pollFallbackCommit(core)
 		return true
@@ -229,21 +210,40 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	return false
 }
 
-// checkFallbackCommit fires the deferred commit once the shadow writes
-// are durable and the core's TC has drained (ordering across
-// transactions: an older TC entry must not land after the shadow apply).
+// checkFallbackCommit writes the deferred commit record once the shadow
+// writes are durable and the core's TC has drained (ordering across
+// transactions: an older TC entry must not land after the shadow apply,
+// nor overwrite it in a stale in-flight drain).
 func (m *tcMech) checkFallbackCommit(core int) {
-	if m.fbOutstanding[core] == 0 && m.tcs[core].Drained() && m.fbCommit[core] != nil {
-		commit := m.fbCommit[core]
-		m.fbCommit[core] = nil
-		commit()
+	fb := &m.fb[core]
+	if fb.outstanding == 0 && m.tcs[core].Drained() && fb.committing {
+		fb.committing, fb.active = false, false
+		m.env.Mem.Write(m.shadowSlot(core), sim.Event{Fn: m.fbApplyFn, Arg: uint64(core)}, fb.resume)
 	}
+}
+
+// fallbackApply runs when core's commit record is durable (Arg: core):
+// it applies the shadow writes, then commits the TC-resident entries, as
+// one atomic event. The core stays stalled until the record's resume, so
+// the record still holds the transaction and its shadow writes.
+func (m *tcMech) fallbackApply(core uint64) {
+	c, fb := int(core), &m.fb[core]
+	for _, w := range fb.writes {
+		m.env.Durable.WriteWord(w.Addr, w.Value)
+	}
+	fb.writes = fb.writes[:0]
+	m.tcs[c].Commit(fb.tx)
+	// Commit-record durability is the overflowed transaction's durable
+	// instant: its shadow writes just applied, so shared-line ownership
+	// releases here.
+	m.env.Oracle.Commit(c)
+	m.env.Arb.ReleaseTxNow(c)
 }
 
 // pollFallbackCommit re-checks the commit condition each cycle while the
 // TC drains (drain completion has no callback of its own).
 func (m *tcMech) pollFallbackCommit(core int) {
-	if m.fbCommit[core] == nil {
+	if !m.fb[core].committing {
 		return
 	}
 	m.env.K.Schedule(1, sim.Event{Fn: m.fbPollFn, Arg: uint64(core)})
@@ -257,7 +257,7 @@ func (m *tcMech) fallbackPoll(core uint64) {
 
 func (m *tcMech) Drained() bool {
 	for c := 0; c < m.env.Cores; c++ {
-		if !m.tcs[c].Drained() || m.fbOutstanding[c] != 0 || m.fbCommit[c] != nil {
+		if !m.tcs[c].Drained() || m.fb[c].outstanding != 0 || m.fb[c].committing {
 			return false
 		}
 	}

@@ -95,8 +95,6 @@ type Config struct {
 	SizeBytes int
 	// EntryBytes is the line size per entry (64).
 	EntryBytes int
-	// Latency is the access latency in cycles (0.5 ns -> 1 cycle).
-	Latency uint64
 	// HighWaterFrac triggers the overflow fall-back (0.9).
 	HighWaterFrac float64
 }
@@ -108,9 +106,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.EntryBytes == 0 {
 		c.EntryBytes = 64
-	}
-	if c.Latency == 0 {
-		c.Latency = 1
 	}
 	if c.HighWaterFrac == 0 {
 		c.HighWaterFrac = 0.9

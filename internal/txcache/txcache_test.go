@@ -52,7 +52,7 @@ func nvmAddr(i int) uint64 { return memaddr.NVMBase + uint64(i)*8 }
 
 func TestConfigDefaultsMatchTable2(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.SizeBytes != 4<<10 || c.EntryBytes != 64 || c.Latency != 1 {
+	if c.SizeBytes != 4<<10 || c.EntryBytes != 64 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if c.Entries() != 64 {

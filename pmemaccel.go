@@ -368,7 +368,6 @@ func (c Config) tcConfig() txcache.Config {
 	return txcache.Config{
 		SizeBytes:     c.TCBytes,
 		EntryBytes:    64,
-		Latency:       1,
 		HighWaterFrac: c.TCHighWaterFrac,
 	}
 }

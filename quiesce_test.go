@@ -200,20 +200,26 @@ func TestNoFastForwardDisablesSkipping(t *testing.T) {
 // queues to drain, and SP holds the clock for each of them. Dropping a
 // hold moves SkippedCycles (and the stepped-cycle rate the benchmark
 // reports), and must re-record these values on purpose. The 2-channel
-// SP cell checks that the drain is the sum over every NVM channel.
+// SP cell checks that the drain is the sum over every NVM channel. The
+// Kiln cells pin the commit flush and its write-back wait, and the
+// 256-byte TC cell pins the copy-on-write fall-back commit, whose
+// per-cycle poll keeps the kernel stepping while the TC drains.
 func TestSteppedCyclesPinned(t *testing.T) {
 	for _, c := range []struct {
-		name            string
-		b               workload.Benchmark
-		m               Kind
-		cores, channels int
-		cycles, skipped uint64
+		name                     string
+		b                        workload.Benchmark
+		m                        Kind
+		cores, channels, tcBytes int
+		cycles, skipped          uint64
 	}{
-		{"graph/optimal/16c", workload.Graph, Optimal, 16, 0, 43452, 3310},
-		{"bankshared/tcache/16c", workload.BankShared, TCache, 16, 0, 238664, 109657},
-		{"sps/sp/4c", workload.SPS, SP, 4, 0, 81202, 51032},
-		{"bankshared/sp/16c", workload.BankShared, SP, 16, 0, 335956, 38434},
-		{"sps/sp/8c/2nvm", workload.SPS, SP, 8, 2, 99057, 32240},
+		{"graph/optimal/16c", workload.Graph, Optimal, 16, 0, 0, 43452, 3310},
+		{"bankshared/tcache/16c", workload.BankShared, TCache, 16, 0, 0, 238664, 109657},
+		{"sps/sp/4c", workload.SPS, SP, 4, 0, 0, 81202, 51032},
+		{"bankshared/sp/16c", workload.BankShared, SP, 16, 0, 0, 335956, 38434},
+		{"sps/sp/8c/2nvm", workload.SPS, SP, 8, 2, 0, 99057, 32240},
+		{"bankshared/kiln/16c", workload.BankShared, Kiln, 16, 0, 0, 231264, 2321},
+		{"rbtree/kiln/4c", workload.RBTree, Kiln, 4, 0, 0, 80906, 35503},
+		{"sps/tcache/4c/tc256", workload.SPS, TCache, 4, 0, 256, 31316, 649},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -221,6 +227,9 @@ func TestSteppedCyclesPinned(t *testing.T) {
 			cfg := smokeConfig(c.b, c.m)
 			cfg.Cores = c.cores
 			cfg.NVMChannels = c.channels
+			if c.tcBytes != 0 {
+				cfg.TCBytes = c.tcBytes
+			}
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
