@@ -62,8 +62,9 @@ type Export struct {
 	LineAcquires       uint64  `json:"line_acquires,omitempty"`
 
 	// SkippedCycles is the kernel's fast-forward audit counter: how many
-	// of Cycles were jumped because every component was asleep, rather
-	// than stepped. Always 0 under -no-ff.
+	// of Cycles were jumped because every component was asleep and none
+	// held the clock, rather than stepped. Held cycles count as stepped
+	// even where the kernel jumps them. Always 0 under -no-ff.
 	SkippedCycles uint64 `json:"skipped_cycles"`
 
 	// Attribution is the all-core cycle breakdown as percentages of the

@@ -611,8 +611,9 @@ func (c *Core) Tick(now uint64) {
 // Tick charges (nil when it charges nothing: the core finished), and
 // whether the core must hold the kernel's clock while it sleeps (hold).
 // Every idle state sleeps. One of them holds: the TX_END drain wait, whose
-// Ticks the kernel may skip but whose cycles it keeps stepping, since
-// fast-forwarding through them would change the cycles it steps. The
+// Ticks the kernel skips and whose cycles it may jump, but counts as
+// stepped rather than skipped, so SkippedCycles reads as it did when the
+// waiting core ticked. The
 // cases mirror Tick's early returns exactly, in Tick's precedence order:
 //
 //   - finished: Tick returns immediately;

@@ -557,8 +557,9 @@ func TestLoadStoreCompletionAllocationFree(t *testing.T) {
 }
 
 // A core waiting at TX_END for its own store to drain sleeps and holds
-// the clock, so with fast-forward on the kernel steps every cycle of the
-// wait without ticking the core, and the skipped Ticks owe CommitWait: a
+// the clock, so with fast-forward on every cycle of the wait counts as
+// stepped, none as skipped, without the core ticking, and the skipped
+// Ticks owe CommitWait: a
 // mid-wait Stats charges every waited cycle, the wait calls neither the
 // mechanism nor the hierarchy, and TX_END retires on the same cycle as in
 // the tick-everything run.

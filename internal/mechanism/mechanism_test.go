@@ -7,6 +7,7 @@ import (
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memctrl"
 	"pmemaccel/internal/memimage"
+	"pmemaccel/internal/obs"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 	"pmemaccel/internal/txcache"
@@ -643,6 +644,103 @@ func TestTCacheOverflowCommitAllocationFree(t *testing.T) {
 	}
 	if got := env.Oracle.Committed(0); got != tx {
 		t.Fatalf("oracle committed %d transactions, want %d", got, tx)
+	}
+}
+
+// heldMem is a MemPort that keeps every write until the test completes
+// it, so a test can choose the order and the cycle of each ack.
+type heldMem struct{ writes []heldWrite }
+
+type heldWrite struct {
+	line        uint64
+	apply, done sim.Event
+}
+
+func (m *heldMem) Write(line uint64, apply, done sim.Event) {
+	m.writes = append(m.writes, heldWrite{line, apply, done})
+}
+
+func (m *heldMem) WriteTracked(line uint64, apply, done sim.Event, _ *obs.FlightWrite) {
+	m.Write(line, apply, done)
+}
+
+func (m *heldMem) PendingNVMWrites() int { return 0 }
+func (m *heldMem) OnNVMDrain(func())     {}
+
+// complete fires w's apply and done, as the memory does at durability.
+func (w heldWrite) complete() { w.apply.Fire(); w.done.Fire() }
+
+// TestTCacheFallbackCommitsInTxEndOrder: two overflowed commits wait for
+// their TCs to drain, and the drains land in one cycle in the reverse of
+// the TX_END order, each from its own event. The commit records go out
+// after both, in TX_END order, and TCache drops the hold it took for
+// each waiting core.
+func TestTCacheFallbackCommitsInTxEndOrder(t *testing.T) {
+	env := testEnv(t)
+	mem := &heldMem{}
+	env.Mem = mem
+	m := New(TCache, env).(*tcMech)
+	// Each core commits an ordinary transaction, whose entry the TCs
+	// issue on the next step and keep until its ack.
+	for core := 0; core < 2; core++ {
+		generateTx(env, core)
+		generateTx(env, core)
+		m.Store(core, 1, memaddr.NVMBase+uint64(core)*4096, 1, sim.Event{})
+		if m.TxEnd(core, 1, sim.Event{}) {
+			t.Fatalf("core %d: ordinary commit stalled", core)
+		}
+	}
+	env.K.Step()
+	if len(mem.writes) != 2 {
+		t.Fatalf("%d writes after the TCs' first step, want one drain write per core", len(mem.writes))
+	}
+	drain := mem.writes[:2:2]
+	// The next transaction overflows on both cores; core 1 reaches
+	// TX_END first. Its shadow writes land at once, so only the drains
+	// hold the commits back.
+	for _, core := range []int{1, 0} {
+		for i := 0; i < 9; i++ {
+			m.Store(core, 2, memaddr.NVMBase+uint64(core)*4096+uint64(i+1)*8, 2, sim.Event{})
+		}
+		if !m.TxEnd(core, 2, sim.Event{}) {
+			t.Fatalf("core %d: overflowed commit did not stall", core)
+		}
+	}
+	for _, w := range mem.writes[2:] {
+		w.complete()
+	}
+	if h := env.K.Holds(); h != 2 || len(m.waiting) != 2 {
+		t.Fatalf("Holds = %d, waiting %v with both commits waiting for a drain; want 2 and both cores", h, m.waiting)
+	}
+	shadow := len(mem.writes)
+	env.K.Schedule(1, sim.Event{Fn: func(uint64) { drain[0].complete() }})
+	env.K.Schedule(1, sim.Event{Fn: func(uint64) {
+		if len(mem.writes) != shadow {
+			t.Error("a commit record went out before the cycle's last drain ack")
+		}
+		drain[1].complete()
+	}})
+	env.K.Step()
+	var order []uint64
+	for _, w := range mem.writes[shadow:] {
+		order = append(order, w.apply.Arg)
+	}
+	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
+		t.Fatalf("commit records written for cores %v, want [1 0]", order)
+	}
+	if h := env.K.Holds(); h != 0 || len(m.waiting) != 0 {
+		t.Fatalf("Holds = %d, waiting %v after both commits; want 0 and none", h, m.waiting)
+	}
+	for _, w := range mem.writes[shadow:] {
+		w.complete()
+	}
+	for core := 0; core < 2; core++ {
+		if got := env.Oracle.Committed(core); got != 2 {
+			t.Fatalf("core %d: oracle committed %d transactions, want 2", core, got)
+		}
+	}
+	if !m.Drained() {
+		t.Fatal("mechanism not drained after both commits")
 	}
 }
 

@@ -214,7 +214,7 @@ func (r *spReader) expand(rec trace.Record) {
 // already durable (logLanded saw its record land). The remaining cost is
 // pcommit (Figure 3(a)): the core stalls until the NVM controllers'
 // write queues drain. The waiting core sleeps; SP holds the clock on its
-// behalf, so the kernel steps every cycle of the wait, as for a core
+// behalf, so every cycle of the wait counts as stepped, as for a core
 // that re-reads the queues each cycle, and SkippedCycles does not move.
 func (m *sp) TxEnd(core int, txID uint64, resume sim.Event) bool {
 	if m.env.Mem.PendingNVMWrites() == 0 {

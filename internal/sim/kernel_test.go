@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -418,36 +419,110 @@ func TestBusyComponentBlocksFastForward(t *testing.T) {
 	}
 }
 
-// A hold keeps the kernel stepping every cycle while the only component
-// sleeps, without ticking it; once the hold drops the kernel jumps to the
-// next event. With fast-forward off the hold changes nothing.
-func TestHeldClockIsNotSkipped(t *testing.T) {
+// A hold decides only how the cycles the kernel jumps are counted. While
+// the only component sleeps under a hold, RunUntil still jumps the idle
+// stretch and executes one Step, on the next event's cycle, but the
+// jumped cycles count as stepped; once the hold drops a jump counts as
+// skipped. With fast-forward off the hold changes nothing.
+func TestHeldIdleStretchIsJumpedNotSkipped(t *testing.T) {
 	for _, ff := range []bool{true, false} {
 		k := NewKernel()
 		k.SetFastForward(ff)
 		q := newQuiescentTicker(k, 0)
 		k.Hold(true)
-		heldAt50 := 0
-		k.Schedule(50, Event{Fn: func(uint64) { heldAt50 = k.Holds(); k.Hold(false) }})
-		k.Schedule(100, Event{Fn: q.wake})
-		cycle, ok := k.RunUntil(func() bool { return k.Now() >= 100 }, 1000)
+		var heldAt50 int
+		var nowAt50, stepsAt50 uint64
+		k.Schedule(50, Event{Fn: func(uint64) {
+			heldAt50, nowAt50, stepsAt50 = k.Holds(), k.Now(), k.Steps()
+			k.Hold(false)
+		}})
+		woken := false
+		k.Schedule(100, Event{Fn: func(arg uint64) { woken = true; q.wake(arg) }})
+		cycle, ok := k.RunUntil(func() bool { return woken }, 1000)
 		if !ok || cycle != 100 {
 			t.Fatalf("fast-forward %v: RunUntil = (%d, %v), want the wake at 100", ff, cycle, ok)
 		}
 		if ff {
-			// Cycles 1..50 are stepped under the hold with the sleeper
-			// left alone; the jump covers 51..99.
-			if heldAt50 != 1 || k.Holds() != 0 {
-				t.Fatalf("holds = %d at cycle 50 and %d after, want 1 and 0", heldAt50, k.Holds())
+			// Cycles 1..49 are jumped under the hold and 51..99 without
+			// it: two Steps, and only the second jump counts as skipped.
+			if heldAt50 != 1 || nowAt50 != 50 || stepsAt50 != 1 || k.Holds() != 0 {
+				t.Fatalf("at the held event: holds %d, now %d, steps %d (holds %d after); want 1, 50, 1 (0)",
+					heldAt50, nowAt50, stepsAt50, k.Holds())
 			}
-			if k.Skipped() != 49 || q.ticks != 1 {
-				t.Fatalf("skipped = %d, ticks = %d; want 49 (cycles 51..99) and only the wake cycle ticked",
-					k.Skipped(), q.ticks)
+			if k.Steps() != 2 || k.Skipped() != 49 || q.ticks != 1 {
+				t.Fatalf("steps = %d, skipped = %d, ticks = %d; want 2, 49 (cycles 51..99) and only the wake cycle ticked",
+					k.Steps(), k.Skipped(), q.ticks)
 			}
-		} else if k.Holds() != 0 || heldAt50 != 0 || k.Skipped() != 0 || q.ticks != 100 {
-			t.Fatalf("fast-forward off: holds = %d (%d at cycle 50), skipped = %d, ticks = %d; want 0, 0, 0, 100",
-				k.Holds(), heldAt50, k.Skipped(), q.ticks)
+		} else if k.Holds() != 0 || heldAt50 != 0 || k.Skipped() != 0 || k.Steps() != 100 || q.ticks != 100 {
+			t.Fatalf("fast-forward off: holds = %d (%d at cycle 50), skipped = %d, steps = %d, ticks = %d; want 0, 0, 0, 100, 100",
+				k.Holds(), heldAt50, k.Skipped(), k.Steps(), q.ticks)
 		}
+	}
+}
+
+// A held stretch with no event due jumps to the limit in one Step and
+// counts nothing as skipped.
+func TestHeldStretchJumpsToLimit(t *testing.T) {
+	k := NewKernel()
+	q := newQuiescentTicker(k, 0)
+	k.Hold(true)
+	cycle, ok := k.RunUntil(func() bool { return false }, 75)
+	if ok || cycle != 75 || k.Now() != 75 {
+		t.Fatalf("RunUntil = (%d, %v), now %d; want (75, false) at 75", cycle, ok, k.Now())
+	}
+	if k.Steps() != 1 || k.Skipped() != 0 || q.ticks != 0 {
+		t.Fatalf("steps = %d, skipped = %d, ticks = %d; want 1, 0, 0", k.Steps(), k.Skipped(), q.ticks)
+	}
+}
+
+// Late events fire after every event of their cycle, in Late call order,
+// and before the ticks; a Late event may queue another, and the events
+// they schedule land in later cycles. Fired counts them with the rest.
+func TestLateEventsFireAfterEventsBeforeTicks(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	note := func(s string) Event {
+		return Event{Fn: func(uint64) { order = append(order, fmt.Sprintf("%s@%d", s, k.Now())) }}
+	}
+	k.Register(tickFunc(func(c uint64) {
+		if c <= 2 {
+			order = append(order, fmt.Sprintf("tick@%d", c))
+		}
+	}))
+	k.Schedule(1, Event{Fn: func(uint64) {
+		k.Late(Event{Fn: func(uint64) {
+			order = append(order, fmt.Sprintf("late1@%d", k.Now()))
+			k.Schedule(0, note("scheduled"))
+			k.Late(note("late3"))
+		}})
+		k.Late(note("late2"))
+	}})
+	k.Schedule(1, note("event"))
+	k.Step()
+	k.Step()
+	want := "[event@1 late1@1 late2@1 late3@1 tick@1 scheduled@2 tick@2]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+	if k.Fired() != 6 || k.Pending() != 0 {
+		t.Fatalf("fired %d, pending %d; want 6, 0", k.Fired(), k.Pending())
+	}
+}
+
+// A Late event queued between Steps is pending: it fires in the next
+// Step's event phase, and RunUntil does not jump over it.
+func TestLateBetweenStepsFiresInNextStep(t *testing.T) {
+	k := NewKernel()
+	newQuiescentTicker(k, 0)
+	firedAt := uint64(0)
+	k.Schedule(500, Event{})
+	k.Late(Event{Fn: func(uint64) { firedAt = k.Now() }})
+	if k.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", k.Pending())
+	}
+	k.RunUntil(func() bool { return firedAt != 0 }, 1000)
+	if firedAt != 1 || k.Skipped() != 0 {
+		t.Fatalf("late event fired at %d with %d skipped, want 1 and 0", firedAt, k.Skipped())
 	}
 }
 

@@ -206,6 +206,9 @@ type TxCache struct {
 	wake     sim.Event
 	rejected uint64
 
+	// onDrain fires when an Ack empties the TC (OnDrain).
+	onDrain sim.Event
+
 	stats Stats
 }
 
@@ -234,6 +237,10 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 // SetArbiter reports every drain acknowledgment to a as this core's
 // DrainAck. Wire-up time only (before the run starts).
 func (tc *TxCache) SetArbiter(a *LineArbiter) { tc.arb = a }
+
+// OnDrain makes every Ack that empties the TC fire ev, after the ack is
+// otherwise handled. Wire-up time only (before the run starts).
+func (tc *TxCache) OnDrain(ev sim.Event) { tc.onDrain = ev }
 
 // Config returns the (defaulted) configuration.
 func (tc *TxCache) Config() Config { return tc.cfg }
@@ -473,6 +480,9 @@ func (tc *TxCache) Ack(addr uint64) {
 				tc.wake.Fire()
 			}
 			tc.arb.DrainAck(tc.core, addr)
+			if tc.count == 0 {
+				tc.onDrain.Fire()
+			}
 			return
 		}
 	}

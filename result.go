@@ -90,12 +90,16 @@ type Result struct {
 	TxFlight *obs.FlightAggregate
 
 	// SkippedCycles is how many cycles the kernel fast-forwarded
-	// because every component was asleep — the audit trail for `-no-ff`
-	// equivalence runs (which must report 0) and for judging how much of
-	// a run the event-driven mode covered. Skipped cycles are real
-	// simulated cycles (they are included in Cycles); this counter only
-	// records that no component ticked in them. Components also sleep
-	// while others are awake; those cycles are stepped, not counted here.
+	// because every component was asleep and none held the clock — the
+	// audit trail for `-no-ff` equivalence runs (which must report 0)
+	// and for judging how much of a run the event-driven mode covered.
+	// Skipped cycles are real simulated cycles (they are included in
+	// Cycles); this counter only records that no component ticked in
+	// them. Components also sleep while others are awake; those cycles
+	// are stepped, not counted here. Nor are the cycles of a held wait
+	// (a core at TX_END, an SP pcommit, a TCache fall-back commit): the
+	// kernel jumps them too, but counts them as stepped, as for a waiter
+	// that re-checks its condition every cycle (DESIGN.md §10).
 	SkippedCycles uint64
 }
 

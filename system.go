@@ -230,7 +230,7 @@ func (s *System) coreFinished() {
 }
 
 // coresFinished reports whether every core finished its trace: the
-// kernel's stop test, asked once per stepped cycle.
+// kernel's stop test, asked once per executed Step.
 func (s *System) coresFinished() bool { return s.finished == len(s.Cores) }
 
 // quiesced reports whether every core finished and all persistence and
