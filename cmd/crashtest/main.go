@@ -7,6 +7,7 @@
 //
 //	crashtest -bench rbtree -mech tcache -trials 25
 //	crashtest -bench bankshared -mech sp -cores 16 -contention 0.5
+//	crashtest -bench sps -mech tcache -cores 16 -tc 256   # overflowed commits
 //	crashtest -mech optimal        # watch the baseline corrupt itself
 package main
 
@@ -32,12 +33,16 @@ func main() {
 		scale      = flag.Int("scale", 128, "cache scale divisor")
 		cores      = flag.Int("cores", 0, "core count, a power of two up to 64 (0 = 4)")
 		contention = flag.Float64("contention", 0, "shared-op fraction for -bench bankshared, in (0,1] (0 = workload default 0.5)")
+		tcBytes    = flag.Int("tc", 0, "transaction cache bytes per core (0 = 4096); a small TC sends transactions down the copy-on-write fall-back")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		verbose    = flag.Bool("v", false, "print every trial")
 	)
 	flag.Parse()
 	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
 		fatal(fmt.Errorf("-cores: %w", err))
+	}
+	if *tcBytes < 0 {
+		fatal(fmt.Errorf("-tc %d is negative; pass a positive value or omit the flag for the default", *tcBytes))
 	}
 
 	b, err := workload.ParseBenchmark(*benchName)
@@ -56,6 +61,9 @@ func main() {
 		cfg.Cores = *cores
 	}
 	cfg.ContentionPct = *contention
+	if *tcBytes > 0 {
+		cfg.TCBytes = *tcBytes
+	}
 	cfg.Seed = *seed
 
 	start := time.Now()

@@ -763,3 +763,33 @@ func TestTracedParkEmitsOneTCFullSpanPerInterval(t *testing.T) {
 		t.Fatalf("write after the head freed = %v, want Accepted", r)
 	}
 }
+
+// OnDrain fires once per emptying: on the ack that retires the last live
+// entry, not on the acks before it, and again after the next drain.
+func TestOnDrainFiresOnTheEmptyingAck(t *testing.T) {
+	k, tc, nvm, _ := newTC(t, 8)
+	nvm.hold = true
+	drains := 0
+	tc.OnDrain(sim.Event{Fn: func(uint64) { drains++ }})
+	for round := 1; round <= 2; round++ {
+		for i := 0; i < 2; i++ {
+			tc.Write(uint64(round), nvmAddr(i), 1)
+		}
+		tc.Commit(uint64(round))
+		k.Step()
+		k.Step()
+		if len(nvm.held) != 4 {
+			t.Fatalf("round %d: %d held events, want two writes' apply and ack", round, len(nvm.held))
+		}
+		nvm.held[0].Fire()
+		nvm.held[1].Fire()
+		nvm.held = nvm.held[2:]
+		if drains != round-1 {
+			t.Fatalf("round %d: %d drains after the first ack, want %d", round, drains, round-1)
+		}
+		nvm.release()
+		if drains != round || !tc.Drained() {
+			t.Fatalf("round %d: %d drains (drained %v) after the last ack, want %d", round, drains, tc.Drained(), round)
+		}
+	}
+}
