@@ -12,6 +12,22 @@
 // available, letting the tail advance. LLC miss requests CAM-match the
 // entry nearest the head (the newest version) — the side-path probe.
 //
+// The modelled behaviour is the CAM's: every match above is one parallel
+// access in hardware. The host implementation indexes the ring so that
+// each operation costs what it matches rather than a walk over every
+// slot:
+//   - Commit and EvictTx walk a list of the active entries' ring indices,
+//     kept in insertion order, instead of the ring;
+//   - a drain write's acknowledgment retires the ring index that issued
+//     it. That is the CAM's nearest-tail match: writes to one word go to
+//     one line, hence one channel and one bank, and the Port completes
+//     same-line writes in issue order, so of the issued entries holding
+//     the word, the one acknowledged first is the one issued first, the
+//     oldest. Ack keeps the CAM lookup by address for callers that hold
+//     no index;
+//   - Probe first reads a count of live entries per line bucket and
+//     answers a miss without scanning when the line's bucket is empty.
+//
 // Because the TC is nonvolatile, a transaction is durably committed the
 // moment its commit request is inserted: every mechanism guarantee
 // (multi-versioning and write-order control, §3) follows from this
@@ -20,6 +36,7 @@ package txcache
 
 import (
 	"fmt"
+	"math"
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/obs"
@@ -79,8 +96,15 @@ const (
 
 // Port is the TC's private write port into the memory backend. Drained
 // entries target whichever NVM channel owns their line; the TC itself is
-// topology-blind — per-channel FIFO completion of same-line writes is all
-// its address-matched acknowledgments require.
+// topology-blind.
+//
+// Contract: writes to one line complete (fire onDurable) in the order
+// they were issued. The TC relies on it to retire each acknowledgment's
+// own ring entry, which is then the entry the CAM's nearest-tail match
+// would pick. The memory controller keeps it because one line maps to
+// one channel and bank, FR-FCFS issues the older of two same-bank writes
+// to one row first, and a bank serves one command at a time
+// (memctrl's TestQuickSameLineWriteOrdering).
 type Port interface {
 	// WriteTracked retires a line towards memory: apply fires at
 	// durability time, then onDurable. The port also marks the flight
@@ -133,6 +157,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("txcache: %d bytes / %d-byte entries leaves %d entries, need at least 2",
 			c.SizeBytes, c.EntryBytes, c.Entries())
 	}
+	if c.Entries() > math.MaxInt32 {
+		return fmt.Errorf("txcache: %d entries exceed the ring index range (%d)", c.Entries(), math.MaxInt32)
+	}
 	if !(c.HighWaterFrac > 0 && c.HighWaterFrac <= 1) { // NaN fails too
 		return fmt.Errorf("txcache: HighWaterFrac %g must be in (0, 1]", c.HighWaterFrac)
 	}
@@ -152,11 +179,14 @@ type Stats struct {
 	OccupancyPeak  int
 }
 
-// drainWrite is one issued drain write: the buffered word it carries and
-// its flight token (nil unless its transaction is flight-sampled).
+// drainWrite is one issued drain write: the ring index of the entry that
+// issued it, the word it writes and its flight token (nil unless its
+// transaction is flight-sampled). The entry, and with it the value, stays
+// live until the write's acknowledgment.
 type drainWrite struct {
-	addr, value uint64
-	w           *obs.FlightWrite
+	idx  int
+	addr uint64
+	w    *obs.FlightWrite
 }
 
 // TxCache is one core's transaction cache. It registers with the kernel,
@@ -179,15 +209,23 @@ type TxCache struct {
 	tail    int // oldest live entry
 	count   int
 	issue   int // next entry to consider issuing (ring index)
-	// issuable counts committed, unissued entries between issue and
-	// head.
+	// unissued counts the live entries not yet issued, active or
+	// committed.
 	unissued int
+	// highWater is the occupancy that triggers the fall-back path.
+	highWater int
 
-	// drains holds the word and flight token each issued drain write
-	// carries, from issue to acknowledgment; the write's apply and ack
-	// Events hold the slot index. (A ring index would not do: an ack
-	// retires the matching entry nearest the tail, not necessarily the
-	// one that issued it.)
+	// active lists the ring indices of the Active entries in insertion
+	// (FIFO) order; its capacity is the ring size, so it never grows.
+	active []int32
+	// live counts the live entries per line bucket (lineBucket); an
+	// empty bucket lets Probe miss without scanning. A count never
+	// exceeds the ring size, which Validate bounds to fit an int32.
+	live []int32
+
+	// drains holds each issued drain write from issue to
+	// acknowledgment; the write's apply and ack Events hold the slot
+	// index.
 	drains         sim.Slots[drainWrite]
 	applyFn, ackFn func(uint64)
 	// evicted is EvictTx's reused result buffer.
@@ -221,10 +259,17 @@ func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint
 		panic(fmt.Sprintf("txcache: %d bytes / %d-byte entries leaves %d entries",
 			cfg.SizeBytes, cfg.EntryBytes, cfg.Entries()))
 	}
+	n := cfg.Entries()
+	// One allocation backs both indexes; active's capacity stops its
+	// appends short of live.
+	idx := make([]int32, n+liveBuckets(n))
 	tc := &TxCache{
 		k: k, cfg: cfg, mem: mem, durableApply: durableApply,
-		entries: make([]Entry, cfg.Entries()),
-		obs:     o, core: core,
+		entries:   make([]Entry, n),
+		highWater: int(float64(n) * cfg.HighWaterFrac),
+		active:    idx[:0:n],
+		live:      idx[n:],
+		obs:       o, core: core,
 	}
 	o.AddTC(core)
 	tc.applyFn = tc.applyDrain
@@ -255,9 +300,19 @@ func (tc *TxCache) Stats() Stats {
 // Occupancy reports live (non-available) entries.
 func (tc *TxCache) Occupancy() int { return tc.count }
 
-// highWater is the occupancy that triggers the fall-back path.
-func (tc *TxCache) highWater() int {
-	return int(float64(len(tc.entries)) * tc.cfg.HighWaterFrac)
+// liveBuckets sizes the probe filter: the power of two at least twice
+// the ring size, so a ring of distinct lines leaves most buckets empty.
+func liveBuckets(entries int) int {
+	b := 1
+	for b < 2*entries {
+		b <<= 1
+	}
+	return b
+}
+
+// lineBucket is the probe-filter bucket of the line holding addr.
+func (tc *TxCache) lineBucket(addr uint64) int {
+	return int(addr/memaddr.LineSize) & (len(tc.live) - 1)
 }
 
 func (tc *TxCache) next(i int) int {
@@ -274,7 +329,7 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 	if tc.count >= len(tc.entries) {
 		return tc.reject(txID, addr)
 	}
-	if tc.count >= tc.highWater() {
+	if tc.count >= tc.highWater {
 		tc.stats.FallbackWrites++
 		tc.obs.TCFallback(tc.core, txID, addr, tc.k.Now())
 		return Fallback
@@ -287,7 +342,16 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 		// §4.1), so the writer stalls exactly as on a full ring.
 		return tc.reject(txID, addr)
 	}
+	if tc.issue == tc.head && tc.unissued > 0 {
+		// The issue pointer still rests on a slot an EvictTx freed
+		// before any Tick moved it on, and the tail has since passed
+		// that slot: this write makes it the youngest entry, and every
+		// unissued entry is older. Issue resumes from the tail.
+		tc.issue = tc.tail
+	}
 	*e = Entry{State: Active, TxID: txID, Addr: memaddr.WordAddr(addr), Value: value}
+	tc.active = append(tc.active, int32(tc.head))
+	tc.live[tc.lineBucket(addr)]++
 	tc.head = tc.next(tc.head)
 	tc.count++
 	tc.unissued++
@@ -332,12 +396,16 @@ func (tc *TxCache) chargeParked(end uint64) {
 func (tc *TxCache) Commit(txID uint64) {
 	tc.stats.Commits++
 	var matched uint64
-	for i := range tc.entries {
-		if tc.entries[i].State == Active && tc.entries[i].TxID == txID {
-			tc.entries[i].State = Committed
+	keep := tc.active[:0]
+	for _, i := range tc.active {
+		if e := &tc.entries[i]; e.TxID == txID {
+			e.State = Committed
 			matched++
+		} else {
+			keep = append(keep, i)
 		}
 	}
+	tc.active = keep
 	tc.obs.TCCommit(tc.core, txID, matched, tc.k.Now())
 	tc.sleep()
 }
@@ -347,8 +415,8 @@ func (tc *TxCache) Commit(txID uint64) {
 // the TC holds data for that line.
 func (tc *TxCache) Probe(lineAddr uint64) bool {
 	tc.stats.Probes++
-	if tc.count == 0 {
-		return false // an empty CAM cannot hit
+	if tc.live[tc.lineBucket(lineAddr)] == 0 {
+		return false // no live entry shares the line's bucket
 	}
 	lineAddr = memaddr.LineAddr(lineAddr)
 	// Out-of-order acknowledgments leave available holes between tail
@@ -427,7 +495,7 @@ func (tc *TxCache) issueOne() {
 	// The flight token lets the recorder see TC issue, WPQ service start
 	// (with the channel) and durable completion for a sampled write.
 	w := tc.obs.TCWrite(tc.core, e.TxID, now)
-	slot := tc.drains.Put(drainWrite{addr: e.Addr, value: e.Value, w: w})
+	slot := tc.drains.Put(drainWrite{idx: tc.issue, addr: e.Addr, w: w})
 	var apply sim.Event
 	if tc.durableApply != nil {
 		apply = sim.Event{Fn: tc.applyFn, Arg: slot}
@@ -440,14 +508,19 @@ func (tc *TxCache) issueOne() {
 // durability time (Arg: tc.drains slot).
 func (tc *TxCache) applyDrain(slot uint64) {
 	d := tc.drains.Get(slot)
-	tc.durableApply(d.addr, d.value)
+	tc.durableApply(d.addr, tc.entries[d.idx].Value)
 }
 
 // ackDrain delivers a drain write's acknowledgment, releases its slot
-// and reports the write durable to its flight.
+// and reports the write durable to its flight. It retires the entry that
+// issued the write: under the Port's same-line completion order that is
+// the CAM's nearest-tail match for the word (see the package doc).
 func (tc *TxCache) ackDrain(slot uint64) {
 	d := tc.drains.Take(slot)
-	tc.Ack(d.addr)
+	if e := &tc.entries[d.idx]; e.State != Committed || !e.issued || e.Addr != d.addr {
+		panic(fmt.Sprintf("txcache: ack for %#x finds ring entry %d not issued with that word", d.addr, d.idx))
+	}
+	tc.retire(d.idx)
 	tc.obs.WriteDurable(d.w, tc.k.Now())
 }
 
@@ -458,35 +531,48 @@ func (tc *TxCache) Ack(addr uint64) {
 	addr = memaddr.WordAddr(addr)
 	// Walk every slot oldest-first: holes may separate live entries.
 	for n, i := 0, tc.tail; n < len(tc.entries); n, i = n+1, tc.next(i) {
-		e := &tc.entries[i]
-		if e.State == Committed && e.issued && e.Addr == addr {
-			*e = Entry{}
-			tc.count--
-			tc.stats.Acked++
-			for tc.count > 0 && tc.entries[tc.tail].State == Available {
-				tc.tail = tc.next(tc.tail)
-			}
-			if tc.count == 0 {
-				tc.tail = tc.head
-				tc.issue = tc.head
-			}
-			tc.sleep()
-			// The parked writer retries this cycle for real; it parks
-			// again if the head slot is still blocked.
-			if tc.parked {
-				tc.chargeParked(tc.k.Now())
-				tc.parked = false
-				tc.obs.TCWake(tc.core, tc.k.Now())
-				tc.wake.Fire()
-			}
-			tc.arb.DrainAck(tc.core, addr)
-			if tc.count == 0 {
-				tc.onDrain.Fire()
-			}
+		if e := &tc.entries[i]; e.State == Committed && e.issued && e.Addr == addr {
+			tc.retire(i)
 			return
 		}
 	}
 	panic(fmt.Sprintf("txcache: ack for %#x matches no issued entry", addr))
+}
+
+// retire returns acknowledged ring entry i to the available state and
+// advances the tail over available entries.
+func (tc *TxCache) retire(i int) {
+	addr := tc.entries[i].Addr
+	tc.entries[i] = Entry{}
+	tc.count--
+	tc.live[tc.lineBucket(addr)]--
+	tc.stats.Acked++
+	tc.advanceTail()
+	tc.sleep()
+	// The parked writer retries this cycle for real; it parks again if
+	// the head slot is still blocked.
+	if tc.parked {
+		tc.chargeParked(tc.k.Now())
+		tc.parked = false
+		tc.obs.TCWake(tc.core, tc.k.Now())
+		tc.wake.Fire()
+	}
+	tc.arb.DrainAck(tc.core, addr)
+	if tc.count == 0 {
+		tc.onDrain.Fire()
+	}
+}
+
+// advanceTail moves the tail over available slots to the oldest live
+// entry, or to the head when none is left.
+func (tc *TxCache) advanceTail() {
+	for tc.count > 0 && tc.entries[tc.tail].State == Available {
+		tc.tail = tc.next(tc.tail)
+	}
+	if tc.count == 0 {
+		tc.tail = tc.head
+		tc.issue = tc.head
+	}
 }
 
 // EvictTx removes every active entry of txID from the ring, returning
@@ -499,22 +585,21 @@ func (tc *TxCache) Ack(addr uint64) {
 // closes an open drain burst itself.
 func (tc *TxCache) EvictTx(txID uint64) []Entry {
 	out := tc.evicted[:0]
-	for n, i := 0, tc.tail; n < len(tc.entries); n, i = n+1, tc.next(i) {
+	keep := tc.active[:0]
+	for _, i := range tc.active {
 		e := &tc.entries[i]
-		if e.State == Active && e.TxID == txID {
-			out = append(out, *e)
-			*e = Entry{}
-			tc.count--
-			tc.unissued--
+		if e.TxID != txID {
+			keep = append(keep, i)
+			continue
 		}
+		out = append(out, *e)
+		tc.live[tc.lineBucket(e.Addr)]--
+		*e = Entry{}
+		tc.count--
+		tc.unissued--
 	}
-	for tc.count > 0 && tc.entries[tc.tail].State == Available {
-		tc.tail = tc.next(tc.tail)
-	}
-	if tc.count == 0 {
-		tc.tail = tc.head
-		tc.issue = tc.head
-	}
+	tc.active = keep
+	tc.advanceTail()
 	if tc.unissued == 0 {
 		tc.obs.TCBurstEnd(tc.core, tc.k.Now())
 	}

@@ -137,6 +137,32 @@ func TestActiveEntryBlocksYoungerCommitted(t *testing.T) {
 	}
 }
 
+// An EvictTx can free the slot the issue pointer rests on before any
+// Tick moves it on; the tail then passes that slot. A later write that
+// wraps around into it is the youngest entry and must neither issue nor
+// block issue ahead of the older committed entry.
+func TestWriteIntoStaleIssueSlotKeepsFIFO(t *testing.T) {
+	k := sim.NewKernel()
+	nvm := &fakeNVM{k: k, hold: true}
+	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	line := func(i int) uint64 { return memaddr.NVMBase + uint64(i)*memaddr.LineSize }
+	tc.Write(1, line(0), 0) // slot 0, evicted below
+	tc.Write(2, line(1), 1) // slot 1
+	tc.Commit(2)
+	tc.EvictTx(1) // frees slot 0 under the issue pointer; the tail moves to 1
+	for i := 2; i <= 4; i++ {
+		if r := tc.Write(3, line(i), uint64(i)); r != Accepted { // slots 2, 3, then 0
+			t.Fatalf("write %d = %v", i, r)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		k.Step()
+	}
+	if len(nvm.writes) != 1 || nvm.writes[0] != line(1) {
+		t.Fatalf("drain writes %#x, want only tx 2's line %#x", nvm.writes, line(1))
+	}
+}
+
 func TestFullRejectsAtCapacity(t *testing.T) {
 	_, tc, _, _ := newTC(t, 4)
 	// High water = 3 (0.9*4 = 3.6 -> 3). Capacity rejects come first
@@ -193,6 +219,40 @@ func TestProbeFindsNewestFirst(t *testing.T) {
 	s := tc.Stats()
 	if s.Probes != 4 || s.ProbeHits != 2 {
 		t.Fatalf("probe stats %d/%d, want 4/2", s.Probes, s.ProbeHits)
+	}
+}
+
+// The probe filter's per-bucket count must hold a whole ring of entries
+// for one line: a 64 KB TC (1024 entries) with every store to one line
+// hits on every probe while any entry is live and misses after the last
+// ack.
+func TestProbeFilterCountsAWholeRingOfOneLine(t *testing.T) {
+	const n = 1024
+	k := sim.NewKernel()
+	nvm := &fakeNVM{k: k, hold: true}
+	tc := New(k, Config{SizeBytes: n * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	line := memaddr.LineAddr(nvmAddr(0))
+	for i := 0; i < n; i++ {
+		if r := tc.Write(1, nvmAddr(i%memaddr.WordsPerLine), uint64(i)); r != Accepted {
+			t.Fatalf("write %d = %v", i, r)
+		}
+	}
+	if !tc.Probe(line) {
+		t.Fatalf("probe missed a full ring of %d entries on the line", n)
+	}
+	tc.Commit(1)
+	for tc.Stats().Issued < n {
+		k.Step()
+	}
+	for i := 0; i < n; i++ {
+		if !tc.Probe(line) {
+			t.Fatalf("probe missed with %d entries live", tc.Occupancy())
+		}
+		nvm.held[2*i].Fire()
+		nvm.held[2*i+1].Fire()
+	}
+	if !tc.Drained() || tc.Probe(line) {
+		t.Fatalf("after the last ack: drained %v, probe still hits", tc.Drained())
 	}
 }
 
@@ -459,6 +519,7 @@ func TestNilProbePathAllocatesNothing(t *testing.T) {
 		tc.head, tc.tail, tc.count, tc.issue, tc.unissued = 0, 0, 0, 0, 0
 		tc.entries[0] = Entry{}
 		tc.entries[1] = Entry{}
+		clear(tc.live)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-probe Write/Probe/Commit allocated %.1f times per run, want 0", allocs)
@@ -560,6 +621,10 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 1.5},
 		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: -0.1},
 		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: math.NaN()},
+		{SizeBytes: (math.MaxInt32 + 1) * 64, EntryBytes: 64, HighWaterFrac: 0.9}, // past the int32 ring index
+	}
+	if err := (Config{SizeBytes: math.MaxInt32 * 64, EntryBytes: 64, HighWaterFrac: 0.9}).Validate(); err != nil {
+		t.Fatalf("the largest indexable ring rejected: %v", err)
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
