@@ -136,10 +136,7 @@ func BenchmarkTCStallFraction(b *testing.B) {
 // BenchmarkTable1HardwareOverhead regenerates Table 1's totals from the
 // configuration.
 func BenchmarkTable1HardwareOverhead(b *testing.B) {
-	cfg := hwcost.Config{
-		Cores: 4, TCBytes: 4 << 10, TCEntryBytes: 64, LineBytes: 64,
-		L1Bytes: 32 << 10, L2Bytes: 256 << 10, LLCBytes: 64 << 20,
-	}
+	cfg := Config{}.HardwareCost()
 	var t hwcost.Totals
 	for i := 0; i < b.N; i++ {
 		t = cfg.Summarize()

@@ -41,6 +41,9 @@ func main() {
 	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
 		fatal(fmt.Errorf("-cores: %w", err))
 	}
+	if *trials < 0 {
+		fatal(fmt.Errorf("-trials %d is negative; pass 0 or more crash points", *trials))
+	}
 	if *tcBytes < 0 {
 		fatal(fmt.Errorf("-tc %d is negative; pass a positive value or omit the flag for the default", *tcBytes))
 	}

@@ -27,7 +27,6 @@ import (
 
 	"pmemaccel"
 	"pmemaccel/internal/figures"
-	"pmemaccel/internal/hwcost"
 	"pmemaccel/internal/prof"
 	"pmemaccel/internal/sweep"
 	"pmemaccel/internal/workload"
@@ -99,16 +98,9 @@ func main() {
 	}
 
 	if *table1 {
-		// The paper's Table 1 costs out the 4-core machine; -cores re-prices
-		// the per-core structures for wider topologies.
-		n := pmemaccel.DefaultCores
-		if *cores > 0 {
-			n = *cores
-		}
-		fmt.Print(hwcost.Config{
-			Cores: n, TCBytes: 4 << 10, TCEntryBytes: 64, LineBytes: 64,
-			L1Bytes: 32 << 10, L2Bytes: 256 << 10, LLCBytes: 64 << 20,
-		}.Render())
+		// The paper's Table 1 costs out the full-scale 4-core machine;
+		// -cores re-prices the per-core structures for wider topologies.
+		fmt.Print(pmemaccel.Config{Cores: *cores}.HardwareCost().Render())
 		return
 	}
 	if *config {
@@ -205,7 +197,7 @@ func main() {
 		perCell = nil
 		onProgress = sweep.StderrProgress(os.Stderr, "grid")
 	}
-	grid, err := figures.RunParallelWithProgress(workload.All, figures.Mechs, configure,
+	grid, err := figures.Run(workload.All, figures.Mechs, configure,
 		perCell, onProgress, *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperrepro:", err)
@@ -257,7 +249,8 @@ func printMachineConfig() {
   L1 I/D             Private, 32 KB/core, 0.5 ns (1 cy), 4-way
   L2                 Private, 256 KB/core, 4.5 ns (9 cy), 8-way
   L3 (LLC)           Shared, 64 MB, 10 ns (20 cy), 16-way
-  Transaction cache  Private, 4 KB/core, fully-assoc CAM FIFO, 0.5 ns (1 cy)
+  Transaction cache  Private, 4 KB/core, fully-assoc CAM FIFO; access not
+                     modelled (a TC write costs no cycles)
   Memory controllers 8/64-entry read/write queues; read-first,
                      write drain at 80% full
   NVM (STT-RAM)      32 banks, 65 ns read (130 cy), 76 ns write (152 cy)

@@ -31,7 +31,6 @@ import (
 	"pmemaccel/internal/obs/metrics"
 	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
-	"pmemaccel/internal/txcache"
 	"pmemaccel/internal/workload"
 )
 
@@ -102,7 +101,6 @@ func main() {
 			Mem:     backend,
 			Live:    memimage.New(),
 			Durable: memimage.New(),
-			TC:      txcache.Config{},
 		}
 		rd = mechanism.New(mechanism.SP, env).Rewrite(0, rd)
 	} else if *mechName != "" {

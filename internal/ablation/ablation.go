@@ -88,7 +88,7 @@ func runPoints(name string, pts []point, workers int) (*Sweep, error) {
 			p.FullRejects += tc.FullRejects
 		}
 		return p, nil
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func MLP(base pmemaccel.Config, windows []int, workers int) (*Sweep, error) {
 	var pts []point
 	for _, w := range windows {
 		cfg := base
-		cfg.CPU.MLP = w
+		cfg.MLP = w
 		pts = append(pts, point{cfg, fmt.Sprintf("%d", w), float64(w)})
 	}
 	return runPoints(fmt.Sprintf("MLP window sweep (%v/%v)", base.Benchmark, base.Mechanism), pts, workers)

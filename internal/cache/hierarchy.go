@@ -9,60 +9,28 @@ import (
 	"pmemaccel/internal/sim"
 )
 
-// Config sizes and times the three-level hierarchy. Latencies are in CPU
-// cycles; sizes in bytes (per core for L1/L2, total for the shared LLC).
+// The Table 2 hit latencies in CPU cycles at 2 GHz: L1 0.5 ns, L2 4.5 ns
+// and LLC 10 ns.
+const (
+	L1Latency  = 1
+	L2Latency  = 9
+	LLCLatency = 20
+)
+
+// Config sizes the three-level hierarchy: sizes in bytes, per core for
+// L1 and L2 and total for the shared LLC.
 type Config struct {
 	L1Size, L1Ways   int
-	L1Latency        uint64
 	L2Size, L2Ways   int
-	L2Latency        uint64
 	LLCSize, LLCWays int
-	LLCLatency       uint64
 	// LLCWriteOccupancy is how many cycles a write (writeback install)
-	// occupies the LLC port. 1 for SRAM; Kiln's STT-RAM LLC uses a
+	// occupies the LLC port. 0 or 1 for SRAM; Kiln's STT-RAM LLC uses a
 	// multiple, so commit-flush bursts congest demand misses.
 	LLCWriteOccupancy uint64
 }
 
-// WithDefaults fills zero fields with the Table 2 configuration (2 GHz:
-// L1 0.5 ns, L2 4.5 ns, LLC 10 ns).
-func (c Config) WithDefaults() Config {
-	if c.L1Size == 0 {
-		c.L1Size = 32 << 10
-	}
-	if c.L1Ways == 0 {
-		c.L1Ways = 4
-	}
-	if c.L1Latency == 0 {
-		c.L1Latency = 1
-	}
-	if c.L2Size == 0 {
-		c.L2Size = 256 << 10
-	}
-	if c.L2Ways == 0 {
-		c.L2Ways = 8
-	}
-	if c.L2Latency == 0 {
-		c.L2Latency = 9
-	}
-	if c.LLCSize == 0 {
-		c.LLCSize = 64 << 20
-	}
-	if c.LLCWays == 0 {
-		c.LLCWays = 16
-	}
-	if c.LLCLatency == 0 {
-		c.LLCLatency = 20
-	}
-	if c.LLCWriteOccupancy == 0 {
-		c.LLCWriteOccupancy = 1
-	}
-	return c
-}
-
 // Validate rejects a geometry NewSetAssoc would panic on: every level
-// needs a nonzero, power-of-two set count. Call it on the defaulted
-// configuration.
+// needs a nonzero, power-of-two set count.
 func (c Config) Validate() error {
 	_, l1 := geometry("L1", c.L1Size, c.L1Ways)
 	_, l2 := geometry("L2", c.L2Size, c.L2Ways)
@@ -178,9 +146,10 @@ type commitFlush struct {
 type Hierarchy struct {
 	k     *sim.Kernel
 	slot  int // kernel slot, for Sleep
-	cfg   Config
 	mem   Memory
 	hooks Hooks
+	// writeOccupancy is Config.LLCWriteOccupancy.
+	writeOccupancy uint64
 
 	l1, l2 []*SetAssoc
 	llc    *SetAssoc
@@ -225,9 +194,8 @@ type Hierarchy struct {
 // New builds the hierarchy for nCores cores and registers its LLC
 // arbiter with the kernel. o observes it (nil disables observation).
 func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int, o *obs.Sink) *Hierarchy {
-	cfg = cfg.WithDefaults()
 	h := &Hierarchy{
-		k: k, cfg: cfg, mem: mem, hooks: hooks, obs: o,
+		k: k, mem: mem, hooks: hooks, obs: o, writeOccupancy: cfg.LLCWriteOccupancy,
 		llc:     NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
 		mshrs:   newMSHRTable(mshrSlotsPerCore * nCores),
 		txWB:    make(map[uint64]int),
@@ -260,9 +228,6 @@ func (h *Hierarchy) LLC() *SetAssoc { return h.llc }
 
 // Stats returns a copy of the hierarchy counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
-
-// Config returns the (defaulted) configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Pending reports outstanding LLC-queue entries plus in-flight memory
 // fills, for quiescence checks.
@@ -297,7 +262,7 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 		if store {
 			h.markStore(l, persistent, txID, uncommitted)
 		}
-		h.k.Schedule(h.cfg.L1Latency, done)
+		h.k.Schedule(L1Latency, done)
 		return
 	}
 	// L2 (tag check costs L1 latency first).
@@ -311,7 +276,7 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 		// also fine; we keep L2's copy clean and let L1 own dirt).
 		l.Dirty = false
 		h.installL1(core, moved)
-		h.k.Schedule(h.cfg.L1Latency+h.cfg.L2Latency, done)
+		h.k.Schedule(L1Latency+L2Latency, done)
 		return
 	}
 	// Miss beyond the private levels: merge into an in-flight fill if
@@ -327,7 +292,7 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 		h.wfree = h.wfree[:n-1]
 	}
 	h.mshrs.insert(lineAddr, append(ws, w))
-	h.k.Schedule(h.cfg.L1Latency+h.cfg.L2Latency, sim.Event{Fn: h.enqueueReadFn, Arg: fillArg(lineAddr, persistent)})
+	h.k.Schedule(L1Latency+L2Latency, sim.Event{Fn: h.enqueueReadFn, Arg: fillArg(lineAddr, persistent)})
 }
 
 // fillArg packs a line address and a persistent flag into an Event Arg.
@@ -463,8 +428,8 @@ func (h *Hierarchy) Tick(now uint64) {
 		h.serveLLCRead(req)
 	case llcWriteback:
 		h.serveLLCWriteback(req)
-		if h.cfg.LLCWriteOccupancy > 1 {
-			h.portBusy = now + h.cfg.LLCWriteOccupancy
+		if h.writeOccupancy > 1 {
+			h.portBusy = now + h.writeOccupancy
 		}
 	}
 }
@@ -473,7 +438,7 @@ func (h *Hierarchy) serveLLCRead(req llcReq) {
 	if l := h.llc.Lookup(req.lineAddr, true); l != nil {
 		// The hit's Persistent bit is captured now, not when the fill
 		// lands.
-		h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.hitFillFn, Arg: fillArg(req.lineAddr, l.Persistent)})
+		h.k.Schedule(LLCLatency, sim.Event{Fn: h.hitFillFn, Arg: fillArg(req.lineAddr, l.Persistent)})
 		return
 	}
 	if req.persistent && h.hooks.SidePathProbe != nil {
@@ -485,7 +450,7 @@ func (h *Hierarchy) serveLLCRead(req llcReq) {
 		}
 		h.obs.SideProbe(req.lineAddr, hit, h.k.Now())
 	}
-	h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.missReadFn, Arg: req.lineAddr})
+	h.k.Schedule(LLCLatency, sim.Event{Fn: h.missReadFn, Arg: req.lineAddr})
 }
 
 // hitFill completes an LLC hit (Arg: fillArg of the line and the hit
@@ -541,7 +506,7 @@ func (h *Hierarchy) completeFill(lineAddr uint64, line Line, fromMemory bool) {
 // serveLLCWriteback installs a dirty line arriving from a private L2 (or
 // a Kiln commit flush) into the LLC.
 func (h *Hierarchy) serveLLCWriteback(req llcReq) {
-	h.k.Schedule(h.cfg.LLCLatency, sim.Event{Fn: h.wbInstallFn, Arg: h.wbs.Put(req.line)})
+	h.k.Schedule(LLCLatency, sim.Event{Fn: h.wbInstallFn, Arg: h.wbs.Put(req.line)})
 }
 
 // wbInstall installs a served writeback once the LLC latency elapsed
@@ -680,7 +645,7 @@ func (h *Hierarchy) flushLine(core int, addr uint64, invalidate bool, done sim.E
 		apply = h.hooks.WritebackApply(lineAddr)
 	}
 	slot := h.flushes.Put(pendingFlush{lineAddr: lineAddr, apply: apply, done: done})
-	h.k.Schedule(h.cfg.L1Latency, sim.Event{Fn: h.flushWriteFn, Arg: slot})
+	h.k.Schedule(L1Latency, sim.Event{Fn: h.flushWriteFn, Arg: slot})
 }
 
 // flushWrite sends a flush's write to memory once the L1 latency

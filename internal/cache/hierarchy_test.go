@@ -31,9 +31,9 @@ func (m *fakeMemory) Write(lineAddr uint64, apply, onDurable sim.Event) {
 
 func smallConfig() Config {
 	return Config{
-		L1Size: 1 << 10, L1Ways: 2, L1Latency: 1,
-		L2Size: 4 << 10, L2Ways: 4, L2Latency: 9,
-		LLCSize: 16 << 10, LLCWays: 4, LLCLatency: 20,
+		L1Size: 1 << 10, L1Ways: 2,
+		L2Size: 4 << 10, L2Ways: 4,
+		LLCSize: 16 << 10, LLCWays: 4,
 	}
 }
 

@@ -63,43 +63,12 @@ func (NullPersistence) Store(int, uint64, uint64, uint64, sim.Event) StoreAction
 	return StoreAction{}
 }
 
-// Config sizes one core.
-type Config struct {
-	// IssueWidth is instructions retired per cycle (Table 2: 4).
-	IssueWidth int
-	// StoreBuffer bounds outstanding stores.
-	StoreBuffer int
-	// MLP bounds outstanding independent loads — the out-of-order
-	// window's memory-level parallelism. Dependent (pointer-chase)
-	// loads always serialize behind outstanding loads.
-	MLP int
-}
-
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	if c.IssueWidth == 0 {
-		c.IssueWidth = 4
-	}
-	if c.StoreBuffer == 0 {
-		c.StoreBuffer = 16
-	}
-	if c.MLP == 0 {
-		c.MLP = 8
-	}
-	return c
-}
-
-// Validate rejects sizes WithDefaults leaves in place but the core cannot
-// run with: a non-positive issue width never retires an instruction, and
-// a non-positive store buffer or MLP window never issues a store or an
-// independent load. Call it on the defaulted configuration.
-func (c Config) Validate() error {
-	if c.IssueWidth <= 0 || c.StoreBuffer <= 0 || c.MLP <= 0 {
-		return fmt.Errorf("cpu: IssueWidth %d, StoreBuffer %d and MLP %d must be positive",
-			c.IssueWidth, c.StoreBuffer, c.MLP)
-	}
-	return nil
-}
+// The Table 2 core: IssueWidth instructions retire per cycle, and at
+// most StoreBuffer stores are outstanding.
+const (
+	IssueWidth  = 4
+	StoreBuffer = 16
+)
 
 // CycleBreakdown attributes every cycle of a core's run to exactly one
 // category: each Tick of an unfinished core increments one bucket, and
@@ -192,9 +161,12 @@ type Stats struct {
 // Core executes one trace stream. It registers with the kernel, which
 // ticks it on every cycle it is awake.
 type Core struct {
-	k    *sim.Kernel
-	id   int
-	cfg  Config
+	k  *sim.Kernel
+	id int
+	// mlp bounds outstanding independent loads: the out-of-order
+	// window's memory-level parallelism. Dependent (pointer-chase)
+	// loads always serialize behind outstanding loads.
+	mlp  int
 	hier *cache.Hierarchy
 	pers Persistence
 	rd   trace.Reader
@@ -270,15 +242,18 @@ type Core struct {
 	stats Stats
 }
 
-// New builds a core and registers it with the kernel. onStoreRetire and
-// onFinish may be nil; o observes the core (nil disables observation).
-func New(k *sim.Kernel, id int, cfg Config, hier *cache.Hierarchy, pers Persistence,
+// New builds a core with an MLP window of mlp independent loads and
+// registers it with the kernel. onStoreRetire and onFinish may be nil; o
+// observes the core (nil disables observation).
+func New(k *sim.Kernel, id, mlp int, hier *cache.Hierarchy, pers Persistence,
 	rd trace.Reader, onStoreRetire func(addr, value uint64) uint64, onFinish func(), o *obs.Sink) *Core {
-	cfg = cfg.WithDefaults()
+	if mlp <= 0 {
+		panic(fmt.Sprintf("cpu: MLP window %d must be positive", mlp))
+	}
 	if pers == nil {
 		pers = NullPersistence{}
 	}
-	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire, onFinish: onFinish, obs: o}
+	c := &Core{k: k, id: id, mlp: mlp, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire, onFinish: onFinish, obs: o}
 	c.loadDoneFn = c.loadDone
 	c.storeDoneFn = c.storeDone
 	c.flushDoneFn = c.flushDone
@@ -457,10 +432,10 @@ func (c *Core) Tick(now uint64) {
 			return
 		}
 	}
-	budget := c.cfg.IssueWidth
+	budget := IssueWidth
 	for budget > 0 {
 		if !c.fetch() {
-			if budget == c.cfg.IssueWidth {
+			if budget == IssueWidth {
 				// Nothing retired this cycle: the core only waits for
 				// its outstanding accesses to drain.
 				bd.DrainWait++
@@ -489,7 +464,7 @@ func (c *Core) Tick(now uint64) {
 				bd.LoadStall++
 				return
 			}
-			if !c.cur.Dep && c.outLoads >= c.cfg.MLP {
+			if !c.cur.Dep && c.outLoads >= c.mlp {
 				bd.LoadStall++
 				return
 			}
@@ -499,7 +474,7 @@ func (c *Core) Tick(now uint64) {
 			c.retire()
 
 		case trace.KindStore:
-			if c.outStores >= c.cfg.StoreBuffer {
+			if c.outStores >= StoreBuffer {
 				bd.StoreBufStall++
 				return
 			}
@@ -656,11 +631,11 @@ func (c *Core) idleCharge() (bucket *uint64, idle, hold bool) {
 			return &bd.DrainWait, true, false
 		}
 	case c.cur.Kind == trace.KindLoad:
-		if c.cur.Dep && c.outLoads > 0 || !c.cur.Dep && c.outLoads >= c.cfg.MLP {
+		if c.cur.Dep && c.outLoads > 0 || !c.cur.Dep && c.outLoads >= c.mlp {
 			return &bd.LoadStall, true, false
 		}
 	case c.cur.Kind == trace.KindStore:
-		if c.outStores >= c.cfg.StoreBuffer {
+		if c.outStores >= StoreBuffer {
 			return &bd.StoreBufStall, true, false
 		}
 		if c.parked {

@@ -37,9 +37,9 @@ func testHier(k *sim.Kernel) (*cache.Hierarchy, *fakeMem) {
 // smallHier builds a small hierarchy for cores cores over mem.
 func smallHier(k *sim.Kernel, mem cache.Memory, cores int) *cache.Hierarchy {
 	return cache.New(k, cache.Config{
-		L1Size: 1 << 10, L1Ways: 2, L1Latency: 1,
-		L2Size: 4 << 10, L2Ways: 4, L2Latency: 9,
-		LLCSize: 16 << 10, LLCWays: 4, LLCLatency: 20,
+		L1Size: 1 << 10, L1Ways: 2,
+		L2Size: 4 << 10, L2Ways: 4,
+		LLCSize: 16 << 10, LLCWays: 4,
 	}, mem, cache.Hooks{}, cores, nil)
 }
 
@@ -47,7 +47,7 @@ func runCore(t *testing.T, tr *trace.Trace, pers Persistence) (*sim.Kernel, *Cor
 	t.Helper()
 	k := sim.NewKernel()
 	h, _ := testHier(k)
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(tr), nil, nil, nil)
+	c := New(k, 0, 8, h, pers, trace.NewReader(tr), nil, nil, nil)
 	if _, ok := k.RunUntil(c.Finished, 10_000_000); !ok {
 		t.Fatal("core did not finish")
 	}
@@ -105,7 +105,7 @@ func TestMLPWindowLimitsOutstandingLoads(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	h, _ := testHier(k)
-	c := New(k, 0, Config{MLP: 2}, h, nil, trace.NewReader(&tr), nil, nil, nil)
+	c := New(k, 0, 2, h, nil, trace.NewReader(&tr), nil, nil, nil)
 	k.RunUntil(c.Finished, 10_000_000)
 	if c.Stats().Breakdown.LoadStall == 0 {
 		t.Fatal("MLP=2 window never stalled 20 parallel misses")
@@ -167,7 +167,7 @@ func TestModeRegisterTracksTransactions(t *testing.T) {
 	h, _ := testHier(k)
 	var modeAtStore uint64
 	pers := &recordingPersistence{onStore: func(core int, txID uint64) { modeAtStore = txID }}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil, nil)
+	c := New(k, 0, 8, h, pers, trace.NewReader(&tr), nil, nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if modeAtStore != 5 {
 		t.Fatalf("mode at store = %d, want 5", modeAtStore)
@@ -208,7 +208,7 @@ func TestTxEndStallWaitsForResume(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	pers := &recordingPersistence{stallTx: true, resumeAt: 300, k: k}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil, nil)
+	c := New(k, 0, 8, h, pers, trace.NewReader(&tr), nil, nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	s := c.Stats()
 	if s.Breakdown.CommitWait < 250 {
@@ -238,7 +238,7 @@ func TestStoreRetryStalls(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	pers := &retryOncePersistence{retries: 5}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil, nil)
+	c := New(k, 0, 8, h, pers, trace.NewReader(&tr), nil, nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if c.Stats().Breakdown.TCFullStall != 5 {
 		t.Fatalf("retry stalls = %d, want 5", c.Stats().Breakdown.TCFullStall)
@@ -285,7 +285,7 @@ func TestParkedStoreSleepsUntilWake(t *testing.T) {
 		k.SetFastForward(ff)
 		h, _ := testHier(k)
 		pers := &parkingPersistence{k: k, cycles: 200}
-		c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil, nil)
+		c := New(k, 0, 8, h, pers, trace.NewReader(&tr), nil, nil, nil)
 		k.RunUntil(func() bool { return pers.wakeAt != 0 }, 1000)
 		k.RunUntil(func() bool { return false }, pers.wakeAt-1)
 		if ff && (k.Awake() != 0 || k.Skipped() == 0) {
@@ -319,7 +319,7 @@ func TestVolatileStoreSkipsPersistence(t *testing.T) {
 	h, _ := testHier(k)
 	called := false
 	pers := &recordingPersistence{onStore: func(int, uint64) { called = true }}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil, nil)
+	c := New(k, 0, 8, h, pers, trace.NewReader(&tr), nil, nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if called {
 		t.Fatal("Persistence.Store called for a volatile store")
@@ -365,7 +365,7 @@ func TestOnStoreRetireAppliesValues(t *testing.T) {
 	k := sim.NewKernel()
 	h, _ := testHier(k)
 	got := map[uint64]uint64{}
-	c := New(k, 0, Config{}, h, nil, trace.NewReader(&tr), func(a, v uint64) uint64 { old := got[a]; got[a] = v; return old }, nil, nil)
+	c := New(k, 0, 8, h, nil, trace.NewReader(&tr), func(a, v uint64) uint64 { old := got[a]; got[a] = v; return old }, nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	if got[memaddr.NVMBase] != 42 {
 		t.Fatalf("live image = %v, want 42 at NVMBase", got)
@@ -402,7 +402,7 @@ func TestAbortRestoresLiveWords(t *testing.T) {
 	h, _ := testHier(k)
 	live := map[uint64]uint64{memaddr.NVMBase: 7}
 	pers := &abortOncePersistence{live: live, abortAt: memaddr.NVMBase + 8}
-	c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr),
+	c := New(k, 0, 8, h, pers, trace.NewReader(&tr),
 		func(a, v uint64) uint64 { old := live[a]; live[a] = v; return old }, nil, nil)
 	k.RunUntil(c.Finished, 1_000_000)
 	// The first attempt sees 7, 1, 2; the replay starts from the
@@ -537,7 +537,7 @@ func TestLoadStoreCompletionAllocationFree(t *testing.T) {
 		trace.Store(memaddr.NVMBase+64, 7),
 		trace.Compute(3),
 	}}
-	c := New(k, 0, Config{}, h, nil, rd, nil, nil, nil)
+	c := New(k, 0, 8, h, nil, rd, nil, nil, nil)
 	for i := 0; i < 1000; i++ {
 		k.Step()
 	}
@@ -575,7 +575,7 @@ func TestTxEndDrainWaitSleepsHeld(t *testing.T) {
 		stores := 0
 		pers := &recordingPersistence{onStore: func(int, uint64) { stores++ }}
 		persCalls := func() int { return len(pers.ends) + stores }
-		c := New(k, 0, Config{}, h, pers, trace.NewReader(&tr), nil, nil, nil)
+		c := New(k, 0, 8, h, pers, trace.NewReader(&tr), nil, nil, nil)
 		// Cycle 1 retires TX_BEGIN and issues the store, whose miss
 		// holds TX_END for about 160 cycles.
 		k.Step()
@@ -643,7 +643,7 @@ func BenchmarkCoreDrainWaitTick(b *testing.B) {
 	for i := range cs {
 		var tr trace.Trace
 		tr.Append(trace.TxBegin(1), trace.Store(memaddr.NVMBase+uint64(i)*memaddr.LineSize, 1), trace.TxEnd(1))
-		cs[i] = New(k, i, Config{}, h, nil, trace.NewReader(&tr), nil, nil, nil)
+		cs[i] = New(k, i, 8, h, nil, trace.NewReader(&tr), nil, nil, nil)
 	}
 	for i := 0; i < 100; i++ {
 		k.Step()

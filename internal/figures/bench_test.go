@@ -31,7 +31,7 @@ func benchGrid(b *testing.B, workers int) {
 	}
 	benchs := []workload.Benchmark{workload.SPS, workload.RBTree}
 	for i := 0; i < b.N; i++ {
-		if _, err := RunParallel(benchs, Mechs, configure, nil, workers); err != nil {
+		if _, err := Run(benchs, Mechs, configure, nil, nil, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

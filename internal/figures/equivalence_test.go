@@ -36,7 +36,7 @@ func renderGrid(t *testing.T) string {
 	grid, err := Run(workload.All, Mechs, equivalenceConfig,
 		func(wb workload.Benchmark, m pmemaccel.Kind, r *pmemaccel.Result) {
 			fmt.Fprintf(&b, "%v\n", r)
-		})
+		}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

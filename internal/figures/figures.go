@@ -25,36 +25,17 @@ type Grid struct {
 	Results map[workload.Benchmark]map[pmemaccel.Kind]*pmemaccel.Result
 }
 
-// Run executes the sweep sequentially. configure produces the run
-// configuration for a cell (letting callers choose scale and op counts);
-// progress (may be nil) is invoked after each cell. It is exactly
-// RunParallel with one worker.
+// Run executes the grid on a bounded worker pool (workers <= 0 selects
+// GOMAXPROCS). configure produces the run configuration for a cell
+// (letting callers choose scale and op counts); it is called
+// sequentially in grid order before any simulation starts, so it need
+// not be safe for concurrent use. Every cell seeds its own RNG from its
+// configuration, so the grid is bit-identical for every worker count.
+// progress (may be nil) is invoked after each cell, serialized and in
+// grid order (bench-major, mechanism-minor). onProgress (may be nil) is
+// the live sweep status (see sweep.Run), serialized with progress: the
+// feed behind paperrepro's -progress flag.
 func Run(benchs []workload.Benchmark, mechs []pmemaccel.Kind,
-	configure func(workload.Benchmark, pmemaccel.Kind) pmemaccel.Config,
-	progress func(workload.Benchmark, pmemaccel.Kind, *pmemaccel.Result)) (*Grid, error) {
-	return RunParallel(benchs, mechs, configure, progress, 1)
-}
-
-// RunParallel executes the grid on a bounded worker pool (workers <= 0
-// selects GOMAXPROCS). Every cell seeds its own RNG from its
-// configuration, so the grid is bit-identical to the sequential path
-// regardless of completion order; progress callbacks are serialized and
-// fire in grid order (bench-major, mechanism-minor), exactly as Run's.
-// configure is called sequentially in grid order before any simulation
-// starts, so it need not be safe for concurrent use.
-func RunParallel(benchs []workload.Benchmark, mechs []pmemaccel.Kind,
-	configure func(workload.Benchmark, pmemaccel.Kind) pmemaccel.Config,
-	progress func(workload.Benchmark, pmemaccel.Kind, *pmemaccel.Result),
-	workers int) (*Grid, error) {
-	return RunParallelWithProgress(benchs, mechs, configure, progress, nil, workers)
-}
-
-// RunParallelWithProgress is RunParallel plus a live sweep-progress
-// consumer (see sweep.RunWithProgress): onProgress (may be nil) fires
-// after every cell completes, serialized with the per-cell progress
-// callback, carrying cells-done/total, busy workers, throughput and
-// ETA — the feed behind paperrepro's -progress flag.
-func RunParallelWithProgress(benchs []workload.Benchmark, mechs []pmemaccel.Kind,
 	configure func(workload.Benchmark, pmemaccel.Kind) pmemaccel.Config,
 	progress func(workload.Benchmark, pmemaccel.Kind, *pmemaccel.Result),
 	onProgress func(sweep.Progress),
@@ -72,7 +53,7 @@ func RunParallelWithProgress(benchs []workload.Benchmark, mechs []pmemaccel.Kind
 		}
 	}
 
-	results, err := sweep.RunWithProgress(len(cells), workers,
+	results, err := sweep.Run(len(cells), workers,
 		func(i int) (*pmemaccel.Result, error) {
 			c := cells[i]
 			res, err := pmemaccel.Run(c.cfg)
@@ -251,7 +232,7 @@ func ContentionSweep(cores []int, contentions []float64, mechs []pmemaccel.Kind,
 			if progress != nil {
 				progress(cells[i].row, res)
 			}
-		})
+		}, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -21,7 +21,7 @@ func smallGrid(t *testing.T) *Grid {
 		cfg.Ops = 150
 		return cfg
 	}
-	g, err := Run([]workload.Benchmark{workload.SPS, workload.Hashtable}, Mechs, configure, nil)
+	g, err := Run([]workload.Benchmark{workload.SPS, workload.Hashtable}, Mechs, configure, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,15 @@ func TestParallelGridIsDeterministic(t *testing.T) {
 		return cfg
 	}
 	benchs := []workload.Benchmark{workload.SPS, workload.RBTree}
-	seq, err := Run(benchs, Mechs, configure, nil)
+	seq, err := Run(benchs, Mechs, configure, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var progress []string
-	par, err := RunParallel(benchs, Mechs, configure,
+	par, err := Run(benchs, Mechs, configure,
 		func(b workload.Benchmark, m pmemaccel.Kind, r *pmemaccel.Result) {
 			progress = append(progress, b.String()+"/"+m.String())
-		}, 4)
+		}, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMetricsTableAndPercentileSeries(t *testing.T) {
 		cfg.Obs.Metrics = true
 		return cfg
 	}
-	g, err := Run([]workload.Benchmark{workload.SPS}, Mechs, configure, nil)
+	g, err := Run([]workload.Benchmark{workload.SPS}, Mechs, configure, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestRenderingAcrossCoreWidths(t *testing.T) {
 				return cfg
 			}
 			g, err := Run([]workload.Benchmark{workload.Bank},
-				[]pmemaccel.Kind{pmemaccel.TCache}, configure, nil)
+				[]pmemaccel.Kind{pmemaccel.TCache}, configure, nil, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,17 +13,18 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+
+	"pmemaccel/internal/memaddr"
 )
 
-// Config is the subset of the machine that determines hardware cost.
+// Config is the subset of the machine that determines hardware cost. A
+// TC entry and a hierarchy line are both memaddr.LineSize bytes.
 type Config struct {
-	Cores        int
-	TCBytes      int // per-core transaction cache capacity
-	TCEntryBytes int // line size per entry (64)
-	LineBytes    int // cache line size in the hierarchy
-	L1Bytes      int // per core
-	L2Bytes      int // per core
-	LLCBytes     int // shared
+	Cores    int
+	TCBytes  int // per-core transaction cache capacity
+	L1Bytes  int // per core
+	L2Bytes  int // per core
+	LLCBytes int // shared
 }
 
 // Row is one Table 1 line.
@@ -38,15 +39,14 @@ type Row struct {
 // possible in-flight transaction in one core's TC (§4.4: one line per
 // transaction).
 func (c Config) TxIDBits() int {
-	entries := c.TCBytes / c.TCEntryBytes
-	if entries <= 1 {
+	if c.Entries() <= 1 {
 		return 1
 	}
-	return bits.Len(uint(entries - 1))
+	return bits.Len(uint(c.Entries() - 1))
 }
 
 // Entries returns the TC data-array entry count per core.
-func (c Config) Entries() int { return c.TCBytes / c.TCEntryBytes }
+func (c Config) Entries() int { return c.TCBytes / memaddr.LineSize }
 
 // PointerBits returns head/tail pointer width.
 func (c Config) PointerBits() int {
@@ -59,7 +59,7 @@ func (c Config) PointerBits() int {
 // HierarchyLines returns the total line count of the existing hierarchy
 // (per-core L1+L2 plus the shared LLC) that must carry the P/V flag.
 func (c Config) HierarchyLines() int {
-	return (c.L1Bytes+c.L2Bytes)*c.Cores/c.LineBytes + c.LLCBytes/c.LineBytes
+	return (c.L1Bytes+c.L2Bytes)*c.Cores/memaddr.LineSize + c.LLCBytes/memaddr.LineSize
 }
 
 // Rows produces the Table 1 summary.

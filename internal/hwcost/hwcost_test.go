@@ -9,7 +9,7 @@ import (
 // entries, 4 cores, 64 MB LLC.
 func paperConfig() Config {
 	return Config{
-		Cores: 4, TCBytes: 4 << 10, TCEntryBytes: 64, LineBytes: 64,
+		Cores: 4, TCBytes: 4 << 10,
 		L1Bytes: 32 << 10, L2Bytes: 256 << 10, LLCBytes: 64 << 20,
 	}
 }

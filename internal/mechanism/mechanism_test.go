@@ -30,7 +30,7 @@ func testEnv(t *testing.T) *Env {
 		Mem:     backend,
 		Live:    memimage.New(),
 		Durable: memimage.New(),
-		TC:      txcache.Config{SizeBytes: 8 * 64, EntryBytes: 64},
+		TC:      txcache.Config{SizeBytes: 8 * 64, HighWaterFrac: 0.9},
 		Oracle:  trace.NewOracle(2, memimage.New()),
 	}
 }

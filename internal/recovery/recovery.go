@@ -108,10 +108,13 @@ func crash(s *pmemaccel.System, crashCycle uint64) (*Trial, error) {
 // are returned in draw order with the count of violations; on an error
 // Sweep returns no trials.
 //
-// A zero horizon (a workload that quiesced immediately, or a caller
-// passing the Horizon of an empty run) is a descriptive error rather
-// than the panic it used to be: there is no cycle to crash into.
+// A negative n and a zero horizon (a workload that quiesced
+// immediately, or a caller passing the Horizon of an empty run) are
+// descriptive errors; n = 0 sweeps no points.
 func Sweep(cfg pmemaccel.Config, n int, horizon uint64, seed uint64) ([]*Trial, int, error) {
+	if n < 0 {
+		return nil, 0, fmt.Errorf("recovery: %d crash points requested; the count must be non-negative", n)
+	}
 	if horizon == 0 {
 		return nil, 0, fmt.Errorf(
 			"recovery: crash horizon is 0 for %v/%v (the workload quiesced immediately or the run was empty); nothing to crash into",

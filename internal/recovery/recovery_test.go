@@ -196,27 +196,6 @@ func TestSPRecoveryCostGrowsWithProgress(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousMixSurvivesCrashes(t *testing.T) {
-	cfg := crashConfig(workload.RBTree, pmemaccel.TCache, 31)
-	cfg.Mix = []workload.Benchmark{workload.RBTree, workload.Hashtable}
-	horizon, err := Horizon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials, violations, err := Sweep(cfg, 5, horizon, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations != 0 {
-		for _, tr := range trials {
-			if !tr.OK() {
-				t.Errorf("%v", tr)
-			}
-		}
-		t.Fatalf("%d/%d mixed-workload crash trials violated persistence", violations, len(trials))
-	}
-}
-
 func TestBankCrashConservation(t *testing.T) {
 	// The money-conservation invariant is the sharpest atomicity probe:
 	// any torn transfer changes the total. All guaranteed mechanisms
@@ -267,6 +246,22 @@ func TestSweepZeroHorizonIsError(t *testing.T) {
 	}
 	if len(trials) != 0 || violations != 0 {
 		t.Fatalf("zero-horizon sweep returned trials=%d violations=%d", len(trials), violations)
+	}
+}
+
+// TestSweepNegativeCountIsError: a negative point count used to panic
+// in make; it must be a descriptive error, while 0 points stay legal.
+func TestSweepNegativeCountIsError(t *testing.T) {
+	cfg := crashConfig(workload.SPS, pmemaccel.TCache, 61)
+	trials, violations, err := Sweep(cfg, -1, 1000, 7)
+	if err == nil || !strings.Contains(err.Error(), "non-negative") {
+		t.Fatalf("negative-count sweep: err = %v, want one asking for a non-negative count", err)
+	}
+	if len(trials) != 0 || violations != 0 {
+		t.Fatalf("negative-count sweep returned trials=%d violations=%d", len(trials), violations)
+	}
+	if trials, _, err := Sweep(cfg, 0, 1000, 7); err != nil || len(trials) != 0 {
+		t.Fatalf("zero-count sweep: %d trials, err = %v; want none and no error", len(trials), err)
 	}
 }
 

@@ -14,7 +14,7 @@ func TestProgressInvariants(t *testing.T) {
 	emitted := 0
 	lastDone := 0
 	updates := 0
-	_, err := RunWithProgress(n, workers,
+	_, err := Run(n, workers,
 		func(i int) (int, error) { return i * i, nil },
 		func(i int, v int) { emitted++ },
 		func(p Progress) {
@@ -55,7 +55,7 @@ func TestProgressInvariants(t *testing.T) {
 func TestProgressOnFailure(t *testing.T) {
 	boom := errors.New("boom")
 	maxDone := 0
-	_, err := RunWithProgress(20, 4,
+	_, err := Run(20, 4,
 		func(i int) (int, error) {
 			if i == 5 {
 				return 0, boom
@@ -76,13 +76,13 @@ func TestProgressOnFailure(t *testing.T) {
 	}
 }
 
-// TestRunUnchangedByNilProgress pins Run's delegation: a nil progress
-// consumer produces exactly the old behaviour.
+// TestRunUnchangedByNilProgress: with a nil progress consumer, Run still
+// returns every result and emits in cell order.
 func TestRunUnchangedByNilProgress(t *testing.T) {
 	var order []int
 	results, err := Run(10, 3,
 		func(i int) (int, error) { return i + 100, nil },
-		func(i int, v int) { order = append(order, i) })
+		func(i int, v int) { order = append(order, i) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,23 +67,6 @@ type Error struct {
 func (e *Error) Error() string { return e.Err.Error() }
 func (e *Error) Unwrap() error { return e.Err }
 
-// Run executes cells 0..n-1 on at most workers concurrent goroutines
-// (workers <= 0 selects runtime.GOMAXPROCS(0)) and returns the results
-// indexed by cell.
-//
-// emit (may be nil) is the serialized progress callback: it is invoked
-// in strict cell order for every successful cell that precedes the
-// first failure, regardless of the order cells actually complete.
-//
-// On failure Run returns a *Error wrapping the lowest-indexed failing
-// cell's error; results[i] is still valid for every i below that index.
-// The first failure also cancels the sweep: cells not yet started are
-// never run (cells already in flight finish, and their results are
-// discarded by the caller's error path).
-func Run[T any](n, workers int, cell func(i int) (T, error), emit func(i int, v T)) ([]T, error) {
-	return RunWithProgress(n, workers, cell, emit, nil)
-}
-
 // Progress is one live status update from a running sweep, delivered
 // after a cell completes. Done counts the in-order emitted prefix (the
 // same cells emit has seen), so a progress consumer and the emit
@@ -101,13 +84,27 @@ type Progress struct {
 	ETA         time.Duration
 }
 
-// RunWithProgress is Run plus a live progress callback. progress (may
-// be nil, reducing to Run) is serialized through the same reorder-
-// buffer lock as emit — the two never interleave mid-call, so a
-// progress consumer may freely share an output stream with emit. It
-// fires after every cell completion (whether or not the emitted prefix
-// advanced), and like emit it must not call back into the sweep.
-func RunWithProgress[T any](n, workers int, cell func(i int) (T, error),
+// Run executes cells 0..n-1 on at most workers concurrent goroutines
+// (workers <= 0 selects runtime.GOMAXPROCS(0)) and returns the results
+// indexed by cell.
+//
+// emit (may be nil) is the serialized progress callback: it is invoked
+// in strict cell order for every successful cell that precedes the
+// first failure, regardless of the order cells actually complete.
+//
+// progress (may be nil) is the live status callback. It is serialized
+// through the same reorder-buffer lock as emit — the two never
+// interleave mid-call, so a progress consumer may freely share an output
+// stream with emit. It fires after every cell completion (whether or not
+// the emitted prefix advanced), and like emit it must not call back into
+// the sweep.
+//
+// On failure Run returns a *Error wrapping the lowest-indexed failing
+// cell's error; results[i] is still valid for every i below that index.
+// The first failure also cancels the sweep: cells not yet started are
+// never run (cells already in flight finish, and their results are
+// discarded by the caller's error path).
+func Run[T any](n, workers int, cell func(i int) (T, error),
 	emit func(i int, v T), progress func(Progress)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
@@ -212,7 +209,7 @@ func RunWithProgress[T any](n, workers int, cell func(i int) (T, error),
 //	label: 12/40 cells, 4 busy, 3.2 cells/s, ETA 9s
 //
 // The line is finished with a newline when the last cell lands. Pass
-// the result as RunWithProgress's progress argument; because progress
+// the result as Run's progress argument; because progress
 // and emit are serialized, sharing w with an emit printer is safe but
 // visually messy — prefer one or the other.
 func StderrProgress(w io.Writer, label string) func(Progress) {

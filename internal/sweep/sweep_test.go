@@ -17,7 +17,7 @@ func TestResultsKeyedByCell(t *testing.T) {
 			// arrival-order bug shows up.
 			time.Sleep(time.Duration(50-i) * time.Microsecond)
 			return i * i, nil
-		}, nil)
+		}, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -42,7 +42,7 @@ func TestEmitInCellOrder(t *testing.T) {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLowestIndexedErrorWins(t *testing.T) {
 			return 0, fmt.Errorf("cell 7: %w", boom)
 		}
 		return i, nil
-	}, func(i, v int) { emitted = append(emitted, i) })
+	}, func(i, v int) { emitted = append(emitted, i) }, nil)
 	if err == nil {
 		t.Fatal("sweep with failing cells returned nil error")
 	}
@@ -98,7 +98,7 @@ func TestPanicRecoveredWithCellIdentity(t *testing.T) {
 			panic("kaboom")
 		}
 		return i, nil
-	}, nil)
+	}, nil, nil)
 	if err == nil {
 		t.Fatal("panicking sweep returned nil error")
 	}
@@ -127,7 +127,7 @@ func TestFirstErrorCancelsScheduling(t *testing.T) {
 			return 0, errors.New("stop here")
 		}
 		return i, nil
-	}, nil)
+	}, nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -149,7 +149,7 @@ func TestWorkerCountRespected(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
 		return i, nil
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestWorkerCountRespected(t *testing.T) {
 }
 
 func TestZeroCells(t *testing.T) {
-	got, err := Run(0, 8, func(i int) (int, error) { return 0, errors.New("never") }, nil)
+	got, err := Run(0, 8, func(i int) (int, error) { return 0, errors.New("never") }, nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty sweep: %v, %v", got, err)
 	}

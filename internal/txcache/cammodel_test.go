@@ -183,7 +183,7 @@ func TestQuickTxCacheMatchesCAMModel(t *testing.T) {
 		port := &fakeNVM{k: k, hold: true}
 		type applied struct{ addr, value uint64 }
 		var got []applied
-		tc := New(k, Config{SizeBytes: entries * 64, EntryBytes: 64, HighWaterFrac: frac}, port,
+		tc := New(k, Config{SizeBytes: entries * 64, HighWaterFrac: frac}, port,
 			func(addr, value uint64) { got = append(got, applied{addr, value}) }, nil, 0)
 		m := newCAMModel(entries, frac)
 		open := [2]uint64{1, 2}

@@ -113,49 +113,34 @@ type Port interface {
 	WriteTracked(lineAddr uint64, apply, onDurable sim.Event, w *obs.FlightWrite)
 }
 
-// Config sizes one per-core transaction cache.
+// Config sizes one per-core transaction cache. Each entry holds one
+// cache line (memaddr.LineSize bytes).
 type Config struct {
 	// SizeBytes is the data-array capacity (Table 2: 4 KB per core).
 	SizeBytes int
-	// EntryBytes is the line size per entry (64).
-	EntryBytes int
-	// HighWaterFrac triggers the overflow fall-back (0.9).
+	// HighWaterFrac is the occupancy fraction that triggers the overflow
+	// fall-back (Table 2: 0.9).
 	HighWaterFrac float64
 }
 
-// WithDefaults fills zero fields with the Table 2 values.
-func (c Config) WithDefaults() Config {
-	if c.SizeBytes == 0 {
-		c.SizeBytes = 4 << 10
-	}
-	if c.EntryBytes == 0 {
-		c.EntryBytes = 64
-	}
-	if c.HighWaterFrac == 0 {
-		c.HighWaterFrac = 0.9
-	}
-	return c
-}
-
 // Entries returns the data-array entry count.
-func (c Config) Entries() int { return c.SizeBytes / c.EntryBytes }
+func (c Config) Entries() int { return c.SizeBytes / memaddr.LineSize }
 
-// Validate rejects configurations WithDefaults would silently accept but
-// that misbehave downstream (a high-water mark above 1, an entry size
-// that does not divide the capacity). Call it on the defaulted
-// configuration.
+// Validate rejects configurations that misbehave downstream: a capacity
+// that is not a whole number of lines, fewer than 2 entries, more
+// entries than the int32 ring index reaches, or a high-water mark outside
+// (0, 1].
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 || c.EntryBytes <= 0 {
-		return fmt.Errorf("txcache: SizeBytes %d and EntryBytes %d must be positive",
-			c.SizeBytes, c.EntryBytes)
+	if c.SizeBytes <= 0 {
+		return fmt.Errorf("txcache: SizeBytes %d must be positive", c.SizeBytes)
 	}
-	if c.SizeBytes%c.EntryBytes != 0 {
-		return fmt.Errorf("txcache: EntryBytes %d does not divide SizeBytes %d — %d bytes would be silently lost",
-			c.EntryBytes, c.SizeBytes, c.SizeBytes%c.EntryBytes)
+	if c.SizeBytes%memaddr.LineSize != 0 {
+		return fmt.Errorf("txcache: SizeBytes %d is not a multiple of the %d-byte line — %d bytes would be silently lost",
+			c.SizeBytes, memaddr.LineSize, c.SizeBytes%memaddr.LineSize)
 	}
 	if c.Entries() < 2 {
 		return fmt.Errorf("txcache: %d bytes / %d-byte entries leaves %d entries, need at least 2",
-			c.SizeBytes, c.EntryBytes, c.Entries())
+			c.SizeBytes, memaddr.LineSize, c.Entries())
 	}
 	if c.Entries() > math.MaxInt32 {
 		return fmt.Errorf("txcache: %d entries exceed the ring index range (%d)", c.Entries(), math.MaxInt32)
@@ -194,7 +179,6 @@ type drainWrite struct {
 type TxCache struct {
 	k    *sim.Kernel
 	slot int // kernel slot, for Sleep
-	cfg  Config
 	mem  Port
 	// durableApply writes one word into the durable NVM image; the
 	// system provides it so the TC stays image-agnostic.
@@ -254,17 +238,16 @@ type TxCache struct {
 // durableApply may be nil (timing-only use); o observes the TC (nil
 // disables observation).
 func New(k *sim.Kernel, cfg Config, mem Port, durableApply func(addr, value uint64), o *obs.Sink, core int) *TxCache {
-	cfg = cfg.WithDefaults()
 	if cfg.Entries() < 2 {
 		panic(fmt.Sprintf("txcache: %d bytes / %d-byte entries leaves %d entries",
-			cfg.SizeBytes, cfg.EntryBytes, cfg.Entries()))
+			cfg.SizeBytes, memaddr.LineSize, cfg.Entries()))
 	}
 	n := cfg.Entries()
 	// One allocation backs both indexes; active's capacity stops its
 	// appends short of live.
 	idx := make([]int32, n+liveBuckets(n))
 	tc := &TxCache{
-		k: k, cfg: cfg, mem: mem, durableApply: durableApply,
+		k: k, mem: mem, durableApply: durableApply,
 		entries:   make([]Entry, n),
 		highWater: int(float64(n) * cfg.HighWaterFrac),
 		active:    idx[:0:n],
@@ -286,9 +269,6 @@ func (tc *TxCache) SetArbiter(a *LineArbiter) { tc.arb = a }
 // OnDrain makes every Ack that empties the TC fire ev, after the ack is
 // otherwise handled. Wire-up time only (before the run starts).
 func (tc *TxCache) OnDrain(ev sim.Event) { tc.onDrain = ev }
-
-// Config returns the (defaulted) configuration.
-func (tc *TxCache) Config() Config { return tc.cfg }
 
 // Stats returns a copy of the counters, with the rejects of a parked
 // writer's slept cycles charged. Call it between kernel steps.

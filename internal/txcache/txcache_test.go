@@ -43,22 +43,12 @@ func newTC(t *testing.T, entries int) (*sim.Kernel, *TxCache, *fakeNVM, *memimag
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 152}
 	img := memimage.New()
-	cfg := Config{SizeBytes: entries * 64, EntryBytes: 64}
+	cfg := Config{SizeBytes: entries * 64, HighWaterFrac: 0.9}
 	tc := New(k, cfg, nvm, func(addr, value uint64) { img.WriteWord(addr, value) }, nil, 0)
 	return k, tc, nvm, img
 }
 
 func nvmAddr(i int) uint64 { return memaddr.NVMBase + uint64(i)*8 }
-
-func TestConfigDefaultsMatchTable2(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.SizeBytes != 4<<10 || c.EntryBytes != 64 {
-		t.Fatalf("defaults = %+v", c)
-	}
-	if c.Entries() != 64 {
-		t.Fatalf("Entries = %d, want 64 (4KB / 64B, §4.4)", c.Entries())
-	}
-}
 
 func TestTinyConfigPanics(t *testing.T) {
 	defer func() {
@@ -66,7 +56,7 @@ func TestTinyConfigPanics(t *testing.T) {
 			t.Fatal("1-entry TC did not panic")
 		}
 	}()
-	New(sim.NewKernel(), Config{SizeBytes: 64, EntryBytes: 64}, &fakeNVM{}, nil, nil, 0)
+	New(sim.NewKernel(), Config{SizeBytes: 64, HighWaterFrac: 0.9}, &fakeNVM{}, nil, nil, 0)
 }
 
 func TestWriteBuffersWithoutDraining(t *testing.T) {
@@ -144,7 +134,7 @@ func TestActiveEntryBlocksYoungerCommitted(t *testing.T) {
 func TestWriteIntoStaleIssueSlotKeepsFIFO(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, hold: true}
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 4 * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	line := func(i int) uint64 { return memaddr.NVMBase + uint64(i)*memaddr.LineSize }
 	tc.Write(1, line(0), 0) // slot 0, evicted below
 	tc.Write(2, line(1), 1) // slot 1
@@ -186,7 +176,7 @@ func TestFullWhenEveryEntryLive(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 100}
 	// HighWaterFrac 1.0 disables the fallback so Full is reachable.
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 4 * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	for i := 0; i < 4; i++ {
 		if r := tc.Write(1, nvmAddr(i), 1); r != Accepted {
 			t.Fatalf("write %d = %v", i, r)
@@ -230,7 +220,7 @@ func TestProbeFilterCountsAWholeRingOfOneLine(t *testing.T) {
 	const n = 1024
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, hold: true}
-	tc := New(k, Config{SizeBytes: n * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: n * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	line := memaddr.LineAddr(nvmAddr(0))
 	for i := 0; i < n; i++ {
 		if r := tc.Write(1, nvmAddr(i%memaddr.WordsPerLine), uint64(i)); r != Accepted {
@@ -261,7 +251,7 @@ func TestHeadHoleStallsDespiteFreeSpace(t *testing.T) {
 	// slot is still live, writes stall even though count < capacity.
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 4 * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	for i := 0; i < 4; i++ {
 		tc.Write(1, nvmAddr(i), uint64(i))
 	}
@@ -291,7 +281,7 @@ func TestHeadHoleStallsDespiteFreeSpace(t *testing.T) {
 func TestAckMatchesNearestTailForDuplicateAddresses(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 8 * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	tc.Write(1, nvmAddr(0), 1)
 	tc.Write(1, nvmAddr(0), 2) // same word, younger value
 	tc.Commit(1)
@@ -385,7 +375,7 @@ func TestQuickDrainMatchesLastCommittedValue(t *testing.T) {
 		k := sim.NewKernel()
 		nvm := &fakeNVM{k: k, lat: 7}
 		img := memimage.New()
-		tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64}, nvm,
+		tc := New(k, Config{SizeBytes: 64 * 64, HighWaterFrac: 0.9}, nvm,
 			func(a, v uint64) { img.WriteWord(a, v) }, nil, 0)
 		want := map[uint64]uint64{}
 		id := uint64(1)
@@ -429,7 +419,7 @@ func TestQuickDrainMatchesLastCommittedValue(t *testing.T) {
 func TestEvictTxRemovesOnlyThatTransaction(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true}
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 8 * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Commit(1) // older committed tx stays
@@ -461,7 +451,7 @@ func TestEvictTxRemovesOnlyThatTransaction(t *testing.T) {
 
 func TestEvictTxEmptiesRingCompletely(t *testing.T) {
 	k := sim.NewKernel()
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, &fakeNVM{k: k, lat: 1}, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 4 * 64, HighWaterFrac: 1.0}, &fakeNVM{k: k, lat: 1}, nil, nil, 0)
 	for i := 0; i < 3; i++ {
 		tc.Write(7, nvmAddr(i), uint64(i))
 	}
@@ -485,7 +475,7 @@ func TestEvictTxDoesNotTouchCommittedEntries(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 3}
 	img := memimage.New()
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm,
+	tc := New(k, Config{SizeBytes: 8 * 64, HighWaterFrac: 1.0}, nvm,
 		func(a, v uint64) { img.WriteWord(a, v) }, nil, 0)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Commit(1)
@@ -505,7 +495,7 @@ func TestEvictTxDoesNotTouchCommittedEntries(t *testing.T) {
 func TestNilProbePathAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, lat: 1, hold: true} // hold acks: no drain closures
-	tc := New(k, Config{SizeBytes: 64 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
+	tc := New(k, Config{SizeBytes: 64 * 64, HighWaterFrac: 1.0}, nvm, nil, nil, 0)
 	var tx uint64
 	allocs := testing.AllocsPerRun(100, func() {
 		tx++
@@ -534,7 +524,7 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 	nvm := &fakeNVM{k: k, lat: 152}
 	p := obs.NewProbe(64)
 	o := obs.NewSink(p, nil, 0)
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64}, nvm, nil, o, 3)
+	tc := New(k, Config{SizeBytes: 8 * 64, HighWaterFrac: 0.9}, nvm, nil, o, 3)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Write(1, nvmAddr(2), 12)
@@ -575,7 +565,7 @@ func TestOpenDrainBurstFlushedAtCollection(t *testing.T) {
 func TestEvictTxClosesDrainBurst(t *testing.T) {
 	k := sim.NewKernel()
 	p := obs.NewProbe(64)
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64}, &fakeNVM{k: k, hold: true}, nil, obs.NewSink(p, nil, 0), 0)
+	tc := New(k, Config{SizeBytes: 8 * 64, HighWaterFrac: 0.9}, &fakeNVM{k: k, hold: true}, nil, obs.NewSink(p, nil, 0), 0)
 	tc.Write(1, nvmAddr(0), 10)
 	tc.Write(1, nvmAddr(1), 11)
 	tc.Commit(1)
@@ -611,19 +601,21 @@ func findKind(t *testing.T, p *obs.Probe, k obs.Kind) obs.Event {
 // TestConfigValidate covers the misconfigurations Validate must reject
 // and the shapes it must accept.
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).WithDefaults().Validate(); err != nil {
-		t.Fatalf("defaulted zero config rejected: %v", err)
+	if err := (Config{SizeBytes: 4 << 10, HighWaterFrac: 0.9}).Validate(); err != nil {
+		t.Fatalf("the Table 2 config rejected: %v", err)
 	}
 	bad := []Config{
-		{SizeBytes: -64, EntryBytes: 64, HighWaterFrac: 0.9},
-		{SizeBytes: 4 << 10, EntryBytes: 100, HighWaterFrac: 0.9}, // 100 does not divide 4096
-		{SizeBytes: 64, EntryBytes: 64, HighWaterFrac: 0.9},       // 1 entry
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: 1.5},
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: -0.1},
-		{SizeBytes: 4 << 10, EntryBytes: 64, HighWaterFrac: math.NaN()},
-		{SizeBytes: (math.MaxInt32 + 1) * 64, EntryBytes: 64, HighWaterFrac: 0.9}, // past the int32 ring index
+		{SizeBytes: -64, HighWaterFrac: 0.9},
+		{SizeBytes: 0, HighWaterFrac: 0.9},
+		{SizeBytes: 100, HighWaterFrac: 0.9}, // not a whole number of lines
+		{SizeBytes: 64, HighWaterFrac: 0.9},  // 1 entry
+		{SizeBytes: 4 << 10, HighWaterFrac: 0},
+		{SizeBytes: 4 << 10, HighWaterFrac: 1.5},
+		{SizeBytes: 4 << 10, HighWaterFrac: -0.1},
+		{SizeBytes: 4 << 10, HighWaterFrac: math.NaN()},
+		{SizeBytes: (math.MaxInt32 + 1) * 64, HighWaterFrac: 0.9}, // past the int32 ring index
 	}
-	if err := (Config{SizeBytes: math.MaxInt32 * 64, EntryBytes: 64, HighWaterFrac: 0.9}).Validate(); err != nil {
+	if err := (Config{SizeBytes: math.MaxInt32 * 64, HighWaterFrac: 0.9}).Validate(); err != nil {
 		t.Fatalf("the largest indexable ring rejected: %v", err)
 	}
 	for i, cfg := range bad {
@@ -647,7 +639,7 @@ func (p stubPort) WriteTracked(lineAddr uint64, apply, onDurable sim.Event, _ *o
 func TestDrainAllocationFree(t *testing.T) {
 	k := sim.NewKernel()
 	img := memimage.New()
-	tc := New(k, Config{SizeBytes: 8 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, stubPort{k: k},
+	tc := New(k, Config{SizeBytes: 8 * 64, HighWaterFrac: 1.0}, stubPort{k: k},
 		func(addr, value uint64) { img.WriteWord(addr, value) }, nil, 0)
 	var tx uint64
 	roundTrip := func() {
@@ -681,7 +673,7 @@ func fullTC(t *testing.T, o *obs.Sink) (*sim.Kernel, *TxCache) {
 	t.Helper()
 	k := sim.NewKernel()
 	nvm := &fakeNVM{k: k, hold: true}
-	tc := New(k, Config{SizeBytes: 4 * 64, EntryBytes: 64, HighWaterFrac: 1.0}, nvm, nil, o, 0)
+	tc := New(k, Config{SizeBytes: 4 * 64, HighWaterFrac: 1.0}, nvm, nil, o, 0)
 	for i := 0; i < 4; i++ {
 		tc.Write(1, nvmAddr(i), uint64(i))
 	}

@@ -28,25 +28,12 @@ func (c Config) PaperScale() (Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	// Calibrate instructions-per-op for every core's benchmark (they
-	// differ under Mix); Ops is global, so size it from the mean cost.
-	perOp := make(map[workload.Benchmark]float64)
-	var sum float64
-	for core := 0; core < cfg.Cores; core++ {
-		b := cfg.benchmarkFor(core)
-		cost, ok := perOp[b]
-		if !ok {
-			p := workload.DefaultParams(b, core, cfg.Cores, cfg.Seed, cfg.InitialSize, workload.CalibrationOps)
-			cost, err = workload.InstructionsPerOp(b, p)
-			if err != nil {
-				return cfg, fmt.Errorf("pmemaccel: paper scale: %w", err)
-			}
-			perOp[b] = cost
-		}
-		sum += cost
+	p := workload.DefaultParams(cfg.Benchmark, 0, cfg.Cores, cfg.Seed, cfg.InitialSize, workload.CalibrationOps)
+	perOp, err := workload.InstructionsPerOp(cfg.Benchmark, p)
+	if err != nil {
+		return cfg, fmt.Errorf("pmemaccel: paper scale: %w", err)
 	}
-	mean := sum / float64(cfg.Cores)
-	ops := int(PaperInstructionTarget / (mean * float64(cfg.Cores)))
+	ops := int(PaperInstructionTarget / (perOp * float64(cfg.Cores)))
 	if ops < 1 {
 		ops = 1
 	}

@@ -25,7 +25,7 @@ import (
 	"fmt"
 
 	"pmemaccel/internal/cache"
-	"pmemaccel/internal/cpu"
+	"pmemaccel/internal/hwcost"
 	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memctrl"
@@ -47,11 +47,6 @@ type Config struct {
 	Benchmark workload.Benchmark
 	Mechanism Kind
 
-	// Mix optionally assigns a different benchmark to every core
-	// (heterogeneous multiprogramming). When set its length must equal
-	// Cores; when empty every core runs Benchmark.
-	Mix []workload.Benchmark
-
 	// InitialSize and Ops size the benchmark: prepopulated elements and
 	// measured operations (transactions) per core.
 	InitialSize int
@@ -65,7 +60,9 @@ type Config struct {
 	// hierarchy.
 	Scale int
 
-	CPU cpu.Config
+	// MLP bounds each core's outstanding independent loads: the
+	// out-of-order window's memory-level parallelism. 0 selects 8.
+	MLP int
 	// NVMTech selects the nonvolatile technology timing model
 	// (default STT-RAM, the paper's Table 2 choice).
 	NVMTech NVMTech
@@ -79,10 +76,11 @@ type Config struct {
 	// blocks of this many bytes rotate across a space's channels. Must
 	// be a power of two of at least one cache line (0 = 4096).
 	ChannelInterleaveBytes int
-	// TCBytes is the per-core transaction cache capacity (Table 2:
-	// 4 KB).
+	// TCBytes is the per-core transaction cache capacity, a multiple of
+	// the 64-byte line. 0 selects the Table 2 4 KB.
 	TCBytes int
-	// TCHighWaterFrac triggers the copy-on-write fall-back (0.9).
+	// TCHighWaterFrac is the TC occupancy fraction that triggers the
+	// copy-on-write fall-back. 0 selects 0.9.
 	TCHighWaterFrac float64
 
 	// ContentionPct sets the fraction of operations touching the
@@ -162,14 +160,6 @@ const (
 	Kiln    = mechanism.Kiln
 )
 
-// benchmarkFor returns the benchmark core c runs (honouring Mix).
-func (c Config) benchmarkFor(core int) workload.Benchmark {
-	if len(c.Mix) > 0 {
-		return c.Mix[core]
-	}
-	return c.Benchmark
-}
-
 // DefaultConfig returns a laptop-scale configuration (Scale 64) of the
 // Table 2 machine running the given benchmark and mechanism. The working
 // set is auto-sized (InitialSize 0) to several times the scaled LLC so
@@ -181,7 +171,6 @@ func DefaultConfig(b workload.Benchmark, m Kind) Config {
 		Mechanism: m,
 		Ops:       12_000,
 		Scale:     64,
-		TCBytes:   4 << 10,
 	}
 }
 
@@ -202,19 +191,32 @@ const footprintFactor = 2
 // is zero.
 const DefaultCores = 4
 
-// withDefaults validates and normalizes.
-func (c Config) withDefaults() (Config, error) {
+// machine fills the zero machine fields with the Table 2 values they
+// select.
+func (c Config) machine() Config {
 	if c.Cores == 0 {
 		c.Cores = DefaultCores
 	}
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
+	if c.MLP == 0 {
+		c.MLP = 8
+	}
 	if c.TCBytes == 0 {
 		c.TCBytes = 4 << 10
 	}
+	if c.TCHighWaterFrac == 0 {
+		c.TCHighWaterFrac = 0.9
+	}
+	return c
+}
+
+// withDefaults validates and normalizes.
+func (c Config) withDefaults() (Config, error) {
+	c = c.machine()
 	if c.InitialSize == 0 {
-		perCore := c.cacheConfig().WithDefaults().LLCSize / c.Cores
+		perCore := c.cacheConfig().LLCSize / c.Cores
 		c.InitialSize = workload.SizeForFootprint(c.Benchmark, footprintFactor*perCore)
 	}
 	if c.Ops == 0 {
@@ -223,22 +225,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000
 	}
-	c.CPU = c.CPU.WithDefaults()
 	if err := c.Validate(); err != nil {
 		return c, err
 	}
 	return c, nil
 }
 
-// Validate checks the (defaulted) configuration for values the zero-fill
-// defaults would silently accept but that produce confusing downstream
-// behaviour: drain thresholds that can never close a window, a TC
-// high-water fraction above 1, an entry size that does not divide the TC
-// capacity. NewSystem calls it via withDefaults; the cmd/ tools call it
-// directly after flag parsing so users get a descriptive error before a
-// long run starts. Zero-valued fields are legal (they select defaults):
-// validate the config WithDefaults applied, which is what this method
-// receives on the NewSystem path.
+// Validate checks the configuration for values the zero-fill defaults
+// would silently accept but that produce confusing downstream behaviour:
+// a TC high-water fraction above 1, a TC capacity that is not a whole
+// number of lines, a cache geometry with no power-of-two set count.
+// NewSystem calls it via withDefaults; the cmd/ tools call it directly
+// after flag parsing so users get a descriptive error before a long run
+// starts. Zero-valued fields are legal: they select defaults, and
+// Validate checks the machine they select.
 func (c Config) Validate() error {
 	if c.Cores < 0 {
 		return fmt.Errorf("pmemaccel: Cores = %d, must be positive", c.Cores)
@@ -246,9 +246,10 @@ func (c Config) Validate() error {
 	if c.Cores > memaddr.MaxCores {
 		return fmt.Errorf("pmemaccel: Cores = %d exceeds the %d-core address-map limit", c.Cores, memaddr.MaxCores)
 	}
-	if c.Cores == 0 {
-		c.Cores = DefaultCores // zero selects the default; validate what will run
+	if c.MLP < 0 {
+		return fmt.Errorf("pmemaccel: MLP %d must be non-negative (0 selects 8)", c.MLP)
 	}
+	c = c.machine() // validate the machine the zero fields select
 	switch c.Mechanism {
 	case Optimal, SP, TCache, Kiln:
 	default:
@@ -275,27 +276,11 @@ func (c Config) Validate() error {
 	if !(c.TCHighWaterFrac >= 0 && c.TCHighWaterFrac <= 1) {
 		return fmt.Errorf("pmemaccel: TCHighWaterFrac %g must be in [0, 1] (0 selects the default 0.9)", c.TCHighWaterFrac)
 	}
-	if len(c.Mix) > 0 && len(c.Mix) != c.Cores {
-		return fmt.Errorf("pmemaccel: Mix has %d entries for %d cores", len(c.Mix), c.Cores)
-	}
-	// Normalize the fields the derived sub-configs divide by, so Validate
-	// is safe on a not-yet-defaulted config.
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if err := c.CPU.WithDefaults().Validate(); err != nil {
-		return fmt.Errorf("pmemaccel: %w", err)
-	}
-	if err := c.cacheConfig().WithDefaults().Validate(); err != nil {
+	if err := c.cacheConfig().Validate(); err != nil {
 		return fmt.Errorf("pmemaccel: Scale %d: %w", c.Scale, err)
 	}
-	if err := c.tcConfig().WithDefaults().Validate(); err != nil {
+	if err := c.tcConfig().Validate(); err != nil {
 		return fmt.Errorf("pmemaccel: transaction cache: %w", err)
-	}
-	for _, mc := range []memctrl.Config{c.nvmConfig(), c.dramConfig()} {
-		if err := mc.WithDefaults().Validate(); err != nil {
-			return fmt.Errorf("pmemaccel: %w", err)
-		}
 	}
 	if c.NVMChannels < 0 || c.DRAMChannels < 0 {
 		return fmt.Errorf("pmemaccel: channel counts (NVM %d, DRAM %d) must be non-negative (0 selects 1)",
@@ -350,9 +335,9 @@ func (c Config) cacheConfig() cache.Config {
 		private = 8
 	}
 	cfg := cache.Config{
-		L1Size: 32 << 10 / private, L1Ways: 4, L1Latency: 1,
-		L2Size: 256 << 10 / private, L2Ways: 8, L2Latency: 9,
-		LLCSize: 64 << 20 / c.Scale, LLCWays: 16, LLCLatency: 20,
+		L1Size: 32 << 10 / private, L1Ways: 4,
+		L2Size: 256 << 10 / private, L2Ways: 8,
+		LLCSize: 64 << 20 / c.Scale, LLCWays: 16,
 	}
 	if c.Mechanism == Kiln {
 		// Kiln's LLC is STT-RAM: writes are slow (~20 ns against the 10 ns SRAM-like read),
@@ -363,13 +348,18 @@ func (c Config) cacheConfig() cache.Config {
 	return cfg
 }
 
+// HardwareCost returns the Table 1 cost model of the machine a valid
+// configuration selects.
+func (c Config) HardwareCost() hwcost.Config {
+	c = c.machine()
+	cc := c.cacheConfig()
+	return hwcost.Config{Cores: c.Cores, TCBytes: c.TCBytes,
+		L1Bytes: cc.L1Size, L2Bytes: cc.L2Size, LLCBytes: cc.LLCSize}
+}
+
 // tcConfig builds the per-core transaction cache configuration.
 func (c Config) tcConfig() txcache.Config {
-	return txcache.Config{
-		SizeBytes:     c.TCBytes,
-		EntryBytes:    64,
-		HighWaterFrac: c.TCHighWaterFrac,
-	}
+	return txcache.Config{SizeBytes: c.TCBytes, HighWaterFrac: c.TCHighWaterFrac}
 }
 
 // NVMTech selects the nonvolatile main-memory technology. The paper's

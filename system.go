@@ -47,9 +47,9 @@ type System struct {
 	Live    *memimage.Image
 	Durable *memimage.Image
 
-	// Arb is the shared-line ownership arbiter, nil unless some core
-	// runs a contended benchmark (workload.BankShared); its counters land
-	// in Result.Arb.
+	// Arb is the shared-line ownership arbiter, nil unless the benchmark
+	// is contended (workload.BankShared); its counters land in
+	// Result.Arb.
 	Arb *txcache.LineArbiter
 
 	// Oracle is the commit-order recovery oracle: every core's generator
@@ -78,12 +78,10 @@ func NewSystem(cfg Config) (*System, error) {
 	// Workloads first: their base images seed the memory state. The
 	// measured window is deferred — each output holds a generator the core
 	// pulls records from during the run, so no record trace ever exists.
-	shared := false
+	shared := cfg.Benchmark == workload.BankShared
 	for c := 0; c < cfg.Cores; c++ {
-		bench := cfg.benchmarkFor(c)
-		p := workload.DefaultParams(bench, c, cfg.Cores, cfg.Seed, cfg.InitialSize, cfg.Ops)
-		if bench == workload.BankShared {
-			shared = true
+		p := workload.DefaultParams(cfg.Benchmark, c, cfg.Cores, cfg.Seed, cfg.InitialSize, cfg.Ops)
+		if shared {
 			if cfg.ContentionPct > 0 {
 				p.ContentionPct = cfg.ContentionPct
 			}
@@ -91,7 +89,7 @@ func NewSystem(cfg Config) (*System, error) {
 				p.SharedAccounts = cfg.SharedAccounts
 			}
 		}
-		out, err := workload.NewStream(bench, p)
+		out, err := workload.NewStream(cfg.Benchmark, p)
 		if err != nil {
 			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
 		}
@@ -174,7 +172,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 	for c := 0; c < cfg.Cores; c++ {
 		rd := s.Mech.Rewrite(c, s.Outputs[c].NewReader())
-		core := cpu.New(s.Kernel, c, cfg.CPU, s.Hier, s.Mech, rd,
+		core := cpu.New(s.Kernel, c, cfg.MLP, s.Hier, s.Mech, rd,
 			func(addr, value uint64) uint64 {
 				old := s.Live.ReadWord(addr)
 				s.Live.WriteWord(addr, value)

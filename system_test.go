@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"pmemaccel/internal/cache"
+	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/workload"
@@ -20,6 +22,40 @@ func tinyConfig(b workload.Benchmark, m Kind) Config {
 	cfg.InitialSize = 500
 	cfg.Ops = 200
 	return cfg
+}
+
+// TestPaperConfigBuildsTable2Machine pins the machine a PaperConfig
+// System resolves to: Table 2's caches, transaction cache and core. The
+// workload is shrunk; it does not shape the machine.
+func TestPaperConfigBuildsTable2Machine(t *testing.T) {
+	cfg := PaperConfig(workload.SPS, TCache)
+	cfg.InitialSize = 64
+	cfg.Ops = 10
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		level       *cache.SetAssoc
+		bytes, ways int
+	}{
+		{s.Hier.L1(0), 32 << 10, 4},
+		{s.Hier.L2(0), 256 << 10, 8},
+		{s.Hier.LLC(), 64 << 20, 16},
+	} {
+		if c.level.SizeBytes() != c.bytes || c.level.Ways() != c.ways {
+			t.Errorf("%s: %d bytes, %d ways; want %d bytes, %d ways",
+				c.level.Name(), c.level.SizeBytes(), c.level.Ways(), c.bytes, c.ways)
+		}
+	}
+	if tc := s.Config.tcConfig(); tc.SizeBytes != 4<<10 || tc.Entries() != 64 || tc.HighWaterFrac != 0.9 {
+		t.Errorf("transaction cache %+v with %d entries; want 4 KB, 64 entries (§4.4) and high water 0.9",
+			tc, tc.Entries())
+	}
+	if cpu.IssueWidth != 4 || cpu.StoreBuffer != 16 || s.Config.MLP != 8 {
+		t.Errorf("core: issue width %d, store buffer %d, MLP %d; want 4, 16, 8",
+			cpu.IssueWidth, cpu.StoreBuffer, s.Config.MLP)
+	}
 }
 
 func TestRunEveryBenchmarkEveryMechanism(t *testing.T) {
@@ -255,36 +291,6 @@ func TestGuaranteedMechanismsAgreeOnFinalState(t *testing.T) {
 				t.Fatalf("mechanisms disagree at %#x: %d vs %d", a, v, images[i][a])
 			}
 		}
-	}
-}
-
-func TestHeterogeneousMix(t *testing.T) {
-	cfg := tinyConfig(workload.RBTree, TCache)
-	cfg.Mix = []workload.Benchmark{workload.RBTree, workload.SPS}
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTransactions() != 400 {
-		t.Fatalf("mix ran %d transactions, want 400", res.TotalTransactions())
-	}
-	if res.DurableDiffCount != 0 {
-		t.Fatalf("mix left %d durable diffs", res.DurableDiffCount)
-	}
-	if s.Outputs[0].Benchmark != workload.RBTree || s.Outputs[1].Benchmark != workload.SPS {
-		t.Fatal("mix did not assign per-core benchmarks")
-	}
-}
-
-func TestMixLengthValidated(t *testing.T) {
-	cfg := tinyConfig(workload.RBTree, TCache)
-	cfg.Mix = []workload.Benchmark{workload.SPS} // 1 entry for 2 cores
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("mismatched Mix length accepted")
 	}
 }
 

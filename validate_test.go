@@ -43,13 +43,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"high-water above 1", func(c *Config) { c.TCHighWaterFrac = 1.5 }, "TCHighWaterFrac"},
 		{"high-water NaN", func(c *Config) { c.TCHighWaterFrac = math.NaN() }, "TCHighWaterFrac"},
 		{"contention NaN", func(c *Config) { c.ContentionPct = math.NaN() }, "ContentionPct"},
-		{"mix length mismatch", func(c *Config) { c.Mix = []workload.Benchmark{workload.SPS} }, "Mix"},
-		{"tc entry size mismatch", func(c *Config) { c.TCBytes = 100 }, "transaction cache"},
+		{"tc size not a whole number of lines", func(c *Config) { c.TCBytes = 100 }, "transaction cache"},
+		{"negative tc size", func(c *Config) { c.TCBytes = -64 }, "transaction cache"},
 		{"unknown mechanism", func(c *Config) { c.Mechanism = Kind(9) }, "Mechanism"},
 		{"unknown nvm tech", func(c *Config) { c.NVMTech = NVMTech(7) }, "NVMTech"},
-		{"negative issue width", func(c *Config) { c.CPU.IssueWidth = -1 }, "IssueWidth"},
-		{"negative store buffer", func(c *Config) { c.CPU.StoreBuffer = -1 }, "StoreBuffer"},
-		{"negative MLP", func(c *Config) { c.CPU.MLP = -1 }, "MLP"},
+		{"negative MLP", func(c *Config) { c.MLP = -1 }, "MLP"},
 		{"scale leaves the LLC no sets", func(c *Config) { c.Scale = 1 << 17 }, "LLC"},
 	}
 	for _, tc := range cases {
