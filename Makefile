@@ -16,7 +16,9 @@ ci: build vet staticcheck test race-sweep
 # engine, the metrics registry it publishes progress/percentiles
 # through, the figure grids built on it, the record producer (trace),
 # the workloads it runs (workload), the crash trials that start and
-# join it (recovery), and the concurrent pmemaccel.Run entry points.
+# join it (recovery), and the concurrent pmemaccel.Run entry points and
+# NewSystem's build workers, which generate the cores' workloads in
+# parallel (.).
 race-sweep:
 	$(GO) test -race ./internal/sweep/ ./internal/obs/metrics/ ./internal/figures/ ./internal/trace/ ./internal/workload/ ./internal/recovery/ .
 

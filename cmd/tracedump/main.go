@@ -53,6 +53,9 @@ func main() {
 		checkFlows = flag.Bool("check-flows", false, "with -trace: validate flow-event well-formedness and zero per-kind ring drops; non-zero exit on violation")
 	)
 	flag.Parse()
+	if err := checkCounts(*n, *skip); err != nil {
+		fatal(err)
+	}
 
 	if *traceFile != "" {
 		if err := dumpChromeTrace(*traceFile, *kind, *summary, *txID, *flows, *checkFlows, *n, *skip); err != nil {
@@ -121,6 +124,16 @@ func main() {
 	if err := out.StreamErr(); err != nil {
 		fatal(err)
 	}
+}
+
+// checkCounts rejects a negative -n or -skip, which would otherwise
+// print nothing and exit 0, in both the generated-trace and the -trace
+// path.
+func checkCounts(n, skip int) error {
+	if n < 0 || skip < 0 {
+		return fmt.Errorf("-n %d and -skip %d must be non-negative", n, skip)
+	}
+	return nil
 }
 
 func format(r trace.Record) string {

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/obs/metrics"
+	"pmemaccel/internal/pageindex"
 )
 
 // Wear tracks per-line write counts of a memory space — endurance
@@ -11,12 +12,10 @@ import (
 // committed store), so its wear profile versus Kiln's and Optimal's is a
 // first-order adoption question for STT-RAM/PCM deployments.
 type Wear struct {
-	// pages maps a page number (line address >> wearPageShift) to its
-	// counts; last caches the most recently found page, so a run of
-	// writes to one page skips the map.
-	pages   map[uint64]*wearPage
-	lastKey uint64
-	last    *wearPage
+	// pages indexes the count pages by page number (line address >>
+	// wearPageShift); its last-page cache lets a run of writes to one
+	// page skip the table.
+	pages pageindex.Index[wearPage]
 	// order lists the pages in first-write order for the collection
 	// walks; free is the unused tail of the newest slab chunk, so a new
 	// page costs no allocation of its own.
@@ -32,10 +31,6 @@ const (
 	wearPageShift = 12
 	linesPerPage  = 1 << wearPageShift / memaddr.LineSize
 
-	// noWearPage is a page number no line address maps to, so the
-	// last-page cache starts empty.
-	noWearPage = ^uint64(0)
-
 	// Slab chunks hold as many pages as the tracker already has,
 	// clamped to [minWearChunk, maxWearChunk].
 	minWearChunk = 8
@@ -46,15 +41,13 @@ const (
 type wearPage [linesPerPage]uint64
 
 // newWear returns an empty tracker.
-func newWear() *Wear {
-	return &Wear{pages: make(map[uint64]*wearPage), lastKey: noWearPage}
-}
+func newWear() *Wear { return &Wear{} }
 
 // record notes one write to lineAddr.
 func (w *Wear) record(lineAddr uint64) {
 	k := lineAddr >> wearPageShift
-	p := w.last
-	if k != w.lastKey {
+	p := w.pages.Find(k)
+	if p == nil {
 		p = w.page(k)
 	}
 	c := &p[lineAddr/memaddr.LineSize%linesPerPage]
@@ -65,20 +58,15 @@ func (w *Wear) record(lineAddr uint64) {
 	w.total++
 }
 
-// page returns page k, carving it from the slab if it is new, and makes
-// it the cached page.
+// page carves new page k from the slab and indexes it.
 func (w *Wear) page(k uint64) *wearPage {
-	p := w.pages[k]
-	if p == nil {
-		if len(w.free) == 0 {
-			w.free = make([]wearPage, min(max(len(w.order), minWearChunk), maxWearChunk))
-		}
-		p = &w.free[0]
-		w.free = w.free[1:]
-		w.pages[k] = p
-		w.order = append(w.order, p)
+	if len(w.free) == 0 {
+		w.free = make([]wearPage, min(max(len(w.order), minWearChunk), maxWearChunk))
 	}
-	w.lastKey, w.last = k, p
+	p := &w.free[0]
+	w.free = w.free[1:]
+	w.pages.Insert(k, p)
+	w.order = append(w.order, p)
 	return p
 }
 

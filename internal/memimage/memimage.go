@@ -9,9 +9,11 @@ package memimage
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/pageindex"
 )
 
 const (
@@ -20,10 +22,6 @@ const (
 	pageShift    = 12
 	pageSize     = 1 << pageShift
 	wordsPerPage = pageSize / memaddr.WordSize
-
-	// noPage is a key no address maps to (keys are addr>>pageShift), so
-	// the last-page cache starts empty.
-	noPage = ^pageKey(0)
 
 	// Growth chunks hold as many pages as the image already has,
 	// clamped to [minChunk, maxChunk].
@@ -46,26 +44,21 @@ type page struct {
 // Image is a sparse, word-granular memory content image, stored as 4 KiB
 // pages. Unwritten words read as zero, matching hardware that zeroes (or
 // never exposes) fresh pages. The zero value is NOT usable; call New.
-// Reads update the last-page cache, so an Image is not safe for
+// Reads update the index's last-page cache, so an Image is not safe for
 // concurrent use, even read-only.
 type Image struct {
-	pages map[pageKey]*page
+	pages pageindex.Index[page]
 	// order lists the resident pages in ascending key order: ForEach
-	// and the diffs walk it, so iteration never depends on map order.
+	// and the diffs walk it.
 	order []*page
 	// free is the unused tail of the newest slab chunk.
 	free []page
-	// last caches the most recently found page.
-	lastKey pageKey
-	last    *page
 	// n counts distinct words ever written.
 	n int
 }
 
 // New returns an empty image.
-func New() *Image {
-	return &Image{pages: make(map[pageKey]*page), lastKey: noPage}
-}
+func New() *Image { return &Image{} }
 
 // NewSized returns an empty image with pages for about n words allocated
 // up front in one slab, for callers that know the fill size (seeding the
@@ -74,43 +67,39 @@ func New() *Image {
 func NewSized(n int) *Image {
 	np := (n + wordsPerPage - 1) / wordsPerPage
 	return &Image{
-		pages:   make(map[pageKey]*page, np),
-		order:   make([]*page, 0, np),
-		free:    make([]page, np),
-		lastKey: noPage,
+		pages: pageindex.New[page](np),
+		order: make([]*page, 0, np),
+		free:  make([]page, np),
 	}
 }
 
 // find returns the resident page k, or nil.
-func (m *Image) find(k pageKey) *page {
-	if k == m.lastKey {
-		return m.last
-	}
-	p := m.pages[k]
-	if p != nil {
-		m.lastKey, m.last = k, p
-	}
-	return p
-}
+func (m *Image) find(k pageKey) *page { return m.pages.Find(uint64(k)) }
 
 // page returns page k, making it resident if it is not.
 func (m *Image) page(k pageKey) *page {
 	if p := m.find(k); p != nil {
 		return p
 	}
+	p := m.alloc(k)
+	i := sort.Search(len(m.order), func(i int) bool { return m.order[i].key > k })
+	m.order = append(m.order, nil)
+	copy(m.order[i+1:], m.order[i:])
+	m.order[i] = p
+	return p
+}
+
+// alloc carves page k from the slab and indexes it; the caller places it
+// in order.
+func (m *Image) alloc(k pageKey) *page {
 	if len(m.free) == 0 {
-		c := min(max(len(m.order), minChunk), maxChunk)
+		c := min(max(m.pages.Len(), minChunk), maxChunk)
 		m.free = make([]page, c)
 	}
 	p := &m.free[0]
 	m.free = m.free[1:]
 	p.key = k
-	m.pages[k] = p
-	i := sort.Search(len(m.order), func(i int) bool { return m.order[i].key > k })
-	m.order = append(m.order, nil)
-	copy(m.order[i+1:], m.order[i:])
-	m.order[i] = p
-	m.lastKey, m.last = k, p
+	m.pages.Insert(uint64(k), p)
 	return p
 }
 
@@ -175,17 +164,88 @@ func (m *Image) Len() int { return m.n }
 func (m *Image) Snapshot() *Image {
 	slab := make([]page, len(m.order))
 	c := &Image{
-		pages:   make(map[pageKey]*page, len(m.order)),
-		order:   make([]*page, len(m.order)),
-		lastKey: noPage,
-		n:       m.n,
+		pages: pageindex.New[page](len(m.order)),
+		order: make([]*page, len(m.order)),
+		n:     m.n,
 	}
 	for i, p := range m.order {
 		slab[i] = *p
 		c.order[i] = &slab[i]
-		c.pages[p.key] = &slab[i]
+		c.pages.Insert(uint64(p.key), &slab[i])
 	}
 	return c
+}
+
+// Merge writes into m every word written in src on the pages whose base
+// address keep accepts (every page when keep is nil), as WriteWord would
+// word by word, but a page at a time: a page m lacks is copied whole, and
+// a page m holds takes src's written words and ORs in its written bitmap.
+// It is how the live and durable images are seeded from the per-core base
+// images, and how the expected recovery image is built.
+func (m *Image) Merge(src *Image, keep func(base uint64) bool) {
+	kept := func(p *page) bool { return keep == nil || keep(uint64(p.key)<<pageShift) }
+	fresh := 0
+	for _, p := range src.order {
+		if !kept(p) {
+			continue
+		}
+		q := m.find(p.key)
+		if q == nil {
+			fresh++
+			continue
+		}
+		for w, set := range p.written {
+			m.n += bits.OnesCount64(set &^ q.written[w])
+			q.written[w] |= set
+			if set == ^uint64(0) {
+				copy(q.words[w*64:(w+1)*64], p.words[w*64:])
+				continue
+			}
+			for ; set != 0; set &= set - 1 {
+				i := w*64 + bits.TrailingZeros64(set)
+				q.words[i] = p.words[i]
+			}
+		}
+	}
+	// Place the fresh pages by merging their ascending keys into order
+	// from the back, so no resident page moves more than once.
+	i := len(m.order) - 1
+	m.order = slices.Grow(m.order, fresh)[:len(m.order)+fresh]
+	o := len(m.order) - 1
+	for j := len(src.order) - 1; fresh > 0; j-- {
+		p := src.order[j]
+		if !kept(p) || m.find(p.key) != nil {
+			continue
+		}
+		for ; i >= 0 && m.order[i].key > p.key; i, o = i-1, o-1 {
+			m.order[o] = m.order[i]
+		}
+		q := m.alloc(p.key)
+		*q = *p
+		for _, set := range p.written {
+			m.n += bits.OnesCount64(set)
+		}
+		m.order[o] = q
+		o--
+		fresh--
+	}
+}
+
+// First returns the lowest written address on a page whose base address
+// match accepts; ok is false when there is none.
+func (m *Image) First(match func(base uint64) bool) (addr uint64, ok bool) {
+	for _, p := range m.order {
+		base := uint64(p.key) << pageShift
+		if !match(base) {
+			continue
+		}
+		for w, set := range p.written {
+			if set != 0 {
+				return base + uint64(w*64+bits.TrailingZeros64(set))*memaddr.WordSize, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // Equal reports whether two images contain the same values at every word

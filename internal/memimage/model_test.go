@@ -1,6 +1,7 @@
 package memimage
 
 import (
+	"flag"
 	"math/rand"
 	"slices"
 	"testing"
@@ -68,8 +69,16 @@ var anchors = []uint64{
 }
 
 // randAddr picks an address within two pages either side of an anchor,
-// often on a page boundary and sometimes misaligned.
+// often on a page boundary and sometimes misaligned. One pick in eight
+// lands instead in the first page of one of the 64 cores' private
+// carvings, whose page numbers share their low bits: enough resident
+// pages to grow the page index and crowd its probe runs.
 func randAddr(r *rand.Rand) uint64 {
+	if r.Intn(8) == 0 {
+		c := r.Intn(memaddr.MaxCores)
+		carve := [...]memaddr.Range{memaddr.PerCoreNVM(c), memaddr.PerCoreDRAM(c), memaddr.PerCoreLog(c)}[r.Intn(3)]
+		return carve.Base + uint64(r.Intn(pageSize))&^(memaddr.WordSize-1)
+	}
 	a := anchors[r.Intn(len(anchors))]
 	switch r.Intn(4) {
 	case 0: // a word just either side of a page boundary
@@ -90,12 +99,47 @@ func randValue(r *rand.Rand) uint64 {
 	return r.Uint64()
 }
 
+// spaceKeeps are the page filters Merge and First are driven with: nil
+// (Merge only: every page), each memaddr space, and the persistent
+// spaces.
+var spaceKeeps = []func(base uint64) bool{
+	nil,
+	func(base uint64) bool { return memaddr.Classify(base) == memaddr.SpaceInvalid },
+	func(base uint64) bool { return memaddr.Classify(base) == memaddr.SpaceDRAM },
+	func(base uint64) bool { return memaddr.Classify(base) == memaddr.SpaceNVM },
+	func(base uint64) bool { return memaddr.Classify(base) == memaddr.SpaceNVMLog },
+	memaddr.IsPersistent,
+}
+
+// kept reports whether keep accepts addr's page.
+func kept(keep func(base uint64) bool, addr uint64) bool {
+	return keep == nil || keep(addr&^(pageSize-1))
+}
+
 // check asserts that img matches md in every observable: Len, ForEach
-// (ascending, exactly the written words), and reads at addr.
+// (ascending, exactly the written words), First under every space
+// filter, and reads at addr.
 func check(t *testing.T, step int, name string, img *Image, md model, addr uint64) {
 	t.Helper()
 	if img.Len() != len(md) {
 		t.Fatalf("step %d: %s.Len() = %d, model has %d words", step, name, img.Len(), len(md))
+	}
+	type lowest struct {
+		addr  uint64
+		found bool
+	}
+	lows := make([]lowest, len(spaceKeeps))
+	for a := range md {
+		for k, keep := range spaceKeeps[1:] {
+			if l := &lows[k+1]; kept(keep, a) && (!l.found || a < l.addr) {
+				*l = lowest{a, true}
+			}
+		}
+	}
+	for k, keep := range spaceKeeps[1:] {
+		if got, ok := img.First(keep); ok != lows[k+1].found || got != lows[k+1].addr {
+			t.Fatalf("step %d: %s.First(filter %d) = %#x, %v; model has %+v", step, name, k+1, got, ok, lows[k+1])
+		}
 	}
 	n := 0
 	var prev uint64
@@ -121,11 +165,18 @@ func check(t *testing.T, step int, name string, img *Image, md model, addr uint6
 	}
 }
 
+// quickChecks reads testing/quick's -quickchecks flag (default 100), so
+// one flag raises the operation count of every model test.
+func quickChecks() int {
+	return flag.Lookup("quickchecks").Value.(flag.Getter).Get().(int)
+}
+
 // TestModelEquivalence drives two images and a reference map model
 // through a seeded random sequence of every mutating operation and
-// checks every observable after every step.
+// checks every observable after every step: 120 steps per -quickchecks,
+// 12 000 by default.
 func TestModelEquivalence(t *testing.T) {
-	const steps = 12000
+	steps := 120 * quickChecks()
 	r := rand.New(rand.NewSource(15))
 	imgs := [2]*Image{New(), NewSized(3 * wordsPerPage)}
 	mds := [2]model{{}, {}}
@@ -145,9 +196,19 @@ func TestModelEquivalence(t *testing.T) {
 			}
 			img.WriteLine(addr, l)
 			md.writeLine(addr, l)
-		case op < 75:
+		case op < 72:
 			img.CopyLine(imgs[1-i], addr)
 			md.writeLine(addr, mds[1-i].line(addr))
+		case op < 75:
+			// Page-at-a-time seeding from the other image, through one
+			// of the space filters.
+			keep := spaceKeeps[r.Intn(len(spaceKeeps))]
+			img.Merge(imgs[1-i], keep)
+			for a, v := range mds[1-i] {
+				if kept(keep, a) {
+					md[a] = v
+				}
+			}
 		case op < 80:
 			// Snapshot, then mutate the original: the copy must not
 			// see the write, and carries on as image i.

@@ -1,8 +1,8 @@
-// Package pheap implements the bump-pointer + size-class free-list
-// allocator that the benchmark data structures allocate from. It is the
-// simulation-side equivalent of the paper's p_malloc (Figure 1): workloads
-// receive word-aligned addresses inside their core's persistent (or
-// volatile) region.
+// Package pheap implements the bump-pointer allocator that the benchmark
+// data structures allocate from. It is the simulation-side equivalent of
+// the paper's p_malloc (Figure 1): workloads receive word-aligned
+// addresses inside their core's persistent (or volatile) region. No
+// benchmark frees, so blocks are never reused.
 //
 // The allocator is deliberately bookkeeping-only: it does not emit trace
 // records itself. Workloads account the allocator's instruction cost with
@@ -21,8 +21,6 @@ import (
 type Heap struct {
 	region memaddr.Range
 	next   uint64
-	inUse  uint64
-	free   map[int][]uint64 // words -> reusable block addresses
 }
 
 // New returns a heap over region. The region base must be word aligned.
@@ -30,31 +28,15 @@ func New(region memaddr.Range) *Heap {
 	if !memaddr.IsWordAligned(region.Base) {
 		panic(fmt.Sprintf("pheap: region base %#x not word aligned", region.Base))
 	}
-	return &Heap{region: region, next: region.Base, free: make(map[int][]uint64)}
+	return &Heap{region: region, next: region.Base}
 }
 
-// Region returns the range the heap allocates from.
-func (h *Heap) Region() memaddr.Range { return h.region }
-
 // Alloc returns the address of a block of the given number of 64-bit
-// words. Freed blocks of the same size are reused LIFO before the bump
-// pointer advances. It returns an error when the region is exhausted.
+// words, advancing the bump pointer. It returns an error when the region
+// is exhausted.
 func (h *Heap) Alloc(words int) (uint64, error) {
 	if words <= 0 {
 		return 0, fmt.Errorf("pheap: alloc of %d words", words)
-	}
-	if list := h.free[words]; len(list) > 0 {
-		addr := list[len(list)-1]
-		if len(list) == 1 {
-			// Drop the emptied size class: long churn runs cycle through
-			// many transient sizes, and keeping every empty slice alive
-			// leaks map entries for the rest of the run.
-			delete(h.free, words)
-		} else {
-			h.free[words] = list[:len(list)-1]
-		}
-		h.inUse += uint64(words) * memaddr.WordSize
-		return addr, nil
 	}
 	size := uint64(words) * memaddr.WordSize
 	if h.next+size > h.region.End() {
@@ -63,32 +45,8 @@ func (h *Heap) Alloc(words int) (uint64, error) {
 	}
 	addr := h.next
 	h.next += size
-	h.inUse += size
 	return addr, nil
 }
-
-// MustAlloc is Alloc for callers whose sizing is static (the workloads size
-// their heaps up front); it panics on exhaustion.
-func (h *Heap) MustAlloc(words int) uint64 {
-	addr, err := h.Alloc(words)
-	if err != nil {
-		panic(err)
-	}
-	return addr
-}
-
-// Free returns a block to the size-class free list. The caller must pass
-// the same word count used at allocation.
-func (h *Heap) Free(addr uint64, words int) {
-	if !h.region.Contains(addr) {
-		panic(fmt.Sprintf("pheap: free of %#x outside region", addr))
-	}
-	h.free[words] = append(h.free[words], addr)
-	h.inUse -= uint64(words) * memaddr.WordSize
-}
-
-// InUse reports the number of currently allocated bytes.
-func (h *Heap) InUse() uint64 { return h.inUse }
 
 // HighWater reports the highest address ever handed out (exclusive), i.e.
 // the touched footprint of the heap.

@@ -15,7 +15,7 @@ func TestAllocReturnsAlignedDisjointBlocks(t *testing.T) {
 	h := New(testRegion())
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
-		addr := h.MustAlloc(3)
+		addr := mustAlloc(t, h, 3)
 		if !memaddr.IsWordAligned(addr) {
 			t.Fatalf("alloc %d: addr %#x not aligned", i, addr)
 		}
@@ -49,133 +49,58 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 }
 
-func TestFreeReuseLIFO(t *testing.T) {
-	h := New(testRegion())
-	a := h.MustAlloc(4)
-	b := h.MustAlloc(4)
-	h.Free(a, 4)
-	h.Free(b, 4)
-	if got := h.MustAlloc(4); got != b {
-		t.Fatalf("realloc = %#x, want LIFO reuse of %#x", got, b)
+// mustAlloc is Alloc for tests whose region cannot run out.
+func mustAlloc(t *testing.T, h *Heap, words int) uint64 {
+	t.Helper()
+	addr, err := h.Alloc(words)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.MustAlloc(4); got != a {
-		t.Fatalf("second realloc = %#x, want %#x", got, a)
-	}
-}
-
-func TestFreeDifferentSizeClassNotReused(t *testing.T) {
-	h := New(testRegion())
-	a := h.MustAlloc(4)
-	h.Free(a, 4)
-	if got := h.MustAlloc(2); got == a {
-		t.Fatal("block reused across size classes")
-	}
-}
-
-func TestEmptiedSizeClassDropped(t *testing.T) {
-	h := New(testRegion())
-	// Churn through many distinct size classes, freeing and reusing each
-	// once: the free-list map must not accumulate one empty entry per
-	// class (the long-run leak this pins down).
-	for words := 1; words <= 64; words++ {
-		a := h.MustAlloc(words)
-		h.Free(a, words)
-		if got := h.MustAlloc(words); got != a {
-			t.Fatalf("size class %d: realloc = %#x, want reuse of %#x", words, got, a)
-		}
-	}
-	if len(h.free) != 0 {
-		t.Fatalf("free-list map holds %d entries after all classes emptied, want 0", len(h.free))
-	}
-	// A partially drained class must keep its entry.
-	a := h.MustAlloc(4)
-	b := h.MustAlloc(4)
-	h.Free(a, 4)
-	h.Free(b, 4)
-	h.MustAlloc(4)
-	if len(h.free[4]) != 1 {
-		t.Fatalf("size class 4 has %d free blocks, want 1", len(h.free[4]))
-	}
-	h.MustAlloc(4)
-	if _, ok := h.free[4]; ok {
-		t.Fatal("size class 4 entry survived after its last block was reused")
-	}
-}
-
-func TestInUseAccounting(t *testing.T) {
-	h := New(testRegion())
-	a := h.MustAlloc(4)
-	_ = h.MustAlloc(2)
-	if h.InUse() != 48 {
-		t.Fatalf("InUse = %d, want 48", h.InUse())
-	}
-	h.Free(a, 4)
-	if h.InUse() != 16 {
-		t.Fatalf("InUse after free = %d, want 16", h.InUse())
-	}
-}
-
-func TestFreeOutsideRegionPanics(t *testing.T) {
-	h := New(testRegion())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Free outside region did not panic")
-		}
-	}()
-	h.Free(memaddr.DRAMBase, 1)
+	return addr
 }
 
 func TestHighWater(t *testing.T) {
 	h := New(testRegion())
-	h.MustAlloc(10)
+	mustAlloc(t, h, 10)
 	if h.HighWater() != memaddr.NVMBase+80 {
 		t.Fatalf("HighWater = %#x, want %#x", h.HighWater(), memaddr.NVMBase+80)
 	}
-	// Freeing and reusing must not advance the high water mark.
-	a := h.MustAlloc(2)
+	// A failed allocation must not advance the high water mark.
 	hw := h.HighWater()
-	h.Free(a, 2)
-	h.MustAlloc(2)
+	if _, err := h.Alloc(1 << 20); err == nil {
+		t.Fatal("alloc past region end succeeded")
+	}
 	if h.HighWater() != hw {
-		t.Fatal("reuse advanced high-water mark")
+		t.Fatal("failed alloc advanced high-water mark")
 	}
 }
 
-// Property: live blocks never overlap and always stay inside the region,
-// under arbitrary alloc/free interleavings.
+// Property: blocks never overlap and always stay inside the region,
+// under arbitrary allocation sizes.
 func TestQuickNoOverlap(t *testing.T) {
-	type op struct {
-		Alloc bool
-		Words uint8
-	}
-	f := func(ops []op) bool {
-		h := New(testRegion())
+	f := func(sizes []uint8) bool {
+		region := testRegion()
+		h := New(region)
 		type block struct {
 			addr  uint64
 			words int
 		}
 		var live []block
-		for _, o := range ops {
-			words := int(o.Words%16) + 1
-			if o.Alloc || len(live) == 0 {
-				addr, err := h.Alloc(words)
-				if err != nil {
-					continue // exhaustion is fine
-				}
-				if addr < h.Region().Base || addr+uint64(words)*8 > h.Region().End() {
-					return false
-				}
-				for _, b := range live {
-					if addr < b.addr+uint64(b.words)*8 && b.addr < addr+uint64(words)*8 {
-						return false // overlap
-					}
-				}
-				live = append(live, block{addr, words})
-			} else {
-				b := live[len(live)-1]
-				live = live[:len(live)-1]
-				h.Free(b.addr, b.words)
+		for _, sz := range sizes {
+			words := int(sz%16) + 1
+			addr, err := h.Alloc(words)
+			if err != nil {
+				continue // exhaustion is fine
 			}
+			if addr < region.Base || addr+uint64(words)*8 > region.End() {
+				return false
+			}
+			for _, b := range live {
+				if addr < b.addr+uint64(b.words)*8 && b.addr < addr+uint64(words)*8 {
+					return false // overlap
+				}
+			}
+			live = append(live, block{addr, words})
 		}
 		return true
 	}

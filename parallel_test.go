@@ -7,6 +7,10 @@ package pmemaccel
 // -race` drives this file.
 
 import (
+	"bytes"
+	"encoding/json"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,6 +70,57 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 			a.NVMWriteTraffic() != b.NVMWriteTraffic() ||
 			a.LLCMissRate != b.LLCMissRate {
 			t.Errorf("%v/%v: concurrent duplicate runs diverged: %v vs %v", c.b, c.m, a, b)
+		}
+	}
+}
+
+// TestBuildWorkersKeepResults builds and runs the same systems with one
+// build worker (GOMAXPROCS 1) and with several, and asserts the Result
+// JSON is byte-identical: each core builds from its own parameters alone
+// and its output lands at its index, so the worker count and the order
+// cores finish building in change nothing.
+func TestBuildWorkersKeepResults(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		b     workload.Benchmark
+		m     Kind
+		cores int
+	}{
+		{"rbtree/tcache-4c", workload.RBTree, TCache, 4},
+		{"bankshared/tcache-16c", workload.BankShared, TCache, 16},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := smokeConfig(c.b, c.m)
+			cfg.Cores = c.cores
+			var out [2][]byte
+			for i, procs := range []int{1, max(2, runtime.GOMAXPROCS(0))} {
+				prev := runtime.GOMAXPROCS(procs)
+				res, err := Run(cfg)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+				}
+				if out[i], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Errorf("Result JSON differs between one build worker and several:\n%s\n%s", out[0], out[1])
+			}
+		})
+	}
+}
+
+// TestBuildErrorNamesLowestCore builds a configuration every core's
+// workload rejects: whichever worker fails first, the error names core 0.
+func TestBuildErrorNamesLowestCore(t *testing.T) {
+	cfg := smokeConfig(workload.BankShared, TCache)
+	cfg.Cores = 16
+	cfg.SharedAccounts = 1 // bankshared needs at least 2
+	for rep := 0; rep < 4; rep++ {
+		_, err := NewSystem(cfg)
+		if err == nil || !strings.Contains(err.Error(), "core 0: ") || !strings.Contains(err.Error(), "shared accounts") {
+			t.Fatalf("NewSystem = %v, want core 0's shared-account error", err)
 		}
 	}
 }

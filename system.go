@@ -12,6 +12,7 @@ import (
 	"pmemaccel/internal/obs"
 	"pmemaccel/internal/obs/metrics"
 	"pmemaccel/internal/sim"
+	"pmemaccel/internal/sweep"
 	"pmemaccel/internal/trace"
 	"pmemaccel/internal/txcache"
 	"pmemaccel/internal/workload"
@@ -78,22 +79,12 @@ func NewSystem(cfg Config) (*System, error) {
 	// Workloads first: their base images seed the memory state. The
 	// measured window is deferred — each output holds a generator the core
 	// pulls records from during the run, so no record trace ever exists.
-	shared := cfg.Benchmark == workload.BankShared
-	for c := 0; c < cfg.Cores; c++ {
-		p := workload.DefaultParams(cfg.Benchmark, c, cfg.Cores, cfg.Seed, cfg.InitialSize, cfg.Ops)
-		if shared {
-			if cfg.ContentionPct > 0 {
-				p.ContentionPct = cfg.ContentionPct
-			}
-			if cfg.SharedAccounts > 0 {
-				p.SharedAccounts = cfg.SharedAccounts
-			}
-		}
-		out, err := workload.NewStream(cfg.Benchmark, p)
-		if err != nil {
-			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
-		}
-		s.Outputs = append(s.Outputs, out)
+	// Each core builds from its own parameters alone, so the cores build
+	// on GOMAXPROCS workers, every output lands at its core's index, and
+	// the lowest failing core's error is the one reported.
+	s.Outputs, err = sweep.Run(cfg.Cores, 0, cfg.buildCore, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	s.Kernel = sim.NewKernel()
@@ -112,19 +103,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("pmemaccel: %w", err)
 	}
 
-	// Address-space validation: the base images must classify into
-	// mapped spaces, so an unmapped address is a build-time error here
-	// rather than a mid-simulation fault. Record addresses are checked as
-	// they flow (trace.StreamValidator classifies every load and store),
-	// and a violation surfaces through Output.StreamErr after the run.
-	// Mechanism log regions are carved from the NVMLog space by
-	// construction.
-	for c, out := range s.Outputs {
-		if err := validateBaseImage(out.BaseImage); err != nil {
-			return nil, fmt.Errorf("pmemaccel: core %d: %w", c, err)
-		}
-	}
-
 	// Memory images: the post-warmup state is architecturally live and
 	// (for persistent words) already durable. Pre-size for the combined
 	// base images; both grow from there as the run writes fresh words.
@@ -135,12 +113,8 @@ func NewSystem(cfg Config) (*System, error) {
 	s.Live = memimage.NewSized(baseWords)
 	s.Durable = memimage.NewSized(baseWords)
 	for _, out := range s.Outputs {
-		out.BaseImage.ForEach(func(addr, v uint64) {
-			s.Live.WriteWord(addr, v)
-			if memaddr.IsPersistent(addr) {
-				s.Durable.WriteWord(addr, v)
-			}
-		})
+		s.Live.Merge(out.BaseImage, nil)
+		s.Durable.Merge(out.BaseImage, memaddr.IsPersistent)
 	}
 
 	// The oracle starts from the durable state at cycle 0. Nothing is
@@ -152,7 +126,7 @@ func NewSystem(cfg Config) (*System, error) {
 		gens[c] = out.Stream
 	}
 	s.producer = trace.NewProducer(gens)
-	if shared {
+	if cfg.Benchmark == workload.BankShared {
 		s.Arb = txcache.NewLineArbiter(cfg.Cores)
 	}
 	env := &mechanism.Env{
@@ -184,18 +158,47 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
+// buildCore generates one core's workload and checks its base image,
+// naming the core in its error.
+//
+// Address-space validation: the base images must classify into mapped
+// spaces, so an unmapped address is a build-time error here rather than
+// a mid-simulation fault. Record addresses are checked as they flow
+// (trace.StreamValidator classifies every load and store), and a
+// violation surfaces through Output.StreamErr after the run. Mechanism
+// log regions are carved from the NVMLog space by construction.
+func (c Config) buildCore(core int) (*workload.Output, error) {
+	p := workload.DefaultParams(c.Benchmark, core, c.Cores, c.Seed, c.InitialSize, c.Ops)
+	if c.Benchmark == workload.BankShared {
+		if c.ContentionPct > 0 {
+			p.ContentionPct = c.ContentionPct
+		}
+		if c.SharedAccounts > 0 {
+			p.SharedAccounts = c.SharedAccounts
+		}
+	}
+	out, err := workload.NewStream(c.Benchmark, p)
+	if err == nil {
+		err = validateBaseImage(out.BaseImage)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pmemaccel: core %d: %w", core, err)
+	}
+	return out, nil
+}
+
 // validateBaseImage rejects a base image holding an address outside
 // every mapped memory space, naming the lowest such address. The backend
 // would report such an address as a run-time fault; catching it here
-// turns a mid-run surprise into a build-time error.
+// turns a mid-run surprise into a build-time error. A page never
+// straddles two spaces, so each page is classified once, by its base.
 func validateBaseImage(img *memimage.Image) error {
-	var err error
-	img.ForEach(func(addr, _ uint64) {
-		if err == nil && memaddr.Classify(addr) == memaddr.SpaceInvalid {
-			err = fmt.Errorf("base image holds unmapped address %#x", addr)
-		}
-	})
-	return err
+	if addr, ok := img.First(func(base uint64) bool {
+		return memaddr.Classify(base) == memaddr.SpaceInvalid
+	}); ok {
+		return fmt.Errorf("base image holds unmapped address %#x", addr)
+	}
+	return nil
 }
 
 // startSampler registers the time-series sources and the periodic
@@ -314,13 +317,9 @@ func (s *System) RecoveredDurable() *memimage.Image {
 // durable-commit order. It is a pure query, exact at every cycle.
 func (s *System) ExpectedDurable() *memimage.Image {
 	img := memimage.NewSized(s.Durable.Len())
-	keep := func(addr, v uint64) {
-		if memaddr.Classify(addr) == memaddr.SpaceNVM {
-			img.WriteWord(addr, v)
-		}
-	}
-	s.Durable.ForEach(keep)
-	s.Oracle.Image().ForEach(keep)
+	nvm := func(base uint64) bool { return memaddr.Classify(base) == memaddr.SpaceNVM }
+	img.Merge(s.Durable, nvm)
+	img.Merge(s.Oracle.Image(), nvm)
 	return img
 }
 
