@@ -1,6 +1,7 @@
 // Command ablation sweeps the accelerator's design parameters: the
-// transaction-cache capacity, the overflow high-water mark, and the
-// core's memory-level-parallelism window.
+// transaction-cache capacity, the overflow high-water mark, the core's
+// memory-level-parallelism window, the NVM technology and the NVM
+// channel count.
 //
 // Usage:
 //
@@ -8,6 +9,13 @@
 //	ablation -sweep tcsize -bench sps
 //	ablation -sweep highwater -bench btree
 //	ablation -sweep mlp -bench rbtree -mech optimal
+//	ablation -sweep channels -mech sp -seed 7 -scale 128
+//
+// Each sweep runs its default benchmark unless -bench names one; the
+// tcsize and highwater sweeps always run TCache, the others -mech.
+// -bench, -mech, -ops, -initial, -seed, -scale and -cores are pmemsim's
+// flags (internal/cliflags) over ablation.QuickBase, whose 4000 ops are
+// the -ops default; an explicit -ops 0 selects the Config's 1000.
 package main
 
 import (
@@ -17,50 +25,27 @@ import (
 
 	"pmemaccel"
 	"pmemaccel/internal/ablation"
-	"pmemaccel/internal/mechanism"
+	"pmemaccel/internal/cliflags"
 	"pmemaccel/internal/workload"
 )
 
 func main() {
+	cfg := ablation.QuickBase(workload.Graph, pmemaccel.TCache)
+	cliflags.Bind(flag.CommandLine, &cfg, cliflags.Bench|cliflags.Mech|cliflags.Ops|cliflags.Initial|cliflags.Seed|cliflags.Scale|cliflags.Cores)
 	var (
 		sweepName = flag.String("sweep", "", "tcsize, highwater, mlp, nvmtech, or channels (empty = all)")
-		benchName = flag.String("bench", "", "benchmark (default depends on sweep)")
-		mechName  = flag.String("mech", "tcache", "mechanism (mlp sweep only)")
-		ops       = flag.Int("ops", 0, "operations per core (0 = sweep default)")
-		cores     = flag.Int("cores", 0, "core count, a power of two up to 64 (0 = sweep default)")
 		jobs      = flag.Int("j", 0, "concurrent sweep points (0 = all cores); tables are identical for every -j")
 	)
 	flag.Parse()
-
-	if *ops < 0 {
-		fatal(fmt.Errorf("-ops %d is negative; pass a positive value or omit the flag for the default", *ops))
-	}
-	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
-		fatal(fmt.Errorf("-cores: %w", err))
-	}
-	mech, err := mechanism.ParseKind(*mechName)
-	if err != nil {
-		fatal(err)
-	}
-	pick := func(def workload.Benchmark) workload.Benchmark {
-		if *benchName == "" {
-			return def
+	benchSet := false
+	flag.Visit(func(f *flag.Flag) { benchSet = benchSet || f.Name == "bench" })
+	base := func(def workload.Benchmark, m pmemaccel.Kind) pmemaccel.Config {
+		c := cfg
+		if !benchSet {
+			c.Benchmark = def
 		}
-		b, err := workload.ParseBenchmark(*benchName)
-		if err != nil {
-			fatal(err)
-		}
-		return b
-	}
-	base := func(b workload.Benchmark, m pmemaccel.Kind) pmemaccel.Config {
-		cfg := ablation.QuickBase(b, m)
-		if *ops > 0 {
-			cfg.Ops = *ops
-		}
-		if *cores > 0 {
-			cfg.Cores = *cores
-		}
-		return cfg
+		c.Mechanism = m
+		return c
 	}
 
 	run := func(name string) {
@@ -68,15 +53,15 @@ func main() {
 		var err error
 		switch name {
 		case "tcsize":
-			s, err = ablation.TCSize(base(pick(workload.SPS), pmemaccel.TCache), ablation.DefaultTCSizes, *jobs)
+			s, err = ablation.TCSize(base(workload.SPS, pmemaccel.TCache), ablation.DefaultTCSizes, *jobs)
 		case "highwater":
-			s, err = ablation.HighWater(base(pick(workload.BTree), pmemaccel.TCache), ablation.DefaultHighWaters, *jobs)
+			s, err = ablation.HighWater(base(workload.BTree, pmemaccel.TCache), ablation.DefaultHighWaters, *jobs)
 		case "mlp":
-			s, err = ablation.MLP(base(pick(workload.RBTree), mech), ablation.DefaultMLPs, *jobs)
+			s, err = ablation.MLP(base(workload.RBTree, cfg.Mechanism), ablation.DefaultMLPs, *jobs)
 		case "nvmtech":
-			s, err = ablation.NVMTechnology(base(pick(workload.SPS), mech), pmemaccel.NVMTechs, *jobs)
+			s, err = ablation.NVMTechnology(base(workload.SPS, cfg.Mechanism), pmemaccel.NVMTechs, *jobs)
 		case "channels":
-			s, err = ablation.Channels(base(pick(workload.SPS), mech), ablation.DefaultChannelCounts, *jobs)
+			s, err = ablation.Channels(base(workload.SPS, cfg.Mechanism), ablation.DefaultChannelCounts, *jobs)
 		default:
 			fatal(fmt.Errorf("unknown sweep %q", name))
 		}

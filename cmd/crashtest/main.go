@@ -8,7 +8,11 @@
 //	crashtest -bench rbtree -mech tcache -trials 25
 //	crashtest -bench bankshared -mech sp -cores 16 -contention 0.5
 //	crashtest -bench sps -mech tcache -cores 16 -tc 256   # overflowed commits
+//	crashtest -bench rbtree -mech tcache -nvm-channels 2  # two NVM channels
 //	crashtest -mech optimal        # watch the baseline corrupt itself
+//
+// The machine and workload flags are pmemsim's (internal/cliflags); the
+// defaults differ: 800 ops, 2000 prepopulated elements and Scale 128.
 package main
 
 import (
@@ -18,56 +22,23 @@ import (
 	"time"
 
 	"pmemaccel"
-	"pmemaccel/internal/mechanism"
+	"pmemaccel/internal/cliflags"
 	"pmemaccel/internal/recovery"
 	"pmemaccel/internal/workload"
 )
 
 func main() {
+	cfg := pmemaccel.DefaultConfig(workload.RBTree, pmemaccel.TCache)
+	cfg.Ops, cfg.InitialSize, cfg.Scale = 800, 2000, 128
+	cliflags.Bind(flag.CommandLine, &cfg, cliflags.Bench|cliflags.Mech|cliflags.Workload|cliflags.Machine)
 	var (
-		benchName  = flag.String("bench", "rbtree", "benchmark: graph, rbtree, sps, btree, hashtable, bank, bankshared")
-		mechName   = flag.String("mech", "tcache", "mechanism: sp, tcache, kiln, optimal")
-		trials     = flag.Int("trials", 20, "number of crash points")
-		ops        = flag.Int("ops", 800, "operations per core")
-		initial    = flag.Int("initial", 2000, "prepopulated elements per core")
-		scale      = flag.Int("scale", 128, "cache scale divisor")
-		cores      = flag.Int("cores", 0, "core count, a power of two up to 64 (0 = 4)")
-		contention = flag.Float64("contention", 0, "shared-op fraction for -bench bankshared, in (0,1] (0 = workload default 0.5)")
-		tcBytes    = flag.Int("tc", 0, "transaction cache bytes per core (0 = 4096); a small TC sends transactions down the copy-on-write fall-back")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		verbose    = flag.Bool("v", false, "print every trial")
+		trials  = flag.Int("trials", 20, "number of crash points")
+		verbose = flag.Bool("v", false, "print every trial")
 	)
 	flag.Parse()
-	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
-		fatal(fmt.Errorf("-cores: %w", err))
-	}
 	if *trials < 0 {
 		fatal(fmt.Errorf("-trials %d is negative; pass 0 or more crash points", *trials))
 	}
-	if *tcBytes < 0 {
-		fatal(fmt.Errorf("-tc %d is negative; pass a positive value or omit the flag for the default", *tcBytes))
-	}
-
-	b, err := workload.ParseBenchmark(*benchName)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := mechanism.ParseKind(*mechName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := pmemaccel.DefaultConfig(b, m)
-	cfg.Ops = *ops
-	cfg.InitialSize = *initial
-	cfg.Scale = *scale
-	if *cores > 0 {
-		cfg.Cores = *cores
-	}
-	cfg.ContentionPct = *contention
-	if *tcBytes > 0 {
-		cfg.TCBytes = *tcBytes
-	}
-	cfg.Seed = *seed
 
 	start := time.Now()
 	horizon, err := recovery.Horizon(cfg)
@@ -75,9 +46,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("workload horizon: %d cycles; injecting %d crashes (%v/%v)\n",
-		horizon, *trials, b, m)
+		horizon, *trials, cfg.Benchmark, cfg.Mechanism)
 
-	results, violations, err := recovery.Sweep(cfg, *trials, horizon, *seed+1)
+	results, violations, err := recovery.Sweep(cfg, *trials, horizon, cfg.Seed+1)
 	if err != nil {
 		fatal(err)
 	}
@@ -89,7 +60,7 @@ func main() {
 	fmt.Printf("\n%d/%d trials consistent (%v elapsed)\n",
 		len(results)-violations, len(results), time.Since(start).Round(time.Millisecond))
 	if violations > 0 {
-		if m == pmemaccel.Optimal {
+		if cfg.Mechanism == pmemaccel.Optimal {
 			fmt.Println("violations are EXPECTED for the no-persistence baseline — " +
 				"this is the failure mode the accelerator prevents")
 			return

@@ -7,16 +7,19 @@
 //	paperrepro                 # full grid, all figures
 //	paperrepro -fig 9          # one figure
 //	paperrepro -table1         # hardware-overhead table only
-//	paperrepro -config         # Table 2 machine configuration
+//	paperrepro -config         # Table 2 for the machine the flags select
 //	paperrepro -workloads      # Table 3 workload descriptions
 //	paperrepro -stalls         # TC-full stall fractions
 //	paperrepro -contention     # cores x contention x mechanism sweep (bankshared)
 //	paperrepro -bars -csv ...  # output formats
 //
-// -cores widens the simulated machine (power of two up to 64) for the
-// figure grid and re-prices Table 1's per-core structures. -paper-scale
-// sizes every cell to the paper's 1.7 G-instruction window; generation
-// streams, so memory stays O(structure) at that length.
+// The machine and workload flags are pmemsim's (internal/cliflags), less
+// -bench and -mech, which the grid picks; -contention is this command's
+// own sweep switch. -cores widens the simulated machine for the figure
+// grid (the contention sweep picks its own widths) and re-prices Table
+// 1's per-core structures. -paper-scale sizes every cell to the paper's
+// 1.7 G-instruction window; generation streams, so memory stays
+// O(structure) at that length.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"time"
 
 	"pmemaccel"
+	"pmemaccel/internal/cliflags"
 	"pmemaccel/internal/figures"
 	"pmemaccel/internal/prof"
 	"pmemaccel/internal/sweep"
@@ -33,78 +37,41 @@ import (
 )
 
 func main() {
+	base := pmemaccel.DefaultConfig(workload.Graph, pmemaccel.Optimal)
+	bound := cliflags.Bind(flag.CommandLine, &base,
+		cliflags.Ops|cliflags.Initial|cliflags.Seed|cliflags.Machine|cliflags.Metrics|cliflags.TxSample|cliflags.NoFF|cliflags.PaperScale)
+	profile := prof.Flags(flag.CommandLine)
 	var (
 		fig       = flag.Int("fig", 0, "regenerate one figure (6..10); 0 = all")
 		table1    = flag.Bool("table1", false, "print Table 1 (hardware overhead) and exit")
-		config    = flag.Bool("config", false, "print the Table 2 machine configuration and exit")
+		config    = flag.Bool("config", false, "print Table 2 for the machine the flags select and exit")
 		workloads = flag.Bool("workloads", false, "print the Table 3 workload list and exit")
 		stalls    = flag.Bool("stalls", false, "print TC-full stall fractions (§5.2)")
 		contSweep = flag.Bool("contention", false, "run the cross-core contention sweep (cores x contention x mechanism on bankshared) instead of the figure grid")
 		bars      = flag.Bool("bars", false, "render figures as bar charts")
 		csv       = flag.Bool("csv", false, "render figures as CSV")
 		markdown  = flag.Bool("markdown", false, "render figures as markdown tables (EXPERIMENTS.md format)")
-		ops       = flag.Int("ops", 0, "operations per core (0 = default)")
-		cores     = flag.Int("cores", 0, "core count, a power of two up to 64 (0 = 4; ignored by -contention, which sweeps widths itself)")
-		scale     = flag.Int("scale", 0, "cache scale divisor (0 = default 64; 1 = full Table 2 machine)")
-		paperScl  = flag.Bool("paper-scale", false, "size ops to the paper's 1.7G-instruction window per cell (slow)")
-		nvmChans  = flag.Int("nvm-channels", 0, "address-interleaved NVM channels (0 = 1)")
-		dramChans = flag.Int("dram-channels", 0, "address-interleaved DRAM channels (0 = 1)")
-		seed      = flag.Uint64("seed", 1, "random seed")
 		jobs      = flag.Int("j", 0, "concurrent grid cells (0 = all cores); output is identical for every -j")
-		noFF      = flag.Bool("no-ff", false, "disable component sleep and fast-forward (tick everything every cycle; same results, slower)")
 		progress  = flag.Bool("progress", false, "render a live one-line grid status (cells/s, busy workers, ETA) instead of per-cell results")
-		metrics   = flag.Bool("metrics", false, "enable the per-run metrics registry and print latency-percentile tables after the figures")
-		txSample  = flag.Uint64("tx-sample", 0, "flight-record every Nth transaction per core (1 = all, 0 = off) and print the per-cell stage-breakdown table")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof format) to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-
-	// The "0 selects the default" int flags are guarded with > 0 below, so
-	// a negative value would silently run the default grid; reject it.
-	for _, f := range []struct {
-		name string
-		val  int
-	}{
-		{"ops", *ops}, {"scale", *scale}, {"cores", *cores},
-		{"nvm-channels", *nvmChans}, {"dram-channels", *dramChans},
-		{"j", *jobs},
-	} {
-		if f.val < 0 {
-			fmt.Fprintf(os.Stderr, "paperrepro: -%s %d is negative; pass a positive value or omit the flag for the default\n", f.name, f.val)
-			os.Exit(1)
-		}
+	if *jobs < 0 {
+		fatal(fmt.Errorf("-j %d is negative; pass 0 for every core or a positive count", *jobs))
 	}
-	if err := pmemaccel.ValidateCLICores(*cores); err != nil {
-		fmt.Fprintln(os.Stderr, "paperrepro: -cores:", err)
-		os.Exit(1)
+	stop, err := profile()
+	if err != nil {
+		fatal(err)
 	}
-
-	if *cpuprofile != "" {
-		stop, err := prof.StartCPU(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperrepro:", err)
-			os.Exit(1)
-		}
-		defer stop()
-	}
-	if *memprofile != "" {
-		defer func() {
-			if err := prof.WriteHeap(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, "paperrepro:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	if *table1 {
 		// The paper's Table 1 costs out the full-scale 4-core machine;
 		// -cores re-prices the per-core structures for wider topologies.
-		fmt.Print(pmemaccel.Config{Cores: *cores}.HardwareCost().Render())
+		fmt.Print(pmemaccel.Config{Cores: base.Cores}.HardwareCost().Render())
 		return
 	}
 	if *config {
-		printMachineConfig()
+		fmt.Print(base.MachineTable())
 		return
 	}
 	if *workloads {
@@ -115,31 +82,15 @@ func main() {
 		return
 	}
 
+	// -tx-sample turns the observer on, as it does in pmemsim.
+	base.Obs.Enabled = base.Obs.TxSample > 0
 	configure := func(b workload.Benchmark, m pmemaccel.Kind) pmemaccel.Config {
-		cfg := pmemaccel.DefaultConfig(b, m)
-		if *ops > 0 {
-			cfg.Ops = *ops
-		}
-		if *scale > 0 {
-			cfg.Scale = *scale
-		}
-		if *cores > 0 {
-			cfg.Cores = *cores
-		}
-		cfg.NVMChannels = *nvmChans
-		cfg.DRAMChannels = *dramChans
-		cfg.Seed = *seed
-		cfg.NoFastForward = *noFF
-		cfg.Obs.Metrics = *metrics
-		if *txSample > 0 {
-			cfg.Obs.Enabled = true
-			cfg.Obs.TxSample = *txSample
-		}
-		if *paperScl {
+		cfg := base
+		cfg.Benchmark, cfg.Mechanism = b, m
+		if bound.PaperScale {
 			scaled, err := cfg.PaperScale()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "paperrepro:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			cfg = scaled
 		}
@@ -161,8 +112,7 @@ func main() {
 		ipc, share, aborts, err := figures.ContentionSweep(
 			sweepCores, sweepPcts, figures.Mechs, configure, onCell, *jobs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperrepro:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "sweep complete in %v\n\n", time.Since(start).Round(time.Second))
 		for _, s := range []interface {
@@ -200,8 +150,7 @@ func main() {
 	grid, err := figures.Run(workload.All, figures.Mechs, configure,
 		perCell, onProgress, *jobs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperrepro:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "grid complete in %v\n\n", time.Since(start).Round(time.Second))
 
@@ -212,8 +161,7 @@ func main() {
 	for _, n := range which {
 		s, err := grid.Figure(n)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperrepro:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		switch {
 		case *markdown:
@@ -232,27 +180,18 @@ func main() {
 		fmt.Print(grid.StallTable())
 		fmt.Println()
 	}
-	if *metrics {
+	if base.Obs.Metrics {
 		fmt.Print(grid.TxLatencyP99().Table())
 		fmt.Println()
 	}
-	if *txSample > 0 {
+	if base.Obs.TxSample > 0 {
 		fmt.Print(grid.StageBreakdown())
 		fmt.Println()
 	}
 	fmt.Print(grid.Summary())
 }
 
-func printMachineConfig() {
-	fmt.Println(`Table 2: Machine Configuration (simulated; Scale divides capacities)
-  CPU                4 cores, 2 GHz, 4-issue, MLP window 8
-  L1 I/D             Private, 32 KB/core, 0.5 ns (1 cy), 4-way
-  L2                 Private, 256 KB/core, 4.5 ns (9 cy), 8-way
-  L3 (LLC)           Shared, 64 MB, 10 ns (20 cy), 16-way
-  Transaction cache  Private, 4 KB/core, fully-assoc CAM FIFO; access not
-                     modelled (a TC write costs no cycles)
-  Memory controllers 8/64-entry read/write queues; read-first,
-                     write drain at 80% full
-  NVM (STT-RAM)      32 banks, 65 ns read (130 cy), 76 ns write (152 cy)
-  DRAM               DDR3-like, 32 banks`)
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "paperrepro:", err)
+	os.Exit(1)
 }

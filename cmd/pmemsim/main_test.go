@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestCheckCoresFlag(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		want string // error substring; "" means accepted
-	}{
-		{0, ""},
-		{1, ""},
-		{4, ""},
-		{64, ""},
-		{-1, "must be in [1, 64]"},
-		{128, "must be in [1, 64]"},
-		{3, "power of two"},
-		{48, "power of two"},
-	} {
-		err := checkCoresFlag(tc.n)
-		if !matches(err, tc.want) {
-			t.Errorf("checkCoresFlag(%d) = %v, want error containing %q", tc.n, err, tc.want)
-		}
-		if err != nil && !strings.HasPrefix(err.Error(), "-cores: ") {
-			t.Errorf("checkCoresFlag(%d) = %q, want it to name the flag", tc.n, err)
-		}
-	}
-}
-
 func TestCheckSampleEveryFlag(t *testing.T) {
 	for _, tc := range []struct {
 		metricsOut string

@@ -1,6 +1,7 @@
-// Command tracedump prints a workload's memory-reference trace — and,
-// with -mech sp, the trace as the software-logging rewriter transforms it
-// — for inspection and debugging. With -trace it instead reads a Chrome
+// Command tracedump prints a workload's memory-reference trace — raw
+// under the default -mech optimal, and with -mech sp as the
+// software-logging rewriter transforms it — for inspection and
+// debugging. With -trace it instead reads a Chrome
 // trace_event JSON written by pmemsim -trace-out, filtering by event
 // kind and summarizing per-kind duration percentiles.
 //
@@ -14,6 +15,10 @@
 //	tracedump -trace run.json -flow          # list flight-recorder chains
 //	tracedump -trace run.json -tx 17         # one tx's stage waterfall
 //	tracedump -trace run.json -check-flows   # CI gate: flows well-formed, no drops
+//
+// -bench, -mech, -initial, -ops and -seed are pmemsim's flags
+// (internal/cliflags); the trace is core 0's of a one-core machine, by
+// default with 500 prepopulated elements and 20 operations.
 package main
 
 import (
@@ -23,6 +28,8 @@ import (
 	"sort"
 	"strings"
 
+	"pmemaccel"
+	"pmemaccel/internal/cliflags"
 	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memctrl"
@@ -35,14 +42,11 @@ import (
 )
 
 func main() {
+	cfg := pmemaccel.Config{Benchmark: workload.RBTree, Mechanism: pmemaccel.Optimal, InitialSize: 500, Ops: 20, Seed: 1}
+	cliflags.Bind(flag.CommandLine, &cfg, cliflags.Bench|cliflags.Mech|cliflags.Initial|cliflags.Ops|cliflags.Seed)
 	var (
-		benchName = flag.String("bench", "rbtree", "benchmark")
-		mechName  = flag.String("mech", "", "rewrite view: sp (empty = raw trace)")
 		n         = flag.Int("n", 50, "records to print")
 		skip      = flag.Int("skip", 0, "records to skip first")
-		initial   = flag.Int("initial", 500, "prepopulated elements")
-		ops       = flag.Int("ops", 20, "measured operations")
-		seed      = flag.Uint64("seed", 1, "random seed")
 		statsOnly = flag.Bool("stats", false, "print composition summary only")
 
 		traceFile  = flag.String("trace", "", "read a Chrome trace JSON (pmemsim -trace-out) instead of generating a workload trace")
@@ -67,11 +71,8 @@ func main() {
 		fatal(fmt.Errorf("-kind, -summary, -tx, -flow and -check-flows need -trace <file>"))
 	}
 
-	b, err := workload.ParseBenchmark(*benchName)
-	if err != nil {
-		fatal(err)
-	}
-	p := workload.DefaultParams(b, 0, 1, *seed, *initial, *ops)
+	b := cfg.Benchmark
+	p := workload.DefaultParams(b, 0, 1, cfg.Seed, cfg.InitialSize, cfg.Ops)
 	out, err := workload.NewStream(b, p)
 	if err != nil {
 		fatal(err)
@@ -91,7 +92,9 @@ func main() {
 	}
 
 	rd := out.NewReader()
-	if *mechName == "sp" {
+	switch cfg.Mechanism {
+	case pmemaccel.Optimal:
+	case pmemaccel.SP:
 		// Build a minimal environment just to drive the rewriter.
 		k := sim.NewKernel()
 		backend, berr := memctrl.NewBackend(k, memctrl.Topology{},
@@ -106,8 +109,8 @@ func main() {
 			Durable: memimage.New(),
 		}
 		rd = mechanism.New(mechanism.SP, env).Rewrite(0, rd)
-	} else if *mechName != "" {
-		fatal(fmt.Errorf("only -mech sp rewrites the trace"))
+	default:
+		fatal(fmt.Errorf("only -mech sp rewrites the trace (-mech optimal prints it raw)"))
 	}
 
 	for i := 0; i < *skip+*n; i++ {

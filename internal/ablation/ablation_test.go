@@ -89,15 +89,3 @@ func TestNVMTechnologySweep(t *testing.T) {
 		t.Errorf("PCM throughput %.3f above STT-RAM %.3f", pcm.Throughput, sttram.Throughput)
 	}
 }
-
-func TestParseNVMTech(t *testing.T) {
-	for _, tech := range pmemaccel.NVMTechs {
-		got, err := pmemaccel.ParseNVMTech(tech.String())
-		if err != nil || got != tech {
-			t.Errorf("ParseNVMTech(%q) = %v, %v", tech.String(), got, err)
-		}
-	}
-	if _, err := pmemaccel.ParseNVMTech("dram"); err == nil {
-		t.Error("unknown tech accepted")
-	}
-}

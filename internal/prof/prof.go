@@ -7,17 +7,43 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// StartCPU begins a CPU profile streaming to path and returns the stop
-// function to defer. Stop closes the file; errors closing are reported
-// to stderr rather than returned, since the profile data is already
-// flushed by then.
-func StartCPU(path string) (stop func(), err error) {
+// Flags defines -cpuprofile and -memprofile on fs. Once fs is parsed,
+// call the returned start: it begins the CPU profile and returns the
+// stop function to defer, which ends the CPU profile and writes the
+// heap profile. Errors after the run are reported to stderr, since the
+// run's own output is already out by then.
+func Flags(fs *flag.FlagSet) (start func() (stop func(), err error)) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile (go tool pprof format) to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	return func() (func(), error) {
+		stopCPU := func() {}
+		if *cpu != "" {
+			var err error
+			if stopCPU, err = startCPU(*cpu); err != nil {
+				return nil, err
+			}
+		}
+		return func() {
+			stopCPU()
+			if *mem != "" {
+				if err := writeHeap(*mem); err != nil {
+					fmt.Fprintln(os.Stderr, err)
+				}
+			}
+		}, nil
+	}
+}
+
+// startCPU begins a CPU profile streaming to path and returns the
+// function that stops it and closes the file.
+func startCPU(path string) (stop func(), err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
@@ -34,10 +60,10 @@ func StartCPU(path string) (stop func(), err error) {
 	}, nil
 }
 
-// WriteHeap writes a heap profile of live objects to path, running a GC
+// writeHeap writes a heap profile of live objects to path, running a GC
 // first so the profile reflects retained memory rather than garbage
 // awaiting collection.
-func WriteHeap(path string) error {
+func writeHeap(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("prof: %w", err)

@@ -23,8 +23,10 @@ package pmemaccel
 
 import (
 	"fmt"
+	"strings"
 
 	"pmemaccel/internal/cache"
+	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/hwcost"
 	"pmemaccel/internal/mechanism"
 	"pmemaccel/internal/memaddr"
@@ -48,7 +50,9 @@ type Config struct {
 	Mechanism Kind
 
 	// InitialSize and Ops size the benchmark: prepopulated elements and
-	// measured operations (transactions) per core.
+	// measured operations (transactions) per core. InitialSize 0 sizes
+	// the persistent working set to twice the core's LLC share; Ops 0
+	// selects 1000.
 	InitialSize int
 	Ops         int
 
@@ -174,15 +178,6 @@ func DefaultConfig(b workload.Benchmark, m Kind) Config {
 	}
 }
 
-// PaperConfig returns the full Table 2 machine (Scale 1) with a
-// proportionally larger working set. Runs take correspondingly longer.
-func PaperConfig(b workload.Benchmark, m Kind) Config {
-	cfg := DefaultConfig(b, m)
-	cfg.Scale = 1
-	cfg.Ops = 40_000
-	return cfg
-}
-
 // footprintFactor is how many times the per-core LLC share the auto-sized
 // persistent working set occupies.
 const footprintFactor = 2
@@ -235,9 +230,9 @@ func (c Config) withDefaults() (Config, error) {
 // would silently accept but that produce confusing downstream behaviour:
 // a TC high-water fraction above 1, a TC capacity that is not a whole
 // number of lines, a cache geometry with no power-of-two set count.
-// NewSystem calls it via withDefaults; the cmd/ tools call it directly
-// after flag parsing so users get a descriptive error before a long run
-// starts. Zero-valued fields are legal: they select defaults, and
+// NewSystem calls it via withDefaults; the command-line flags call it
+// as they are parsed, so users get a descriptive error before a long
+// run starts. Zero-valued fields are legal: they select defaults, and
 // Validate checks the machine they select.
 func (c Config) Validate() error {
 	if c.Cores < 0 {
@@ -296,25 +291,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ValidateCLICores is the command-line tools' stricter core-count check:
-// beyond the library's range validation it requires a power of two, so
-// -cores always composes with the power-of-two channel interleave (and
-// matches the machine widths the figures pin). The library itself
-// accepts any count in [1, memaddr.MaxCores] — unit tests use odd widths
-// deliberately. 0 is allowed (it selects the default).
-func ValidateCLICores(n int) error {
-	if n == 0 {
-		return nil
-	}
-	if n < 0 || n > memaddr.MaxCores {
-		return fmt.Errorf("cores %d must be in [1, %d] (0 selects the default %d)", n, memaddr.MaxCores, DefaultCores)
-	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("cores %d must be a power of two (channel interleave and figure grids assume it)", n)
-	}
-	return nil
-}
-
 // topology builds the memory-channel layout from the configuration.
 func (c Config) topology() memctrl.Topology {
 	return memctrl.Topology{
@@ -357,6 +333,53 @@ func (c Config) HardwareCost() hwcost.Config {
 		L1Bytes: cc.L1Size, L2Bytes: cc.L2Size, LLCBytes: cc.LLCSize}
 }
 
+// MachineTable renders Table 2 for the machine a valid configuration
+// selects, from the builders NewSystem uses.
+func (c Config) MachineTable() string {
+	c = c.machine()
+	cc, tc, topo := c.cacheConfig(), c.tcConfig(), c.topology().WithDefaults()
+	nvm, dram := c.nvmConfig().WithDefaults(), c.dramConfig().WithDefaults()
+	var b strings.Builder
+	row := func(name, format string, args ...any) {
+		fmt.Fprintf(&b, "  %-18s %s\n", name, fmt.Sprintf(format, args...))
+	}
+	fmt.Fprintf(&b, "Table 2: Machine Configuration (Scale %d; the paper's machine is Scale 1)\n", c.Scale)
+	row("CPU", "%d cores, 2 GHz, %d-issue, %d-entry store buffer, MLP window %d",
+		c.Cores, cpu.IssueWidth, cpu.StoreBuffer, c.MLP)
+	row("L1 I/D", "Private, %s/core, %s, %d-way", byteSize(cc.L1Size), latency(cache.L1Latency), cc.L1Ways)
+	row("L2", "Private, %s/core, %s, %d-way", byteSize(cc.L2Size), latency(cache.L2Latency), cc.L2Ways)
+	row("L3 (LLC)", "Shared, %s, %s, %d-way", byteSize(cc.LLCSize), latency(cache.LLCLatency), cc.LLCWays)
+	row("Transaction cache", "Private, %s/core (%d entries), fully-assoc CAM FIFO, fall-back at %g%% full;",
+		byteSize(tc.SizeBytes), tc.Entries(), tc.HighWaterFrac*100)
+	row("", "access not modelled (a TC write costs no cycles)")
+	row("Memory controllers", "%d/%d-entry read/write queues; read-first, write drain from %d down to %d queued writes",
+		nvm.ReadWindow, nvm.WriteWindow, nvm.DrainHigh, nvm.DrainLow)
+	row("NVM ("+c.NVMTech.String()+")", "%d channel(s) x %d banks, %s read, %s write (row miss)",
+		topo.NVMChannels, nvm.Banks, latency(nvm.ReadMiss), latency(nvm.WriteMiss))
+	row("DRAM (DDR3)", "%d channel(s) x %d banks, %s read, %s write (row miss)",
+		topo.DRAMChannels, dram.Banks, latency(dram.ReadMiss), latency(dram.WriteMiss))
+	if topo.NVMChannels > 1 || topo.DRAMChannels > 1 {
+		row("Interleave", "%s blocks rotate across a space's channels", byteSize(int(topo.InterleaveBytes)))
+	}
+	return b.String()
+}
+
+// latency renders a cycle count at the 2 GHz clock.
+func latency(cycles uint64) string {
+	return fmt.Sprintf("%g ns (%d cy)", float64(cycles)/2, cycles)
+}
+
+// byteSize renders a capacity in the largest whole unit.
+func byteSize(n int) string {
+	switch {
+	case n >= 1<<20 && n%(1<<20) == 0:
+		return fmt.Sprintf("%d MB", n>>20)
+	case n >= 1<<10 && n%(1<<10) == 0:
+		return fmt.Sprintf("%d KB", n>>10)
+	}
+	return fmt.Sprintf("%d B", n)
+}
+
 // tcConfig builds the per-core transaction cache configuration.
 func (c Config) tcConfig() txcache.Config {
 	return txcache.Config{SizeBytes: c.TCBytes, HighWaterFrac: c.TCHighWaterFrac}
@@ -394,16 +417,6 @@ func (t NVMTech) String() string {
 
 // NVMTechs lists the modelled technologies.
 var NVMTechs = []NVMTech{STTRAM, PCM, XPoint}
-
-// ParseNVMTech maps a name to a technology.
-func ParseNVMTech(name string) (NVMTech, error) {
-	for _, t := range NVMTechs {
-		if t.String() == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("pmemaccel: unknown NVM technology %q", name)
-}
 
 // nvmConfig is the NVM channel: 4 ranks x 8 banks with the selected
 // technology's array timings at 2 GHz.

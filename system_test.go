@@ -2,6 +2,7 @@ package pmemaccel
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -24,11 +25,12 @@ func tinyConfig(b workload.Benchmark, m Kind) Config {
 	return cfg
 }
 
-// TestPaperConfigBuildsTable2Machine pins the machine a PaperConfig
+// TestScaleOneConfigBuildsTable2Machine pins the machine a Scale 1
 // System resolves to: Table 2's caches, transaction cache and core. The
 // workload is shrunk; it does not shape the machine.
-func TestPaperConfigBuildsTable2Machine(t *testing.T) {
-	cfg := PaperConfig(workload.SPS, TCache)
+func TestScaleOneConfigBuildsTable2Machine(t *testing.T) {
+	cfg := DefaultConfig(workload.SPS, TCache)
+	cfg.Scale = 1
 	cfg.InitialSize = 64
 	cfg.Ops = 10
 	s, err := NewSystem(cfg)
@@ -55,6 +57,45 @@ func TestPaperConfigBuildsTable2Machine(t *testing.T) {
 	if cpu.IssueWidth != 4 || cpu.StoreBuffer != 16 || s.Config.MLP != 8 {
 		t.Errorf("core: issue width %d, store buffer %d, MLP %d; want 4, 16, 8",
 			cpu.IssueWidth, cpu.StoreBuffer, s.Config.MLP)
+	}
+}
+
+// TestMachineTableRendersTheBuilders: the Table 2 that paperrepro
+// -config prints comes from the builders NewSystem uses, so each row
+// carries the built machine's sizes, ways, latencies and TC capacity.
+func TestMachineTableRendersTheBuilders(t *testing.T) {
+	wide := DefaultConfig(workload.SPS, TCache) // paperrepro -config -cores 16 -scale 64
+	wide.Cores = 16
+	full := DefaultConfig(workload.SPS, Kiln)
+	full.Scale = 1
+	small := DefaultConfig(workload.SPS, TCache)
+	small.Scale, small.TCBytes, small.NVMChannels = 256, 256, 2
+	for _, cfg := range []Config{wide, full, small} {
+		out := cfg.MachineTable()
+		m := cfg.machine()
+		cc, tc, nvm := m.cacheConfig(), m.tcConfig(), m.nvmConfig()
+		for _, want := range []string{
+			fmt.Sprintf("Scale %d", m.Scale),
+			fmt.Sprintf("%d cores, 2 GHz, %d-issue", m.Cores, cpu.IssueWidth),
+			fmt.Sprintf("L1 I/D             Private, %s/core, %s, %d-way", byteSize(cc.L1Size), latency(cache.L1Latency), cc.L1Ways),
+			fmt.Sprintf("L2                 Private, %s/core, %s, %d-way", byteSize(cc.L2Size), latency(cache.L2Latency), cc.L2Ways),
+			fmt.Sprintf("L3 (LLC)           Shared, %s, %s, %d-way", byteSize(cc.LLCSize), latency(cache.LLCLatency), cc.LLCWays),
+			fmt.Sprintf("Private, %s/core (%d entries)", byteSize(tc.SizeBytes), tc.Entries()),
+			fmt.Sprintf("%d channel(s) x %d banks, %s read, %s write", m.topology().WithDefaults().NVMChannels, nvm.Banks, latency(nvm.ReadMiss), latency(nvm.WriteMiss)),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("Scale %d, %d cores: table lacks %q:\n%s", m.Scale, m.Cores, want, out)
+			}
+		}
+	}
+	for _, want := range []string{
+		"16 cores", "Private, 4 KB/core, 0.5 ns (1 cy), 4-way", "Private, 32 KB/core, 4.5 ns (9 cy), 8-way",
+		"Shared, 1 MB, 10 ns (20 cy), 16-way", "Private, 4 KB/core (64 entries)", "fall-back at 90% full",
+		"8/64-entry read/write queues", "65 ns (130 cy) read, 76 ns (152 cy) write",
+	} {
+		if out := wide.MachineTable(); !strings.Contains(out, want) {
+			t.Errorf("16 cores at Scale 64: table lacks %q:\n%s", want, out)
+		}
 	}
 }
 

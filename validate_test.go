@@ -3,7 +3,8 @@ package pmemaccel
 // Config.Validate tests: the root validator must reject nonsense shapes
 // with descriptive errors (NewSystem calls it through withDefaults, so a
 // bad config fails fast instead of producing a silently wrong machine)
-// and accept everything DefaultConfig/PaperConfig produce.
+// and accept everything DefaultConfig produces, at Scale 64 and at the
+// full Table 2 Scale 1.
 
 import (
 	"math"
@@ -19,8 +20,10 @@ func TestValidateAcceptsStockConfigs(t *testing.T) {
 			if err := DefaultConfig(b, m).Validate(); err != nil {
 				t.Errorf("DefaultConfig(%v, %v): %v", b, m, err)
 			}
-			if err := PaperConfig(b, m).Validate(); err != nil {
-				t.Errorf("PaperConfig(%v, %v): %v", b, m, err)
+			full := DefaultConfig(b, m)
+			full.Scale, full.Ops = 1, 40_000
+			if err := full.Validate(); err != nil {
+				t.Errorf("DefaultConfig(%v, %v) at Scale 1: %v", b, m, err)
 			}
 		}
 	}
